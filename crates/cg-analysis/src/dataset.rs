@@ -203,13 +203,25 @@ impl Dataset {
         Ok(ds)
     }
 
-    /// Merges two datasets built from **disjoint rank ranges** (e.g.
-    /// per-segment partials from `cg_crawlstore::par_fold`) into one,
+    /// Merges two datasets built from **disjoint rank sets** (e.g. the
+    /// per-run partials of `cg_crawlstore::fold_store`) into one,
     /// interleaving their logs back into global rank order. Associative,
     /// with [`Dataset::empty`] as identity, so partials may combine in
     /// any grouping; equal ranks (which disjoint partials never produce)
-    /// keep `self`'s copy first for stability.
-    pub fn merge(self, other: Dataset) -> Dataset {
+    /// keep `self`'s copy first for stability. When every rank of
+    /// `other` follows `self`'s (consecutive chunks of one segment), the
+    /// merge is an append.
+    pub fn merge(mut self, other: Dataset) -> Dataset {
+        let appends = match (self.logs.last(), other.logs.first()) {
+            (Some(last), Some(first)) => last.rank <= first.rank,
+            _ => true,
+        };
+        if appends {
+            self.logs.extend(other.logs);
+            self.sites.extend(other.sites);
+            self.crawled += other.crawled;
+            return self;
+        }
         let crawled = self.crawled + other.crawled;
         let mut logs = Vec::with_capacity(self.logs.len() + other.logs.len());
         let mut sites = Vec::with_capacity(self.sites.len() + other.sites.len());
@@ -238,10 +250,10 @@ impl Dataset {
     }
 
     /// Builds a (retained) dataset from the crawl store at `dir`, using
-    /// up to `threads` parallel per-segment folds merged back into rank
+    /// up to `threads` parallel fold workers merged back into rank
     /// order. Byte-identical to [`Dataset::from_reader`] over a
     /// `CrawlReader` of the same store, at any thread count — segments
-    /// hold disjoint rank sets and partials merge in fixed order.
+    /// hold disjoint rank sets and partials merge by rank.
     pub fn from_store(
         dir: impl AsRef<std::path::Path>,
         threads: usize,
@@ -250,18 +262,28 @@ impl Dataset {
     }
 
     /// [`Dataset::from_store`] with an explicit
-    /// [`ReadBackend`](cg_crawlstore::ReadBackend): partials are folded
-    /// per *chunk* (frame-index boundaries inside binary segments) and
-    /// rank-interleaved back by [`Dataset::merge`] — chunks hold
-    /// disjoint rank ranges, so the merged dataset is byte-identical at
-    /// any thread count and through any backend.
+    /// [`ReadBackend`](cg_crawlstore::ReadBackend): each chunk
+    /// (frame-index boundaries inside binary segments) is folded and
+    /// rank-interleaved into its run's dataset by [`Dataset::merge`] —
+    /// chunks hold disjoint rank sets, so the merged dataset is
+    /// byte-identical at any thread count and through any backend.
     pub fn from_store_with(
         dir: impl AsRef<std::path::Path>,
         threads: usize,
         backend: cg_crawlstore::ReadBackend,
     ) -> Result<Dataset, cg_crawlstore::StoreError> {
-        let partials = cg_crawlstore::par_fold_with(dir, threads, backend, Dataset::from_reader)?;
-        Ok(partials.into_iter().fold(Dataset::empty(), Dataset::merge))
+        cg_crawlstore::fold_store(
+            dir,
+            threads,
+            backend,
+            Dataset::empty,
+            |ds, chunk| {
+                let chunk = Dataset::from_reader(chunk)?;
+                *ds = std::mem::replace(ds, Dataset::empty()).merge(chunk);
+                Ok(())
+            },
+            Dataset::merge,
+        )
     }
 
     /// Number of analyzable sites.

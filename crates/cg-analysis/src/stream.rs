@@ -17,11 +17,12 @@
 //! crawl and ~1%-accurate at campaign scale.
 //!
 //! `StreamStats` is a commutative monoid ([`StreamStats::merge`] is
-//! associative, [`StreamStats::default`] is the identity), which is
-//! what makes parallel per-segment folds sound: fold each store
-//! segment on its own worker, then merge the partials in fixed segment
-//! order — byte-identical serialized output at any thread count
-//! (`cg_crawlstore::par_fold` supplies the orchestration).
+//! associative, [`StreamStats::default`] is the identity), and merging
+//! two partials equals folding their visits into one. That is what
+//! makes parallel folds sound: `cg_crawlstore::fold_store` folds
+//! contiguous runs of the store on separate workers and merges adjacent
+//! runs in store order — byte-identical serialized output at any thread
+//! count.
 
 use crate::dataset::reconstruct;
 use crate::sketch::DistinctSketch;
@@ -158,9 +159,9 @@ impl StreamStats {
     }
 
     /// Absorbs another partial. Associative and commutative (sums and
-    /// order-independent sketch unions), so per-segment partials can
-    /// merge in any grouping — `par_fold` still merges in fixed segment
-    /// order for a fully deterministic pipeline.
+    /// order-independent sketch unions), so partials can merge in any
+    /// grouping; `cg_crawlstore::fold_store` merges them in store order
+    /// regardless.
     pub fn merge(mut self, other: StreamStats) -> StreamStats {
         self.crawled += other.crawled;
         self.complete += other.complete;
@@ -199,8 +200,8 @@ impl StreamStats {
     }
 
     /// Streams the store at `dir` into aggregates using up to `threads`
-    /// parallel per-segment folds. Byte-identical serialized output at
-    /// any thread count, with peak memory independent of crawl size.
+    /// parallel fold workers. Byte-identical serialized output at any
+    /// thread count, with peak memory independent of crawl size.
     pub fn from_store(dir: impl AsRef<Path>, threads: usize) -> Result<StreamStats, StoreError> {
         StreamStats::from_store_with(dir, threads, ReadBackend::default())
     }
@@ -215,11 +216,19 @@ impl StreamStats {
         threads: usize,
         backend: ReadBackend,
     ) -> Result<StreamStats, StoreError> {
-        let partials =
-            cg_crawlstore::par_fold_with(dir, threads, backend, StreamStats::from_reader)?;
-        Ok(partials
-            .into_iter()
-            .fold(StreamStats::default(), StreamStats::merge))
+        cg_crawlstore::fold_store(
+            dir,
+            threads,
+            backend,
+            StreamStats::default,
+            |stats, chunk| {
+                for log in chunk {
+                    stats.fold(&log?);
+                }
+                Ok(())
+            },
+            StreamStats::merge,
+        )
     }
 
     /// The flat summary (pair sketches reduced to their counts) — what

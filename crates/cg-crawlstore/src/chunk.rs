@@ -6,9 +6,10 @@
 //! written by few workers left fold threads idle. A [`ChunkPlan`]
 //! instead cuts every segment at its sidecar-index stride boundaries
 //! (rebuilt by a header scan when the sidecar is missing or refused),
-//! producing tens to thousands of [`ChunkSpec`]s that work-stealing
-//! folds claim one at a time. Chunk boundaries carry the planned first
-//! rank and an inclusive rank bound, so a decode that drifts across a
+//! producing tens to thousands of [`ChunkSpec`]s that
+//! [`fold_store`](crate::fold_store) hands out in contiguous runs.
+//! Chunk boundaries carry the planned first rank and an inclusive rank
+//! bound, so a decode that drifts across a
 //! boundary (a stale plan, a damaged file) is an error — never a
 //! silently wrong result.
 //!
@@ -22,7 +23,7 @@
 //! prefix are never part of any decode window.
 //!
 //! **Layer:** persistence (between the segment files and
-//! [`par_fold_with`](crate::par_fold_with)). **Invariants:** chunks
+//! [`fold_store`](crate::fold_store)). **Invariants:** chunks
 //! partition each segment's durable byte range exactly; each chunk's
 //! frames are rank-ascending, start at the planned first rank, and stay
 //! within the planned bound; all backends yield byte-identical
@@ -114,8 +115,8 @@ pub struct ChunkPlan {
 /// Builds the chunk plan for the **binary** store at `dir`, loading
 /// each segment's validated sidecar index or rebuilding it with a
 /// header scan. Refuses JSONL stores (line-oriented segments have no
-/// frame offsets); [`par_fold_with`](crate::par_fold_with) treats a
-/// JSONL segment as a single chunk instead.
+/// frame offsets); [`fold_store`](crate::fold_store) treats a JSONL
+/// segment as a single unit instead.
 pub fn plan_chunks(dir: impl AsRef<Path>) -> Result<ChunkPlan, StoreError> {
     let dir = dir.as_ref();
     let _span = cg_telemetry::span!("chunk_plan");
@@ -294,9 +295,9 @@ pub struct ChunkStream {
 
 impl ChunkStream {
     /// Wraps one whole JSONL segment stream as a single chunk, so
-    /// [`par_fold_with`](crate::par_fold_with) covers both formats with
-    /// one closure signature. Rank-order and parse checks are the
-    /// stream's own.
+    /// [`fold_store`](crate::fold_store) covers both formats with one
+    /// closure signature. Rank-order and parse checks are the stream's
+    /// own.
     pub fn from_segment(stream: SegmentStream) -> ChunkStream {
         crate::telemetry::metrics().chunks_claimed.incr();
         ChunkStream {

@@ -1,130 +1,191 @@
-//! Parallel per-segment folds: N workers each fold one whole segment's
-//! stream, and the per-segment partials are combined **in manifest
-//! order** — so the result is a deterministic function of the store's
-//! contents, independent of worker count or scheduling.
+//! Ordered streaming folds over a store: [`fold_store`] is the one
+//! scheduler every analysis pass runs through.
 //!
-//! Why this is sound: segments hold *disjoint* rank sets (the writer
-//! hands every worker a fresh file and ranks come from one atomic
-//! counter), each segment is internally rank-sorted, and the manifest
-//! lists segments in a fixed (file-name-sorted) order. Any fold whose
-//! merge is associative over disjoint rank ranges therefore produces
-//! byte-identical output at 1 thread and at N — the property the
-//! analysis layer's differential tests pin.
+//! The unit of work is a chunk. Binary segments are cut at frame-index
+//! stride boundaries ([`plan_chunks`](crate::chunk)); a JSONL segment has
+//! no frame offsets, so each one is a single unit. Units are numbered in
+//! (segment, chunk) order, the fixed sequential order.
 //!
-//! The store layer stays below analysis: this module knows nothing
-//! about statistics. It runs caller-supplied closures over
-//! [`SegmentStream`]s and hands back the partials in segment order;
-//! `cg-analysis` supplies the mergeable partial types (`Dataset`
-//! partials, `StreamStats`).
+//! **Scheduling.** Each worker starts on one contiguous range of units
+//! and folds the whole range into one accumulator. A worker that runs
+//! out steals the back half of the largest range still unclaimed and
+//! starts a fresh accumulator for it, so every accumulator covers one
+//! contiguous *run* of units.
 //!
-//! [`par_fold_with`] is the chunk-granular successor: binary segments
-//! are cut at frame-index boundaries ([`plan_chunks`](crate::chunk)),
-//! so parallelism exists *within* a segment too — a store written by
-//! one worker still fans out across every fold thread. The soundness
-//! argument extends unchanged: chunks of one segment hold disjoint,
-//! contiguous rank ranges in file order, so reducing the per-chunk
-//! partials in the fixed (segment, chunk) order is deterministic at
-//! any thread count and through any [`ReadBackend`].
+//! **Merge order.** A finished run is merged with the finished runs
+//! directly before and after it, the earlier run always on the left.
+//! Merges only ever join neighbours, so the result is the sequential
+//! reduction for any associative `merge` — including `Dataset`'s
+//! order-sensitive rank interleave — at any thread count and through any
+//! [`ReadBackend`]. This is sound because segments hold disjoint rank
+//! sets and the chunks of one segment hold disjoint, ascending rank
+//! ranges: every run folds a fixed slice of the store.
+//!
+//! **Memory.** Two finished runs never sit side by side (they would have
+//! merged), so at most `threads + 1` finished partials wait between the
+//! `threads` runs still in progress. A fold holds at most
+//! `2 × threads + 1` partials and `threads` decode windows, whatever the
+//! store size. At one thread it holds a single accumulator and does no
+//! merge at all.
+//!
+//! The store layer stays below analysis: this module knows nothing about
+//! statistics. `cg-analysis` and `cg-detect` supply the accumulators
+//! (`StreamStats`, `Dataset`, `DetectStats`).
 
-use crate::chunk::{plan_chunks, ChunkStream, ReadBackend};
+use crate::chunk::{plan_chunks, ChunkPlan, ChunkStream, ReadBackend};
 use crate::codec::SegmentFormat;
-use crate::manifest::Manifest;
-use crate::reader::{segment_streams, SegmentStream};
+use crate::manifest::{Manifest, SegmentMeta};
+use crate::reader::open_segment_stream;
 use crate::StoreError;
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
-/// Folds every segment of the store at `dir` with `fold_segment`,
-/// using up to `threads` workers, and returns the partials **in
-/// manifest (file-name-sorted) segment order** — the fixed reduce
-/// order that makes parallel results deterministic.
-///
-/// Workers pull segment indices from a shared counter, so long and
-/// short segments load-balance. Memory is bounded by
-/// `threads × (one in-flight record + one partial)` — independent of
-/// crawl size as long as the partial type is.
-///
-/// The first segment error is returned (after all workers stop); the
-/// partials of unaffected segments are discarded rather than exposed.
-pub fn par_fold<T, F>(
-    dir: impl AsRef<Path>,
-    threads: usize,
-    fold_segment: F,
-) -> Result<Vec<T>, StoreError>
-where
-    T: Send,
-    F: Fn(SegmentStream) -> Result<T, StoreError> + Sync,
-{
-    let streams = segment_streams(dir)?;
-    let count = streams.len();
-    let threads = threads.max(1).min(count.max(1));
-    // One span + shard count per segment claim, at any thread count.
-    let fold_shard = |i: usize, stream: SegmentStream| {
-        crate::telemetry::metrics().fold_shards.incr();
-        let _span = cg_telemetry::span!("fold_shard", i);
-        fold_segment(stream)
-    };
-    if threads <= 1 {
-        return streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| fold_shard(i, s))
-            .collect();
+/// The units a fold walks, in (segment, chunk) order.
+enum Units {
+    /// A binary store cut at frame-index boundaries.
+    Chunks(ChunkPlan),
+    /// A JSONL store: one whole segment per unit, opened when claimed.
+    Segments {
+        dir: PathBuf,
+        segments: Vec<SegmentMeta>,
+    },
+}
+
+impl Units {
+    fn plan(dir: &Path) -> Result<Units, StoreError> {
+        match Manifest::load(dir)? {
+            Some(m) if m.fingerprint.format == SegmentFormat::Jsonl => Ok(Units::Segments {
+                dir: dir.to_path_buf(),
+                segments: m.segments,
+            }),
+            _ => plan_chunks(dir).map(Units::Chunks),
+        }
     }
 
-    // Hand each worker exclusive ownership of whole segments: a slot
-    // vector claimed through an atomic cursor (indices are claimed
-    // exactly once, so the mutexes are uncontended formality).
-    let slots: Vec<Mutex<Option<SegmentStream>>> =
-        streams.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let results: Vec<Mutex<Option<Result<T, StoreError>>>> =
-        (0..count).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
+    fn len(&self) -> usize {
+        match self {
+            Units::Chunks(plan) => plan.len(),
+            Units::Segments { segments, .. } => segments.len(),
+        }
+    }
 
+    fn open(&self, i: usize, backend: ReadBackend) -> Result<ChunkStream, StoreError> {
+        match self {
+            Units::Chunks(plan) => plan.open_chunk(i, backend),
+            Units::Segments { dir, segments } => {
+                open_segment_stream(dir, &segments[i]).map(ChunkStream::from_segment)
+            }
+        }
+    }
+}
+
+/// Folds every unit of the store at `dir` through `backend` with up to
+/// `threads` workers, and returns the single reduced accumulator.
+///
+/// `init` makes an empty accumulator, `fold` folds one chunk's stream
+/// into it, and `merge(earlier, later)` joins the accumulators of two
+/// adjacent runs. The result equals folding every unit in (segment,
+/// chunk) order into one accumulator whenever `merge` is associative and
+/// agrees with folding the later run's units after the earlier run's —
+/// true of the commutative monoids (`StreamStats`, `DetectStats`) and of
+/// `Dataset`'s rank interleave alike.
+///
+/// A failing unit stops every worker; the error of the lowest failing
+/// unit reached is returned once all have stopped, and no partial
+/// outlives the call.
+pub fn fold_store<T, I, F, M>(
+    dir: impl AsRef<Path>,
+    threads: usize,
+    backend: ReadBackend,
+    init: I,
+    fold: F,
+    merge: M,
+) -> Result<T, StoreError>
+where
+    T: Send,
+    I: Fn() -> T + Sync,
+    F: Fn(&mut T, ChunkStream) -> Result<(), StoreError> + Sync,
+    M: Fn(T, T) -> T + Sync,
+{
+    let units = Units::plan(dir.as_ref())?;
+    let count = units.len();
+    let threads = threads.max(1).min(count.max(1));
+    let tele = crate::telemetry::metrics();
+    let fold_unit = |acc: &mut T, i: usize| -> Result<(), StoreError> {
+        tele.fold_shards.incr();
+        let _span = cg_telemetry::span!("fold_shard", i);
+        fold(acc, units.open(i, backend)?)
+    };
+    let new_partial = || {
+        tele.fold_partials.incr();
+        init()
+    };
+    if threads == 1 {
+        let mut acc = new_partial();
+        for i in 0..count {
+            fold_unit(&mut acc, i)?;
+        }
+        return Ok(acc);
+    }
+
+    let sched = Mutex::new(Sched {
+        ranges: (0..threads)
+            .map(|w| w * count / threads..(w + 1) * count / threads)
+            .collect(),
+        done: BTreeMap::new(),
+        error: None,
+    });
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    return;
+        for w in 0..threads {
+            let (sched, fold_unit, new_partial, merge) = (&sched, &fold_unit, &new_partial, &merge);
+            scope.spawn(move || {
+                let mut start = lock(sched).ranges[w].start;
+                let mut acc = new_partial();
+                loop {
+                    // Bound first: a guard held across the match would
+                    // serialize the folds.
+                    let claim = lock(sched).claim(w);
+                    match claim {
+                        Claim::Unit(i) => {
+                            if let Err(e) = fold_unit(&mut acc, i) {
+                                lock(sched).fail(i, e);
+                                return;
+                            }
+                        }
+                        Claim::RunEnd(end) => {
+                            deposit(sched, start..end, acc, merge);
+                            let Some(stolen) = lock(sched).steal(w) else {
+                                return;
+                            };
+                            start = stolen;
+                            acc = new_partial();
+                        }
+                        Claim::Stop => return,
+                    }
                 }
-                let stream = slots[i]
-                    .lock()
-                    .expect("segment slot lock poisoned")
-                    .take()
-                    .expect("segment index claimed twice");
-                let partial = fold_shard(i, stream);
-                *results[i].lock().expect("result slot lock poisoned") = Some(partial);
             });
         }
     });
 
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot lock poisoned")
-                .expect("every segment index was claimed")
-        })
-        .collect()
+    let sched = sched.into_inner().expect("fold scheduler lock poisoned");
+    if let Some((_, e)) = sched.error {
+        return Err(e);
+    }
+    // Every run has merged into its neighbours by now; the reduce is a
+    // formality over the single remaining partial.
+    Ok(sched
+        .done
+        .into_values()
+        .map(|(_, partial)| partial)
+        .reduce(merge)
+        .expect("a parallel fold covers at least two units"))
 }
 
-/// Chunk-granular [`par_fold`]: folds every chunk of the store at
-/// `dir` with `fold_chunk` through the chosen [`ReadBackend`], using up
-/// to `threads` workers, and returns the partials **in (segment,
-/// chunk) order** — the fixed reduce order that keeps parallel results
-/// byte-identical at any thread count and backend.
-///
-/// Binary stores are cut at frame-index stride boundaries (sidecar
-/// `.idx` files, rebuilt by a header scan when absent or refused), so
-/// even a single-segment store saturates every worker. JSONL stores
-/// fall back to one chunk per segment — same closure signature, same
-/// determinism, segment-granular parallelism.
-///
-/// Workers pull chunk indices from a shared counter (work stealing, so
-/// skewed segments load-balance); memory is bounded by
-/// `threads × (one chunk window + one partial)`.
+/// [`fold_store`] with one partial per chunk, returned in (segment,
+/// chunk) order. Holds every partial until the fold ends, so callers
+/// that reduce them should use [`fold_store`] instead.
 pub fn par_fold_with<T, F>(
     dir: impl AsRef<Path>,
     threads: usize,
@@ -135,136 +196,193 @@ where
     T: Send,
     F: Fn(ChunkStream) -> Result<T, StoreError> + Sync,
 {
-    let dir = dir.as_ref();
-    // Line-oriented segments have no frame offsets to cut at: reuse the
-    // segment-granular fold, one whole segment per chunk.
-    let format = Manifest::load(dir)?.map(|m| m.fingerprint.format);
-    if format == Some(SegmentFormat::Jsonl) {
-        return par_fold(dir, threads, |s| fold_chunk(ChunkStream::from_segment(s)));
-    }
-    let plan = plan_chunks(dir)?;
-    let count = plan.len();
-    let threads = threads.max(1).min(count.max(1));
-    let fold_one = |i: usize| -> Result<T, StoreError> {
-        crate::telemetry::metrics().fold_shards.incr();
-        let _span = cg_telemetry::span!("fold_shard", i);
-        fold_chunk(plan.open_chunk(i, backend)?)
-    };
-    if threads <= 1 {
-        return (0..count).map(fold_one).collect();
-    }
+    fold_store(
+        dir,
+        threads,
+        backend,
+        Vec::new,
+        |parts, chunk| {
+            parts.push(fold_chunk(chunk)?);
+            Ok(())
+        },
+        |mut earlier, mut later| {
+            earlier.append(&mut later);
+            earlier
+        },
+    )
+}
 
-    let results: Vec<Mutex<Option<Result<T, StoreError>>>> =
-        (0..count).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    return;
-                }
-                *results[i].lock().expect("result slot lock poisoned") = Some(fold_one(i));
-            });
+/// Shared scheduler state, behind one lock taken once per unit claim.
+struct Sched<T> {
+    /// Each worker's unclaimed remainder of its current run.
+    ranges: Vec<Range<usize>>,
+    /// Finished runs by first unit: (one past the last unit, partial).
+    done: BTreeMap<usize, (usize, T)>,
+    /// The lowest-unit error seen; once set, every worker stops.
+    error: Option<(usize, StoreError)>,
+}
+
+enum Claim {
+    /// Fold this unit into the current run.
+    Unit(usize),
+    /// The current run is complete and ends before this unit.
+    RunEnd(usize),
+    /// Another worker failed.
+    Stop,
+}
+
+fn lock<T>(sched: &Mutex<Sched<T>>) -> MutexGuard<'_, Sched<T>> {
+    sched.lock().expect("fold scheduler lock poisoned")
+}
+
+impl<T> Sched<T> {
+    fn claim(&mut self, w: usize) -> Claim {
+        if self.error.is_some() {
+            return Claim::Stop;
         }
-    });
+        let range = &mut self.ranges[w];
+        match range.next() {
+            Some(i) => Claim::Unit(i),
+            None => Claim::RunEnd(range.end),
+        }
+    }
 
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot lock poisoned")
-                .expect("every chunk index was claimed")
-        })
-        .collect()
+    /// Hands worker `w` the back half (at least one unit) of the largest
+    /// unclaimed range and returns its first unit; `None` when no work
+    /// is left.
+    fn steal(&mut self, w: usize) -> Option<usize> {
+        if self.error.is_some() {
+            return None;
+        }
+        let (victim, len) = self
+            .ranges
+            .iter()
+            .map(ExactSizeIterator::len)
+            .enumerate()
+            .max_by_key(|&(_, len)| len)
+            .filter(|&(_, len)| len > 0)?;
+        let end = self.ranges[victim].end;
+        let mid = end - len.div_ceil(2);
+        self.ranges[victim].end = mid;
+        self.ranges[w] = mid..end;
+        Some(mid)
+    }
+
+    fn fail(&mut self, unit: usize, e: StoreError) {
+        if self.error.as_ref().is_none_or(|&(first, _)| unit < first) {
+            self.error = Some((unit, e));
+        }
+    }
+
+    /// Removes the finished run that ends exactly at `start`.
+    fn take_ending_at(&mut self, start: usize) -> Option<(usize, T)> {
+        let (&first, &(end, _)) = self.done.range(..start).next_back()?;
+        if end != start {
+            return None;
+        }
+        self.done
+            .remove(&first)
+            .map(|(_, partial)| (first, partial))
+    }
+}
+
+/// Files a finished run, merging it with finished neighbours first. The
+/// neighbour check and the insert happen under one lock hold, so two
+/// adjacent runs can never both be filed unmerged; merges themselves run
+/// outside the lock. An empty run (its one unit stolen before it was
+/// claimed) holds nothing and is dropped.
+fn deposit<T>(
+    sched: &Mutex<Sched<T>>,
+    mut run: Range<usize>,
+    mut acc: T,
+    merge: &impl Fn(T, T) -> T,
+) {
+    if run.is_empty() {
+        return;
+    }
+    loop {
+        let (before, after) = {
+            let mut s = lock(sched);
+            if s.error.is_some() {
+                return;
+            }
+            let before = s.take_ending_at(run.start);
+            let after = s.done.remove(&run.end);
+            if before.is_none() && after.is_none() {
+                s.done.insert(run.start, (run.end, acc));
+                return;
+            }
+            (before, after)
+        };
+        if let Some((start, partial)) = before {
+            acc = merge(partial, acc);
+            run.start = start;
+        }
+        if let Some((end, partial)) = after {
+            acc = merge(acc, partial);
+            run.end = end;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::SegmentFormat;
-    use crate::manifest::Fingerprint;
-    use crate::writer::CrawlWriter;
-    use cg_instrument::VisitLog;
 
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("cg-fold-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn fp() -> Fingerprint {
-        Fingerprint {
-            master_seed: 1,
-            from: 1,
-            to: 100,
-            visit_config: "cfg".into(),
-            generator: "gen".into(),
-            format: SegmentFormat::Binary,
-        }
-    }
-
-    fn log(rank: usize) -> VisitLog {
-        VisitLog {
-            site_domain: format!("site{rank}.com"),
-            rank,
-            complete: true,
-            ..VisitLog::default()
-        }
-    }
-
-    fn fill(dir: &std::path::Path, segments: usize, ranks: usize) {
-        let store = CrawlWriter::open(dir, fp()).unwrap();
-        let mut segs: Vec<_> = (0..segments).map(|_| store.segment().unwrap()).collect();
-        for rank in 1..=ranks {
-            segs[rank % segments].record(&log(rank)).unwrap();
-        }
-        for seg in segs {
-            seg.finish().unwrap();
+    fn sched(ranges: Vec<Range<usize>>) -> Sched<Vec<usize>> {
+        Sched {
+            ranges,
+            done: BTreeMap::new(),
+            error: None,
         }
     }
 
     #[test]
-    fn partials_come_back_in_segment_order_at_any_thread_count() {
-        let dir = tmp_dir("order");
-        fill(&dir, 4, 100);
-        let fold = |stream: SegmentStream| {
-            stream
-                .map(|r| r.map(|l| l.rank))
-                .collect::<Result<Vec<_>, _>>()
+    fn steals_take_the_back_half_of_the_largest_range() {
+        let mut s = sched(vec![0..0, 2..10, 10..13]);
+        assert_eq!(s.steal(0), Some(6));
+        assert_eq!(s.ranges, vec![6..10, 2..6, 10..13]);
+        // A single remaining unit is stolen whole.
+        let mut s = sched(vec![3..4, 4..4]);
+        assert_eq!(s.steal(1), Some(3));
+        assert_eq!(s.ranges, vec![3..3, 3..4]);
+        assert_eq!(s.steal(0), Some(3));
+        assert_eq!(s.ranges, vec![3..4, 3..3]);
+        let mut s = sched(vec![4..4, 9..9]);
+        assert_eq!(s.steal(0), None);
+    }
+
+    #[test]
+    fn deposits_merge_adjacent_runs_in_order() {
+        let s = Mutex::new(sched(Vec::new()));
+        let concat = |mut a: Vec<usize>, mut b: Vec<usize>| {
+            a.append(&mut b);
+            a
         };
-        let sequential = par_fold(&dir, 1, fold).unwrap();
-        for threads in [2, 4, 8] {
-            assert_eq!(par_fold(&dir, threads, fold).unwrap(), sequential);
-        }
-        // Partials cover the store exactly.
-        let total: usize = sequential.iter().map(Vec::len).sum();
-        assert_eq!(total, 100);
-        std::fs::remove_dir_all(&dir).unwrap();
+        deposit(&s, 4..6, vec![4, 5], &concat);
+        deposit(&s, 0..2, vec![0, 1], &concat);
+        assert_eq!(lock(&s).done.len(), 2, "runs with a gap stay apart");
+        deposit(&s, 2..4, vec![2, 3], &concat);
+        deposit(&s, 6..6, Vec::new(), &concat);
+        let done = s.into_inner().unwrap().done;
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[&0], (6, vec![0, 1, 2, 3, 4, 5]));
     }
 
     #[test]
-    fn empty_store_folds_to_no_partials() {
-        let dir = tmp_dir("empty");
-        drop(CrawlWriter::open(&dir, fp()).unwrap());
-        let partials = par_fold(&dir, 8, |s| Ok(s.count())).unwrap();
-        assert!(partials.is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn segment_errors_surface_from_parallel_workers() {
-        let dir = tmp_dir("err");
-        fill(&dir, 3, 30);
-        // Damage one segment mid-file after the store is closed.
-        let mut bytes = std::fs::read(dir.join("seg-1.bin")).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(dir.join("seg-1.bin"), &bytes).unwrap();
-        let result = par_fold(&dir, 4, |s| {
-            s.map(|r| r.map(|_| 1usize)).sum::<Result<usize, _>>()
-        });
-        assert!(matches!(result, Err(StoreError::Corrupt { .. })));
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn the_lowest_failing_unit_wins() {
+        let corrupt = |detail: &str| StoreError::Corrupt {
+            file: String::new(),
+            detail: detail.into(),
+        };
+        let mut s = sched(vec![0..4, 4..8]);
+        s.fail(7, corrupt("late"));
+        s.fail(2, corrupt("early"));
+        s.fail(5, corrupt("middle"));
+        assert!(
+            matches!(s.error, Some((2, StoreError::Corrupt { ref detail, .. })) if detail == "early")
+        );
+        assert!(matches!(s.claim(0), Claim::Stop));
+        assert_eq!(s.steal(0), None);
     }
 }

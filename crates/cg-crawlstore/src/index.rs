@@ -146,7 +146,9 @@ pub fn decode_index(bytes: &[u8]) -> Result<FrameIndex, String> {
     if fnv1a32w(index_check_prefix(stride, count), body) != check {
         return Err("index checksum mismatch".into());
     }
-    let mut entries = Vec::with_capacity(count);
+    // Every entry is at least two varint bytes: the body bounds the
+    // allocation, whatever count the header claims.
+    let mut entries = Vec::with_capacity(count.min(body.len() / 2));
     let mut pos = 0usize;
     let mut prev = IndexEntry { rank: 0, offset: 0 };
     for i in 0..count {
@@ -156,8 +158,14 @@ pub fn decode_index(bytes: &[u8]) -> Result<FrameIndex, String> {
             return Err("index entries not strictly increasing".into());
         }
         prev = IndexEntry {
-            rank: prev.rank + d_rank,
-            offset: prev.offset + d_off,
+            rank: prev
+                .rank
+                .checked_add(d_rank)
+                .ok_or("index rank overflows")?,
+            offset: prev
+                .offset
+                .checked_add(d_off)
+                .ok_or("index offset overflows")?,
         };
         entries.push(prev);
     }
@@ -329,6 +337,46 @@ mod tests {
         }
         assert!(decode_index(&bytes[..bytes.len() - 1]).is_err());
         assert!(decode_index(b"CGIX").is_err());
+    }
+
+    /// A sidecar with a valid checksum over hostile fields.
+    fn crafted(stride: u32, count: u32, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(INDEX_MAGIC);
+        out.extend_from_slice(&INDEX_VERSION.to_le_bytes());
+        out.extend_from_slice(&stride.to_le_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+        out.extend_from_slice(body);
+        let check = fnv1a32w(index_check_prefix(stride, count as usize), body);
+        out.extend_from_slice(&check.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn hostile_counts_and_deltas_are_refused_without_panic() {
+        let body = |values: [u64; 4]| {
+            let mut body = Vec::new();
+            for v in values {
+                write_uv(&mut body, v);
+            }
+            body
+        };
+        // A checksummed u32::MAX count over a two-entry body: refused
+        // once the body runs out, after allocating for at most
+        // body.len() / 2 entries.
+        assert_eq!(
+            decode_index(&crafted(INDEX_STRIDE, u32::MAX, &body([1, 0, 2, 2]))),
+            Err("index entry truncated".to_string())
+        );
+        // Deltas that carry the running rank, then the offset, past u64.
+        assert_eq!(
+            decode_index(&crafted(INDEX_STRIDE, 2, &body([u64::MAX, 0, 1, 1]))),
+            Err("index rank overflows".to_string())
+        );
+        assert_eq!(
+            decode_index(&crafted(INDEX_STRIDE, 2, &body([1, u64::MAX, 1, 1]))),
+            Err("index offset overflows".to_string())
+        );
     }
 
     #[test]

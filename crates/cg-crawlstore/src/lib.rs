@@ -30,15 +30,16 @@
 //! * **Streaming reads** — [`CrawlReader`] replays the store
 //!   rank-ordered via a k-way merge over the segment files, holding one
 //!   record per segment in memory. `Dataset::from_reader` in
-//!   `cg-analysis` folds that stream incrementally. For parallel
-//!   analysis, [`par_fold`] instead folds each segment's stream on its
-//!   own worker and combines the partials in a fixed segment order —
-//!   deterministic (byte-identical statistics) at any thread count,
-//!   because segments hold disjoint rank sets.
-//! * **Chunked zero-copy reads** — binary segments carry a
+//!   `cg-analysis` folds that stream incrementally.
+//! * **Parallel folds in bounded memory** — binary segments carry a
 //!   `seg-<n>.idx` frame-index sidecar ([`index`]) that cuts each
-//!   segment into independently decodable chunks ([`chunk`]), so
-//!   [`par_fold_with`] parallelizes *within* segments through a chosen
+//!   segment into independently decodable chunks ([`chunk`]); a JSONL
+//!   segment is one unit. [`fold_store`] folds contiguous runs of units
+//!   into one accumulator per worker (plus one per steal), merges
+//!   adjacent runs as they finish, and so holds O(threads) partials
+//!   whatever the crawl size. Merges join neighbours only, earlier run
+//!   first, so the result is the sequential fold's — byte-identical at
+//!   any thread count. Chunks are read through a chosen
 //!   [`ReadBackend`]: `mmap(2)` windows over the page cache ([`mmap`],
 //!   the default — zero-copy, falling back to `pread` wherever mapping
 //!   fails), positioned reads, or buffered streaming. All backends
@@ -68,7 +69,7 @@
 //! killed-and-resumed crawl's merged stream is byte-identical to an
 //! uninterrupted one, in either segment format. **Entry points:**
 //! `open_store`, `open_store_with`, `crawl_to_store`, `CrawlWriter`,
-//! `CrawlReader`, `par_fold`, `par_fold_with`.
+//! `CrawlReader`, `fold_store`, `par_fold_with`.
 
 pub mod chunk;
 pub mod codec;
@@ -83,7 +84,7 @@ pub mod writer;
 
 pub use chunk::{plan_chunks, ChunkPlan, ChunkSpec, ChunkStream, ReadBackend};
 pub use codec::SegmentFormat;
-pub use fold::{par_fold, par_fold_with};
+pub use fold::{fold_store, par_fold_with};
 pub use manifest::{Fingerprint, Manifest, SegmentMeta, MANIFEST_FILE};
 pub use mmap::Mmap;
 pub use pread::{frame_cursors, FrameCursor};

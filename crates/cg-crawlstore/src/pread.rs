@@ -256,7 +256,7 @@ impl FrameCursor {
 
 /// Opens every manifest-listed segment of the **binary** store at `dir`
 /// as a rewindable [`FrameCursor`], in manifest (file-name-sorted)
-/// order — the same fixed order [`par_fold`](crate::par_fold) uses.
+/// order — the same fixed order [`fold_store`](crate::fold_store) uses.
 /// Refuses JSONL stores: positioned frame reads are a binary-format
 /// contract, and the replayer's hot loop must not fall back to line
 /// scanning silently.

@@ -1,7 +1,6 @@
 //! The streaming read path: a rank-ordered k-way merge over segment
 //! files, holding one record per segment in memory — plus per-segment
-//! streams ([`SegmentStream`]) that parallel analysis folds consume
-//! one whole segment at a time.
+//! streams ([`SegmentStream`]), the unit a fold takes from a JSONL store.
 
 use crate::codec::{self, SegmentFormat, FRAME_HEADER};
 use crate::manifest::{Fingerprint, Manifest, SegmentMeta};
@@ -340,9 +339,8 @@ impl Iterator for RawLines {
 
 /// One segment's records in file order — each segment is an internally
 /// rank-sorted run, so this is also rank order *within* the segment.
-/// The unit of work for [`par_fold`](crate::par_fold): N segments fold
-/// on N workers with no cross-worker coordination, because segments
-/// hold disjoint rank sets.
+/// [`fold_store`](crate::fold_store) folds each JSONL segment as one
+/// unit through this stream.
 pub struct SegmentStream {
     segment: Segment,
     failed: bool,
@@ -375,21 +373,26 @@ impl Iterator for SegmentStream {
 }
 
 /// Opens every manifest-listed segment of the store at `dir` as an
-/// independent stream, in manifest order (sorted by file name — the
-/// same fixed order [`par_fold`](crate::par_fold) merges partials in).
+/// independent stream, in manifest order (sorted by file name).
 pub fn segment_streams(dir: impl AsRef<Path>) -> Result<Vec<SegmentStream>, StoreError> {
     let dir = dir.as_ref();
     let manifest = load_manifest(dir)?;
     manifest
         .segments
         .iter()
-        .map(|meta| {
-            Segment::open(dir, meta).map(|segment| SegmentStream {
-                segment,
-                failed: false,
-            })
-        })
+        .map(|meta| open_segment_stream(dir, meta))
         .collect()
+}
+
+/// Opens one manifest-listed segment as a stream.
+pub(crate) fn open_segment_stream(
+    dir: &Path,
+    meta: &SegmentMeta,
+) -> Result<SegmentStream, StoreError> {
+    Segment::open(dir, meta).map(|segment| SegmentStream {
+        segment,
+        failed: false,
+    })
 }
 
 /// Loads the manifest, refusing a directory that has none.

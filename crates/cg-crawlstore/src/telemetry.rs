@@ -12,8 +12,9 @@
 //! must stay byte-identical across worker counts: every record's
 //! encoded size is independent of which worker wrote it. Anything
 //! shaped by scheduling — fsync batch boundaries, how many segment
-//! files a crawl's worker count produced, fold shard claims — is
-//! `Runtime` and gets masked by determinism checks.
+//! files a crawl's worker count produced, fold shard claims, how many
+//! partials a fold's steals created — is `Runtime` and gets masked by
+//! determinism checks.
 
 use cg_telemetry::{global, Class, Counter};
 use std::sync::OnceLock;
@@ -44,8 +45,12 @@ pub(crate) struct StoreMetrics {
     pub fsyncs: Counter,
     /// Fresh segment files opened for append.
     pub segments_opened: Counter,
-    /// Segments claimed by parallel fold workers.
+    /// Units (chunks, or whole JSONL segments) folded by
+    /// [`fold_store`](crate::fold_store).
     pub fold_shards: Counter,
+    /// Accumulators a fold created and merged: one per fold at one
+    /// thread, `threads + steals` beyond (scheduling-dependent).
+    pub fold_partials: Counter,
 }
 
 /// The store's handles in the global registry (registered on first
@@ -65,6 +70,7 @@ pub(crate) fn metrics() -> &'static StoreMetrics {
             fsyncs: reg.counter("store.fsyncs", Class::Runtime),
             segments_opened: reg.counter("store.segments_opened", Class::Runtime),
             fold_shards: reg.counter("store.fold_shards", Class::Runtime),
+            fold_partials: reg.counter("store.fold_partials", Class::Runtime),
         }
     })
 }

@@ -5,8 +5,8 @@
 
 use cg_crawlstore::index::{decode_index, index_file_name, scan_index, INDEX_STRIDE};
 use cg_crawlstore::{
-    par_fold, par_fold_with, plan_chunks, CrawlWriter, Fingerprint, ReadBackend, SegmentFormat,
-    StoreError,
+    fold_store, par_fold_with, plan_chunks, segment_streams, CrawlWriter, Fingerprint, ReadBackend,
+    SegmentFormat, StoreError,
 };
 use cg_instrument::VisitLog;
 use std::fs::File;
@@ -202,19 +202,34 @@ fn mid_file_damage_surfaces_from_chunked_decodes() {
 }
 
 #[test]
-fn jsonl_stores_fold_as_one_chunk_per_segment() {
+fn jsonl_stores_fold_as_one_unit_per_segment() {
     let dir = tmp_dir("jsonl");
     fill(&dir, SegmentFormat::Jsonl, 3, 60);
-    let via_segments = par_fold(&dir, 2, |s| {
-        s.map(|r| r.map(|l| l.rank)).collect::<Result<Vec<_>, _>>()
-    })
-    .unwrap();
-    for backend in BACKENDS {
-        let via_chunks = par_fold_with(&dir, 2, backend, |c| {
-            c.map(|r| r.map(|l| l.rank)).collect::<Result<Vec<_>, _>>()
-        })
+    let via_segments: Vec<Vec<usize>> = segment_streams(&dir)
+        .unwrap()
+        .into_iter()
+        .map(|s| s.map(|r| r.map(|l| l.rank)).collect::<Result<_, _>>())
+        .collect::<Result<_, _>>()
         .unwrap();
-        assert_eq!(via_chunks, via_segments);
+    for backend in BACKENDS {
+        for threads in [1, 2, 8] {
+            let via_units = fold_store(
+                &dir,
+                threads,
+                backend,
+                Vec::new,
+                |units: &mut Vec<Vec<usize>>, c| {
+                    units.push(c.map(|r| r.map(|l| l.rank)).collect::<Result<_, _>>()?);
+                    Ok(())
+                },
+                |mut earlier, mut later| {
+                    earlier.append(&mut later);
+                    earlier
+                },
+            )
+            .unwrap();
+            assert_eq!(via_units, via_segments, "{backend} at {threads} threads");
+        }
     }
     // But an explicit chunk plan over JSONL is refused, like cursors.
     assert!(matches!(

@@ -171,7 +171,7 @@ fn parallel_fold_equals_sequential_fold() {
     let seq_ds = Dataset::from_store(&dir, 1).unwrap();
     let seq_logs = serde_json::to_string(&seq_ds.logs).unwrap();
 
-    // Sequential over par_fold(threads=1) equals a plain reader fold.
+    // A one-thread store fold equals a plain reader fold.
     let reader_ds = Dataset::from_reader(CrawlReader::open(&dir).unwrap()).unwrap();
     assert_eq!(seq_logs, serde_json::to_string(&reader_ds.logs).unwrap());
     assert_eq!(seq_ds.crawled, reader_ds.crawled);

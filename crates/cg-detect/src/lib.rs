@@ -16,9 +16,11 @@
 //! The pipeline consumes crawls in both of the repo's modes: resident
 //! ([`DetectStats::from_logs`] over a
 //! [`Dataset`](cg_analysis::Dataset)) and streaming
-//! ([`DetectStats::from_store_with`] over the binary store's parallel
-//! per-chunk folds). Per-key state exists only for labeled pairs, so
-//! the streaming path is flat-RSS in crawl size.
+//! ([`DetectStats::from_store_with`] over the store's ordered parallel
+//! fold, which holds O(threads) partials). Per-key state exists only
+//! for labeled pairs, so each partial is bounded by labels × sketch
+//! size (K hashes per value sketch) rather than by crawl size; it is
+//! not flat, since the sketches grow until they saturate at K.
 //!
 //! **Layer:** analysis (consumes `cg-instrument` logs and
 //! `cg-crawlstore` streams; compiled from `cg-webgen` ground truth;

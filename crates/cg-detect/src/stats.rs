@@ -4,15 +4,19 @@
 //! [`StreamStats`](cg_analysis::StreamStats) is to the crawl census:
 //! each visit is reduced to [`VisitFacts`](crate::features::VisitFacts)
 //! and folded into per-key aggregates, then dropped. Per-key state
-//! exists only for registry-labeled pairs, so memory is bounded by the
-//! label table (a few hundred keys), never by crawl size — the flat-RSS
-//! property the streaming acceptance check pins.
+//! exists only for registry-labeled pairs, so one accumulator is
+//! bounded by labels × sketch size: a few hundred keys, each with
+//! integer counters, a foreign-organization map, and a value sketch of
+//! up to K hashes. That bound does not depend on crawl size, but it is
+//! not a constant either — the sketches keep growing until they
+//! saturate at K, so RSS still climbs on crawls below that point.
 //!
 //! `merge` is associative and commutative (integer sums, max-merge
-//! labels, order-independent sketch unions), and every ratio is
-//! computed once at report time from merged integers — which is why
-//! resident folds, streamed folds, and parallel per-segment folds at
-//! any thread count serialize byte-identically.
+//! labels, order-independent sketch unions), merging two partials
+//! equals folding their visits into one, and every ratio is computed
+//! once at report time from merged integers — which is why resident
+//! folds, streamed folds, and parallel folds at any thread count
+//! serialize byte-identically.
 
 use crate::engine::DetectEngine;
 use crate::features::{extract, DetectKey, Owner, Stages};
@@ -211,8 +215,8 @@ impl<'e> DetectStats<'e> {
     }
 
     /// Absorbs another partial folded under the same engine.
-    /// Associative and commutative; `par_fold` still merges in fixed
-    /// segment order so the whole pipeline is deterministic.
+    /// Associative and commutative; `cg_crawlstore::fold_store` merges
+    /// partials in store order regardless.
     pub fn merge(mut self, other: DetectStats<'e>) -> DetectStats<'e> {
         self.crawled += other.crawled;
         self.complete += other.complete;
@@ -254,8 +258,8 @@ impl<'e> DetectStats<'e> {
         stats
     }
 
-    /// Streams the store at `dir` with up to `threads` parallel
-    /// per-chunk folds, default read backend.
+    /// Streams the store at `dir` with up to `threads` parallel fold
+    /// workers, default read backend.
     pub fn from_store(
         engine: &'e DetectEngine,
         stages: Stages,
@@ -274,12 +278,19 @@ impl<'e> DetectStats<'e> {
         threads: usize,
         backend: ReadBackend,
     ) -> Result<DetectStats<'e>, StoreError> {
-        let partials = cg_crawlstore::par_fold_with(dir, threads, backend, |stream| {
-            DetectStats::from_reader(engine, stages, stream)
-        })?;
-        Ok(partials
-            .into_iter()
-            .fold(DetectStats::new(engine, stages), DetectStats::merge))
+        cg_crawlstore::fold_store(
+            dir,
+            threads,
+            backend,
+            || DetectStats::new(engine, stages),
+            |stats, chunk| {
+                for log in chunk {
+                    stats.fold(&log?);
+                }
+                Ok(())
+            },
+            DetectStats::merge,
+        )
     }
 }
 

@@ -69,7 +69,7 @@ fn resident_json() -> String {
 fn streaming_report_is_byte_identical_to_resident() {
     let c = crawl();
     let resident = resident_json();
-    for backend in [ReadBackend::Mmap, ReadBackend::Pread] {
+    for backend in [ReadBackend::Mmap, ReadBackend::Pread, ReadBackend::Buffered] {
         for threads in [1, 2, 8] {
             let stats =
                 DetectStats::from_store_with(&c.engine, Stages::Full, &c.dir, threads, backend)
