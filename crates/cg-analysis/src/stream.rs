@@ -188,7 +188,7 @@ impl StreamStats {
     }
 
     /// Folds a fallible stream of visit logs (e.g. a
-    /// `cg_crawlstore::CrawlReader` or one `SegmentStream`).
+    /// `cg_crawlstore::CrawlReader` or one `ChunkStream`).
     pub fn from_reader<E>(
         logs: impl IntoIterator<Item = Result<VisitLog, E>>,
     ) -> Result<StreamStats, E> {
@@ -208,9 +208,9 @@ impl StreamStats {
 
     /// [`StreamStats::from_store`] with an explicit [`ReadBackend`]:
     /// folds the store chunk-granular (frame-index boundaries inside
-    /// binary segments), so even a single-segment store parallelizes,
-    /// through mmap'd windows, positioned reads, or buffered streams.
-    /// All backends and thread counts serialize byte-identically.
+    /// segments), so even a single-segment store parallelizes, through
+    /// mmap'd windows or positioned reads. Both backends and every
+    /// thread count serialize byte-identically.
     pub fn from_store_with(
         dir: impl AsRef<Path>,
         threads: usize,

@@ -1,14 +1,10 @@
-//! The binary segment codec: a compact, length-prefixed frame format
-//! for [`VisitLog`] records that replaces
-//! text parsing on the replay hot path.
+//! The segment codec: a compact, length-prefixed frame format for
+//! [`VisitLog`] records.
 //!
-//! JSONL segments pay for generality three times per record on read:
-//! UTF-8 text parsing, a `Value` tree build, and a content-tree
-//! conversion. A binary segment stores the record's
-//! [`Content`] tree directly — tagged values with
-//! varint lengths — so replay is a buffered frame read plus one direct
-//! tree decode, with the record's rank available in the frame header
-//! *before* any payload work (the k-way merge orders on it).
+//! A segment stores each record's [`Content`] tree directly — tagged
+//! values with varint lengths — so replay is a frame read plus one
+//! direct decode, with the record's rank available in the frame header
+//! *before* any payload work (the reader's k-way merge orders on it).
 //!
 //! ## Frame layout
 //!
@@ -22,8 +18,8 @@
 //!
 //! `check` is word-at-a-time FNV-1a ([`cg_hash::fnv1a32w`]) absorbing
 //! the rank, the payload, and the payload length, so a frame vouches
-//! for its own ordering key as well as its body. Recovery rules mirror
-//! the JSONL ones exactly (see [`crate::writer`]):
+//! for its own ordering key as well as its body. Recovery rules (see
+//! [`crate::writer`]):
 //!
 //! * fewer than 16 bytes left, or a declared payload running past EOF
 //!   → a crash mid-append: **truncate** back to the last good frame;
@@ -32,7 +28,7 @@
 //! * a checksum mismatch with complete frames after it → mid-file
 //!   damage truncation cannot repair: **corrupt**;
 //! * ranks must be strictly ascending within a segment (sorted-run
-//!   invariant), as on the JSONL path.
+//!   invariant).
 //!
 //! ## Payload encoding
 //!
@@ -42,73 +38,36 @@
 //! strings are varint-length-prefixed UTF-8, and sequences/maps are
 //! varint counts followed by their elements in order. Map entry order
 //! is preserved byte-for-byte, so a decoded record re-serializes to
-//! JSON **byte-identically** to the line a JSONL segment would have
-//! held — the property the cross-format differential tests pin.
+//! JSON **byte-identically** to `serde_json::to_string` of the record
+//! that was written.
 
 use cg_hash::fnv1a32w;
 use serde::{Content, Deserialize, Serialize};
 
-/// On-disk representation of one store's segments, recorded in the
-/// manifest fingerprint (a store never mixes formats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// On-disk representation of a store's segments, recorded in the
+/// manifest fingerprint. Binary frames are the only format; the tag
+/// stays in the fingerprint so a manifest names what it holds, and a
+/// store from before binary-only segments (`"jsonl"`, or no format at
+/// all) is refused rather than misread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentFormat {
-    /// One compact JSON line per visit (`seg-<n>.jsonl`) — the v1
-    /// format, still the default: human-greppable, diffable, slow.
-    #[default]
-    Jsonl,
-    /// Length-prefixed binary frames (`seg-<n>.bin`) — the replay fast
-    /// path for large crawls.
+    /// Length-prefixed binary frames (`seg-<n>.bin`).
     Binary,
-}
-
-impl SegmentFormat {
-    /// Segment file extension (without the dot).
-    pub fn extension(self) -> &'static str {
-        match self {
-            SegmentFormat::Jsonl => "jsonl",
-            SegmentFormat::Binary => "bin",
-        }
-    }
-
-    /// The format a segment file name was written in, by extension.
-    pub fn of_file(name: &str) -> Option<SegmentFormat> {
-        if name.ends_with(".jsonl") {
-            Some(SegmentFormat::Jsonl)
-        } else if name.ends_with(".bin") {
-            Some(SegmentFormat::Binary)
-        } else {
-            None
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            SegmentFormat::Jsonl => "jsonl",
-            SegmentFormat::Binary => "binary",
-        }
-    }
-}
-
-impl std::fmt::Display for SegmentFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 // Serialized as a plain string so the manifest stays greppable.
 impl Serialize for SegmentFormat {
     fn to_content(&self) -> Content {
-        Content::Str(self.as_str().to_string())
+        Content::Str("binary".to_string())
     }
 }
 
 impl<'de> Deserialize<'de> for SegmentFormat {
     fn from_content(content: &Content) -> Result<Self, serde::DeError> {
         match content {
-            Content::Str(s) if s == "jsonl" => Ok(SegmentFormat::Jsonl),
             Content::Str(s) if s == "binary" => Ok(SegmentFormat::Binary),
             other => Err(serde::DeError(format!(
-                "unknown segment format {other:?} (expected \"jsonl\" or \"binary\")"
+                "unsupported segment format {other:?} (expected \"binary\")"
             ))),
         }
     }
@@ -160,20 +119,6 @@ pub fn parse_header(bytes: &[u8; FRAME_HEADER]) -> FrameHeader {
 // ---------------------------------------------------------------------
 // Content payloads
 // ---------------------------------------------------------------------
-
-/// Reprints a decoded payload as the compact JSON line a JSONL segment
-/// would have stored for the same record. Map entry order is preserved
-/// end to end, so this is byte-identical to the text format's line —
-/// the cross-format differential oracle.
-pub fn content_to_json_line(content: &Content) -> String {
-    struct Raw<'a>(&'a Content);
-    impl Serialize for Raw<'_> {
-        fn to_content(&self) -> Content {
-            self.0.clone()
-        }
-    }
-    serde_json::to_string(&Raw(content)).expect("a content tree always prints")
-}
 
 const TAG_NULL: u8 = 0;
 const TAG_FALSE: u8 = 1;
@@ -330,7 +275,9 @@ impl Cursor<'_> {
             }
             TAG_SEQ => {
                 let count = self.varint()? as usize;
-                let mut items = Vec::with_capacity(count.min(1 << 16));
+                // Every element takes at least one byte: the payload, not
+                // the claimed count, bounds the allocation.
+                let mut items = Vec::with_capacity(count.min(self.bytes.len() - self.pos));
                 for _ in 0..count {
                     items.push(self.value(depth + 1)?);
                 }
@@ -338,7 +285,7 @@ impl Cursor<'_> {
             }
             TAG_MAP => {
                 let count = self.varint()? as usize;
-                let mut entries = Vec::with_capacity(count.min(1 << 16));
+                let mut entries = Vec::with_capacity(count.min(self.bytes.len() - self.pos));
                 for _ in 0..count {
                     let k = self.value(depth + 1)?;
                     let v = self.value(depth + 1)?;
@@ -364,15 +311,14 @@ impl Cursor<'_> {
 /// [`VisitLog`], skipping the intermediate
 /// [`Content`] tree the generic path builds. Map keys are compared as
 /// borrowed byte slices (zero allocation per key) and only the final
-/// owned fields allocate, which is what makes binary replay several
-/// times faster than text parsing.
+/// owned fields allocate.
 ///
 /// The decoder is *positional*: it expects exactly the field sequence
 /// the derive-generated `to_content` emits (declaration order — the
 /// only thing [`crate::writer`] ever writes). Any deviation is an
-/// error, never a silent partial record; the cross-format differential
-/// tests pin its agreement with the generic
-/// `decode_content` + `from_content` path on every record of a crawl.
+/// error, never a silent partial record; the codec tests pin its
+/// agreement with the generic `decode_content` + `from_content` path on
+/// every record of a crawl.
 pub fn decode_visit_log(payload: &[u8]) -> Result<VisitLog, String> {
     let mut d = Dec {
         bytes: payload,
@@ -512,7 +458,8 @@ impl<'a> Dec<'a> {
     ) -> Result<Vec<T>, String> {
         self.expect_tag(TAG_SEQ, "a sequence")?;
         let count = self.varint()? as usize;
-        let mut out = Vec::with_capacity(count.min(1 << 16));
+        // Every item takes at least one byte (see `Cursor::value`).
+        let mut out = Vec::with_capacity(count.min(self.bytes.len() - self.pos));
         for _ in 0..count {
             out.push(item(self)?);
         }
@@ -788,19 +735,18 @@ mod tests {
     }
 
     #[test]
-    fn visit_log_payload_reprints_identically_to_jsonl() {
+    fn visit_log_payload_reprints_identically() {
         let log = VisitLog {
             site_domain: "site42.example".into(),
             rank: 42,
             complete: true,
             ..VisitLog::default()
         };
-        let content = log.to_content();
-        let back = roundtrip(&content);
-        // The decoded tree must reprint to the exact JSONL line the
-        // text format would have stored — the cross-format oracle.
+        let back = VisitLog::from_content(&roundtrip(&log.to_content())).unwrap();
+        // The decoded record must reprint to the exact JSON line of the
+        // record that was written — the export's equivalence oracle.
         assert_eq!(
-            content_to_json_line(&back),
+            serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&log).unwrap()
         );
     }
@@ -884,17 +830,10 @@ mod tests {
             serde_json::to_string(&SegmentFormat::Binary).unwrap(),
             "\"binary\""
         );
-        let back: SegmentFormat = serde_json::from_str("\"jsonl\"").unwrap();
-        assert_eq!(back, SegmentFormat::Jsonl);
-        assert!(serde_json::from_str::<SegmentFormat>("\"cbor\"").is_err());
-        assert_eq!(
-            SegmentFormat::of_file("seg-3.bin"),
-            Some(SegmentFormat::Binary)
-        );
-        assert_eq!(
-            SegmentFormat::of_file("seg-3.jsonl"),
-            Some(SegmentFormat::Jsonl)
-        );
-        assert_eq!(SegmentFormat::of_file("manifest.json"), None);
+        let back: SegmentFormat = serde_json::from_str("\"binary\"").unwrap();
+        assert_eq!(back, SegmentFormat::Binary);
+        for retired in ["\"jsonl\"", "\"cbor\"", "null"] {
+            assert!(serde_json::from_str::<SegmentFormat>(retired).is_err());
+        }
     }
 }

@@ -1,9 +1,8 @@
 //! Ordered streaming folds over a store: [`fold_store`] is the one
 //! scheduler every analysis pass runs through.
 //!
-//! The unit of work is a chunk. Binary segments are cut at frame-index
-//! stride boundaries ([`plan_chunks`](crate::chunk)); a JSONL segment has
-//! no frame offsets, so each one is a single unit. Units are numbered in
+//! The unit of work is a chunk: segments are cut at frame-index stride
+//! boundaries ([`plan_chunks`](crate::chunk)), and units are numbered in
 //! (segment, chunk) order, the fixed sequential order.
 //!
 //! **Scheduling.** Each worker starts on one contiguous range of units
@@ -32,54 +31,12 @@
 //! statistics. `cg-analysis` and `cg-detect` supply the accumulators
 //! (`StreamStats`, `Dataset`, `DetectStats`).
 
-use crate::chunk::{plan_chunks, ChunkPlan, ChunkStream, ReadBackend};
-use crate::codec::SegmentFormat;
-use crate::manifest::{Manifest, SegmentMeta};
-use crate::reader::open_segment_stream;
+use crate::chunk::{plan_chunks, ChunkStream, ReadBackend};
 use crate::StoreError;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
-
-/// The units a fold walks, in (segment, chunk) order.
-enum Units {
-    /// A binary store cut at frame-index boundaries.
-    Chunks(ChunkPlan),
-    /// A JSONL store: one whole segment per unit, opened when claimed.
-    Segments {
-        dir: PathBuf,
-        segments: Vec<SegmentMeta>,
-    },
-}
-
-impl Units {
-    fn plan(dir: &Path) -> Result<Units, StoreError> {
-        match Manifest::load(dir)? {
-            Some(m) if m.fingerprint.format == SegmentFormat::Jsonl => Ok(Units::Segments {
-                dir: dir.to_path_buf(),
-                segments: m.segments,
-            }),
-            _ => plan_chunks(dir).map(Units::Chunks),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Units::Chunks(plan) => plan.len(),
-            Units::Segments { segments, .. } => segments.len(),
-        }
-    }
-
-    fn open(&self, i: usize, backend: ReadBackend) -> Result<ChunkStream, StoreError> {
-        match self {
-            Units::Chunks(plan) => plan.open_chunk(i, backend),
-            Units::Segments { dir, segments } => {
-                open_segment_stream(dir, &segments[i]).map(ChunkStream::from_segment)
-            }
-        }
-    }
-}
 
 /// Folds every unit of the store at `dir` through `backend` with up to
 /// `threads` workers, and returns the single reduced accumulator.
@@ -109,14 +66,14 @@ where
     F: Fn(&mut T, ChunkStream) -> Result<(), StoreError> + Sync,
     M: Fn(T, T) -> T + Sync,
 {
-    let units = Units::plan(dir.as_ref())?;
-    let count = units.len();
+    let plan = plan_chunks(dir)?;
+    let count = plan.len();
     let threads = threads.max(1).min(count.max(1));
     let tele = crate::telemetry::metrics();
     let fold_unit = |acc: &mut T, i: usize| -> Result<(), StoreError> {
         tele.fold_shards.incr();
         let _span = cg_telemetry::span!("fold_shard", i);
-        fold(acc, units.open(i, backend)?)
+        fold(acc, plan.open_chunk(i, backend)?)
     };
     let new_partial = || {
         tele.fold_partials.incr();

@@ -12,39 +12,41 @@
 //!   segment an internally rank-sorted run — a resume back-fills
 //!   missing ranks into new segments instead of appending low ranks
 //!   behind high ones, which is what keeps the reader's merge correct.
-//!   Two on-disk [`SegmentFormat`]s exist with identical semantics:
-//!   `seg-<n>.jsonl` (one compact `serde_json` line per visit — the
-//!   default: greppable, diffable) and `seg-<n>.bin` (length-prefixed
-//!   checksummed binary frames, see [`codec`] — the replay fast path
-//!   for million-visit crawls). The format is part of the
-//!   [`Fingerprint`], so a store never mixes formats and a resume in
-//!   the wrong format is refused like any other fingerprint mismatch.
+//!   There is one on-disk format: `seg-<n>.bin`, length-prefixed
+//!   checksummed binary frames (see [`codec`]). Greppable JSON lines
+//!   are an export (`cg-experiments export --jsonl DIR`), not a storage
+//!   format.
 //! * **Checkpointing** — `manifest.json` records the crawl's config
-//!   fingerprint (master seed, rank range, visit-config digest) plus a
-//!   per-segment durability watermark. Reopening an existing directory
-//!   validates the fingerprint, truncates any torn trailing line left
-//!   by a crash, and returns the set of already-completed ranks, so a
-//!   resumed crawl skips finished work and — because every visit is a
-//!   pure function of (master seed, rank, visit config) — converges to
-//!   byte-identical output versus an uninterrupted run.
+//!   fingerprint (master seed, rank range, visit-config digest, segment
+//!   format) plus a per-segment durability watermark. Reopening an
+//!   existing directory validates the fingerprint, truncates any torn
+//!   trailing frame left by a crash, and returns the set of
+//!   already-completed ranks, so a resumed crawl skips finished work
+//!   and — because every visit is a pure function of (master seed,
+//!   rank, visit config) — converges to byte-identical output versus an
+//!   uninterrupted run. A manifest from before binary-only segments
+//!   (`"jsonl"`, or no format) is refused as corrupt.
+//! * **One read path** — binary segments carry a `seg-<n>.idx`
+//!   frame-index sidecar ([`index`]) that cuts each segment into
+//!   independently decodable chunks ([`chunk`]), and every reader goes
+//!   through them and the one frame decoder, [`decode_frame`]. Chunks
+//!   reach the decoder through one of two [`ReadBackend`]s: `mmap(2)`
+//!   windows over the page cache ([`mmap`], the default — zero-copy,
+//!   falling back to `pread` wherever mapping fails) or positioned
+//!   reads (the fallback and the differential oracle). Both verify the
+//!   same checksums and watermarks and produce byte-identical results.
 //! * **Streaming reads** — [`CrawlReader`] replays the store
-//!   rank-ordered via a k-way merge over the segment files, holding one
-//!   record per segment in memory. `Dataset::from_reader` in
-//!   `cg-analysis` folds that stream incrementally.
-//! * **Parallel folds in bounded memory** — binary segments carry a
-//!   `seg-<n>.idx` frame-index sidecar ([`index`]) that cuts each
-//!   segment into independently decodable chunks ([`chunk`]); a JSONL
-//!   segment is one unit. [`fold_store`] folds contiguous runs of units
-//!   into one accumulator per worker (plus one per steal), merges
-//!   adjacent runs as they finish, and so holds O(threads) partials
-//!   whatever the crawl size. Merges join neighbours only, earlier run
-//!   first, so the result is the sequential fold's — byte-identical at
-//!   any thread count. Chunks are read through a chosen
-//!   [`ReadBackend`]: `mmap(2)` windows over the page cache ([`mmap`],
-//!   the default — zero-copy, falling back to `pread` wherever mapping
-//!   fails), positioned reads, or buffered streaming. All backends
-//!   verify the same checksums and watermarks and produce
-//!   byte-identical folds.
+//!   rank-ordered via a k-way merge over each segment's chunks; memory
+//!   is one chunk window and one record per segment.
+//!   `Dataset::from_reader` in `cg-analysis` folds that stream
+//!   incrementally.
+//! * **Parallel folds in bounded memory** — [`fold_store`] folds
+//!   contiguous runs of chunks into one accumulator per worker (plus
+//!   one per steal), merges adjacent runs as they finish, and so holds
+//!   O(threads) partials and one chunk window per worker whatever the
+//!   crawl size. Merges join neighbours only, earlier run first, so the
+//!   result is the sequential fold's — byte-identical at any thread
+//!   count and through either backend.
 //!
 //! ```no_run
 //! use cg_browser::{crawl_into, VisitConfig};
@@ -67,9 +69,9 @@
 //! `cg-analysis`). **Invariants:** segments are internally rank-sorted
 //! append-only runs; the manifest's fingerprint gates resume; a
 //! killed-and-resumed crawl's merged stream is byte-identical to an
-//! uninterrupted one, in either segment format. **Entry points:**
-//! `open_store`, `open_store_with`, `crawl_to_store`, `CrawlWriter`,
-//! `CrawlReader`, `fold_store`, `par_fold_with`.
+//! uninterrupted one. **Entry points:** `open_store`,
+//! `open_store_with`, `crawl_to_store`, `CrawlWriter`, `CrawlReader`,
+//! `fold_store`, `par_fold_with`.
 
 pub mod chunk;
 pub mod codec;
@@ -77,21 +79,19 @@ pub mod fold;
 pub mod index;
 pub mod manifest;
 pub mod mmap;
-pub mod pread;
+mod pread;
 pub mod reader;
 pub(crate) mod telemetry;
 pub mod writer;
 
-pub use chunk::{plan_chunks, ChunkPlan, ChunkSpec, ChunkStream, ReadBackend};
+pub use chunk::{decode_frame, plan_chunks, ChunkPlan, ChunkSpec, ChunkStream, ReadBackend};
 pub use codec::SegmentFormat;
 pub use fold::{fold_store, par_fold_with};
 pub use manifest::{Fingerprint, Manifest, SegmentMeta, MANIFEST_FILE};
 pub use mmap::Mmap;
-pub use pread::{frame_cursors, FrameCursor};
-pub use reader::{segment_streams, CrawlReader, SegmentStream};
+pub use reader::CrawlReader;
 pub use writer::{
-    crawl_to_store, crawl_to_store_with, open_store, open_store_with, CrawlWriter, SegmentWriter,
-    StoreCrawl, StoreStats,
+    crawl_to_store, open_store, open_store_with, CrawlWriter, SegmentWriter, StoreCrawl, StoreStats,
 };
 
 use std::fmt;
@@ -102,7 +102,8 @@ pub enum StoreError {
     /// Underlying filesystem failure.
     Io(std::io::Error),
     /// A manifest or record failed to parse where truncation recovery
-    /// does not apply (mid-file damage, bad manifest).
+    /// does not apply (mid-file damage, bad manifest, a segment format
+    /// other than binary).
     Corrupt {
         /// File the damage was found in.
         file: String,

@@ -36,11 +36,9 @@ pub struct Fingerprint {
     /// (e.g. `GenConfig::small(n)` vs `GenConfig::default()`) must not
     /// resume each other's stores.
     pub generator: String,
-    /// On-disk segment format. Part of the fingerprint because a store
-    /// never mixes formats: resuming a JSONL store as binary (or vice
-    /// versa) must be refused, not silently interleaved. Version-1
-    /// manifests predate the field and default to JSONL.
-    #[serde(default)]
+    /// On-disk segment format. Binary is the only one; a manifest
+    /// naming another (or none — those predate the field) is refused by
+    /// [`Manifest::load`].
     pub format: SegmentFormat,
 }
 
@@ -64,28 +62,20 @@ impl Fingerprint {
             to,
             visit_config: cfg.fingerprint(),
             generator,
-            format: SegmentFormat::default(),
+            format: SegmentFormat::Binary,
         }
-    }
-
-    /// The same crawl, stored in `format` segments. The default is
-    /// JSONL; large crawls opt into binary for replay speed.
-    pub fn with_format(mut self, format: SegmentFormat) -> Fingerprint {
-        self.format = format;
-        self
     }
 }
 
 /// One segment file's durability watermark.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentMeta {
-    /// File name relative to the store directory (`seg-<n>.jsonl` or
-    /// `seg-<n>.bin`, matching the fingerprint's format).
+    /// File name relative to the store directory (`seg-<n>.bin`).
     pub file: String,
     /// Records known durable (fsync'd) in this segment. The file may
-    /// hold *more* complete lines than this (written but not yet
+    /// hold *more* complete frames than this (written but not yet
     /// fsync'd when the process died); recovery keeps every complete
-    /// line, since completed visits are deterministic either way.
+    /// frame, since completed visits are deterministic either way.
     pub synced_records: u64,
     /// Highest rank among the synced records (0 when empty).
     pub max_rank: u64,
@@ -113,28 +103,53 @@ impl Manifest {
     }
 
     /// Loads the manifest from a store directory. `Ok(None)` when the
-    /// directory has no manifest (a brand-new store).
+    /// directory has no manifest (a brand-new store). A manifest whose
+    /// segment format is not binary — `"jsonl"`, or no format field,
+    /// as stores written before binary-only segments record — is
+    /// `Corrupt`, naming the format it found.
     pub fn load(dir: &Path) -> Result<Option<Manifest>, StoreError> {
         let path = dir.join(MANIFEST_FILE);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(e)),
         };
-        let manifest: Manifest = serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
+        let corrupt = |detail: String| StoreError::Corrupt {
             file: MANIFEST_FILE.to_string(),
-            detail: e.to_string(),
-        })?;
+            detail,
+        };
+        let text = String::from_utf8(bytes).map_err(|e| corrupt(e.to_string()))?;
+        let value: serde_json::Value =
+            serde_json::from_str(&text).map_err(|e| corrupt(e.to_string()))?;
+        if let Some(fp) = value.get("fingerprint") {
+            let format = match fp.get("format") {
+                None => "none recorded (a pre-binary JSONL store)".to_string(),
+                Some(f) => f.to_string(),
+            };
+            if format != "\"binary\"" {
+                return Err(corrupt(format!(
+                    "unsupported segment format {format}: only binary segments are readable"
+                )));
+            }
+        }
+        let manifest: Manifest =
+            serde_json::from_value(value).map_err(|e| corrupt(e.to_string()))?;
         if manifest.version != MANIFEST_VERSION {
-            return Err(StoreError::Corrupt {
-                file: MANIFEST_FILE.to_string(),
-                detail: format!(
-                    "unsupported version {} (expected {MANIFEST_VERSION})",
-                    manifest.version
-                ),
-            });
+            return Err(corrupt(format!(
+                "unsupported version {} (expected {MANIFEST_VERSION})",
+                manifest.version
+            )));
         }
         Ok(Some(manifest))
+    }
+
+    /// [`Manifest::load`] for readers: a directory without a manifest
+    /// is not a store, so it is `Corrupt` rather than empty.
+    pub fn require(dir: &Path) -> Result<Manifest, StoreError> {
+        Manifest::load(dir)?.ok_or_else(|| StoreError::Corrupt {
+            file: MANIFEST_FILE.to_string(),
+            detail: format!("no manifest in {}", dir.display()),
+        })
     }
 
     /// Writes the manifest atomically: serialize to `manifest.json.tmp`,
@@ -189,7 +204,7 @@ mod tests {
             to: 100,
             visit_config: "abc".into(),
             generator: "gen".into(),
-            format: SegmentFormat::Jsonl,
+            format: SegmentFormat::Binary,
         }
     }
 
@@ -204,37 +219,45 @@ mod tests {
     fn round_trip() {
         let dir = tmp_dir("rt");
         let mut m = Manifest::new(fp());
-        m.segment_mut("seg-1.jsonl").synced_records = 4;
-        m.segment_mut("seg-0.jsonl").max_rank = 9;
+        m.segment_mut("seg-1.bin").synced_records = 4;
+        m.segment_mut("seg-0.bin").max_rank = 9;
         m.store(&dir).unwrap();
         let back = Manifest::load(&dir).unwrap().unwrap();
         assert_eq!(back.fingerprint, fp());
         // Stored sorted by file name.
-        assert_eq!(back.segments[0].file, "seg-0.jsonl");
+        assert_eq!(back.segments[0].file, "seg-0.bin");
         assert_eq!(back.segments[1].synced_records, 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn format_field_defaults_to_jsonl_for_old_manifests() {
-        // A manifest written before the binary format existed has no
-        // `format` key; it must load as a JSONL store, not be refused.
-        let dir = tmp_dir("v1-format");
-        let legacy = r#"{
-            "version": 1,
-            "fingerprint": {
-                "master_seed": 7, "from": 1, "to": 100,
-                "visit_config": "abc", "generator": "gen"
-            },
-            "segments": []
-        }"#;
-        std::fs::write(dir.join(MANIFEST_FILE), legacy).unwrap();
-        let m = Manifest::load(&dir).unwrap().unwrap();
-        assert_eq!(m.fingerprint.format, SegmentFormat::Jsonl);
-        assert_eq!(m.fingerprint, fp());
-        // And a binary fingerprint differs from a JSONL one: the
-        // formats must not resume each other.
-        assert_ne!(m.fingerprint, fp().with_format(SegmentFormat::Binary));
+    fn pre_binary_manifests_are_refused_naming_their_format() {
+        // Stores written before binary-only segments record "jsonl", or
+        // (version-1 manifests) no format at all. Both are refused as
+        // Corrupt, and the error says which format was found.
+        let dir = tmp_dir("legacy-format");
+        let manifest = |format: &str| {
+            format!(
+                r#"{{
+                    "version": 1,
+                    "fingerprint": {{
+                        "master_seed": 7, "from": 1, "to": 100,
+                        "visit_config": "abc", "generator": "gen"{format}
+                    }},
+                    "segments": [{{"file": "seg-0.jsonl", "synced_records": 3, "max_rank": 9}}]
+                }}"#
+            )
+        };
+        for (format, named) in [(r#", "format": "jsonl""#, "jsonl"), ("", "JSONL")] {
+            std::fs::write(dir.join(MANIFEST_FILE), manifest(format)).unwrap();
+            match Manifest::load(&dir) {
+                Err(StoreError::Corrupt { file, detail }) => {
+                    assert_eq!(file, MANIFEST_FILE);
+                    assert!(detail.contains(named), "{detail}");
+                }
+                other => panic!("legacy manifest accepted: {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,15 +6,14 @@
 //! `&[u8]` window over exactly the requested byte range, and a
 //! `munmap` on drop. No crate dependency is taken — the three syscalls
 //! are declared directly — and every failure path degrades to the
-//! existing `pread` readers, so mmap is an optimization, never a
-//! requirement.
+//! `pread` backend, so mmap is an optimization, never a requirement.
 //!
 //! Mapping granularity is the *chunk*, not the segment: a streaming
 //! fold over a store larger than RAM keeps at most one chunk window
 //! mapped per worker, so resident set stays bounded by
-//! `workers × chunk size` exactly like the buffered readers (mapped
-//! file pages count toward RSS once touched; whole-segment maps would
-//! not stay flat).
+//! `workers × chunk size` exactly like the `pread` backend's owned
+//! buffers (mapped file pages count toward RSS once touched;
+//! whole-segment maps would not stay flat).
 //!
 //! **Layer:** persistence — below [`chunk`](crate::chunk), which picks
 //! between this and `pread`. **Invariants:** the returned window

@@ -1,74 +1,30 @@
-//! The streaming read path: a rank-ordered k-way merge over segment
-//! files, holding one record per segment in memory — plus per-segment
-//! streams ([`SegmentStream`]), the unit a fold takes from a JSONL store.
+//! The rank-ordered read path: [`CrawlReader`], a k-way merge over each
+//! segment's chunk streams.
+//!
+//! Every segment is an internally rank-sorted run, cut by the
+//! [`ChunkPlan`] into chunks whose rank ranges ascend. The reader walks
+//! each segment's chunks in order through a mapped window
+//! ([`ReadBackend::Mmap`], falling back to `pread`) and keeps one
+//! decoded [`VisitLog`] per segment on a `(rank, segment)` heap. Frames
+//! pass through the same decoder as every fold, so checksums,
+//! watermarks and the sorted-run invariant are verified once, in one
+//! place. Memory is one chunk window plus one visit per segment,
+//! independent of crawl size.
 
-use crate::codec::{self, SegmentFormat, FRAME_HEADER};
-use crate::manifest::{Fingerprint, Manifest, SegmentMeta};
+use crate::chunk::{ChunkPlan, ChunkStream, ReadBackend};
+use crate::manifest::{Fingerprint, Manifest};
 use crate::StoreError;
 use cg_instrument::VisitLog;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fs::File;
-use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
+use std::ops::Range;
+use std::path::Path;
 
-/// One record's undecoded body, as pulled from a segment.
-enum Body {
-    /// A JSONL line (newline stripped) and its parsed value tree.
-    Json {
-        raw: String,
-        value: serde_json::Value,
-    },
-    /// A binary frame's payload, checksum already verified. Decoding
-    /// to a [`VisitLog`] happens only when the record is consumed — no
-    /// text is ever parsed on this path.
-    Bin { payload: Vec<u8> },
-}
-
-impl Body {
-    /// Decodes the record into a [`VisitLog`].
-    fn into_log(self, file: &str) -> Result<VisitLog, StoreError> {
-        match self {
-            Body::Json { value, .. } => {
-                serde_json::from_value(value).map_err(|e| StoreError::Corrupt {
-                    file: file.to_string(),
-                    detail: e.to_string(),
-                })
-            }
-            Body::Bin { payload } => {
-                // The specialized decoder: bytes straight to the log,
-                // no intermediate `Content` tree. Its agreement with
-                // the generic path is pinned by codec unit tests and
-                // the cross-format differential tests.
-                codec::decode_visit_log(&payload).map_err(|e| StoreError::Corrupt {
-                    file: file.to_string(),
-                    detail: e,
-                })
-            }
-        }
-    }
-
-    /// The record as the compact JSON line a JSONL segment stores —
-    /// the format-independent equivalence oracle.
-    fn into_json_line(self, file: &str) -> Result<String, StoreError> {
-        match self {
-            Body::Json { raw, .. } => Ok(raw),
-            Body::Bin { payload } => {
-                let content = codec::decode_content(&payload).map_err(|e| StoreError::Corrupt {
-                    file: file.to_string(),
-                    detail: e,
-                })?;
-                Ok(codec::content_to_json_line(&content))
-            }
-        }
-    }
-}
-
-/// One buffered record: the head of one segment's stream.
+/// One decoded visit: the head of one segment's stream.
 struct Head {
-    rank: u64,
+    rank: usize,
     seg: usize,
-    body: Body,
+    log: VisitLog,
 }
 
 impl PartialEq for Head {
@@ -88,138 +44,15 @@ impl Ord for Head {
     }
 }
 
-/// Per-segment read state: a buffered file cursor bounded by the
-/// manifest's durability watermark, enforcing the sorted-run invariant.
-struct Segment {
-    name: String,
-    format: SegmentFormat,
-    file: BufReader<File>,
-    /// Durable records per the manifest watermark — the read bound.
-    /// Bytes past it (a mid-flush batch of a live writer, a torn tail
-    /// after a crash) are not yet part of the store's durable content.
-    remaining: u64,
-    /// Last rank pulled: the k-way merge is only correct over
-    /// internally sorted runs, so a descending rank inside one segment
-    /// is store corruption, not something to silently misorder.
-    last_rank: Option<u64>,
-}
-
-impl Segment {
-    /// Opens one manifest-listed segment for streaming.
-    fn open(dir: &Path, meta: &SegmentMeta) -> Result<Segment, StoreError> {
-        let format = SegmentFormat::of_file(&meta.file).ok_or_else(|| StoreError::Corrupt {
-            file: meta.file.clone(),
-            detail: "segment file has no recognized format extension".to_string(),
-        })?;
-        let file = File::open(dir.join(&meta.file)).map_err(|e| StoreError::Corrupt {
-            file: meta.file.clone(),
-            detail: format!("manifest lists segment but it cannot be opened: {e}"),
-        })?;
-        Ok(Segment {
-            name: meta.file.clone(),
-            format,
-            file: BufReader::new(file),
-            remaining: meta.synced_records,
-            last_rank: None,
-        })
-    }
-
-    /// An EOF (or torn record) *below* the durable watermark: records
-    /// the manifest promises are missing.
-    fn short_of_watermark(&self) -> StoreError {
-        StoreError::Corrupt {
-            file: self.name.clone(),
-            detail: format!(
-                "segment ends {} records short of its manifest watermark",
-                self.remaining
-            ),
-        }
-    }
-
-    /// Reads the next durable record; `Ok(None)` once the manifest
-    /// watermark is exhausted. Anything less than the watermark's worth
-    /// of complete records is corruption.
-    fn next_record(&mut self) -> Result<Option<(u64, Body)>, StoreError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let tele = crate::telemetry::metrics();
-        let (rank, body) = match self.format {
-            SegmentFormat::Jsonl => {
-                let mut raw = String::new();
-                let n = self.file.read_line(&mut raw)?;
-                if n == 0 || !raw.ends_with('\n') {
-                    return Err(self.short_of_watermark());
-                }
-                tele.bytes_replayed.add(n as u64);
-                raw.pop();
-                let value: serde_json::Value =
-                    serde_json::from_str(&raw).map_err(|e| StoreError::Corrupt {
-                        file: self.name.clone(),
-                        detail: e.to_string(),
-                    })?;
-                let rank = value.get("rank").and_then(|r| r.as_u64()).ok_or_else(|| {
-                    StoreError::Corrupt {
-                        file: self.name.clone(),
-                        detail: "record without a rank".to_string(),
-                    }
-                })?;
-                (rank, Body::Json { raw, value })
-            }
-            SegmentFormat::Binary => {
-                let mut header = [0u8; FRAME_HEADER];
-                read_frame_bytes(&mut self.file, &mut header)?
-                    .then_some(())
-                    .ok_or_else(|| self.short_of_watermark())?;
-                let header = codec::parse_header(&header);
-                let mut payload = vec![0u8; header.len];
-                read_frame_bytes(&mut self.file, &mut payload)?
-                    .then_some(())
-                    .ok_or_else(|| self.short_of_watermark())?;
-                if codec::frame_check(header.rank, &payload) != header.check {
-                    return Err(StoreError::Corrupt {
-                        file: self.name.clone(),
-                        detail: "frame checksum mismatch below the manifest watermark".to_string(),
-                    });
-                }
-                tele.bytes_replayed
-                    .add((FRAME_HEADER + payload.len()) as u64);
-                (header.rank, Body::Bin { payload })
-            }
-        };
-        tele.records_replayed.incr();
-        self.remaining -= 1;
-        if let Some(prev) = self.last_rank {
-            if rank <= prev {
-                // The k-way merge is only correct over internally
-                // sorted runs; the writer guarantees this by giving
-                // every handle a fresh file. A descending rank means
-                // the store was written some other way — refuse rather
-                // than silently emit out of order.
-                return Err(StoreError::Corrupt {
-                    file: self.name.clone(),
-                    detail: format!("segment not rank-sorted (rank {rank} after {prev})"),
-                });
-            }
-        }
-        self.last_rank = Some(rank);
-        Ok(Some((rank, body)))
-    }
-}
-
-/// `read_exact` that reports a clean-or-torn EOF as `Ok(false)` instead
-/// of conflating it with real I/O failure.
-fn read_frame_bytes(file: &mut BufReader<File>, buf: &mut [u8]) -> Result<bool, StoreError> {
-    match file.read_exact(buf) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(StoreError::Io(e)),
-    }
+/// One segment's read position: its open chunk and the chunks after it.
+struct Cursor {
+    stream: Option<ChunkStream>,
+    rest: Range<usize>,
 }
 
 /// Streams a store's [`VisitLog`]s back in rank order without
-/// materializing the crawl: a k-way merge whose memory footprint is one
-/// record per segment, independent of crawl size.
+/// materializing the crawl: a k-way merge whose footprint is one chunk
+/// window and one visit per segment, independent of crawl size.
 ///
 /// ```no_run
 /// use cg_crawlstore::CrawlReader;
@@ -234,7 +67,8 @@ fn read_frame_bytes(file: &mut BufReader<File>, buf: &mut [u8]) -> Result<bool, 
 /// ```
 pub struct CrawlReader {
     fingerprint: Fingerprint,
-    segments: Vec<Segment>,
+    plan: ChunkPlan,
+    cursors: Vec<Cursor>,
     heap: BinaryHeap<Reverse<Head>>,
     /// Set once a segment errors; the iterator then fuses.
     failed: bool,
@@ -249,20 +83,30 @@ impl CrawlReader {
     /// live writer's in-flight batch — is not yet durable and is left
     /// alone. Re-open after the next checkpoint to see more.
     pub fn open(dir: impl AsRef<Path>) -> Result<CrawlReader, StoreError> {
-        let dir: PathBuf = dir.as_ref().to_path_buf();
-        let manifest = load_manifest(&dir)?;
-        let mut segments = Vec::new();
-        for meta in &manifest.segments {
-            segments.push(Segment::open(&dir, meta)?);
-        }
+        let dir = dir.as_ref();
+        let manifest = Manifest::require(dir)?;
+        let plan = ChunkPlan::new(dir, &manifest)?;
+        // Chunks come in (segment, chunk) order: one cursor per
+        // segment's run of chunks.
+        let mut start = 0;
+        let cursors = plan
+            .chunks()
+            .chunk_by(|a, b| a.segment == b.segment)
+            .map(|run| {
+                let rest = start..start + run.len();
+                start = rest.end;
+                Cursor { stream: None, rest }
+            })
+            .collect();
         let mut reader = CrawlReader {
             fingerprint: manifest.fingerprint,
-            segments,
+            plan,
+            cursors,
             heap: BinaryHeap::new(),
             failed: false,
         };
-        for i in 0..reader.segments.len() {
-            if let Some(head) = reader.pull(i)? {
+        for seg in 0..reader.cursors.len() {
+            if let Some(head) = reader.pull(seg)? {
                 reader.heap.push(Reverse(head));
             }
         }
@@ -274,15 +118,34 @@ impl CrawlReader {
         &self.fingerprint
     }
 
-    /// Reads the next durable record of segment `seg` into a merge head.
+    /// Decodes the next visit of segment `seg`, opening its next chunk
+    /// when the current one is spent.
     fn pull(&mut self, seg: usize) -> Result<Option<Head>, StoreError> {
-        Ok(self.segments[seg]
-            .next_record()?
-            .map(|(rank, body)| Head { rank, seg, body }))
+        let cursor = &mut self.cursors[seg];
+        loop {
+            if let Some(stream) = &mut cursor.stream {
+                if let Some(log) = stream.next_log()? {
+                    return Ok(Some(Head {
+                        rank: log.rank,
+                        seg,
+                        log,
+                    }));
+                }
+                // Release the spent window before mapping the next.
+                cursor.stream = None;
+            }
+            let Some(chunk) = cursor.rest.next() else {
+                return Ok(None);
+            };
+            cursor.stream = Some(self.plan.open_chunk(chunk, ReadBackend::Mmap)?);
+        }
     }
+}
 
-    /// Pops the lowest-rank head and refills from its segment.
-    fn pop_head(&mut self) -> Option<Result<Head, StoreError>> {
+impl Iterator for CrawlReader {
+    type Item = Result<VisitLog, StoreError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
         if self.failed {
             return None;
         }
@@ -295,118 +158,17 @@ impl CrawlReader {
                 return Some(Err(e));
             }
         }
-        Some(Ok(head))
+        Some(Ok(head.log))
     }
-
-    /// The rank-ordered stream as compact JSON lines. For JSONL stores
-    /// these are the raw on-disk lines (newlines stripped); for binary
-    /// stores each frame is decoded and reprinted — byte-identical to
-    /// what a JSONL store of the same crawl holds. Two stores of the
-    /// same crawl are equivalent iff these streams are byte-identical —
-    /// the durability and cross-format tests' oracle.
-    pub fn raw_lines(self) -> RawLines {
-        RawLines(self)
-    }
-}
-
-impl Iterator for CrawlReader {
-    type Item = Result<VisitLog, StoreError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let head = match self.pop_head()? {
-            Ok(h) => h,
-            Err(e) => return Some(Err(e)),
-        };
-        Some(head.body.into_log(&self.segments[head.seg].name))
-    }
-}
-
-/// Iterator over a store's merged records as compact JSON lines (see
-/// [`CrawlReader::raw_lines`]).
-pub struct RawLines(CrawlReader);
-
-impl Iterator for RawLines {
-    type Item = Result<String, StoreError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let head = match self.0.pop_head()? {
-            Ok(h) => h,
-            Err(e) => return Some(Err(e)),
-        };
-        Some(head.body.into_json_line(&self.0.segments[head.seg].name))
-    }
-}
-
-/// One segment's records in file order — each segment is an internally
-/// rank-sorted run, so this is also rank order *within* the segment.
-/// [`fold_store`](crate::fold_store) folds each JSONL segment as one
-/// unit through this stream.
-pub struct SegmentStream {
-    segment: Segment,
-    failed: bool,
-}
-
-impl SegmentStream {
-    /// The segment's file name (relative to the store directory).
-    pub fn name(&self) -> &str {
-        &self.segment.name
-    }
-}
-
-impl Iterator for SegmentStream {
-    type Item = Result<VisitLog, StoreError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let result = match self.segment.next_record() {
-            Ok(Some((_, body))) => body.into_log(&self.segment.name),
-            Ok(None) => return None,
-            Err(e) => Err(e),
-        };
-        if result.is_err() {
-            self.failed = true;
-        }
-        Some(result)
-    }
-}
-
-/// Opens every manifest-listed segment of the store at `dir` as an
-/// independent stream, in manifest order (sorted by file name).
-pub fn segment_streams(dir: impl AsRef<Path>) -> Result<Vec<SegmentStream>, StoreError> {
-    let dir = dir.as_ref();
-    let manifest = load_manifest(dir)?;
-    manifest
-        .segments
-        .iter()
-        .map(|meta| open_segment_stream(dir, meta))
-        .collect()
-}
-
-/// Opens one manifest-listed segment as a stream.
-pub(crate) fn open_segment_stream(
-    dir: &Path,
-    meta: &SegmentMeta,
-) -> Result<SegmentStream, StoreError> {
-    Segment::open(dir, meta).map(|segment| SegmentStream {
-        segment,
-        failed: false,
-    })
-}
-
-/// Loads the manifest, refusing a directory that has none.
-fn load_manifest(dir: &Path) -> Result<Manifest, StoreError> {
-    Manifest::load(dir)?.ok_or_else(|| StoreError::Corrupt {
-        file: crate::MANIFEST_FILE.to_string(),
-        detail: format!("no manifest in {}", dir.display()),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{self, SegmentFormat};
     use crate::writer::CrawlWriter;
+    use serde::Serialize as _;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cg-reader-{tag}-{}", std::process::id()));
@@ -421,12 +183,8 @@ mod tests {
             to: 100,
             visit_config: "cfg".into(),
             generator: "gen".into(),
-            format: SegmentFormat::Jsonl,
+            format: SegmentFormat::Binary,
         }
-    }
-
-    fn fp_bin() -> Fingerprint {
-        fp().with_format(SegmentFormat::Binary)
     }
 
     fn log(rank: usize) -> VisitLog {
@@ -438,54 +196,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn merge_is_rank_ordered_across_segments() {
-        for fingerprint in [fp(), fp_bin()] {
-            let dir = tmp_dir(&format!("merge-{}", fingerprint.format));
-            let store = CrawlWriter::open(&dir, fingerprint).unwrap();
-            // Interleave ranks across three segments, none sorted globally.
-            let mut segs = [
-                store.segment().unwrap(),
-                store.segment().unwrap(),
-                store.segment().unwrap(),
-            ];
-            for rank in 1..=30usize {
-                segs[rank % 3].record(&log(rank)).unwrap();
-            }
-            for seg in segs {
-                seg.finish().unwrap();
-            }
-            let ranks: Vec<usize> = CrawlReader::open(&dir)
-                .unwrap()
-                .map(|l| l.unwrap().rank)
-                .collect();
-            assert_eq!(ranks, (1..=30).collect::<Vec<_>>());
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
+    fn ranks(dir: &Path) -> Vec<usize> {
+        CrawlReader::open(dir)
+            .unwrap()
+            .map(|l| l.unwrap().rank)
+            .collect()
     }
 
     #[test]
-    fn raw_lines_match_reserialized_logs() {
-        for fingerprint in [fp(), fp_bin()] {
-            let dir = tmp_dir(&format!("raw-{}", fingerprint.format));
-            let store = CrawlWriter::open(&dir, fingerprint).unwrap();
-            let mut seg = store.segment().unwrap();
-            for rank in [5usize, 7, 9] {
-                seg.record(&log(rank)).unwrap();
-            }
-            seg.finish().unwrap();
-            let raw: Vec<String> = CrawlReader::open(&dir)
-                .unwrap()
-                .raw_lines()
-                .map(|l| l.unwrap())
-                .collect();
-            let reser: Vec<String> = CrawlReader::open(&dir)
-                .unwrap()
-                .map(|l| serde_json::to_string(&l.unwrap()).unwrap())
-                .collect();
-            assert_eq!(raw, reser);
-            std::fs::remove_dir_all(&dir).unwrap();
+    fn merge_is_rank_ordered_across_segments() {
+        let dir = tmp_dir("merge");
+        let store = CrawlWriter::open(&dir, fp()).unwrap();
+        // Interleave ranks across three segments, none sorted globally,
+        // each long enough to span several chunks.
+        let mut segs = [
+            store.segment().unwrap(),
+            store.segment().unwrap(),
+            store.segment().unwrap(),
+        ];
+        for rank in 1..=300usize {
+            segs[rank % 3].record(&log(rank)).unwrap();
         }
+        for seg in segs {
+            seg.finish().unwrap();
+        }
+        assert!(crate::plan_chunks(&dir).unwrap().len() > 3);
+        assert_eq!(ranks(&dir), (1..=300).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -512,11 +249,7 @@ mod tests {
         c.record(&log(2)).unwrap();
         c.finish().unwrap();
         drop(store);
-        let ranks: Vec<usize> = CrawlReader::open(&dir)
-            .unwrap()
-            .map(|l| l.unwrap().rank)
-            .collect();
-        assert_eq!(ranks, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(ranks(&dir), vec![1, 2, 3, 4, 5, 6]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -524,17 +257,20 @@ mod tests {
     fn unsorted_segment_is_refused_not_misordered() {
         let dir = tmp_dir("unsorted");
         std::fs::create_dir_all(&dir).unwrap();
-        // A hand-written store (as an older or foreign writer might
-        // leave) whose segment violates the sorted-run invariant but
-        // whose manifest claims it durable.
-        std::fs::write(
-            dir.join("seg-7.jsonl"),
-            "{\"rank\":5,\"site_domain\":\"a\",\"complete\":true}\n\
-             {\"rank\":2,\"site_domain\":\"b\",\"complete\":true}\n",
-        )
-        .unwrap();
+        // A hand-written store (as a foreign writer might leave) whose
+        // segment violates the sorted-run invariant but whose manifest
+        // claims it durable.
+        let mut bytes = Vec::new();
+        for rank in [5usize, 2] {
+            let mut payload = Vec::new();
+            codec::encode_content(&log(rank).to_content(), &mut payload);
+            codec::write_frame(&mut bytes, rank as u64, &payload);
+        }
+        std::fs::write(dir.join("seg-7.bin"), &bytes).unwrap();
         let mut m = Manifest::new(fp());
-        m.segment_mut("seg-7.jsonl").synced_records = 2;
+        let meta = m.segment_mut("seg-7.bin");
+        meta.synced_records = 2;
+        meta.max_rank = 5;
         m.store(&dir).unwrap();
         // The reader surfaces the violation instead of emitting records
         // out of rank order…
@@ -581,33 +317,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn torn_tail_is_ignored_when_reading() {
-        let dir = tmp_dir("torntail");
+    /// Appends `tail` to the store's only segment after a one-record
+    /// crawl, then checks the reader still sees exactly that record.
+    fn torn_tail_is_invisible(tag: &str, tail: &[u8]) {
+        let dir = tmp_dir(tag);
         let store = CrawlWriter::open(&dir, fp()).unwrap();
-        let mut seg = store.segment().unwrap();
-        seg.record(&log(1)).unwrap();
-        seg.finish().unwrap();
-        drop(store);
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join("seg-0.jsonl"))
-            .unwrap();
-        f.write_all(b"{\"half").unwrap();
-        drop(f);
-        let ranks: Vec<usize> = CrawlReader::open(&dir)
-            .unwrap()
-            .map(|l| l.unwrap().rank)
-            .collect();
-        assert_eq!(ranks, vec![1]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn binary_torn_tail_is_ignored_when_reading() {
-        let dir = tmp_dir("bin-torntail");
-        let store = CrawlWriter::open(&dir, fp_bin()).unwrap();
         let mut seg = store.segment().unwrap();
         seg.record(&log(1)).unwrap();
         seg.finish().unwrap();
@@ -617,20 +331,29 @@ mod tests {
             .append(true)
             .open(dir.join("seg-0.bin"))
             .unwrap();
-        f.write_all(b"\x99\x00\x00").unwrap(); // half a frame header
+        f.write_all(tail).unwrap();
         drop(f);
-        let ranks: Vec<usize> = CrawlReader::open(&dir)
-            .unwrap()
-            .map(|l| l.unwrap().rank)
-            .collect();
-        assert_eq!(ranks, vec![1]);
+        assert_eq!(ranks(&dir), vec![1]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_tail_is_ignored_when_reading() {
+        // A whole frame header whose payload never reached the disk.
+        let mut frame = Vec::new();
+        codec::write_frame(&mut frame, 2, b"payload that was cut off");
+        torn_tail_is_invisible("torntail", &frame[..codec::FRAME_HEADER + 4]);
+    }
+
+    #[test]
+    fn binary_torn_tail_is_ignored_when_reading() {
+        torn_tail_is_invisible("bin-torntail", b"\x99\x00\x00"); // half a header
     }
 
     #[test]
     fn binary_watermark_shortfall_is_corrupt() {
         let dir = tmp_dir("bin-short");
-        let store = CrawlWriter::open(&dir, fp_bin()).unwrap();
+        let store = CrawlWriter::open(&dir, fp()).unwrap();
         let mut seg = store.segment().unwrap();
         seg.record(&log(1)).unwrap();
         seg.record(&log(2)).unwrap();
@@ -641,7 +364,10 @@ mod tests {
         let path = dir.join("seg-0.bin");
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
-        let results: Vec<_> = CrawlReader::open(&dir).unwrap().collect();
+        let results: Vec<_> = match CrawlReader::open(&dir) {
+            Ok(r) => r.collect(),
+            Err(e) => vec![Err(e)],
+        };
         assert!(
             results.iter().any(|r| matches!(
                 r,
@@ -655,12 +381,12 @@ mod tests {
     }
 
     #[test]
-    fn segment_streams_cover_the_store_disjointly() {
+    fn segment_chunks_cover_the_store_disjointly() {
         let dir = tmp_dir("streams");
-        let store = CrawlWriter::open(&dir, fp_bin()).unwrap();
+        let store = CrawlWriter::open(&dir, fp()).unwrap();
         let mut a = store.segment().unwrap();
         let mut b = store.segment().unwrap();
-        for rank in 1..=10usize {
+        for rank in 1..=100usize {
             if rank % 2 == 0 { &mut a } else { &mut b }
                 .record(&log(rank))
                 .unwrap();
@@ -668,16 +394,22 @@ mod tests {
         a.finish().unwrap();
         b.finish().unwrap();
         drop(store);
+        let plan = crate::plan_chunks(&dir).unwrap();
+        let mut per_segment = vec![Vec::new(); plan.segments()];
+        for (i, spec) in plan.chunks().iter().enumerate() {
+            for log in plan.open_chunk(i, ReadBackend::Pread).unwrap() {
+                per_segment[spec.segment].push(log.unwrap().rank);
+            }
+        }
         let mut all: Vec<usize> = Vec::new();
-        for stream in segment_streams(&dir).unwrap() {
-            let ranks: Vec<usize> = stream.map(|l| l.unwrap().rank).collect();
-            // Each stream is internally rank-sorted…
+        for ranks in per_segment {
+            // Each segment's chunks, in order, are one sorted run…
             assert!(ranks.windows(2).all(|w| w[0] < w[1]));
             all.extend(ranks);
         }
         // …and together they cover the store exactly once.
         all.sort_unstable();
-        assert_eq!(all, (1..=10).collect::<Vec<_>>());
+        assert_eq!(all, (1..=100).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -21,12 +21,11 @@ use std::sync::OnceLock;
 
 /// The crawl store's registered metric handles.
 pub(crate) struct StoreMetrics {
-    /// Records appended (durable or pending), any format.
+    /// Records appended (durable or pending).
     pub records_written: Counter,
-    /// Encoded bytes appended (line or frame bytes incl. framing).
+    /// Encoded bytes appended (frame bytes incl. headers).
     pub bytes_written: Counter,
-    /// Records streamed back out (reader merge, segment streams, pread
-    /// cursors).
+    /// Records decoded back out of chunks (reader merge, folds, replay).
     pub records_replayed: Counter,
     /// Encoded bytes streamed back out.
     pub bytes_replayed: Counter,
@@ -36,17 +35,16 @@ pub(crate) struct StoreMetrics {
     /// backend is unused or unavailable; a pure function of the chunk
     /// plan otherwise — worker-count independent).
     pub mmap_bytes: Counter,
-    /// Chunk opens across chunked folds and replay passes — the plan's
-    /// chunk count times the passes over it, independent of who claims
-    /// which chunk.
+    /// Chunk opens across reader merges, folds and replay passes — the
+    /// plan's chunk count times the passes over it, independent of who
+    /// claims which chunk.
     pub chunks_claimed: Counter,
     /// fsync + manifest checkpoints (batch boundaries — worker-count
     /// dependent).
     pub fsyncs: Counter,
     /// Fresh segment files opened for append.
     pub segments_opened: Counter,
-    /// Units (chunks, or whole JSONL segments) folded by
-    /// [`fold_store`](crate::fold_store).
+    /// Chunks folded by [`fold_store`](crate::fold_store).
     pub fold_shards: Counter,
     /// Accumulators a fold created and merged: one per fold at one
     /// thread, `threads + steals` beyond (scheduling-dependent).

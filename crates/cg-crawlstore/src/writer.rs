@@ -1,9 +1,8 @@
 //! The durable write path: per-worker segment files, fsync'd batches,
 //! crash recovery, and resume.
 //!
-//! Every [`SegmentWriter`] gets a **fresh** segment file (`seg-<n>.jsonl`
-//! or `seg-<n>.bin` per the fingerprint's [`SegmentFormat`], `n`
-//! strictly increasing across the store's lifetime, crash-resumes
+//! Every [`SegmentWriter`] gets a **fresh** segment file (`seg-<n>.bin`,
+//! `n` strictly increasing across the store's lifetime, crash-resumes
 //! included). Within one crawl a worker's ranks are monotonically
 //! increasing (workers pull from a shared atomic counter), so every
 //! segment file is an internally rank-sorted run — the invariant the
@@ -20,7 +19,7 @@ use cg_webgen::WebGenerator;
 use serde::Serialize as _;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -36,9 +35,6 @@ const LOCK_FILE: &str = ".lock";
 struct StoreShared {
     dir: PathBuf,
     manifest: Mutex<Manifest>,
-    /// On-disk segment format (cached from the fingerprint so the hot
-    /// path never takes the manifest lock to learn it).
-    format: SegmentFormat,
     batch: usize,
     /// Next unused segment number (seeded past every file on disk), so
     /// each [`SegmentWriter`] opens a fresh, exclusively-owned file.
@@ -76,7 +72,7 @@ pub struct StoreStats {
 ///
 /// Opening a directory that already holds a crawl with the same
 /// [`Fingerprint`] turns the store into a checkpoint: torn trailing
-/// lines are truncated away, watermarks are re-derived from the
+/// frames are truncated away, watermarks are re-derived from the
 /// surviving records, and [`CrawlWriter::done_ranks`] reports which
 /// ranks need no re-visit. Used as a
 /// [`VisitSink`], the store skips those ranks automatically — including
@@ -114,7 +110,7 @@ impl CrawlWriter {
     ///
     /// * A missing/empty directory becomes a fresh store.
     /// * An existing store with the same fingerprint is recovered: each
-    ///   segment is scanned, a torn trailing line (a crash mid-append)
+    ///   segment is scanned, a torn trailing frame (a crash mid-append)
     ///   is truncated off, and every surviving record's rank lands in
     ///   [`CrawlWriter::done_ranks`].
     /// * An existing store with a different fingerprint is refused
@@ -157,22 +153,10 @@ impl CrawlWriter {
         // past everything seen here.
         let mut done = HashSet::new();
         let mut next_seg = 0usize;
-        let format = manifest.fingerprint.format;
         manifest.segments.clear();
         for file in segment_files(&dir)? {
-            // A segment in the other format means the directory holds
-            // leftovers of a different store — refuse like any other
-            // unrepairable damage (the fingerprint gate catches the
-            // common case; this catches hand-mixed directories whose
-            // manifest lagged a crash).
-            if codec::SegmentFormat::of_file(&file) != Some(format) {
-                return Err(StoreError::Corrupt {
-                    file: file.clone(),
-                    detail: format!("segment format does not match the store's ({format})"),
-                });
-            }
             let path = dir.join(&file);
-            let scan = recover_segment(&path, &file, format)?;
+            let scan = recover_segment(&path, &file)?;
             if let Some(n) = segment_number(&file) {
                 next_seg = next_seg.max(n + 1);
             }
@@ -186,12 +170,10 @@ impl CrawlWriter {
             for r in &scan.ranks {
                 done.insert(*r);
             }
-            if format == SegmentFormat::Binary {
-                // The recovery scan just walked every surviving frame;
-                // rewriting the sidecar from it costs nothing extra and
-                // upgrades index-less stores from older writers.
-                let _ = index::write_index(&dir, &file, &scan.index);
-            }
+            // The recovery scan just walked every surviving frame;
+            // rewriting the sidecar from it costs nothing extra and
+            // upgrades index-less stores from older writers.
+            let _ = index::write_index(&dir, &file, &scan.index);
             let seg = manifest.segment_mut(&file);
             seg.synced_records = scan.ranks.len() as u64;
             seg.max_rank = scan.ranks.iter().copied().max().unwrap_or(0) as u64;
@@ -202,7 +184,6 @@ impl CrawlWriter {
             shared: Arc::new(StoreShared {
                 dir,
                 manifest: Mutex::new(manifest),
-                format,
                 batch: DEFAULT_BATCH,
                 next_seg: AtomicUsize::new(next_seg),
                 _lock: lock,
@@ -237,17 +218,17 @@ impl CrawlWriter {
     }
 
     /// Opens an append handle on a **fresh** segment file
-    /// (`seg-<n>.jsonl` or `seg-<n>.bin` per the store's format, `n`
-    /// never reused — not even across crash resumes). Each handle owns
-    /// its file exclusively and appends take no cross-worker lock (the
-    /// shared manifest is touched only at batch checkpoints). Fresh
+    /// (`seg-<n>.bin`, `n` never reused — not even across crash
+    /// resumes). Each handle owns its file exclusively and appends take
+    /// no cross-worker lock (the shared manifest is touched only at
+    /// batch checkpoints). Fresh
     /// files are what keep every segment an internally rank-sorted run
     /// when a resume back-fills ranks lower than anything already
     /// stored.
     pub fn segment(&self) -> Result<SegmentWriter, StoreError> {
         crate::telemetry::metrics().segments_opened.incr();
         let n = self.shared.next_seg.fetch_add(1, Ordering::Relaxed);
-        let file_name = format!("seg-{n}.{}", self.shared.format.extension());
+        let file_name = format!("seg-{n}.bin");
         let path = self.shared.dir.join(&file_name);
         let file = OpenOptions::new()
             .create_new(true)
@@ -292,7 +273,7 @@ pub struct SegmentWriter {
     file: File,
     /// Serialized records not yet written+fsync'd.
     buf: Vec<u8>,
-    /// Reusable payload-encoding buffer (binary format only).
+    /// Reusable payload-encoding buffer.
     scratch: Vec<u8>,
     /// Records currently in `buf`.
     pending: u64,
@@ -306,16 +287,15 @@ pub struct SegmentWriter {
     /// Ranks recorded through this handle (fed back into the store's
     /// session-done set when the handle merges).
     session_ranks: Vec<usize>,
-    /// Frame-index entries (binary format only): `(rank, offset)` of
-    /// every [`INDEX_STRIDE`]-th frame, flushed to the `seg-<n>.idx`
-    /// sidecar at each commit.
+    /// Frame-index entries: `(rank, offset)` of every
+    /// [`INDEX_STRIDE`]-th frame, flushed to the `seg-<n>.idx` sidecar
+    /// at each commit.
     index: Vec<IndexEntry>,
 }
 
 impl SegmentWriter {
-    /// Appends one visit log — a compact JSON line or a binary frame,
-    /// per the store's format. The record becomes durable at the next
-    /// batch boundary or [`SegmentWriter::finish`].
+    /// Appends one visit log as a frame. The record becomes durable at
+    /// the next batch boundary or [`SegmentWriter::finish`].
     pub fn record(&mut self, log: &VisitLog) -> Result<(), StoreError> {
         // Each segment must stay an internally rank-sorted run or the
         // reader's k-way merge emits records out of order. Crawl
@@ -332,31 +312,19 @@ impl SegmentWriter {
             });
         }
         let buffered = self.buf.len();
-        match self.shared.format {
-            SegmentFormat::Jsonl => {
-                let line = serde_json::to_string(log).map_err(|e| StoreError::Corrupt {
-                    file: self.file_name.clone(),
-                    detail: format!("serialize: {e}"),
-                })?;
-                self.buf.extend_from_slice(line.as_bytes());
-                self.buf.push(b'\n');
-            }
-            SegmentFormat::Binary => {
-                // Straight from the content tree to tagged bytes — no
-                // JSON text is built on the binary write path.
-                self.scratch.clear();
-                codec::encode_content(&log.to_content(), &mut self.scratch);
-                // Every STRIDE-th frame lands in the sidecar index, so
-                // chunked readers can cut this segment without a scan.
-                if (self.records + self.pending).is_multiple_of(u64::from(INDEX_STRIDE)) {
-                    self.index.push(IndexEntry {
-                        rank: log.rank as u64,
-                        offset: self.durable_bytes + buffered as u64,
-                    });
-                }
-                codec::write_frame(&mut self.buf, log.rank as u64, &self.scratch);
-            }
+        // Straight from the content tree to tagged bytes — no JSON text
+        // is built on the write path.
+        self.scratch.clear();
+        codec::encode_content(&log.to_content(), &mut self.scratch);
+        // Every STRIDE-th frame lands in the sidecar index, so chunked
+        // readers can cut this segment without a scan.
+        if (self.records + self.pending).is_multiple_of(u64::from(INDEX_STRIDE)) {
+            self.index.push(IndexEntry {
+                rank: log.rank as u64,
+                offset: self.durable_bytes + buffered as u64,
+            });
         }
+        codec::write_frame(&mut self.buf, log.rank as u64, &self.scratch);
         let tele = crate::telemetry::metrics();
         tele.records_written.incr();
         tele.bytes_written.add((self.buf.len() - buffered) as u64);
@@ -389,9 +357,7 @@ impl SegmentWriter {
         // durable. Advisory: readers validate it and rescan on any
         // doubt, so its write is not fsync'd and may not fail the
         // commit path for data that *is* durable.
-        if self.shared.format == SegmentFormat::Binary {
-            let _ = index::write_index(&self.shared.dir, &self.file_name, &self.index);
-        }
+        let _ = index::write_index(&self.shared.dir, &self.file_name, &self.index);
         Ok(())
     }
 
@@ -461,12 +427,11 @@ pub fn open_store(
     from: usize,
     to: usize,
 ) -> Result<CrawlWriter, StoreError> {
-    open_store_with(dir, gen, cfg, from, to, SegmentFormat::default())
+    open_store_with(dir, gen, cfg, from, to, SegmentFormat::Binary)
 }
 
-/// [`open_store`], with the segment format chosen by the caller (the
-/// format is part of the fingerprint, so a store opened binary can only
-/// ever be resumed binary).
+/// [`open_store`], with the segment format named explicitly. Binary is
+/// the only format; it is recorded in the fingerprint.
 pub fn open_store_with(
     dir: impl AsRef<Path>,
     gen: &WebGenerator,
@@ -475,7 +440,10 @@ pub fn open_store_with(
     to: usize,
     format: SegmentFormat,
 ) -> Result<CrawlWriter, StoreError> {
-    let fp = Fingerprint::new(gen.master_seed(), from, to, cfg, gen.config()).with_format(format);
+    let fp = Fingerprint {
+        format,
+        ..Fingerprint::new(gen.master_seed(), from, to, cfg, gen.config())
+    };
     CrawlWriter::open(dir, fp)
 }
 
@@ -506,31 +474,7 @@ pub fn crawl_to_store(
     threads: usize,
     on_open: impl FnOnce(&CrawlWriter),
 ) -> Result<StoreCrawl, StoreError> {
-    crawl_to_store_with(
-        dir,
-        gen,
-        cfg,
-        from,
-        to,
-        threads,
-        SegmentFormat::default(),
-        on_open,
-    )
-}
-
-/// [`crawl_to_store`], with the segment format chosen by the caller.
-#[allow(clippy::too_many_arguments)]
-pub fn crawl_to_store_with(
-    dir: impl AsRef<Path>,
-    gen: &WebGenerator,
-    cfg: &VisitConfig,
-    from: usize,
-    to: usize,
-    threads: usize,
-    format: SegmentFormat,
-    on_open: impl FnOnce(&CrawlWriter),
-) -> Result<StoreCrawl, StoreError> {
-    let store = open_store_with(dir, gen, cfg, from, to, format)?;
+    let store = open_store(dir, gen, cfg, from, to)?;
     on_open(&store);
     let resumed = store.done_ranks().len();
     let summary = cg_browser::crawl_into(gen, cfg, from, to, threads, &store)?;
@@ -542,13 +486,25 @@ pub fn crawl_to_store_with(
     })
 }
 
-/// Segment file names (`seg-*.jsonl` / `seg-*.bin`) in `dir`, sorted.
+/// Segment file names (`seg-*.bin`) in `dir`, sorted. A `seg-*.jsonl`
+/// file is a leftover of a store from before binary-only segments:
+/// refused like any other damage a resume cannot repair.
 pub(crate) fn segment_files(dir: &Path) -> Result<Vec<String>, StoreError> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name();
         let name = name.to_string_lossy().into_owned();
-        if name.starts_with("seg-") && SegmentFormat::of_file(&name).is_some() {
+        if !name.starts_with("seg-") {
+            continue;
+        }
+        if name.ends_with(".jsonl") {
+            return Err(StoreError::Corrupt {
+                file: name,
+                detail: "JSONL segment in the store directory: only binary segments are supported"
+                    .to_string(),
+            });
+        }
+        if name.ends_with(".bin") {
             out.push(name);
         }
     }
@@ -556,109 +512,24 @@ pub(crate) fn segment_files(dir: &Path) -> Result<Vec<String>, StoreError> {
     Ok(out)
 }
 
-/// The `<n>` of a `seg-<n>.jsonl` / `seg-<n>.bin` file name.
+/// The `<n>` of a `seg-<n>.bin` file name.
 fn segment_number(file_name: &str) -> Option<usize> {
-    let stem = file_name.strip_prefix("seg-")?;
-    let stem = stem
-        .strip_suffix(".jsonl")
-        .or_else(|| stem.strip_suffix(".bin"))?;
-    stem.parse().ok()
+    file_name
+        .strip_prefix("seg-")?
+        .strip_suffix(".bin")?
+        .parse()
+        .ok()
 }
 
 struct SegmentScan {
-    /// Ranks of every surviving (complete, parseable) record.
+    /// Ranks of every surviving (complete, checksummed) frame.
     ranks: Vec<usize>,
-    /// Frame-index entries for the surviving frames (binary only —
-    /// empty for JSONL), rebuilt as a free byproduct of the scan.
+    /// Frame-index entries for the surviving frames, rebuilt as a free
+    /// byproduct of the scan.
     index: Vec<IndexEntry>,
 }
 
-/// Scans one segment in its on-disk format, truncating a torn tail in
-/// place (see [`recover_segment_jsonl`] / [`recover_segment_bin`] for
-/// the per-format rules — they are deliberately the same rules).
-fn recover_segment(
-    path: &Path,
-    file_name: &str,
-    format: SegmentFormat,
-) -> Result<SegmentScan, StoreError> {
-    let _span = cg_telemetry::span!("segment_recover");
-    match format {
-        SegmentFormat::Jsonl => recover_segment_jsonl(path, file_name),
-        SegmentFormat::Binary => recover_segment_bin(path, file_name),
-    }
-}
-
-/// Scans one JSONL segment, truncating a torn trailing line in place.
-///
-/// * bytes after the last newline → torn (a crash mid-append): truncate;
-/// * an unparseable *final* line → torn at the record level: truncate;
-/// * an unparseable line with records after it → real corruption: error.
-fn recover_segment_jsonl(path: &Path, file_name: &str) -> Result<SegmentScan, StoreError> {
-    // Stream line by line: recovery memory is one record, not one
-    // segment (segments reach gigabytes at crawl scale).
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut ranks = Vec::new();
-    let mut line = Vec::new();
-    let mut pos = 0u64;
-    let mut keep_until = 0u64;
-    // Offset of a complete line that failed to parse: torn at the
-    // record level if it is the last line, mid-file damage otherwise.
-    let mut bad_line: Option<u64> = None;
-    loop {
-        line.clear();
-        let n = reader.read_until(b'\n', &mut line)? as u64;
-        if n == 0 {
-            break;
-        }
-        let complete = line.last() == Some(&b'\n');
-        if let Some(at) = bad_line {
-            if complete {
-                // A later complete record follows the unparseable line:
-                // damage the store cannot repair by truncation.
-                return Err(StoreError::Corrupt {
-                    file: file_name.to_string(),
-                    detail: format!("unparseable record at byte {at}"),
-                });
-            }
-            break; // only torn garbage follows — truncation covers it
-        }
-        if !complete {
-            break; // torn tail: bytes with no terminating newline
-        }
-        match line_rank(&line[..line.len() - 1]) {
-            Some(rank) => {
-                // Segments must be rank-sorted runs (see module docs);
-                // an out-of-order record means this store was written
-                // by something that violated the invariant.
-                if ranks.last().is_some_and(|&prev| rank <= prev) {
-                    return Err(StoreError::Corrupt {
-                        file: file_name.to_string(),
-                        detail: format!("segment not rank-sorted at byte {pos}"),
-                    });
-                }
-                ranks.push(rank);
-                keep_until = pos + n;
-            }
-            None => bad_line = Some(pos),
-        }
-        pos += n;
-    }
-    if keep_until < std::fs::metadata(path)?.len() {
-        crate::telemetry::metrics().torn_tail_recoveries.incr();
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(keep_until)?;
-        f.sync_data()?;
-    }
-    Ok(SegmentScan {
-        ranks,
-        index: Vec::new(),
-    })
-}
-
-/// Scans one binary segment, truncating a torn trailing frame in place.
-///
-/// The rules mirror [`recover_segment_jsonl`] exactly, with the frame
-/// checksum standing in for "does the line parse":
+/// Scans one segment, truncating a torn trailing frame in place:
 ///
 /// * fewer than a header's worth of bytes left, or a declared payload
 ///   running past EOF → torn (a crash mid-append): truncate;
@@ -670,7 +541,8 @@ fn recover_segment_jsonl(path: &Path, file_name: &str) -> Result<SegmentScan, St
 /// The rank lives in the frame header and the checksum vouches for the
 /// payload bytes, so recovery never decodes a payload — scanning is a
 /// header read plus a checksum per record.
-fn recover_segment_bin(path: &Path, file_name: &str) -> Result<SegmentScan, StoreError> {
+fn recover_segment(path: &Path, file_name: &str) -> Result<SegmentScan, StoreError> {
+    let _span = cg_telemetry::span!("segment_recover");
     let file_len = std::fs::metadata(path)?.len();
     let mut reader = BufReader::new(File::open(path)?);
     let mut ranks = Vec::new();
@@ -729,15 +601,6 @@ fn recover_segment_bin(path: &Path, file_name: &str) -> Result<SegmentScan, Stor
     Ok(SegmentScan { ranks, index })
 }
 
-/// Parses one JSONL record far enough to extract its rank; `None` means
-/// the line is not a valid visit record.
-fn line_rank(line: &[u8]) -> Option<usize> {
-    let text = std::str::from_utf8(line).ok()?;
-    let value: serde_json::Value = serde_json::from_str(text).ok()?;
-    let rank = value.get("rank")?.as_u64()?;
-    Some(rank as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,12 +619,8 @@ mod tests {
             to: 10,
             visit_config: "cfg".into(),
             generator: "gen".into(),
-            format: SegmentFormat::Jsonl,
+            format: SegmentFormat::Binary,
         }
-    }
-
-    fn fp_bin() -> Fingerprint {
-        fp().with_format(SegmentFormat::Binary)
     }
 
     fn log(rank: usize) -> VisitLog {
@@ -831,7 +690,7 @@ mod tests {
         c.finish().unwrap();
         assert_eq!(
             segment_files(&dir).unwrap(),
-            vec!["seg-0.jsonl", "seg-1.jsonl", "seg-2.jsonl"]
+            vec!["seg-0.bin", "seg-1.bin", "seg-2.bin"]
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -871,11 +730,15 @@ mod tests {
         seg.record(&log(2)).unwrap();
         seg.finish().unwrap();
         drop(store);
-        let path = dir.join("seg-0.jsonl");
+        let path = dir.join("seg-0.bin");
         let clean_len = std::fs::metadata(&path).unwrap().len();
-        // Simulate a crash mid-append: half a record, no newline.
+        // Simulate a crash mid-append: a real next frame, cut short.
+        let mut payload = Vec::new();
+        codec::encode_content(&log(3).to_content(), &mut payload);
+        let mut frame = Vec::new();
+        codec::write_frame(&mut frame, 3, &payload);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"site_domain\":\"si").unwrap();
+        f.write_all(&frame[..frame.len() / 2]).unwrap();
         drop(f);
         let store = CrawlWriter::open(&dir, fp()).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
@@ -887,11 +750,15 @@ mod tests {
     fn mid_file_damage_is_an_error() {
         let dir = tmp_dir("damage");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("seg-0.jsonl"),
-            "not json\n{\"rank\":2,\"site_domain\":\"a\"}\n",
-        )
-        .unwrap();
+        // Garbage that checksums as nothing, followed by a complete,
+        // valid frame: truncation would drop a durable record.
+        let mut bytes = Vec::new();
+        codec::write_frame(&mut bytes, 1, b"not a visit");
+        bytes[FRAME_HEADER] ^= 0x01;
+        let mut payload = Vec::new();
+        codec::encode_content(&log(2).to_content(), &mut payload);
+        codec::write_frame(&mut bytes, 2, &payload);
+        std::fs::write(dir.join("seg-0.bin"), &bytes).unwrap();
         assert!(matches!(
             CrawlWriter::open(&dir, fp()),
             Err(StoreError::Corrupt { .. })
@@ -902,7 +769,7 @@ mod tests {
     #[test]
     fn binary_store_appends_and_recovers() {
         let dir = tmp_dir("bin-fresh");
-        let store = CrawlWriter::open(&dir, fp_bin()).unwrap().with_batch(2);
+        let store = CrawlWriter::open(&dir, fp()).unwrap().with_batch(2);
         let mut seg = store.segment().unwrap();
         for r in 1..=5 {
             seg.record(&log(r)).unwrap();
@@ -910,7 +777,7 @@ mod tests {
         seg.finish().unwrap();
         assert_eq!(segment_files(&dir).unwrap(), vec!["seg-0.bin"]);
         drop(store);
-        let store = CrawlWriter::open(&dir, fp_bin()).unwrap();
+        let store = CrawlWriter::open(&dir, fp()).unwrap();
         let mut done: Vec<_> = store.done_ranks().iter().copied().collect();
         done.sort_unstable();
         assert_eq!(done, vec![1, 2, 3, 4, 5]);
@@ -920,7 +787,7 @@ mod tests {
     #[test]
     fn binary_torn_tail_is_truncated_on_open() {
         let dir = tmp_dir("bin-torn");
-        let store = CrawlWriter::open(&dir, fp_bin()).unwrap().with_batch(1);
+        let store = CrawlWriter::open(&dir, fp()).unwrap().with_batch(1);
         let mut seg = store.segment().unwrap();
         seg.record(&log(1)).unwrap();
         seg.record(&log(2)).unwrap();
@@ -937,7 +804,7 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(torn).unwrap();
             drop(f);
-            let store = CrawlWriter::open(&dir, fp_bin()).unwrap();
+            let store = CrawlWriter::open(&dir, fp()).unwrap();
             assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
             assert_eq!(store.done_ranks().len(), 2);
         }
@@ -947,7 +814,7 @@ mod tests {
     #[test]
     fn binary_mid_file_damage_is_an_error() {
         let dir = tmp_dir("bin-damage");
-        let store = CrawlWriter::open(&dir, fp_bin()).unwrap().with_batch(1);
+        let store = CrawlWriter::open(&dir, fp()).unwrap().with_batch(1);
         let mut seg = store.segment().unwrap();
         for r in 1..=3 {
             seg.record(&log(r)).unwrap();
@@ -961,7 +828,7 @@ mod tests {
         bytes[FRAME_HEADER + 1] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            CrawlWriter::open(&dir, fp_bin()),
+            CrawlWriter::open(&dir, fp()),
             Err(StoreError::Corrupt { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -970,7 +837,7 @@ mod tests {
     #[test]
     fn binary_checksum_bad_final_frame_is_truncated() {
         let dir = tmp_dir("bin-badtail");
-        let store = CrawlWriter::open(&dir, fp_bin()).unwrap().with_batch(1);
+        let store = CrawlWriter::open(&dir, fp()).unwrap().with_batch(1);
         let mut seg = store.segment().unwrap();
         seg.record(&log(1)).unwrap();
         seg.record(&log(2)).unwrap();
@@ -983,20 +850,24 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let store = CrawlWriter::open(&dir, fp_bin()).unwrap();
+        let store = CrawlWriter::open(&dir, fp()).unwrap();
         assert_eq!(store.done_ranks().len(), 1);
         assert!(store.done_ranks().contains(&1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn format_mismatch_between_store_and_crawl_is_refused() {
-        let dir = tmp_dir("bin-vs-jsonl");
+    fn pre_binary_store_is_refused() {
+        let dir = tmp_dir("legacy");
         drop(CrawlWriter::open(&dir, fp()).unwrap());
-        // Same crawl, other format: the fingerprint gate refuses it.
+        // The same store as a pre-binary writer recorded it: the
+        // manifest names JSONL segments. Resuming into it is refused.
+        let path = dir.join(MANIFEST_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("\"binary\"", "\"jsonl\"")).unwrap();
         assert!(matches!(
-            CrawlWriter::open(&dir, fp_bin()),
-            Err(StoreError::FingerprintMismatch { .. })
+            CrawlWriter::open(&dir, fp()),
+            Err(StoreError::Corrupt { detail, .. }) if detail.contains("jsonl")
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1009,9 +880,9 @@ mod tests {
         seg.record(&log(1)).unwrap();
         seg.finish().unwrap();
         drop(store);
-        // A stray binary segment in a JSONL store (hand-mixed dirs,
-        // manifest lagging a crash of some foreign tool).
-        std::fs::write(dir.join("seg-9.bin"), b"\x00").unwrap();
+        // A stray JSONL segment beside the binary ones (a directory a
+        // pre-binary writer also used, its manifest since replaced).
+        std::fs::write(dir.join("seg-9.jsonl"), b"{}\n").unwrap();
         assert!(matches!(
             CrawlWriter::open(&dir, fp()),
             Err(StoreError::Corrupt { .. })

@@ -8,7 +8,7 @@
 
 use cg_analysis::Dataset;
 use cg_browser::{crawl_into, crawl_range, VisitConfig};
-use cg_crawlstore::{CrawlReader, CrawlWriter, Fingerprint, StoreError, MANIFEST_FILE};
+use cg_crawlstore::{codec, CrawlReader, CrawlWriter, Fingerprint, StoreError, MANIFEST_FILE};
 use cg_webgen::{GenConfig, WebGenerator};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -30,11 +30,11 @@ fn fingerprint(cfg: &VisitConfig) -> Fingerprint {
     Fingerprint::new(SEED, 1, SITES, cfg, &GenConfig::small(SITES))
 }
 
-/// The store's canonical content: merged, rank-ordered raw JSONL.
+/// The store's canonical content: one JSON line per visit, rank order.
 fn merged_stream(dir: &PathBuf) -> String {
     let mut out = String::new();
-    for line in CrawlReader::open(dir).expect("open for merge").raw_lines() {
-        out.push_str(&line.expect("merge line"));
+    for log in CrawlReader::open(dir).expect("open for merge") {
+        out.push_str(&serde_json::to_string(&log.expect("merge record")).unwrap());
         out.push('\n');
     }
     out
@@ -63,13 +63,14 @@ fn resumed_store_is_byte_identical_to_uninterrupted() {
     crawl_into(&gen, &cfg, 1, 20, 2, &store_b).unwrap();
     crawl_into(&gen, &cfg, 30, 40, 2, &store_b).unwrap();
     drop(store_b);
-    // …with the crash leaving half a record at the end of a segment.
+    // …with the crash leaving half a frame at the end of a segment.
+    let mut frame = Vec::new();
+    codec::write_frame(&mut frame, 999, b"a payload the crash cut short");
     let mut f = std::fs::OpenOptions::new()
         .append(true)
-        .open(dir_b.join("seg-0.jsonl"))
+        .open(dir_b.join("seg-0.bin"))
         .unwrap();
-    f.write_all(b"{\"site_domain\":\"torn.example\",\"rank\":999")
-        .unwrap();
+    f.write_all(&frame[..frame.len() - 9]).unwrap();
     drop(f);
 
     // Resume with a *different* worker count: recovery truncates the
@@ -89,7 +90,7 @@ fn resumed_store_is_byte_identical_to_uninterrupted() {
         "resume must skip done ranks"
     );
 
-    // The two stores' rank-ordered JSONL streams are byte-identical.
+    // The two stores' rank-ordered record streams are byte-identical.
     let a = merged_stream(&dir_a);
     let b = merged_stream(&dir_b);
     assert!(!a.is_empty());
@@ -110,10 +111,10 @@ fn torn_tail_truncation_restores_watermark() {
     crawl_into(&gen, &cfg, 1, 10, 1, &store).unwrap();
     drop(store);
 
-    let seg = dir.join("seg-0.jsonl");
+    let seg = dir.join("seg-0.bin");
     let clean_len = std::fs::metadata(&seg).unwrap().len();
     let mut f = std::fs::OpenOptions::new().append(true).open(&seg).unwrap();
-    f.write_all(b"garbage without a newline").unwrap();
+    f.write_all(b"garbage after the last frame").unwrap();
     drop(f);
 
     let store = CrawlWriter::open(&dir, fingerprint(&cfg)).unwrap();

@@ -1,12 +1,12 @@
 //! The fold scheduler's contract: [`fold_store`] reduces in store order
 //! for any associative merge (commutative or not) at every thread count
-//! and read backend, on binary and JSONL stores; the partials it holds
+//! and read backend; the partials it holds
 //! at once do not grow with the chunk count; and errors surface without
 //! leaking a partial.
 
 use cg_crawlstore::{
-    fold_store, plan_chunks, segment_streams, ChunkStream, CrawlWriter, Fingerprint, ReadBackend,
-    SegmentFormat, StoreError,
+    fold_store, plan_chunks, ChunkStream, CrawlWriter, Fingerprint, ReadBackend, SegmentFormat,
+    StoreError,
 };
 use cg_instrument::VisitLog;
 use std::path::{Path, PathBuf};
@@ -20,14 +20,14 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn fp(format: SegmentFormat) -> Fingerprint {
+fn fp() -> Fingerprint {
     Fingerprint {
         master_seed: 1,
         from: 1,
         to: 10_000,
         visit_config: "cfg".into(),
         generator: "gen".into(),
-        format,
+        format: SegmentFormat::Binary,
     }
 }
 
@@ -42,8 +42,8 @@ fn log(rank: usize) -> VisitLog {
 
 /// Writes ranks `1..=ranks` striped over `segments` segment files
 /// (rank `r` lands in segment `r % segments`).
-fn fill(dir: &Path, format: SegmentFormat, segments: usize, ranks: usize) {
-    let store = CrawlWriter::open(dir, fp(format)).unwrap();
+fn fill(dir: &Path, segments: usize, ranks: usize) {
+    let store = CrawlWriter::open(dir, fp()).unwrap();
     let mut segs: Vec<_> = (0..segments).map(|_| store.segment().unwrap()).collect();
     for rank in 1..=ranks {
         segs[rank % segments].record(&log(rank)).unwrap();
@@ -53,14 +53,14 @@ fn fill(dir: &Path, format: SegmentFormat, segments: usize, ranks: usize) {
     }
 }
 
-const BACKENDS: [ReadBackend; 3] = [ReadBackend::Mmap, ReadBackend::Pread, ReadBackend::Buffered];
+const BACKENDS: [ReadBackend; 2] = [ReadBackend::Mmap, ReadBackend::Pread];
 
-/// The sequential rank stream: every segment's ranks, in manifest order.
+/// The sequential rank stream: every chunk's ranks, in (segment, chunk)
+/// order.
 fn sequential_ranks(dir: &Path) -> Vec<usize> {
-    segment_streams(dir)
-        .unwrap()
-        .into_iter()
-        .flatten()
+    let plan = plan_chunks(dir).unwrap();
+    (0..plan.len())
+        .flat_map(|i| plan.open_chunk(i, ReadBackend::Pread).unwrap())
         .map(|log| log.unwrap().rank)
         .collect()
 }
@@ -72,58 +72,50 @@ fn concat(mut earlier: Vec<usize>, mut later: Vec<usize>) -> Vec<usize> {
 
 #[test]
 fn non_commutative_merge_equals_the_sequential_rank_stream() {
-    for format in [SegmentFormat::Binary, SegmentFormat::Jsonl] {
-        let dir = tmp_dir(&format!("order-{format}"));
-        fill(&dir, format, 4, 1000);
-        let expected = sequential_ranks(&dir);
-        assert_eq!(expected.len(), 1000);
-        let units = match format {
-            SegmentFormat::Binary => plan_chunks(&dir).unwrap().len(),
-            SegmentFormat::Jsonl => 4,
-        };
-        for backend in BACKENDS {
-            for threads in [1, 2, 3, 8] {
-                // Workers start on even splits, so the first worker's
-                // range holds `units / threads` units. When it holds two
-                // or more, the first unit waits for a steal: the others
-                // run dry while units behind it are still unclaimed.
-                let forced_steal = threads > 1 && units / threads >= 2;
-                let partials = AtomicUsize::new(0);
-                let ranks = fold_store(
-                    &dir,
-                    threads,
-                    backend,
-                    || {
-                        partials.fetch_add(1, Ordering::SeqCst);
-                        Vec::new()
-                    },
-                    |ranks: &mut Vec<usize>, chunk: ChunkStream| {
-                        let first = ranks.len();
-                        for log in chunk {
-                            ranks.push(log?.rank);
-                        }
-                        if forced_steal && first == 0 && ranks.first() == expected.first() {
-                            wait_until(|| partials.load(Ordering::SeqCst) > threads);
-                        }
-                        Ok(())
-                    },
-                    concat,
-                )
-                .unwrap();
-                assert_eq!(
-                    ranks, expected,
-                    "{format} via {backend} at {threads} threads"
-                );
-                let partials = partials.into_inner();
-                if threads == 1 {
-                    assert_eq!(partials, 1, "one thread folds into one accumulator");
-                } else if forced_steal {
-                    assert!(partials > threads, "no steal at {threads} threads");
-                }
+    let dir = tmp_dir("order");
+    fill(&dir, 4, 1000);
+    let expected = sequential_ranks(&dir);
+    assert_eq!(expected.len(), 1000);
+    let units = plan_chunks(&dir).unwrap().len();
+    for backend in BACKENDS {
+        for threads in [1, 2, 3, 8] {
+            // Workers start on even splits, so the first worker's
+            // range holds `units / threads` units. When it holds two
+            // or more, the first unit waits for a steal: the others
+            // run dry while units behind it are still unclaimed.
+            let forced_steal = threads > 1 && units / threads >= 2;
+            let partials = AtomicUsize::new(0);
+            let ranks = fold_store(
+                &dir,
+                threads,
+                backend,
+                || {
+                    partials.fetch_add(1, Ordering::SeqCst);
+                    Vec::new()
+                },
+                |ranks: &mut Vec<usize>, chunk: ChunkStream| {
+                    let first = ranks.len();
+                    for log in chunk {
+                        ranks.push(log?.rank);
+                    }
+                    if forced_steal && first == 0 && ranks.first() == expected.first() {
+                        wait_until(|| partials.load(Ordering::SeqCst) > threads);
+                    }
+                    Ok(())
+                },
+                concat,
+            )
+            .unwrap();
+            assert_eq!(ranks, expected, "via {backend} at {threads} threads");
+            let partials = partials.into_inner();
+            if threads == 1 {
+                assert_eq!(partials, 1, "one thread folds into one accumulator");
+            } else if forced_steal {
+                assert!(partials > threads, "no steal at {threads} threads");
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Polls `done` until it holds, failing the test after a minute.
@@ -203,8 +195,8 @@ fn tracked_fold(
 fn live_partials_do_not_grow_with_the_chunk_count() {
     let small = tmp_dir("census-small");
     let large = tmp_dir("census-large");
-    fill(&small, SegmentFormat::Binary, 1, 4 * 32);
-    fill(&large, SegmentFormat::Binary, 1, 200 * 32);
+    fill(&small, 1, 4 * 32);
+    fill(&large, 1, 200 * 32);
     assert_eq!(plan_chunks(&small).unwrap().len(), 4);
     assert_eq!(plan_chunks(&large).unwrap().len(), 200);
     for threads in [1, 2, 4] {
@@ -236,7 +228,7 @@ fn live_partials_do_not_grow_with_the_chunk_count() {
 #[test]
 fn corrupt_mid_file_frame_surfaces_and_leaks_no_partial() {
     let dir = tmp_dir("corrupt");
-    fill(&dir, SegmentFormat::Binary, 3, 900);
+    fill(&dir, 3, 900);
     // Damage one segment mid-file after the store is closed.
     let path = dir.join("seg-1.bin");
     let mut bytes = std::fs::read(&path).unwrap();
@@ -259,21 +251,19 @@ fn corrupt_mid_file_frame_surfaces_and_leaks_no_partial() {
 
 #[test]
 fn empty_store_folds_to_the_identity() {
-    for format in [SegmentFormat::Binary, SegmentFormat::Jsonl] {
-        let dir = tmp_dir(&format!("empty-{format}"));
-        drop(CrawlWriter::open(&dir, fp(format)).unwrap());
-        for threads in [1, 8] {
-            let folded = fold_store(
-                &dir,
-                threads,
-                ReadBackend::Mmap,
-                || vec![0usize],
-                |_, _| panic!("an empty store has no units"),
-                concat,
-            )
-            .unwrap();
-            assert_eq!(folded, vec![0]);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
+    let dir = tmp_dir("empty");
+    drop(CrawlWriter::open(&dir, fp()).unwrap());
+    for threads in [1, 8] {
+        let folded = fold_store(
+            &dir,
+            threads,
+            ReadBackend::Mmap,
+            || vec![0usize],
+            |_, _| panic!("an empty store has no units"),
+            concat,
+        )
+        .unwrap();
+        assert_eq!(folded, vec![0]);
     }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

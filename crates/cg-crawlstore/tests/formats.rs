@@ -1,14 +1,11 @@
-//! Cross-format differential tests: the binary segment format must be
-//! an *invisible* substitution for JSONL — same crawl in, same
-//! statistics out, same recovery behaviour under a kill — and the
-//! parallel per-segment fold must be an invisible substitution for the
-//! sequential one.
+//! Differential tests over whole stores: how a crawl was written (worker
+//! count, a kill and a resume) must be invisible to what reads it back —
+//! same crawl in, same statistics out — and the parallel chunked fold
+//! must be an invisible substitution for the sequential one.
 
 use cg_analysis::{Dataset, StreamStats};
 use cg_browser::VisitConfig;
-use cg_crawlstore::{
-    crawl_to_store_with, open_store_with, CrawlReader, ReadBackend, SegmentFormat, StoreError,
-};
+use cg_crawlstore::{crawl_to_store, open_store, CrawlReader, ReadBackend};
 use cg_webgen::{GenConfig, WebGenerator};
 use std::path::PathBuf;
 
@@ -25,21 +22,30 @@ fn generator() -> WebGenerator {
     WebGenerator::new(GenConfig::small(SITES), SEED)
 }
 
-fn crawl(dir: &PathBuf, format: SegmentFormat, threads: usize) {
+fn crawl(dir: &PathBuf, threads: usize) {
     let gen = generator();
     let cfg = VisitConfig::regular();
-    crawl_to_store_with(dir, &gen, &cfg, 1, SITES, threads, format, |_| {}).unwrap();
+    crawl_to_store(dir, &gen, &cfg, 1, SITES, threads, |_| {}).unwrap();
 }
 
-/// The same crawl stored in both formats replays identically: same
-/// rank stream, same reserialized JSON lines, same retained-dataset
-/// and streaming statistics, byte for byte.
+/// The canonical content of a store: one JSON line per visit, rank order.
+fn json_lines(dir: &PathBuf) -> Vec<String> {
+    CrawlReader::open(dir)
+        .unwrap()
+        .map(|l| serde_json::to_string(&l.unwrap()).unwrap())
+        .collect()
+}
+
+/// The same crawl written by different worker counts (so cut into
+/// different segments) replays identically: same rank stream, same
+/// reserialized JSON lines, same retained-dataset and streaming
+/// statistics, byte for byte.
 #[test]
-fn binary_and_jsonl_stores_are_equivalent() {
-    let dir_j = tmp_dir("equiv-jsonl");
-    let dir_b = tmp_dir("equiv-bin");
-    crawl(&dir_j, SegmentFormat::Jsonl, 3);
-    crawl(&dir_b, SegmentFormat::Binary, 4);
+fn stores_written_at_different_worker_counts_are_equivalent() {
+    let dir_j = tmp_dir("equiv-3");
+    let dir_b = tmp_dir("equiv-4");
+    crawl(&dir_j, 3);
+    crawl(&dir_b, 4);
 
     // Rank streams agree.
     let ranks = |dir: &PathBuf| {
@@ -51,16 +57,8 @@ fn binary_and_jsonl_stores_are_equivalent() {
     assert_eq!(ranks(&dir_j), ranks(&dir_b));
     assert_eq!(ranks(&dir_j), (1..=SITES).collect::<Vec<_>>());
 
-    // Canonical JSONL reprints agree line-for-line (binary decodes and
-    // reserializes through the same serde path).
-    let lines = |dir: &PathBuf| {
-        CrawlReader::open(dir)
-            .unwrap()
-            .raw_lines()
-            .map(|l| l.unwrap())
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(lines(&dir_j), lines(&dir_b));
+    // Canonical JSON reprints agree line-for-line.
+    assert_eq!(json_lines(&dir_j), json_lines(&dir_b));
 
     // Retained datasets and streaming aggregates agree byte-for-byte.
     let ds_j = Dataset::from_reader(CrawlReader::open(&dir_j).unwrap()).unwrap();
@@ -77,37 +75,37 @@ fn binary_and_jsonl_stores_are_equivalent() {
         serde_json::to_string(&ss_b).unwrap()
     );
 
-    // Binary stores the same crawl in fewer bytes.
-    let bytes = |dir: &PathBuf, ext: &str| {
+    // Frames are a pure function of the visit: however the crawl was
+    // cut into segments, it occupies the same segment bytes.
+    let bytes = |dir: &PathBuf| {
         std::fs::read_dir(dir)
             .unwrap()
             .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(ext))
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".bin"))
             .map(|e| e.metadata().unwrap().len())
             .sum::<u64>()
     };
-    assert!(bytes(&dir_b, ".bin") < bytes(&dir_j, ".jsonl"));
+    assert_eq!(bytes(&dir_b), bytes(&dir_j));
 
     std::fs::remove_dir_all(&dir_j).unwrap();
     std::fs::remove_dir_all(&dir_b).unwrap();
 }
 
-/// A binary store killed mid-crawl (torn trailing frame) resumes to the
-/// same merged stream as an uninterrupted binary crawl — the JSONL
-/// durability contract, verbatim.
+/// A store killed mid-crawl (torn trailing frame) resumes to the same
+/// merged stream as an uninterrupted crawl.
 #[test]
 fn binary_store_survives_kill_and_resume() {
     let gen = generator();
     let cfg = VisitConfig::regular();
 
     let dir_ref = tmp_dir("kill-ref");
-    crawl(&dir_ref, SegmentFormat::Binary, 2);
+    crawl(&dir_ref, 2);
 
     // Victim: crawl a prefix, then tear the tail of a segment the way a
     // kill -9 between write() and fsync does.
     let dir = tmp_dir("kill-victim");
     {
-        let store = open_store_with(&dir, &gen, &cfg, 1, SITES, SegmentFormat::Binary).unwrap();
+        let store = open_store(&dir, &gen, &cfg, 1, SITES).unwrap();
         cg_browser::crawl_into(&gen, &cfg, 1, SITES / 2, 2, &store).unwrap();
     }
     let seg = std::fs::read_dir(&dir)
@@ -124,39 +122,16 @@ fn binary_store_survives_kill_and_resume() {
     std::fs::write(&seg, &bytes).unwrap();
 
     // Resume with a different worker count and finish the range.
-    let store = open_store_with(&dir, &gen, &cfg, 1, SITES, SegmentFormat::Binary).unwrap();
+    let store = open_store(&dir, &gen, &cfg, 1, SITES).unwrap();
     let done = store.done_ranks().len();
     assert!(done < SITES, "the kill lost work to redo");
     cg_browser::crawl_into(&gen, &cfg, 1, SITES, 5, &store).unwrap();
     drop(store);
 
-    let merged = |d: &PathBuf| {
-        CrawlReader::open(d)
-            .unwrap()
-            .raw_lines()
-            .map(|l| l.unwrap())
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(merged(&dir), merged(&dir_ref));
+    assert_eq!(json_lines(&dir), json_lines(&dir_ref));
 
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&dir_ref).unwrap();
-}
-
-/// Opening a binary store with a JSONL fingerprint (or vice versa) is a
-/// fingerprint mismatch, not silent mixed-format corruption.
-#[test]
-fn cross_format_resume_is_refused() {
-    let dir = tmp_dir("cross");
-    crawl(&dir, SegmentFormat::Binary, 2);
-    let gen = generator();
-    let cfg = VisitConfig::regular();
-    let Err(err) = open_store_with(&dir, &gen, &cfg, 1, SITES, SegmentFormat::Jsonl) else {
-        panic!("cross-format resume must be refused");
-    };
-    assert!(matches!(err, StoreError::FingerprintMismatch { .. }));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Parallel per-segment folds are byte-identical to sequential ones at
@@ -165,7 +140,7 @@ fn cross_format_resume_is_refused() {
 #[test]
 fn parallel_fold_equals_sequential_fold() {
     let dir = tmp_dir("parfold");
-    crawl(&dir, SegmentFormat::Binary, 6); // several segments
+    crawl(&dir, 6); // several segments
 
     let seq_stats = serde_json::to_string(&StreamStats::from_store(&dir, 1).unwrap()).unwrap();
     let seq_ds = Dataset::from_store(&dir, 1).unwrap();
@@ -176,7 +151,7 @@ fn parallel_fold_equals_sequential_fold() {
     assert_eq!(seq_logs, serde_json::to_string(&reader_ds.logs).unwrap());
     assert_eq!(seq_ds.crawled, reader_ds.crawled);
 
-    let backends = [ReadBackend::Mmap, ReadBackend::Pread, ReadBackend::Buffered];
+    let backends = [ReadBackend::Mmap, ReadBackend::Pread];
     for backend in backends {
         for threads in [1, 2, 8] {
             let par_stats = serde_json::to_string(

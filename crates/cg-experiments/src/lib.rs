@@ -8,11 +8,12 @@
 //! explicit-only `ablation`, `rollout`, `baselines` (the defense
 //! matrix: blocklist ± evasion, partitioning, CookieGraph-lite,
 //! CookieGuard), and `csp` (the §2.1 CSP gap). Scale with `--sites N`
-//! (default 20,000) and `--threads T`. Three subcommands ride
+//! (default 20,000) and `--threads T`. Four subcommands ride
 //! alongside: `scenarios` (the adversarial catalog), `serve` (the
 //! multi-tenant guard-service benchmark behind `BENCH_service.json`),
-//! and `detect` (the tracking-cookie detector scored against generator
-//! ground truth, behind `BENCH_detect.json`).
+//! `detect` (the tracking-cookie detector scored against generator
+//! ground truth, behind `BENCH_detect.json`), and `export` (a crawl
+//! store as JSON lines).
 //!
 //! **Layer:** orchestration (the CLI over every other crate).
 //! **Invariant:** experiment output is deterministic for a given
@@ -29,6 +30,7 @@ pub mod detect;
 pub mod determinism;
 pub mod evaluation;
 pub mod expectations;
+pub mod export;
 pub mod extensions;
 pub mod measurement;
 pub mod render;
@@ -44,6 +46,7 @@ pub use determinism::{
     deterministic_surface, is_nondeterministic_key, mask_keys, mask_nondeterministic,
 };
 pub use evaluation::{run_fig5, run_table3, run_table4_and_figs};
+pub use export::export_jsonl;
 pub use extensions::{run_domguard, run_rollout, run_sec5_7};
 pub use measurement::run_measurement_experiments;
 pub use scenarios::{run_scenarios, ScenarioOptions};

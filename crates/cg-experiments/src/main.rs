@@ -273,8 +273,35 @@ fn run_detect_cli(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
+/// Parses and runs `cg-experiments export --jsonl DIR`: the store at DIR
+/// as one JSON line per visit, in rank order, on stdout.
+fn run_export_cli(args: &[String]) -> ! {
+    let dir = match args {
+        [flag, dir] if flag == "--jsonl" => std::path::PathBuf::from(dir),
+        _ => {
+            eprintln!("usage: cg-experiments export --jsonl DIR; see --help");
+            std::process::exit(2);
+        }
+    };
+    let stdout = std::io::stdout();
+    let mut out = std::io::BufWriter::new(stdout.lock());
+    match cg_experiments::export_jsonl(&dir, &mut out) {
+        Ok(visits) => {
+            eprintln!("[export] {visits} visits from {}", dir.display());
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("export {}: {e}", dir.display());
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    if args.get(1).map(String::as_str) == Some("export") {
+        run_export_cli(&args[2..]);
+    }
     if args.get(1).map(String::as_str) == Some("scenarios") {
         run_scenarios_cli(&args[2..]);
     }
@@ -325,17 +352,6 @@ fn main() {
                     }
                 }
             }
-            "--store-format" => {
-                i += 1;
-                opts.store_format = match args.get(i).map(String::as_str) {
-                    Some("jsonl") => cg_crawlstore::SegmentFormat::Jsonl,
-                    Some("binary") => cg_crawlstore::SegmentFormat::Binary,
-                    other => {
-                        eprintln!("--store-format must be jsonl or binary, got {other:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--read-backend" => {
                 i += 1;
                 opts.read_backend = match args.get(i) {
@@ -344,7 +360,7 @@ fn main() {
                         std::process::exit(2);
                     }),
                     None => {
-                        eprintln!("--read-backend requires mmap, pread, or buffered; see --help");
+                        eprintln!("--read-backend requires mmap or pread; see --help");
                         std::process::exit(2);
                     }
                 };
@@ -494,8 +510,8 @@ fn main() {
     }
 
     if wants("storebench") && !wanted.contains(&"all") {
-        // Explicit-only: two extra crawls plus timed replays/folds.
-        eprintln!("[storebench] crawl-store throughput (jsonl vs binary)…");
+        // Explicit-only: extra crawls plus timed replays/folds.
+        eprintln!("[storebench] crawl-store throughput…");
         let r = run_storebench(&opts);
         print_storebench(&r);
         if let Some(path) = &bench_json_path {
@@ -529,8 +545,7 @@ fn print_help() {
     println!();
     println!(
         "USAGE: cg-experiments [--exp LIST] [--sites N] [--seed S] [--threads T] [--json PATH] \
-         [--store DIR] [--store-format jsonl|binary] [--read-backend mmap|pread|buffered] \
-         [--fold-sites N] [--bench-json PATH]"
+         [--store DIR] [--read-backend mmap|pread] [--fold-sites N] [--bench-json PATH]"
     );
     println!(
         "       cg-experiments scenarios [--seed S] [--threads T] [--json PATH] [--golden PATH]"
@@ -543,6 +558,7 @@ fn print_help() {
         "       cg-experiments detect [--sites N] [--seed S] [--threads T] [--store DIR] \
          [--bench-json PATH] [--report-json PATH]"
     );
+    println!("       cg-experiments export --jsonl DIR");
     println!();
     println!("The `scenarios` subcommand runs the adversarial scenario catalog");
     println!("(crate cg-scenarios) under vanilla + CookieGuard variants + baseline");
@@ -569,21 +585,24 @@ fn print_help() {
     println!("guard-vs-detector matrix, and with --bench-json writes the");
     println!("machine-readable report (BENCH_detect.json).");
     println!();
+    println!("The `export` subcommand prints the crawl store at DIR as one");
+    println!("compact JSON line per visit, in rank order: greppable, and");
+    println!("byte-identical for any two stores of the same crawl (a resumed");
+    println!("store and an uninterrupted one compare equal with cmp).");
+    println!();
     println!("Experiments (comma-separated, default 'all'):");
     println!("  measurement: {}", MEASUREMENT_EXPERIMENTS.join(", "));
     println!("  evaluation:  {}", EVALUATION_EXPERIMENTS.join(", "));
     println!();
     println!("--store DIR writes the measurement crawl through a durable,");
     println!("segmented on-disk store (checkpoint/resume: a killed crawl");
-    println!("rerun with the same seed/sites finishes only the missing ranks);");
-    println!("--store-format binary selects the compact framed format — the");
-    println!("replay fast path for large crawls, byte-identical analyses.");
+    println!("rerun with the same seed/sites finishes only the missing ranks).");
     println!("--read-backend picks how replays and folds read segment bytes:");
-    println!("mmap (zero-copy chunk windows, the default), pread, or buffered —");
-    println!("all three produce byte-identical results.");
+    println!("mmap (zero-copy chunk windows, the default) or pread — both");
+    println!("produce byte-identical results.");
     println!();
     println!("--exp storebench benchmarks the store (write/replay throughput");
-    println!("per format incl. mmap'd chunked replay, 1-vs-8-thread chunked");
+    println!("incl. mmap'd chunked replay, 1-vs-8-thread chunked");
     println!("fold wall time per backend over a ≥10k-visit fold store");
     println!("(--fold-sites overrides), peak RSS) and with --bench-json PATH");
     println!("writes the machine-readable report (BENCH_crawlstore.json).");

@@ -22,7 +22,7 @@
 use crate::determinism::deterministic_surface;
 use crate::storebench::peak_rss_bytes;
 use cg_browser::VisitConfig;
-use cg_crawlstore::{crawl_to_store_with, SegmentFormat};
+use cg_crawlstore::crawl_to_store;
 use cg_service::{
     replay, GuardService, ReplayOptions, ReplayReport, ReplaySource, SwapPoint, TenantId,
 };
@@ -223,14 +223,13 @@ pub fn run_serve(opts: &ServeOptions) -> BenchServiceReport {
         opts.sites
     );
     let gen = WebGenerator::new(GenConfig::small(opts.sites), opts.seed);
-    crawl_to_store_with(
+    crawl_to_store(
         &base,
         &gen,
         &VisitConfig::regular(),
         1,
         opts.sites,
         8,
-        SegmentFormat::Binary,
         |_| {},
     )
     .unwrap_or_else(|e| panic!("serve store build: {e}"));

@@ -1,11 +1,12 @@
 //! `--exp storebench`: the crawl-store throughput report behind
 //! `BENCH_crawlstore.json`.
 //!
-//! One crawl, written through both segment formats, then replayed and
-//! folded under timing: visits/s written, MB/s + visits/s replayed
-//! (JSONL vs binary vs mmap'd chunked binary), chunk-granular
-//! parallel-fold wall time at 1 and 8 threads through the mmap and
-//! pread backends, and the process peak RSS. The fold benchmark runs
+//! One crawl written through the store, then replayed and folded under
+//! timing: visits/s written, MB/s + visits/s replayed (the rank-ordered
+//! `CrawlReader` merge and a 1-thread chunked mmap drain),
+//! chunk-granular parallel-fold wall time at 1 and 8 threads through
+//! the mmap and pread backends, the process peak RSS, and the host the
+//! numbers were taken on. The fold benchmark runs
 //! over a store of at least [`FOLD_SITES_FLOOR`] visits (its own crawl
 //! when `--sites` is smaller, overridable with `--fold-sites`) —
 //! speedups measured on stores that fold in single-digit milliseconds
@@ -16,7 +17,7 @@
 use crate::context::ExperimentOptions;
 use cg_analysis::{StreamStats, StreamSummary};
 use cg_browser::VisitConfig;
-use cg_crawlstore::{crawl_to_store_with, plan_chunks, CrawlReader, ReadBackend, SegmentFormat};
+use cg_crawlstore::{crawl_to_store, plan_chunks, CrawlReader, ReadBackend};
 use cg_telemetry::{per_sec, render_ms, Stopwatch};
 use cg_webgen::{GenConfig, WebGenerator};
 use serde::Serialize;
@@ -42,7 +43,40 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// One format's write-side measurements.
+/// The machine a report was measured on.
+#[derive(Debug, Clone, Serialize)]
+pub struct Host {
+    /// Logical CPUs available to the process.
+    pub nproc: u64,
+    /// CPU model name (`/proc/cpuinfo`; "unknown" elsewhere).
+    pub cpu: String,
+    /// Kernel release (`/proc/sys/kernel/osrelease`; "unknown" elsewhere).
+    pub kernel: String,
+}
+
+impl Host {
+    /// Describes the current machine.
+    pub fn current() -> Host {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find_map(|l| l.strip_prefix("model name"))
+                    .map(|l| l.trim_start_matches([' ', '\t', ':']).to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
+            .map(|k| k.trim().to_string())
+            .unwrap_or_else(|_| "unknown".to_string());
+        Host {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+            cpu,
+            kernel,
+        }
+    }
+}
+
+/// Write-side measurements.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct WriteSide {
     /// Visits written this run.
@@ -57,7 +91,7 @@ pub struct WriteSide {
     pub bytes_per_visit: f64,
 }
 
-/// One format's replay-side measurements (full rank-ordered drain).
+/// Replay-side measurements (one full drain of the store).
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ReplaySide {
     /// Visits decoded.
@@ -110,30 +144,26 @@ pub struct FoldSide {
 /// The full machine-readable report (`BENCH_crawlstore.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct StoreBenchReport {
+    /// The machine the numbers were measured on.
+    pub host: Host,
     /// Sites crawled.
     pub sites: u64,
     /// Crawl worker threads.
     pub threads: u64,
-    /// JSONL write side.
-    pub write_jsonl: WriteSide,
-    /// Binary write side.
+    /// Write side.
     pub write_binary: WriteSide,
-    /// JSONL replay side.
-    pub replay_jsonl: ReplaySide,
-    /// Binary replay side (rank-ordered k-way merge drain).
+    /// Rank-ordered replay: the `CrawlReader` k-way merge over each
+    /// segment's chunks.
     pub replay_binary: ReplaySide,
-    /// Binary replay through mmap'd zero-copy chunk windows (1-thread
-    /// chunked drain — the apples-to-apples MB/s comparison against
-    /// `replay_binary`'s pread-based merge).
+    /// Store-ordered replay: a 1-thread chunked drain through mmap'd
+    /// windows, no merge.
     pub replay_binary_mmap: ReplaySide,
-    /// Binary replay visits/s over JSONL replay visits/s.
-    pub binary_replay_speedup: f64,
-    /// Chunk-granular parallel-fold measurements (binary fold store).
+    /// Chunk-granular parallel-fold measurements.
     pub fold: FoldSide,
     /// Process peak RSS after everything above (bytes; 0 if unknown).
     pub peak_rss_bytes: u64,
-    /// The streaming aggregates of the crawl — pins that the two
-    /// formats analyzed identically and gives the numbers context.
+    /// The streaming aggregates of the crawl — gives the numbers
+    /// context.
     pub stream_summary: StreamSummary,
 }
 
@@ -143,10 +173,9 @@ fn crawl_one(
     cfg: &VisitConfig,
     sites: usize,
     threads: usize,
-    format: SegmentFormat,
 ) -> WriteSide {
-    let run = crawl_to_store_with(dir, gen, cfg, 1, sites, threads, format, |_| {})
-        .unwrap_or_else(|e| panic!("storebench crawl ({format}): {e}"));
+    let run = crawl_to_store(dir, gen, cfg, 1, sites, threads, |_| {})
+        .unwrap_or_else(|e| panic!("storebench crawl: {e}"));
     let visits = run.summary.visited as u64;
     WriteSide {
         visits,
@@ -179,8 +208,8 @@ fn replay_one(dir: &Path, bytes: u64) -> ReplaySide {
     }
 }
 
-/// A full 1-thread decode of the binary store through mmap'd chunk
-/// windows — the zero-copy counterpart of [`replay_one`]'s merge drain.
+/// A full 1-thread decode of the store through mmap'd chunk windows in
+/// store order — [`replay_one`]'s drain without the merge.
 fn replay_one_mmap(dir: &Path, bytes: u64) -> ReplaySide {
     let _span = cg_telemetry::span!("storebench_replay_mmap");
     let watch = Stopwatch::start();
@@ -247,51 +276,26 @@ pub fn run_storebench(opts: &ExperimentOptions) -> StoreBenchReport {
     };
     let gen = WebGenerator::new(GenConfig::small(opts.sites), opts.seed);
     let cfg = VisitConfig::regular();
-    let dir_j = base.join("jsonl");
     let dir_b = base.join("binary");
 
-    eprintln!("[storebench] crawling {} sites → JSONL store…", opts.sites);
-    let write_jsonl = crawl_one(
-        &dir_j,
-        &gen,
-        &cfg,
-        opts.sites,
-        opts.threads,
-        SegmentFormat::Jsonl,
-    );
-    eprintln!("[storebench] crawling {} sites → binary store…", opts.sites);
-    let write_binary = crawl_one(
-        &dir_b,
-        &gen,
-        &cfg,
-        opts.sites,
-        opts.threads,
-        SegmentFormat::Binary,
-    );
+    eprintln!("[storebench] crawling {} sites → store…", opts.sites);
+    let write_binary = crawl_one(&dir_b, &gen, &cfg, opts.sites, opts.threads);
 
-    eprintln!("[storebench] replaying both stores…");
-    let replay_jsonl = replay_one(&dir_j, write_jsonl.bytes);
+    eprintln!("[storebench] replaying the store…");
     let replay_binary = replay_one(&dir_b, write_binary.bytes);
     let replay_binary_mmap = replay_one_mmap(&dir_b, write_binary.bytes);
 
     // The fold benchmark needs a store large enough that per-chunk
-    // dispatch is amortized; reuse the main binary store when it
-    // qualifies, otherwise crawl a dedicated one.
+    // dispatch is amortized; reuse the main store when it qualifies,
+    // otherwise crawl a dedicated one.
     let fold_sites = opts.fold_sites.unwrap_or(opts.sites.max(FOLD_SITES_FLOOR));
     let dir_f = if fold_sites == opts.sites {
         dir_b.clone()
     } else {
         let dir_f = base.join("fold");
-        eprintln!("[storebench] crawling {fold_sites} sites → fold-bench binary store…");
+        eprintln!("[storebench] crawling {fold_sites} sites → fold-bench store…");
         let fold_gen = WebGenerator::new(GenConfig::small(fold_sites), opts.seed);
-        crawl_one(
-            &dir_f,
-            &fold_gen,
-            &cfg,
-            fold_sites,
-            opts.threads,
-            SegmentFormat::Binary,
-        );
+        crawl_one(&dir_f, &fold_gen, &cfg, fold_sites, opts.threads);
         dir_f
     };
     let plan = plan_chunks(&dir_f).unwrap_or_else(|e| panic!("storebench chunk plan: {e}"));
@@ -314,18 +318,12 @@ pub fn run_storebench(opts: &ExperimentOptions) -> StoreBenchReport {
     }
 
     StoreBenchReport {
+        host: Host::current(),
         sites: opts.sites as u64,
         threads: opts.threads as u64,
-        write_jsonl,
         write_binary,
-        replay_jsonl,
         replay_binary,
         replay_binary_mmap,
-        binary_replay_speedup: if replay_jsonl.visits_per_sec > 0.0 {
-            replay_binary.visits_per_sec / replay_jsonl.visits_per_sec
-        } else {
-            0.0
-        },
         fold: FoldSide {
             visits: fold_sites as u64,
             segments,
@@ -343,34 +341,24 @@ pub fn run_storebench(opts: &ExperimentOptions) -> StoreBenchReport {
 
 /// Prints the human-readable side of the report.
 pub fn print_storebench(r: &StoreBenchReport) {
-    println!("\n== crawl store throughput ({} sites) ==", r.sites);
     println!(
-        "  write  jsonl : {:>9.0} visits/s  {:>7.0} B/visit  ({})",
-        r.write_jsonl.visits_per_sec,
-        r.write_jsonl.bytes_per_visit,
-        render_ms(r.write_jsonl.elapsed_ms)
+        "\n== crawl store throughput ({} sites; {} cpus, {}, kernel {}) ==",
+        r.sites, r.host.nproc, r.host.cpu, r.host.kernel
     );
     println!(
-        "  write  binary: {:>9.0} visits/s  {:>7.0} B/visit  ({})",
+        "  write        : {:>9.0} visits/s  {:>7.0} B/visit  ({})",
         r.write_binary.visits_per_sec,
         r.write_binary.bytes_per_visit,
         render_ms(r.write_binary.elapsed_ms)
     );
     println!(
-        "  replay jsonl : {:>9.0} visits/s  {:>7.1} MB/s     ({})",
-        r.replay_jsonl.visits_per_sec,
-        r.replay_jsonl.mb_per_sec,
-        render_ms(r.replay_jsonl.elapsed_ms)
-    );
-    println!(
-        "  replay binary: {:>9.0} visits/s  {:>7.1} MB/s     ({})  — {:.1}× jsonl",
+        "  replay merge : {:>9.0} visits/s  {:>7.1} MB/s     ({})  — rank order",
         r.replay_binary.visits_per_sec,
         r.replay_binary.mb_per_sec,
         render_ms(r.replay_binary.elapsed_ms),
-        r.binary_replay_speedup
     );
     println!(
-        "  replay mmap  : {:>9.0} visits/s  {:>7.1} MB/s     ({})  — zero-copy chunks",
+        "  replay chunks: {:>9.0} visits/s  {:>7.1} MB/s     ({})  — store order",
         r.replay_binary_mmap.visits_per_sec,
         r.replay_binary_mmap.mb_per_sec,
         render_ms(r.replay_binary_mmap.elapsed_ms),
@@ -420,22 +408,20 @@ mod tests {
         };
         let report = run_storebench(&opts);
         assert_eq!(report.sites, 30);
-        assert_eq!(report.replay_jsonl.visits, report.replay_binary.visits);
+        assert_eq!(report.replay_binary.visits, 30);
         assert_eq!(
             report.replay_binary_mmap.visits,
             report.replay_binary.visits
         );
-        assert!(report.write_binary.bytes < report.write_jsonl.bytes);
+        assert!(report.host.nproc >= 1);
         assert_eq!(report.fold.visits, 40);
         assert!(report.fold.chunks >= report.fold.segments);
         let json = serde_json::to_value(&report).unwrap();
         for key in [
-            "write_jsonl",
+            "host",
             "write_binary",
-            "replay_jsonl",
             "replay_binary",
             "replay_binary_mmap",
-            "binary_replay_speedup",
             "fold",
             "peak_rss_bytes",
             "stream_summary",

@@ -50,14 +50,13 @@
 
 pub mod epoch;
 pub mod replay;
-pub mod stats;
 pub(crate) mod telemetry;
 pub mod tenant;
 
+pub use cg_telemetry::{LatencyHistogram, LatencySummary};
 pub use epoch::{EngineCache, EpochSlot, SwapReport};
 pub use replay::{
     extract_script, replay, EpochSessions, Pacing, ReplayOp, ReplayOptions, ReplayOutcomes,
     ReplayReport, ReplaySource, ReplayTiming, SwapPoint, VisitScript,
 };
-pub use stats::{LatencyHistogram, LatencySummary};
 pub use tenant::{GuardService, Tenant, TenantId};

@@ -10,9 +10,9 @@
 //! that per-visit path byte for byte:
 //!
 //! * [`ReplaySource::Resident`] pre-extracts every script into memory
-//!   (via [`CrawlReader`], either segment format) — the hot-decision
+//!   (via [`CrawlReader`]) — the hot-decision
 //!   configuration for measuring sustained decisions/s;
-//! * [`ReplaySource::Stream`] decodes binary segments one frame at a
+//! * [`ReplaySource::Stream`] decodes segments one frame at a
 //!   time from frame-index chunks ([`plan_chunks`]): workers claim
 //!   chunk indices and decode each claim through an mmap'd zero-copy
 //!   [`ChunkStream`](cg_crawlstore::ChunkStream) window (pread
@@ -32,12 +32,12 @@
 //! live in separate report blocks that determinism checks mask off.
 
 use crate::epoch::{EngineCache, SwapReport};
-use crate::stats::{LatencyHistogram, LatencySummary};
 use crate::tenant::{GuardService, TenantId};
 use cg_crawlstore::{plan_chunks, CrawlReader, ReadBackend, StoreError};
 use cg_instrument::{
     CookieApi, ReadEvent, ServiceCounters, SetEvent, TenantCounters, VisitLog, WriteKind,
 };
+use cg_telemetry::{LatencyHistogram, LatencySummary};
 use cookieguard_core::{Caller, GuardConfig, GuardStats};
 
 #[cfg(doc)]
@@ -163,7 +163,7 @@ pub enum ReplaySource {
     Resident,
     /// Workers claim frame-index chunks and decode them out of mmap'd
     /// segment windows, re-claiming from the top of the plan on each
-    /// pass (binary stores only).
+    /// pass.
     Stream,
 }
 
@@ -614,7 +614,7 @@ fn run_stream(
     shared: &RunShared,
 ) -> Result<(Vec<WorkerState>, Vec<SwapReport>), StoreError> {
     // One chunk plan for the whole run: frame-index boundaries cut each
-    // binary segment into independently decodable chunks, so even a
+    // segment into independently decodable chunks, so even a
     // single-segment store spreads across every worker. Each claim
     // opens a fresh mmap'd ChunkStream (zero-copy window over the page
     // cache, pread fallback), so there is no cursor state to rewind —

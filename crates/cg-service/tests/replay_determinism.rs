@@ -1,9 +1,9 @@
-//! End-to-end replayer tests against a real binary crawl store: the
+//! End-to-end replayer tests against a real crawl store: the
 //! deterministic-counters contract across worker counts and sources,
 //! swap-under-load, and the zero-dropped-decisions drain proof.
 
 use cg_browser::VisitConfig;
-use cg_crawlstore::{crawl_to_store_with, SegmentFormat};
+use cg_crawlstore::crawl_to_store;
 use cg_service::{replay, GuardService, Pacing, ReplayOptions, ReplaySource, SwapPoint, TenantId};
 use cookieguard_core::GuardConfig;
 use std::path::PathBuf;
@@ -14,17 +14,8 @@ fn build_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cg-service-replay-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let gen = cg_webgen::WebGenerator::new(cg_webgen::GenConfig::small(SITES), 0x5E11CE);
-    crawl_to_store_with(
-        &dir,
-        &gen,
-        &VisitConfig::regular(),
-        1,
-        SITES,
-        4,
-        SegmentFormat::Binary,
-        |_| {},
-    )
-    .expect("build replay store");
+    crawl_to_store(&dir, &gen, &VisitConfig::regular(), 1, SITES, 4, |_| {})
+        .expect("build replay store");
     dir
 }
 
@@ -159,41 +150,5 @@ fn open_loop_pacing_completes_with_the_same_counters() {
     .expect("open");
     assert_eq!(open.counters, closed.counters);
     assert!(open.counters.drained());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn stream_source_refuses_a_jsonl_store() {
-    let dir = std::env::temp_dir().join(format!("cg-service-jsonl-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let gen = cg_webgen::WebGenerator::new(cg_webgen::GenConfig::small(10), 1);
-    crawl_to_store_with(
-        &dir,
-        &gen,
-        &VisitConfig::regular(),
-        1,
-        10,
-        2,
-        SegmentFormat::Jsonl,
-        |_| {},
-    )
-    .expect("build jsonl store");
-    let (svc, _, _) = two_tenant_service();
-    let err = replay(
-        &svc,
-        &dir,
-        &ReplayOptions {
-            source: ReplaySource::Stream,
-            ..ReplayOptions::default()
-        },
-    )
-    .expect_err("jsonl must be refused by the streaming source");
-    assert!(
-        err.to_string().contains("binary"),
-        "unexpected error: {err}"
-    );
-    // …but the resident source happily reads either format.
-    let ok = replay(&svc, &dir, &ReplayOptions::default()).expect("resident over jsonl");
-    assert_eq!(ok.counters.visits, 10);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,10 +14,10 @@
 //! counters, so 77 ns decisions and millisecond-scale stalls land in
 //! one structure without tuning.
 //!
-//! Hoisted out of `cg-service` (PR 7) so the crawl, analysis, and
-//! serving layers share one histogram type; `cg_service::stats`
-//! re-exports it, so existing imports and the `BENCH_service.json`
-//! shape are unchanged. The shared-registry
+//! Hoisted out of `cg-service` so the crawl, analysis, and serving
+//! layers share one histogram type; `cg-service` re-exports it at its
+//! crate root, so the `BENCH_service.json` shape is unchanged. The
+//! shared-registry
 //! [`Histogram`](crate::metrics::Histogram) handle in
 //! [`crate::metrics`] wraps the same bucket math in atomics.
 

@@ -19,7 +19,7 @@
 
 use cookieguard_repro::browser::VisitConfig;
 use cookieguard_repro::cookieguard::GuardConfig;
-use cookieguard_repro::crawlstore::{crawl_to_store_with, SegmentFormat};
+use cookieguard_repro::crawlstore::crawl_to_store;
 use cookieguard_repro::entity::builtin_entity_map;
 use cookieguard_repro::service::{replay, GuardService, ReplayOptions, SwapPoint};
 use cookieguard_repro::webgen::{GenConfig, WebGenerator};
@@ -56,14 +56,13 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     println!("building {sites}-visit binary store…");
     let gen = WebGenerator::new(GenConfig::small(sites), MASTER_SEED);
-    crawl_to_store_with(
+    crawl_to_store(
         &dir,
         &gen,
         &VisitConfig::regular(),
         1,
         sites,
         workers,
-        SegmentFormat::Binary,
         |_| {},
     )
     .expect("build store");

@@ -4,16 +4,13 @@
 //!
 //! Run with:
 //! `cargo run --release --example measure_crawl [SITES] [--store DIR]
-//! [--format jsonl|binary] [--threads N] [--stream]
-//! [--read-backend mmap|pread|buffered] [--telemetry]`
+//! [--threads N] [--stream] [--read-backend mmap|pread] [--telemetry]`
 //!
 //! With `--store DIR` the crawl writes through the durable segmented
 //! crawl store: kill it mid-run and rerun the same command — it resumes
 //! from the checkpoint, finishes only the missing ranks, and the
 //! analysis streams the store back rank-ordered instead of holding the
-//! crawl in memory. `--format binary` selects the compact framed
-//! segment format (the replay fast path; identical analysis output).
-//! Store runs print write/replay throughput and peak RSS next to the
+//! crawl in memory. Store runs print write/replay throughput and peak RSS next to the
 //! segment/byte stats.
 //!
 //! `--stream` (requires `--store`) replaces the retained [`Dataset`]
@@ -25,8 +22,8 @@
 //!
 //! `--read-backend` picks how store bytes are read back: `mmap`
 //! (zero-copy windows over the page cache — the default; the kernel
-//! reclaims mapped pages under pressure, so VmHWM stays flat), `pread`,
-//! or `buffered`. All three produce byte-identical analyses.
+//! reclaims mapped pages under pressure, so VmHWM stays flat) or
+//! `pread`. Both produce byte-identical analyses.
 //!
 //! `--telemetry` prints the runtime telemetry snapshot (JSON and
 //! Prometheus text) after the run: visit/store/fold counters from the
@@ -39,7 +36,7 @@ use cookieguard_repro::analysis::{
     Dataset,
 };
 use cookieguard_repro::browser::{crawl_range, VisitConfig};
-use cookieguard_repro::crawlstore::{crawl_to_store_with, ReadBackend, SegmentFormat};
+use cookieguard_repro::crawlstore::{crawl_to_store, ReadBackend};
 use cookieguard_repro::webgen::{GenConfig, WebGenerator};
 
 const MASTER_SEED: u64 = 0xC00C1E;
@@ -72,7 +69,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut sites: usize = 600;
     let mut store_dir: Option<std::path::PathBuf> = None;
-    let mut format = SegmentFormat::Jsonl;
     let mut threads: usize = 4;
     let mut stream = false;
     let mut telemetry = false;
@@ -87,7 +83,7 @@ fn main() {
                 backend = match args.get(i).and_then(|b| b.parse().ok()) {
                     Some(b) => b,
                     None => {
-                        eprintln!("--read-backend must be mmap, pread, or buffered");
+                        eprintln!("--read-backend must be mmap or pread");
                         std::process::exit(2);
                     }
                 };
@@ -112,24 +108,12 @@ fn main() {
                     }
                 }
             }
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("jsonl") => SegmentFormat::Jsonl,
-                    Some("binary") => SegmentFormat::Binary,
-                    other => {
-                        eprintln!("--format must be jsonl or binary, got {other:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
             other => match other.parse() {
                 Ok(n) => sites = n,
                 Err(_) => {
                     eprintln!(
-                        "usage: measure_crawl [SITES] [--store DIR] \
-                         [--format jsonl|binary] [--threads N] [--stream] \
-                         [--read-backend mmap|pread|buffered] [--telemetry]"
+                        "usage: measure_crawl [SITES] [--store DIR] [--threads N] \
+                         [--stream] [--read-backend mmap|pread] [--telemetry]"
                     );
                     std::process::exit(2);
                 }
@@ -157,7 +141,7 @@ fn main() {
             Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect())
         }
         Some(dir) => {
-            let run = crawl_to_store_with(dir, &gen, &cfg, 1, sites, threads, format, |store| {
+            let run = crawl_to_store(dir, &gen, &cfg, 1, sites, threads, |store| {
                 let resumed = store.done_ranks().len();
                 if resumed > 0 {
                     println!("  resuming: {resumed} ranks already durable in the store");
@@ -172,7 +156,7 @@ fn main() {
                 run.summary.visited, run.summary.complete, run.summary.failed
             );
             println!(
-                "  store: {} records across {} segments, {} bytes on disk ({format})",
+                "  store: {} records across {} segments, {} bytes on disk",
                 run.stats.records, run.stats.segments, run.stats.bytes
             );
             if run.summary.visited > 0 {
