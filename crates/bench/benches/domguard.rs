@@ -4,7 +4,7 @@
 use cg_cookiejar::CookieJar;
 use cg_domguard::{DomGuard, DomGuardConfig, MutationKind};
 use cg_url::Url;
-use cookieguard_core::{Caller, CookieGuard, GuardConfig};
+use cookieguard_core::{Caller, GuardConfig, GuardEngine};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_domguard_authorize(c: &mut Criterion) {
@@ -68,7 +68,7 @@ fn bench_change_log(c: &mut Criterion) {
 fn bench_may_observe(c: &mut Criterion) {
     // The per-change visibility filter CookieGuard applies before a
     // listener sees an event.
-    let mut guard = CookieGuard::new(GuardConfig::strict(), "site.com");
+    let mut guard = GuardEngine::shared(GuardConfig::strict()).session("site.com");
     for i in 0..50 {
         guard.authorize_write(
             &Caller::external(&format!("vendor{i}.com")),

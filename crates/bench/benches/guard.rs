@@ -5,11 +5,11 @@
 
 use cg_cookiejar::CookieJar;
 use cg_url::Url;
-use cookieguard_core::{Caller, CookieGuard, GuardConfig};
+use cookieguard_core::{Caller, GuardConfig, GuardEngine, GuardSession};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn guard_with(n: usize, config: GuardConfig) -> CookieGuard {
-    let mut g = CookieGuard::new(config, "site.com");
+fn guard_with(n: usize, config: GuardConfig) -> GuardSession {
+    let mut g = GuardEngine::shared(config).session("site.com");
     for i in 0..n {
         let creator = format!("vendor{}.com", i % 12);
         g.authorize_write(&Caller::external(&creator), &format!("cookie_{i}"));
@@ -76,16 +76,15 @@ fn bench_authorize_write(c: &mut Criterion) {
 /// Per-visit attach cost: compiling config + entity map per site (the
 /// pre-split behaviour) vs opening a session on one shared engine.
 fn bench_engine_setup(c: &mut Criterion) {
-    use cookieguard_core::GuardEngine;
     let entities = cg_entity::builtin_entity_map();
     let config = GuardConfig::strict().with_entity_grouping(entities);
     let mut group = c.benchmark_group("guard_setup");
     group.bench_function("rebuild_per_visit", |b| {
-        b.iter(|| black_box(CookieGuard::new(config.clone(), "site.com")));
+        b.iter(|| black_box(GuardEngine::shared(config.clone()).session("site.com")));
     });
     let engine = GuardEngine::shared(config.clone());
     group.bench_function("shared_engine_session", |b| {
-        b.iter(|| black_box(CookieGuard::with_engine(engine.clone(), "site.com")));
+        b.iter(|| black_box(GuardSession::new(engine.clone(), "site.com")));
     });
     group.finish();
 }

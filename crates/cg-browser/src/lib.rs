@@ -18,7 +18,7 @@
 //!
 //! The same [`Page`] type therefore reproduces both halves of the paper:
 //! crawling without a guard yields the §5 measurement dataset; attaching
-//! a [`cookieguard_core::CookieGuard`] yields the §7 evaluation.
+//! a [`cookieguard_core::GuardSession`] yields the §7 evaluation.
 //!
 //! **Layer:** simulation core (everything between blueprints and logs).
 //! **Invariant:** every cookie operation flows through the

@@ -17,7 +17,7 @@ use cg_script::{
     SignatureDb,
 };
 use cg_url::{CnameMap, DomainId, Url};
-use cookieguard_core::{AccessContext, Caller, CookieGuard, GuardedJar, SetRequest};
+use cookieguard_core::{AccessContext, Caller, GuardSession, GuardedJar, SetRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -67,7 +67,7 @@ impl<'v> Page<'v> {
         url: Url,
         wall_epoch_ms: i64,
         jar: &'v mut CookieJar,
-        guard: Option<&'v mut CookieGuard>,
+        guard: Option<&'v mut GuardSession>,
         recorder: &'v mut Recorder,
         injectables: &'v HashMap<String, Vec<ScriptOp>>,
         seed: u64,
@@ -77,12 +77,7 @@ impl<'v> Page<'v> {
             .unwrap_or_else(|| url.host_str().into_owned());
         // Change events only cover mutations from this page onward.
         let change_cursor = jar.change_count();
-        let access = GuardedJar::new(
-            url.clone(),
-            jar,
-            guard.map(CookieGuard::session_mut),
-            recorder,
-        );
+        let access = GuardedJar::new(url.clone(), jar, guard, recorder);
         let mut doc = Document::new(url.clone(), FrameKind::Main);
         let mut markup_elements = Vec::new();
         for i in 0..14 {
@@ -540,12 +535,12 @@ mod tests {
     use super::*;
     use cg_instrument::WriteKind;
     use cg_script::{CookieAttrs, EventLoop, ValueSpec};
-    use cookieguard_core::GuardConfig;
+    use cookieguard_core::{GuardConfig, GuardEngine};
 
     const EPOCH: i64 = 1_750_000_000_000;
 
     fn run_page(
-        guard: Option<&mut CookieGuard>,
+        guard: Option<&mut GuardSession>,
         scripts: Vec<(Option<&str>, Vec<ScriptOp>)>,
     ) -> (cg_instrument::VisitLog, CookieJar) {
         let url = Url::parse("https://www.site.com/").unwrap();
@@ -587,7 +582,7 @@ mod tests {
 
     #[test]
     fn guard_blocks_cross_domain_read() {
-        let mut guard = CookieGuard::new(GuardConfig::strict(), "site.com");
+        let mut guard = GuardEngine::shared(GuardConfig::strict()).session("site.com");
         let (log, _) = run_page(
             Some(&mut guard),
             vec![
@@ -676,7 +671,7 @@ mod tests {
 
     #[test]
     fn guard_blocks_cross_domain_write_but_allows_own() {
-        let mut guard = CookieGuard::new(GuardConfig::strict(), "site.com");
+        let mut guard = GuardEngine::shared(GuardConfig::strict()).session("site.com");
         let (log, jar) = run_page(
             Some(&mut guard),
             vec![
@@ -750,7 +745,7 @@ mod tests {
         let mut jar = CookieJar::new();
         let mut recorder = Recorder::new("site.com", 1);
         let injectables = HashMap::new();
-        let mut guard = CookieGuard::new(GuardConfig::strict(), "site.com");
+        let mut guard = GuardEngine::shared(GuardConfig::strict()).session("site.com");
         let mut page = Page::new(
             url.clone(),
             EPOCH,

@@ -9,7 +9,7 @@ use cg_instrument::{Recorder, VisitLog};
 use cg_script::EventLoop;
 use cg_url::Url;
 use cg_webgen::{PageBlueprint, SiteBlueprint};
-use cookieguard_core::{CookieGuard, GuardConfig, GuardEngine, GuardStats};
+use cookieguard_core::{GuardConfig, GuardEngine, GuardSession, GuardStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -197,7 +197,7 @@ pub fn visit_site_with_jar(
     let mut guard = cfg
         .guard
         .as_ref()
-        .map(|e| CookieGuard::with_engine(Arc::clone(e), &site.spec.domain));
+        .map(|e| GuardSession::new(Arc::clone(e), &site.spec.domain));
     let mut dom_guard = cfg
         .dom_guard
         .clone()
@@ -305,7 +305,7 @@ fn execute_page(
     site: &SiteBlueprint,
     epoch: i64,
     jar: &mut CookieJar,
-    guard: Option<&mut CookieGuard>,
+    guard: Option<&mut GuardSession>,
     dom_guard: Option<&mut DomGuard>,
     recorder: &mut Recorder,
     cfg: &VisitConfig,

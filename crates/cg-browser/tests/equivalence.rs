@@ -19,7 +19,7 @@ use cg_script::{
     EventLoop, Platform, ScriptExecution, ScriptOp, SegmentPolicy, ValueSpec,
 };
 use cg_url::Url;
-use cookieguard_core::{Caller, CookieGuard, GuardConfig};
+use cookieguard_core::{Caller, GuardConfig, GuardEngine, GuardSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -35,7 +35,7 @@ struct LegacyPage<'v> {
     site_domain: String,
     wall_epoch_ms: i64,
     jar: &'v mut CookieJar,
-    guard: Option<&'v mut CookieGuard>,
+    guard: Option<&'v mut GuardSession>,
     recorder: &'v mut Recorder,
     doc: Document,
     injectables: &'v HashMap<String, Vec<ScriptOp>>,
@@ -50,7 +50,7 @@ impl<'v> LegacyPage<'v> {
         url: Url,
         wall_epoch_ms: i64,
         jar: &'v mut CookieJar,
-        guard: Option<&'v mut CookieGuard>,
+        guard: Option<&'v mut GuardSession>,
         recorder: &'v mut Recorder,
         injectables: &'v HashMap<String, Vec<ScriptOp>>,
         seed: u64,
@@ -665,7 +665,7 @@ fn scripts() -> Vec<(Option<&'static str>, Vec<ScriptOp>)> {
 }
 
 /// Runs the scripted visit through the new access-layer [`Page`].
-fn run_new(guard: Option<&mut CookieGuard>) -> (VisitLog, CookieJar) {
+fn run_new(guard: Option<&mut GuardSession>) -> (VisitLog, CookieJar) {
     let url = Url::parse("https://www.shop.example/").unwrap();
     let mut jar = CookieJar::new();
     let mut recorder = Recorder::new("shop.example", 1);
@@ -684,7 +684,7 @@ fn run_new(guard: Option<&mut CookieGuard>) -> (VisitLog, CookieJar) {
 }
 
 /// Runs the identical visit through the historical interleaved path.
-fn run_legacy(guard: Option<&mut CookieGuard>) -> (VisitLog, CookieJar) {
+fn run_legacy(guard: Option<&mut GuardSession>) -> (VisitLog, CookieJar) {
     let url = Url::parse("https://www.shop.example/").unwrap();
     let mut jar = CookieJar::new();
     let mut recorder = Recorder::new("shop.example", 1);
@@ -704,8 +704,8 @@ fn run_legacy(guard: Option<&mut CookieGuard>) -> (VisitLog, CookieJar) {
 
 #[test]
 fn guarded_visit_is_byte_identical_to_legacy_path() {
-    let mut guard_new = CookieGuard::new(GuardConfig::strict(), "shop.example");
-    let mut guard_old = CookieGuard::new(GuardConfig::strict(), "shop.example");
+    let mut guard_new = GuardEngine::shared(GuardConfig::strict()).session("shop.example");
+    let mut guard_old = GuardEngine::shared(GuardConfig::strict()).session("shop.example");
     let (log_new, jar_new) = run_new(Some(&mut guard_new));
     let (log_old, jar_old) = run_legacy(Some(&mut guard_old));
 

@@ -186,3 +186,24 @@ fn decode_frame_refuses_a_header_rank_its_payload_disagrees_with() {
     codec::write_frame(&mut frame, 1, &payloads()[0]);
     assert!(matches!(decode_frame(&frame, 0), Ok(Some((1, _, _)))));
 }
+
+/// A manifest nested far deeper than any real one (the parser refuses
+/// JSON beyond 128 levels) loads as `Corrupt` instead of overflowing the
+/// stack and aborting the process.
+#[test]
+fn deeply_nested_manifest_is_corrupt_not_a_stack_overflow() {
+    let dir = manifest_dir("nested");
+    let depth = 100_000;
+    let text = format!(
+        r#"{{"fingerprint":{}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    std::fs::write(dir.join(MANIFEST_FILE), text).unwrap();
+    let loaded = Manifest::load(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(
+        matches!(loaded, Err(cg_crawlstore::StoreError::Corrupt { .. })),
+        "{loaded:?}"
+    );
+}

@@ -13,7 +13,6 @@ use crate::context::ExperimentOptions;
 use crate::render::header;
 use cg_analysis::{cross_domain_summary, detect_exfiltration, detect_manipulation, Dataset};
 use cg_browser::{crawl_range, VisitConfig};
-use cg_webgen::{GenConfig, WebGenerator};
 use cookieguard_core::GuardConfig;
 use serde::Serialize;
 
@@ -34,12 +33,7 @@ pub struct AblationRow {
 
 /// Runs all variants over the same site range.
 pub fn run_ablation(opts: &ExperimentOptions) -> Vec<AblationRow> {
-    let cfg = if opts.sites >= 20_000 {
-        GenConfig::default()
-    } else {
-        GenConfig::small(opts.sites)
-    };
-    let gen = WebGenerator::new(cfg, opts.seed);
+    let gen = opts.generator();
     let entities = cg_entity::builtin_entity_map();
 
     let variants: Vec<(&str, VisitConfig)> = vec![

@@ -9,18 +9,8 @@ use cg_baselines::{
     fidelity_study, run_csp_gap, run_defense_matrix, CspGapRow, Defense, DefenseRow, EvasionConfig,
     FidelityStudy, ForestConfig, MatrixOptions, PartitioningModel,
 };
-use cg_webgen::{GenConfig, WebGenerator};
 use cookieguard_core::GuardConfig;
 use serde::Serialize;
-
-fn generator(opts: &ExperimentOptions) -> WebGenerator {
-    let cfg = if opts.sites >= 20_000 {
-        GenConfig::default()
-    } else {
-        GenConfig::small(opts.sites)
-    };
-    WebGenerator::new(cfg, opts.seed)
-}
 
 /// Defense-matrix result: one row per defense.
 #[derive(Debug, Clone, Serialize)]
@@ -38,7 +28,7 @@ pub struct BaselinesResult {
 /// Runs the defense matrix: the first half of the population is the
 /// shared evaluation split; the classifier trains on the second half.
 pub fn run_baselines(opts: &ExperimentOptions) -> BaselinesResult {
-    let gen = generator(opts);
+    let gen = opts.generator();
     let entities = cg_entity::builtin_entity_map();
     let eval_end = (opts.sites / 2).max(1);
     let train_start = eval_end + 1;
@@ -117,7 +107,7 @@ pub struct CspGapResult {
 /// whole population and contrasts load-level blocking with cookie-level
 /// exposure.
 pub fn run_csp_gap_exp(opts: &ExperimentOptions) -> CspGapResult {
-    let gen = generator(opts);
+    let gen = opts.generator();
     let entities = cg_entity::builtin_entity_map();
     let rows = run_csp_gap(&gen, 1..=opts.sites, &entities);
 

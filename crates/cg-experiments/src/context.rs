@@ -2,10 +2,11 @@
 
 use cg_analysis::Dataset;
 use cg_browser::{crawl_range, VisitConfig};
-use cg_crawlstore::{crawl_to_store, ReadBackend};
+use cg_crawlstore::{crawl_to_store, ReadBackend, StoreCrawl, StoreError};
 use cg_entity::EntityMap;
 use cg_filterlist::FilterEngine;
 use cg_webgen::{GenConfig, WebGenerator};
+use std::path::Path;
 
 /// Command-line-shaped options for the harness.
 #[derive(Debug, Clone)]
@@ -43,6 +44,15 @@ impl Default for ExperimentOptions {
     }
 }
 
+impl ExperimentOptions {
+    /// The seeded generator for a `sites`-site web. `GenConfig::small`
+    /// scales the long tail with the site count and equals the
+    /// paper-scale default at 20,000 sites.
+    pub fn generator(&self) -> WebGenerator {
+        WebGenerator::new(GenConfig::small(self.sites), self.seed)
+    }
+}
+
 fn num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -69,19 +79,13 @@ impl CrawlContext {
     /// crawl — in memory by default, or through a durable, resumable
     /// crawl store when `opts.store` is set.
     pub fn collect(opts: &ExperimentOptions) -> CrawlContext {
-        let cfg = if opts.sites >= 20_000 {
-            GenConfig::default()
-        } else {
-            GenConfig::small(opts.sites)
-        };
-        let gen = WebGenerator::new(cfg, opts.seed);
+        let gen = opts.generator();
         let engine = cg_analysis::build_filter_engine(gen.registry());
         let entities = cg_entity::builtin_entity_map();
-        let visit_cfg = VisitConfig::regular();
         let (dataset, crawled) = match &opts.store {
             None => {
                 let (outcomes, summary) =
-                    crawl_range(&gen, &visit_cfg, 1, opts.sites, opts.threads);
+                    crawl_range(&gen, &VisitConfig::regular(), 1, opts.sites, opts.threads);
                 let dataset = Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect());
                 (dataset, summary.visited)
             }
@@ -89,32 +93,8 @@ impl CrawlContext {
                 // Durable path: write-through store, resumed when the
                 // directory already holds this crawl's fingerprint, then
                 // a streaming rank-ordered replay into the dataset.
-                let run = crawl_to_store(
-                    dir,
-                    &gen,
-                    &visit_cfg,
-                    1,
-                    opts.sites,
-                    opts.threads,
-                    |store| {
-                        let resumed = store.done_ranks().len();
-                        if resumed > 0 {
-                            eprintln!(
-                                "[crawl] resuming: {resumed} ranks already durable in the store"
-                            );
-                        }
-                    },
-                )
-                .unwrap_or_else(|e| panic!("crawl store {}: {e}", dir.display()));
-                eprintln!(
-                    "[store] {} records across {} segments, {} bytes; \
-                     wrote {} visits at {:.0} visits/s",
-                    run.stats.records,
-                    run.stats.segments,
-                    run.stats.bytes,
-                    run.summary.visited,
-                    run.summary.visits_per_sec(),
-                );
+                let run = crawl_store(dir, &gen, opts)
+                    .unwrap_or_else(|e| panic!("crawl store {}: {e}", dir.display()));
                 let watch = cg_telemetry::Stopwatch::start();
                 // Chunk-granular parallel replay through the chosen read
                 // backend — byte-identical to a sequential CrawlReader
@@ -144,6 +124,43 @@ impl CrawlContext {
             crawled,
         }
     }
+}
+
+/// Crawls ranks `1..=opts.sites` of `gen` (regular visits) through the
+/// durable store at `dir`, resuming from whatever ranks it already
+/// holds. Prints the resume notice and the run's visit and store totals
+/// to stderr.
+pub fn crawl_store(
+    dir: &Path,
+    gen: &WebGenerator,
+    opts: &ExperimentOptions,
+) -> Result<StoreCrawl, StoreError> {
+    let run = crawl_to_store(
+        dir,
+        gen,
+        &VisitConfig::regular(),
+        1,
+        opts.sites,
+        opts.threads,
+        |store| {
+            let resumed = store.done_ranks().len();
+            if resumed > 0 {
+                eprintln!("[crawl] resuming: {resumed} ranks already durable in the store");
+            }
+        },
+    )?;
+    eprintln!(
+        "[crawl] visited {} sites this run, {} with complete data, {} failed ({:.0} visits/s)",
+        run.summary.visited,
+        run.summary.complete,
+        run.summary.failed,
+        run.summary.visits_per_sec(),
+    );
+    eprintln!(
+        "[store] {} records across {} segments, {} bytes on disk",
+        run.stats.records, run.stats.segments, run.stats.bytes
+    );
+    Ok(run)
 }
 
 #[cfg(test)]

@@ -121,12 +121,7 @@ fn timing(visits: u64, elapsed: std::time::Duration) -> StageTiming {
 /// Runs the detection smoke: crawl, classify, assert the contracts.
 /// Panics (non-zero exit) on any violated invariant or missed floor.
 pub fn run_detect(opts: &DetectOptions) -> DetectBenchReport {
-    let cfg = if opts.sites >= 20_000 {
-        GenConfig::default()
-    } else {
-        GenConfig::small(opts.sites)
-    };
-    let gen = WebGenerator::new(cfg, opts.seed);
+    let gen = WebGenerator::new(GenConfig::small(opts.sites), opts.seed);
     // CNAME-resolving crawl: setter identity is a detection feature, so
     // the measurement pipeline runs with the §8 uncloaking defense on.
     let visit_cfg = VisitConfig {

@@ -9,7 +9,6 @@ use cg_analysis::{cross_domain_summary, detect_exfiltration, detect_manipulation
 use cg_breakage::{evaluate_breakage, BreakageCategory, BreakageReport};
 use cg_browser::{crawl_range, VisitConfig};
 use cg_perf::{run_paired_measurement, PerfReport};
-use cg_webgen::{GenConfig, WebGenerator};
 use cookieguard_core::GuardConfig;
 use serde::Serialize;
 
@@ -38,12 +37,7 @@ impl Fig5Result {
 
 /// Runs the paired guarded/unguarded crawl behind Fig. 5.
 pub fn run_fig5(opts: &ExperimentOptions) -> Fig5Result {
-    let cfg = if opts.sites >= 20_000 {
-        GenConfig::default()
-    } else {
-        GenConfig::small(opts.sites)
-    };
-    let gen = WebGenerator::new(cfg, opts.seed);
+    let gen = opts.generator();
     let entities = cg_entity::builtin_entity_map();
 
     let rates = |guard: Option<GuardConfig>| {
@@ -112,12 +106,7 @@ pub struct Table3Result {
 /// Runs the Table 3 breakage evaluation over a 100-site sample of the
 /// top 10k (or the whole range when fewer sites exist).
 pub fn run_table3(opts: &ExperimentOptions) -> Table3Result {
-    let cfg = if opts.sites >= 20_000 {
-        GenConfig::default()
-    } else {
-        GenConfig::small(opts.sites)
-    };
-    let gen = WebGenerator::new(cfg, opts.seed);
+    let gen = opts.generator();
     // The paper samples 100 random sites from the top 10k; we take a
     // deterministic stratified sample: every k-th site of the top half.
     let top = (opts.sites / 2).max(1);
@@ -209,12 +198,7 @@ pub struct PerfResult {
 /// Runs the §7.3 performance experiments on the top `sites/2` sites
 /// (the paper uses the top 10k of 20k).
 pub fn run_table4_and_figs(opts: &ExperimentOptions, which: &[&str]) -> PerfResult {
-    let cfg = if opts.sites >= 20_000 {
-        GenConfig::default()
-    } else {
-        GenConfig::small(opts.sites)
-    };
-    let gen = WebGenerator::new(cfg, opts.seed);
+    let gen = opts.generator();
     let top = (opts.sites / 2).max(1);
     let report = run_paired_measurement(&gen, &GuardConfig::strict(), 1, top, opts.threads);
 

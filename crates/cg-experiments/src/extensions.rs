@@ -11,18 +11,8 @@ use cg_analysis::{detect_exfiltration, detect_server_side, dom_pilot_stats, Data
 use cg_breakage::{evaluate_breakage, BreakageCategory};
 use cg_browser::{crawl_range, visit_site_with_jar, VisitConfig, VisitOutcome};
 use cg_domguard::DomGuardConfig;
-use cg_webgen::{GenConfig, WebGenerator};
 use cookieguard_core::{DeploymentStage, GuardConfig, PrivacyPreset};
 use serde::Serialize;
-
-fn generator(opts: &ExperimentOptions) -> WebGenerator {
-    let cfg = if opts.sites >= 20_000 {
-        GenConfig::default()
-    } else {
-        GenConfig::small(opts.sites)
-    };
-    WebGenerator::new(cfg, opts.seed)
-}
 
 fn dataset_of(outcomes: Vec<VisitOutcome>) -> Dataset {
     Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect())
@@ -51,7 +41,7 @@ pub struct Sec57Result {
 /// Runs the §5.7 experiment: a paired crawl showing CookieGuard's
 /// client-side win does not extend to first-party server-side gateways.
 pub fn run_sec5_7(opts: &ExperimentOptions) -> Sec57Result {
-    let gen = generator(opts);
+    let gen = opts.generator();
     let entities = cg_entity::builtin_entity_map();
 
     let run = |guard: Option<GuardConfig>| {
@@ -163,7 +153,7 @@ pub struct DomGuardResult {
 /// Runs the §8 DOM-isolation evaluation: unguarded pilot vs strict
 /// DomGuard vs entity-grouped DomGuard.
 pub fn run_domguard(opts: &ExperimentOptions) -> DomGuardResult {
-    let gen = generator(opts);
+    let gen = opts.generator();
 
     let run = |dom: Option<DomGuardConfig>| {
         let vc = match dom {
@@ -262,7 +252,7 @@ pub struct RolloutResult {
 /// Runs the §8 deployment experiment: protection/breakage across the
 /// rollout ladder, the preset frontier, and the grandfathering effect.
 pub fn run_rollout(opts: &ExperimentOptions) -> RolloutResult {
-    let gen = generator(opts);
+    let gen = opts.generator();
     let entities = cg_entity::builtin_entity_map();
 
     // Base rates: exfiltration prevalence unguarded and under each preset.

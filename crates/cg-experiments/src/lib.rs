@@ -7,7 +7,8 @@
 //! `fig6`, `fig7`, `fig9`, `fig10`, `sec5_7`, `domguard`, plus the
 //! explicit-only `ablation`, `rollout`, `baselines` (the defense
 //! matrix: blocklist ± evasion, partitioning, CookieGraph-lite,
-//! CookieGuard), and `csp` (the §2.1 CSP gap). Scale with `--sites N`
+//! CookieGuard), `csp` (the §2.1 CSP gap), `storebench`, and `stream`
+//! (the bounded-memory fold over a `--store`). Scale with `--sites N`
 //! (default 20,000) and `--threads T`. Four subcommands ride
 //! alongside: `scenarios` (the adversarial catalog), `serve` (the
 //! multi-tenant guard-service benchmark behind `BENCH_service.json`),
@@ -37,6 +38,7 @@ pub mod render;
 pub mod scenarios;
 pub mod service;
 pub mod storebench;
+pub mod stream;
 
 pub use ablation::run_ablation;
 pub use baselines::{run_baselines, run_csp_gap_exp};
@@ -55,3 +57,4 @@ pub use service::{
     TELEMETRY_BUDGET_PCT,
 };
 pub use storebench::{peak_rss_bytes, print_storebench, run_storebench, StoreBenchReport};
+pub use stream::run_stream;

@@ -30,6 +30,7 @@ const EVALUATION_EXPERIMENTS: &[&str] = &[
     "baselines",
     "csp",
     "storebench",
+    "stream",
 ];
 
 /// Parses a numeric option value, exiting with a clear message instead
@@ -43,6 +44,18 @@ fn parse_numeric_arg<T: std::str::FromStr>(value: Option<&String>, flag: &str) -
         }),
         None => {
             eprintln!("{flag} requires a value; see --help");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Parses a path option value, exiting with a clear message when the
+/// value is missing.
+fn parse_path_arg(value: Option<&String>, flag: &str) -> std::path::PathBuf {
+    match value {
+        Some(p) => std::path::PathBuf::from(p),
+        None => {
+            eprintln!("{flag} requires a path; see --help");
             std::process::exit(2);
         }
     }
@@ -65,23 +78,11 @@ fn run_scenarios_cli(args: &[String]) -> ! {
             }
             "--json" => {
                 i += 1;
-                match args.get(i) {
-                    Some(p) => opts.json = Some(std::path::PathBuf::from(p)),
-                    None => {
-                        eprintln!("--json requires a path; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                opts.json = Some(parse_path_arg(args.get(i), "--json"));
             }
             "--golden" => {
                 i += 1;
-                match args.get(i) {
-                    Some(p) => opts.golden = Some(std::path::PathBuf::from(p)),
-                    None => {
-                        eprintln!("--golden requires a path; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                opts.golden = Some(parse_path_arg(args.get(i), "--golden"));
             }
             other => {
                 eprintln!("unknown scenarios argument {other:?}; see --help");
@@ -140,43 +141,19 @@ fn run_serve_cli(args: &[String]) -> ! {
             }
             "--store" => {
                 i += 1;
-                match args.get(i) {
-                    Some(dir) => opts.store = Some(std::path::PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--store requires a directory; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                opts.store = Some(parse_path_arg(args.get(i), "--store"));
             }
             "--bench-json" => {
                 i += 1;
-                match args.get(i) {
-                    Some(path) => opts.bench_json = Some(std::path::PathBuf::from(path)),
-                    None => {
-                        eprintln!("--bench-json requires a path; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                opts.bench_json = Some(parse_path_arg(args.get(i), "--bench-json"));
             }
             "--telemetry-snapshot" => {
                 i += 1;
-                match args.get(i) {
-                    Some(path) => opts.telemetry_snapshot = Some(std::path::PathBuf::from(path)),
-                    None => {
-                        eprintln!("--telemetry-snapshot requires a path; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                opts.telemetry_snapshot = Some(parse_path_arg(args.get(i), "--telemetry-snapshot"));
             }
             "--telemetry-dump" => {
                 i += 1;
-                match args.get(i) {
-                    Some(path) => opts.telemetry_dump = Some(std::path::PathBuf::from(path)),
-                    None => {
-                        eprintln!("--telemetry-dump requires a path; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                opts.telemetry_dump = Some(parse_path_arg(args.get(i), "--telemetry-dump"));
             }
             other => {
                 eprintln!("unknown serve argument {other:?}; see --help");
@@ -223,33 +200,15 @@ fn run_detect_cli(args: &[String]) -> ! {
             }
             "--store" => {
                 i += 1;
-                match args.get(i) {
-                    Some(dir) => opts.store = Some(std::path::PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--store requires a directory; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                opts.store = Some(parse_path_arg(args.get(i), "--store"));
             }
             "--bench-json" => {
                 i += 1;
-                match args.get(i) {
-                    Some(path) => opts.bench_json = Some(std::path::PathBuf::from(path)),
-                    None => {
-                        eprintln!("--bench-json requires a path; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                opts.bench_json = Some(parse_path_arg(args.get(i), "--bench-json"));
             }
             "--report-json" => {
                 i += 1;
-                match args.get(i) {
-                    Some(path) => opts.report_json = Some(std::path::PathBuf::from(path)),
-                    None => {
-                        eprintln!("--report-json requires a path; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                opts.report_json = Some(parse_path_arg(args.get(i), "--report-json"));
             }
             other => {
                 eprintln!("unknown detect argument {other:?}; see --help");
@@ -313,8 +272,8 @@ fn main() {
     }
     let mut opts = ExperimentOptions::default();
     let mut exps: Vec<String> = vec!["all".to_string()];
-    let mut json_path: Option<String> = None;
-    let mut bench_json_path: Option<String> = None;
+    let mut json_path: Option<std::path::PathBuf> = None;
+    let mut bench_json_path: Option<std::path::PathBuf> = None;
 
     let mut i = 1;
     while i < args.len() {
@@ -340,17 +299,11 @@ fn main() {
             }
             "--json" => {
                 i += 1;
-                json_path = args.get(i).cloned();
+                json_path = Some(parse_path_arg(args.get(i), "--json"));
             }
             "--store" => {
                 i += 1;
-                match args.get(i) {
-                    Some(dir) => opts.store = Some(std::path::PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--store requires a directory; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                opts.store = Some(parse_path_arg(args.get(i), "--store"));
             }
             "--read-backend" => {
                 i += 1;
@@ -371,13 +324,7 @@ fn main() {
             }
             "--bench-json" => {
                 i += 1;
-                match args.get(i) {
-                    Some(path) => bench_json_path = Some(path.clone()),
-                    None => {
-                        eprintln!("--bench-json requires a path; see --help");
-                        std::process::exit(2);
-                    }
-                }
+                bench_json_path = Some(parse_path_arg(args.get(i), "--bench-json"));
             }
             "--help" | "-h" => {
                 print_help();
@@ -404,6 +351,10 @@ fn main() {
             eprintln!("unknown experiment {e:?}; see --help");
             std::process::exit(2);
         }
+    }
+    if wanted.contains(&"stream") && opts.store.is_none() {
+        eprintln!("--exp stream requires --store DIR; see --help");
+        std::process::exit(2);
     }
 
     println!(
@@ -520,13 +471,28 @@ fn main() {
                 serde_json::to_string_pretty(&serde_json::to_value(&r).expect("serialize"))
                     .expect("serialize"),
             )
-            .unwrap_or_else(|e| eprintln!("failed to write {path}: {e}"));
-            println!("\nbench report written to {path}");
+            .unwrap_or_else(|e| eprintln!("failed to write {}: {e}", path.display()));
+            println!("\nbench report written to {}", path.display());
         }
         json.insert(
             "storebench".into(),
             serde_json::to_value(&r).expect("serialize"),
         );
+    }
+
+    if wanted.contains(&"stream") {
+        // Explicit-only: a store crawl plus a timed streaming fold
+        // (`--store` was checked above).
+        let dir = opts
+            .store
+            .as_deref()
+            .expect("--exp stream requires --store");
+        eprintln!("[stream] bounded-memory fold over the crawl store…");
+        let s = cg_experiments::run_stream(&opts, dir).unwrap_or_else(|e| {
+            eprintln!("crawl store {}: {e}", dir.display());
+            std::process::exit(1);
+        });
+        json.insert("stream".into(), serde_json::to_value(s).expect("serialize"));
     }
 
     if let Some(path) = json_path {
@@ -535,8 +501,8 @@ fn main() {
             &path,
             serde_json::to_string_pretty(&out).expect("serialize"),
         )
-        .unwrap_or_else(|e| eprintln!("failed to write {path}: {e}"));
-        println!("\nresults written to {path}");
+        .unwrap_or_else(|e| eprintln!("failed to write {}: {e}", path.display()));
+        println!("\nresults written to {}", path.display());
     }
 }
 
@@ -606,4 +572,9 @@ fn print_help() {
     println!("fold wall time per backend over a ≥10k-visit fold store");
     println!("(--fold-sites overrides), peak RSS) and with --bench-json PATH");
     println!("writes the machine-readable report (BENCH_crawlstore.json).");
+    println!();
+    println!("--exp stream (requires --store) crawls or resumes the store, then");
+    println!("folds it in bounded memory (one chunk-granular parallel pass, nothing");
+    println!("retained per visit) and prints the streaming summary: byte-identical");
+    println!("across --threads, --read-backend, and a killed-and-resumed store.");
 }

@@ -61,7 +61,7 @@ pub fn run_scenarios(opts: &ScenarioOptions) -> Result<ScenarioMatrix, String> {
                 return Err(format!(
                     "scenario matrix DIFFERS from golden file {} — \
                      regenerate it if the change is intended \
-                     (cargo run --release --example scenario_matrix -- --json {})",
+                     (cg-experiments scenarios --json {})",
                     path.display(),
                     path.display()
                 ));

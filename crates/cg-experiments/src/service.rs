@@ -393,6 +393,19 @@ pub fn print_serve(r: &BenchServiceReport) {
                 swap.install_ns as f64 / 1e3
             );
         }
+        // Sessions opened before a swap finish on the old epoch's
+        // engine, sessions opened after it on the new one.
+        println!("  sessions by (tenant, epoch):");
+        for e in &run.outcomes.sessions_by_epoch {
+            let name = r
+                .tenants
+                .get(e.tenant as usize)
+                .map_or("?", |t| t.name.as_str());
+            println!(
+                "  {:>16} epoch {}: {:>7} sessions",
+                name, e.epoch, e.sessions
+            );
+        }
     }
     let o = &r.telemetry_overhead;
     println!(

@@ -274,7 +274,7 @@ pub fn run_storebench(opts: &ExperimentOptions) -> StoreBenchReport {
             true,
         ),
     };
-    let gen = WebGenerator::new(GenConfig::small(opts.sites), opts.seed);
+    let gen = opts.generator();
     let cfg = VisitConfig::regular();
     let dir_b = base.join("binary");
 

@@ -29,8 +29,7 @@
 //!
 //! Entry points: [`catalog()`] for the scenarios, [`run_matrix`] /
 //! [`render_table`] for the defense matrix, or
-//! `cg-experiments -- scenarios` / `cargo run --release --example
-//! scenario_matrix` from the command line.
+//! `cg-experiments scenarios` from the command line.
 
 pub mod catalog;
 pub mod fixtures;

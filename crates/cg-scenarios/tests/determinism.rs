@@ -27,7 +27,7 @@ fn matrix_verdicts_hold_across_seeds() {
 
 /// The checked-in golden file matches a fresh default-seed run — the
 /// same comparison CI performs through the CLI. Regenerate with:
-/// `cargo run --release --example scenario_matrix -- --json \
+/// `cargo run --release -p cg-experiments -- scenarios --json \
 ///  crates/cg-scenarios/golden/scenario_matrix.json`
 #[test]
 fn matrix_matches_checked_in_golden_file() {

@@ -132,8 +132,9 @@ impl Default for GenConfig {
 }
 
 impl GenConfig {
-    /// A scaled-down configuration for tests and examples: `n` sites,
-    /// proportionally fewer long-tail vendors.
+    /// A configuration for an `n`-site web: the long tail scales with
+    /// `n` up to its paper-scale size, so `small(20_000)` equals
+    /// [`GenConfig::default`] and larger webs keep the full long tail.
     pub fn small(n: usize) -> GenConfig {
         GenConfig {
             site_count: n,
@@ -161,5 +162,15 @@ mod tests {
         assert_eq!(c.site_count, 500);
         assert!(c.longtail_vendors <= 1_600);
         assert!(c.longtail_vendors >= 20);
+    }
+
+    #[test]
+    fn small_at_paper_scale_is_the_default() {
+        // Every experiment builds its web with `small(sites)`; at 20,000
+        // sites that must be exactly the paper-scale default.
+        assert_eq!(
+            format!("{:?}", GenConfig::small(20_000)),
+            format!("{:?}", GenConfig::default())
+        );
     }
 }

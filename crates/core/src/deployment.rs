@@ -11,7 +11,7 @@
 //! * [`PrivacyPreset`]s are the user-selectable policy bundles the paper
 //!   proposes ("expose CookieGuard's policies as user-selectable privacy
 //!   settings");
-//! * grandfathering itself lives on [`crate::CookieGuard::grandfather`].
+//! * grandfathering itself lives on [`crate::GuardSession::grandfather`].
 //!
 //! The rollout *simulation* — weighting protection and breakage by the
 //! guarded share — lives in `cg-experiments`; this module owns the

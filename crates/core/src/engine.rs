@@ -1,6 +1,6 @@
 //! The shared guard engine: one immutable policy core per deployment.
 //!
-//! Before this split, every [`crate::CookieGuard`] carried its own copy
+//! Before this split, every per-visit guard carried its own copy
 //! of the [`GuardConfig`] — entity map, whitelist, and all — so a crawl
 //! over N sites deep-cloned and re-derived the policy state N times. A
 //! [`GuardEngine`] is built **once**, is `Send + Sync`, and is shared

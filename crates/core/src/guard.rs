@@ -1,17 +1,11 @@
 //! The CookieGuard runtime: metadata + policy at the interception points.
 //!
-//! Split into two layers (see also [`crate::engine`]):
-//!
-//! * [`GuardSession`] — the cheap, per-visit state: a metadata store and
-//!   stats counters bound to one top-level site, borrowing all policy
-//!   decisions from a shared [`GuardEngine`];
-//! * [`CookieGuard`] — the historical single-type facade. It behaves
-//!   exactly as before the split (one constructor, same methods), but is
-//!   now a thin wrapper around a session whose engine can also be
-//!   injected ([`CookieGuard::with_engine`]) to share policy state
-//!   across an entire crawl or deployment.
+//! A [`GuardSession`] is the cheap, per-visit state: a metadata store
+//! and stats counters bound to one top-level site, borrowing all policy
+//! decisions from a shared [`GuardEngine`] (see [`crate::engine`]).
+//! Open one with [`GuardEngine::session`] (or [`GuardSession::new`]);
+//! a standalone guard is `GuardEngine::shared(config).session(site)`.
 
-use crate::config::GuardConfig;
 use crate::engine::GuardEngine;
 use crate::metadata::{CookieOrigin, MetadataStore, OwnershipRecord};
 use crate::policy::{AccessDecision, Caller};
@@ -287,105 +281,10 @@ impl GuardSession {
     }
 }
 
-/// The per-site CookieGuard instance: one per top-level page visit.
-///
-/// Historically this type owned its policy outright; it is now a facade
-/// over [`GuardSession`] + [`GuardEngine`]. [`CookieGuard::new`] keeps
-/// the old build-everything-per-visit behaviour for standalone use;
-/// crawls and deployments should build one engine and attach per-visit
-/// via [`CookieGuard::with_engine`] (or use [`GuardSession`] directly).
-#[derive(Debug, Clone)]
-pub struct CookieGuard {
-    session: GuardSession,
-}
-
-impl CookieGuard {
-    /// Creates a self-contained guard for a visit to `site_domain` under
-    /// `config` (compiles a fresh single-use engine).
-    pub fn new(config: GuardConfig, site_domain: &str) -> CookieGuard {
-        CookieGuard {
-            session: GuardEngine::shared(config).session(site_domain),
-        }
-    }
-
-    /// Creates a guard sharing an existing engine — the cheap per-visit
-    /// path for crawls.
-    pub fn with_engine(engine: Arc<GuardEngine>, site_domain: &str) -> CookieGuard {
-        CookieGuard {
-            session: GuardSession::new(engine, site_domain),
-        }
-    }
-
-    /// The underlying session.
-    pub fn session(&self) -> &GuardSession {
-        &self.session
-    }
-
-    /// Mutable access to the underlying session — what the access layer
-    /// ([`crate::GuardedJar`]) borrows for the duration of a page.
-    pub fn session_mut(&mut self) -> &mut GuardSession {
-        &mut self.session
-    }
-
-    /// The shared policy engine.
-    pub fn engine(&self) -> &Arc<GuardEngine> {
-        self.session.engine()
-    }
-
-    /// The guarded site.
-    pub fn site_domain(&self) -> &str {
-        self.session.site_domain()
-    }
-
-    /// Read access to the accumulated statistics.
-    pub fn stats(&self) -> GuardStats {
-        self.session.stats()
-    }
-
-    /// Read access to the metadata store (forensics / tests).
-    pub fn metadata(&self) -> &MetadataStore {
-        self.session.metadata()
-    }
-
-    /// See [`GuardSession::record_http_set_cookie`].
-    pub fn record_http_set_cookie(&mut self, name: &str, response_domain: &str) {
-        self.session.record_http_set_cookie(name, response_domain);
-    }
-
-    /// See [`GuardSession::grandfather`].
-    pub fn grandfather(&mut self, name: &str) {
-        self.session.grandfather(name);
-    }
-
-    /// See [`GuardSession::may_observe`].
-    pub fn may_observe(&self, caller: &Caller, name: &str) -> bool {
-        self.session.may_observe(caller, name)
-    }
-
-    /// See [`GuardSession::filter_read`].
-    pub fn filter_read(&mut self, caller: &Caller, cookies: Vec<Cookie>) -> Vec<Cookie> {
-        self.session.filter_read(caller, cookies)
-    }
-
-    /// See [`GuardSession::filter_names`].
-    pub fn filter_names<'n>(&mut self, caller: &Caller, names: &[&'n str]) -> Vec<&'n str> {
-        self.session.filter_names(caller, names)
-    }
-
-    /// See [`GuardSession::authorize_write`].
-    pub fn authorize_write(&mut self, caller: &Caller, name: &str) -> AccessDecision {
-        self.session.authorize_write(caller, name)
-    }
-
-    /// See [`GuardSession::authorize_delete`].
-    pub fn authorize_delete(&mut self, caller: &Caller, name: &str) -> AccessDecision {
-        self.session.authorize_delete(caller, name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GuardConfig;
     use cg_cookiejar::CookieJar;
     use cg_url::Url;
 
@@ -399,8 +298,8 @@ mod tests {
         jar.cookies_for_document(&url, 100)
     }
 
-    fn guard() -> CookieGuard {
-        CookieGuard::new(GuardConfig::strict(), "site.com")
+    fn guard() -> GuardSession {
+        GuardEngine::shared(GuardConfig::strict()).session("site.com")
     }
 
     #[test]
@@ -508,7 +407,7 @@ mod tests {
 
     #[test]
     fn relaxed_inline_acts_as_first_party() {
-        let mut g = CookieGuard::new(GuardConfig::relaxed(), "site.com");
+        let mut g = GuardEngine::shared(GuardConfig::relaxed()).session("site.com");
         assert!(g.authorize_write(&Caller::inline(), "pref").is_allow());
         // Ownership recorded to the site.
         assert_eq!(g.metadata().creator("pref"), Some("site.com"));
@@ -580,10 +479,10 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
-    fn with_engine_shares_policy_across_visits() {
+    fn sessions_share_policy_across_visits() {
         let engine = GuardEngine::shared(GuardConfig::strict().with_whitelisted("partner.io"));
-        let mut site_a = CookieGuard::with_engine(Arc::clone(&engine), "a.com");
-        let mut site_b = CookieGuard::with_engine(Arc::clone(&engine), "b.com");
+        let mut site_a = GuardSession::new(Arc::clone(&engine), "a.com");
+        let mut site_b = GuardSession::new(Arc::clone(&engine), "b.com");
         // Policy (whitelist) comes from the shared engine…
         site_a.authorize_write(&Caller::external("x.net"), "c");
         site_b.authorize_write(&Caller::external("y.net"), "c");

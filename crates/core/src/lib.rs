@@ -16,11 +16,10 @@
 //!   immutable, `Send + Sync`, compiled **once per deployment**, and
 //!   shared behind an `Arc` by every visit;
 //! * a [`GuardSession`] is the cheap per-visit state (metadata + stats)
-//!   bound to one top-level site on a shared engine;
-//! * [`CookieGuard`] glues the two together at the same interception
-//!   points the measurement instruments — [`CookieGuard::new`] for a
-//!   self-contained guard, [`CookieGuard::with_engine`] to share one
-//!   engine across a crawl. ([`PolicyEngine`] remains as a site-bound
+//!   bound to one top-level site on a shared engine, and enforces at the
+//!   same interception points the measurement instruments. Open one with
+//!   [`GuardEngine::session`]; `GuardEngine::shared(config).session(site)`
+//!   is a self-contained guard. ([`PolicyEngine`] remains as a site-bound
 //!   policy view over an engine.)
 //! * [`GuardedJar`] is the **access layer**: the one sanctioned API
 //!   through which runtime code reads and mutates the jar. It fuses
@@ -42,9 +41,9 @@
 //! # Example
 //!
 //! ```
-//! use cookieguard_core::{Caller, CookieGuard, GuardConfig};
+//! use cookieguard_core::{Caller, GuardConfig, GuardEngine};
 //!
-//! let mut guard = CookieGuard::new(GuardConfig::strict(), "shop.example");
+//! let mut guard = GuardEngine::shared(GuardConfig::strict()).session("shop.example");
 //!
 //! // tracker.com's script creates a cookie: recorded as its creator.
 //! let tracker = Caller::external("tracker.com");
@@ -74,9 +73,9 @@
 //! **Layer:** policy (pure decisions + per-visit state; no I/O).
 //! **Invariants:** `GuardEngine` is immutable and `Send + Sync`;
 //! decisions run entirely on interned ids with zero allocation; ids
-//! never serialize. **Entry points:** `GuardEngine`/`GuardSession`,
-//! the `CookieGuard` facade, and `GuardedJar` — the single sanctioned
-//! access layer for every cookie operation.
+//! never serialize. **Entry points:** `GuardEngine`/`GuardSession` and
+//! `GuardedJar` — the single sanctioned access layer for every cookie
+//! operation.
 
 #![warn(missing_docs)]
 
@@ -94,7 +93,7 @@ pub use access::{
 pub use config::{GuardConfig, InlinePolicy};
 pub use deployment::{DeploymentStage, PrivacyPreset};
 pub use engine::{CompiledPolicy, GuardEngine};
-pub use guard::{CookieGuard, GuardSession, GuardStats};
+pub use guard::{GuardSession, GuardStats};
 pub use metadata::{CookieOrigin, MetadataStore, NameId, OwnershipRecord};
 pub use policy::{AccessDecision, AllowReason, BlockReason, Caller, PolicyEngine};
 
@@ -119,7 +118,7 @@ mod proptests {
         /// created by a different eTLD+1 (strict mode, no grouping).
         #[test]
         fn no_cross_domain_visibility(creator in domain_strategy(), reader in domain_strategy()) {
-            let mut guard = CookieGuard::new(GuardConfig::strict(), "site.com");
+            let mut guard = GuardEngine::shared(GuardConfig::strict()).session("site.com");
             guard.authorize_write(&Caller::external(&creator), "c");
             let visible = guard.filter_names(&Caller::external(&reader), &["c"]);
             let allowed = reader == creator || reader == "site.com";
@@ -129,7 +128,7 @@ mod proptests {
         /// Invariant 2: the site owner always sees the full jar.
         #[test]
         fn site_owner_sees_everything(creators in proptest::collection::vec(domain_strategy(), 1..8)) {
-            let mut guard = CookieGuard::new(GuardConfig::strict(), "site.com");
+            let mut guard = GuardEngine::shared(GuardConfig::strict()).session("site.com");
             let names: Vec<String> = creators.iter().enumerate().map(|(i, c)| {
                 let name = format!("c{}", i);
                 guard.authorize_write(&Caller::external(c), &name);
@@ -143,7 +142,7 @@ mod proptests {
         /// Invariant 3: strict mode ⇒ inline scripts see nothing.
         #[test]
         fn strict_inline_sees_nothing(creator in domain_strategy()) {
-            let mut guard = CookieGuard::new(GuardConfig::strict(), "site.com");
+            let mut guard = GuardEngine::shared(GuardConfig::strict()).session("site.com");
             guard.authorize_write(&Caller::external(&creator), "c");
             let visible = guard.filter_names(&Caller::inline(), &["c"]);
             prop_assert!(visible.is_empty());
@@ -152,7 +151,7 @@ mod proptests {
         /// Invariant 5: filtering is idempotent.
         #[test]
         fn filtering_idempotent(creator in domain_strategy(), reader in domain_strategy()) {
-            let mut guard = CookieGuard::new(GuardConfig::strict(), "site.com");
+            let mut guard = GuardEngine::shared(GuardConfig::strict()).session("site.com");
             guard.authorize_write(&Caller::external(&creator), "c");
             let caller = Caller::external(&reader);
             let once = guard.filter_names(&caller, &["c"]);
@@ -175,12 +174,12 @@ mod proptests {
         ];
         for creator in domains {
             for reader in domains {
-                let mut strict = CookieGuard::new(GuardConfig::strict(), "site.com");
+                let mut strict = GuardEngine::shared(GuardConfig::strict()).session("site.com");
                 strict.authorize_write(&Caller::external(creator), "c");
-                let mut grouped = CookieGuard::new(
+                let mut grouped = GuardEngine::shared(
                     GuardConfig::strict().with_entity_grouping(entities.clone()),
-                    "site.com",
-                );
+                )
+                .session("site.com");
                 grouped.authorize_write(&Caller::external(creator), "c");
 
                 let caller = Caller::external(reader);

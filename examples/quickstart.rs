@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use cookieguard_repro::browser::Page;
-use cookieguard_repro::cookieguard::{CookieGuard, GuardConfig};
+use cookieguard_repro::cookieguard::{GuardConfig, GuardEngine, GuardSession};
 use cookieguard_repro::cookiejar::CookieJar;
 use cookieguard_repro::instrument::Recorder;
 use cookieguard_repro::script::{
@@ -21,7 +21,7 @@ const EPOCH_MS: i64 = 1_750_000_000_000;
 
 /// The same page, with or without CookieGuard attached.
 fn run_page(
-    guard: Option<&mut CookieGuard>,
+    guard: Option<&mut GuardSession>,
 ) -> (cookieguard_repro::instrument::VisitLog, CookieJar) {
     let url = Url::parse("https://www.shop.example/").unwrap();
     let mut jar = CookieJar::new();
@@ -123,7 +123,7 @@ fn main() {
 
     println!();
     println!("=== With CookieGuard (strict isolation, §6) ===");
-    let mut guard = CookieGuard::new(GuardConfig::strict(), "shop.example");
+    let mut guard = GuardEngine::shared(GuardConfig::strict()).session("shop.example");
     let (log, _) = run_page(Some(&mut guard));
     for read in &log.reads {
         println!(

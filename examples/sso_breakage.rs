@@ -12,7 +12,7 @@
 //! Run with: `cargo run --example sso_breakage`
 
 use cookieguard_repro::browser::Page;
-use cookieguard_repro::cookieguard::{CookieGuard, GuardConfig};
+use cookieguard_repro::cookieguard::{GuardConfig, GuardEngine, GuardSession};
 use cookieguard_repro::cookiejar::CookieJar;
 use cookieguard_repro::entity::builtin_entity_map;
 use cookieguard_repro::instrument::Recorder;
@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 const EPOCH_MS: i64 = 1_750_000_000_000;
 
-fn run_sso_flow(guard: Option<&mut CookieGuard>) -> bool {
+fn run_sso_flow(guard: Option<&mut GuardSession>) -> bool {
     let url = Url::parse("https://www.zoom.example/").unwrap();
     let mut jar = CookieJar::new();
     let mut recorder = Recorder::new("zoom.example", 1);
@@ -72,17 +72,16 @@ fn main() {
         status(works_plain)
     );
 
-    let mut strict = CookieGuard::new(GuardConfig::strict(), "zoom.example");
+    let mut strict = GuardEngine::shared(GuardConfig::strict()).session("zoom.example");
     let works_strict = run_sso_flow(Some(&mut strict));
     println!(
         "CookieGuard (strict):                SSO {}",
         status(works_strict)
     );
 
-    let mut grouped = CookieGuard::new(
-        GuardConfig::strict().with_entity_grouping(builtin_entity_map()),
-        "zoom.example",
-    );
+    let mut grouped =
+        GuardEngine::shared(GuardConfig::strict().with_entity_grouping(builtin_entity_map()))
+            .session("zoom.example");
     let works_grouped = run_sso_flow(Some(&mut grouped));
     println!(
         "CookieGuard (entity grouping, §7.2): SSO {}",

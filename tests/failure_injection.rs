@@ -2,7 +2,7 @@
 //! sound when fed malformed inputs or actively hostile script behaviour.
 
 use cookieguard_repro::browser::{visit_site, Page, VisitConfig};
-use cookieguard_repro::cookieguard::{Caller, CookieGuard, GuardConfig};
+use cookieguard_repro::cookieguard::{Caller, GuardConfig, GuardEngine, GuardSession};
 use cookieguard_repro::cookiejar::CookieJar;
 use cookieguard_repro::instrument::Recorder;
 use cookieguard_repro::script::{CookieAttrs, EventLoop, ScriptOp, ValueSpec};
@@ -15,7 +15,7 @@ use std::collections::HashMap;
 const EPOCH: i64 = 1_750_000_000_000;
 
 fn run_scripts(
-    guard: Option<&mut CookieGuard>,
+    guard: Option<&mut GuardSession>,
     server_cookies: &[String],
     scripts: Vec<(Option<&str>, Vec<ScriptOp>)>,
 ) -> (cookieguard_repro::instrument::VisitLog, CookieJar) {
@@ -114,7 +114,7 @@ fn name_squatting_is_first_writer_wins() {
     // This is CookieGuard's documented semantics — the squatter gains
     // nothing (it owns a cookie the victim simply re-creates under
     // another name in practice), but the test pins the behaviour.
-    let mut guard = CookieGuard::new(GuardConfig::strict(), "site.com");
+    let mut guard = GuardEngine::shared(GuardConfig::strict()).session("site.com");
     assert!(guard
         .authorize_write(&Caller::external("squatter.evil"), "_ga")
         .is_allow());
@@ -138,7 +138,7 @@ fn name_squatting_is_first_writer_wins() {
 
 #[test]
 fn blind_overwrite_flood_is_fully_blocked_and_counted() {
-    let mut guard = CookieGuard::new(GuardConfig::strict(), "site.com");
+    let mut guard = GuardEngine::shared(GuardConfig::strict()).session("site.com");
     let (log, _) = run_scripts(
         Some(&mut guard),
         &["session_id=abc; Path=/".to_string()],

@@ -9,7 +9,7 @@
 //!   (reading its own cookies) instead of being denied everything.
 
 use cookieguard_repro::browser::Page;
-use cookieguard_repro::cookieguard::{CookieGuard, GuardConfig};
+use cookieguard_repro::cookieguard::{GuardConfig, GuardEngine, GuardSession};
 use cookieguard_repro::cookiejar::CookieJar;
 use cookieguard_repro::instrument::Recorder;
 use cookieguard_repro::script::{
@@ -45,7 +45,7 @@ fn tracker_ops() -> Vec<ScriptOp> {
 }
 
 fn run(
-    guard: &mut CookieGuard,
+    guard: &mut GuardSession,
     db: Option<SignatureDb>,
 ) -> cookieguard_repro::instrument::VisitLog {
     let url = Url::parse("https://www.site.example/").unwrap();
@@ -91,7 +91,7 @@ fn learned_db() -> SignatureDb {
 
 #[test]
 fn relaxed_mode_without_signatures_leaks_to_inline_tracker() {
-    let mut guard = CookieGuard::new(GuardConfig::relaxed(), "site.example");
+    let mut guard = GuardEngine::shared(GuardConfig::relaxed()).session("site.example");
     let log = run(&mut guard, None);
     // The inline tracker read the full jar (site_sess included) and
     // exfiltrated it.
@@ -104,7 +104,7 @@ fn relaxed_mode_without_signatures_leaks_to_inline_tracker() {
 
 #[test]
 fn signature_attribution_demotes_inline_tracker_in_relaxed_mode() {
-    let mut guard = CookieGuard::new(GuardConfig::relaxed(), "site.example");
+    let mut guard = GuardEngine::shared(GuardConfig::relaxed()).session("site.example");
     let log = run(&mut guard, Some(learned_db()));
     // Attribution turned the inline script into tracker.io: it only sees
     // its own cookie and cannot exfiltrate the site session.
@@ -126,13 +126,13 @@ fn strict_mode_with_signatures_restores_own_cookie_access() {
     // Strict mode denies unattributed inline scripts everything; with a
     // signature match the script regains access to its own cookies —
     // safe-by-default without breaking known-benign inline embeds.
-    let mut strict = CookieGuard::new(GuardConfig::strict(), "site.example");
+    let mut strict = GuardEngine::shared(GuardConfig::strict()).session("site.example");
     let without = run(&mut strict, None);
     assert!(
         !without.requests.iter().any(|r| r.url.contains("_tid=")),
         "strict mode denies the unattributed inline script even its own cookie"
     );
-    let mut strict2 = CookieGuard::new(GuardConfig::strict(), "site.example");
+    let mut strict2 = GuardEngine::shared(GuardConfig::strict()).session("site.example");
     let with = run(&mut strict2, Some(learned_db()));
     assert!(
         with.requests.iter().any(|r| r.url.contains("_tid=")),
