@@ -115,7 +115,7 @@ pub struct BenchServiceReport {
     /// One resident-source run per worker count, each with two mid-run
     /// hot-swaps.
     pub runs: Vec<ReplayReport>,
-    /// A streaming-source (pread cursor) run at the highest worker
+    /// A streaming-source (mmap chunks) run at the highest worker
     /// count — same operation stream, bounded memory.
     pub stream_run: ReplayReport,
     /// Pinned true by the cross-worker-count byte-equality assertion.
@@ -176,7 +176,6 @@ fn run_one(
             passes: opts.passes,
             source,
             swaps: swap_points(total, strict, grouped),
-            ..ReplayOptions::default()
         },
     )
     .unwrap_or_else(|e| panic!("serve replay ({workers} workers): {e}"));

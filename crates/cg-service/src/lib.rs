@@ -20,8 +20,8 @@
 //!   probe ([`EpochSlot::undrained`]).
 //! * **Load generation** — [`replay()`] drives visits from a PR 6 crawl
 //!   store through tenant-routed sessions across a fixed worker pool
-//!   (resident or streaming-pread traffic source, closed- or open-loop
-//!   pacing, scheduled mid-run swaps) and reports sustained
+//!   (resident or mmap chunk stream, closed loop, scheduled mid-run
+//!   swaps) and reports sustained
 //!   decisions/s, swap latency, and p50/p99/p999 decision latency from
 //!   deterministically merged per-worker histograms
 //!   ([`LatencyHistogram`]).
@@ -56,7 +56,7 @@ pub mod tenant;
 pub use cg_telemetry::{LatencyHistogram, LatencySummary};
 pub use epoch::{EngineCache, EpochSlot, SwapReport};
 pub use replay::{
-    extract_script, replay, EpochSessions, Pacing, ReplayOp, ReplayOptions, ReplayOutcomes,
-    ReplayReport, ReplaySource, ReplayTiming, SwapPoint, VisitScript,
+    extract_script, replay, EpochSessions, ReplayOp, ReplayOptions, ReplayOutcomes, ReplayReport,
+    ReplaySource, ReplayTiming, SwapPoint, VisitScript,
 };
 pub use tenant::{GuardService, Tenant, TenantId};

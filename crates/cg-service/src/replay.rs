@@ -6,24 +6,19 @@
 //! — the time-ordered cookie operations the instrumented browser saw,
 //! with actors resolved to [`Caller`]s — and each replayed visit opens
 //! one [`GuardSession`] on whichever engine its tenant currently
-//! publishes, runs the script, and closes. Two traffic sources share
-//! that per-visit path byte for byte:
+//! publishes, runs the script, and closes.
 //!
-//! * [`ReplaySource::Resident`] pre-extracts every script into memory
-//!   (via [`CrawlReader`]) — the hot-decision
-//!   configuration for measuring sustained decisions/s;
-//! * [`ReplaySource::Stream`] decodes segments one frame at a
-//!   time from frame-index chunks ([`plan_chunks`]): workers claim
-//!   chunk indices and decode each claim through an mmap'd zero-copy
-//!   [`ChunkStream`](cg_crawlstore::ChunkStream) window (pread
-//!   fallback) — bounded memory for million-visit stores, and
-//!   intra-segment parallelism even when the store has fewer segments
-//!   than workers.
+//! One worker pool serves both traffic sources: workers claim chunks of
+//! one frame-index plan ([`plan_chunks`]), so even a single-segment
+//! store spreads across every worker. [`ReplaySource::Resident`]
+//! decodes every chunk up front and replays from RAM (sustained
+//! decisions/s); [`ReplaySource::Stream`] decodes each claimed chunk
+//! through an mmap'd window (bounded memory for million-visit stores).
 //!
 //! # Determinism contract
 //!
 //! The replay's [`ServiceCounters`] are a pure function of (store
-//! contents × passes): visit claiming is dynamic, but every visit is
+//! contents × passes): chunk claiming is dynamic, but every visit is
 //! processed exactly once per pass and each counter is a sum over
 //! visits, so totals are byte-identical at any worker count and under
 //! any swap timing. Outcome splits ([`ReplayOutcomes`]) and everything
@@ -33,7 +28,7 @@
 
 use crate::epoch::{EngineCache, SwapReport};
 use crate::tenant::{GuardService, TenantId};
-use cg_crawlstore::{plan_chunks, CrawlReader, ReadBackend, StoreError};
+use cg_crawlstore::{plan_chunks, ChunkPlan, ReadBackend, StoreError};
 use cg_instrument::{
     CookieApi, ReadEvent, ServiceCounters, SetEvent, TenantCounters, VisitLog, WriteKind,
 };
@@ -159,25 +154,11 @@ pub fn extract_script(log: &VisitLog) -> VisitScript {
 /// Where the replayer draws visits from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplaySource {
-    /// Pre-extract every script into memory, then replay from RAM.
+    /// Decode and lower every chunk up front, then replay from RAM.
     Resident,
-    /// Workers claim frame-index chunks and decode them out of mmap'd
-    /// segment windows, re-claiming from the top of the plan on each
-    /// pass.
+    /// Decode each claimed chunk out of its mmap'd segment window, on
+    /// every pass.
     Stream,
-}
-
-/// How the load generator paces itself.
-#[derive(Debug, Clone, Copy)]
-pub enum Pacing {
-    /// Closed loop: every worker replays as fast as decisions complete.
-    Closed,
-    /// Open loop: aim for a fixed aggregate visit arrival rate,
-    /// splitting the target evenly across workers.
-    Open {
-        /// Aggregate target, visits per second.
-        visits_per_sec: f64,
-    },
 }
 
 /// A scheduled mid-run policy swap.
@@ -195,14 +176,12 @@ pub struct SwapPoint {
 /// Replay configuration.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
-    /// Worker threads replaying visits.
+    /// Worker threads replaying visits, closed loop.
     pub workers: usize,
     /// Times the whole store is replayed.
     pub passes: u32,
     /// Traffic source.
     pub source: ReplaySource,
-    /// Load pacing.
-    pub pacing: Pacing,
     /// Mid-run policy swaps, fired by a coordinator thread as the
     /// global visit counter crosses each threshold.
     pub swaps: Vec<SwapPoint>,
@@ -214,7 +193,6 @@ impl Default for ReplayOptions {
             workers: 1,
             passes: 1,
             source: ReplaySource::Resident,
-            pacing: Pacing::Closed,
             swaps: Vec::new(),
         }
     }
@@ -295,23 +273,42 @@ pub struct ReplayReport {
     pub undrained_epochs: u64,
 }
 
-/// Per-worker accumulator, merged after join.
+/// Per-worker state; everything but the caches is merged after join.
 #[derive(Default)]
 struct WorkerState {
-    counters: ServiceCounters,
+    /// One engine cache per tenant: the lock-free session-open path.
+    caches: Vec<EngineCache>,
+    /// Deterministic operation totals, one per tenant, indexed by
+    /// [`TenantId::index`]; the run's totals are their merge.
+    per_tenant: Vec<ServiceCounters>,
     stats: GuardStats,
     latency: LatencyHistogram,
     epoch_sessions: BTreeMap<(u64, u64), u64>,
-    per_tenant: BTreeMap<u64, TenantTally>,
 }
 
-/// Per-tenant slice of one worker's deterministic counters; named and
-/// ordered into [`TenantCounters`] when the report is assembled.
-#[derive(Debug, Clone, Copy, Default)]
-struct TenantTally {
-    visits: u64,
-    sessions: u64,
-    decisions: u64,
+impl WorkerState {
+    fn new(service: &GuardService) -> WorkerState {
+        WorkerState {
+            caches: service
+                .tenants()
+                .map(|(_, t)| EngineCache::new(t.slot()))
+                .collect(),
+            per_tenant: vec![ServiceCounters::default(); service.tenant_count()],
+            ..WorkerState::default()
+        }
+    }
+
+    fn merge(mut self, other: WorkerState) -> WorkerState {
+        for (mine, theirs) in self.per_tenant.iter_mut().zip(&other.per_tenant) {
+            *mine = mine.merge(theirs);
+        }
+        self.stats = self.stats.merge(&other.stats);
+        self.latency.merge(&other.latency);
+        for (key, n) in other.epoch_sessions {
+            *self.epoch_sessions.entry(key).or_insert(0) += n;
+        }
+        self
+    }
 }
 
 /// Replays one visit through its tenant's current engine. This is the
@@ -319,27 +316,21 @@ struct TenantTally {
 /// decide, close. Note what is *absent*: no lock appears between
 /// session open and close — every decision runs on the engine `Arc`
 /// the session pinned.
-fn replay_visit(
-    service: &GuardService,
-    caches: &mut [EngineCache],
-    script: &VisitScript,
-    state: &mut WorkerState,
-) {
-    let tele = crate::telemetry::metrics();
+fn replay_visit(service: &GuardService, script: &VisitScript, state: &mut WorkerState) {
+    let sessions_live = &crate::telemetry::metrics().sessions_live;
     let _span = cg_telemetry::span!("session", script.rank);
     let tenant = service.route(script.rank);
     let live = service.tenant(tenant).sessions_live();
     let mut session =
-        service.open_session_cached(tenant, &mut caches[tenant.index()], &script.site);
-    state.counters.sessions_opened += 1;
-    tele.sessions_opened.incr();
-    tele.sessions_live.incr();
+        service.open_session_cached(tenant, &mut state.caches[tenant.index()], &script.site);
+    let counters = &mut state.per_tenant[tenant.index()];
+    counters.sessions_opened += 1;
+    sessions_live.incr();
     live.incr();
     *state
         .epoch_sessions
         .entry((tenant.index() as u64, session.policy_epoch()))
         .or_insert(0) += 1;
-    let decisions_before = state.counters.decisions;
 
     for op in &script.ops {
         match op {
@@ -347,53 +338,48 @@ fn replay_visit(
                 let t = Instant::now();
                 session.authorize_write(caller, name);
                 state.latency.record(t.elapsed().as_nanos() as u64);
-                state.counters.write_ops += 1;
-                state.counters.decisions += 1;
+                counters.write_ops += 1;
+                counters.decisions += 1;
             }
             ReplayOp::Delete { caller, name } => {
                 let t = Instant::now();
                 session.authorize_delete(caller, name);
                 state.latency.record(t.elapsed().as_nanos() as u64);
-                state.counters.delete_ops += 1;
-                state.counters.decisions += 1;
+                counters.delete_ops += 1;
+                counters.decisions += 1;
             }
             ReplayOp::HeaderSet { name, domain } => {
                 session.record_http_set_cookie(name, domain);
-                state.counters.header_sets += 1;
+                counters.header_sets += 1;
             }
             ReplayOp::Read { caller, names } => {
                 let refs: Vec<&str> = names.iter().map(String::as_str).collect();
                 let t = Instant::now();
                 session.filter_names(caller, &refs);
                 state.latency.record(t.elapsed().as_nanos() as u64);
-                state.counters.read_ops += 1;
-                state.counters.decisions += 1;
-                state.counters.cookies_presented += refs.len() as u64;
+                counters.read_ops += 1;
+                counters.decisions += 1;
+                counters.cookies_presented += refs.len() as u64;
             }
         }
     }
 
     state.stats = state.stats.merge(&session.stats());
     drop(session);
-    state.counters.sessions_closed += 1;
-    state.counters.visits += 1;
-    // Telemetry counters are batched per visit — one atomic add per
-    // metric here, never one per decision on the hot path.
-    let decided = state.counters.decisions - decisions_before;
-    let tally = state.per_tenant.entry(tenant.index() as u64).or_default();
-    tally.visits += 1;
-    tally.sessions += 1;
-    tally.decisions += decided;
-    tele.visits.incr();
-    tele.decisions.add(decided);
-    tele.sessions_live.decr();
+    counters.sessions_closed += 1;
+    counters.visits += 1;
+    sessions_live.decr();
     live.decr();
 }
 
-/// Shared run coordination: global progress, pacing clock, abort flag.
+/// Shared run coordination: global progress and the abort flag.
 struct RunShared {
     visits_done: AtomicU64,
     workers_done: AtomicBool,
+    /// Set by [`RunShared::fail`]; polled lock-free on every claim.
+    /// `Relaxed`: the error itself travels through `error`'s lock.
+    failed: AtomicBool,
+    /// The first store error, surfaced after the workers join.
     error: Mutex<Option<StoreError>>,
     start: Instant,
 }
@@ -404,21 +390,7 @@ impl RunShared {
         if slot.is_none() {
             *slot = Some(e);
         }
-    }
-
-    fn failed(&self) -> bool {
-        self.error.lock().expect("error slot poisoned").is_some()
-    }
-}
-
-fn pace(pacing: Pacing, workers: usize, local_visits: u64, start: Instant) {
-    if let Pacing::Open { visits_per_sec } = pacing {
-        let per_worker = (visits_per_sec / workers as f64).max(1e-9);
-        let target = start + Duration::from_secs_f64(local_visits as f64 / per_worker);
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        }
+        self.failed.store(true, Ordering::Relaxed);
     }
 }
 
@@ -445,30 +417,18 @@ fn run_swaps(service: &GuardService, shared: &RunShared, points: &[SwapPoint]) -
     fired
 }
 
-fn merge_states(states: Vec<WorkerState>) -> WorkerState {
-    let mut merged = WorkerState::default();
-    for state in states {
-        merged.counters = merged.counters.merge(&state.counters);
-        merged.stats = merged.stats.merge(&state.stats);
-        merged.latency.merge(&state.latency);
-        for (key, n) in state.epoch_sessions {
-            *merged.epoch_sessions.entry(key).or_insert(0) += n;
-        }
-        for (tenant, tally) in state.per_tenant {
-            let slot = merged.per_tenant.entry(tenant).or_default();
-            slot.visits += tally.visits;
-            slot.sessions += tally.sessions;
-            slot.decisions += tally.decisions;
-        }
+/// Decodes chunk `i` of `plan` through an mmap'd window, lowering each
+/// visit into a script as it comes off the frame decoder.
+fn decode_chunk(
+    plan: &ChunkPlan,
+    i: usize,
+    mut each: impl FnMut(VisitScript),
+) -> Result<(), StoreError> {
+    let mut chunk = plan.open_chunk(i, ReadBackend::Mmap)?;
+    while let Some(log) = chunk.next_log()? {
+        each(extract_script(&log));
     }
-    merged
-}
-
-fn new_caches(service: &GuardService) -> Vec<EngineCache> {
-    service
-        .tenants()
-        .map(|(_, t)| EngineCache::new(t.slot()))
-        .collect()
+    Ok(())
 }
 
 /// Replays `dir` through `service` per `opts`. See the module docs for
@@ -483,20 +443,24 @@ pub fn replay(
     let shared = RunShared {
         visits_done: AtomicU64::new(0),
         workers_done: AtomicBool::new(false),
+        failed: AtomicBool::new(false),
         error: Mutex::new(None),
         start: Instant::now(),
     };
 
-    let (states, swaps) = match opts.source {
-        ReplaySource::Resident => {
-            let mut scripts = Vec::new();
-            for log in CrawlReader::open(dir)? {
-                scripts.push(extract_script(&log?));
-            }
-            run_resident(service, &scripts, opts, workers, &shared)
-        }
-        ReplaySource::Stream => run_stream(service, dir, opts, workers, &shared)?,
+    let plan = plan_chunks(dir)?;
+    let resident = match opts.source {
+        ReplaySource::Resident => Some(
+            (0..plan.len())
+                .map(|i| {
+                    let mut scripts = Vec::new();
+                    decode_chunk(&plan, i, |script| scripts.push(script)).map(|()| scripts)
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+        ),
+        ReplaySource::Stream => None,
     };
+    let (merged, swaps) = run_pool(service, &plan, resident.as_deref(), opts, workers, &shared);
     if let Some(e) = shared.error.lock().expect("error slot poisoned").take() {
         // Surface the flight recorder before bailing: the last spans
         // show what each worker was doing when the store failed.
@@ -505,7 +469,15 @@ pub fn replay(
     }
 
     let wall = shared.start.elapsed();
-    let merged = merge_states(states);
+    let counters = merged
+        .per_tenant
+        .iter()
+        .fold(ServiceCounters::default(), |a, c| a.merge(c));
+    // The Workload telemetry counters are the run's totals, added once.
+    let tele = crate::telemetry::metrics();
+    tele.visits.add(counters.visits);
+    tele.sessions_opened.add(counters.sessions_opened);
+    tele.decisions.add(counters.decisions);
     let undrained = service.undrained();
 
     let wall_ms = wall.as_millis() as u64;
@@ -517,22 +489,16 @@ pub fn replay(
             ReplaySource::Resident => "resident".to_string(),
             ReplaySource::Stream => "stream".to_string(),
         },
-        counters: merged.counters,
+        counters,
         per_tenant: service
             .tenants()
-            .map(|(id, t)| {
-                let tally = merged
-                    .per_tenant
-                    .get(&(id.index() as u64))
-                    .copied()
-                    .unwrap_or_default();
-                TenantCounters {
-                    tenant: id.index() as u64,
-                    name: t.name().to_string(),
-                    visits: tally.visits,
-                    sessions: tally.sessions,
-                    decisions: tally.decisions,
-                }
+            .zip(&merged.per_tenant)
+            .map(|((id, t), c)| TenantCounters {
+                tenant: id.index() as u64,
+                name: t.name().to_string(),
+                visits: c.visits,
+                sessions: c.sessions_opened,
+                decisions: c.decisions,
             })
             .collect(),
         outcomes: ReplayOutcomes {
@@ -554,9 +520,9 @@ pub fn replay(
         },
         timing: ReplayTiming {
             wall_ms,
-            decisions_per_sec: merged.counters.decisions as f64 / secs,
-            visits_per_sec: merged.counters.visits as f64 / secs,
-            session_opens_per_sec: merged.counters.sessions_opened as f64 / secs,
+            decisions_per_sec: counters.decisions as f64 / secs,
+            visits_per_sec: counters.visits as f64 / secs,
+            session_opens_per_sec: counters.sessions_opened as f64 / secs,
             latency: merged.latency.summary(),
         },
         swaps,
@@ -564,101 +530,47 @@ pub fn replay(
     })
 }
 
-fn run_resident(
+/// The worker pool: `workers` scoped threads claim chunk indices of
+/// `plan` and replay each claimed chunk — from `resident`'s scripts if
+/// given, else decoded on claim — next to the swap coordinator. One
+/// claim cursor per pass and no reset step, hence no barrier: a fast
+/// worker rolls into the next pass while stragglers finish the current
+/// one. Totals are unaffected; every chunk is claimed once per pass.
+fn run_pool(
     service: &GuardService,
-    scripts: &[VisitScript],
+    plan: &ChunkPlan,
+    resident: Option<&[Vec<VisitScript>]>,
     opts: &ReplayOptions,
     workers: usize,
     shared: &RunShared,
-) -> (Vec<WorkerState>, Vec<SwapReport>) {
-    // One claim cursor per pass — no reset step, hence no barrier: a
-    // fast worker rolls into the next pass while stragglers finish the
-    // current one. Totals are unaffected; every index is claimed once.
+) -> (WorkerState, Vec<SwapReport>) {
     let cursors: Vec<AtomicUsize> = (0..opts.passes).map(|_| AtomicUsize::new(0)).collect();
-
     std::thread::scope(|scope| {
         let swapper = scope.spawn(|| run_swaps(service, shared, &opts.swaps));
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut state = WorkerState::default();
-                    let mut caches = new_caches(service);
-                    let mut local = 0u64;
+                    let mut state = WorkerState::new(service);
+                    let mut visit = |script: &VisitScript| {
+                        replay_visit(service, script, &mut state);
+                        shared.visits_done.fetch_add(1, Ordering::Release);
+                    };
                     for cursor in &cursors {
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= scripts.len() || shared.failed() {
+                            if i >= plan.len() || shared.failed.load(Ordering::Relaxed) {
                                 break;
                             }
-                            pace(opts.pacing, workers, local, shared.start);
-                            replay_visit(service, &mut caches, &scripts[i], &mut state);
-                            local += 1;
-                            shared.visits_done.fetch_add(1, Ordering::Release);
-                        }
-                    }
-                    state
-                })
-            })
-            .collect();
-        let states = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        shared.workers_done.store(true, Ordering::Release);
-        (states, swapper.join().unwrap())
-    })
-}
-
-fn run_stream(
-    service: &GuardService,
-    dir: &Path,
-    opts: &ReplayOptions,
-    workers: usize,
-    shared: &RunShared,
-) -> Result<(Vec<WorkerState>, Vec<SwapReport>), StoreError> {
-    // One chunk plan for the whole run: frame-index boundaries cut each
-    // segment into independently decodable chunks, so even a
-    // single-segment store spreads across every worker. Each claim
-    // opens a fresh mmap'd ChunkStream (zero-copy window over the page
-    // cache, pread fallback), so there is no cursor state to rewind —
-    // like the resident path, one claim counter per pass suffices and
-    // fast workers roll into the next pass while stragglers finish.
-    let plan = plan_chunks(dir)?;
-    let cursors: Vec<AtomicUsize> = (0..opts.passes).map(|_| AtomicUsize::new(0)).collect();
-
-    let result = std::thread::scope(|scope| {
-        let swapper = scope.spawn(|| run_swaps(service, shared, &opts.swaps));
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = WorkerState::default();
-                    let mut caches = new_caches(service);
-                    let mut local = 0u64;
-                    for cursor in &cursors {
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= plan.len() || shared.failed() {
-                                break;
-                            }
-                            let mut chunk = match plan.open_chunk(i, ReadBackend::Mmap) {
-                                Ok(chunk) => chunk,
-                                Err(e) => {
-                                    shared.fail(e);
-                                    break;
+                            let done = match resident {
+                                Some(chunks) => {
+                                    chunks[i].iter().for_each(&mut visit);
+                                    Ok(())
                                 }
+                                None => decode_chunk(plan, i, |script| visit(&script)),
                             };
-                            loop {
-                                match chunk.next_log() {
-                                    Ok(Some(log)) => {
-                                        pace(opts.pacing, workers, local, shared.start);
-                                        let script = extract_script(&log);
-                                        replay_visit(service, &mut caches, &script, &mut state);
-                                        local += 1;
-                                        shared.visits_done.fetch_add(1, Ordering::Release);
-                                    }
-                                    Ok(None) => break,
-                                    Err(e) => {
-                                        shared.fail(e);
-                                        break;
-                                    }
-                                }
+                            if let Err(e) = done {
+                                shared.fail(e);
+                                break;
                             }
                         }
                     }
@@ -666,11 +578,14 @@ fn run_stream(
                 })
             })
             .collect();
-        let states = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let merged = handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .reduce(WorkerState::merge)
+            .expect("at least one worker");
         shared.workers_done.store(true, Ordering::Release);
-        (states, swapper.join().unwrap())
-    });
-    Ok(result)
+        (merged, swapper.join().unwrap())
+    })
 }
 
 #[cfg(test)]
@@ -801,10 +716,10 @@ mod tests {
                 },
             ],
         };
-        let mut state = WorkerState::default();
-        let mut caches = new_caches(&svc);
-        replay_visit(&svc, &mut caches, &script, &mut state);
-        let c = state.counters;
+        let mut state = WorkerState::new(&svc);
+        replay_visit(&svc, &script, &mut state);
+        assert_eq!(state.per_tenant.len(), 1);
+        let c = state.per_tenant[0];
         assert_eq!((c.visits, c.sessions_opened, c.sessions_closed), (1, 1, 1));
         assert_eq!(
             (c.write_ops, c.delete_ops, c.read_ops, c.header_sets),
@@ -814,8 +729,6 @@ mod tests {
         assert_eq!(c.decisions, 3);
         assert!(c.drained());
         assert_eq!(state.latency.count(), 3);
-        let tally = state.per_tenant.get(&0).copied().expect("tenant 0 tally");
-        assert_eq!((tally.visits, tally.sessions, tally.decisions), (1, 1, 3));
         // Site owner saw both cookies; the foreign delete was blocked.
         assert_eq!(state.stats.deletes_blocked, 1);
         assert_eq!(state.epoch_sessions.get(&(0, 0)), Some(&1));

@@ -2,8 +2,9 @@
 //!
 //! Registered eagerly on first use so a telemetry snapshot taken before
 //! any traffic still carries every `service.*` key (CI diffs the
-//! flattened key schema). Workload-class counters are batched per visit
-//! in the replayer — the per-decision path stays atomic-free.
+//! flattened key schema). The replayer adds its merged totals to the
+//! Workload-class counters once per run; per visit it touches only the
+//! `sessions_live` gauges, and the per-decision path stays atomic-free.
 
 use cg_telemetry::{global, Class, Counter, Gauge, Histogram};
 use std::sync::OnceLock;

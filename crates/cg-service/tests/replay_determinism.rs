@@ -1,10 +1,11 @@
 //! End-to-end replayer tests against a real crawl store: the
 //! deterministic-counters contract across worker counts and sources,
-//! swap-under-load, and the zero-dropped-decisions drain proof.
+//! swap-under-load, the zero-dropped-decisions drain proof, and the
+//! abort on a damaged store.
 
 use cg_browser::VisitConfig;
-use cg_crawlstore::crawl_to_store;
-use cg_service::{replay, GuardService, Pacing, ReplayOptions, ReplaySource, SwapPoint, TenantId};
+use cg_crawlstore::{crawl_to_store, StoreError};
+use cg_service::{replay, GuardService, ReplayOptions, ReplaySource, SwapPoint, TenantId};
 use cookieguard_core::GuardConfig;
 use std::path::PathBuf;
 
@@ -59,11 +60,17 @@ fn counters_are_identical_across_worker_counts_and_sources() {
         assert_eq!(report.undrained_epochs, 0);
         assert_eq!(report.timing.latency.count, report.counters.decisions);
         match &baseline {
-            None => baseline = Some(report.counters),
-            Some(first) => assert_eq!(
-                &report.counters, first,
-                "counters diverged at {workers} workers ({source:?})"
-            ),
+            None => baseline = Some((report.counters, report.per_tenant)),
+            Some((counters, per_tenant)) => {
+                assert_eq!(
+                    &report.counters, counters,
+                    "counters diverged at {workers} workers ({source:?})"
+                );
+                assert_eq!(
+                    &report.per_tenant, per_tenant,
+                    "per-tenant counters diverged at {workers} workers ({source:?})"
+                );
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -131,24 +138,33 @@ fn swaps_under_load_drop_nothing_and_leave_counters_deterministic() {
 }
 
 #[test]
-fn open_loop_pacing_completes_with_the_same_counters() {
-    let dir = build_store("pace");
-    let (svc, _, _) = two_tenant_service();
-    let closed = replay(&svc, &dir, &ReplayOptions::default()).expect("closed");
-    let (svc2, _, _) = two_tenant_service();
-    let open = replay(
-        &svc2,
-        &dir,
-        &ReplayOptions {
-            workers: 2,
-            pacing: Pacing::Open {
-                visits_per_sec: 1e6, // fast enough not to slow the test
+fn a_damaged_segment_aborts_the_replay_with_a_store_error() {
+    let dir = build_store("damage");
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "bin") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xff;
+            std::fs::write(&path, &bytes).unwrap();
+        }
+    }
+    for source in [ReplaySource::Resident, ReplaySource::Stream] {
+        let (svc, _, _) = two_tenant_service();
+        let result = replay(
+            &svc,
+            &dir,
+            &ReplayOptions {
+                workers: 3,
+                passes: 2,
+                source,
+                ..ReplayOptions::default()
             },
-            ..ReplayOptions::default()
-        },
-    )
-    .expect("open");
-    assert_eq!(open.counters, closed.counters);
-    assert!(open.counters.drained());
+        );
+        assert!(
+            matches!(result, Err(StoreError::Corrupt { .. })),
+            "{source:?} replayed past a damaged segment"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
