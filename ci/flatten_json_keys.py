@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Flatten a JSON file's key paths, one sorted dotted path per line.
 
-Used by CI to diff BENCH_crawlstore.json's key set against the
-checked-in schema (ci/bench_crawlstore_keys.txt): values change every
-run, the key set is a contract. Arrays contribute their element keys
+Used by CI to diff the key sets of BENCH_service.json, BENCH_detect.json
+and the telemetry snapshot against the checked-in schemas (ci/*_keys.txt):
+values change every run, the key set is a contract. Arrays contribute their element keys
 under `[]` (index-independent, so schema does not depend on counts).
 """
 

@@ -3,7 +3,7 @@
 //! fast path, the slot read after a swap, the hot-swap itself (compile
 //! vs install), and the per-op replay path.
 
-use cg_service::{EngineCache, EpochSlot, GuardService, LatencyHistogram};
+use cg_service::{EngineCache, EpochSlot, GuardService};
 use cookieguard_core::{Caller, GuardConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -67,24 +67,10 @@ fn bench_decision_under_service(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_latency_histogram(c: &mut Criterion) {
-    let mut group = c.benchmark_group("service_histogram");
-    group.bench_function("record", |b| {
-        let mut h = LatencyHistogram::new();
-        let mut v = 1u64;
-        b.iter(|| {
-            v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
-            h.record(black_box(v >> 34));
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_session_open,
     bench_hot_swap,
-    bench_decision_under_service,
-    bench_latency_histogram
+    bench_decision_under_service
 );
 criterion_main!(benches);

@@ -1,8 +1,7 @@
 //! Crawl-store throughput: appending a 1k-visit crawl across four
 //! segments (fsync'd batches + manifest checkpoints) and streaming it
 //! back through the rank-ordered k-way merge over each segment's
-//! chunks — the microbenchmark behind the repo-root
-//! `BENCH_crawlstore.json` write and replay numbers.
+//! chunks.
 
 use cg_browser::{crawl_range, VisitConfig};
 use cg_crawlstore::{CrawlReader, CrawlWriter, Fingerprint, SegmentWriter};

@@ -25,10 +25,6 @@ pub struct ExperimentOptions {
     /// (`--read-backend mmap|pread`). Both backends produce
     /// byte-identical results; mmap is the zero-copy default.
     pub read_backend: ReadBackend,
-    /// Store size for the storebench fold benchmark (`--fold-sites N`).
-    /// Defaults to `max(sites, 10_000)` — parallel-fold speedups are
-    /// meaningless on stores that fold in single-digit milliseconds.
-    pub fold_sites: Option<usize>,
 }
 
 impl Default for ExperimentOptions {
@@ -39,7 +35,6 @@ impl Default for ExperimentOptions {
             threads: num_threads(),
             store: None,
             read_backend: ReadBackend::default(),
-            fold_sites: None,
         }
     }
 }
@@ -57,6 +52,23 @@ fn num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
+}
+
+/// Peak resident set size of this process, from `/proc/self/status`
+/// `VmHWM` (Linux only; `None` elsewhere). This is a *high-water mark*:
+/// it proves bounded-memory claims only when the bounded phase is the
+/// biggest thing the process ever did.
+pub(crate) fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line
+        .strip_prefix("VmHWM:")?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb * 1024)
 }
 
 /// The products of the §4 data-collection pipeline, shared by all §5
@@ -110,7 +122,7 @@ impl CrawlContext {
                     cg_telemetry::render_ms(replay_ms),
                     cg_telemetry::per_sec(dataset.crawled as u64, replay_ms),
                     cg_telemetry::per_sec(run.stats.bytes, replay_ms) / 1e6,
-                    crate::storebench::peak_rss_bytes().unwrap_or(0) as f64 / (1024.0 * 1024.0),
+                    peak_rss_bytes().unwrap_or(0) as f64 / (1024.0 * 1024.0),
                 );
                 let crawled = dataset.crawled;
                 (dataset, crawled)
@@ -166,6 +178,14 @@ pub fn crawl_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn peak_rss_reads_proc_on_linux() {
+        // On Linux this must parse; elsewhere None is the contract.
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_bytes().unwrap() > 0);
+        }
+    }
 
     #[test]
     fn context_collects_small_crawl() {

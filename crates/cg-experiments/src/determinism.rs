@@ -3,15 +3,15 @@
 //! Several CI gates byte-compare serialized reports across runs or
 //! thread counts (the streaming-summary diff, the scenario golden
 //! matrix, the service smoke). Timing and throughput fields —
-//! `CrawlSummary::elapsed_ms`, `visits_per_sec`, latency quantiles,
-//! peak RSS — legitimately differ run to run, and each check used to
+//! `CrawlSummary::elapsed_ms`, `visits_per_sec`, swap `compile_ns` —
+//! legitimately differ run to run, and each check used to
 //! carve them out ad hoc (a `sed` range here, a field omission there).
 //! That pattern breaks silently: add one new `*_ms` field to a report
 //! and whichever check forgot about it starts flaking.
 //!
 //! This module centralizes the rule. A key is non-deterministic if it
 //! matches [`is_nondeterministic_key`] — a suffix convention
-//! (`_ms`/`_ns`/`_us`/`_per_sec`/`_speedup`) plus a short named list —
+//! (`_ms`/`_ns`/`_per_sec`) plus a short named list —
 //! and [`mask_nondeterministic`] nulls every such value anywhere in a
 //! JSON tree, preserving the key set (so schema diffs still see the
 //! field) while removing the noise. Checks that need to mask additional
@@ -27,24 +27,18 @@ use serde::Serialize;
 use serde_json::Value;
 
 /// Suffixes that mark a field as timing/throughput-derived.
-const NONDETERMINISTIC_SUFFIXES: &[&str] = &["_ms", "_ns", "_us", "_per_sec", "_speedup"];
+const NONDETERMINISTIC_SUFFIXES: &[&str] = &["_ms", "_ns", "_per_sec"];
 
 /// Field names that are non-deterministic without carrying a suffix.
 /// `runtime` masks a telemetry snapshot's scheduling-dependent section
 /// wholesale (fsync batching, fold shard counts, gauges — see
 /// `cg_telemetry`); `overhead_pct` is the telemetry-overhead bench
 /// figure, a ratio of two wall-clock rates.
-const NONDETERMINISTIC_NAMES: &[&str] = &[
-    "peak_rss_bytes",
-    "speedup",
-    "latency",
-    "runtime",
-    "overhead_pct",
-];
+const NONDETERMINISTIC_NAMES: &[&str] = &["runtime", "overhead_pct"];
 
 /// True when `key` names a field whose value varies run to run even for
-/// identical work: wall-clock, rates derived from wall-clock, latency
-/// quantiles, RSS high-water marks.
+/// identical work: wall-clock, rates derived from wall-clock, and the
+/// scheduling-dependent telemetry section.
 pub fn is_nondeterministic_key(key: &str) -> bool {
     NONDETERMINISTIC_NAMES.contains(&key)
         || NONDETERMINISTIC_SUFFIXES.iter().any(|s| key.ends_with(s))
@@ -102,16 +96,25 @@ mod tests {
             "visits_per_sec",
             "decisions_per_sec",
             "mb_per_sec",
-            "binary_replay_speedup",
-            "speedup",
-            "peak_rss_bytes",
-            "latency",
             "runtime",
             "overhead_pct",
         ] {
             assert!(is_nondeterministic_key(key), "{key} must be masked");
         }
-        for key in ["visits", "sessions_opened", "decisions", "bytes", "p50"] {
+        // Only names some report emits are masked: a new timing field
+        // must take a recognized suffix, not hide behind a stale name.
+        for key in [
+            "visits",
+            "sessions_opened",
+            "decisions",
+            "bytes",
+            "p50",
+            "speedup",
+            "fold_speedup",
+            "latency",
+            "peak_rss_bytes",
+            "decode_us",
+        ] {
             assert!(!is_nondeterministic_key(key), "{key} must survive");
         }
     }
@@ -140,17 +143,17 @@ mod tests {
         struct Report {
             visits: u64,
             elapsed_ms: u64,
-            peak_rss_bytes: u64,
+            decisions_per_sec: f64,
         }
         let fast = Report {
             visits: 100,
             elapsed_ms: 3,
-            peak_rss_bytes: 1 << 20,
+            decisions_per_sec: 2e5,
         };
         let slow = Report {
             visits: 100,
             elapsed_ms: 900,
-            peak_rss_bytes: 1 << 24,
+            decisions_per_sec: 7e2,
         };
         assert_eq!(
             deterministic_surface(&fast, &[]),
@@ -159,7 +162,7 @@ mod tests {
         let diverged = Report {
             visits: 101,
             elapsed_ms: 3,
-            peak_rss_bytes: 0,
+            decisions_per_sec: 2e5,
         };
         assert_ne!(
             deterministic_surface(&fast, &[]),

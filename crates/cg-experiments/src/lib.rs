@@ -7,19 +7,21 @@
 //! `fig6`, `fig7`, `fig9`, `fig10`, `sec5_7`, `domguard`, plus the
 //! explicit-only `ablation`, `rollout`, `baselines` (the defense
 //! matrix: blocklist ± evasion, partitioning, CookieGraph-lite,
-//! CookieGuard), `csp` (the §2.1 CSP gap), `storebench`, and `stream`
-//! (the bounded-memory fold over a `--store`). Scale with `--sites N`
+//! CookieGuard), `csp` (the §2.1 CSP gap), and `stream` (the
+//! bounded-memory fold over a `--store`). Scale with `--sites N`
 //! (default 20,000) and `--threads T`. Four subcommands ride
 //! alongside: `scenarios` (the adversarial catalog), `serve` (the
-//! multi-tenant guard-service benchmark behind `BENCH_service.json`),
+//! multi-tenant guard-service smoke behind `BENCH_service.json`),
 //! `detect` (the tracking-cookie detector scored against generator
 //! ground truth, behind `BENCH_detect.json`), and `export` (a crawl
-//! store as JSON lines).
+//! store as JSON lines). The repository's benchmark is `perfbench/`:
+//! the subcommands report correctness, and the throughput `serve`
+//! still records exists only for its telemetry-overhead gate.
 //!
 //! **Layer:** orchestration (the CLI over every other crate).
 //! **Invariant:** experiment output is deterministic for a given
 //! (seed, sites) at any thread count — and [`determinism`] is the one
-//! module that knows which report fields (timing, throughput, RSS) are
+//! module that knows which report fields (timing, throughput) are
 //! exempt. **Entry points:** the `cg-experiments` binary,
 //! `CrawlContext`, `run_scenarios`, `run_serve`, and the per-table
 //! `run_*` functions.
@@ -37,7 +39,6 @@ pub mod measurement;
 pub mod render;
 pub mod scenarios;
 pub mod service;
-pub mod storebench;
 pub mod stream;
 
 pub use ablation::run_ablation;
@@ -56,5 +57,4 @@ pub use service::{
     print_serve, run_serve, BenchServiceReport, ServeOptions, TelemetryOverhead,
     TELEMETRY_BUDGET_PCT,
 };
-pub use storebench::{peak_rss_bytes, print_storebench, run_storebench, StoreBenchReport};
 pub use stream::run_stream;

@@ -7,8 +7,8 @@
 //! ```
 
 use cg_experiments::{
-    print_storebench, run_domguard, run_fig5, run_measurement_experiments, run_rollout, run_sec5_7,
-    run_storebench, run_table3, run_table4_and_figs, CrawlContext, ExperimentOptions,
+    run_domguard, run_fig5, run_measurement_experiments, run_rollout, run_sec5_7, run_table3,
+    run_table4_and_figs, CrawlContext, ExperimentOptions,
 };
 
 const MEASUREMENT_EXPERIMENTS: &[&str] = &[
@@ -29,7 +29,6 @@ const EVALUATION_EXPERIMENTS: &[&str] = &[
     "rollout",
     "baselines",
     "csp",
-    "storebench",
     "stream",
 ];
 
@@ -103,7 +102,7 @@ fn run_scenarios_cli(args: &[String]) -> ! {
 /// Parses and runs `cg-experiments serve [--sites N] [--seed S]
 /// [--passes P] [--workers LIST] [--store DIR] [--bench-json PATH]
 /// [--telemetry-snapshot PATH] [--telemetry-dump PATH]` — the
-/// multi-tenant guard-service benchmark/smoke.
+/// multi-tenant guard-service smoke.
 fn run_serve_cli(args: &[String]) -> ! {
     let mut opts = cg_experiments::ServeOptions::default();
     let mut i = 0;
@@ -273,7 +272,6 @@ fn main() {
     let mut opts = ExperimentOptions::default();
     let mut exps: Vec<String> = vec!["all".to_string()];
     let mut json_path: Option<std::path::PathBuf> = None;
-    let mut bench_json_path: Option<std::path::PathBuf> = None;
 
     let mut i = 1;
     while i < args.len() {
@@ -317,14 +315,6 @@ fn main() {
                         std::process::exit(2);
                     }
                 };
-            }
-            "--fold-sites" => {
-                i += 1;
-                opts.fold_sites = Some(parse_numeric_arg(args.get(i), "--fold-sites"));
-            }
-            "--bench-json" => {
-                i += 1;
-                bench_json_path = Some(parse_path_arg(args.get(i), "--bench-json"));
             }
             "--help" | "-h" => {
                 print_help();
@@ -460,26 +450,6 @@ fn main() {
         json.insert("performance".into(), v);
     }
 
-    if wants("storebench") && !wanted.contains(&"all") {
-        // Explicit-only: extra crawls plus timed replays/folds.
-        eprintln!("[storebench] crawl-store throughput…");
-        let r = run_storebench(&opts);
-        print_storebench(&r);
-        if let Some(path) = &bench_json_path {
-            std::fs::write(
-                path,
-                serde_json::to_string_pretty(&serde_json::to_value(&r).expect("serialize"))
-                    .expect("serialize"),
-            )
-            .unwrap_or_else(|e| eprintln!("failed to write {}: {e}", path.display()));
-            println!("\nbench report written to {}", path.display());
-        }
-        json.insert(
-            "storebench".into(),
-            serde_json::to_value(&r).expect("serialize"),
-        );
-    }
-
     if wanted.contains(&"stream") {
         // Explicit-only: a store crawl plus a timed streaming fold
         // (`--store` was checked above).
@@ -496,13 +466,15 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let out = serde_json::Value::Object(json);
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&out).expect("serialize"),
-        )
-        .unwrap_or_else(|e| eprintln!("failed to write {}: {e}", path.display()));
-        println!("\nresults written to {}", path.display());
+        let out =
+            serde_json::to_string_pretty(&serde_json::Value::Object(json)).expect("serialize");
+        match std::fs::write(&path, out) {
+            Ok(()) => println!("\nresults written to {}", path.display()),
+            Err(e) => {
+                eprintln!("failed to write {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
     }
 }
 
@@ -511,7 +483,7 @@ fn print_help() {
     println!();
     println!(
         "USAGE: cg-experiments [--exp LIST] [--sites N] [--seed S] [--threads T] [--json PATH] \
-         [--store DIR] [--read-backend mmap|pread] [--fold-sites N] [--bench-json PATH]"
+         [--store DIR] [--read-backend mmap|pread]"
     );
     println!(
         "       cg-experiments scenarios [--seed S] [--threads T] [--json PATH] [--golden PATH]"
@@ -531,13 +503,13 @@ fn print_help() {
     println!("defenses and emits a deterministic matrix; --golden diffs the JSON");
     println!("against a checked-in file and exits 1 on mismatch.");
     println!();
-    println!("The `serve` subcommand benchmarks the multi-tenant guard service");
+    println!("The `serve` subcommand smoke-tests the multi-tenant guard service");
     println!("(crate cg-service): it replays a binary crawl store through two");
     println!("policy tenants at each worker count in LIST (default 2,8), hot-swaps");
     println!("both tenants' policies mid-run, asserts zero dropped decisions and");
     println!("byte-identical counters across worker counts, and with --bench-json");
     println!("writes the machine-readable report (BENCH_service.json). It also");
-    println!("measures the telemetry overhead (on vs off, ≤3% budget);");
+    println!("gates the telemetry overhead (on vs off, ≤3% of decisions/s);");
     println!("--telemetry-snapshot writes the final registry snapshot as JSON");
     println!("plus a .prom Prometheus rendering, and --telemetry-dump writes");
     println!("the flight-recorder event dump.");
@@ -549,7 +521,7 @@ fn print_help() {
     println!("counts and read backends, enforces the precision/recall floors");
     println!("(0.95/0.90, instance-weighted), prints the scoring table and the");
     println!("guard-vs-detector matrix, and with --bench-json writes the");
-    println!("machine-readable report (BENCH_detect.json).");
+    println!("machine-readable scores (BENCH_detect.json).");
     println!();
     println!("The `export` subcommand prints the crawl store at DIR as one");
     println!("compact JSON line per visit, in rank order: greppable, and");
@@ -566,12 +538,6 @@ fn print_help() {
     println!("--read-backend picks how replays and folds read segment bytes:");
     println!("mmap (zero-copy chunk windows, the default) or pread — both");
     println!("produce byte-identical results.");
-    println!();
-    println!("--exp storebench benchmarks the store (write/replay throughput");
-    println!("incl. mmap'd chunked replay, 1-vs-8-thread chunked");
-    println!("fold wall time per backend over a ≥10k-visit fold store");
-    println!("(--fold-sites overrides), peak RSS) and with --bench-json PATH");
-    println!("writes the machine-readable report (BENCH_crawlstore.json).");
     println!();
     println!("--exp stream (requires --store) crawls or resumes the store, then");
     println!("folds it in bounded memory (one chunk-granular parallel pass, nothing");

@@ -1,5 +1,5 @@
-//! `cg-experiments serve`: the guard-as-a-service benchmark and smoke
-//! behind `BENCH_service.json`.
+//! `cg-experiments serve`: the guard-as-a-service smoke behind
+//! `BENCH_service.json`.
 //!
 //! Builds (or resumes) a binary crawl store, registers two tenants with
 //! different policy presets, then replays the store through the
@@ -17,10 +17,11 @@
 //! only — the `runtime` section is nulled by [`crate::determinism`])
 //! must be byte-identical across worker counts. A final interleaved
 //! on/off comparison measures the telemetry overhead against a
-//! documented ≤[`TELEMETRY_BUDGET_PCT`]% decisions/s budget.
+//! documented ≤[`TELEMETRY_BUDGET_PCT`]% decisions/s budget. That gate
+//! is the only reason the report carries throughput; the service's
+//! per-layer costs are measured by `perfbench/`.
 
 use crate::determinism::deterministic_surface;
-use crate::storebench::peak_rss_bytes;
 use cg_browser::VisitConfig;
 use cg_crawlstore::crawl_to_store;
 use cg_service::{
@@ -125,8 +126,6 @@ pub struct BenchServiceReport {
     pub telemetry_snapshots_identical: bool,
     /// The telemetry-on vs telemetry-off throughput comparison.
     pub telemetry_overhead: TelemetryOverhead,
-    /// Process peak RSS after everything above (bytes; 0 if unknown).
-    pub peak_rss_bytes: u64,
 }
 
 /// The two-tenant roster every `serve` run uses: the paper's strict
@@ -350,7 +349,6 @@ pub fn run_serve(opts: &ServeOptions) -> BenchServiceReport {
         counters_identical_across_worker_counts: true,
         telemetry_snapshots_identical: true,
         telemetry_overhead,
-        peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
     }
 }
 
@@ -364,16 +362,11 @@ pub fn print_serve(r: &BenchServiceReport) {
         r.tenants.len()
     );
     for run in &r.runs {
-        let l = &run.timing.latency;
         println!(
-            "  {:>2} workers: {:>9.0} decisions/s  {:>8.0} sessions/s  \
-             p50 {:>5} ns  p99 {:>6} ns  p999 {:>7} ns  ({} swaps)",
+            "  {:>2} workers: {:>9.0} decisions/s  {:>8.0} visits/s  ({} swaps)",
             run.workers,
             run.timing.decisions_per_sec,
-            run.timing.session_opens_per_sec,
-            l.p50_ns,
-            l.p99_ns,
-            l.p999_ns,
+            run.timing.visits_per_sec,
             run.swaps.len()
         );
     }
@@ -410,10 +403,6 @@ pub fn print_serve(r: &BenchServiceReport) {
     println!(
         "  telemetry: on {:.0} decisions/s, off {:.0} decisions/s → {:.2}% overhead (budget {:.0}%)",
         o.on_decisions_per_sec, o.off_decisions_per_sec, o.overhead_pct, o.budget_pct
-    );
-    println!(
-        "  peak RSS: {:.1} MB",
-        r.peak_rss_bytes as f64 / (1024.0 * 1024.0)
     );
     // CI grep anchors — keep the wording stable.
     println!("  counters byte-identical across worker counts: ok");

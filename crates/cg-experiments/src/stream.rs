@@ -9,8 +9,7 @@
 //! killed-and-resumed store. Everything above it (throughput, peak RSS,
 //! the `fold_ms=` anchor line) is timing.
 
-use crate::context::{crawl_store, ExperimentOptions};
-use crate::storebench::peak_rss_bytes;
+use crate::context::{crawl_store, peak_rss_bytes, ExperimentOptions};
 use cg_analysis::{StreamStats, StreamSummary};
 use cg_crawlstore::StoreError;
 use cg_telemetry::{per_sec, render_ms, Stopwatch};

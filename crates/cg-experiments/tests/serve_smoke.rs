@@ -41,7 +41,6 @@ fn serve_smoke_small_store() {
         "runs",
         "stream_run",
         "telemetry_overhead",
-        "peak_rss_bytes",
     ] {
         assert!(json.get(key).is_some(), "missing report key {key}");
     }

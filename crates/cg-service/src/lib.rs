@@ -21,10 +21,8 @@
 //! * **Load generation** — [`replay()`] drives visits from a PR 6 crawl
 //!   store through tenant-routed sessions across a fixed worker pool
 //!   (resident or mmap chunk stream, closed loop, scheduled mid-run
-//!   swaps) and reports sustained
-//!   decisions/s, swap latency, and p50/p99/p999 decision latency from
-//!   deterministically merged per-worker histograms
-//!   ([`LatencyHistogram`]).
+//!   swaps) and reports sustained decisions/s and swap latency.
+//!   Per-decision latency is measured from outside, by `perfbench/`.
 //!
 //! # The no-lock decision invariant
 //!
@@ -53,7 +51,6 @@ pub mod replay;
 pub(crate) mod telemetry;
 pub mod tenant;
 
-pub use cg_telemetry::{LatencyHistogram, LatencySummary};
 pub use epoch::{EngineCache, EpochSlot, SwapReport};
 pub use replay::{
     extract_script, replay, EpochSessions, ReplayOp, ReplayOptions, ReplayOutcomes, ReplayReport,

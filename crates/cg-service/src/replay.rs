@@ -32,7 +32,6 @@ use cg_crawlstore::{plan_chunks, ChunkPlan, ReadBackend, StoreError};
 use cg_instrument::{
     CookieApi, ReadEvent, ServiceCounters, SetEvent, TenantCounters, VisitLog, WriteKind,
 };
-use cg_telemetry::{LatencyHistogram, LatencySummary};
 use cookieguard_core::{Caller, GuardConfig, GuardStats};
 
 #[cfg(doc)]
@@ -240,11 +239,6 @@ pub struct ReplayTiming {
     pub decisions_per_sec: f64,
     /// Visits (= sessions) per second.
     pub visits_per_sec: f64,
-    /// Session opens per second (equals closes per second on a clean
-    /// drain).
-    pub session_opens_per_sec: f64,
-    /// Per-decision latency quantiles.
-    pub latency: LatencySummary,
 }
 
 /// Everything one replay produced.
@@ -264,7 +258,7 @@ pub struct ReplayReport {
     pub per_tenant: Vec<TenantCounters>,
     /// Epoch-sensitive tallies.
     pub outcomes: ReplayOutcomes,
-    /// Timing and latency.
+    /// Wall time and throughput.
     pub timing: ReplayTiming,
     /// The swaps that fired, in firing order.
     pub swaps: Vec<SwapReport>,
@@ -282,7 +276,6 @@ struct WorkerState {
     /// [`TenantId::index`]; the run's totals are their merge.
     per_tenant: Vec<ServiceCounters>,
     stats: GuardStats,
-    latency: LatencyHistogram,
     epoch_sessions: BTreeMap<(u64, u64), u64>,
 }
 
@@ -303,7 +296,6 @@ impl WorkerState {
             *mine = mine.merge(theirs);
         }
         self.stats = self.stats.merge(&other.stats);
-        self.latency.merge(&other.latency);
         for (key, n) in other.epoch_sessions {
             *self.epoch_sessions.entry(key).or_insert(0) += n;
         }
@@ -335,16 +327,12 @@ fn replay_visit(service: &GuardService, script: &VisitScript, state: &mut Worker
     for op in &script.ops {
         match op {
             ReplayOp::Write { caller, name } => {
-                let t = Instant::now();
                 session.authorize_write(caller, name);
-                state.latency.record(t.elapsed().as_nanos() as u64);
                 counters.write_ops += 1;
                 counters.decisions += 1;
             }
             ReplayOp::Delete { caller, name } => {
-                let t = Instant::now();
                 session.authorize_delete(caller, name);
-                state.latency.record(t.elapsed().as_nanos() as u64);
                 counters.delete_ops += 1;
                 counters.decisions += 1;
             }
@@ -354,9 +342,7 @@ fn replay_visit(service: &GuardService, script: &VisitScript, state: &mut Worker
             }
             ReplayOp::Read { caller, names } => {
                 let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                let t = Instant::now();
                 session.filter_names(caller, &refs);
-                state.latency.record(t.elapsed().as_nanos() as u64);
                 counters.read_ops += 1;
                 counters.decisions += 1;
                 counters.cookies_presented += refs.len() as u64;
@@ -522,8 +508,6 @@ pub fn replay(
             wall_ms,
             decisions_per_sec: counters.decisions as f64 / secs,
             visits_per_sec: counters.visits as f64 / secs,
-            session_opens_per_sec: counters.sessions_opened as f64 / secs,
-            latency: merged.latency.summary(),
         },
         swaps,
         undrained_epochs: undrained.len() as u64,
@@ -728,7 +712,6 @@ mod tests {
         assert_eq!(c.cookies_presented, 2);
         assert_eq!(c.decisions, 3);
         assert!(c.drained());
-        assert_eq!(state.latency.count(), 3);
         // Site owner saw both cookies; the foreign delete was blocked.
         assert_eq!(state.stats.deletes_blocked, 1);
         assert_eq!(state.epoch_sessions.get(&(0, 0)), Some(&1));

@@ -58,7 +58,6 @@ fn counters_are_identical_across_worker_counts_and_sources() {
             "dropped decisions at {workers} workers"
         );
         assert_eq!(report.undrained_epochs, 0);
-        assert_eq!(report.timing.latency.count, report.counters.decisions);
         match &baseline {
             None => baseline = Some((report.counters, report.per_tenant)),
             Some((counters, per_tenant)) => {

@@ -14,10 +14,8 @@
 //! counters, so 77 ns decisions and millisecond-scale stalls land in
 //! one structure without tuning.
 //!
-//! Hoisted out of `cg-service` so the crawl, analysis, and serving
-//! layers share one histogram type; `cg-service` re-exports it at its
-//! crate root, so the `BENCH_service.json` shape is unchanged. The
-//! shared-registry
+//! The crawl, analysis, and serving layers share this one histogram
+//! type. The shared-registry
 //! [`Histogram`](crate::metrics::Histogram) handle in
 //! [`crate::metrics`] wraps the same bucket math in atomics.
 

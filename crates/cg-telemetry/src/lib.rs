@@ -35,7 +35,7 @@
 //! `VisitLog`s, counter reports are unchanged whether telemetry is on
 //! or off); the `workload` snapshot section is byte-identical across
 //! worker counts for the same job; the decision hot path stays
-//! atomic-free (per-worker [`LatencyHistogram`]s, merged after join);
+//! atomic-free (per-worker state, merged after join);
 //! disabled telemetry costs one relaxed load per site. **Entry
 //! points:** [`global()`], [`span!`], [`Registry::snapshot`],
 //! [`recorder::dump_json`], [`Stopwatch`].
