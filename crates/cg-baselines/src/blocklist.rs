@@ -182,7 +182,11 @@ pub fn apply_evasion(
             }
         }
     }
-    for url in site.injectables.keys() {
+    // `injectables` is a HashMap: sort its keys so the RNG draws below
+    // go to the same URLs in every process.
+    let mut injectable_urls: Vec<&String> = site.injectables.keys().collect();
+    injectable_urls.sort();
+    for url in injectable_urls {
         push_listed(url, &mut listed);
     }
 
@@ -434,6 +438,20 @@ mod tests {
         let (_, a) = apply_evasion(&site, &defense, &cfg);
         let (_, b) = apply_evasion(&site, &defense, &cfg);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn evasion_is_independent_of_injectable_map_order() {
+        // Each blueprint's `injectables` HashMap has its own random
+        // iteration order, so this fails if evasion depends on it.
+        let g = generator();
+        let defense = BlocklistDefense::from_registry(g.registry());
+        let cfg = EvasionConfig::default();
+        for rank in 1..=300 {
+            let (_, a) = apply_evasion(&g.blueprint(rank), &defense, &cfg);
+            let (_, b) = apply_evasion(&g.blueprint(rank), &defense, &cfg);
+            assert_eq!(a, b, "rank {rank}");
+        }
     }
 
     #[test]

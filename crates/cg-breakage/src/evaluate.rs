@@ -170,7 +170,6 @@ pub fn evaluate_breakage(
     guard: &GuardConfig,
     from: usize,
     to: usize,
-    _threads: usize,
 ) -> BreakageReport {
     let mut report = BreakageReport::default();
     // Compile the guard engine once for the whole evaluation; each visit

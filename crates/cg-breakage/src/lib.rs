@@ -47,13 +47,12 @@ mod tests {
     #[test]
     fn strict_guard_breaks_some_sso_entity_grouping_heals() {
         let gen = WebGenerator::new(GenConfig::small(400), 77);
-        let strict = evaluate_breakage(&gen, &GuardConfig::strict(), 1, 400, 4);
+        let strict = evaluate_breakage(&gen, &GuardConfig::strict(), 1, 400);
         let grouped = evaluate_breakage(
             &gen,
             &GuardConfig::strict().with_entity_grouping(cg_entity::builtin_entity_map()),
             1,
             400,
-            4,
         );
         // Strict must break more SSO than grouped.
         assert!(

@@ -372,11 +372,6 @@ impl SegmentWriter {
         }
         Ok(())
     }
-
-    /// Records durable in this segment so far.
-    pub fn durable_records(&self) -> u64 {
-        self.records
-    }
 }
 
 impl SinkWorker for SegmentWriter {

@@ -160,16 +160,6 @@ impl DetectEngine {
     pub fn entity_of(&self, domain: &str) -> String {
         self.entities.entity_of(domain)
     }
-
-    /// Every labeled (name, owner-domain, label) triple, for coverage
-    /// accounting.
-    pub fn labeled_names(&self) -> impl Iterator<Item = (&str, &str, CookieLabel)> {
-        self.by_name.iter().flat_map(|(name, owners)| {
-            owners
-                .iter()
-                .map(move |(o, l)| (name.as_str(), o.as_str(), *l))
-        })
-    }
 }
 
 #[cfg(test)]

@@ -105,12 +105,11 @@ pub struct VisitFacts {
     pub shipped_names: BTreeMap<String, BTreeSet<String>>,
 }
 
-/// Which extraction stages to run — the bench harness times the set
-/// replay and the request-matching stage separately.
+/// Which extraction stages to run. Every fold runs the full pipeline:
+/// ownership replay, value/lifetime features and exfil matching over
+/// requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stages {
-    /// Ownership replay + value/lifetime features only.
-    SetsOnly,
     /// Everything, including exfil matching over requests.
     Full,
 }
@@ -156,7 +155,7 @@ fn id_segments(value: &str) -> Vec<&str> {
 /// Extracts one visit's facts. Pure: same log + engine → same facts,
 /// independent of any other visit (the order-independence property the
 /// proptest pins).
-pub fn extract(engine: &DetectEngine, log: &VisitLog, stages: Stages) -> VisitFacts {
+pub fn extract(engine: &DetectEngine, log: &VisitLog) -> VisitFacts {
     let site = log.site_domain.as_str();
     let site_entity = engine.entity_of(site);
     let mut out = VisitFacts::default();
@@ -256,10 +255,6 @@ pub fn extract(engine: &DetectEngine, log: &VisitLog, stages: Stages) -> VisitFa
         }
     }
     out.unlabeled_pairs = unlabeled_seen.into_iter().collect();
-
-    if stages == Stages::SetsOnly {
-        return out;
-    }
 
     // -- co-presence: which foreign organizations ran scripts here ----
     for inc in &log.inclusions {

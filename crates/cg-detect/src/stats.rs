@@ -118,7 +118,6 @@ impl KeyAgg {
 #[derive(Clone)]
 pub struct DetectStats<'e> {
     engine: &'e DetectEngine,
-    stages: Stages,
     /// Visits folded, complete or not.
     pub crawled: u64,
     /// Visits retained by the completeness filter.
@@ -139,11 +138,11 @@ pub struct DetectStats<'e> {
 }
 
 impl<'e> DetectStats<'e> {
-    /// The identity element for `engine` at `stages`.
-    pub fn new(engine: &'e DetectEngine, stages: Stages) -> DetectStats<'e> {
+    /// The identity element for `engine`. [`Stages::Full`] is the only
+    /// mode.
+    pub fn new(engine: &'e DetectEngine, _stages: Stages) -> DetectStats<'e> {
         DetectStats {
             engine,
-            stages,
             crawled: 0,
             complete: 0,
             keys: BTreeMap::new(),
@@ -166,7 +165,7 @@ impl<'e> DetectStats<'e> {
             return;
         }
         self.complete += 1;
-        let facts = extract(self.engine, log, self.stages);
+        let facts = extract(self.engine, log);
         for (key, kf) in facts.keys {
             let owner_entity = match &key.owner {
                 Owner::Entity(e) => Some(e.as_str()),
@@ -332,7 +331,7 @@ mod tests {
 
     #[test]
     fn fold_aggregates_labeled_keys_only() {
-        let mut stats = DetectStats::new(engine(), Stages::SetsOnly);
+        let mut stats = DetectStats::new(engine(), Stages::Full);
         stats.fold(&visit("shop.example", |r| {
             r.record_set(
                 "_fbp",

@@ -136,25 +136,3 @@ fn every_labeled_cookie_observed_is_scored() {
         );
     }
 }
-
-#[test]
-fn sets_only_stage_is_a_prefix_of_the_full_pipeline() {
-    let c = crawl();
-    // The cheap stage must agree with the full pipeline on everything
-    // it computes: same key universe, same set-derived evidence.
-    let cheap = DetectStats::from_logs(&c.engine, Stages::SetsOnly, c.logs.iter());
-    let full = DetectStats::from_logs(&c.engine, Stages::Full, c.logs.iter());
-    let cheap_keys: Vec<_> = cheap.keys.keys().collect();
-    let full_keys: Vec<_> = full.keys.keys().collect();
-    assert_eq!(cheap_keys, full_keys);
-    for (key, agg) in &cheap.keys {
-        let f = &full.keys[key];
-        assert_eq!(agg.sites_seen, f.sites_seen, "{key:?}");
-        assert_eq!(agg.id_sites, f.id_sites, "{key:?}");
-        assert_eq!(agg.persistent_sites, f.persistent_sites, "{key:?}");
-        assert_eq!(agg.respawn_sites, f.respawn_sites, "{key:?}");
-        // Ship evidence only exists in the full pipeline.
-        assert_eq!(agg.self_ship_sites, 0, "{key:?}");
-        assert!(agg.foreign.is_empty(), "{key:?}");
-    }
-}

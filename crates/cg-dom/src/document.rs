@@ -165,11 +165,6 @@ impl Document {
             .map(|e| e.id)
     }
 
-    /// Number of elements (including detached ones).
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
-    }
-
     /// The recorded mutation log.
     pub fn mutations(&self) -> &[MutationRecord] {
         &self.mutations

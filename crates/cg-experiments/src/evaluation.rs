@@ -117,7 +117,7 @@ pub fn run_table3(opts: &ExperimentOptions) -> Table3Result {
         let mut report = BreakageReport::default();
         let mut rank = 1usize;
         while report.sites < sample && rank <= top {
-            let partial = evaluate_breakage(&gen, &guard, rank, rank, 1);
+            let partial = evaluate_breakage(&gen, &guard, rank, rank);
             report.sites += partial.sites;
             for (k, v) in partial.counts {
                 *report.counts.entry(k).or_insert(0) += v;

@@ -263,16 +263,32 @@ pub fn run_rollout(opts: &ExperimentOptions) -> RolloutResult {
         100.0 * exfil.sites_with_cross_exfil_doc.len() as f64 / ds.site_count().max(1) as f64
     };
     let e_regular = exfil_pct(&VisitConfig::regular());
-    let e_strict = exfil_pct(&VisitConfig::guarded(GuardConfig::strict()));
 
     // Breakage per preset on a deterministic sample (same protocol as
     // Table 3, smaller default sample for the frontier).
     let sample_to = (opts.sites / 2).max(1);
-    let breakage =
-        |guard: GuardConfig| evaluate_breakage(&gen, &guard, 1, sample_to.min(100), opts.threads);
+    let breakage = |guard: GuardConfig| evaluate_breakage(&gen, &guard, 1, sample_to.min(100));
 
-    let strict_breakage = breakage(GuardConfig::strict());
-    let sso_major_strict = strict_breakage.major_pct(BreakageCategory::Sso);
+    // The preset frontier. The `Strict` preset is `GuardConfig::strict()`,
+    // the guard the ladder rolls out, so its rates also feed the ladder.
+    let mut presets = Vec::new();
+    let mut strict_rates = None;
+    for preset in PrivacyPreset::all() {
+        let config = preset.config(&entities);
+        let e = exfil_pct(&VisitConfig::guarded(config.clone()));
+        let b = breakage(config);
+        let sso_major_pct = b.major_pct(BreakageCategory::Sso);
+        if preset == PrivacyPreset::Strict {
+            strict_rates = Some((e, sso_major_pct));
+        }
+        presets.push(PresetRow {
+            preset: preset.label().to_string(),
+            exfil_reduction_pct: reduction(e_regular, e),
+            sso_major_pct,
+            any_breakage_pct: b.any_breakage_pct(),
+        });
+    }
+    let (e_strict, sso_major_strict) = strict_rates.expect("PrivacyPreset::all includes Strict");
 
     // The ladder: population-weighted protection and breakage.
     let mut stages = Vec::new();
@@ -283,20 +299,6 @@ pub fn run_rollout(opts: &ExperimentOptions) -> RolloutResult {
             guarded_share: share,
             population_exfil_pct: share * e_strict + (1.0 - share) * e_regular,
             population_sso_major_pct: share * sso_major_strict,
-        });
-    }
-
-    // The preset frontier.
-    let mut presets = Vec::new();
-    for preset in PrivacyPreset::all() {
-        let config = preset.config(&entities);
-        let e = exfil_pct(&VisitConfig::guarded(config.clone()));
-        let b = breakage(config);
-        presets.push(PresetRow {
-            preset: preset.label().to_string(),
-            exfil_reduction_pct: reduction(e_regular, e),
-            sso_major_pct: b.major_pct(BreakageCategory::Sso),
-            any_breakage_pct: b.any_breakage_pct(),
         });
     }
 
@@ -433,6 +435,18 @@ mod tests {
         let strict = r.presets.iter().find(|p| p.preset == "strict").unwrap();
         let permissive = r.presets.iter().find(|p| p.preset == "permissive").unwrap();
         assert!(strict.exfil_reduction_pct >= permissive.exfil_reduction_pct - 1e-9);
+        // The strict preset and the ladder's last rung are one guard.
+        let disabled = r.stages.first().unwrap();
+        let default_on = r.stages.last().unwrap();
+        assert_eq!(default_on.stage, "default on");
+        assert_eq!(
+            strict.exfil_reduction_pct,
+            reduction(
+                disabled.population_exfil_pct,
+                default_on.population_exfil_pct
+            )
+        );
+        assert_eq!(strict.sso_major_pct, default_on.population_sso_major_pct);
         // Grandfathering lowers early filtering for returning visitors.
         assert!(
             r.grandfathering.filtered_with <= r.grandfathering.filtered_without,

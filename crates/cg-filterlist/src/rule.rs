@@ -37,11 +37,6 @@ impl ResourceType {
             _ => return None,
         })
     }
-
-    /// Parses the option name used by `cg_http::RequestKind::option_name`.
-    pub fn from_kind_name(s: &str) -> ResourceType {
-        ResourceType::from_option(s).unwrap_or(ResourceType::Other)
-    }
 }
 
 /// How the pattern anchors to the URL.

@@ -85,15 +85,6 @@ impl Span {
     pub fn id(&self) -> u64 {
         self.id
     }
-
-    /// Nanoseconds since this span opened (0 for an inactive span).
-    pub fn elapsed_ns(&self) -> u64 {
-        if self.active {
-            now_ns().saturating_sub(self.start_ns)
-        } else {
-            0
-        }
-    }
 }
 
 impl Drop for Span {

@@ -63,11 +63,6 @@ impl Host {
         }
     }
 
-    /// True when this host is a registered name (has DNS labels).
-    pub fn is_name(&self) -> bool {
-        matches!(self, Host::Name(_))
-    }
-
     /// The labels of a registered name, from leftmost to rightmost;
     /// empty for IP addresses.
     pub fn labels(&self) -> Vec<&str> {

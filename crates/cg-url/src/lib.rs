@@ -35,7 +35,6 @@ pub use intern::{intern, lookup, name, shard_id_for_host, DomainId};
 pub use origin::Origin;
 pub use parser::{ParseError, Url};
 pub use psl::{is_public_suffix, registrable_domain};
-pub use query::QueryPairs;
 
 /// Returns `true` when two hosts belong to the same registrable domain
 /// (eTLD+1). This is the paper's *same-domain* relation: the relation that

@@ -5,7 +5,6 @@
 use crate::host::Host;
 use crate::origin::Origin;
 use crate::psl;
-use crate::query::QueryPairs;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -117,11 +116,6 @@ impl Url {
     /// cross-domain analysis and CookieGuard's unit of enforcement.
     pub fn registrable_domain(&self) -> Option<String> {
         psl::registrable_domain(&self.host_str())
-    }
-
-    /// Parsed query pairs.
-    pub fn query_pairs(&self) -> QueryPairs {
-        QueryPairs::parse(&self.query)
     }
 
     /// Returns a copy with a different path (used by the site generator to

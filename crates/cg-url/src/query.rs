@@ -1,86 +1,7 @@
-//! Query-string handling: parse, serialize, and percent-decode.
+//! Query-string percent-encoding.
 //!
-//! The exfiltration-detection pipeline (§4.4) extracts candidate
-//! identifiers from the query strings of outbound requests; these helpers
-//! keep that logic in one audited place.
-
-use std::fmt;
-
-/// An ordered multimap of query parameters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QueryPairs {
-    pairs: Vec<(String, String)>,
-}
-
-impl QueryPairs {
-    /// Creates an empty set of pairs.
-    pub fn new() -> QueryPairs {
-        QueryPairs::default()
-    }
-
-    /// Parses `a=1&b=two` (the leading `?`, if present, is tolerated).
-    /// Keys and values are percent-decoded; `+` decodes to a space.
-    pub fn parse(raw: &str) -> QueryPairs {
-        let raw = raw.strip_prefix('?').unwrap_or(raw);
-        let mut pairs = Vec::new();
-        for chunk in raw.split('&') {
-            if chunk.is_empty() {
-                continue;
-            }
-            let (k, v) = match chunk.split_once('=') {
-                Some((k, v)) => (k, v),
-                None => (chunk, ""),
-            };
-            pairs.push((percent_decode(k), percent_decode(v)));
-        }
-        QueryPairs { pairs }
-    }
-
-    /// Appends a pair (no deduplication: query strings are multimaps).
-    pub fn push(&mut self, key: &str, value: &str) {
-        self.pairs.push((key.to_string(), value.to_string()));
-    }
-
-    /// First value for `key`, if any.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// All pairs, in order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.pairs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True when no pairs are present.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Serializes back to `k=v&k2=v2` with percent-encoding.
-    pub fn encode(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl fmt::Display for QueryPairs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, (k, v)) in self.pairs.iter().enumerate() {
-            if i > 0 {
-                f.write_str("&")?;
-            }
-            write!(f, "{}={}", percent_encode(k), percent_encode(v))?;
-        }
-        Ok(())
-    }
-}
+//! Scripts that ship cookie values in request URLs encode them with
+//! [`percent_encode`]; [`percent_decode`] is its inverse.
 
 /// Percent-encodes everything outside the query-safe set
 /// (alphanumerics and `-._~*`), mirroring `encodeURIComponent` closely
@@ -153,19 +74,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_basic() {
-        let q = QueryPairs::parse("a=1&b=two&c");
-        assert_eq!(q.get("a"), Some("1"));
-        assert_eq!(q.get("b"), Some("two"));
-        assert_eq!(q.get("c"), Some(""));
-        assert_eq!(q.len(), 3);
-    }
-
-    #[test]
-    fn parse_tolerates_question_mark_and_empty() {
-        assert_eq!(QueryPairs::parse("?x=1").get("x"), Some("1"));
-        assert!(QueryPairs::parse("").is_empty());
-        assert_eq!(QueryPairs::parse("&&a=1&&").len(), 1);
+    fn encode_escapes() {
+        assert_eq!(
+            percent_encode("{\"fbp\":\"fb.1\"}"),
+            "%7B%22fbp%22%3A%22fb.1%22%7D"
+        );
     }
 
     #[test]
@@ -182,25 +95,5 @@ mod tests {
     fn encode_decode_round_trip() {
         let original = "fb.1.1746746266109.868308499845957651 {} &=+";
         assert_eq!(percent_decode(&percent_encode(original)), original);
-    }
-
-    #[test]
-    fn display_encodes() {
-        let mut q = QueryPairs::new();
-        q.push("sc", "{\"fbp\":\"fb.1\"}");
-        assert_eq!(q.to_string(), "sc=%7B%22fbp%22%3A%22fb.1%22%7D");
-        let reparsed = QueryPairs::parse(&q.to_string());
-        assert_eq!(reparsed.get("sc"), Some("{\"fbp\":\"fb.1\"}"));
-    }
-
-    #[test]
-    fn multimap_preserves_duplicates() {
-        let q = QueryPairs::parse("k=1&k=2");
-        let vals: Vec<_> = q
-            .iter()
-            .filter(|(k, _)| *k == "k")
-            .map(|(_, v)| v)
-            .collect();
-        assert_eq!(vals, vec!["1", "2"]);
     }
 }

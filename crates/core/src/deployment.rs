@@ -87,8 +87,8 @@ impl DeploymentStage {
 /// settings, allowing users to balance functionality and privacy".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrivacyPreset {
-    /// Maximum compatibility: relaxed inline handling, entity grouping,
-    /// and grandfathering of pre-existing cookies.
+    /// Maximum compatibility: relaxed inline handling and entity
+    /// grouping.
     Permissive,
     /// The paper's recommended operating point (§7.2): strict inline
     /// handling *with* entity grouping — 3% residual breakage.
@@ -111,11 +111,6 @@ impl PrivacyPreset {
             PrivacyPreset::Balanced => GuardConfig::strict().with_entity_grouping(entities.clone()),
             PrivacyPreset::Strict => GuardConfig::strict(),
         }
-    }
-
-    /// Whether visits under this preset grandfather pre-existing cookies.
-    pub fn grandfathers(&self) -> bool {
-        matches!(self, PrivacyPreset::Permissive)
     }
 
     /// All presets, weakest first.
@@ -174,12 +169,10 @@ mod tests {
         let permissive = PrivacyPreset::Permissive.config(&entities);
         assert_eq!(permissive.inline_policy, InlinePolicy::Relaxed);
         assert!(permissive.entity_map.is_some());
-        assert!(PrivacyPreset::Permissive.grandfathers());
 
         let balanced = PrivacyPreset::Balanced.config(&entities);
         assert_eq!(balanced.inline_policy, InlinePolicy::Strict);
         assert!(balanced.entity_map.is_some());
-        assert!(!PrivacyPreset::Balanced.grandfathers());
 
         let strict = PrivacyPreset::Strict.config(&entities);
         assert_eq!(strict.inline_policy, InlinePolicy::Strict);

@@ -19,8 +19,7 @@
 //!   bound to one top-level site on a shared engine, and enforces at the
 //!   same interception points the measurement instruments. Open one with
 //!   [`GuardEngine::session`]; `GuardEngine::shared(config).session(site)`
-//!   is a self-contained guard. ([`PolicyEngine`] remains as a site-bound
-//!   policy view over an engine.)
+//!   is a self-contained guard.
 //! * [`GuardedJar`] is the **access layer**: the one sanctioned API
 //!   through which runtime code reads and mutates the jar. It fuses
 //!   policy check, storage mutation, and instrument-event emission so
@@ -95,7 +94,7 @@ pub use deployment::{DeploymentStage, PrivacyPreset};
 pub use engine::{CompiledPolicy, GuardEngine};
 pub use guard::{GuardSession, GuardStats};
 pub use metadata::{CookieOrigin, MetadataStore, NameId, OwnershipRecord};
-pub use policy::{AccessDecision, AllowReason, BlockReason, Caller, PolicyEngine};
+pub use policy::{AccessDecision, AllowReason, BlockReason, Caller};
 
 #[cfg(test)]
 mod proptests {

@@ -142,11 +142,6 @@ impl MetadataStore {
         self.lookup(name).and_then(|r| r.creator_name())
     }
 
-    /// The creator of `name` as an id, if known — the hot-path form.
-    pub fn creator_id(&self, name: &str) -> Option<DomainId> {
-        self.lookup(name).and_then(|r| r.creator)
-    }
-
     /// The full record for `name`.
     pub fn record_of(&self, name: &str) -> Option<OwnershipRecord> {
         self.lookup(name)

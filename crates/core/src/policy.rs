@@ -1,6 +1,6 @@
-//! The policy engine: who may touch which cookie.
+//! The policy vocabulary: who is calling, and why an access was allowed
+//! or blocked. The decisions themselves live in [`crate::GuardEngine`].
 
-use crate::config::GuardConfig;
 use cg_url::DomainId;
 use serde::{Deserialize, Serialize};
 
@@ -27,14 +27,6 @@ impl Caller {
     pub fn external(domain: &str) -> Caller {
         Caller {
             domain: Some(cg_url::intern(domain)),
-        }
-    }
-
-    /// A caller attributed to an already-interned domain — the zero-cost
-    /// constructor for hot paths that resolved the id earlier.
-    pub fn from_id(domain: DomainId) -> Caller {
-        Caller {
-            domain: Some(domain),
         }
     }
 
@@ -122,165 +114,133 @@ impl AccessDecision {
     }
 }
 
-/// Site-bound policy view: a [`GuardEngine`](crate::GuardEngine) plus
-/// the one `site_domain` it is answering for.
-///
-/// Historically this type owned the config outright; it is now a thin
-/// adapter over a shared engine, kept because "policy checks for one
-/// site" is a convenient shape for tests and probing tools. All decision
-/// logic lives in [`crate::GuardEngine::check`] /
-/// [`crate::GuardEngine::check_create`].
-#[derive(Debug, Clone)]
-pub struct PolicyEngine {
-    engine: std::sync::Arc<crate::GuardEngine>,
-    site_id: DomainId,
-}
-
-impl PolicyEngine {
-    /// Builds an engine for one site visit (compiles a fresh single-use
-    /// [`crate::GuardEngine`]; share one via [`PolicyEngine::on_engine`]
-    /// instead when checking many sites).
-    pub fn new(config: GuardConfig, site_domain: &str) -> PolicyEngine {
-        PolicyEngine::on_engine(crate::GuardEngine::shared(config), site_domain)
-    }
-
-    /// Binds an existing shared engine to a site (the site domain is
-    /// interned once, here).
-    pub fn on_engine(
-        engine: std::sync::Arc<crate::GuardEngine>,
-        site_domain: &str,
-    ) -> PolicyEngine {
-        PolicyEngine {
-            engine,
-            site_id: cg_url::intern(site_domain),
-        }
-    }
-
-    /// The site this engine guards.
-    pub fn site_domain(&self) -> &str {
-        cg_url::name(self.site_id)
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GuardConfig {
-        self.engine.config()
-    }
-
-    /// May `caller` access a cookie created by `creator`? See
-    /// [`crate::GuardEngine::check`].
-    pub fn check(&self, caller: &Caller, creator: Option<&str>) -> AccessDecision {
-        self.engine
-            .compiled()
-            .check(self.site_id, caller, creator.map(cg_url::intern))
-    }
-
-    /// May `caller` create a cookie that does not exist yet? See
-    /// [`crate::GuardEngine::check_create`].
-    pub fn check_create(&self, caller: &Caller) -> AccessDecision {
-        self.engine.compiled().check_create(self.site_id, caller)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GuardConfig;
+    use crate::{GuardConfig, GuardEngine};
 
-    fn engine() -> PolicyEngine {
-        PolicyEngine::new(GuardConfig::strict(), "site.com")
+    fn strict() -> GuardEngine {
+        GuardEngine::new(GuardConfig::strict())
     }
 
     #[test]
     fn creator_allowed() {
-        let d = engine().check(&Caller::external("tracker.com"), Some("tracker.com"));
+        let d = strict().check(
+            "site.com",
+            &Caller::external("tracker.com"),
+            Some("tracker.com"),
+        );
         assert_eq!(d, AccessDecision::Allow(AllowReason::Creator));
     }
 
     #[test]
     fn cross_domain_blocked() {
-        let d = engine().check(&Caller::external("other.com"), Some("tracker.com"));
+        let d = strict().check(
+            "site.com",
+            &Caller::external("other.com"),
+            Some("tracker.com"),
+        );
         assert_eq!(d, AccessDecision::Block(BlockReason::CrossDomain));
     }
 
     #[test]
     fn site_owner_full_access() {
-        let d = engine().check(&Caller::external("site.com"), Some("tracker.com"));
+        let d = strict().check(
+            "site.com",
+            &Caller::external("site.com"),
+            Some("tracker.com"),
+        );
         assert_eq!(d, AccessDecision::Allow(AllowReason::SiteOwner));
     }
 
     #[test]
     fn inline_strict_vs_relaxed() {
         assert_eq!(
-            engine().check(&Caller::inline(), Some("tracker.com")),
+            strict().check("site.com", &Caller::inline(), Some("tracker.com")),
             AccessDecision::Block(BlockReason::InlineStrict)
         );
-        let relaxed = PolicyEngine::new(GuardConfig::relaxed(), "site.com");
+        let relaxed = GuardEngine::new(GuardConfig::relaxed());
         assert!(relaxed
-            .check(&Caller::inline(), Some("tracker.com"))
+            .check("site.com", &Caller::inline(), Some("tracker.com"))
             .is_allow());
     }
 
     #[test]
     fn unattributed_cookie_is_site_owned() {
         // Only the owner reaches a cookie with no recorded creator.
-        assert!(engine()
-            .check(&Caller::external("site.com"), None)
+        assert!(strict()
+            .check("site.com", &Caller::external("site.com"), None)
             .is_allow());
-        assert!(!engine()
-            .check(&Caller::external("tracker.com"), None)
+        assert!(!strict()
+            .check("site.com", &Caller::external("tracker.com"), None)
             .is_allow());
     }
 
     #[test]
     fn whitelist_grants_full_access() {
-        let e = PolicyEngine::new(
-            GuardConfig::strict().with_whitelisted("partner.io"),
-            "site.com",
-        );
+        let e = GuardEngine::new(GuardConfig::strict().with_whitelisted("partner.io"));
         assert_eq!(
-            e.check(&Caller::external("partner.io"), Some("anyone.com")),
+            e.check(
+                "site.com",
+                &Caller::external("partner.io"),
+                Some("anyone.com")
+            ),
             AccessDecision::Allow(AllowReason::Whitelisted)
         );
     }
 
     #[test]
     fn entity_grouping_same_org() {
-        let e = PolicyEngine::new(
+        let e = GuardEngine::new(
             GuardConfig::strict().with_entity_grouping(cg_entity::builtin_entity_map()),
-            "facebook.com",
         );
         // fbcdn.net script reading a facebook.net-created cookie: same entity.
         assert_eq!(
-            e.check(&Caller::external("fbcdn.net"), Some("facebook.net")),
+            e.check(
+                "facebook.com",
+                &Caller::external("fbcdn.net"),
+                Some("facebook.net")
+            ),
             AccessDecision::Allow(AllowReason::SameEntity)
         );
         // criteo stays blocked.
         assert_eq!(
-            e.check(&Caller::external("criteo.com"), Some("facebook.net")),
+            e.check(
+                "facebook.com",
+                &Caller::external("criteo.com"),
+                Some("facebook.net")
+            ),
             AccessDecision::Block(BlockReason::CrossDomain)
         );
     }
 
     #[test]
     fn unknown_domains_do_not_group() {
-        let e = PolicyEngine::new(
+        let e = GuardEngine::new(
             GuardConfig::strict().with_entity_grouping(cg_entity::builtin_entity_map()),
-            "site.com",
         );
         // Two unknown domains both fall back to "self" entities — they
         // must not be considered the same entity.
         assert!(!e
-            .check(&Caller::external("unknown-a.com"), Some("unknown-b.com"))
+            .check(
+                "site.com",
+                &Caller::external("unknown-a.com"),
+                Some("unknown-b.com")
+            )
             .is_allow());
     }
 
     #[test]
     fn create_decisions() {
-        assert!(engine()
-            .check_create(&Caller::external("new.com"))
+        assert!(strict()
+            .check_create("site.com", &Caller::external("new.com"))
             .is_allow());
-        assert!(!engine().check_create(&Caller::inline()).is_allow());
-        let relaxed = PolicyEngine::new(GuardConfig::relaxed(), "site.com");
-        assert!(relaxed.check_create(&Caller::inline()).is_allow());
+        assert!(!strict()
+            .check_create("site.com", &Caller::inline())
+            .is_allow());
+        let relaxed = GuardEngine::new(GuardConfig::relaxed());
+        assert!(relaxed
+            .check_create("site.com", &Caller::inline())
+            .is_allow());
     }
 }
