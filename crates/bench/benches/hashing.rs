@@ -2,7 +2,7 @@
 //! (every candidate identifier gets Base64 + MD5 + SHA-1 forms, and each
 //! form is substring-matched against outbound URLs).
 
-use cg_hash::{b64encode, md5_hex, sha1_hex, EncodedForms};
+use cg_hash::{b64encode, md5_hex, sha1_hex, EncodedForms, FormScanner};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_primitives(c: &mut Criterion) {
@@ -23,6 +23,19 @@ fn bench_encoded_forms(c: &mut Criterion) {
     let url = "https://px.ads.linkedin.com/attribution_trigger?pid=621340&url=www.optimonk.com&_ga=NDQ0MzMyMzY0LjE3NDY4Mzg4Mjc";
     c.bench_function("forms_match_against_url", |b| {
         b.iter(|| black_box(forms.appears_in(url)));
+    });
+    // A visit's worth of identifiers against one URL, in one pass.
+    let visit: Vec<EncodedForms> = (0..16u64)
+        .map(|i| EncodedForms::of(&(868_308_499_845_957_651 + i).to_string()))
+        .chain([forms])
+        .collect();
+    let scanner = FormScanner::new(&visit);
+    let mut hits = Vec::new();
+    c.bench_function("scan_17_identifiers_against_url", |b| {
+        b.iter(|| {
+            scanner.scan(black_box(url), &mut hits);
+            black_box(hits.len())
+        });
     });
 }
 

@@ -13,7 +13,7 @@
 
 use crate::dataset::{Dataset, PairKey};
 use cg_entity::EntityMap;
-use cg_hash::EncodedForms;
+use cg_hash::{EncodedForms, FormScanner};
 use cg_instrument::CookieApi;
 use cg_script::value::split_segments;
 use serde::{Deserialize, Serialize};
@@ -94,6 +94,8 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
         if forms.is_empty() {
             continue;
         }
+        let scanner = FormScanner::new(forms.iter().map(|(_, _, f)| f));
+        let mut hits = Vec::new();
 
         for req in &log.requests {
             // Only third-party destinations can receive an exfiltration.
@@ -107,10 +109,9 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
             let Some(initiator) = &req.initiator else {
                 continue;
             };
-            for (key, api, form) in &forms {
-                if !form.appears_in(&req.url) {
-                    continue;
-                }
+            scanner.scan(&req.url, &mut hits);
+            for &hit in &hits {
+                let (key, api, _) = &forms[hit];
                 let cross = !initiator.eq_ignore_ascii_case(&key.owner);
                 out.events.push(ExfilEvent {
                     site: log.site_domain.clone(),

@@ -23,20 +23,27 @@
 //! therefore associative, commutative, and idempotent, which preserves
 //! the streaming pipeline's byte-identical-at-any-thread-count
 //! guarantee.
+//!
+//! K is a const parameter. The default, 16384 hashes, serves the crawl
+//! census. Callers that keep one sketch per key pick a small K: the
+//! estimate is still exact below K, and above it never reads less than
+//! K − 1, so a threshold below K − 1 is decided exactly.
 
 use serde::{Content, Serialize};
 
-/// Hashes retained. 16384 × 8 B ≈ 128 KiB ceiling per sketch; exact
-/// counts up to 16383 distinct keys; ~0.8% standard error beyond.
-const K: usize = 16 * 1024;
+/// The default number of hashes retained. 16384 × 8 B ≈ 128 KiB
+/// ceiling per sketch; exact counts up to 16383 distinct keys; ~0.8%
+/// standard error beyond.
+pub const DEFAULT_K: usize = 16 * 1024;
 
-/// A fixed-memory distinct-count sketch over byte-string keys.
+/// A fixed-memory distinct-count sketch over byte-string keys, keeping
+/// the `K` smallest hashes.
 ///
 /// `Default` is the empty sketch (the merge identity). Equality
 /// compares retained hashes, so two sketches that saw the same key set
 /// are equal however the observations were ordered or partitioned.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DistinctSketch {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DistinctSketch<const K: usize = DEFAULT_K> {
     /// The K smallest key hashes seen, ascending. `mins.len() < K`
     /// means every distinct hash is retained (exact regime).
     mins: std::collections::BTreeSet<u64>,
@@ -45,8 +52,10 @@ pub struct DistinctSketch {
 /// 64-bit FNV-1a over the key bytes, passed through the splitmix64
 /// finalizer. FNV alone clusters in the low bits; KMV ranks hashes as
 /// uniform draws from [0, 2⁶⁴), so the mixer's avalanche matters to
-/// the estimate's accuracy.
-fn key_hash(parts: &[&[u8]]) -> u64 {
+/// the estimate's accuracy. `observe(parts)` is
+/// `insert_hash(key_hash(parts))`, for callers that hash a key once and
+/// insert it later.
+pub fn key_hash(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
         for &b in *part {
@@ -63,14 +72,23 @@ fn key_hash(parts: &[&[u8]]) -> u64 {
     h ^ (h >> 31)
 }
 
-impl DistinctSketch {
+impl<const K: usize> Default for DistinctSketch<K> {
+    fn default() -> Self {
+        DistinctSketch {
+            mins: std::collections::BTreeSet::new(),
+        }
+    }
+}
+
+impl<const K: usize> DistinctSketch<K> {
     /// Observes one key, given as parts (hashed with an unambiguous
     /// separator, so `("ab","c")` and `("a","bc")` are distinct keys).
     pub fn observe(&mut self, parts: &[&[u8]]) {
         self.insert_hash(key_hash(parts));
     }
 
-    fn insert_hash(&mut self, h: u64) {
+    /// Observes one key given as its [`key_hash`].
+    pub fn insert_hash(&mut self, h: u64) {
         if self.mins.len() < K {
             self.mins.insert(h);
             return;
@@ -84,7 +102,7 @@ impl DistinctSketch {
     /// Absorbs another sketch. Associative, commutative, idempotent:
     /// the union's K smallest hashes are a function of the combined
     /// key set only.
-    pub fn absorb(&mut self, other: DistinctSketch) {
+    pub fn absorb(&mut self, other: DistinctSketch<K>) {
         for h in other.mins {
             self.insert_hash(h);
         }
@@ -106,7 +124,7 @@ impl DistinctSketch {
 
 // Serializes as the estimate: sketches exist to be counted, and the
 // retained hashes are an implementation detail no consumer should pin.
-impl Serialize for DistinctSketch {
+impl<const K: usize> Serialize for DistinctSketch<K> {
     fn to_content(&self) -> Content {
         Content::U64(self.estimate())
     }
@@ -122,7 +140,7 @@ mod tests {
 
     #[test]
     fn exact_below_k_and_deduplicating() {
-        let mut s = DistinctSketch::default();
+        let mut s: DistinctSketch = DistinctSketch::default();
         for i in 0..1000 {
             s.observe(&[&key(i), b"owner.com"]);
         }
@@ -134,9 +152,9 @@ mod tests {
 
     #[test]
     fn part_boundaries_are_unambiguous() {
-        let mut a = DistinctSketch::default();
+        let mut a: DistinctSketch = DistinctSketch::default();
         a.observe(&[b"ab", b"c"]);
-        let mut b = DistinctSketch::default();
+        let mut b: DistinctSketch = DistinctSketch::default();
         b.observe(&[b"a", b"bc"]);
         assert_ne!(a, b);
     }
@@ -144,7 +162,7 @@ mod tests {
     #[test]
     fn estimate_above_k_is_within_a_few_percent() {
         let n = 200_000u64;
-        let mut s = DistinctSketch::default();
+        let mut s: DistinctSketch = DistinctSketch::default();
         for i in 0..n {
             s.observe(&[&key(i)]);
         }
@@ -155,11 +173,30 @@ mod tests {
 
     #[test]
     fn memory_is_capped_at_k_hashes() {
-        let mut s = DistinctSketch::default();
-        for i in 0..(K as u64 * 4) {
+        let mut s: DistinctSketch = DistinctSketch::default();
+        for i in 0..(DEFAULT_K as u64 * 4) {
             s.observe(&[&key(i)]);
         }
-        assert_eq!(s.mins.len(), K);
+        assert_eq!(s.mins.len(), DEFAULT_K);
+    }
+
+    #[test]
+    fn small_k_is_exact_below_k_and_never_reads_below_k_minus_one() {
+        // The guarantee a small per-key K rests on: a threshold below
+        // K − 1 is decided exactly, whatever the true count.
+        for n in [1u64, 16, 17, 63, 64, 65, 500, 20_000] {
+            let mut s = DistinctSketch::<64>::default();
+            for i in 0..n {
+                s.observe(&[&key(i)]);
+            }
+            let est = s.estimate();
+            if n < 64 {
+                assert_eq!(est, n);
+            } else {
+                assert!(est >= 63, "n {n}: estimate {est}");
+            }
+            assert!(s.mins.len() <= 64);
+        }
     }
 
     #[test]
@@ -169,7 +206,7 @@ mod tests {
         // serialization — the parallel-fold determinism contract.
         let n = 60_000u64;
         let part = |range: std::ops::Range<u64>| {
-            let mut s = DistinctSketch::default();
+            let mut s: DistinctSketch = DistinctSketch::default();
             for i in range {
                 s.observe(&[&key(i)]);
             }
@@ -195,7 +232,7 @@ mod tests {
 
     #[test]
     fn serializes_as_the_estimate() {
-        let mut s = DistinctSketch::default();
+        let mut s: DistinctSketch = DistinctSketch::default();
         s.observe(&[b"sid", b"a.com"]);
         s.observe(&[b"uid", b"b.com"]);
         assert_eq!(serde_json::to_string(&s).unwrap(), "2");

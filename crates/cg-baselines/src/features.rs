@@ -10,7 +10,7 @@
 
 use cg_analysis::dataset::reconstruct;
 use cg_analysis::PairKey;
-use cg_hash::EncodedForms;
+use cg_hash::{EncodedForms, FormScanner};
 use cg_instrument::VisitLog;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -97,6 +97,7 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
         .collect();
 
     let mut samples = Vec::with_capacity(recon.pairs.len());
+    let mut hits = Vec::new();
     for (key, hist) in &recon.pairs {
         let mut f = [0.0f64; FEATURE_COUNT];
         f[0] = key.name.len() as f64;
@@ -123,17 +124,21 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
         f[7] = readers.len() as f64;
 
         // Value flows into third-party requests (raw or encoded).
+        // Every (segment, request) pair that matches counts once.
+        let forms: Vec<EncodedForms> = hist
+            .values
+            .iter()
+            .flat_map(|v| id_segments(v))
+            .map(EncodedForms::of)
+            .collect();
+        let scanner = FormScanner::new(&forms);
         let mut flow_requests = 0usize;
         let mut dests: HashSet<&str> = HashSet::new();
-        for value in &hist.values {
-            for seg in id_segments(value) {
-                let forms = EncodedForms::of(seg);
-                for (url, dest) in &foreign_queries {
-                    if forms.appears_in(url) {
-                        flow_requests += 1;
-                        dests.insert(dest);
-                    }
-                }
+        for (url, dest) in &foreign_queries {
+            scanner.scan(url, &mut hits);
+            flow_requests += hits.len();
+            if !hits.is_empty() {
+                dests.insert(dest);
             }
         }
         f[8] = flow_requests as f64;

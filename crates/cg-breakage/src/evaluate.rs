@@ -171,12 +171,26 @@ pub fn evaluate_breakage(
     from: usize,
     to: usize,
 ) -> BreakageReport {
+    evaluate_sample(gen, guard, from..=to, usize::MAX)
+}
+
+/// [`evaluate_breakage`] over the sites at `ranks`, in order, stopping
+/// once `limit` sites have been evaluated — Table 3's stratified sample.
+pub fn evaluate_sample(
+    gen: &WebGenerator,
+    guard: &GuardConfig,
+    ranks: impl IntoIterator<Item = usize>,
+    limit: usize,
+) -> BreakageReport {
     let mut report = BreakageReport::default();
     // Compile the guard engine once for the whole evaluation; each visit
     // opens a per-site session on it.
     let regular_cfg = VisitConfig::regular();
     let guarded_cfg = VisitConfig::guarded(guard.clone());
-    for rank in from..=to {
+    for rank in ranks {
+        if report.sites >= limit {
+            break;
+        }
         let bp = gen.blueprint(rank);
         if !bp.spec.crawl_ok {
             continue;

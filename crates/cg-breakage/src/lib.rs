@@ -28,14 +28,14 @@
 //! **Layer:** evaluation (paired `cg-browser` visits, probe
 //! comparison). **Invariant:** breakage is always a *regression* —
 //! probes failing without the guard never count. **Entry points:**
-//! `evaluate_breakage`, `probe_regressions` (shared with the scenario
-//! matrix).
+//! `evaluate_breakage` / `evaluate_sample`, `probe_regressions` (shared
+//! with the scenario matrix).
 
 pub mod evaluate;
 
 pub use evaluate::{
-    evaluate_breakage, probe_regressions, BreakageCategory, BreakageReport, BreakageSeverity,
-    ProbeRegression, SiteBreakage,
+    evaluate_breakage, evaluate_sample, probe_regressions, BreakageCategory, BreakageReport,
+    BreakageSeverity, ProbeRegression, SiteBreakage,
 };
 
 #[cfg(test)]

@@ -3,16 +3,31 @@
 //!
 //! Mirrors the `GuardEngine` compile-once pattern: all string-keyed
 //! registry state (ground-truth labels, entity grouping) is flattened
-//! into hash tables at [`DetectEngine::compile`] time, so the per-visit
-//! fold does name-keyed lookups without rebuilding anything. The
-//! entity map is additionally compiled to the interned
-//! `DomainId → EntityId` table (`cg_entity::CompiledEntityMap`) for the
-//! same-organization checks on the hot path.
+//! at [`DetectEngine::compile`] time into dense ids, so the per-visit
+//! fold compares and aggregates integers:
+//!
+//! * every labeled cookie name gets a [`NameId`];
+//! * every organization gets an [`OrgId`]: mapped domains through the
+//!   interned `DomainId → EntityId` table (`cg_entity::CompiledEntityMap`),
+//!   unmapped domains (which stand for themselves) through their
+//!   `cg_url::intern` id;
+//! * every `(name, owner class)` key the label table can produce gets a
+//!   dense [`KeyId`]. Name-keyed labels apply under any owner, so a key
+//!   the table cannot enumerate gets its id the first time a fold meets
+//!   it.
+//!
+//! Ids are process-local handles, like `DomainId`: the interner's and
+//! the late keys' ids depend on thread timing, so nothing may be
+//! ordered by an id. Names are resolved, and output sorted by them,
+//! only when the report renders.
 
+use crate::features::{DetectKey, Owner};
 use cg_entity::{CompiledEntityMap, EntityMap};
+use cg_url::DomainId;
 use cg_webgen::{CookieLabel, CookieLabels};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::sync::RwLock;
 
 /// Detection thresholds. All knobs that decide a verdict live here so
 /// tests (and the scenario hard cases, which run on single visits) can
@@ -58,6 +73,7 @@ pub struct DetectConfig {
     /// may be few, but globally it harvests whatever exists, which is
     /// bulk behaviour — its foreign-harvest evidence is discounted.
     /// Deliberate harvesters ship small fixed name lists everywhere.
+    /// Decided exactly up to `SKETCH_K - 2` (see `crate::stats`).
     pub broad_shipper_names: u64,
 }
 
@@ -77,46 +93,144 @@ impl Default for DetectConfig {
     }
 }
 
+/// A labeled cookie name, dense in compile order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NameId(u32);
+
+/// An organization: an entity of the map, or an unmapped domain
+/// standing for itself (the `EntityMap::entity_of` convention).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct OrgId(u32);
+
+impl OrgId {
+    /// An id no organization gets.
+    pub(crate) const MAX: OrgId = OrgId(u32::MAX);
+}
+
+/// A scored `(name, owner class)` key; indexes
+/// [`DetectStats::keys`](crate::DetectStats::keys).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct KeyId(u32);
+
+impl KeyId {
+    /// The dense index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    pub(crate) fn from_index(index: usize) -> KeyId {
+        KeyId(index as u32)
+    }
+}
+
+/// Everything the label table says about one cookie name.
+struct NameEntry {
+    name: String,
+    /// `cg_analysis::sketch::key_hash` of the name, the shipper
+    /// sketches' key.
+    hash: u64,
+    /// Label under any owner (site-builder synthetics).
+    any_owner: Option<CookieLabel>,
+    /// `(owner vendor domain, label)` pairs.
+    owners: Vec<(String, CookieLabel)>,
+}
+
+/// Key ids in both directions.
+#[derive(Default)]
+struct KeyTable {
+    ids: HashMap<DetectKey, KeyId>,
+    keys: Vec<DetectKey>,
+}
+
+impl KeyTable {
+    fn insert(&mut self, key: DetectKey) -> KeyId {
+        let next = KeyId(u32::try_from(self.keys.len()).expect("fewer than 2^32 keys"));
+        *self.ids.entry(key).or_insert_with(|| {
+            self.keys.push(key);
+            next
+        })
+    }
+}
+
 /// The compiled detector. Build once ([`DetectEngine::compile`]), share
 /// across fold workers (`Sync`), apply per visit.
 pub struct DetectEngine {
     config: DetectConfig,
-    entities: EntityMap,
-    compiled_entities: CompiledEntityMap,
-    /// name → [(owner vendor domain, label)] — the registry table,
-    /// re-keyed by name so hot-path lookups never allocate a tuple key.
-    by_name: HashMap<String, Vec<(String, CookieLabel)>>,
-    /// Site-builder synthetics, labeled by name alone.
-    overrides: HashMap<String, CookieLabel>,
+    entities: CompiledEntityMap,
+    /// Entity names, by `EntityId` index.
+    entity_names: Vec<String>,
+    names: Vec<NameEntry>,
+    name_ids: HashMap<String, NameId>,
+    /// Every key the label table enumerates; read without a lock.
+    keys: KeyTable,
+    /// Keys met while folding that the table could not enumerate,
+    /// numbered after `keys`.
+    late_keys: RwLock<KeyTable>,
 }
 
 impl DetectEngine {
     /// Flattens the ground truth and entity map into the hot-path
-    /// tables. Deterministic for a given input.
+    /// tables. Deterministic for a given input (late keys aside).
     pub fn compile(
         labels: &CookieLabels,
         entities: EntityMap,
         config: DetectConfig,
     ) -> DetectEngine {
-        let mut by_name: HashMap<String, Vec<(String, CookieLabel)>> = HashMap::new();
+        let compiled = CompiledEntityMap::compile(&entities);
+        let mut entity_names = vec![String::new(); compiled.entity_count()];
+        for (domain, entity) in entities.iter() {
+            if let Some(e) = compiled.entity_of(cg_url::intern(domain)) {
+                entity_names[e.index() as usize] = entity.to_string();
+            }
+        }
+        let mut engine = DetectEngine {
+            config,
+            entities: compiled,
+            entity_names,
+            names: Vec::new(),
+            name_ids: HashMap::new(),
+            keys: KeyTable::default(),
+            late_keys: RwLock::new(KeyTable::default()),
+        };
+        for (name, label) in labels.name_overrides() {
+            let id = engine.name_entry(name);
+            engine.names[id.0 as usize].any_owner = Some(label);
+        }
         for (name, owner, label) in labels.pairs() {
-            by_name
-                .entry(name.to_string())
-                .or_default()
+            let id = engine.name_entry(name);
+            engine.names[id.0 as usize]
+                .owners
                 .push((owner.to_string(), label));
         }
-        let overrides: HashMap<String, CookieLabel> = labels
-            .name_overrides()
-            .map(|(n, l)| (n.to_string(), l))
-            .collect();
-        let compiled_entities = CompiledEntityMap::compile(&entities);
-        DetectEngine {
-            config,
-            entities,
-            compiled_entities,
-            by_name,
-            overrides,
+        for i in 0..engine.names.len() {
+            let name = NameId(i as u32);
+            for owner in [Owner::Site, Owner::Cloaked] {
+                engine.keys.insert(DetectKey { name, owner });
+            }
+            for o in 0..engine.names[i].owners.len() {
+                let org = engine.org_of(&engine.names[i].owners[o].0);
+                engine.keys.insert(DetectKey {
+                    name,
+                    owner: Owner::Entity(org),
+                });
+            }
         }
+        engine
+    }
+
+    fn name_entry(&mut self, name: &str) -> NameId {
+        if let Some(&id) = self.name_ids.get(name) {
+            return id;
+        }
+        let id = NameId(u32::try_from(self.names.len()).expect("fewer than 2^32 names"));
+        self.names.push(NameEntry {
+            name: name.to_string(),
+            hash: cg_analysis::sketch::key_hash(&[name.as_bytes()]),
+            any_owner: None,
+            owners: Vec::new(),
+        });
+        self.name_ids.insert(name.to_string(), id);
+        id
     }
 
     /// The thresholds this engine applies.
@@ -124,41 +238,106 @@ impl DetectEngine {
         &self.config
     }
 
-    /// The string-level entity map (aggregation keys are entity names).
-    pub fn entities(&self) -> &EntityMap {
-        &self.entities
-    }
-
     /// The ground-truth label for cookie `name` as written by
     /// `actor_domain`, or `None` when the pair is outside the scored
     /// universe.
     pub fn label_for(&self, name: &str, actor_domain: &str) -> Option<CookieLabel> {
-        if let Some(&l) = self.overrides.get(name) {
-            return Some(l);
-        }
-        self.by_name.get(name).and_then(|owners| {
-            owners
+        self.name_id(name)
+            .and_then(|id| self.label_of(id, actor_domain))
+    }
+
+    /// The id of a labeled cookie name; `None` when no label mentions
+    /// it.
+    pub fn name_id(&self, name: &str) -> Option<NameId> {
+        self.name_ids.get(name).copied()
+    }
+
+    /// [`DetectEngine::label_for`] for a name already resolved.
+    pub fn label_of(&self, name: NameId, actor_domain: &str) -> Option<CookieLabel> {
+        let entry = &self.names[name.0 as usize];
+        entry.any_owner.or_else(|| {
+            entry
+                .owners
                 .iter()
                 .find(|(o, _)| o.eq_ignore_ascii_case(actor_domain))
                 .map(|&(_, l)| l)
         })
     }
 
-    /// Same-organization check through the interned
-    /// `DomainId → EntityId` table, with the guard's convention for
-    /// unknown domains: identity is plain domain equality, grouping
-    /// only applies to mapped domains.
-    pub fn same_entity(&self, a: &str, b: &str) -> bool {
-        a.eq_ignore_ascii_case(b)
-            || self
-                .compiled_entities
-                .same_entity(cg_url::intern(a), cg_url::intern(b))
+    /// The cookie name behind an id.
+    pub fn name(&self, name: NameId) -> &str {
+        &self.names[name.0 as usize].name
     }
 
-    /// Canonical entity name for aggregation keys (the domain itself
-    /// when unmapped).
-    pub fn entity_of(&self, domain: &str) -> String {
-        self.entities.entity_of(domain)
+    /// The shipper-sketch hash of a name.
+    pub(crate) fn name_hash(&self, name: NameId) -> u64 {
+        self.names[name.0 as usize].hash
+    }
+
+    /// The organization owning `domain` (the domain itself when
+    /// unmapped, interned on first sight).
+    pub fn org_of(&self, domain: &str) -> OrgId {
+        self.org_of_id(cg_url::intern(domain))
+    }
+
+    /// [`DetectEngine::org_of`] for a domain that may never have been
+    /// interned; `None` then, and the domain is unmapped.
+    pub(crate) fn known_org_of(&self, domain: &str) -> Option<OrgId> {
+        cg_url::lookup(domain).map(|id| self.org_of_id(id))
+    }
+
+    fn org_of_id(&self, domain: DomainId) -> OrgId {
+        match self.entities.entity_of(domain) {
+            Some(e) => OrgId(e.index()),
+            None => OrgId(
+                domain
+                    .index()
+                    .checked_add(self.entity_names.len() as u32)
+                    .expect("organization ids fit in u32"),
+            ),
+        }
+    }
+
+    /// Canonical organization name: the entity's, or the unmapped
+    /// domain's.
+    pub fn org_name(&self, org: OrgId) -> &str {
+        match self.entity_names.get(org.0 as usize) {
+            Some(name) => name,
+            None => cg_url::name(DomainId::from_index(org.0 - self.entity_names.len() as u32)),
+        }
+    }
+
+    /// Report rendering of an owner class (`(site)`, `(cloaked)`, or
+    /// the organization's name).
+    pub fn owner_name(&self, owner: Owner) -> &str {
+        match owner {
+            Owner::Site => "(site)",
+            Owner::Cloaked => "(cloaked)",
+            Owner::Entity(org) => self.org_name(org),
+        }
+    }
+
+    /// The id of `key`, assigning one if the label table could not
+    /// enumerate it at compile time.
+    pub fn key_id(&self, key: DetectKey) -> KeyId {
+        if let Some(&id) = self.keys.ids.get(&key) {
+            return id;
+        }
+        let late = |id: KeyId| KeyId(id.0 + self.keys.keys.len() as u32);
+        if let Some(&id) = self.late_keys.read().expect("key table").ids.get(&key) {
+            return late(id);
+        }
+        late(self.late_keys.write().expect("key table").insert(key))
+    }
+
+    /// The key behind an id.
+    pub fn key(&self, id: KeyId) -> DetectKey {
+        match self.keys.keys.get(id.index()) {
+            Some(&key) => key,
+            None => {
+                self.late_keys.read().expect("key table").keys[id.index() - self.keys.keys.len()]
+            }
+        }
     }
 }
 
@@ -199,8 +378,35 @@ mod tests {
     #[test]
     fn entity_grouping_follows_builtin_map() {
         let e = engine();
-        assert!(e.same_entity("facebook.net", "fbcdn.net"));
-        assert!(e.same_entity("nobody.example", "nobody.example"));
-        assert!(!e.same_entity("nobody-a.example", "nobody-b.example"));
+        assert_eq!(e.org_of("facebook.net"), e.org_of("fbcdn.net"));
+        assert_eq!(e.org_of("nobody.example"), e.org_of("Nobody.Example"));
+        assert_ne!(e.org_of("nobody-a.example"), e.org_of("nobody-b.example"));
+        assert_eq!(e.org_name(e.org_of("fbcdn.net")), "Meta");
+        assert_eq!(e.org_name(e.org_of("Nobody.Example")), "nobody.example");
+    }
+
+    #[test]
+    fn keys_round_trip_through_ids() {
+        let e = engine();
+        let fbp = e.name_id("_fbp").expect("_fbp is labeled");
+        let meta = DetectKey {
+            name: fbp,
+            owner: Owner::Entity(e.org_of("facebook.net")),
+        };
+        let id = e.key_id(meta);
+        assert!(id.index() < e.keys.keys.len(), "enumerated at compile");
+        assert_eq!(e.key(id), meta);
+        // A name-keyed label under an owner no pair lists gets a late
+        // id, stable on every later lookup.
+        let uid = e.name_id("_cloaked_uid").expect("override name");
+        let odd = DetectKey {
+            name: uid,
+            owner: Owner::Entity(e.org_of("late-owner.example")),
+        };
+        let late = e.key_id(odd);
+        assert!(late.index() >= e.keys.keys.len());
+        assert_eq!(e.key_id(odd), late);
+        assert_eq!(e.key(late), odd);
+        assert_eq!(e.owner_name(odd.owner), "late-owner.example");
     }
 }

@@ -23,55 +23,49 @@
 //!   re-creating the same cookie within the visit.
 //!
 //! Only registry-labeled pairs get per-key state, so per-visit memory
-//! is bounded by the (finite) label table, never by crawl size.
+//! is bounded by the (finite) label table, never by crawl size. The
+//! facts hold ids, hashes and slices of the log, never owned strings;
+//! exfil matching reads each off-site request URL once for all of the
+//! visit's encoded identifiers ([`cg_hash::FormScanner`]).
 
-use crate::engine::DetectEngine;
-use cg_hash::EncodedForms;
+use crate::engine::{DetectEngine, KeyId, NameId, OrgId};
+use cg_hash::{EncodedForms, FormScanner};
 use cg_instrument::{VisitLog, WriteKind};
 use cg_script::value::split_segments;
 use cg_webgen::CookieLabel;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Who owns a cookie pair, at aggregation granularity.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Owner {
     /// Created by the site itself (inline or first-party script).
     Site,
     /// Created through a CNAME cloak: the script URL was first-party
     /// but attribution resolved to a foreign organization.
     Cloaked,
-    /// Created by a third-party organization (canonical entity name).
-    Entity(String),
-}
-
-impl Owner {
-    /// Stable rendering for reports (`(site)`, `(cloaked)`, or the
-    /// entity name).
-    pub fn as_str(&self) -> &str {
-        match self {
-            Owner::Site => "(site)",
-            Owner::Cloaked => "(cloaked)",
-            Owner::Entity(e) => e,
-        }
-    }
+    /// Created by a third-party organization.
+    Entity(OrgId),
 }
 
 /// The detector's aggregation key: cookie name plus owner class. Same
 /// name under different organizations stays distinct (the paper's pair
-/// definition); the same behaviour across sites folds together.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// definition); the same behaviour across sites folds together. The
+/// engine numbers keys densely ([`DetectEngine::key_id`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DetectKey {
     /// Cookie name.
-    pub name: String,
+    pub name: NameId,
     /// Owner class.
     pub owner: Owner,
 }
 
 /// What one visit contributed to one labeled key.
-#[derive(Debug, Clone, Default)]
-pub struct KeyVisitFacts {
-    /// Ground-truth label (Tracker wins if owners disagree on merge).
-    pub label: Option<CookieLabel>,
+#[derive(Debug, Clone)]
+pub struct KeyVisitFacts<'l> {
+    /// The key.
+    pub key: KeyId,
+    /// Ground-truth label (Tracker wins if owners disagree).
+    pub label: CookieLabel,
     /// A written value carried an identifier segment.
     pub id_value: bool,
     /// A write requested a persistent lifetime.
@@ -80,29 +74,32 @@ pub struct KeyVisitFacts {
     pub respawned: bool,
     /// The owner shipped the value to a non-site destination.
     pub self_ship: bool,
-    /// Foreign organizations that shipped the value (non-bulk).
-    pub foreign_ships: BTreeSet<String>,
-    /// Distinct values written this visit (value-stability sketching).
-    pub values: Vec<String>,
+    /// Foreign organizations that shipped the value (non-bulk),
+    /// ascending, without repeats.
+    pub foreign_ships: Vec<OrgId>,
+    /// Every value written this visit, in write order.
+    pub values: Vec<&'l str>,
 }
 
 /// Everything one visit contributes to the fold.
 #[derive(Debug, Clone, Default)]
-pub struct VisitFacts {
-    /// Per labeled key.
-    pub keys: BTreeMap<DetectKey, KeyVisitFacts>,
+pub struct VisitFacts<'l> {
+    /// One entry per labeled key written.
+    pub keys: Vec<KeyVisitFacts<'l>>,
     /// Foreign organizations whose scripts were included on the page —
     /// the co-presence denominator for foreign-harvest rates.
-    pub foreign_present: BTreeSet<String>,
-    /// Unlabeled pairs observed, as `(name, owner-domain)` (folded into
-    /// a distinct sketch, never retained).
-    pub unlabeled_pairs: Vec<(String, String)>,
+    /// Ascending, without repeats.
+    pub foreign_present: Vec<OrgId>,
+    /// `key_hash` of every unlabeled `(name, owner-domain)` pair
+    /// observed (folded into a distinct sketch, never retained).
+    pub unlabeled_pairs: Vec<u64>,
     /// Unblocked set events on unlabeled pairs.
     pub unlabeled_sets: u64,
     /// Every cookie name each organization shipped off-site this visit
-    /// (bulk included) — feeds the global breadth profile that
-    /// separates fixed-list harvesters from jar samplers.
-    pub shipped_names: BTreeMap<String, BTreeSet<String>>,
+    /// (bulk included), ascending, without repeats — feeds the global
+    /// breadth profile that separates fixed-list harvesters from jar
+    /// samplers.
+    pub shipped_names: Vec<(OrgId, NameId)>,
 }
 
 /// Which extraction stages to run. Every fold runs the full pipeline:
@@ -152,128 +149,156 @@ fn id_segments(value: &str) -> Vec<&str> {
         .collect()
 }
 
+/// The site's organization before it has an interned id: an unmapped
+/// domain the process has not seen. No other domain resolves to it.
+const UNINTERNED_SITE: OrgId = OrgId::MAX;
+
+/// Organization resolution for one visit. The site resolves without
+/// interning its domain, because most sites never reach the fold's
+/// state; [`Orgs::kept`] interns it when one does.
+struct Orgs<'a> {
+    engine: &'a DetectEngine,
+    site: &'a str,
+    site_org: OrgId,
+}
+
+impl<'a> Orgs<'a> {
+    fn new(engine: &'a DetectEngine, site: &'a str) -> Orgs<'a> {
+        let site_org = engine.known_org_of(site).unwrap_or(UNINTERNED_SITE);
+        Orgs {
+            engine,
+            site,
+            site_org,
+        }
+    }
+
+    fn of(&self, domain: &str) -> OrgId {
+        if domain.eq_ignore_ascii_case(self.site) {
+            self.site_org
+        } else {
+            self.engine.org_of(domain)
+        }
+    }
+
+    /// `org` as it may be kept across visits.
+    fn kept(&self, org: OrgId) -> OrgId {
+        if org == UNINTERNED_SITE {
+            self.engine.org_of(self.site)
+        } else {
+            org
+        }
+    }
+}
+
 /// Extracts one visit's facts. Pure: same log + engine → same facts,
 /// independent of any other visit (the order-independence property the
-/// proptest pins).
-pub fn extract(engine: &DetectEngine, log: &VisitLog) -> VisitFacts {
+/// proptest pins); only the ids in them depend on what the process
+/// interned before.
+pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
     let site = log.site_domain.as_str();
-    let site_entity = engine.entity_of(site);
+    let orgs = Orgs::new(engine, site);
+    let cutoff = engine.config().persist_cutoff_s;
     let mut out = VisitFacts::default();
 
     // -- set replay: ownership, labels, value/lifetime features -------
-    // live owner per cookie name: (actor domain, key when labeled)
-    let mut live: HashMap<&str, (String, Option<DetectKey>)> = HashMap::new();
-    // names a foreign actor deleted, with the original owner domain
-    let mut foreign_deleted: HashMap<&str, String> = HashMap::new();
-    let mut unlabeled_seen: BTreeSet<(String, String)> = BTreeSet::new();
+    // live owner per cookie name: (actor's org, index into out.keys
+    // when labeled)
+    let mut live: HashMap<&str, (OrgId, Option<usize>)> = HashMap::new();
+    // names a foreign actor deleted, with the original owner's org
+    let mut foreign_deleted: HashMap<&str, OrgId> = HashMap::new();
 
     for ev in &log.sets {
         if ev.blocked {
             continue;
         }
         let actor = ev.actor.as_deref().unwrap_or(site);
-        match ev.kind {
-            WriteKind::Create => {
-                let owner = classify_owner(engine, actor, ev.actor_url.as_deref(), site);
-                let label = match &owner {
-                    Owner::Site => engine.label_for(&ev.name, site),
-                    _ => engine.label_for(&ev.name, actor),
-                };
-                let key = label.map(|_| DetectKey {
-                    name: ev.name.clone(),
-                    owner: owner.clone(),
-                });
-                if let Some(key) = &key {
-                    let facts = out.keys.entry(key.clone()).or_default();
-                    facts.label = max_label(facts.label, label);
-                    facts.id_value |= !id_segments(&ev.value).is_empty();
-                    facts.persistent |= ev
-                        .max_age_s
-                        .is_some_and(|a| a >= engine.config().persist_cutoff_s);
-                    facts.values.push(ev.value.clone());
-                    // respawn: this create resurrects a foreign-deleted
-                    // cookie under its original owner
-                    if let Some(orig) = foreign_deleted.get(ev.name.as_str()) {
-                        if engine.same_entity(orig, actor) {
-                            facts.respawned = true;
-                        }
-                    }
-                } else {
+        let actor_org = orgs.of(actor);
+        let create = match ev.kind {
+            WriteKind::Create => true,
+            WriteKind::Overwrite => match live.get(ev.name.as_str()) {
+                // ownership is sticky: the overwrite feeds the original
+                // pair's features
+                Some(&(_, Some(k))) => {
+                    out.keys[k].observe_write(&ev.value, ev.max_age_s, cutoff);
+                    continue;
+                }
+                Some((_, None)) => {
                     out.unlabeled_sets += 1;
-                    unlabeled_seen.insert((ev.name.clone(), actor.to_string()));
+                    continue;
                 }
-                live.insert(&ev.name, (actor.to_string(), key));
-            }
-            WriteKind::Overwrite => {
-                match live.get(ev.name.as_str()) {
-                    Some((_, Some(key))) => {
-                        // ownership is sticky: the overwrite feeds the
-                        // original pair's features
-                        let facts = out.keys.entry(key.clone()).or_default();
-                        facts.id_value |= !id_segments(&ev.value).is_empty();
-                        facts.persistent |= ev
-                            .max_age_s
-                            .is_some_and(|a| a >= engine.config().persist_cutoff_s);
-                        facts.values.push(ev.value.clone());
-                    }
-                    Some((_, None)) => out.unlabeled_sets += 1,
-                    None => {
-                        // blind overwrite of an invisible cookie:
-                        // treat as a create by this actor
-                        let owner = classify_owner(engine, actor, ev.actor_url.as_deref(), site);
-                        let label = match &owner {
-                            Owner::Site => engine.label_for(&ev.name, site),
-                            _ => engine.label_for(&ev.name, actor),
-                        };
-                        let key = label.map(|_| DetectKey {
-                            name: ev.name.clone(),
-                            owner,
-                        });
-                        if let Some(key) = &key {
-                            let facts = out.keys.entry(key.clone()).or_default();
-                            facts.label = max_label(facts.label, label);
-                            facts.id_value |= !id_segments(&ev.value).is_empty();
-                            facts.persistent |= ev
-                                .max_age_s
-                                .is_some_and(|a| a >= engine.config().persist_cutoff_s);
-                            facts.values.push(ev.value.clone());
-                        } else {
-                            out.unlabeled_sets += 1;
-                            unlabeled_seen.insert((ev.name.clone(), actor.to_string()));
-                        }
-                        live.insert(&ev.name, (actor.to_string(), key));
-                    }
-                }
-            }
+                // blind overwrite of an invisible cookie: treat as a
+                // create by this actor
+                None => true,
+            },
             WriteKind::Delete => {
-                if let Some((owner_domain, _)) = live.get(ev.name.as_str()) {
-                    if !engine.same_entity(owner_domain, actor) {
-                        foreign_deleted.insert(&ev.name, owner_domain.clone());
+                if let Some(&(owner_org, _)) = live.get(ev.name.as_str()) {
+                    if owner_org != actor_org {
+                        foreign_deleted.insert(&ev.name, owner_org);
                     }
                 }
+                false
             }
+        };
+        if !create {
+            continue;
         }
+        let owner = classify_owner(actor, actor_org, ev.actor_url.as_deref(), site);
+        let labeled = engine.name_id(&ev.name).and_then(|name| {
+            let label_domain = if owner == Owner::Site { site } else { actor };
+            engine
+                .label_of(name, label_domain)
+                .map(|label| (engine.key_id(DetectKey { name, owner }), label))
+        });
+        let slot = labeled.map(|(key, label)| {
+            let k = match out.keys.iter().position(|f| f.key == key) {
+                Some(k) => k,
+                None => {
+                    out.keys.push(KeyVisitFacts::new(key, label));
+                    out.keys.len() - 1
+                }
+            };
+            let facts = &mut out.keys[k];
+            facts.label = max_label(facts.label, label);
+            facts.observe_write(&ev.value, ev.max_age_s, cutoff);
+            // respawn: this create resurrects a foreign-deleted cookie
+            // under its original owner (a blind overwrite cannot)
+            if ev.kind == WriteKind::Create
+                && foreign_deleted.get(ev.name.as_str()) == Some(&actor_org)
+            {
+                facts.respawned = true;
+            }
+            k
+        });
+        if slot.is_none() {
+            out.unlabeled_sets += 1;
+            out.unlabeled_pairs.push(cg_analysis::sketch::key_hash(&[
+                ev.name.as_bytes(),
+                actor.as_bytes(),
+            ]));
+        }
+        live.insert(&ev.name, (actor_org, slot));
     }
-    out.unlabeled_pairs = unlabeled_seen.into_iter().collect();
 
     // -- co-presence: which foreign organizations ran scripts here ----
     for inc in &log.inclusions {
         if let Some(d) = &inc.domain {
-            let e = engine.entity_of(d);
-            if e != site_entity {
-                out.foreign_present.insert(e);
+            let org = orgs.of(d);
+            if org != orgs.site_org {
+                out.foreign_present.push(org);
             }
         }
     }
+    out.foreign_present.sort_unstable();
+    out.foreign_present.dedup();
 
     // -- exfil matching: who ships which key's value where ------------
-    let mut forms: Vec<(&DetectKey, EncodedForms)> = Vec::new();
-    for (key, facts) in &out.keys {
+    let mut forms: Vec<(usize, EncodedForms)> = Vec::new();
+    for (k, facts) in out.keys.iter().enumerate() {
         let mut seen: BTreeSet<&str> = BTreeSet::new();
         for value in &facts.values {
             for seg in id_segments(value) {
                 if seen.insert(seg) {
-                    forms.push((key, EncodedForms::of(seg)));
+                    forms.push((k, EncodedForms::of(seg)));
                 }
             }
         }
@@ -281,13 +306,13 @@ pub fn extract(engine: &DetectEngine, log: &VisitLog) -> VisitFacts {
     if forms.is_empty() {
         return out;
     }
-    let id_keys_in_visit = forms
-        .iter()
-        .map(|(key, _)| *key)
-        .collect::<BTreeSet<_>>()
-        .len();
+    // forms are grouped by key, so a key's forms are adjacent
+    let id_keys_in_visit = 1 + forms.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    let scanner = FormScanner::new(forms.iter().map(|(_, f)| f));
 
-    let mut ships: Vec<(DetectKey, String, bool)> = Vec::new(); // (key, initiator entity, bulk)
+    let mut hits = Vec::new();
+    let mut matched: Vec<usize> = Vec::new();
+    let mut ships: Vec<(usize, OrgId, bool)> = Vec::new(); // (key, initiator org, bulk)
     for req in &log.requests {
         let Some(dest) = &req.dest_domain else {
             continue;
@@ -295,14 +320,14 @@ pub fn extract(engine: &DetectEngine, log: &VisitLog) -> VisitFacts {
         if dest.eq_ignore_ascii_case(site) {
             continue; // first-party traffic is not exfiltration
         }
-        let initiator = req.initiator.as_deref().unwrap_or(site);
-        let init_entity = engine.entity_of(initiator);
-        let mut matched: BTreeSet<&DetectKey> = BTreeSet::new();
-        for (key, form) in &forms {
-            if form.appears_in(&req.url) {
-                matched.insert(key);
-            }
+        scanner.scan(&req.url, &mut hits);
+        if hits.is_empty() {
+            continue;
         }
+        matched.clear();
+        matched.extend(hits.iter().map(|&form| forms[form].0));
+        matched.dedup();
+        let init_org = orgs.of(req.initiator.as_deref().unwrap_or(site));
         // Bulk = many keys in absolute terms, or most of what this
         // visit's jar had to offer (samplers empty small jars without
         // ever hitting the absolute threshold).
@@ -310,39 +335,60 @@ pub fn extract(engine: &DetectEngine, log: &VisitLog) -> VisitFacts {
             || (matched.len() >= 2
                 && matched.len() as f64
                     >= engine.config().bulk_jar_fraction * id_keys_in_visit as f64);
-        for key in matched {
-            out.shipped_names
-                .entry(init_entity.clone())
-                .or_default()
-                .insert(key.name.clone());
-            ships.push((key.clone(), init_entity.clone(), bulk));
+        for &k in &matched {
+            let name = engine.key(out.keys[k].key).name;
+            out.shipped_names.push((orgs.kept(init_org), name));
+            ships.push((k, init_org, bulk));
         }
     }
-    for (key, init_entity, bulk) in ships {
-        let owner_is_initiator = match &key.owner {
-            Owner::Site | Owner::Cloaked => init_entity == site_entity,
-            Owner::Entity(e) => *e == init_entity,
+    for (k, init_org, bulk) in ships {
+        let facts = &mut out.keys[k];
+        let owner_is_initiator = match engine.key(facts.key).owner {
+            Owner::Site | Owner::Cloaked => init_org == orgs.site_org,
+            Owner::Entity(org) => org == init_org,
         };
-        let facts = out.keys.get_mut(&key).expect("key came from out.keys");
         if owner_is_initiator {
             // The owner shipping its own cookie off-site is always
             // deliberate — bulk or not (self-hosted analytics ships the
             // whole jar).
             facts.self_ship = true;
         } else if !bulk {
-            facts.foreign_ships.insert(init_entity);
+            facts.foreign_ships.push(orgs.kept(init_org));
         }
     }
+    for facts in &mut out.keys {
+        facts.foreign_ships.sort_unstable();
+        facts.foreign_ships.dedup();
+    }
+    out.shipped_names.sort_unstable();
+    out.shipped_names.dedup();
     out
 }
 
+impl<'l> KeyVisitFacts<'l> {
+    fn new(key: KeyId, label: CookieLabel) -> KeyVisitFacts<'l> {
+        KeyVisitFacts {
+            key,
+            label,
+            id_value: false,
+            persistent: false,
+            respawned: false,
+            self_ship: false,
+            foreign_ships: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// Value and lifetime features of one write of this key.
+    fn observe_write(&mut self, value: &'l str, max_age_s: Option<i64>, cutoff: i64) {
+        self.id_value |= !id_segments(value).is_empty();
+        self.persistent |= max_age_s.is_some_and(|a| a >= cutoff);
+        self.values.push(value);
+    }
+}
+
 /// Owner classification for one write.
-fn classify_owner(
-    engine: &DetectEngine,
-    actor: &str,
-    actor_url: Option<&str>,
-    site: &str,
-) -> Owner {
+fn classify_owner(actor: &str, actor_org: OrgId, actor_url: Option<&str>, site: &str) -> Owner {
     if actor.eq_ignore_ascii_case(site) {
         return Owner::Site;
     }
@@ -355,17 +401,15 @@ fn classify_owner(
     {
         return Owner::Cloaked;
     }
-    Owner::Entity(engine.entity_of(actor))
+    Owner::Entity(actor_org)
 }
 
 /// Tracker wins when two owners of a merged key disagree.
-fn max_label(a: Option<CookieLabel>, b: Option<CookieLabel>) -> Option<CookieLabel> {
-    match (a, b) {
-        (Some(CookieLabel::Tracker), _) | (_, Some(CookieLabel::Tracker)) => {
-            Some(CookieLabel::Tracker)
-        }
-        (Some(l), _) => Some(l),
-        (None, l) => l,
+pub(crate) fn max_label(a: CookieLabel, b: CookieLabel) -> CookieLabel {
+    if a == CookieLabel::Tracker || b == CookieLabel::Tracker {
+        CookieLabel::Tracker
+    } else {
+        a
     }
 }
 

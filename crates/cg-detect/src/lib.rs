@@ -17,10 +17,15 @@
 //! ([`DetectStats::from_logs`] over a
 //! [`Dataset`](cg_analysis::Dataset)) and streaming
 //! ([`DetectStats::from_store_with`] over the store's ordered parallel
-//! fold, which holds O(threads) partials). Per-key state exists only
-//! for labeled pairs, so each partial is bounded by labels × sketch
-//! size (K hashes per value sketch) rather than by crawl size; it is
-//! not flat, since the sketches grow until they saturate at K.
+//! fold, which holds O(threads) partials). The engine compiles names,
+//! organizations and `(name, owner)` keys to dense ids, and the fold
+//! keeps integer state indexed by them. Per key that state is
+//! fixed-size — counters and a value sketch of at most
+//! [`stats::SKETCH_K`] hashes — except for one exact co-presence count
+//! per organization ever seen with the key, which the foreign-harvest
+//! rate needs. That table is bounded by keys × organizations, not by
+//! visits, but it keeps growing until the crawl has produced every pair
+//! (measured: 12 bytes a pair, 1.2M pairs at 10k visits).
 //!
 //! **Layer:** analysis (consumes `cg-instrument` logs and
 //! `cg-crawlstore` streams; compiled from `cg-webgen` ground truth;
@@ -39,7 +44,7 @@ pub mod features;
 pub mod report;
 pub mod stats;
 
-pub use engine::{DetectConfig, DetectEngine};
+pub use engine::{DetectConfig, DetectEngine, KeyId, NameId, OrgId};
 pub use features::{DetectKey, Owner, Stages, VisitFacts};
 pub use report::{DetectReport, FlagReason, KeyRow, Scores, Verdict};
 pub use stats::{DetectStats, ForeignAgg, KeyAgg};

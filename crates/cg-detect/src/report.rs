@@ -21,12 +21,12 @@
 //! site-owned cookies (self-hosted analytics) a partitioning guard
 //! never touches.
 
-use crate::engine::DetectConfig;
+use crate::engine::{DetectConfig, OrgId};
 use crate::features::Owner;
 use crate::stats::{DetectStats, KeyAgg};
 use cg_webgen::CookieLabel;
 use serde::Serialize;
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
 /// Why a key was flagged (the first rule that fired, in fixed order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -58,7 +58,7 @@ pub struct Verdict {
 /// exists, so co-shipping one key is not targeting), while self-ship
 /// evidence is never discounted — an owner exfiltrating its own cookie
 /// is deliberate regardless of how much else it ships.
-pub fn verdict(config: &DetectConfig, agg: &KeyAgg, broad_shippers: &BTreeSet<String>) -> Verdict {
+pub fn verdict(config: &DetectConfig, agg: &KeyAgg, broad_shippers: &HashSet<OrgId>) -> Verdict {
     let none = Verdict {
         flagged: false,
         reason: None,
@@ -90,10 +90,10 @@ pub fn verdict(config: &DetectConfig, agg: &KeyAgg, broad_shippers: &BTreeSet<St
             reason: Some(FlagReason::SelfShip),
         };
     }
-    let foreign_hit = agg.foreign.iter().any(|(entity, f)| {
-        !broad_shippers.contains(entity)
-            && f.co_present >= config.min_support
-            && f.ships as f64 >= config.theta_foreign * f.co_present as f64
+    let foreign_hit = agg.foreign.iter().any(|(org, f)| {
+        !broad_shippers.contains(org)
+            && u64::from(f.co_present) >= config.min_support
+            && f64::from(f.ships) >= config.theta_foreign * f64::from(f.co_present)
     });
     if foreign_hit {
         return Verdict {
@@ -123,7 +123,9 @@ pub struct KeyRow {
     pub respawn_sites: u64,
     /// Sites where the owner shipped the value off-site.
     pub self_ship_sites: u64,
-    /// Distinct values observed (sketch estimate).
+    /// Distinct values observed: exact below
+    /// [`SKETCH_K`](crate::stats::SKETCH_K), a K-bounded estimate
+    /// (≥ K − 1, ~13% standard error) above it.
     pub distinct_values: u64,
     /// Total value writes.
     pub value_writes: u64,
@@ -239,22 +241,44 @@ impl DetectReport {
     /// Scores merged fold state. Pure: identical aggregates in,
     /// byte-identical JSON out.
     pub fn from_stats(stats: &DetectStats<'_>) -> DetectReport {
-        let config = stats.engine().config().clone();
-        let broad: BTreeSet<String> = stats
+        let engine = stats.engine();
+        let config = engine.config().clone();
+        let broad: HashSet<OrgId> = stats
             .shipper_names
             .iter()
             .filter(|(_, sketch)| sketch.estimate() > config.broad_shipper_names)
-            .map(|(entity, _)| entity.clone())
+            .map(|(&org, _)| org)
             .collect();
-        let mut keys = Vec::with_capacity(stats.keys.len());
+        // Ids follow interning order, which depends on thread timing:
+        // rows sort by the resolved names, in the key's own order
+        // (name, then site < cloaked < entity by name).
+        let mut scored: Vec<_> = stats
+            .scored()
+            .map(|(id, agg)| {
+                let key = engine.key(id);
+                let owner_rank = match key.owner {
+                    Owner::Site => 0,
+                    Owner::Cloaked => 1,
+                    Owner::Entity(_) => 2,
+                };
+                let order = (
+                    engine.name(key.name),
+                    owner_rank,
+                    engine.owner_name(key.owner),
+                );
+                (order, key.owner, agg)
+            })
+            .collect();
+        scored.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut keys = Vec::with_capacity(scored.len());
         let mut key_scores = Scores::default();
         let mut instance_scores = Scores::default();
         let mut guard = GuardMatrix::default();
-        for (key, agg) in &stats.keys {
+        for ((name, _, owner_name), owner, agg) in scored {
             let v = verdict(&config, agg, &broad);
             key_scores.add(agg.label, v.flagged, 1);
             instance_scores.add(agg.label, v.flagged, agg.sites_seen);
-            let isolated = matches!(key.owner, Owner::Entity(_) | Owner::Cloaked);
+            let isolated = matches!(owner, Owner::Entity(_) | Owner::Cloaked);
             match (isolated, v.flagged) {
                 (true, true) => {
                     guard.both += 1;
@@ -276,17 +300,23 @@ impl DetectReport {
             let top_foreign = agg
                 .foreign
                 .iter()
-                .filter(|(_, f)| f.co_present >= config.min_support)
-                .max_by(|(ea, a), (eb, b)| {
-                    // rate comparison via cross-multiplication (exact),
-                    // entity name as the deterministic tie-break
-                    (a.ships * b.co_present, ea.as_str())
-                        .cmp(&(b.ships * a.co_present, eb.as_str()))
+                .filter(|(_, f)| u64::from(f.co_present) >= config.min_support)
+                .map(|&(org, f)| {
+                    (
+                        engine.org_name(org),
+                        u64::from(f.ships),
+                        u64::from(f.co_present),
+                    )
                 })
-                .map(|(e, f)| (e.clone(), f.ships, f.co_present));
+                .max_by(|(ea, sa, ca), (eb, sb, cb)| {
+                    // rate comparison via cross-multiplication (exact),
+                    // organization name as the deterministic tie-break
+                    (sa * cb, ea).cmp(&(sb * ca, eb))
+                })
+                .map(|(e, ships, co)| (e.to_string(), ships, co));
             keys.push(KeyRow {
-                name: key.name.clone(),
-                owner: key.owner.as_str().to_string(),
+                name: name.to_string(),
+                owner: owner_name.to_string(),
                 label: agg.label.as_str(),
                 sites_seen: agg.sites_seen,
                 id_sites: agg.id_sites,
@@ -393,6 +423,26 @@ impl DetectReport {
 mod tests {
     use super::*;
     use crate::stats::ForeignAgg;
+    use crate::DetectEngine;
+    use std::sync::OnceLock;
+
+    /// Organization ids come from an engine. Verdicts read neither its
+    /// labels nor its grouping, so any labels and an empty entity map
+    /// (every domain its own organization) will do.
+    fn org(domain: &str) -> OrgId {
+        static ENGINE: OnceLock<DetectEngine> = OnceLock::new();
+        ENGINE
+            .get_or_init(|| {
+                DetectEngine::compile(
+                    &cg_webgen::CookieLabels::derive(
+                        cg_webgen::WebGenerator::new(cg_webgen::GenConfig::small(20), 1).registry(),
+                    ),
+                    cg_entity::EntityMap::new(),
+                    DetectConfig::default(),
+                )
+            })
+            .org_of(domain)
+    }
 
     fn agg(sites: u64, id: u64, pers: u64) -> KeyAgg {
         KeyAgg {
@@ -404,8 +454,8 @@ mod tests {
         }
     }
 
-    fn no_broad() -> BTreeSet<String> {
-        BTreeSet::new()
+    fn no_broad() -> HashSet<OrgId> {
+        HashSet::new()
     }
 
     #[test]
@@ -447,52 +497,52 @@ mod tests {
         );
         // foreign path: rate is conditional on co-presence
         let mut c = agg(20, 20, 20);
-        c.foreign.insert(
-            "AdCo".into(),
+        c.foreign.push((
+            org("adco.example"),
             ForeignAgg {
                 co_present: 10,
                 ships: 3, // 0.30 ≥ θ_foreign 0.18
             },
-        );
+        ));
         assert_eq!(
             verdict(&cfg, &c, &no_broad()).reason,
             Some(FlagReason::ForeignHarvest)
         );
         // same ships over a thin denominator is ignored
         let mut d = agg(20, 20, 20);
-        d.foreign.insert(
-            "AdCo".into(),
+        d.foreign.push((
+            org("adco.example"),
             ForeignAgg {
                 co_present: 2,
                 ships: 2,
             },
-        );
+        ));
         assert!(!verdict(&cfg, &d, &no_broad()).flagged);
     }
 
     #[test]
     fn broad_shippers_lose_foreign_evidence_but_not_self_ship() {
         let cfg = DetectConfig::default();
-        let broad: BTreeSet<String> = ["AdCo".to_string()].into();
+        let broad: HashSet<OrgId> = [org("adco.example")].into();
         // the only foreign evidence comes from a broad shipper → ignored
         let mut a = agg(20, 20, 20);
-        a.foreign.insert(
-            "AdCo".into(),
+        a.foreign.push((
+            org("adco.example"),
             ForeignAgg {
                 co_present: 10,
                 ships: 9,
             },
-        );
+        ));
         assert!(!verdict(&cfg, &a, &broad).flagged);
         // a second, narrow entity with the same evidence still fires
         let mut b = a.clone();
-        b.foreign.insert(
-            "NarrowCo".into(),
+        b.foreign.push((
+            org("narrowco.example"),
             ForeignAgg {
                 co_present: 10,
                 ships: 9,
             },
-        );
+        ));
         assert_eq!(
             verdict(&cfg, &b, &broad).reason,
             Some(FlagReason::ForeignHarvest)

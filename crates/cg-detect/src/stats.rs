@@ -3,13 +3,21 @@
 //! [`DetectStats`] is to the detector what
 //! [`StreamStats`](cg_analysis::StreamStats) is to the crawl census:
 //! each visit is reduced to [`VisitFacts`](crate::features::VisitFacts)
-//! and folded into per-key aggregates, then dropped. Per-key state
-//! exists only for registry-labeled pairs, so one accumulator is
-//! bounded by labels × sketch size: a few hundred keys, each with
-//! integer counters, a foreign-organization map, and a value sketch of
-//! up to K hashes. That bound does not depend on crawl size, but it is
-//! not a constant either — the sketches keep growing until they
-//! saturate at K, so RSS still climbs on crawls below that point.
+//! and folded into per-key aggregates, then dropped. State is keyed by
+//! the engine's dense ids, never by strings: [`DetectStats::keys`] is a
+//! vector indexed by [`KeyId`], and organizations are [`OrgId`]s.
+//!
+//! What one accumulator holds, and what bounds it:
+//!
+//! * per key, integer counters and a value sketch of at most
+//!   [`SKETCH_K`] hashes — fixed size;
+//! * per organization that shipped anything, a name sketch of at most
+//!   [`SKETCH_K`] hashes;
+//! * per key, one 12-byte entry for each organization ever co-present
+//!   with it. The foreign-harvest rate needs the exact count for every
+//!   pair, so this part is bounded by keys × organizations — the
+//!   ecosystem — not by a constant: it keeps growing with the crawl
+//!   until every pair that occurs has occurred.
 //!
 //! `merge` is associative and commutative (integer sums, max-merge
 //! labels, order-independent sketch unions), merging two partials
@@ -18,16 +26,23 @@
 //! folds, streamed folds, and parallel folds at any thread count
 //! serialize byte-identically.
 
-use crate::engine::DetectEngine;
-use crate::features::{extract, DetectKey, Owner, Stages};
+use crate::engine::{DetectEngine, KeyId, OrgId};
+use crate::features::{extract, max_label, Owner, Stages};
 use cg_analysis::DistinctSketch;
 use cg_crawlstore::{ReadBackend, StoreError};
 use cg_instrument::VisitLog;
 use cg_telemetry::{global, Class, Counter};
 use cg_webgen::CookieLabel;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::OnceLock;
+
+/// Hashes kept by the per-key value sketches and the per-organization
+/// shipped-name sketches. Counts below it are exact; above it the
+/// estimate never reads below `SKETCH_K - 1`, so
+/// [`DetectConfig::broad_shipper_names`](crate::DetectConfig::broad_shipper_names)
+/// is decided exactly up to `SKETCH_K - 2`.
+pub const SKETCH_K: usize = 64;
 
 struct DetectMetrics {
     logs_folded: Counter,
@@ -47,9 +62,9 @@ fn detect_metrics() -> &'static DetectMetrics {
 pub struct ForeignAgg {
     /// Sites where this organization's scripts were included alongside
     /// the key (the rate denominator).
-    pub co_present: u64,
+    pub co_present: u32,
     /// Sites where it shipped the key's value (non-bulk requests only).
-    pub ships: u64,
+    pub ships: u32,
 }
 
 /// Cross-site aggregate for one labeled key. All fields are integer
@@ -58,7 +73,7 @@ pub struct ForeignAgg {
 pub struct KeyAgg {
     /// Ground truth (Tracker wins across merged owners).
     pub label: CookieLabel,
-    /// Sites on which the key was written at all.
+    /// Sites on which the key was written at all (0: never seen).
     pub sites_seen: u64,
     /// Sites where a written value carried an identifier segment.
     pub id_sites: u64,
@@ -68,10 +83,12 @@ pub struct KeyAgg {
     pub respawn_sites: u64,
     /// Sites where the owner itself shipped the value off-site.
     pub self_ship_sites: u64,
-    /// Per foreign organization: co-presence and harvest counts.
-    pub foreign: BTreeMap<String, ForeignAgg>,
-    /// Distinct values observed across all sites (value stability).
-    pub distinct_values: DistinctSketch,
+    /// Per foreign organization: co-presence and harvest counts,
+    /// ascending by id.
+    pub foreign: Vec<(OrgId, ForeignAgg)>,
+    /// Distinct values observed across all sites (value stability),
+    /// exact below [`SKETCH_K`].
+    pub distinct_values: DistinctSketch<SKETCH_K>,
     /// Total value-writes observed (the stability denominator).
     pub value_writes: u64,
 }
@@ -85,7 +102,7 @@ impl Default for KeyAgg {
             persistent_sites: 0,
             respawn_sites: 0,
             self_ship_sites: 0,
-            foreign: BTreeMap::new(),
+            foreign: Vec::new(),
             distinct_values: DistinctSketch::default(),
             value_writes: 0,
         }
@@ -94,27 +111,62 @@ impl Default for KeyAgg {
 
 impl KeyAgg {
     fn absorb(&mut self, other: KeyAgg) {
-        if other.label == CookieLabel::Tracker {
-            self.label = CookieLabel::Tracker;
-        }
+        self.label = max_label(self.label, other.label);
         self.sites_seen += other.sites_seen;
         self.id_sites += other.id_sites;
         self.persistent_sites += other.persistent_sites;
         self.respawn_sites += other.respawn_sites;
         self.self_ship_sites += other.self_ship_sites;
-        for (entity, agg) in other.foreign {
-            let e = self.foreign.entry(entity).or_default();
-            e.co_present += agg.co_present;
-            e.ships += agg.ships;
+        if self.foreign.is_empty() {
+            self.foreign = other.foreign;
+        } else {
+            self.add_foreign(&other.foreign);
         }
         self.distinct_values.absorb(other.distinct_values);
         self.value_writes += other.value_writes;
+    }
+
+    /// Adds `incoming` (ascending by org) into `foreign`: one pass
+    /// that sums the organizations already present, then one merge
+    /// from the back that places the new ones, so a visit or a partial
+    /// costs O(entries) however many organizations it adds.
+    fn add_foreign(&mut self, incoming: &[(OrgId, ForeignAgg)]) {
+        let mut fresh = Vec::new();
+        let mut mine = 0;
+        for &(org, agg) in incoming {
+            while mine < self.foreign.len() && self.foreign[mine].0 < org {
+                mine += 1;
+            }
+            match self.foreign.get_mut(mine) {
+                Some((o, slot)) if *o == org => {
+                    slot.co_present += agg.co_present;
+                    slot.ships += agg.ships;
+                }
+                _ => fresh.push((org, agg)),
+            }
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        let mut i = self.foreign.len();
+        self.foreign
+            .resize(i + fresh.len(), (OrgId::MAX, ForeignAgg::default()));
+        for k in (0..self.foreign.len()).rev() {
+            let Some(&next) = fresh.last() else { break };
+            if i > 0 && self.foreign[i - 1].0 > next.0 {
+                self.foreign[k] = self.foreign[i - 1];
+                i -= 1;
+            } else {
+                self.foreign[k] = next;
+                fresh.pop();
+            }
+        }
     }
 }
 
 /// The fold state: per-key aggregates plus crawl accounting. Borrows
 /// the compiled engine (`DetectEngine` is `Sync`), so per-segment
-/// partials share one compilation.
+/// partials share one compilation and one id space.
 #[derive(Clone)]
 pub struct DetectStats<'e> {
     engine: &'e DetectEngine,
@@ -122,8 +174,9 @@ pub struct DetectStats<'e> {
     pub crawled: u64,
     /// Visits retained by the completeness filter.
     pub complete: u64,
-    /// Per labeled key (BTreeMap: deterministic iteration for reports).
-    pub keys: BTreeMap<DetectKey, KeyAgg>,
+    /// Per key, indexed by [`KeyId::index`]; keys never seen have
+    /// `sites_seen == 0` (see [`DetectStats::scored`]).
+    pub keys: Vec<KeyAgg>,
     /// Distinct unlabeled `(name, owner)` pairs seen (sketched, never
     /// retained — these are outside the scored universe).
     pub unlabeled_pairs: DistinctSketch,
@@ -134,7 +187,7 @@ pub struct DetectStats<'e> {
     /// harvesters ship a small fixed list; jar samplers accumulate
     /// breadth — the report discounts the broad ones as foreign
     /// evidence.
-    pub shipper_names: BTreeMap<String, DistinctSketch>,
+    pub shipper_names: HashMap<OrgId, DistinctSketch<SKETCH_K>>,
 }
 
 impl<'e> DetectStats<'e> {
@@ -145,16 +198,32 @@ impl<'e> DetectStats<'e> {
             engine,
             crawled: 0,
             complete: 0,
-            keys: BTreeMap::new(),
+            keys: Vec::new(),
             unlabeled_pairs: DistinctSketch::default(),
             unlabeled_sets: 0,
-            shipper_names: BTreeMap::new(),
+            shipper_names: HashMap::new(),
         }
     }
 
     /// The engine these stats were folded under.
     pub fn engine(&self) -> &'e DetectEngine {
         self.engine
+    }
+
+    /// Every key seen at least once, with its aggregate.
+    pub fn scored(&self) -> impl Iterator<Item = (KeyId, &KeyAgg)> {
+        self.keys
+            .iter()
+            .enumerate()
+            .filter(|(_, agg)| agg.sites_seen > 0)
+            .map(|(i, agg)| (KeyId::from_index(i), agg))
+    }
+
+    fn agg_mut(&mut self, key: KeyId) -> &mut KeyAgg {
+        if key.index() >= self.keys.len() {
+            self.keys.resize_with(key.index() + 1, KeyAgg::default);
+        }
+        &mut self.keys[key.index()]
     }
 
     /// Folds one visit and drops it.
@@ -165,67 +234,81 @@ impl<'e> DetectStats<'e> {
             return;
         }
         self.complete += 1;
-        let facts = extract(self.engine, log);
-        for (key, kf) in facts.keys {
-            let owner_entity = match &key.owner {
-                Owner::Entity(e) => Some(e.as_str()),
+        let engine = self.engine;
+        let facts = extract(engine, log);
+        let mut present = Vec::new();
+        for kf in facts.keys {
+            let key = engine.key(kf.key);
+            let owner_org = match key.owner {
+                Owner::Entity(org) => Some(org),
                 Owner::Site | Owner::Cloaked => None,
             };
-            let agg = self.keys.entry(key.clone()).or_default();
-            if kf.label == Some(CookieLabel::Tracker) {
-                agg.label = CookieLabel::Tracker;
-            }
+            let name = engine.name(key.name).as_bytes();
+            let agg = self.agg_mut(kf.key);
+            agg.label = max_label(agg.label, kf.label);
             agg.sites_seen += 1;
             agg.id_sites += u64::from(kf.id_value);
             agg.persistent_sites += u64::from(kf.persistent);
             agg.respawn_sites += u64::from(kf.respawned);
             agg.self_ship_sites += u64::from(kf.self_ship);
             for value in &kf.values {
-                agg.distinct_values
-                    .observe(&[key.name.as_bytes(), value.as_bytes()]);
+                agg.distinct_values.observe(&[name, value.as_bytes()]);
             }
             agg.value_writes += kf.values.len() as u64;
             // Foreign rates are conditional on presence: the union of
             // included-script organizations and actual shippers (a
             // shipper is present by construction).
-            let mut present = facts.foreign_present.clone();
-            present.extend(kf.foreign_ships.iter().cloned());
-            for entity in present {
-                if owner_entity == Some(entity.as_str()) {
-                    continue;
-                }
-                let shipped = kf.foreign_ships.contains(&entity);
-                let f = agg.foreign.entry(entity).or_default();
-                f.co_present += 1;
-                f.ships += u64::from(shipped);
-            }
+            let ships = &kf.foreign_ships;
+            present.clear();
+            present.extend(
+                facts
+                    .foreign_present
+                    .iter()
+                    .chain(ships)
+                    .filter(|&&org| owner_org != Some(org))
+                    .map(|&org| {
+                        let shipped = ships.binary_search(&org).is_ok();
+                        let agg = ForeignAgg {
+                            co_present: 1,
+                            ships: u32::from(shipped),
+                        };
+                        (org, agg)
+                    }),
+            );
+            present.sort_unstable_by_key(|&(org, _)| org);
+            present.dedup_by_key(|&mut (org, _)| org);
+            agg.add_foreign(&present);
         }
-        for (name, owner) in &facts.unlabeled_pairs {
-            self.unlabeled_pairs
-                .observe(&[name.as_bytes(), owner.as_bytes()]);
+        for &h in &facts.unlabeled_pairs {
+            self.unlabeled_pairs.insert_hash(h);
         }
         self.unlabeled_sets += facts.unlabeled_sets;
-        for (entity, names) in facts.shipped_names {
-            let sketch = self.shipper_names.entry(entity).or_default();
-            for name in names {
-                sketch.observe(&[name.as_bytes()]);
-            }
+        for (org, name) in facts.shipped_names {
+            self.shipper_names
+                .entry(org)
+                .or_default()
+                .insert_hash(engine.name_hash(name));
         }
     }
 
-    /// Absorbs another partial folded under the same engine.
-    /// Associative and commutative; `cg_crawlstore::fold_store` merges
-    /// partials in store order regardless.
+    /// Absorbs another partial folded under the same engine, key by
+    /// key. Associative and commutative; `cg_crawlstore::fold_store`
+    /// merges partials in store order regardless.
     pub fn merge(mut self, other: DetectStats<'e>) -> DetectStats<'e> {
         self.crawled += other.crawled;
         self.complete += other.complete;
-        for (key, agg) in other.keys {
-            self.keys.entry(key).or_default().absorb(agg);
+        if self.keys.len() < other.keys.len() {
+            self.keys.resize_with(other.keys.len(), KeyAgg::default);
+        }
+        for (mine, theirs) in self.keys.iter_mut().zip(other.keys) {
+            if theirs.sites_seen > 0 {
+                mine.absorb(theirs);
+            }
         }
         self.unlabeled_pairs.absorb(other.unlabeled_pairs);
         self.unlabeled_sets += other.unlabeled_sets;
-        for (entity, sketch) in other.shipper_names {
-            self.shipper_names.entry(entity).or_default().absorb(sketch);
+        for (org, sketch) in other.shipper_names {
+            self.shipper_names.entry(org).or_default().absorb(sketch);
         }
         self
     }
@@ -357,11 +440,15 @@ mod tests {
             );
         }));
         assert_eq!(stats.complete, 1);
-        let key = DetectKey {
-            name: "_fbp".into(),
-            owner: Owner::Entity("Meta".into()),
+        let e = engine();
+        let key = crate::DetectKey {
+            name: e.name_id("_fbp").expect("_fbp is labeled"),
+            owner: Owner::Entity(e.org_of("facebook.net")),
         };
-        let agg = stats.keys.get(&key).expect("labeled key aggregated");
+        assert_eq!(e.owner_name(key.owner), "Meta");
+        let agg = &stats.keys[e.key_id(key).index()];
+        assert!(agg.sites_seen > 0, "labeled key aggregated");
+        assert_eq!(stats.scored().count(), 1, "only the labeled key");
         assert_eq!(agg.sites_seen, 1);
         assert_eq!(agg.id_sites, 1, "fbp value carries an id segment");
         assert_eq!(agg.label, CookieLabel::Tracker);
@@ -411,10 +498,10 @@ mod tests {
         let mut pb = DetectStats::new(engine(), Stages::Full);
         pb.fold(&b);
         let merged = pa.merge(pb);
-        assert_eq!(seq.keys.len(), merged.keys.len());
-        let key = seq.keys.keys().next().unwrap();
-        assert_eq!(seq.keys[key].sites_seen, merged.keys[key].sites_seen);
-        assert_eq!(seq.keys[key].persistent_sites, 2);
-        assert_eq!(merged.keys[key].distinct_values.estimate(), 2);
+        assert_eq!(seq.scored().count(), merged.scored().count());
+        let (key, agg) = seq.scored().next().unwrap();
+        assert_eq!(agg.sites_seen, merged.keys[key.index()].sites_seen);
+        assert_eq!(agg.persistent_sites, 2);
+        assert_eq!(merged.keys[key.index()].distinct_values.estimate(), 2);
     }
 }

@@ -120,7 +120,10 @@ fn every_labeled_cookie_observed_is_scored() {
     );
     // Detector side: the scored key set.
     let stats = DetectStats::from_logs(&c.engine, Stages::Full, c.logs.iter());
-    let scored: BTreeSet<&str> = stats.keys.keys().map(|k| k.name.as_str()).collect();
+    let scored: BTreeSet<&str> = stats
+        .scored()
+        .map(|(id, _)| c.engine.name(c.engine.key(id).name))
+        .collect();
     for name in &labeled_observed {
         assert!(
             scored.contains(name),

@@ -272,9 +272,9 @@ fn resolve_cnames_collapses_cloaked_writes_into_one_key() {
     // any such write lands under the single `(cloaked)` owner key
     // rather than fragmenting across per-site alias targets.
     let stats = DetectStats::from_logs(engine(), Stages::Full, [&outcome.log]);
-    let cloaked_owner_keys: Vec<&DetectKey> = stats
-        .keys
-        .keys()
+    let cloaked_owner_keys: Vec<DetectKey> = stats
+        .scored()
+        .map(|(id, _)| engine().key(id))
         .filter(|k| k.owner == Owner::Cloaked)
         .collect();
     // The posed scenario's only script-written cookies come from the
@@ -284,7 +284,10 @@ fn resolve_cnames_collapses_cloaked_writes_into_one_key() {
     let dcid = row(&report, "_dcid", "(site)");
     assert!(dcid.flagged, "cloak detection must not regress under DNS");
     assert!(
-        cloaked_owner_keys.is_empty() || cloaked_owner_keys.iter().all(|k| k.name != "_dcid"),
+        cloaked_owner_keys.is_empty()
+            || cloaked_owner_keys
+                .iter()
+                .all(|k| engine().name(k.name) != "_dcid"),
         "_dcid is written by the server, never by the cloaked script"
     );
 }

@@ -14,8 +14,8 @@
 //!
 //! Violations exit non-zero, so CI can run this as a smoke test and
 //! grep the anchor lines. `--bench-json` writes the scores and the
-//! identity-check count, and no timings: the detect fold's cost is
-//! measured by `perfbench/`.
+//! identity-check count and the host it ran on, and no timings: the
+//! detect fold's cost is measured by `perfbench/`.
 
 use cg_browser::VisitConfig;
 use cg_crawlstore::{crawl_to_store, CrawlReader, ReadBackend};
@@ -64,9 +64,45 @@ impl Default for DetectOptions {
     }
 }
 
+/// The machine a bench report was produced on.
+#[derive(Debug, Clone, Serialize)]
+pub struct Host {
+    /// Hardware threads available to the process.
+    pub nproc: usize,
+    /// CPU model (`model name` in `/proc/cpuinfo`; `unknown` where
+    /// there is none).
+    pub cpu: String,
+    /// Kernel release (`unknown` off Linux).
+    pub kernel: String,
+}
+
+impl Host {
+    /// Reads the running machine's description.
+    pub fn current() -> Host {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find_map(|l| l.strip_prefix("model name"))
+                    .map(|v| v.trim_start_matches([' ', '\t', ':']).to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
+            .map(|s| s.trim().to_string())
+            .unwrap_or_else(|_| "unknown".into());
+        Host {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu,
+            kernel,
+        }
+    }
+}
+
 /// Machine-readable output of a `detect` run (`--bench-json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct DetectBenchReport {
+    /// The machine the run was made on.
+    pub host: Host,
     /// Sites crawled.
     pub sites: usize,
     /// Complete visits scored.
@@ -177,6 +213,7 @@ pub fn run_detect(opts: &DetectOptions) -> DetectBenchReport {
     }
 
     DetectBenchReport {
+        host: Host::current(),
         sites: opts.sites,
         complete: report.complete,
         keys_scored: report.keys.len(),

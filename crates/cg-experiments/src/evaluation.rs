@@ -6,7 +6,7 @@ use crate::expectations as exp;
 use crate::render::{bar, compare, compare_count, header, measured};
 use cg_analysis::stats::BoxStats;
 use cg_analysis::{cross_domain_summary, detect_exfiltration, detect_manipulation, Dataset};
-use cg_breakage::{evaluate_breakage, BreakageCategory, BreakageReport};
+use cg_breakage::{evaluate_sample, BreakageCategory, BreakageReport};
 use cg_browser::{crawl_range, VisitConfig};
 use cg_perf::{run_paired_measurement, PerfReport};
 use cookieguard_core::GuardConfig;
@@ -113,20 +113,8 @@ pub fn run_table3(opts: &ExperimentOptions) -> Table3Result {
     let sample = 100.min(top);
     let stride = (top / sample).max(1);
 
-    let eval = |guard: GuardConfig| {
-        let mut report = BreakageReport::default();
-        let mut rank = 1usize;
-        while report.sites < sample && rank <= top {
-            let partial = evaluate_breakage(&gen, &guard, rank, rank);
-            report.sites += partial.sites;
-            for (k, v) in partial.counts {
-                *report.counts.entry(k).or_insert(0) += v;
-            }
-            report.details.extend(partial.details);
-            rank += stride;
-        }
-        report
-    };
+    let eval =
+        |guard: GuardConfig| evaluate_sample(&gen, &guard, (1..=top).step_by(stride), sample);
 
     let strict = eval(GuardConfig::strict());
     let grouped = eval(GuardConfig::strict().with_entity_grouping(cg_entity::builtin_entity_map()));

@@ -307,6 +307,12 @@ pub fn run_rollout(opts: &ExperimentOptions) -> RolloutResult {
     let mut filtered_without = 0u64;
     let mut sites = 0usize;
     let revisit_sample = opts.sites.min(120);
+    // One compiled strict engine serves every return visit.
+    let plain = VisitConfig::guarded(GuardConfig::strict());
+    let gf = VisitConfig {
+        grandfather_preexisting: true,
+        ..plain.clone()
+    };
     for rank in 1..=revisit_sample {
         let bp = gen.blueprint(rank);
         if !bp.spec.crawl_ok {
@@ -317,11 +323,6 @@ pub fn run_rollout(opts: &ExperimentOptions) -> RolloutResult {
         let mut jar = cg_cookiejar::CookieJar::new();
         visit_site_with_jar(&bp, &VisitConfig::regular(), seed, &mut jar);
         // Return visit, post-rollout, with and without grandfathering.
-        let plain = VisitConfig::guarded(GuardConfig::strict());
-        let gf = VisitConfig {
-            grandfather_preexisting: true,
-            ..plain.clone()
-        };
         let mut jar_a = jar.clone();
         let mut jar_b = jar;
         let without = visit_site_with_jar(&bp, &plain, seed, &mut jar_a);

@@ -17,7 +17,8 @@
 //! digests are byte-identical to the reference algorithms (RFC 1321 /
 //! 3174 / 4648, checked against official vectors) — the exfiltration
 //! detector's encoded-identifier matching depends on it. **Entry
-//! points:** `md5_hex`, `sha1_hex`, `b64encode_no_pad`, `fnv1a32`.
+//! points:** `md5_hex`, `sha1_hex`, `b64encode_no_pad`, `fnv1a32`,
+//! `EncodedForms`, `FormScanner`.
 
 pub mod base64;
 pub mod fnv;
@@ -61,12 +62,135 @@ impl EncodedForms {
     }
 
     /// True when `haystack` contains any encoded form of the identifier.
+    /// The reference semantics of [`FormScanner`], which answers the
+    /// same question for many identifiers in one pass.
     pub fn appears_in(&self, haystack: &str) -> bool {
-        haystack.contains(&self.plain)
-            || haystack.contains(&self.base64_no_pad)
-            || haystack.contains(&self.md5)
-            || haystack.contains(&self.sha1)
+        self.patterns().any(|p| haystack.contains(p))
     }
+
+    /// The forms a haystack is searched for. The padded Base64 form is
+    /// left out: the unpadded form is its prefix, so it matches first.
+    fn patterns(&self) -> impl Iterator<Item = &str> {
+        [
+            self.plain.as_str(),
+            self.base64_no_pad.as_str(),
+            self.md5.as_str(),
+            self.sha1.as_str(),
+        ]
+        .into_iter()
+    }
+}
+
+/// Bytes of a pattern's prefix the scanner hashes on.
+const PREFIX: usize = 8;
+
+/// One searched-for form: its first [`PREFIX`] bytes as an integer,
+/// the whole text, the index of the [`EncodedForms`] it belongs to,
+/// and the next pattern in its hash slot (`u32::MAX` ends the chain).
+struct Pattern<'f> {
+    prefix: u64,
+    text: &'f [u8],
+    form: u32,
+    next: u32,
+}
+
+/// Many identifiers' [`EncodedForms`], compiled for matching a haystack
+/// against all of them in one left-to-right pass.
+///
+/// Calling [`EncodedForms::appears_in`] for `n` identifiers reads the
+/// haystack `4n` times. The scanner instead reads each 8-byte window
+/// once, looks it up in a hash table of every pattern's first 8 bytes,
+/// and confirms a hit with `starts_with`. Every form the detectors
+/// build is at least 8 bytes (identifier segments are, and so are their
+/// encodings); a shorter pattern falls back to `str::contains`, so the
+/// reported set equals `appears_in`'s for any input.
+pub struct FormScanner<'f> {
+    patterns: Vec<Pattern<'f>>,
+    /// Head of each slot's chain (`u32::MAX` = empty); power-of-two
+    /// length, at most a quarter full.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: multiplicative hashing keeps the top
+    /// bits.
+    shift: u32,
+    /// Patterns shorter than [`PREFIX`], with their form index.
+    short: Vec<(&'f str, u32)>,
+}
+
+impl<'f> FormScanner<'f> {
+    /// Compiles `forms`; hits are reported by position in this sequence.
+    pub fn new(forms: impl IntoIterator<Item = &'f EncodedForms>) -> FormScanner<'f> {
+        let mut patterns = Vec::new();
+        let mut short = Vec::new();
+        for (i, forms) in forms.into_iter().enumerate() {
+            let form = u32::try_from(i).expect("fewer than 2^32 forms");
+            for text in forms.patterns() {
+                match window(text.as_bytes(), 0) {
+                    Some(prefix) => patterns.push(Pattern {
+                        prefix,
+                        text: text.as_bytes(),
+                        form,
+                        next: u32::MAX,
+                    }),
+                    None => short.push((text, form)),
+                }
+            }
+        }
+        let bits = (patterns.len() * 4)
+            .next_power_of_two()
+            .max(16)
+            .trailing_zeros();
+        let shift = 64 - bits;
+        let mut slots = vec![u32::MAX; 1 << bits];
+        for (i, p) in patterns.iter_mut().enumerate() {
+            let slot = &mut slots[slot_of(p.prefix, shift)];
+            p.next = *slot;
+            *slot = i as u32;
+        }
+        FormScanner {
+            patterns,
+            slots,
+            shift,
+            short,
+        }
+    }
+
+    /// Replaces `hits` with the index of every form that appears in
+    /// `haystack`, ascending and without repeats: exactly the forms
+    /// whose [`EncodedForms::appears_in`] is true.
+    pub fn scan(&self, haystack: &str, hits: &mut Vec<usize>) {
+        hits.clear();
+        let bytes = haystack.as_bytes();
+        if !self.patterns.is_empty() {
+            let mut at = 0;
+            while let Some(w) = window(bytes, at) {
+                let mut i = self.slots[slot_of(w, self.shift)];
+                while let Some(p) = self.patterns.get(i as usize) {
+                    if p.prefix == w && bytes[at..].starts_with(p.text) {
+                        hits.push(p.form as usize);
+                    }
+                    i = p.next;
+                }
+                at += 1;
+            }
+        }
+        for &(text, form) in &self.short {
+            if haystack.contains(text) {
+                hits.push(form as usize);
+            }
+        }
+        hits.sort_unstable();
+        hits.dedup();
+    }
+}
+
+/// The [`PREFIX`] bytes at `at` as an integer, if that many remain.
+fn window(bytes: &[u8], at: usize) -> Option<u64> {
+    let w = bytes.get(at..at + PREFIX)?;
+    Some(u64::from_le_bytes(w.try_into().expect("PREFIX bytes")))
+}
+
+fn slot_of(prefix: u64, shift: u32) -> usize {
+    (prefix.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize
 }
 
 #[cfg(test)]

@@ -35,6 +35,13 @@ impl DomainId {
     pub fn index(self) -> u32 {
         self.0
     }
+
+    /// The inverse of [`DomainId::index`], for callers that pack ids
+    /// into their own integer space. Only an index this process's
+    /// interner handed out names a domain.
+    pub fn from_index(index: u32) -> DomainId {
+        DomainId(index)
+    }
 }
 
 #[derive(Default)]
