@@ -275,7 +275,7 @@ pub fn residual_log(log: &VisitLog, blocked_names: &HashSet<String>) -> VisitLog
     let mut out = log.clone();
     out.sets.retain(|ev| !blocked_names.contains(&ev.name));
     for read in &mut out.reads {
-        read.cookies.retain(|(n, _)| !blocked_names.contains(n));
+        read.names.retain(|n| !blocked_names.contains(&**n));
     }
     out
 }
@@ -395,7 +395,7 @@ mod tests {
         let residual = residual_log(&log, &names);
         assert!(residual.sets.iter().all(|s| !names.contains(&s.name)));
         for read in &residual.reads {
-            assert!(read.cookies.iter().all(|(n, _)| !names.contains(n)));
+            assert!(read.names.iter().all(|n| !names.contains(&**n)));
         }
         // Requests are untouched: the classifier cannot unsend traffic.
         assert_eq!(residual.requests.len(), log.requests.len());

@@ -117,7 +117,7 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
         let readers: HashSet<&str> = log
             .reads
             .iter()
-            .filter(|r| r.cookies.iter().any(|(n, _)| n == &key.name))
+            .filter(|r| r.names.iter().any(|n| **n == *key.name))
             .filter_map(|r| r.actor.as_deref())
             .filter(|a| !a.eq_ignore_ascii_case(&key.owner))
             .collect();
@@ -193,10 +193,7 @@ mod tests {
         r.record_read(
             Some("other.net"),
             CookieApi::DocumentCookie,
-            vec![
-                ("_tid".into(), "a9f3c2e8b1d44756".into()),
-                ("theme".into(), "dark".into()),
-            ],
+            vec!["_tid".into(), "theme".into()],
             0,
             2,
         );

@@ -610,14 +610,14 @@ mod tests {
             .iter()
             .find(|r| r.actor.as_deref() == Some("other.net"))
             .unwrap();
-        assert!(other_read.cookies.is_empty());
+        assert!(other_read.names.is_empty());
         assert_eq!(other_read.filtered_count, 1);
         let owner_read = log
             .reads
             .iter()
             .find(|r| r.actor.as_deref() == Some("site.com"))
             .unwrap();
-        assert_eq!(owner_read.cookies.len(), 1);
+        assert_eq!(owner_read.names.len(), 1);
     }
 
     #[test]

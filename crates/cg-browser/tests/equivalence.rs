@@ -176,10 +176,7 @@ impl Platform for LegacyPage<'_> {
 
     fn document_cookie_get(&mut self, at: &Attribution) -> String {
         let (visible, filtered) = self.visible_cookies(at);
-        let pairs: Vec<(String, String)> = visible
-            .iter()
-            .map(|c| (c.name.clone(), c.value.clone()))
-            .collect();
+        let names = visible.iter().map(|c| c.name.as_str().into()).collect();
         let s = visible
             .iter()
             .map(|c| c.pair())
@@ -188,7 +185,7 @@ impl Platform for LegacyPage<'_> {
         self.recorder.record_read(
             at.script_domain().as_deref(),
             CookieApi::DocumentCookie,
-            pairs,
+            names,
             filtered,
             at.now_ms,
         );
@@ -288,14 +285,11 @@ impl Platform for LegacyPage<'_> {
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.value.clone());
-        let pairs = found
-            .iter()
-            .map(|v| (name.to_string(), v.clone()))
-            .collect();
+        let names = found.iter().map(|_| name.into()).collect();
         self.recorder.record_read(
             at.script_domain().as_deref(),
             CookieApi::CookieStore,
-            pairs,
+            names,
             filtered.min(1),
             at.now_ms,
         );
@@ -314,7 +308,7 @@ impl Platform for LegacyPage<'_> {
         self.recorder.record_read(
             at.script_domain().as_deref(),
             CookieApi::CookieStore,
-            pairs.clone(),
+            pairs.iter().map(|(n, _)| n.as_str().into()).collect(),
             filtered,
             at.now_ms,
         );
@@ -751,5 +745,5 @@ fn vanilla_visit_is_byte_identical_to_legacy_path() {
     assert!(log_new
         .reads
         .iter()
-        .any(|r| r.cookies.iter().any(|(n, _)| n == "site_sess")));
+        .any(|r| r.names.iter().any(|n| &**n == "site_sess")));
 }

@@ -1,17 +1,18 @@
 //! The segment codec: a compact, length-prefixed frame format for
 //! [`VisitLog`] records.
 //!
-//! A segment stores each record's [`Content`] tree directly — tagged
-//! values with varint lengths — so replay is a frame read plus one
-//! direct decode, with the record's rank available in the frame header
-//! *before* any payload work (the reader's k-way merge orders on it).
+//! A segment stores each record as one frame whose payload is the
+//! visit's format-v2 encoding ([`encode_visit_log`]), so replay is a
+//! frame read plus one direct decode ([`decode_visit_log`]), with the
+//! record's rank available in the frame header *before* any payload
+//! work (the reader's k-way merge orders on it).
 //!
 //! ## Frame layout
 //!
 //! ```text
 //! ┌────────────────┬──────────────┬───────────────┬───────────────┐
 //! │ payload_len u32│   rank u64   │   check u32   │ payload bytes │
-//! │       LE       │      LE      │ FNV-1a folded │  (tagged tree)│
+//! │       LE       │      LE      │ FNV-1a folded │  (format v2)  │
 //! └────────────────┴──────────────┴───────────────┴───────────────┘
 //!   16-byte header, then exactly `payload_len` bytes.
 //! ```
@@ -30,44 +31,88 @@
 //! * ranks must be strictly ascending within a segment (sorted-run
 //!   invariant).
 //!
-//! ## Payload encoding
+//! ## Payload encoding (format v2)
 //!
-//! A tagged pre-order walk of the content tree: one tag byte, then the
-//! node's data. Integers are LEB128 varints (zigzag for signed), `f64`
-//! is 8 raw little-endian bytes (exact round-trip, no decimal detour),
-//! strings are varint-length-prefixed UTF-8, and sequences/maps are
-//! varint counts followed by their elements in order. Map entry order
-//! is preserved byte-for-byte, so a decoded record re-serializes to
-//! JSON **byte-identically** to `serde_json::to_string` of the record
-//! that was written.
+//! ```text
+//! payload := table log
+//! table   := count:varint { len:varint utf8[len] }×count
+//! log     := site_domain:str rank:varint complete:bool
+//!            sets:seq(SetEvent) reads:seq(ReadEvent)
+//!            requests:seq(RequestEvent) probes:seq(ProbeEvent)
+//!            dom_events:seq(DomEvent) inclusions:seq(ScriptInclusion)
+//! ```
+//!
+//! * **String table.** The payload opens with the visit's distinct
+//!   strings, each once, in order of first use. Every string field —
+//!   each read's cookie names included — is a varint index into that
+//!   table. The first reference to an entry is always the next unused
+//!   index, so the table holds no duplicates and no unused entries.
+//!   Indices are local to the frame; interner ids never reach the disk.
+//! * **Positional fields.** A struct is its fields in declaration order
+//!   with no keys. A sequence is a varint count, then its items. An
+//!   `Option` is a presence byte (0 or 1), then the value when present.
+//!   A `bool` is one byte, 0 or 1. An enum is one byte, its variant's
+//!   declaration index.
+//! * **Integers** are LEB128 varints in their shortest form (zigzag for
+//!   the signed `max_age_s`).
+//!
+//! Every choice above has exactly one spelling, so the encoding is
+//! canonical: a payload the decoder accepts re-encodes to the same
+//! bytes, and a decoded record re-serializes to JSON byte-identically
+//! to `serde_json::to_string` of the record that was written.
+//!
+//! The decoder builds each table entry once. Read names come back as
+//! clones of one shared `Arc<str>` per entry, so a name returned by 30
+//! reads costs one allocation; other string fields copy from the
+//! entry. Decoding charges everything it allocates against a budget of
+//! [`MAX_EXPANSION`] bytes per payload byte, so no declared count,
+//! length or repetition can make it allocate out of proportion to the
+//! frame.
 
 use cg_hash::fnv1a32w;
+use cg_http::RequestKind;
+use cg_instrument::{
+    AttrChangeFlags, CookieApi, DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion,
+    SetEvent, VisitLog, WriteKind,
+};
 use serde::{Content, Deserialize, Serialize};
+use std::sync::Arc;
 
 /// On-disk representation of a store's segments, recorded in the
-/// manifest fingerprint. Binary frames are the only format; the tag
-/// stays in the fingerprint so a manifest names what it holds, and a
-/// store from before binary-only segments (`"jsonl"`, or no format at
-/// all) is refused rather than misread.
+/// manifest fingerprint. Binary frames of format-v2 payloads are the
+/// only format; the tag stays in the fingerprint so a manifest names
+/// what it holds, and an older store (`"binary"` v1 payloads,
+/// `"jsonl"`, or no format at all) is refused rather than misread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentFormat {
-    /// Length-prefixed binary frames (`seg-<n>.bin`).
+    /// Length-prefixed binary frames (`seg-<n>.bin`) of format-v2
+    /// payloads.
     Binary,
+}
+
+impl SegmentFormat {
+    /// The manifest tag of this format.
+    pub fn tag(self) -> &'static str {
+        match self {
+            SegmentFormat::Binary => "binary-v2",
+        }
+    }
 }
 
 // Serialized as a plain string so the manifest stays greppable.
 impl Serialize for SegmentFormat {
     fn to_content(&self) -> Content {
-        Content::Str("binary".to_string())
+        Content::Str(self.tag().to_string())
     }
 }
 
 impl<'de> Deserialize<'de> for SegmentFormat {
     fn from_content(content: &Content) -> Result<Self, serde::DeError> {
+        let want = SegmentFormat::Binary.tag();
         match content {
-            Content::Str(s) if s == "binary" => Ok(SegmentFormat::Binary),
+            Content::Str(s) if s == want => Ok(SegmentFormat::Binary),
             other => Err(serde::DeError(format!(
-                "unsupported segment format {other:?} (expected \"binary\")"
+                "unsupported segment format {other:?} (expected \"{want}\")"
             ))),
         }
     }
@@ -90,8 +135,8 @@ pub fn write_frame(out: &mut Vec<u8>, rank: u64, payload: &[u8]) {
 
 /// The frame checksum: word-at-a-time FNV-1a ([`cg_hash::fnv1a32w`])
 /// absorbing the rank, the payload, and the payload length — computed
-/// directly over the payload slice, no staging copy. Frames are tens
-/// of KB, so the checksum pass is on the replay hot path.
+/// directly over the payload slice, no staging copy. Every frame is
+/// checked on replay, so the checksum pass is on the hot path.
 pub fn frame_check(rank: u64, payload: &[u8]) -> u32 {
     fnv1a32w(rank, payload)
 }
@@ -117,18 +162,8 @@ pub fn parse_header(bytes: &[u8; FRAME_HEADER]) -> FrameHeader {
 }
 
 // ---------------------------------------------------------------------
-// Content payloads
+// Shared pieces
 // ---------------------------------------------------------------------
-
-const TAG_NULL: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
-const TAG_I64: u8 = 3;
-const TAG_U64: u8 = 4;
-const TAG_F64: u8 = 5;
-const TAG_STR: u8 = 6;
-const TAG_SEQ: u8 = 7;
-const TAG_MAP: u8 = 8;
 
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -150,180 +185,279 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Encodes a content tree onto `out` (appends; does not clear).
-pub fn encode_content(content: &Content, out: &mut Vec<u8>) {
-    match content {
-        Content::Null => out.push(TAG_NULL),
-        Content::Bool(false) => out.push(TAG_FALSE),
-        Content::Bool(true) => out.push(TAG_TRUE),
-        Content::I64(v) => {
-            out.push(TAG_I64);
-            write_varint(out, zigzag(*v));
-        }
-        Content::U64(v) => {
-            out.push(TAG_U64);
-            write_varint(out, *v);
-        }
-        Content::F64(v) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Content::Str(s) => {
-            out.push(TAG_STR);
-            write_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Content::Seq(items) => {
-            out.push(TAG_SEQ);
-            write_varint(out, items.len() as u64);
-            for item in items {
-                encode_content(item, out);
-            }
-        }
-        Content::Map(entries) => {
-            out.push(TAG_MAP);
-            write_varint(out, entries.len() as u64);
-            for (k, v) in entries {
-                encode_content(k, out);
-                encode_content(v, out);
-            }
-        }
+fn str_hash(s: &[u8]) -> usize {
+    fnv1a32w(0, s) as usize
+}
+
+/// The slot count of an open-addressing table for `entries` strings:
+/// a power of two at least twice the entry count.
+fn slot_count(entries: usize) -> usize {
+    (entries * 2).next_power_of_two().max(16)
+}
+
+fn cookie_api_byte(api: CookieApi) -> u8 {
+    match api {
+        CookieApi::DocumentCookie => 0,
+        CookieApi::CookieStore => 1,
+        CookieApi::HttpHeader => 2,
     }
 }
 
-/// Decodes a payload produced by [`encode_content`]. Every byte must be
-/// consumed — trailing garbage means the payload was not a single
-/// well-formed tree.
-pub fn decode_content(payload: &[u8]) -> Result<Content, String> {
-    let mut cursor = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
-    let content = cursor.value(0)?;
-    if cursor.pos != payload.len() {
-        return Err(format!(
-            "{} trailing bytes after the content tree",
-            payload.len() - cursor.pos
-        ));
+fn write_kind_byte(kind: WriteKind) -> u8 {
+    match kind {
+        WriteKind::Create => 0,
+        WriteKind::Overwrite => 1,
+        WriteKind::Delete => 2,
     }
-    Ok(content)
 }
 
-/// Nesting ceiling for decode: no [`VisitLog`]
-/// comes close, so hitting it means the payload is garbage that
-/// happened to checksum (or a different schema entirely).
-const MAX_DEPTH: usize = 64;
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn byte(&mut self) -> Result<u8, String> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| format!("payload truncated at byte {}", self.pos))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("payload truncated at byte {}", self.pos))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.byte()?;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(format!("varint longer than 10 bytes at {}", self.pos))
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Content, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!("content nested deeper than {MAX_DEPTH}"));
-        }
-        Ok(match self.byte()? {
-            TAG_NULL => Content::Null,
-            TAG_FALSE => Content::Bool(false),
-            TAG_TRUE => Content::Bool(true),
-            TAG_I64 => Content::I64(unzigzag(self.varint()?)),
-            TAG_U64 => Content::U64(self.varint()?),
-            TAG_F64 => Content::F64(f64::from_le_bytes(
-                self.take(8)?.try_into().expect("8 bytes"),
-            )),
-            TAG_STR => {
-                let len = self.varint()? as usize;
-                let bytes = self.take(len)?.to_vec();
-                Content::Str(
-                    String::from_utf8(bytes)
-                        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?,
-                )
-            }
-            TAG_SEQ => {
-                let count = self.varint()? as usize;
-                // Every element takes at least one byte: the payload, not
-                // the claimed count, bounds the allocation.
-                let mut items = Vec::with_capacity(count.min(self.bytes.len() - self.pos));
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Content::Seq(items)
-            }
-            TAG_MAP => {
-                let count = self.varint()? as usize;
-                let mut entries = Vec::with_capacity(count.min(self.bytes.len() - self.pos));
-                for _ in 0..count {
-                    let k = self.value(depth + 1)?;
-                    let v = self.value(depth + 1)?;
-                    entries.push((k, v));
-                }
-                Content::Map(entries)
-            }
-            tag => {
-                return Err(format!(
-                    "unknown content tag {tag} at byte {}",
-                    self.pos - 1
-                ))
-            }
-        })
+fn request_kind_byte(kind: RequestKind) -> u8 {
+    match kind {
+        RequestKind::Document => 0,
+        RequestKind::Script => 1,
+        RequestKind::Image => 2,
+        RequestKind::Xhr => 3,
+        RequestKind::Beacon => 4,
+        RequestKind::Subframe => 5,
+        RequestKind::Other => 6,
     }
 }
 
 // ---------------------------------------------------------------------
-// Specialized VisitLog decoder: the replay fast path
+// Encoder
 // ---------------------------------------------------------------------
 
-/// Decodes a binary payload straight into a
-/// [`VisitLog`], skipping the intermediate
-/// [`Content`] tree the generic path builds. Map keys are compared as
-/// borrowed byte slices (zero allocation per key) and only the final
-/// owned fields allocate.
-///
-/// The decoder is *positional*: it expects exactly the field sequence
-/// the derive-generated `to_content` emits (declaration order — the
-/// only thing [`crate::writer`] ever writes). Any deviation is an
-/// error, never a silent partial record; the codec tests pin its
-/// agreement with the generic `decode_content` + `from_content` path on
-/// every record of a crawl.
+/// Encodes `log` as one format-v2 payload onto `out` (appends; does not
+/// clear). See the module docs for the layout.
+pub fn encode_visit_log(log: &VisitLog, out: &mut Vec<u8>) {
+    VisitEncoder::default().encode(log, out);
+}
+
+/// The encoder behind [`encode_visit_log`]. It keeps its string table
+/// and body buffer between records, so a segment writer's steady state
+/// encodes a visit without allocating.
+#[derive(Debug, Default)]
+pub struct VisitEncoder {
+    strings: StringTable,
+    body: Vec<u8>,
+}
+
+impl VisitEncoder {
+    /// Encodes `log` onto `out` (appends; does not clear). Produces the
+    /// same bytes as [`encode_visit_log`].
+    pub fn encode(&mut self, log: &VisitLog, out: &mut Vec<u8>) {
+        self.strings.clear();
+        self.body.clear();
+        let mut enc = Enc {
+            strings: &mut self.strings,
+            out: &mut self.body,
+        };
+        enc.visit_log(log);
+        write_varint(out, self.strings.spans.len() as u64);
+        out.extend_from_slice(&self.strings.bytes);
+        out.extend_from_slice(&self.body);
+    }
+}
+
+/// The string table being built for one payload: the encoded entries
+/// (each varint-length-prefixed, in first-use order) plus an
+/// open-addressing index over them.
+#[derive(Debug, Default)]
+struct StringTable {
+    /// The table section as it will be written.
+    bytes: Vec<u8>,
+    /// `(start, len)` of each entry's string bytes within `bytes`.
+    spans: Vec<(u32, u32)>,
+    /// Entry index + 1 per slot; 0 marks an empty slot.
+    slots: Vec<u32>,
+}
+
+impl StringTable {
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.spans.clear();
+        self.slots.fill(0);
+    }
+
+    fn entry(&self, index: u32) -> &[u8] {
+        let (start, len) = self.spans[index as usize];
+        &self.bytes[start as usize..(start + len) as usize]
+    }
+
+    /// The index of `s`, appending it as a new entry on first use.
+    fn index_of(&mut self, s: &str) -> u32 {
+        if self.slots.len() < slot_count(self.spans.len() + 1) {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = str_hash(s.as_bytes()) & mask;
+        loop {
+            match self.slots[at] {
+                0 => {
+                    let index = self.spans.len() as u32;
+                    write_varint(&mut self.bytes, s.len() as u64);
+                    let start = self.bytes.len() as u32;
+                    self.bytes.extend_from_slice(s.as_bytes());
+                    self.spans.push((start, s.len() as u32));
+                    self.slots[at] = index + 1;
+                    return index;
+                }
+                slot if self.entry(slot - 1) == s.as_bytes() => return slot - 1,
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        self.slots = vec![0; slot_count(self.spans.len() + 1) * 2];
+        let mask = self.slots.len() - 1;
+        for index in 0..self.spans.len() as u32 {
+            let mut at = str_hash(self.entry(index)) & mask;
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = index + 1;
+        }
+    }
+}
+
+struct Enc<'e> {
+    strings: &'e mut StringTable,
+    out: &'e mut Vec<u8>,
+}
+
+impl Enc<'_> {
+    fn varint(&mut self, v: u64) {
+        write_varint(self.out, v);
+    }
+
+    fn byte(&mut self, b: u8) {
+        self.out.push(b);
+    }
+
+    fn flag(&mut self, b: bool) {
+        self.out.push(u8::from(b));
+    }
+
+    fn str(&mut self, s: &str) {
+        let index = self.strings.index_of(s);
+        self.varint(u64::from(index));
+    }
+
+    fn opt_str(&mut self, s: Option<&str>) {
+        self.flag(s.is_some());
+        if let Some(s) = s {
+            self.str(s);
+        }
+    }
+
+    fn seq<T>(&mut self, items: &[T], item: impl Fn(&mut Self, &T)) {
+        self.varint(items.len() as u64);
+        for x in items {
+            item(self, x);
+        }
+    }
+
+    fn set_event(&mut self, e: &SetEvent) {
+        self.str(&e.name);
+        self.str(&e.value);
+        self.opt_str(e.actor.as_deref());
+        self.opt_str(e.actor_url.as_deref());
+        self.byte(cookie_api_byte(e.api));
+        self.byte(write_kind_byte(e.kind));
+        self.flag(e.max_age_s.is_some());
+        if let Some(s) = e.max_age_s {
+            self.varint(zigzag(s));
+        }
+        self.flag(e.changes.is_some());
+        if let Some(c) = e.changes {
+            self.flag(c.value);
+            self.flag(c.expires);
+            self.flag(c.domain);
+            self.flag(c.path);
+        }
+        self.flag(e.blocked);
+        self.varint(e.time_ms);
+    }
+
+    fn read_event(&mut self, e: &ReadEvent) {
+        self.opt_str(e.actor.as_deref());
+        self.byte(cookie_api_byte(e.api));
+        self.seq(&e.names, |enc, n| enc.str(n));
+        self.varint(e.filtered_count as u64);
+        self.varint(e.time_ms);
+    }
+
+    fn request_event(&mut self, e: &RequestEvent) {
+        self.str(&e.url);
+        self.opt_str(e.dest_domain.as_deref());
+        self.byte(request_kind_byte(e.kind));
+        self.opt_str(e.initiator.as_deref());
+        self.opt_str(e.initiator_url.as_deref());
+        self.str(&e.first_party);
+        self.opt_str(e.cookie_header.as_deref());
+        self.varint(e.time_ms);
+    }
+
+    fn probe_event(&mut self, e: &ProbeEvent) {
+        self.str(&e.feature);
+        self.str(&e.cookie);
+        self.flag(e.ok);
+        self.opt_str(e.actor.as_deref());
+    }
+
+    fn dom_event(&mut self, e: &DomEvent) {
+        self.opt_str(e.actor.as_deref());
+        self.str(&e.owner);
+        self.str(&e.kind);
+        self.flag(e.blocked);
+    }
+
+    fn inclusion(&mut self, e: &ScriptInclusion) {
+        self.str(&e.url);
+        self.opt_str(e.domain.as_deref());
+        self.flag(e.direct);
+    }
+
+    fn visit_log(&mut self, log: &VisitLog) {
+        self.str(&log.site_domain);
+        self.varint(log.rank as u64);
+        self.flag(log.complete);
+        self.seq(&log.sets, Self::set_event);
+        self.seq(&log.reads, Self::read_event);
+        self.seq(&log.requests, Self::request_event);
+        self.seq(&log.probes, Self::probe_event);
+        self.seq(&log.dom_events, Self::dom_event);
+        self.seq(&log.inclusions, Self::inclusion);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Decoder
+// ---------------------------------------------------------------------
+
+/// Decoding allocates at most this many bytes per payload byte: every
+/// table entry, sequence, and string copy is charged against
+/// `MAX_EXPANSION × payload length` before it is allocated, and a
+/// payload whose decoded form would exceed that is refused. Real visits
+/// decode to a small fraction of the budget.
+pub const MAX_EXPANSION: usize = 64;
+
+/// Decodes one format-v2 payload (see the module docs) into a
+/// [`VisitLog`]. Every byte must be consumed and every table entry
+/// referenced; any deviation — an index out of range or out of
+/// first-use order, a duplicate entry, an unknown enum or presence
+/// byte, an overlong varint, trailing bytes — is an error, never a
+/// silent partial record.
 pub fn decode_visit_log(payload: &[u8]) -> Result<VisitLog, String> {
     let mut d = Dec {
         bytes: payload,
         pos: 0,
+        table: Vec::new(),
+        next_new: 0,
+        budget: payload.len().saturating_mul(MAX_EXPANSION),
     };
+    d.table()?;
     let log = d.visit_log()?;
     if d.pos != payload.len() {
         return Err(format!(
@@ -331,21 +465,45 @@ pub fn decode_visit_log(payload: &[u8]) -> Result<VisitLog, String> {
             payload.len() - d.pos
         ));
     }
+    if d.next_new != d.table.len() {
+        return Err(format!(
+            "{} string table entries are never referenced",
+            d.table.len() - d.next_new
+        ));
+    }
     Ok(log)
 }
 
-use cg_http::RequestKind;
-use cg_instrument::{
-    AttrChangeFlags, CookieApi, DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion,
-    SetEvent, VisitLog, WriteKind,
-};
+/// One string-table entry: the string, borrowed from the payload, and
+/// its shared form once a read name has asked for it.
+struct Entry<'a> {
+    s: &'a str,
+    shared: Option<Arc<str>>,
+}
 
 struct Dec<'a> {
     bytes: &'a [u8],
     pos: usize,
+    table: Vec<Entry<'a>>,
+    /// The first table index not yet referenced.
+    next_new: usize,
+    /// Bytes this decode may still allocate.
+    budget: usize,
 }
 
 impl<'a> Dec<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// Charges `bytes` of allocation against the budget.
+    fn charge(&mut self, bytes: usize) -> Result<(), String> {
+        self.budget = self.budget.checked_sub(bytes).ok_or_else(|| {
+            format!("the decoded visit would exceed {MAX_EXPANSION} bytes per payload byte")
+        })?;
+        Ok(())
+    }
+
     fn byte(&mut self) -> Result<u8, String> {
         let b = *self
             .bytes
@@ -356,191 +514,222 @@ impl<'a> Dec<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
+        let bytes = self.bytes;
+        let slice = bytes
+            .get(self.pos..)
+            .and_then(|rest| rest.get(..n))
             .ok_or_else(|| format!("payload truncated at byte {}", self.pos))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
+        self.pos += n;
         Ok(slice)
     }
 
+    /// A LEB128 varint in its shortest form.
     fn varint(&mut self) -> Result<u64, String> {
+        let start = self.pos;
         let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
+        let mut shift = 0;
+        loop {
             let byte = self.byte()?;
+            if shift == 63 && byte > 1 {
+                return Err(format!("varint at byte {start} overflows 64 bits"));
+            }
             v |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(format!("overlong varint at byte {start}"));
+                }
                 return Ok(v);
             }
+            shift += 7;
         }
-        Err(format!("varint longer than 10 bytes at {}", self.pos))
     }
 
-    fn expect_tag(&mut self, want: u8, what: &str) -> Result<(), String> {
-        let got = self.byte()?;
-        if got != want {
+    fn usize_val(&mut self) -> Result<usize, String> {
+        let at = self.pos;
+        usize::try_from(self.varint()?).map_err(|_| format!("integer at byte {at} overflows usize"))
+    }
+
+    /// A declared count of items that each take at least `min_bytes`,
+    /// refused when the rest of the payload cannot hold them.
+    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, String> {
+        let at = self.pos;
+        let n = self.varint()?;
+        if n > (self.remaining() / min_bytes) as u64 {
             return Err(format!(
-                "expected {what} (tag {want}) at byte {}, found tag {got}",
-                self.pos - 1
+                "{n} {what} declared at byte {at}, but only {} bytes remain",
+                self.remaining()
             ));
         }
-        Ok(())
+        Ok(n as usize)
     }
 
-    /// A borrowed string value (`TAG_STR`): zero-copy.
-    fn str_slice(&mut self) -> Result<&'a str, String> {
-        self.expect_tag(TAG_STR, "a string")?;
-        let len = self.varint()? as usize;
-        std::str::from_utf8(self.take(len)?).map_err(|e| format!("invalid UTF-8 in string: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.str_slice().map(str::to_owned)
-    }
-
-    fn opt_string(&mut self) -> Result<Option<String>, String> {
-        if self.bytes.get(self.pos) == Some(&TAG_NULL) {
-            self.pos += 1;
-            return Ok(None);
-        }
-        self.string().map(Some)
-    }
-
-    fn bool_val(&mut self) -> Result<bool, String> {
+    /// A presence or `bool` byte: 0 or 1.
+    fn flag(&mut self) -> Result<bool, String> {
         match self.byte()? {
-            TAG_FALSE => Ok(false),
-            TAG_TRUE => Ok(true),
-            tag => Err(format!(
-                "expected a bool at byte {}, tag {tag}",
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!(
+                "flag byte {b} at byte {} (expected 0 or 1)",
                 self.pos - 1
             )),
         }
     }
 
-    fn u64_val(&mut self) -> Result<u64, String> {
-        self.expect_tag(TAG_U64, "an unsigned integer")?;
-        self.varint()
-    }
-
-    fn opt_i64(&mut self) -> Result<Option<i64>, String> {
-        if self.bytes.get(self.pos) == Some(&TAG_NULL) {
-            self.pos += 1;
-            return Ok(None);
-        }
-        self.expect_tag(TAG_I64, "a signed integer")?;
-        self.varint().map(|v| Some(unzigzag(v)))
-    }
-
-    /// A struct header: `TAG_MAP` with exactly `fields` entries.
-    fn struct_header(&mut self, fields: u64, what: &str) -> Result<(), String> {
-        self.expect_tag(TAG_MAP, what)?;
-        let count = self.varint()?;
-        if count != fields {
-            return Err(format!("{what} has {count} fields, expected {fields}"));
-        }
-        Ok(())
-    }
-
-    /// A map key, verified against the declaration-order field name.
-    fn key(&mut self, name: &str) -> Result<(), String> {
-        let got = self.str_slice()?;
-        if got != name {
-            return Err(format!("expected field \"{name}\", found \"{got}\""));
+    /// The string table: validated once, each entry checked against
+    /// the others so a payload never names one string twice.
+    fn table(&mut self) -> Result<(), String> {
+        let n = self.count(1, "string table entries")?;
+        let slots = slot_count(n);
+        self.charge(n * std::mem::size_of::<Entry>() + slots * std::mem::size_of::<u32>())?;
+        self.table.reserve_exact(n);
+        let mut index = vec![0u32; slots];
+        let mask = slots - 1;
+        for i in 0..n {
+            let at = self.pos;
+            let len = self.usize_val()?;
+            let s = std::str::from_utf8(self.take(len)?)
+                .map_err(|e| format!("invalid UTF-8 in string table entry {i}: {e}"))?;
+            let mut slot = str_hash(s.as_bytes()) & mask;
+            while index[slot] != 0 {
+                if self.table[index[slot] as usize - 1].s == s {
+                    return Err(format!("duplicate string table entry {i} at byte {at}"));
+                }
+                slot = (slot + 1) & mask;
+            }
+            index[slot] = i as u32 + 1;
+            self.table.push(Entry { s, shared: None });
         }
         Ok(())
     }
 
+    /// A string index: an existing entry, or the next unused one.
+    fn index(&mut self) -> Result<usize, String> {
+        let at = self.pos;
+        let i = self.varint()?;
+        if i < self.next_new as u64 {
+            return Ok(i as usize);
+        }
+        if i == self.next_new as u64 && self.next_new < self.table.len() {
+            self.next_new += 1;
+            return Ok(i as usize);
+        }
+        Err(if i >= self.table.len() as u64 {
+            format!(
+                "string index {i} at byte {at} is out of range ({} entries)",
+                self.table.len()
+            )
+        } else {
+            format!(
+                "string index {i} at byte {at} skips unused entry {}",
+                self.next_new
+            )
+        })
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        let i = self.index()?;
+        let s = self.table[i].s;
+        self.charge(s.len())?;
+        Ok(s.to_owned())
+    }
+
+    /// A string shared with every other use of the same entry.
+    fn shared(&mut self) -> Result<Arc<str>, String> {
+        let i = self.index()?;
+        if let Some(shared) = &self.table[i].shared {
+            return Ok(Arc::clone(shared));
+        }
+        let s = self.table[i].s;
+        self.charge(s.len() + 2 * std::mem::size_of::<usize>())?;
+        let shared: Arc<str> = Arc::from(s);
+        self.table[i].shared = Some(Arc::clone(&shared));
+        Ok(shared)
+    }
+
+    fn opt_string(&mut self) -> Result<Option<String>, String> {
+        if self.flag()? {
+            self.string().map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// A sequence of items that each encode to at least `min_bytes`.
     fn seq<T>(
         &mut self,
+        min_bytes: usize,
+        what: &str,
         item: impl Fn(&mut Dec<'a>) -> Result<T, String>,
     ) -> Result<Vec<T>, String> {
-        self.expect_tag(TAG_SEQ, "a sequence")?;
-        let count = self.varint()? as usize;
-        // Every item takes at least one byte (see `Cursor::value`).
-        let mut out = Vec::with_capacity(count.min(self.bytes.len() - self.pos));
-        for _ in 0..count {
+        let n = self.count(min_bytes, what)?;
+        self.charge(n * std::mem::size_of::<T>())?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
             out.push(item(self)?);
         }
         Ok(out)
     }
 
-    fn cookie_api(&mut self) -> Result<CookieApi, String> {
-        match self.str_slice()? {
-            "DocumentCookie" => Ok(CookieApi::DocumentCookie),
-            "CookieStore" => Ok(CookieApi::CookieStore),
-            "HttpHeader" => Ok(CookieApi::HttpHeader),
-            other => Err(format!("unknown CookieApi variant \"{other}\"")),
+    fn enum_byte(&mut self, variants: u8, what: &str) -> Result<u8, String> {
+        let b = self.byte()?;
+        if b >= variants {
+            return Err(format!("unknown {what} byte {b} at byte {}", self.pos - 1));
         }
+        Ok(b)
+    }
+
+    fn cookie_api(&mut self) -> Result<CookieApi, String> {
+        Ok(match self.enum_byte(3, "CookieApi")? {
+            0 => CookieApi::DocumentCookie,
+            1 => CookieApi::CookieStore,
+            _ => CookieApi::HttpHeader,
+        })
     }
 
     fn write_kind(&mut self) -> Result<WriteKind, String> {
-        match self.str_slice()? {
-            "Create" => Ok(WriteKind::Create),
-            "Overwrite" => Ok(WriteKind::Overwrite),
-            "Delete" => Ok(WriteKind::Delete),
-            other => Err(format!("unknown WriteKind variant \"{other}\"")),
-        }
+        Ok(match self.enum_byte(3, "WriteKind")? {
+            0 => WriteKind::Create,
+            1 => WriteKind::Overwrite,
+            _ => WriteKind::Delete,
+        })
     }
 
     fn request_kind(&mut self) -> Result<RequestKind, String> {
-        match self.str_slice()? {
-            "Document" => Ok(RequestKind::Document),
-            "Script" => Ok(RequestKind::Script),
-            "Image" => Ok(RequestKind::Image),
-            "Xhr" => Ok(RequestKind::Xhr),
-            "Beacon" => Ok(RequestKind::Beacon),
-            "Subframe" => Ok(RequestKind::Subframe),
-            "Other" => Ok(RequestKind::Other),
-            other => Err(format!("unknown RequestKind variant \"{other}\"")),
-        }
-    }
-
-    fn attr_changes(&mut self) -> Result<Option<AttrChangeFlags>, String> {
-        if self.bytes.get(self.pos) == Some(&TAG_NULL) {
-            self.pos += 1;
-            return Ok(None);
-        }
-        self.struct_header(4, "AttrChangeFlags")?;
-        self.key("value")?;
-        let value = self.bool_val()?;
-        self.key("expires")?;
-        let expires = self.bool_val()?;
-        self.key("domain")?;
-        let domain = self.bool_val()?;
-        self.key("path")?;
-        let path = self.bool_val()?;
-        Ok(Some(AttrChangeFlags {
-            value,
-            expires,
-            domain,
-            path,
-        }))
+        Ok(match self.enum_byte(7, "RequestKind")? {
+            0 => RequestKind::Document,
+            1 => RequestKind::Script,
+            2 => RequestKind::Image,
+            3 => RequestKind::Xhr,
+            4 => RequestKind::Beacon,
+            5 => RequestKind::Subframe,
+            _ => RequestKind::Other,
+        })
     }
 
     fn set_event(&mut self) -> Result<SetEvent, String> {
-        self.struct_header(10, "SetEvent")?;
-        self.key("name")?;
         let name = self.string()?;
-        self.key("value")?;
         let value = self.string()?;
-        self.key("actor")?;
         let actor = self.opt_string()?;
-        self.key("actor_url")?;
         let actor_url = self.opt_string()?;
-        self.key("api")?;
         let api = self.cookie_api()?;
-        self.key("kind")?;
         let kind = self.write_kind()?;
-        self.key("max_age_s")?;
-        let max_age_s = self.opt_i64()?;
-        self.key("changes")?;
-        let changes = self.attr_changes()?;
-        self.key("blocked")?;
-        let blocked = self.bool_val()?;
-        self.key("time_ms")?;
-        let time_ms = self.u64_val()?;
+        let max_age_s = if self.flag()? {
+            Some(unzigzag(self.varint()?))
+        } else {
+            None
+        };
+        let changes = if self.flag()? {
+            Some(AttrChangeFlags {
+                value: self.flag()?,
+                expires: self.flag()?,
+                domain: self.flag()?,
+                path: self.flag()?,
+            })
+        } else {
+            None
+        };
+        let blocked = self.flag()?;
+        let time_ms = self.varint()?;
         Ok(SetEvent {
             name,
             value,
@@ -556,51 +745,29 @@ impl<'a> Dec<'a> {
     }
 
     fn read_event(&mut self) -> Result<ReadEvent, String> {
-        self.struct_header(5, "ReadEvent")?;
-        self.key("actor")?;
         let actor = self.opt_string()?;
-        self.key("api")?;
         let api = self.cookie_api()?;
-        self.key("cookies")?;
-        let cookies = self.seq(|d| {
-            d.expect_tag(TAG_SEQ, "a (name, value) pair")?;
-            let len = d.varint()?;
-            if len != 2 {
-                return Err(format!("cookie pair of length {len}"));
-            }
-            Ok((d.string()?, d.string()?))
-        })?;
-        self.key("filtered_count")?;
-        let filtered_count = self.u64_val()? as usize;
-        self.key("time_ms")?;
-        let time_ms = self.u64_val()?;
+        let names = self.seq(1, "read names", Dec::shared)?;
+        let filtered_count = self.usize_val()?;
+        let time_ms = self.varint()?;
         Ok(ReadEvent {
             actor,
             api,
-            cookies,
+            names,
             filtered_count,
             time_ms,
         })
     }
 
     fn request_event(&mut self) -> Result<RequestEvent, String> {
-        self.struct_header(8, "RequestEvent")?;
-        self.key("url")?;
         let url = self.string()?;
-        self.key("dest_domain")?;
         let dest_domain = self.opt_string()?;
-        self.key("kind")?;
         let kind = self.request_kind()?;
-        self.key("initiator")?;
         let initiator = self.opt_string()?;
-        self.key("initiator_url")?;
         let initiator_url = self.opt_string()?;
-        self.key("first_party")?;
         let first_party = self.string()?;
-        self.key("cookie_header")?;
         let cookie_header = self.opt_string()?;
-        self.key("time_ms")?;
-        let time_ms = self.u64_val()?;
+        let time_ms = self.varint()?;
         Ok(RequestEvent {
             url,
             dest_domain,
@@ -614,14 +781,9 @@ impl<'a> Dec<'a> {
     }
 
     fn probe_event(&mut self) -> Result<ProbeEvent, String> {
-        self.struct_header(4, "ProbeEvent")?;
-        self.key("feature")?;
         let feature = self.string()?;
-        self.key("cookie")?;
         let cookie = self.string()?;
-        self.key("ok")?;
-        let ok = self.bool_val()?;
-        self.key("actor")?;
+        let ok = self.flag()?;
         let actor = self.opt_string()?;
         Ok(ProbeEvent {
             feature,
@@ -632,15 +794,10 @@ impl<'a> Dec<'a> {
     }
 
     fn dom_event(&mut self) -> Result<DomEvent, String> {
-        self.struct_header(4, "DomEvent")?;
-        self.key("actor")?;
         let actor = self.opt_string()?;
-        self.key("owner")?;
         let owner = self.string()?;
-        self.key("kind")?;
         let kind = self.string()?;
-        self.key("blocked")?;
-        let blocked = self.bool_val()?;
+        let blocked = self.flag()?;
         Ok(DomEvent {
             actor,
             owner,
@@ -650,13 +807,9 @@ impl<'a> Dec<'a> {
     }
 
     fn inclusion(&mut self) -> Result<ScriptInclusion, String> {
-        self.struct_header(3, "ScriptInclusion")?;
-        self.key("url")?;
         let url = self.string()?;
-        self.key("domain")?;
         let domain = self.opt_string()?;
-        self.key("direct")?;
-        let direct = self.bool_val()?;
+        let direct = self.flag()?;
         Ok(ScriptInclusion {
             url,
             domain,
@@ -664,26 +817,18 @@ impl<'a> Dec<'a> {
         })
     }
 
+    // The minimum byte counts below are each item's encoding with every
+    // string index one byte, every option absent and every integer 0.
     fn visit_log(&mut self) -> Result<VisitLog, String> {
-        self.struct_header(9, "VisitLog")?;
-        self.key("site_domain")?;
         let site_domain = self.string()?;
-        self.key("rank")?;
-        let rank = self.u64_val()? as usize;
-        self.key("complete")?;
-        let complete = self.bool_val()?;
-        self.key("sets")?;
-        let sets = self.seq(Dec::set_event)?;
-        self.key("reads")?;
-        let reads = self.seq(Dec::read_event)?;
-        self.key("requests")?;
-        let requests = self.seq(Dec::request_event)?;
-        self.key("probes")?;
-        let probes = self.seq(Dec::probe_event)?;
-        self.key("dom_events")?;
-        let dom_events = self.seq(Dec::dom_event)?;
-        self.key("inclusions")?;
-        let inclusions = self.seq(Dec::inclusion)?;
+        let rank = self.usize_val()?;
+        let complete = self.flag()?;
+        let sets = self.seq(10, "set events", Dec::set_event)?;
+        let reads = self.seq(5, "read events", Dec::read_event)?;
+        let requests = self.seq(8, "request events", Dec::request_event)?;
+        let probes = self.seq(4, "probe events", Dec::probe_event)?;
+        let dom_events = self.seq(4, "DOM events", Dec::dom_event)?;
+        let inclusions = self.seq(3, "inclusions", Dec::inclusion)?;
         Ok(VisitLog {
             site_domain,
             rank,
@@ -701,108 +846,89 @@ impl<'a> Dec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_instrument::VisitLog;
 
-    fn roundtrip(c: &Content) -> Content {
-        let mut buf = Vec::new();
-        encode_content(c, &mut buf);
-        decode_content(&buf).expect("decode")
+    fn encode(log: &VisitLog) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_visit_log(log, &mut out);
+        out
     }
 
-    #[test]
-    fn scalar_roundtrips_are_exact() {
-        for c in [
-            Content::Null,
-            Content::Bool(true),
-            Content::Bool(false),
-            Content::I64(0),
-            Content::I64(-1),
-            Content::I64(i64::MIN),
-            Content::I64(i64::MAX),
-            Content::U64(0),
-            Content::U64(u64::MAX),
-            Content::F64(0.25),
-            Content::F64(-0.0),
-            Content::F64(f64::MAX),
-            Content::Str(String::new()),
-            Content::Str("cookie=\u{1F36A}; path=/".into()),
-        ] {
-            let back = roundtrip(&c);
-            // Compare through Debug: Content has no PartialEq, and
-            // Debug is exact for every variant (including -0.0).
-            assert_eq!(format!("{back:?}"), format!("{c:?}"));
-        }
+    fn json(log: &VisitLog) -> String {
+        serde_json::to_string(log).unwrap()
     }
 
-    #[test]
-    fn visit_log_payload_reprints_identically() {
-        let log = VisitLog {
-            site_domain: "site42.example".into(),
-            rank: 42,
-            complete: true,
-            ..VisitLog::default()
-        };
-        let back = VisitLog::from_content(&roundtrip(&log.to_content())).unwrap();
-        // The decoded record must reprint to the exact JSON line of the
-        // record that was written — the export's equivalence oracle.
-        assert_eq!(
-            serde_json::to_string(&back).unwrap(),
-            serde_json::to_string(&log).unwrap()
-        );
-    }
-
-    #[test]
-    fn specialized_decoder_matches_generic_path_on_real_visits() {
+    /// Logs of a real crawl, complete (event-rich) ones included.
+    fn crawl_logs() -> Vec<VisitLog> {
         use cg_browser::{crawl_range, VisitConfig};
         use cg_webgen::{GenConfig, WebGenerator};
         let gen = WebGenerator::new(GenConfig::small(24), 0xC00C1E);
         let (outcomes, _) = crawl_range(&gen, &VisitConfig::regular(), 1, 24, 2);
-        let mut complete = 0usize;
-        for outcome in outcomes {
-            let mut payload = Vec::new();
-            encode_content(&outcome.log.to_content(), &mut payload);
-            let generic =
-                VisitLog::from_content(&decode_content(&payload).expect("generic decode"))
-                    .expect("from_content");
-            let fast = decode_visit_log(&payload).expect("specialized decode");
-            assert_eq!(
-                serde_json::to_string(&fast).unwrap(),
-                serde_json::to_string(&generic).unwrap()
-            );
-            complete += usize::from(outcome.log.complete);
-        }
-        assert!(complete > 0, "want at least one complete (event-rich) log");
+        let logs: Vec<VisitLog> = outcomes.into_iter().map(|o| o.log).collect();
+        assert!(logs.iter().any(|l| l.complete && !l.reads.is_empty()));
+        logs
     }
 
     #[test]
-    fn specialized_decoder_refuses_truncation_and_trailing_bytes() {
-        let log = VisitLog {
-            site_domain: "site7.example".into(),
-            rank: 7,
-            complete: false,
+    fn real_visits_round_trip_to_the_same_json_and_the_same_bytes() {
+        let mut encoder = VisitEncoder::default();
+        for log in crawl_logs() {
+            let payload = encode(&log);
+            let back = decode_visit_log(&payload).expect("decode");
+            // The export's equivalence oracle: the decoded record
+            // reprints to the exact JSON line of the record written.
+            assert_eq!(json(&back), json(&log));
+            // Canonical: what decodes re-encodes to the same bytes, and
+            // a reused encoder writes what a fresh one does.
+            assert_eq!(encode(&back), payload);
+            let mut reused = Vec::new();
+            encoder.encode(&log, &mut reused);
+            assert_eq!(reused, payload);
+        }
+    }
+
+    #[test]
+    fn read_names_share_one_allocation_per_table_entry() {
+        let log = crawl_logs()
+            .into_iter()
+            .max_by_key(|l| l.reads.len())
+            .unwrap();
+        let back = decode_visit_log(&encode(&log)).unwrap();
+        let mut seen: std::collections::HashMap<&str, &Arc<str>> = Default::default();
+        let mut repeats = 0;
+        for name in back.reads.iter().flat_map(|r| &r.names) {
+            match seen.get(&**name) {
+                Some(first) => {
+                    assert!(Arc::ptr_eq(first, name), "{name} decoded twice");
+                    repeats += 1;
+                }
+                None => {
+                    seen.insert(name, name);
+                }
+            }
+        }
+        assert!(repeats > 0, "want a name read more than once");
+    }
+
+    #[test]
+    fn strings_are_stored_once_per_payload() {
+        let url = "https://cdn.tracker.example/t.js";
+        let mut log = VisitLog {
+            site_domain: "site.example".into(),
+            rank: 3,
+            complete: true,
             ..VisitLog::default()
         };
-        let mut payload = Vec::new();
-        encode_content(&log.to_content(), &mut payload);
-        assert!(decode_visit_log(&payload).is_ok());
-        assert!(decode_visit_log(&payload[..payload.len() - 1]).is_err());
-        let mut trailing = payload.clone();
-        trailing.push(TAG_NULL);
-        assert!(decode_visit_log(&trailing).is_err());
-        // A payload that is valid Content but not a VisitLog.
-        let mut not_a_log = Vec::new();
-        encode_content(&Content::Str("hello".into()), &mut not_a_log);
-        assert!(decode_visit_log(&not_a_log).is_err());
-    }
-
-    #[test]
-    fn truncated_and_trailing_payloads_are_refused() {
-        let mut buf = Vec::new();
-        encode_content(&Content::Str("hello".into()), &mut buf);
-        assert!(decode_content(&buf[..buf.len() - 1]).is_err(), "truncated");
-        buf.push(TAG_NULL);
-        assert!(decode_content(&buf).is_err(), "trailing bytes");
-        assert!(decode_content(&[99]).is_err(), "unknown tag");
+        for t in 0..4 {
+            log.inclusions.push(ScriptInclusion {
+                url: url.into(),
+                domain: Some("tracker.example".into()),
+                direct: t == 0,
+            });
+        }
+        let payload = encode(&log);
+        let text = String::from_utf8_lossy(&payload);
+        assert_eq!(text.matches(url).count(), 1);
+        assert_eq!(json(&decode_visit_log(&payload).unwrap()), json(&log));
     }
 
     #[test]
@@ -828,11 +954,11 @@ mod tests {
     fn format_serializes_as_string() {
         assert_eq!(
             serde_json::to_string(&SegmentFormat::Binary).unwrap(),
-            "\"binary\""
+            "\"binary-v2\""
         );
-        let back: SegmentFormat = serde_json::from_str("\"binary\"").unwrap();
+        let back: SegmentFormat = serde_json::from_str("\"binary-v2\"").unwrap();
         assert_eq!(back, SegmentFormat::Binary);
-        for retired in ["\"jsonl\"", "\"cbor\"", "null"] {
+        for retired in ["\"binary\"", "\"jsonl\"", "\"cbor\"", "null"] {
             assert!(serde_json::from_str::<SegmentFormat>(retired).is_err());
         }
     }

@@ -36,9 +36,10 @@ pub struct Fingerprint {
     /// (e.g. `GenConfig::small(n)` vs `GenConfig::default()`) must not
     /// resume each other's stores.
     pub generator: String,
-    /// On-disk segment format. Binary is the only one; a manifest
-    /// naming another (or none — those predate the field) is refused by
-    /// [`Manifest::load`].
+    /// On-disk segment format. Binary frames of format-v2 payloads
+    /// (`"binary-v2"`) are the only one; a manifest naming another —
+    /// `"binary"` (v1 payloads), `"jsonl"`, or none, as the oldest
+    /// stores record — is refused by [`Manifest::load`].
     pub format: SegmentFormat,
 }
 
@@ -104,9 +105,11 @@ impl Manifest {
 
     /// Loads the manifest from a store directory. `Ok(None)` when the
     /// directory has no manifest (a brand-new store). A manifest whose
-    /// segment format is not binary — `"jsonl"`, or no format field,
-    /// as stores written before binary-only segments record — is
-    /// `Corrupt`, naming the format it found.
+    /// segment format is not the current one — `"binary"` (format-v1
+    /// payloads), `"jsonl"`, or no format field, as stores written
+    /// before binary-only segments record — is `Corrupt`, naming the
+    /// format it found. There is no migration: recrawl into a fresh
+    /// directory.
     pub fn load(dir: &Path) -> Result<Option<Manifest>, StoreError> {
         let path = dir.join(MANIFEST_FILE);
         let bytes = match std::fs::read(&path) {
@@ -126,9 +129,10 @@ impl Manifest {
                 None => "none recorded (a pre-binary JSONL store)".to_string(),
                 Some(f) => f.to_string(),
             };
-            if format != "\"binary\"" {
+            let current = SegmentFormat::Binary.tag();
+            if format != format!("\"{current}\"") {
                 return Err(corrupt(format!(
-                    "unsupported segment format {format}: only binary segments are readable"
+                    "unsupported segment format {format}: only {current} segments are readable"
                 )));
             }
         }
@@ -256,6 +260,34 @@ mod tests {
                     assert!(detail.contains(named), "{detail}");
                 }
                 other => panic!("legacy manifest accepted: {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn format_v1_manifests_are_refused_naming_their_format() {
+        // A store written with v1 payloads records "binary". Its frames
+        // would misread as v2, so open, resume and read all refuse it.
+        let dir = tmp_dir("v1-format");
+        let mut m = Manifest::new(fp());
+        m.segment_mut("seg-0.bin").synced_records = 3;
+        m.store(&dir).unwrap();
+        let text = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        assert!(text.contains("\"binary-v2\""), "{text}");
+        let v1 = text.replace("\"binary-v2\"", "\"binary\"");
+        std::fs::write(dir.join(MANIFEST_FILE), v1).unwrap();
+        for loaded in [
+            Manifest::load(&dir).map(|_| ()),
+            Manifest::require(&dir).map(|_| ()),
+        ] {
+            match loaded {
+                Err(StoreError::Corrupt { file, detail }) => {
+                    assert_eq!(file, MANIFEST_FILE);
+                    assert!(detail.contains("\"binary\""), "{detail}");
+                    assert!(detail.contains("binary-v2"), "{detail}");
+                }
+                other => panic!("v1 manifest accepted: {other:?}"),
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -167,7 +167,6 @@ mod tests {
     use super::*;
     use crate::codec::{self, SegmentFormat};
     use crate::writer::CrawlWriter;
-    use serde::Serialize as _;
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -263,7 +262,7 @@ mod tests {
         let mut bytes = Vec::new();
         for rank in [5usize, 2] {
             let mut payload = Vec::new();
-            codec::encode_content(&log(rank).to_content(), &mut payload);
+            codec::encode_visit_log(&log(rank), &mut payload);
             codec::write_frame(&mut bytes, rank as u64, &payload);
         }
         std::fs::write(dir.join("seg-7.bin"), &bytes).unwrap();

@@ -16,7 +16,6 @@ use crate::StoreError;
 use cg_browser::{SinkWorker, VisitConfig, VisitOutcome, VisitSink};
 use cg_instrument::VisitLog;
 use cg_webgen::WebGenerator;
-use serde::Serialize as _;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Write};
@@ -239,6 +238,7 @@ impl CrawlWriter {
             file_name,
             file,
             buf: Vec::new(),
+            encoder: codec::VisitEncoder::default(),
             scratch: Vec::new(),
             pending: 0,
             records: 0,
@@ -273,7 +273,9 @@ pub struct SegmentWriter {
     file: File,
     /// Serialized records not yet written+fsync'd.
     buf: Vec<u8>,
-    /// Reusable payload-encoding buffer.
+    /// The payload encoder, its string table reused across records.
+    encoder: codec::VisitEncoder,
+    /// Reusable payload buffer.
     scratch: Vec<u8>,
     /// Records currently in `buf`.
     pending: u64,
@@ -312,10 +314,10 @@ impl SegmentWriter {
             });
         }
         let buffered = self.buf.len();
-        // Straight from the content tree to tagged bytes — no JSON text
-        // is built on the write path.
+        // Straight from the borrowed log to payload bytes: no JSON text
+        // and no intermediate tree is built on the write path.
         self.scratch.clear();
-        codec::encode_content(&log.to_content(), &mut self.scratch);
+        self.encoder.encode(log, &mut self.scratch);
         // Every STRIDE-th frame lands in the sidecar index, so chunked
         // readers can cut this segment without a scan.
         if (self.records + self.pending).is_multiple_of(u64::from(INDEX_STRIDE)) {
@@ -729,7 +731,7 @@ mod tests {
         let clean_len = std::fs::metadata(&path).unwrap().len();
         // Simulate a crash mid-append: a real next frame, cut short.
         let mut payload = Vec::new();
-        codec::encode_content(&log(3).to_content(), &mut payload);
+        codec::encode_visit_log(&log(3), &mut payload);
         let mut frame = Vec::new();
         codec::write_frame(&mut frame, 3, &payload);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -751,7 +753,7 @@ mod tests {
         codec::write_frame(&mut bytes, 1, b"not a visit");
         bytes[FRAME_HEADER] ^= 0x01;
         let mut payload = Vec::new();
-        codec::encode_content(&log(2).to_content(), &mut payload);
+        codec::encode_visit_log(&log(2), &mut payload);
         codec::write_frame(&mut bytes, 2, &payload);
         std::fs::write(dir.join("seg-0.bin"), &bytes).unwrap();
         assert!(matches!(
@@ -855,15 +857,18 @@ mod tests {
     fn pre_binary_store_is_refused() {
         let dir = tmp_dir("legacy");
         drop(CrawlWriter::open(&dir, fp()).unwrap());
-        // The same store as a pre-binary writer recorded it: the
-        // manifest names JSONL segments. Resuming into it is refused.
+        // The same store as an older writer recorded it: the manifest
+        // names JSONL segments, or binary frames of v1 payloads.
+        // Resuming into either is refused, naming the format found.
         let path = dir.join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("\"binary\"", "\"jsonl\"")).unwrap();
-        assert!(matches!(
-            CrawlWriter::open(&dir, fp()),
-            Err(StoreError::Corrupt { detail, .. }) if detail.contains("jsonl")
-        ));
+        for old in ["\"jsonl\"", "\"binary\""] {
+            std::fs::write(&path, text.replace("\"binary-v2\"", old)).unwrap();
+            assert!(matches!(
+                CrawlWriter::open(&dir, fp()),
+                Err(StoreError::Corrupt { detail, .. }) if detail.contains(old)
+            ));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -266,8 +266,9 @@ fn damage_surfaces_on_every_pass_over_one_plan() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A store from before binary-only segments — its manifest says
-/// `"jsonl"`, or names no format — is refused by every reader.
+/// A store from before format-v2 payloads — its manifest says
+/// `"binary"` (v1 payloads) or `"jsonl"`, or names no format — is
+/// refused by every reader.
 #[test]
 fn pre_binary_stores_are_refused_by_every_reader() {
     let dir = tmp_dir("legacy");
@@ -275,8 +276,9 @@ fn pre_binary_stores_are_refused_by_every_reader() {
     let manifest = dir.join(cg_crawlstore::MANIFEST_FILE);
     let text = std::fs::read_to_string(&manifest).unwrap();
     for legacy in [
-        text.replace("\"binary\"", "\"jsonl\""),
-        text.replace(",\n    \"format\": \"binary\"", ""),
+        text.replace("\"binary-v2\"", "\"binary\""),
+        text.replace("\"binary-v2\"", "\"jsonl\""),
+        text.replace(",\n    \"format\": \"binary-v2\"", ""),
     ] {
         assert_ne!(legacy, text);
         std::fs::write(&manifest, &legacy).unwrap();

@@ -2,6 +2,7 @@
 
 use cg_http::RequestKind;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which script-facing API an operation used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -75,8 +76,10 @@ pub struct ReadEvent {
     pub actor: Option<String>,
     /// The API used.
     pub api: CookieApi,
-    /// The `(name, value)` pairs the caller received.
-    pub cookies: Vec<(String, String)>,
+    /// The names of the cookies the caller received, in the order it
+    /// received them (values are not logged: no analysis reads them).
+    /// Shared: a name read many times in one visit is one allocation.
+    pub names: Vec<Arc<str>>,
     /// How many additional cookies CookieGuard withheld from this read.
     pub filtered_count: usize,
     /// Visit-relative time.
@@ -286,7 +289,7 @@ mod tests {
         log.reads.push(ReadEvent {
             actor: None,
             api: CookieApi::DocumentCookie,
-            cookies: vec![],
+            names: vec![],
             filtered_count: 0,
             time_ms: 1,
         });

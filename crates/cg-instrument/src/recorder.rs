@@ -7,6 +7,7 @@ use crate::events::{
 };
 use crate::sink::EventSink;
 use cg_url::Url;
+use std::sync::Arc;
 
 /// Accumulates one visit's instrumentation log.
 ///
@@ -112,19 +113,19 @@ impl Recorder {
         });
     }
 
-    /// Records a cookie read.
+    /// Records a cookie read of the cookies called `names`.
     pub fn record_read(
         &mut self,
         actor: Option<&str>,
         api: CookieApi,
-        cookies: Vec<(String, String)>,
+        names: Vec<Arc<str>>,
         filtered_count: usize,
         time_ms: u64,
     ) {
         self.log.reads.push(ReadEvent {
             actor: actor.map(str::to_string),
             api,
-            cookies,
+            names,
             filtered_count,
             time_ms,
         });
@@ -210,7 +211,7 @@ mod tests {
         r.record_read(
             Some("t.com"),
             CookieApi::DocumentCookie,
-            vec![("a".into(), "1".into())],
+            vec!["a".into()],
             0,
             6,
         );

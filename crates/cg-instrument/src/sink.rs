@@ -64,7 +64,7 @@ mod tests {
         ReadEvent {
             actor: Some("t.com".into()),
             api: CookieApi::DocumentCookie,
-            cookies: vec![("a".into(), "1".into())],
+            names: vec!["a".into()],
             filtered_count: 0,
             time_ms: 5,
         }

@@ -117,7 +117,7 @@ fn op_for_set(site: &str, set: &SetEvent) -> ReplayOp {
 fn op_for_read(read: &ReadEvent) -> ReplayOp {
     ReplayOp::Read {
         caller: caller_for(&read.actor),
-        names: read.cookies.iter().map(|(n, _)| n.clone()).collect(),
+        names: read.names.iter().map(|n| n.to_string()).collect(),
     }
 }
 
@@ -596,10 +596,7 @@ mod tests {
         ReadEvent {
             actor: actor.map(str::to_string),
             api: CookieApi::DocumentCookie,
-            cookies: names
-                .iter()
-                .map(|n| (n.to_string(), "v".to_string()))
-                .collect(),
+            names: names.iter().map(|&n| n.into()).collect(),
             filtered_count: 0,
             time_ms: t,
         }

@@ -283,10 +283,7 @@ impl<'v> GuardedJar<'v> {
         self.sink.cookie_read(ReadEvent {
             actor: ctx.actor_name(),
             api,
-            cookies: cookies
-                .iter()
-                .map(|c| (c.name.clone(), c.value.clone()))
-                .collect(),
+            names: cookies.iter().map(|c| Arc::from(c.name.as_str())).collect(),
             filtered_count: filtered,
             time_ms: ctx.time_ms,
         });
@@ -294,7 +291,7 @@ impl<'v> GuardedJar<'v> {
     }
 
     /// Single-name counterpart of [`GuardedJar::finish_read`]: logs at
-    /// most one pair and at most one withheld cookie.
+    /// most one name and at most one withheld cookie.
     fn finish_get(
         &mut self,
         ctx: &AccessContext,
@@ -309,10 +306,7 @@ impl<'v> GuardedJar<'v> {
         self.sink.cookie_read(ReadEvent {
             actor: ctx.actor_name(),
             api: CookieApi::CookieStore,
-            cookies: found
-                .iter()
-                .map(|v| (name.to_string(), v.clone()))
-                .collect(),
+            names: found.iter().map(|_| Arc::from(name)).collect(),
             filtered_count: filtered.min(1),
             time_ms: ctx.time_ms,
         });

@@ -108,7 +108,7 @@ fn main() {
         println!(
             "  read  by {:<24} -> {} cookie(s) visible",
             read.actor.clone().unwrap_or_default(),
-            read.cookies.len()
+            read.names.len()
         );
     }
     for req in &log.requests {
@@ -129,7 +129,7 @@ fn main() {
         println!(
             "  read  by {:<24} -> {} cookie(s) visible ({} filtered)",
             read.actor.clone().unwrap_or_default(),
-            read.cookies.len(),
+            read.names.len(),
             read.filtered_count
         );
     }

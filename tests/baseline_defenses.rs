@@ -151,7 +151,7 @@ fn rotated_domains_do_not_evade_the_guard() {
         // domain is still a distinct non-owner: reads of foreign
         // cookies keep getting filtered.
         let unguarded = visit_site(&evaded, &VisitConfig::regular(), gen.site_seed(rank));
-        let leaked_pairs: usize = unguarded.log.reads.iter().map(|r| r.cookies.len()).sum();
+        let leaked_pairs: usize = unguarded.log.reads.iter().map(|r| r.names.len()).sum();
         if leaked_pairs > 0 && g.cookies_filtered > 0 {
             checked += 1;
         }
