@@ -267,7 +267,8 @@ pub struct ReplayReport {
     pub undrained_epochs: u64,
 }
 
-/// Per-worker state; everything but the caches is merged after join.
+/// Per-worker state; the caches are dropped when the worker finishes,
+/// everything else is merged after join.
 #[derive(Default)]
 struct WorkerState {
     /// One engine cache per tenant: the lock-free session-open path.
@@ -558,6 +559,10 @@ fn run_pool(
                             }
                         }
                     }
+                    // A cache pins the engine it last saw; a swap after
+                    // this worker's last session open would otherwise
+                    // read as an undrained epoch.
+                    state.caches.clear();
                     state
                 })
             })
