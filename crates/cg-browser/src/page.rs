@@ -50,12 +50,12 @@ pub struct Page<'v> {
     markup_elements: Vec<ElementId>,
     rng: StdRng,
     cookie_ops: usize,
-    cnames: Option<CnameMap>,
+    cnames: Option<&'v CnameMap>,
     script_identities: HashMap<Url, ScriptIdentity>,
     signatures: Option<SignatureDb>,
     dom_guard: Option<&'v mut DomGuard>,
     change_cursor: usize,
-    csp: Option<cg_http::CspPolicy>,
+    csp: Option<&'v cg_http::CspPolicy>,
     csp_blocked: usize,
 }
 
@@ -121,8 +121,9 @@ impl<'v> Page<'v> {
 
     /// Enables DNS-aware attribution: script hosts are resolved through
     /// the CNAME map before their eTLD+1 is derived, uncloaking
-    /// first-party-subdomain trackers (§8's defense direction).
-    pub fn with_cnames(mut self, cnames: CnameMap) -> Self {
+    /// first-party-subdomain trackers (§8's defense direction). The map
+    /// is the site's, borrowed for the page's lifetime.
+    pub fn with_cnames(mut self, cnames: &'v CnameMap) -> Self {
         self.cnames = Some(cnames);
         self
     }
@@ -141,8 +142,9 @@ impl<'v> Page<'v> {
     /// pre-checks via [`Page::csp_admits_markup`], dynamically injected
     /// scripts inside [`Platform::resolve_injected_script`]. Blocked
     /// scripts never execute; CSP says nothing about the cookie access
-    /// of the scripts it admits.
-    pub fn with_csp(mut self, csp: cg_http::CspPolicy) -> Self {
+    /// of the scripts it admits. The policy is borrowed, not copied per
+    /// page.
+    pub fn with_csp(mut self, csp: &'v cg_http::CspPolicy) -> Self {
         self.csp = Some(csp);
         self
     }

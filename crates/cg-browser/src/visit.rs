@@ -323,13 +323,13 @@ fn execute_page(
         page_seed,
     );
     if cfg.resolve_cnames {
-        p = p.with_cnames(site.cnames.clone());
+        p = p.with_cnames(&site.cnames);
     }
     if let Some(dg) = dom_guard {
         p = p.with_dom_guard(dg);
     }
     if let Some(policy) = csp {
-        p = p.with_csp(policy.clone());
+        p = p.with_csp(policy);
     }
     p.apply_server_cookies(&page.server_cookies);
     let mut el = EventLoop::new(epoch).with_max_ops(cfg.max_ops);
