@@ -95,10 +95,10 @@ pub struct VisitFacts<'l> {
     pub unlabeled_pairs: Vec<u64>,
     /// Unblocked set events on unlabeled pairs.
     pub unlabeled_sets: u64,
-    /// Every cookie name each organization shipped off-site this visit
-    /// (bulk included), ascending, without repeats — feeds the global
-    /// breadth profile that separates fixed-list harvesters from jar
-    /// samplers.
+    /// Every cookie name each foreign organization (not the visited
+    /// site's) shipped off-site this visit (bulk included), ascending,
+    /// without repeats — feeds the global breadth profile that
+    /// separates fixed-list harvesters from jar samplers.
     pub shipped_names: Vec<(OrgId, NameId)>,
 }
 
@@ -336,8 +336,12 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
                 && matched.len() as f64
                     >= engine.config().bulk_jar_fraction * id_keys_in_visit as f64);
         for &k in &matched {
-            let name = engine.key(out.keys[k].key).name;
-            out.shipped_names.push((orgs.kept(init_org), name));
+            // The breadth profile is about foreign harvesters: the
+            // site's own scripts shipping its cookies are not one.
+            if init_org != orgs.site_org {
+                let name = engine.key(out.keys[k].key).name;
+                out.shipped_names.push((orgs.kept(init_org), name));
+            }
             ships.push((k, init_org, bulk));
         }
     }

@@ -21,7 +21,7 @@
 //! site-owned cookies (self-hosted analytics) a partitioning guard
 //! never touches.
 
-use crate::engine::{DetectConfig, OrgId};
+use crate::engine::{DetectConfig, DetectEngine, OrgId};
 use crate::features::Owner;
 use crate::stats::{DetectStats, KeyAgg};
 use cg_webgen::CookieLabel;
@@ -130,7 +130,8 @@ pub struct KeyRow {
     /// Total value writes.
     pub value_writes: u64,
     /// Best-evidenced foreign harvester: `(entity, ships, co_present)`
-    /// among entities at `min_support`, by rate.
+    /// among entities at `min_support` that shipped the key at least
+    /// once, by rate; `None` when no such entity exists.
     pub top_foreign: Option<(String, u64, u64)>,
     /// Detector decision.
     pub flagged: bool,
@@ -237,6 +238,32 @@ pub struct DetectReport {
     pub broad_shippers: u64,
 }
 
+/// The best-evidenced foreign harvester of one key: the organization
+/// with the highest ships / co-presence rate among those at
+/// `min_support` that shipped the key at least once.
+fn top_foreign(
+    engine: &DetectEngine,
+    min_support: u64,
+    agg: &KeyAgg,
+) -> Option<(String, u64, u64)> {
+    agg.foreign
+        .iter()
+        .filter(|(_, f)| f.ships > 0 && u64::from(f.co_present) >= min_support)
+        .map(|&(org, f)| {
+            (
+                engine.org_name(org),
+                u64::from(f.ships),
+                u64::from(f.co_present),
+            )
+        })
+        .max_by(|(ea, sa, ca), (eb, sb, cb)| {
+            // rate comparison via cross-multiplication (exact),
+            // organization name as the deterministic tie-break
+            (sa * cb, ea).cmp(&(sb * ca, eb))
+        })
+        .map(|(e, ships, co)| (e.to_string(), ships, co))
+}
+
 impl DetectReport {
     /// Scores merged fold state. Pure: identical aggregates in,
     /// byte-identical JSON out.
@@ -297,23 +324,7 @@ impl DetectReport {
                     guard.neither_instances += agg.sites_seen;
                 }
             }
-            let top_foreign = agg
-                .foreign
-                .iter()
-                .filter(|(_, f)| u64::from(f.co_present) >= config.min_support)
-                .map(|&(org, f)| {
-                    (
-                        engine.org_name(org),
-                        u64::from(f.ships),
-                        u64::from(f.co_present),
-                    )
-                })
-                .max_by(|(ea, sa, ca), (eb, sb, cb)| {
-                    // rate comparison via cross-multiplication (exact),
-                    // organization name as the deterministic tie-break
-                    (sa * cb, ea).cmp(&(sb * ca, eb))
-                })
-                .map(|(e, ships, co)| (e.to_string(), ships, co));
+            let top_foreign = top_foreign(engine, config.min_support, agg);
             keys.push(KeyRow {
                 name: name.to_string(),
                 owner: owner_name.to_string(),
@@ -429,19 +440,21 @@ mod tests {
     /// Organization ids come from an engine. Verdicts read neither its
     /// labels nor its grouping, so any labels and an empty entity map
     /// (every domain its own organization) will do.
-    fn org(domain: &str) -> OrgId {
+    fn engine() -> &'static DetectEngine {
         static ENGINE: OnceLock<DetectEngine> = OnceLock::new();
-        ENGINE
-            .get_or_init(|| {
-                DetectEngine::compile(
-                    &cg_webgen::CookieLabels::derive(
-                        cg_webgen::WebGenerator::new(cg_webgen::GenConfig::small(20), 1).registry(),
-                    ),
-                    cg_entity::EntityMap::new(),
-                    DetectConfig::default(),
-                )
-            })
-            .org_of(domain)
+        ENGINE.get_or_init(|| {
+            DetectEngine::compile(
+                &cg_webgen::CookieLabels::derive(
+                    cg_webgen::WebGenerator::new(cg_webgen::GenConfig::small(20), 1).registry(),
+                ),
+                cg_entity::EntityMap::new(),
+                DetectConfig::default(),
+            )
+        })
+    }
+
+    fn org(domain: &str) -> OrgId {
+        engine().org_of(domain)
     }
 
     fn agg(sites: u64, id: u64, pers: u64) -> KeyAgg {
@@ -551,6 +564,27 @@ mod tests {
         let mut c = agg(10, 10, 10);
         c.self_ship_sites = 10;
         assert_eq!(verdict(&cfg, &c, &broad).reason, Some(FlagReason::SelfShip));
+    }
+
+    #[test]
+    fn top_foreign_names_only_organizations_that_shipped() {
+        let co_present = |ships| ForeignAgg {
+            co_present: 10,
+            ships,
+        };
+        // Co-present at support but never shipping: no harvester, not
+        // the alphabetically last of them.
+        let mut a = agg(20, 20, 20);
+        a.foreign.push((org("adco.example"), co_present(0)));
+        a.foreign.push((org("zedco.example"), co_present(0)));
+        a.foreign.sort_unstable_by_key(|(o, _)| *o);
+        assert_eq!(top_foreign(engine(), 5, &a), None);
+        // One shipment makes an organization the top harvester.
+        a.foreign.push((org("midco.example"), co_present(1)));
+        assert_eq!(
+            top_foreign(engine(), 5, &a),
+            Some(("midco.example".to_string(), 1, 10))
+        );
     }
 
     #[test]

@@ -457,6 +457,53 @@ mod tests {
     }
 
     #[test]
+    fn the_visited_site_is_never_a_shipper() {
+        let mut stats = DetectStats::new(engine(), Stages::Full);
+        let value = "fb.1.1746746266109.868308499845957651";
+        stats.fold(&visit("shop.example", |r| {
+            r.record_set(
+                "_fbp",
+                value,
+                Some("facebook.net"),
+                None,
+                CookieApi::DocumentCookie,
+                WriteKind::Create,
+                None,
+                false,
+                10,
+            );
+            // The site's own script and Meta's both ship the value.
+            for (script, dest, t) in [
+                (
+                    "https://shop.example/app.js",
+                    "https://collect.stats.example/p",
+                    20,
+                ),
+                (
+                    "https://connect.facebook.net/fbevents.js",
+                    "https://www.facebook.com/tr",
+                    21,
+                ),
+            ] {
+                r.record_request(
+                    &format!("{dest}?v={value}"),
+                    cg_http::RequestKind::Image,
+                    Some(&cg_url::Url::parse(script).unwrap()),
+                    "shop.example",
+                    None,
+                    t,
+                );
+            }
+        }));
+        let shippers: Vec<&str> = stats
+            .shipper_names
+            .keys()
+            .map(|&org| engine().org_name(org))
+            .collect();
+        assert_eq!(shippers, ["Meta"]);
+    }
+
+    #[test]
     fn merge_matches_sequential_fold() {
         let a = with_max_age(
             visit("a.example", |r| {
