@@ -6,8 +6,9 @@
 //! in one chunk-granular parallel pass, retaining nothing per visit.
 //! The printed `-- streaming summary` block is a pure function of
 //! (seed, sites): byte-identical across thread counts, backends, and a
-//! killed-and-resumed store. Everything above it (throughput, peak RSS,
-//! the `fold_ms=` anchor line) is timing.
+//! killed-and-resumed store. Everything above it is timing (throughput,
+//! peak RSS, the `fold_ms=` anchor line) or the store's size (the
+//! `store_bytes_per_visit=` line).
 
 use crate::context::{crawl_store, peak_rss_bytes, ExperimentOptions};
 use cg_analysis::{StreamStats, StreamSummary};
@@ -38,6 +39,13 @@ pub fn run_stream(opts: &ExperimentOptions, dir: &Path) -> Result<StreamSummary,
     println!(
         "  fold_ms={fold_ms} backend={backend} threads={threads} visits={}",
         s.crawled
+    );
+    // Segment bytes per stored visit, frame headers included: a pure
+    // function of (seed, sites), gated in CI, but kept out of the
+    // summary so the summary says the same whatever the format.
+    println!(
+        "  store_bytes_per_visit={}",
+        run.stats.bytes / run.stats.records.max(1)
     );
     print_summary(&s);
     Ok(s)
