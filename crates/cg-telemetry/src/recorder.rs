@@ -2,11 +2,14 @@
 //! span events, dumped on error or on demand.
 //!
 //! Every thread that closes a span lazily registers one [`Ring`] of
-//! [`RING_CAPACITY`] slots in a process-wide list (the ring outlives
+//! [`RING_CAPACITY`] slots in a process-wide list. The ring outlives
 //! the thread, so a worker that exited before a crash still contributes
-//! its tail). Recording is one push under the ring's own mutex —
-//! uncontended in steady state because only the owning thread writes,
-//! while dumps briefly lock each ring to copy it.
+//! its tail; the rings of the newest [`RETIRED_RINGS`] exited threads
+//! are kept, older ones dropped, so a process that keeps spawning
+//! short-lived workers (a fold per analysis) holds a bounded recorder.
+//! Recording is one push under the ring's own mutex — uncontended in
+//! steady state because only the owning thread writes, while dumps
+//! briefly lock each ring to copy it.
 //!
 //! A dump merges every ring and sorts by the global close sequence, so
 //! the result is the interleaved "last N events per thread" picture a
@@ -16,12 +19,16 @@
 //! seams call before propagating a failure.
 
 use serde::Serialize;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Events retained per thread. 1024 spans ≈ the last few seconds of
 /// coarse-grained work per worker, in ~64 KiB.
 pub const RING_CAPACITY: usize = 1024;
+
+/// How many exited threads keep their rings for dumps (the newest).
+pub const RETIRED_RINGS: usize = 32;
 
 /// One recorded span close.
 #[derive(Debug, Clone, Serialize)]
@@ -94,21 +101,53 @@ impl Ring {
     }
 }
 
-/// The list of every thread's ring (rings outlive their threads).
-fn rings() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
+type SharedRing = Arc<Mutex<Ring>>;
+
+/// Every registered ring: those of running threads, then those of the
+/// newest exited ones, oldest first.
+#[derive(Default)]
+struct Rings {
+    live: Vec<SharedRing>,
+    retired: VecDeque<SharedRing>,
+}
+
+impl Rings {
+    fn iter(&self) -> impl Iterator<Item = &SharedRing> {
+        self.live.iter().chain(&self.retired)
+    }
+}
+
+fn rings() -> &'static Mutex<Rings> {
+    static RINGS: OnceLock<Mutex<Rings>> = OnceLock::new();
+    RINGS.get_or_init(|| Mutex::new(Rings::default()))
+}
+
+/// A thread's ring; the thread's exit moves it to the retired list.
+struct ThreadRing(SharedRing);
+
+impl Drop for ThreadRing {
+    fn drop(&mut self) {
+        let Ok(mut rings) = rings().lock() else {
+            return;
+        };
+        rings.live.retain(|r| !Arc::ptr_eq(r, &self.0));
+        rings.retired.push_back(Arc::clone(&self.0));
+        if rings.retired.len() > RETIRED_RINGS {
+            rings.retired.pop_front();
+        }
+    }
 }
 
 thread_local! {
     /// This thread's ring, registered in the global list at first use.
-    static THREAD_RING: Arc<Mutex<Ring>> = {
+    static THREAD_RING: ThreadRing = {
         let ring = Arc::new(Mutex::new(Ring::new(RING_CAPACITY)));
         rings()
             .lock()
             .expect("flight recorder list poisoned")
-            .push(ring.clone());
-        ring
+            .live
+            .push(Arc::clone(&ring));
+        ThreadRing(ring)
     };
 }
 
@@ -120,7 +159,8 @@ static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
 pub fn record(mut event: Event) {
     event.seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
     THREAD_RING.with(|ring| {
-        ring.lock()
+        ring.0
+            .lock()
             .expect("flight recorder ring poisoned")
             .push(event);
     });
@@ -238,5 +278,25 @@ mod tests {
         assert_eq!(outer.attr, 7);
         // Inner closed first, so its sequence is lower.
         assert!(inner.seq < outer.seq);
+    }
+
+    #[test]
+    fn exited_threads_leave_a_bounded_number_of_rings() {
+        for i in 0..2 * RETIRED_RINGS as u64 {
+            std::thread::spawn(move || drop(crate::span!("rec_test_worker", 1000 + i)))
+                .join()
+                .unwrap();
+        }
+        let retired = rings().lock().unwrap().retired.len();
+        assert!(retired <= RETIRED_RINGS, "{retired} retired rings kept");
+        // The newest exited worker's tail is still in the dump; the
+        // oldest ones' rings are gone.
+        let attrs: Vec<u64> = dump()
+            .iter()
+            .filter(|e| e.name == "rec_test_worker")
+            .map(|e| e.attr)
+            .collect();
+        assert!(attrs.contains(&(1000 + 2 * RETIRED_RINGS as u64 - 1)));
+        assert!(!attrs.contains(&1000));
     }
 }
