@@ -92,7 +92,7 @@ pub enum SegmentFormat {
 
 impl SegmentFormat {
     /// The manifest tag of this format.
-    pub fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             SegmentFormat::Binary => "binary-v2",
         }
@@ -237,7 +237,7 @@ pub fn encode_visit_log(log: &VisitLog, out: &mut Vec<u8>) {
 /// and body buffer between records, so a segment writer's steady state
 /// encodes a visit without allocating.
 #[derive(Debug, Default)]
-pub struct VisitEncoder {
+pub(crate) struct VisitEncoder {
     strings: StringTable,
     body: Vec<u8>,
 }
@@ -245,7 +245,7 @@ pub struct VisitEncoder {
 impl VisitEncoder {
     /// Encodes `log` onto `out` (appends; does not clear). Produces the
     /// same bytes as [`encode_visit_log`].
-    pub fn encode(&mut self, log: &VisitLog, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&mut self, log: &VisitLog, out: &mut Vec<u8>) {
         self.strings.clear();
         self.body.clear();
         let mut enc = Enc {

@@ -24,8 +24,9 @@
 //!   already-completed ranks, so a resumed crawl skips finished work
 //!   and — because every visit is a pure function of (master seed,
 //!   rank, visit config) — converges to byte-identical output versus an
-//!   uninterrupted run. A manifest from before binary-only segments
-//!   (`"jsonl"`, or no format) is refused as corrupt.
+//!   uninterrupted run. A manifest of an older store (`"binary"`
+//!   format-v1 payloads, `"jsonl"`, or no format) is refused as
+//!   corrupt.
 //! * **One read path** — binary segments carry a `seg-<n>.idx`
 //!   frame-index sidecar ([`index`]) that cuts each segment into
 //!   independently decodable chunks ([`chunk`]), and every reader goes
