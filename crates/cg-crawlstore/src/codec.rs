@@ -195,6 +195,21 @@ fn slot_count(entries: usize) -> usize {
     (entries * 2).next_power_of_two().max(16)
 }
 
+/// Linear probing over `slots` (entry index + 1 each, 0 for empty)
+/// from `hash`: `Ok` with the first entry `is` accepts, or `Err` with
+/// the empty slot the search ended on.
+fn probe(slots: &[u32], hash: usize, is: impl Fn(u32) -> bool) -> Result<u32, usize> {
+    let mask = slots.len() - 1;
+    let mut at = hash & mask;
+    loop {
+        match slots[at] {
+            0 => return Err(at),
+            slot if is(slot - 1) => return Ok(slot - 1),
+            _ => at = (at + 1) & mask,
+        }
+    }
+}
+
 fn cookie_api_byte(api: CookieApi) -> u8 {
     match api {
         CookieApi::DocumentCookie => 0,
@@ -289,34 +304,29 @@ impl StringTable {
         if self.slots.len() < slot_count(self.spans.len() + 1) {
             self.grow();
         }
-        let mask = self.slots.len() - 1;
-        let mut at = str_hash(s.as_bytes()) & mask;
-        loop {
-            match self.slots[at] {
-                0 => {
-                    let index = self.spans.len() as u32;
-                    write_varint(&mut self.bytes, s.len() as u64);
-                    let start = self.bytes.len() as u32;
-                    self.bytes.extend_from_slice(s.as_bytes());
-                    self.spans.push((start, s.len() as u32));
-                    self.slots[at] = index + 1;
-                    return index;
-                }
-                slot if self.entry(slot - 1) == s.as_bytes() => return slot - 1,
-                _ => at = (at + 1) & mask,
+        match probe(&self.slots, str_hash(s.as_bytes()), |i| {
+            self.entry(i) == s.as_bytes()
+        }) {
+            Ok(index) => index,
+            Err(at) => {
+                let index = self.spans.len() as u32;
+                write_varint(&mut self.bytes, s.len() as u64);
+                let start = self.bytes.len() as u32;
+                self.bytes.extend_from_slice(s.as_bytes());
+                self.spans.push((start, s.len() as u32));
+                self.slots[at] = index + 1;
+                index
             }
         }
     }
 
     fn grow(&mut self) {
         self.slots = vec![0; slot_count(self.spans.len() + 1) * 2];
-        let mask = self.slots.len() - 1;
         for index in 0..self.spans.len() as u32 {
-            let mut at = str_hash(self.entry(index)) & mask;
-            while self.slots[at] != 0 {
-                at = (at + 1) & mask;
+            let hash = str_hash(self.entry(index));
+            if let Err(at) = probe(&self.slots, hash, |_| false) {
+                self.slots[at] = index + 1;
             }
-            self.slots[at] = index + 1;
         }
     }
 }
@@ -583,20 +593,17 @@ impl<'a> Dec<'a> {
         self.charge(n * std::mem::size_of::<Entry>() + slots * std::mem::size_of::<u32>())?;
         self.table.reserve_exact(n);
         let mut index = vec![0u32; slots];
-        let mask = slots - 1;
         for i in 0..n {
             let at = self.pos;
             let len = self.usize_val()?;
             let s = std::str::from_utf8(self.take(len)?)
                 .map_err(|e| format!("invalid UTF-8 in string table entry {i}: {e}"))?;
-            let mut slot = str_hash(s.as_bytes()) & mask;
-            while index[slot] != 0 {
-                if self.table[index[slot] as usize - 1].s == s {
-                    return Err(format!("duplicate string table entry {i} at byte {at}"));
-                }
-                slot = (slot + 1) & mask;
+            match probe(&index, str_hash(s.as_bytes()), |j| {
+                self.table[j as usize].s == s
+            }) {
+                Ok(_) => return Err(format!("duplicate string table entry {i} at byte {at}")),
+                Err(slot) => index[slot] = i as u32 + 1,
             }
-            index[slot] = i as u32 + 1;
             self.table.push(Entry { s, shared: None });
         }
         Ok(())
