@@ -1,15 +1,13 @@
-//! Access-layer benchmarks: per-op vs batch `GuardedJar` traffic on a
-//! jar at the 180-cookie per-domain cap, driving a mixed read/write
-//! burst (the hot crawl path). The batch API derives the caller context
-//! once and serves consecutive reads from one post-filter view, so its
-//! win over per-op access is what this group tracks in the perf
-//! trajectory.
+//! Access-layer benchmarks: `GuardedJar` traffic on a jar at the
+//! 180-cookie per-domain cap, driving a mixed read/write burst one
+//! operation at a time (the hot crawl path), with events dropped and
+//! with the full recorder attached.
 
 use cg_cookiejar::CookieJar;
-use cg_instrument::{CookieApi, NullSink, Recorder};
+use cg_instrument::{NullSink, Recorder};
 use cg_url::Url;
 use cookieguard_core::{
-    AccessContext, BatchOp, Caller, GuardConfig, GuardEngine, GuardSession, GuardedJar, SetRequest,
+    AccessContext, Caller, GuardConfig, GuardEngine, GuardSession, GuardedJar, SetRequest,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -47,27 +45,56 @@ fn seeded() -> (CookieJar, GuardSession) {
     (jar, guard)
 }
 
+/// One operation of the burst.
+#[derive(Clone, Copy)]
+enum Op {
+    /// A `document.cookie` read.
+    Read,
+    /// A `cookieStore.get(name)`.
+    Get(&'static str),
+    /// A write (either API).
+    Set(SetRequest<'static>),
+    /// A `cookieStore.delete(name)`.
+    Delete(&'static str),
+}
+
 /// The mixed burst one busy script issues: jar-wide reads, targeted
 /// gets, a write, and a delete.
-fn burst_ops() -> Vec<BatchOp<'static>> {
+fn burst_ops() -> Vec<Op> {
     let mut ops = Vec::new();
     for _ in 0..4 {
-        ops.push(BatchOp::Read {
-            api: CookieApi::DocumentCookie,
-        });
-        ops.push(BatchOp::Get { name: "cookie_3" });
-        ops.push(BatchOp::Get { name: "cookie_9" });
+        ops.extend([Op::Read, Op::Get("cookie_3"), Op::Get("cookie_9")]);
     }
-    ops.push(BatchOp::Set(SetRequest::CookieStore {
+    ops.push(Op::Set(SetRequest::CookieStore {
         name: "cookie_3",
         value: "refreshed",
         expires_abs_ms: None,
     }));
-    ops.push(BatchOp::Read {
-        api: CookieApi::DocumentCookie,
-    });
-    ops.push(BatchOp::Delete { name: "cookie_3" });
+    ops.push(Op::Read);
+    ops.push(Op::Delete("cookie_3"));
     ops
+}
+
+/// Runs the burst one op at a time, re-deriving the context per call
+/// like a `Platform` implementation fielding one script op at a time.
+fn run_burst(access: &mut GuardedJar<'_>, ops: &[Op]) {
+    for op in ops {
+        let c = ctx("vendor3.example");
+        match *op {
+            Op::Read => {
+                black_box(access.document_cookie(&c));
+            }
+            Op::Get(name) => {
+                black_box(access.get(&c, name));
+            }
+            Op::Set(req) => {
+                black_box(access.set(&c, req));
+            }
+            Op::Delete(name) => {
+                black_box(access.delete(&c, name));
+            }
+        }
+    }
 }
 
 fn bench_access(c: &mut Criterion) {
@@ -78,46 +105,16 @@ fn bench_access(c: &mut Criterion) {
         let (mut jar, mut guard) = seeded();
         let mut sink = NullSink;
         let mut access = GuardedJar::new(url(), &mut jar, Some(&mut guard), &mut sink);
-        let vendor = "vendor3.example";
-        b.iter(|| {
-            for op in &ops {
-                // The per-op path re-derives the context per call, like a
-                // Platform implementation fielding one script op at a time.
-                let c = ctx(vendor);
-                match op {
-                    BatchOp::Read { api } => {
-                        black_box(access.read(&c, *api));
-                    }
-                    BatchOp::Get { name } => {
-                        black_box(access.get(&c, name));
-                    }
-                    BatchOp::Set(req) => {
-                        black_box(access.set(&c, *req));
-                    }
-                    BatchOp::Delete { name } => {
-                        black_box(access.delete(&c, name));
-                    }
-                }
-            }
-        });
-    });
-
-    group.bench_function("batch", |b| {
-        let (mut jar, mut guard) = seeded();
-        let mut sink = NullSink;
-        let mut access = GuardedJar::new(url(), &mut jar, Some(&mut guard), &mut sink);
-        let c = ctx("vendor3.example");
-        b.iter(|| black_box(access.run_batch(&c, &ops)));
+        b.iter(|| run_burst(&mut access, &ops));
     });
 
     // The same burst with the full recorder attached, so the cost of
     // event emission stays visible alongside the enforcement cost.
-    group.bench_function("batch_recorded", |b| {
+    group.bench_function("per_op_recorded", |b| {
         let (mut jar, mut guard) = seeded();
         let mut rec = Recorder::new("bench-site.example", 1);
         let mut access = GuardedJar::new(url(), &mut jar, Some(&mut guard), &mut rec);
-        let c = ctx("vendor3.example");
-        b.iter(|| black_box(access.run_batch(&c, &ops)));
+        b.iter(|| run_burst(&mut access, &ops));
     });
 
     group.finish();

@@ -8,7 +8,7 @@
 //!
 //! **Entry points** (run with `cargo bench -p cg-bench --bench <name>`):
 //! `cookiejar` (sharded vs. flat jar), `guard` (engine compile vs.
-//! session open), `access` (per-op vs. batched `GuardedJar` traffic),
+//! session open), `access` (a per-op `GuardedJar` burst, unlogged and recorded),
 //! `decide` (compiled policy vs. string oracle), `store_roundtrip`
 //! (crawl-store append/merge-scan), plus `baselines`, `domguard`,
 //! `experiments`, `filterlist`, `hashing`, `parsing`, and `pipeline`.

@@ -159,10 +159,9 @@ impl<'v> LegacyPage<'v> {
         let cookies = self.jar.cookies_for_document(&self.url, now);
         match self.guard.as_deref_mut() {
             Some(g) => {
-                let before = cookies.len();
-                let visible = g.filter_read(&Self::caller(at), cookies);
-                let filtered = before - visible.len();
-                (visible, filtered)
+                let mut view: Vec<&cg_cookiejar::Cookie> = cookies.iter().collect();
+                let filtered = g.filter_read(&Self::caller(at), &mut view);
+                (view.into_iter().cloned().collect(), filtered)
             }
             None => (cookies, 0),
         }

@@ -2,6 +2,7 @@
 
 use cg_http::{SameSite, SetCookie};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// A cookie as stored by the user agent (RFC 6265 §5.3 storage model).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,6 +97,32 @@ impl Cookie {
             format!("{}={}", self.name, self.value)
         }
     }
+}
+
+/// The `document.cookie` / `Cookie:` header form of `cookies`,
+/// `"a=1; b=2"`, written into one `String` sized up front. Byte-identical
+/// to joining [`Cookie::pair`] with `"; "`: a nameless cookie prints its
+/// value alone, and every separator is kept, the first one included.
+pub fn cookie_string<C: Borrow<Cookie>>(cookies: &[C]) -> String {
+    let pair_len = |c: &Cookie| match c.name.len() {
+        0 => c.value.len(),
+        n => n + 1 + c.value.len(),
+    };
+    let len = cookies.iter().map(|c| pair_len(c.borrow())).sum::<usize>()
+        + 2 * cookies.len().saturating_sub(1);
+    let mut out = String::with_capacity(len);
+    for (i, c) in cookies.iter().enumerate() {
+        let c = c.borrow();
+        if i > 0 {
+            out.push_str("; ");
+        }
+        if !c.name.is_empty() {
+            out.push_str(&c.name);
+            out.push('=');
+        }
+        out.push_str(&c.value);
+    }
+    out
 }
 
 /// The default path for a URL per RFC 6265 §5.1.4: the request path up to

@@ -21,11 +21,13 @@
 //! equivalence tests and benchmarks).
 
 use crate::changes::{ChangeCause, CookieChange};
-use crate::cookie::{default_path, Cookie};
+use crate::cookie::{cookie_string, default_path, Cookie};
 use cg_http::{parse_set_cookie, SetCookie};
 use cg_url::intern::{self, DomainId};
 use cg_url::{psl, Url};
 use serde::{de, Content, DeError, Deserialize, Serialize};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -206,7 +208,7 @@ impl CookieJar {
         url: &Url,
         now_ms: i64,
     ) -> Result<(), SetCookieError> {
-        self.store(sc, url, now_ms, true, None).map(|_| ())
+        self.store(sc, url, now_ms, true, None)
     }
 
     /// [`CookieJar::set_from_header`] with a pre-resolved [`ShardPin`]
@@ -219,14 +221,11 @@ impl CookieJar {
         url: &Url,
         now_ms: i64,
     ) -> Result<(), SetCookieError> {
-        self.store(sc, url, now_ms, true, Some(pin)).map(|_| ())
+        self.store(sc, url, now_ms, true, Some(pin))
     }
 
     /// Stores a cookie written through `document.cookie = "…"` or
     /// `cookieStore.set(…)` on the document at `url`.
-    ///
-    /// Returns the stored cookie on success so instrumentation can log the
-    /// exact stored form.
     ///
     /// This is the *storage* step only: script-facing writes in the
     /// browser must run through `cookieguard_core::GuardedJar`, the one
@@ -239,7 +238,7 @@ impl CookieJar {
         raw: &str,
         url: &Url,
         now_ms: i64,
-    ) -> Result<Cookie, SetCookieError> {
+    ) -> Result<(), SetCookieError> {
         self.set_document_cookie_impl(raw, url, now_ms, None)
     }
 
@@ -252,7 +251,7 @@ impl CookieJar {
         raw: &str,
         url: &Url,
         now_ms: i64,
-    ) -> Result<Cookie, SetCookieError> {
+    ) -> Result<(), SetCookieError> {
         self.set_document_cookie_impl(raw, url, now_ms, Some(pin))
     }
 
@@ -266,7 +265,7 @@ impl CookieJar {
         sc: &SetCookie,
         url: &Url,
         now_ms: i64,
-    ) -> Result<Cookie, SetCookieError> {
+    ) -> Result<(), SetCookieError> {
         self.store_document_cookie(sc, url, now_ms, Some(pin))
     }
 
@@ -276,7 +275,7 @@ impl CookieJar {
         url: &Url,
         now_ms: i64,
         pin: Option<&ShardPin>,
-    ) -> Result<Cookie, SetCookieError> {
+    ) -> Result<(), SetCookieError> {
         let sc = parse_set_cookie(raw).ok_or(SetCookieError::Unparseable)?;
         self.store_document_cookie(&sc, url, now_ms, pin)
     }
@@ -287,7 +286,7 @@ impl CookieJar {
         url: &Url,
         now_ms: i64,
         pin: Option<&ShardPin>,
-    ) -> Result<Cookie, SetCookieError> {
+    ) -> Result<(), SetCookieError> {
         self.store(sc, url, now_ms, false, pin)
     }
 
@@ -298,7 +297,7 @@ impl CookieJar {
         now_ms: i64,
         http_api: bool,
         pin: Option<&ShardPin>,
-    ) -> Result<Cookie, SetCookieError> {
+    ) -> Result<(), SetCookieError> {
         let host = url.host_str();
         validate_set(sc, url, &host, http_api)?;
         let cookie = Cookie::from_set_cookie(sc, &host, &default_path(&url.path), now_ms);
@@ -323,17 +322,16 @@ impl CookieJar {
             }
             // Creation time is preserved on replacement (RFC 6265 §5.3.11.3).
             let created = existing.cookie.created_at_ms;
-            existing.cookie = cookie;
-            existing.cookie.created_at_ms = created;
-            let stored = existing.cookie.clone();
             self.changes.push(CookieChange {
-                name: stored.name.clone(),
-                value: stored.value.clone(),
+                name: cookie.name.clone(),
+                value: cookie.value.clone(),
                 cause: ChangeCause::Replaced,
-                http_only: stored.http_only,
+                http_only: cookie.http_only,
                 at_ms: now_ms,
             });
-            Ok(stored)
+            existing.cookie = cookie;
+            existing.cookie.created_at_ms = created;
+            Ok(())
         } else {
             self.changes.push(CookieChange {
                 name: cookie.name.clone(),
@@ -342,13 +340,12 @@ impl CookieJar {
                 http_only: cookie.http_only,
                 at_ms: now_ms,
             });
-            let stored = cookie.clone();
             let seq = self.next_seq;
             self.next_seq += 1;
             shard.push(StoredCookie { seq, cookie });
             self.total += 1;
             self.evict_if_needed(shard_id, now_ms);
-            Ok(stored)
+            Ok(())
         }
     }
 
@@ -470,56 +467,49 @@ impl CookieJar {
     /// `document.cookie` serializes and that CookieGuard filters.
     ///
     /// Only the host's eTLD+1 shard is scanned; the rest of the jar is
-    /// never touched.
+    /// never touched. Clones every cookie: fixtures and analyses only —
+    /// the access layer reads the borrowed [`CookieJar::document_view`].
     pub fn cookies_for_document(&self, url: &Url, now_ms: i64) -> Vec<Cookie> {
-        self.document_view(self.shard_for_host(&url.host_str()), url, now_ms)
+        let shard = self.shard_for_host(&url.host_str());
+        script_view(shard, url, now_ms)
+            .into_iter()
+            .cloned()
+            .collect()
     }
 
-    /// [`CookieJar::cookies_for_document`] with a pre-resolved
-    /// [`ShardPin`] for `url`'s host (burst path; see [`ShardPin`]).
-    pub fn cookies_for_document_pinned(
+    /// The borrowed form of [`CookieJar::cookies_for_document`] for the
+    /// shard `pin` resolved: the same cookies in the same order, as
+    /// references into the jar. One allocation (the view itself),
+    /// however many cookies it holds.
+    pub fn document_view(&self, pin: &ShardPin, url: &Url, now_ms: i64) -> Vec<&Cookie> {
+        script_view(self.shards.get(&pin.id), url, now_ms)
+    }
+
+    /// The first cookie called `name` in [`CookieJar::document_view`]'s
+    /// order, found without building the view: the prior cookie a
+    /// script write replaces or deletes.
+    pub fn document_cookie_named(
         &self,
         pin: &ShardPin,
         url: &Url,
         now_ms: i64,
-    ) -> Vec<Cookie> {
-        self.document_view(self.shards.get(&pin.id), url, now_ms)
-    }
-
-    fn document_view(
-        &self,
-        shard: Option<&Vec<StoredCookie>>,
-        url: &Url,
-        now_ms: i64,
-    ) -> Vec<Cookie> {
+        name: &str,
+    ) -> Option<&Cookie> {
         let host = url.host_str();
-        let mut matching: Vec<Cookie> = shard
-            .map(|shard| {
-                shard
-                    .iter()
-                    .filter(|s| {
-                        let c = &s.cookie;
-                        !c.is_expired(now_ms)
-                            && !c.http_only
-                            && c.domain_matches(&host)
-                            && c.path_matches(&url.path)
-                            && (!c.secure || url.scheme == "https")
-                    })
-                    .map(|s| s.cookie.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        sort_for_serialization(&mut matching);
-        matching
+        // `min_by` keeps the first of equal elements, so ties resolve to
+        // shard order exactly like the stable sort of the full view.
+        self.shards
+            .get(&pin.id)?
+            .iter()
+            .map(|s| &s.cookie)
+            .filter(|c| c.name == name && script_visible(c, &host, url, now_ms))
+            .min_by(|a, b| serialization_order(a, b))
     }
 
     /// The `document.cookie` getter: `"a=1; b=2"`.
     pub fn document_cookie(&self, url: &Url, now_ms: i64) -> String {
-        self.cookies_for_document(url, now_ms)
-            .iter()
-            .map(Cookie::pair)
-            .collect::<Vec<_>>()
-            .join("; ")
+        let shard = self.shard_for_host(&url.host_str());
+        cookie_string(&script_view(shard, url, now_ms))
     }
 
     /// The `Cookie:` header value attached to an HTTP request for `url`.
@@ -527,28 +517,12 @@ impl CookieJar {
     /// are invisible to scripts, not to the network.
     pub fn cookie_header_for_request(&self, url: &Url, now_ms: i64) -> String {
         let host = url.host_str();
-        let mut matching: Vec<Cookie> = self
-            .shard_for_host(&host)
-            .map(|shard| {
-                shard
-                    .iter()
-                    .filter(|s| {
-                        let c = &s.cookie;
-                        !c.is_expired(now_ms)
-                            && c.domain_matches(&host)
-                            && c.path_matches(&url.path)
-                            && (!c.secure || url.scheme == "https")
-                    })
-                    .map(|s| s.cookie.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        sort_for_serialization(&mut matching);
-        matching
-            .iter()
-            .map(Cookie::pair)
-            .collect::<Vec<_>>()
-            .join("; ")
+        cookie_string(&view_in(self.shard_for_host(&host), |c| {
+            !c.is_expired(now_ms)
+                && c.domain_matches(&host)
+                && c.path_matches(&url.path)
+                && (!c.secure || url.scheme == "https")
+        }))
     }
 
     /// The `Cookie:` header for a *subresource* request to `url` made
@@ -575,31 +549,49 @@ impl CookieJar {
             return self.cookie_header_for_request(url, now_ms);
         }
         let host = url.host_str();
-        let mut matching: Vec<Cookie> = self
-            .shard_for_host(&host)
-            .map(|shard| {
-                shard
-                    .iter()
-                    .filter(|s| {
-                        let c = &s.cookie;
-                        !c.is_expired(now_ms)
-                            && c.domain_matches(&host)
-                            && c.path_matches(&url.path)
-                            && url.scheme == "https"
-                            && c.same_site == Some(cg_http::SameSite::None)
-                            && c.secure
-                    })
-                    .map(|s| s.cookie.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        sort_for_serialization(&mut matching);
-        matching
-            .iter()
-            .map(Cookie::pair)
-            .collect::<Vec<_>>()
-            .join("; ")
+        cookie_string(&view_in(self.shard_for_host(&host), |c| {
+            !c.is_expired(now_ms)
+                && c.domain_matches(&host)
+                && c.path_matches(&url.path)
+                && url.scheme == "https"
+                && c.same_site == Some(cg_http::SameSite::None)
+                && c.secure
+        }))
     }
+}
+
+/// Whether a script at `url` (host `host`) may see `c` at `now_ms`:
+/// the `document.cookie` visibility rule.
+fn script_visible(c: &Cookie, host: &str, url: &Url, now_ms: i64) -> bool {
+    !c.is_expired(now_ms)
+        && !c.http_only
+        && c.domain_matches(host)
+        && c.path_matches(&url.path)
+        && (!c.secure || url.scheme == "https")
+}
+
+/// The cookies of `shard` a script at `url` may see at `now_ms`,
+/// borrowed and in serialization order.
+fn script_view<'a>(
+    shard: Option<&'a Vec<StoredCookie>>,
+    url: &Url,
+    now_ms: i64,
+) -> Vec<&'a Cookie> {
+    let host = url.host_str();
+    view_in(shard, |c| script_visible(c, &host, url, now_ms))
+}
+
+/// The cookies of `shard` that `keep` admits, borrowed and in
+/// serialization order. The view is sized to the shard up front, so it
+/// costs one allocation whatever it holds.
+fn view_in(shard: Option<&Vec<StoredCookie>>, keep: impl Fn(&Cookie) -> bool) -> Vec<&Cookie> {
+    let Some(shard) = shard else {
+        return Vec::new();
+    };
+    let mut view = Vec::with_capacity(shard.len());
+    view.extend(shard.iter().map(|s| &s.cookie).filter(|c| keep(c)));
+    sort_for_serialization(&mut view);
+    view
 }
 
 // ---------------------------------------------------------------------
@@ -665,11 +657,14 @@ pub(crate) fn validate_set(
     if sc.secure && url.scheme != "https" {
         return Err(SetCookieError::SecureFromInsecure);
     }
-    let lower_name = sc.name.to_ascii_lowercase();
-    if lower_name.starts_with("__secure-") && !(sc.secure && url.scheme == "https") {
+    let has_prefix = |prefix: &str| {
+        let name = sc.name.as_bytes();
+        name.len() >= prefix.len() && name[..prefix.len()].eq_ignore_ascii_case(prefix.as_bytes())
+    };
+    if has_prefix("__secure-") && !(sc.secure && url.scheme == "https") {
         return Err(SetCookieError::InvalidPrefix);
     }
-    if lower_name.starts_with("__host-") {
+    if has_prefix("__host-") {
         let path_ok = sc.path.as_deref() == Some("/");
         if !(sc.secure && url.scheme == "https" && sc.domain.is_none() && path_ok) {
             return Err(SetCookieError::InvalidPrefix);
@@ -687,15 +682,19 @@ pub(crate) fn validate_set(
 }
 
 /// RFC 6265 §5.4 step 2: longer paths first; among equal-length paths,
-/// earlier creation times first.
-pub(crate) fn sort_for_serialization(cookies: &mut [Cookie]) {
-    cookies.sort_by(|a, b| {
-        b.path
-            .len()
-            .cmp(&a.path.len())
-            .then(a.created_at_ms.cmp(&b.created_at_ms))
-            .then(a.name.cmp(&b.name))
-    });
+/// earlier creation times first, then by name. The sort is stable, so
+/// full ties keep shard (insertion) order.
+pub(crate) fn sort_for_serialization<C: Borrow<Cookie>>(cookies: &mut [C]) {
+    cookies.sort_by(|a, b| serialization_order(a.borrow(), b.borrow()));
+}
+
+/// The comparator of [`sort_for_serialization`].
+fn serialization_order(a: &Cookie, b: &Cookie) -> Ordering {
+    b.path
+        .len()
+        .cmp(&a.path.len())
+        .then(a.created_at_ms.cmp(&b.created_at_ms))
+        .then(a.name.cmp(&b.name))
 }
 
 #[cfg(test)]
@@ -1148,7 +1147,8 @@ mod tests {
             "a=1",
             "b=2; Domain=pin-site.com",
             "deep=3; Path=/a",
-            "a=9", // replacement
+            "a=9",         // replacement
+            "a=5; Path=/", // a second `a`, serialized after the first
         ];
         for (i, raw) in raws.iter().enumerate() {
             let p = pinned.set_document_cookie_pinned(&pin, raw, &u, i as i64);
@@ -1156,9 +1156,22 @@ mod tests {
             assert_eq!(p, q, "store diverged for {raw}");
         }
         assert_eq!(
-            pinned.cookies_for_document_pinned(&pin, &u, 10),
-            plain.cookies_for_document(&u, 10)
+            pinned.document_view(&pin, &u, 10),
+            plain
+                .cookies_for_document(&u, 10)
+                .iter()
+                .collect::<Vec<_>>()
         );
+        // The named lookup is the first of that name in the view.
+        for name in ["a", "b", "deep", "missing"] {
+            assert_eq!(
+                pinned.document_cookie_named(&pin, &u, 10, name),
+                pinned
+                    .document_view(&pin, &u, 10)
+                    .into_iter()
+                    .find(|c| c.name == name)
+            );
+        }
         assert_eq!(
             pinned.delete_pinned(&pin, "a", &u, 11),
             plain.delete("a", &u, 11)
@@ -1186,7 +1199,7 @@ mod tests {
         let api = ShardPin::for_host("api.pin-two.com");
         let au = url("https://api.pin-two.com/");
         assert_eq!(
-            jar.cookies_for_document_pinned(&api, &au, 1)
+            jar.document_view(&api, &au, 1)
                 .iter()
                 .map(|c| c.pair())
                 .collect::<Vec<_>>(),

@@ -30,7 +30,7 @@ pub mod jar;
 pub mod store;
 
 pub use changes::{ChangeCause, CookieChange};
-pub use cookie::Cookie;
+pub use cookie::{cookie_string, Cookie};
 pub use flat::FlatJar;
 pub use jar::{CookieJar, SetCookieError, ShardPin};
 pub use store::{CookieListItem, CookieStore};
@@ -154,7 +154,8 @@ mod proptests {
             prop_assert_eq!(result.is_ok(), should_store, "{}", raw);
             prop_assert_eq!(jar.len(), usize::from(should_store));
             prop_assert_eq!(jar.change_count(), usize::from(should_store));
-            if let Ok(c) = result {
+            let stored = jar.iter().next().cloned();
+            if let Some(c) = stored {
                 prop_assert!(c.secure && c.host_only);
                 prop_assert_eq!(c.path, "/");
             }

@@ -161,6 +161,13 @@ fn run_serve_cli(args: &[String]) -> ! {
         }
         i += 1;
     }
+    if opts.worker_counts.len() < 2 {
+        eprintln!(
+            "--workers needs at least 2 worker counts for the determinism check (e.g. 2,8), got {:?}",
+            opts.worker_counts
+        );
+        std::process::exit(2);
+    }
     let report = cg_experiments::run_serve(&opts);
     cg_experiments::print_serve(&report);
     if let Some(path) = &opts.bench_json {

@@ -42,3 +42,14 @@ fn removed_knobs_are_refused() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
     }
 }
+
+#[test]
+fn serve_with_one_worker_count_is_a_usage_error() {
+    for list in ["2", "8"] {
+        let out = run(&["serve", "--sites", "10", "--workers", list]);
+        assert_eq!(out.status.code(), Some(2), "--workers {list}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("at least 2 worker counts"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}

@@ -125,33 +125,40 @@ pub fn parse_set_cookie(raw: &str) -> Option<SetCookie> {
     for attr in parts {
         let attr = attr.trim();
         let (key, val) = match attr.split_once('=') {
-            Some((k, v)) => (k.trim().to_ascii_lowercase(), v.trim()),
-            None => (attr.to_ascii_lowercase(), ""),
+            Some((k, v)) => (k.trim(), v.trim()),
+            None => (attr, ""),
         };
-        match key.as_str() {
-            "domain" => {
-                let d = val.trim_start_matches('.').to_ascii_lowercase();
-                if !d.is_empty() {
-                    cookie.domain = Some(d);
-                }
+        // Attribute names and `SameSite` values are case-insensitive;
+        // compare in place rather than lowercasing a copy of each.
+        let is = |name: &str| key.eq_ignore_ascii_case(name);
+        if is("domain") {
+            let d = val.trim_start_matches('.').to_ascii_lowercase();
+            if !d.is_empty() {
+                cookie.domain = Some(d);
             }
-            "path" if val.starts_with('/') => {
+        } else if is("path") {
+            if val.starts_with('/') {
                 cookie.path = Some(val.to_string());
             }
-            "expires" => cookie.expires_ms = parse_expires(val),
-            "max-age" => cookie.max_age_s = val.parse::<i64>().ok(),
-            "secure" => cookie.secure = true,
-            "httponly" => cookie.http_only = true,
-            "samesite" => {
-                cookie.same_site = match val.to_ascii_lowercase().as_str() {
-                    "strict" => Some(SameSite::Strict),
-                    "lax" => Some(SameSite::Lax),
-                    "none" => Some(SameSite::None),
-                    _ => None,
-                }
-            }
-            _ => {} // unknown attributes are ignored
+        } else if is("expires") {
+            cookie.expires_ms = parse_expires(val);
+        } else if is("max-age") {
+            cookie.max_age_s = val.parse::<i64>().ok();
+        } else if is("secure") {
+            cookie.secure = true;
+        } else if is("httponly") {
+            cookie.http_only = true;
+        } else if is("samesite") {
+            cookie.same_site = [
+                ("strict", SameSite::Strict),
+                ("lax", SameSite::Lax),
+                ("none", SameSite::None),
+            ]
+            .into_iter()
+            .find(|(v, _)| val.eq_ignore_ascii_case(v))
+            .map(|(_, s)| s);
         }
+        // Unknown attributes are ignored.
     }
     Some(cookie)
 }
@@ -293,6 +300,29 @@ mod tests {
         let c = parse_set_cookie(raw).unwrap();
         let re = parse_set_cookie(&c.to_header_value()).unwrap();
         assert_eq!(c, re);
+    }
+
+    #[test]
+    fn attribute_names_and_samesite_match_in_any_case() {
+        let c = parse_set_cookie(
+            "a=1; dOmAiN=Shop.Example; PATH=/x; mAx-AgE=60; EXPIRES=@5; sEcUrE; HTTPONLY; SameSite=nOnE",
+        )
+        .unwrap();
+        assert_eq!(c.domain.as_deref(), Some("shop.example"));
+        assert_eq!(c.path.as_deref(), Some("/x"));
+        assert_eq!(c.max_age_s, Some(60));
+        assert_eq!(c.expires_ms, Some(5));
+        assert!(c.secure && c.http_only);
+        assert_eq!(c.same_site, Some(SameSite::None));
+        for (raw, want) in [
+            ("a=1; samesite=STRICT", Some(SameSite::Strict)),
+            ("a=1; SAMESITE=Lax", Some(SameSite::Lax)),
+            ("a=1; SameSite=laxx", None),
+        ] {
+            assert_eq!(parse_set_cookie(raw).unwrap().same_site, want, "{raw}");
+        }
+        // A path that is not absolute is still ignored, in any case.
+        assert_eq!(parse_set_cookie("a=1; PATH=rel").unwrap().path, None);
     }
 
     #[test]

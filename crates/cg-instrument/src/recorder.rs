@@ -7,6 +7,7 @@ use crate::events::{
 };
 use crate::sink::EventSink;
 use cg_url::Url;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Accumulates one visit's instrumentation log.
@@ -17,6 +18,8 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct Recorder {
     log: VisitLog,
+    /// The visit's cookie names handed out to read events so far.
+    names: HashSet<Arc<str>>,
 }
 
 impl EventSink for Recorder {
@@ -43,6 +46,15 @@ impl EventSink for Recorder {
     fn inclusion(&mut self, event: ScriptInclusion) {
         self.log.inclusions.push(event);
     }
+
+    fn share_name(&mut self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.names.get(name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(name);
+        self.names.insert(Arc::clone(&shared));
+        shared
+    }
 }
 
 impl Recorder {
@@ -55,6 +67,7 @@ impl Recorder {
                 complete: true,
                 ..VisitLog::default()
             },
+            names: HashSet::new(),
         }
     }
 
@@ -242,6 +255,16 @@ mod tests {
         assert_eq!(log.dom_events.len(), 1);
         assert_eq!(log.inclusions.len(), 2);
         assert_eq!(log.inclusions[1].url, "<inline>");
+    }
+
+    #[test]
+    fn shared_names_are_one_allocation_per_visit() {
+        let mut r = Recorder::new("site.com", 1);
+        let a = r.share_name("_ga");
+        let b = r.share_name("_ga");
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(&a, &r.share_name("_gid")));
+        assert_eq!(&*b, "_ga");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //!   micro-benchmarks that want enforcement without logging cost).
 
 use crate::events::{DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion, SetEvent};
+use std::sync::Arc;
 
 /// Receives fully-constructed instrumentation events.
 ///
@@ -38,6 +39,14 @@ pub trait EventSink {
     fn dom_mutation(&mut self, event: DomEvent);
     /// A script observed in the main frame.
     fn inclusion(&mut self, event: ScriptInclusion);
+
+    /// The shared form of cookie name `name`, for a [`ReadEvent`]'s
+    /// `names`. The default allocates one; a sink that keeps a visit's
+    /// events hands out one `Arc` per distinct name, so a name read
+    /// again costs a refcount bump.
+    fn share_name(&mut self, name: &str) -> Arc<str> {
+        Arc::from(name)
+    }
 }
 
 /// An [`EventSink`] that drops every event — the zero-cost sink for

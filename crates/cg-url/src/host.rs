@@ -106,17 +106,19 @@ fn parse_ipv4(raw: &str) -> Option<[u8; 4]> {
 /// domain-matches `domain` when they are identical or `host` ends with
 /// `.domain` and `host` is a registered name.
 pub fn domain_match(host: &str, domain: &str) -> bool {
-    let host = host.to_ascii_lowercase();
-    let domain = domain.trim_start_matches('.').to_ascii_lowercase();
-    if host == domain {
+    // Compared case-insensitively in place: this runs per cookie per
+    // document read, so it must not allocate.
+    let domain = domain.trim_start_matches('.');
+    if host.eq_ignore_ascii_case(domain) {
         return true;
     }
-    if parse_ipv4(&host).is_some() {
+    if parse_ipv4(host).is_some() {
         return false;
     }
-    host.len() > domain.len()
-        && host.ends_with(&domain)
-        && host.as_bytes()[host.len() - domain.len() - 1] == b'.'
+    let (h, d) = (host.as_bytes(), domain.as_bytes());
+    h.len() > d.len()
+        && h[h.len() - d.len()..].eq_ignore_ascii_case(d)
+        && h[h.len() - d.len() - 1] == b'.'
 }
 
 #[cfg(test)]
@@ -168,6 +170,10 @@ mod tests {
         assert!(!domain_match("example.com", "www.example.com"));
         assert!(!domain_match("badexample.com", "example.com"));
         assert!(!domain_match("1.2.3.4", "3.4"));
+        // Case-insensitive on both sides, without lowercasing copies.
+        assert!(domain_match("WWW.Example.com", ".example.COM"));
+        assert!(domain_match("Example.COM", "example.com"));
+        assert!(!domain_match("BadExample.com", "EXAMPLE.com"));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! shapes that the synthetic ecosystem and the paper's examples exercise
 //! (`co.uk`, `com.au`, `github.io`, `*.ck` with `!www.ck`, …).
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
@@ -255,70 +256,85 @@ fn rules() -> &'static RuleSet {
     })
 }
 
-/// Number of labels in the public suffix of `host`, or 0 when no rule
-/// matches (per the algorithm, an unmatched host uses the implicit `*`
-/// rule: the last label is the suffix — we treat that as suffix length 1).
-fn suffix_label_count(labels: &[String]) -> usize {
+/// Number of labels in the public suffix of `host` (lowercase, `n`
+/// labels, none empty), or 0 when no rule matches (per the algorithm, an
+/// unmatched host uses the implicit `*` rule: the last label is the
+/// suffix — we treat that as suffix length 1). Each candidate suffix is
+/// a label-aligned tail of `host`, borrowed rather than joined.
+fn suffix_label_count(host: &str, n: usize) -> usize {
     let rs = rules();
-    let n = labels.len();
     let mut best = 1; // implicit "*" rule
-    for start in 0..n {
-        let candidate = labels[start..].join(".");
+    let mut at = Some(0);
+    let mut start = 0;
+    while let Some(off) = at {
+        let candidate = &host[off..];
         // Exception rule: the public suffix is the candidate minus its
         // first label.
-        if rs.exception.contains(candidate.as_str()) {
+        if rs.exception.contains(candidate) {
             return n - start - 1;
         }
-        if rs.plain.contains(candidate.as_str()) {
+        if rs.plain.contains(candidate) {
             best = best.max(n - start);
         }
         // Wildcard: "*.ck" means any "<label>.ck" is a suffix. The stored
         // key is the part after "*.", so a candidate matches when its
         // tail (after the first label) is a wildcard key.
-        if start + 1 < n {
-            let tail = labels[start + 1..].join(".");
-            if rs.wildcard.contains(tail.as_str()) {
+        at = candidate.find('.').map(|i| off + i + 1);
+        if let Some(next) = at {
+            if rs.wildcard.contains(&host[next..]) {
                 best = best.max(n - start);
             }
         }
+        start += 1;
     }
     best
 }
 
+/// `host` without surrounding dots, lowercased (borrowed when it already
+/// is), with its label count; `None` when empty or a label is empty.
+fn normalized(host: &str) -> Option<(Cow<'_, str>, usize)> {
+    let host = host.trim_matches('.');
+    // Trimmed of outer dots, an empty label can only be an inner "..".
+    if host.is_empty() || host.contains("..") {
+        return None;
+    }
+    let labels = host.split('.').count();
+    let host = if host.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(host.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(host)
+    };
+    Some((host, labels))
+}
+
 /// Returns `true` when `host` is itself a public suffix (e.g. `co.uk`).
 pub fn is_public_suffix(host: &str) -> bool {
-    let host = host.trim_matches('.').to_ascii_lowercase();
-    if host.is_empty() {
-        return false;
+    match normalized(host) {
+        Some((host, n)) => suffix_label_count(&host, n) >= n,
+        None => false,
     }
-    let labels: Vec<String> = host.split('.').map(|s| s.to_string()).collect();
-    if labels.iter().any(|l| l.is_empty()) {
-        return false;
-    }
-    suffix_label_count(&labels) >= labels.len()
 }
 
 /// The registrable domain (eTLD+1) of `host`: the public suffix plus one
 /// label. `None` for IP literals, bare public suffixes, and hosts with
 /// fewer labels than the matched suffix.
 pub fn registrable_domain(host: &str) -> Option<String> {
-    let host = host.trim_matches('.').to_ascii_lowercase();
-    if host.is_empty() {
-        return None;
-    }
-    let labels: Vec<String> = host.split('.').map(|s| s.to_string()).collect();
-    if labels.iter().any(|l| l.is_empty()) {
-        return None;
-    }
+    let (host, n) = normalized(host)?;
     // IPv4 literals have no registrable domain.
-    if labels.len() == 4 && labels.iter().all(|l| l.parse::<u8>().is_ok()) {
+    if n == 4 && host.split('.').all(|l| l.parse::<u8>().is_ok()) {
         return None;
     }
-    let suffix = suffix_label_count(&labels);
-    if labels.len() <= suffix {
+    let suffix = suffix_label_count(&host, n);
+    if n <= suffix {
         return None;
     }
-    Some(labels[labels.len() - suffix - 1..].join("."))
+    // The domain starts at label `n - suffix - 1`.
+    let skip = n - suffix - 1;
+    let off = match skip {
+        0 => 0,
+        k => host.match_indices('.').nth(k - 1).map_or(0, |(i, _)| i + 1),
+    };
+    Some(host[off..].to_string())
 }
 
 #[cfg(test)]
@@ -399,6 +415,66 @@ mod tests {
         assert!(is_public_suffix("anything.ck"));
         assert!(!is_public_suffix("www.ck"));
         assert!(!is_public_suffix("example.com"));
+    }
+
+    /// The label-joining form of the algorithm the borrowed-tail
+    /// implementation replaced, kept as the oracle it must match.
+    fn joined_reference(host: &str) -> Option<String> {
+        let host = host.trim_matches('.').to_ascii_lowercase();
+        let labels: Vec<&str> = host.split('.').collect();
+        if host.is_empty() || labels.iter().any(|l| l.is_empty()) {
+            return None;
+        }
+        if labels.len() == 4 && labels.iter().all(|l| l.parse::<u8>().is_ok()) {
+            return None;
+        }
+        let (rs, n) = (rules(), labels.len());
+        let mut suffix = 1;
+        for start in 0..n {
+            let candidate = labels[start..].join(".");
+            if rs.exception.contains(candidate.as_str()) {
+                suffix = n - start - 1;
+                break;
+            }
+            if rs.plain.contains(candidate.as_str())
+                || (start + 1 < n && rs.wildcard.contains(labels[start + 1..].join(".").as_str()))
+            {
+                suffix = suffix.max(n - start);
+            }
+        }
+        (n > suffix).then(|| labels[n - suffix - 1..].join("."))
+    }
+
+    #[test]
+    fn borrowed_tails_match_the_joined_reference() {
+        for rule in RULES {
+            let rule = rule.trim_start_matches("*.").trim_start_matches('!');
+            for prefix in [
+                "",
+                "a.",
+                "x.a.",
+                "WWW.Shop.",
+                "1.2.3.",
+                ".",
+                "b..",
+                "255.255.255.",
+            ] {
+                for host in [format!("{prefix}{rule}"), format!("{prefix}{rule}.")] {
+                    assert_eq!(registrable_domain(&host), joined_reference(&host), "{host}");
+                }
+            }
+        }
+        for host in [
+            "",
+            ".",
+            "1.2.3.4",
+            "300.1.1.1",
+            "foo",
+            "a.b.foo.ck",
+            "sub.www.ck",
+        ] {
+            assert_eq!(registrable_domain(host), joined_reference(host), "{host}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //!   caller (Page, service worker, future workloads)
-//!        │  read / get / set / delete / apply_set_cookie_headers
+//!        │  document_cookie / get_all / get / set / delete / apply_set_cookie_headers
 //!        ▼
 //!   GuardedJar ── 1. policy   (GuardSession, optional)
 //!              ── 2. storage  (CookieJar, shard-pinned)
@@ -19,19 +19,25 @@
 //! ```
 //!
 //! Callers never consult the guard, mutate the jar, or synthesize
-//! `SetEvent`/`ReadEvent`s by hand; they receive an [`Outcome`] that
-//! says what was decided, what changed, and what was logged. Running
+//! `SetEvent`/`ReadEvent`s by hand; they receive the read's result or an
+//! [`Outcome`] that says what was decided and what changed. Running
 //! guard-less (a vanilla measurement crawl) is the same API with
 //! `guard = None`.
 //!
 //! The jar's host → shard resolution is pinned once per `GuardedJar`
-//! (the document URL is fixed for its lifetime), and [`GuardedJar::run_batch`]
-//! additionally reuses one [`AccessContext`] and a cached post-filter
-//! view across a burst of operations — the hot crawl path.
+//! (the document URL is fixed for its lifetime). A read borrows: the jar
+//! hands out a sorted view of `&Cookie`, the guard filters that view in
+//! place, the sink shares one `Arc<str>` per distinct name, and only
+//! what the caller receives — the `document.cookie` string, written
+//! into one `String`, or the `getAll` pairs — is copied. A write finds
+//! the cookie it replaces in the same borrowed form and copies none of
+//! it.
 
 use crate::guard::GuardSession;
 use crate::policy::{AccessDecision, Caller};
-use cg_cookiejar::{Cookie, CookieChange, CookieJar, SetCookieError, ShardPin};
+use cg_cookiejar::{
+    cookie_string, ChangeCause, Cookie, CookieChange, CookieJar, SetCookieError, ShardPin,
+};
 use cg_http::parse_set_cookie;
 use cg_instrument::{AttrChangeFlags, CookieApi, EventSink, ReadEvent, SetEvent, WriteKind};
 use cg_url::{DomainId, Url};
@@ -43,7 +49,7 @@ use std::sync::Arc;
 /// legitimately disagree: `caller` is the policy identity (possibly
 /// CNAME-uncloaked or signature-attributed), while `actor` is the
 /// identity the instrumentation may observe (the raw stack-trace
-/// eTLD+1). A batch of operations from one script shares one context.
+/// eTLD+1). A burst of operations from one script shares one context.
 ///
 /// Both identities are interned ids, resolved once per script at
 /// attribution time, so building and cloning a context per operation is
@@ -73,34 +79,6 @@ impl AccessContext {
     }
 }
 
-/// The post-guard view of the jar one read produced.
-#[derive(Debug, Clone)]
-pub struct CookieView {
-    /// The cookies the caller may see, in serialization order.
-    pub cookies: Vec<Cookie>,
-    /// How many additional cookies the guard withheld.
-    pub filtered: usize,
-}
-
-impl CookieView {
-    /// The `document.cookie` string form: `"a=1; b=2"`.
-    pub fn serialize(&self) -> String {
-        self.cookies
-            .iter()
-            .map(Cookie::pair)
-            .collect::<Vec<_>>()
-            .join("; ")
-    }
-
-    /// The `(name, value)` pairs (the CookieStore `getAll` shape).
-    pub fn pairs(&self) -> Vec<(String, String)> {
-        self.cookies
-            .iter()
-            .map(|c| (c.name.clone(), c.value.clone()))
-            .collect()
-    }
-}
-
 /// One write-path request: what the script asked for, before policy.
 #[derive(Debug, Clone, Copy)]
 pub enum SetRequest<'r> {
@@ -123,7 +101,7 @@ pub enum SetRequest<'r> {
 }
 
 /// The structured result of one mediated mutation: what the policy
-/// decided, what the jar did, and what the instrumentation saw.
+/// decided, what the jar did, and whether the instrumentation saw it.
 ///
 /// `Outcome` exists so callers never reconstruct any of the three by
 /// hand — the access layer is the only place that knows, e.g., that a
@@ -143,14 +121,14 @@ pub struct Outcome {
     /// The jar's storage-level rejection, if any (validation, prefix
     /// contracts, HttpOnly protection).
     pub error: Option<SetCookieError>,
-    /// The change-log record of the mutation itself, if any. Knock-on
-    /// records the same operation triggered (a per-domain-cap eviction
-    /// after a create) follow it in the jar's change log.
-    pub change: Option<CookieChange>,
-    /// The instrument event that was emitted to the sink, if any — a
-    /// faithful copy, so callers can inspect what was logged without
-    /// owning the sink.
-    pub event: Option<SetEvent>,
+    /// Why the jar logged the mutation itself (created, replaced,
+    /// deleted), if it logged one. The record is the first the operation
+    /// appended to the jar's change log; knock-on records (a
+    /// per-domain-cap eviction after a create) follow it there.
+    pub change: Option<ChangeCause>,
+    /// Whether a write event was emitted to the sink (the event itself
+    /// is the sink's; the access layer keeps no copy).
+    pub logged: bool,
 }
 
 impl Outcome {
@@ -166,42 +144,21 @@ impl Outcome {
             applied: false,
             error: Some(SetCookieError::Unparseable),
             change: None,
-            event: None,
+            logged: false,
         }
     }
-}
 
-/// One operation of a batch (see [`GuardedJar::run_batch`]).
-#[derive(Debug, Clone, Copy)]
-pub enum BatchOp<'r> {
-    /// A full read (`document.cookie` getter / `getAll`).
-    Read {
-        /// Which API surface the read uses (recorded on the event).
-        api: CookieApi,
-    },
-    /// A single-name read (`cookieStore.get`).
-    Get {
-        /// The requested cookie name.
-        name: &'r str,
-    },
-    /// A write (either API).
-    Set(SetRequest<'r>),
-    /// A `cookieStore.delete`.
-    Delete {
-        /// The targeted cookie name.
-        name: &'r str,
-    },
-}
-
-/// The result of one [`BatchOp`], in op order.
-#[derive(Debug, Clone)]
-pub enum BatchResult {
-    /// Result of [`BatchOp::Read`].
-    Read(CookieView),
-    /// Result of [`BatchOp::Get`].
-    Get(Option<String>),
-    /// Result of [`BatchOp::Set`] / [`BatchOp::Delete`].
-    Mutation(Outcome),
+    /// The outcome of a write or delete the guard refused (and logged).
+    fn blocked_by(decision: AccessDecision, kind: WriteKind) -> Outcome {
+        Outcome {
+            decision: Some(decision),
+            kind,
+            applied: false,
+            error: None,
+            change: None,
+            logged: true,
+        }
+    }
 }
 
 /// The guarded cookie jar: the only sanctioned way to touch cookies.
@@ -256,61 +213,75 @@ impl<'v> GuardedJar<'v> {
     // Reads
     // ------------------------------------------------------------------
 
-    /// A full post-guard read of the document's cookies, logged as one
-    /// read event on `api`.
-    pub fn read(&mut self, ctx: &AccessContext, api: CookieApi) -> CookieView {
-        let (cookies, filtered) = self.visible(ctx);
-        self.finish_read(ctx, api, cookies, filtered)
+    /// The `document.cookie` getter: the post-guard cookies as one
+    /// `"a=1; b=2"` string, logged as one read event.
+    pub fn document_cookie(&mut self, ctx: &AccessContext) -> String {
+        self.read(ctx, CookieApi::DocumentCookie, |view| cookie_string(view))
+    }
+
+    /// `cookieStore.getAll()`: the post-guard `(name, value)` pairs,
+    /// logged as one CookieStore read event.
+    pub fn get_all(&mut self, ctx: &AccessContext) -> Vec<(String, String)> {
+        self.read(ctx, CookieApi::CookieStore, |view| {
+            view.iter()
+                .map(|c| (c.name.clone(), c.value.clone()))
+                .collect()
+        })
     }
 
     /// `cookieStore.get(name)`: the value, if present and visible.
-    /// Logged as a CookieStore read of at most one pair.
+    /// Logged as a CookieStore read of at most one name and at most one
+    /// withheld cookie.
     pub fn get(&mut self, ctx: &AccessContext, name: &str) -> Option<String> {
-        let (visible, filtered) = self.visible(ctx);
-        self.finish_get(ctx, name, &visible, filtered)
-    }
-
-    /// Emits the read event for a post-filter view and wraps it up —
-    /// the one place the full-read event is constructed (per-op and
-    /// batch paths both end here).
-    fn finish_read(
-        &mut self,
-        ctx: &AccessContext,
-        api: CookieApi,
-        cookies: Vec<Cookie>,
-        filtered: usize,
-    ) -> CookieView {
-        self.sink.cookie_read(ReadEvent {
-            actor: ctx.actor_name(),
-            api,
-            names: cookies.iter().map(|c| Arc::from(c.name.as_str())).collect(),
-            filtered_count: filtered,
-            time_ms: ctx.time_ms,
-        });
-        CookieView { cookies, filtered }
-    }
-
-    /// Single-name counterpart of [`GuardedJar::finish_read`]: logs at
-    /// most one name and at most one withheld cookie.
-    fn finish_get(
-        &mut self,
-        ctx: &AccessContext,
-        name: &str,
-        visible: &[Cookie],
-        filtered: usize,
-    ) -> Option<String> {
-        let found = visible
+        let (view, filtered) = visible(
+            self.jar,
+            self.guard.as_deref_mut(),
+            &self.pin,
+            &self.url,
+            ctx,
+        );
+        let found = view
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.value.clone());
+        let names = match found {
+            Some(_) => vec![self.sink.share_name(name)],
+            None => Vec::new(),
+        };
         self.sink.cookie_read(ReadEvent {
             actor: ctx.actor_name(),
             api: CookieApi::CookieStore,
-            names: found.iter().map(|_| Arc::from(name)).collect(),
+            names,
             filtered_count: filtered.min(1),
             time_ms: ctx.time_ms,
         });
         found
+    }
+
+    /// One full read on `api`: the post-guard view, logged as one read
+    /// event, of which `out` copies what the caller receives.
+    fn read<R>(
+        &mut self,
+        ctx: &AccessContext,
+        api: CookieApi,
+        out: impl FnOnce(&[&Cookie]) -> R,
+    ) -> R {
+        let (view, filtered) = visible(
+            self.jar,
+            self.guard.as_deref_mut(),
+            &self.pin,
+            &self.url,
+            ctx,
+        );
+        let names = view.iter().map(|c| self.sink.share_name(&c.name)).collect();
+        self.sink.cookie_read(ReadEvent {
+            actor: ctx.actor_name(),
+            api,
+            names,
+            filtered_count: filtered,
+            time_ms: ctx.time_ms,
+        });
+        out(&view)
     }
 
     /// Non-mutating visibility check (CookieStore `change`-event
@@ -346,27 +317,34 @@ impl<'v> GuardedJar<'v> {
             return Outcome::unparseable();
         };
         let now = ctx.now_ms;
-
-        // Classify the write like the measurement does: a write whose
-        // expiry is already in the past is a deletion; a write to an
-        // existing name is an overwrite.
-        let prior = self
-            .jar
-            .cookies_for_document_pinned(&self.pin, &self.url, now)
-            .into_iter()
-            .find(|c| c.name == sc.name);
         let expires_abs = match (sc.max_age_s, sc.expires_ms) {
             (Some(ma), _) => Some(now + ma * 1000),
             (None, Some(e)) => Some(e),
             (None, None) => None,
         };
+
+        // Classify the write like the measurement does: a write whose
+        // expiry is already in the past is a deletion; a write to an
+        // existing name is an overwrite. The prior cookie is the first
+        // of that name the document sees; the attribute-change taxonomy
+        // (§5.5) is read off it in place, so nothing of it is copied.
+        let prior_changes = self
+            .jar
+            .document_cookie_named(&self.pin, &self.url, now, &sc.name)
+            .map(|p| AttrChangeFlags {
+                value: p.value != sc.value,
+                expires: p.expires_ms != expires_abs,
+                domain: sc.domain.as_deref().is_some_and(|d| d != p.domain) && !p.host_only
+                    || (p.host_only && sc.domain.is_some()),
+                path: sc.path.as_deref().is_some_and(|pt| pt != p.path),
+            });
         let is_delete = matches!(expires_abs, Some(e) if e <= now);
         // The lifetime the write *requested*, relative seconds — what
         // the detection pipeline reads as persistence.
         let max_age_s = expires_abs.map(|e| (e - now) / 1000);
         let kind = if is_delete {
             WriteKind::Delete
-        } else if prior.is_some() {
+        } else if prior_changes.is_some() {
             WriteKind::Overwrite
         } else {
             WriteKind::Create
@@ -381,7 +359,7 @@ impl<'v> GuardedJar<'v> {
                 g.authorize_write(&ctx.caller, &sc.name)
             };
             if !d.is_allow() {
-                let event = self.emit_set(
+                self.emit_set(
                     ctx,
                     &sc.name,
                     &sc.value,
@@ -391,29 +369,13 @@ impl<'v> GuardedJar<'v> {
                     None,
                     true,
                 );
-                return Outcome {
-                    decision: Some(d),
-                    kind,
-                    applied: false,
-                    error: None,
-                    change: None,
-                    event: Some(event),
-                };
+                return Outcome::blocked_by(d, kind);
             }
             decision = Some(d);
         }
 
-        // Attribute-change taxonomy (§5.5), overwrites only.
-        let changes = prior
-            .as_ref()
-            .filter(|_| kind == WriteKind::Overwrite)
-            .map(|p| AttrChangeFlags {
-                value: p.value != sc.value,
-                expires: p.expires_ms != expires_abs,
-                domain: sc.domain.as_deref().is_some_and(|d| d != p.domain) && !p.host_only
-                    || (p.host_only && sc.domain.is_some()),
-                path: sc.path.as_deref().is_some_and(|pt| pt != p.path),
-            });
+        // Attribute changes are recorded on overwrites only.
+        let changes = prior_changes.filter(|_| kind == WriteKind::Overwrite);
 
         // Storage.
         let change_mark = self.jar.change_count();
@@ -427,14 +389,15 @@ impl<'v> GuardedJar<'v> {
                 .jar
                 .set_parsed_document_cookie_pinned(&self.pin, &sc, &self.url, now)
             {
-                Ok(_) => (true, None),
+                Ok(()) => (true, None),
                 Err(e) => (false, Some(e)),
             }
         };
 
         // Event: deletions are logged even when nothing matched (the
         // script's intent is observable either way).
-        let event = (applied || is_delete).then(|| {
+        let logged = applied || is_delete;
+        if logged {
             self.emit_set(
                 ctx,
                 &sc.name,
@@ -444,16 +407,16 @@ impl<'v> GuardedJar<'v> {
                 max_age_s,
                 changes,
                 false,
-            )
-        });
+            );
+        }
 
         Outcome {
             decision,
             kind,
             applied,
             error,
-            change: self.jar.changes_since(change_mark).first().cloned(),
-            event,
+            change: self.jar.changes_since(change_mark).first().map(|c| c.cause),
+            logged,
         }
     }
 
@@ -467,9 +430,8 @@ impl<'v> GuardedJar<'v> {
         let now = ctx.now_ms;
         let prior_exists = self
             .jar
-            .cookies_for_document_pinned(&self.pin, &self.url, now)
-            .iter()
-            .any(|c| c.name == name);
+            .document_cookie_named(&self.pin, &self.url, now, name)
+            .is_some();
         let kind = if prior_exists {
             WriteKind::Overwrite
         } else {
@@ -481,7 +443,7 @@ impl<'v> GuardedJar<'v> {
         if let Some(g) = self.guard.as_deref_mut() {
             let d = g.authorize_write(&ctx.caller, name);
             if !d.is_allow() {
-                let event = self.emit_set(
+                self.emit_set(
                     ctx,
                     name,
                     value,
@@ -491,14 +453,7 @@ impl<'v> GuardedJar<'v> {
                     None,
                     true,
                 );
-                return Outcome {
-                    decision: Some(d),
-                    kind,
-                    applied: false,
-                    error: None,
-                    change: None,
-                    event: Some(event),
-                };
+                return Outcome::blocked_by(d, kind);
             }
             decision = Some(d);
         }
@@ -513,10 +468,10 @@ impl<'v> GuardedJar<'v> {
             .jar
             .set_document_cookie_pinned(&self.pin, &raw, &self.url, now)
         {
-            Ok(_) => (true, None),
+            Ok(()) => (true, None),
             Err(e) => (false, Some(e)),
         };
-        let event = applied.then(|| {
+        if applied {
             self.emit_set(
                 ctx,
                 name,
@@ -526,15 +481,15 @@ impl<'v> GuardedJar<'v> {
                 max_age_s,
                 None,
                 false,
-            )
-        });
+            );
+        }
         Outcome {
             decision,
             kind,
             applied,
             error,
-            change: self.jar.changes_since(change_mark).first().cloned(),
-            event,
+            change: self.jar.changes_since(change_mark).first().map(|c| c.cause),
+            logged: applied,
         }
     }
 
@@ -545,7 +500,7 @@ impl<'v> GuardedJar<'v> {
         if let Some(g) = self.guard.as_deref_mut() {
             let d = g.authorize_delete(&ctx.caller, name);
             if !d.is_allow() {
-                let event = self.emit_set(
+                self.emit_set(
                     ctx,
                     name,
                     "",
@@ -555,14 +510,7 @@ impl<'v> GuardedJar<'v> {
                     None,
                     true,
                 );
-                return Outcome {
-                    decision: Some(d),
-                    kind: WriteKind::Delete,
-                    applied: false,
-                    error: None,
-                    change: None,
-                    event: Some(event),
-                };
+                return Outcome::blocked_by(d, WriteKind::Delete);
             }
             decision = Some(d);
         }
@@ -570,7 +518,7 @@ impl<'v> GuardedJar<'v> {
         let applied = self
             .jar
             .delete_pinned(&self.pin, name, &self.url, ctx.now_ms);
-        let event = applied.then(|| {
+        if applied {
             self.emit_set(
                 ctx,
                 name,
@@ -580,15 +528,15 @@ impl<'v> GuardedJar<'v> {
                 None,
                 None,
                 false,
-            )
-        });
+            );
+        }
         Outcome {
             decision,
             kind: WriteKind::Delete,
             applied,
             error: None,
-            change: self.jar.changes_since(change_mark).first().cloned(),
-            event,
+            change: self.jar.changes_since(change_mark).first().map(|c| c.cause),
+            logged: applied,
         }
     }
 
@@ -615,74 +563,38 @@ impl<'v> GuardedJar<'v> {
                     .jar
                     .set_from_header_pinned(&self.pin, &sc, &self.url, now_ms);
                 let applied = result.is_ok();
-                let mut event = None;
+                // The extension only sees non-HttpOnly values (§4.1).
+                let logged = applied && !sc.http_only;
                 if applied {
                     if let Some(g) = self.guard.as_deref_mut() {
                         g.record_http_set_cookie(&sc.name, response_domain);
                     }
-                    // The extension only sees non-HttpOnly values (§4.1).
-                    if !sc.http_only {
-                        let ev = SetEvent {
-                            name: sc.name.clone(),
-                            value: sc.value.clone(),
-                            actor: Some(response_domain.to_string()),
-                            actor_url: None,
-                            api: CookieApi::HttpHeader,
-                            kind: WriteKind::Create,
-                            max_age_s: match (sc.max_age_s, sc.expires_ms) {
-                                (Some(ma), _) => Some(ma),
-                                (None, Some(e)) => Some((e - now_ms) / 1000),
-                                (None, None) => None,
-                            },
-                            changes: None,
-                            blocked: false,
-                            time_ms: 0,
-                        };
-                        self.sink.cookie_set(ev.clone());
-                        event = Some(ev);
-                    }
+                }
+                if logged {
+                    self.sink.cookie_set(SetEvent {
+                        max_age_s: match (sc.max_age_s, sc.expires_ms) {
+                            (Some(ma), _) => Some(ma),
+                            (None, Some(e)) => Some((e - now_ms) / 1000),
+                            (None, None) => None,
+                        },
+                        name: sc.name,
+                        value: sc.value,
+                        actor: Some(response_domain.to_string()),
+                        actor_url: None,
+                        api: CookieApi::HttpHeader,
+                        kind: WriteKind::Create,
+                        changes: None,
+                        blocked: false,
+                        time_ms: 0,
+                    });
                 }
                 Outcome {
                     decision: None,
                     kind: WriteKind::Create,
                     applied,
                     error: result.err(),
-                    change: self.jar.changes_since(change_mark).first().cloned(),
-                    event,
-                }
-            })
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Batch
-    // ------------------------------------------------------------------
-
-    /// Runs a burst of operations under one [`AccessContext`]: the
-    /// caller identity is derived once, the shard stays pinned, and
-    /// consecutive reads share one post-filter view (invalidated by any
-    /// write). Events, guard stats, and results are identical to
-    /// issuing the ops one by one.
-    pub fn run_batch(&mut self, ctx: &AccessContext, ops: &[BatchOp<'_>]) -> Vec<BatchResult> {
-        let mut cache: Option<(Vec<Cookie>, usize)> = None;
-        ops.iter()
-            .map(|op| match op {
-                BatchOp::Read { api } => {
-                    let (cookies, filtered) = self.visible_cached(ctx, &mut cache);
-                    let owned = cookies.to_vec();
-                    BatchResult::Read(self.finish_read(ctx, *api, owned, filtered))
-                }
-                BatchOp::Get { name } => {
-                    let (visible, filtered) = self.visible_cached(ctx, &mut cache);
-                    BatchResult::Get(self.finish_get(ctx, name, visible, filtered))
-                }
-                BatchOp::Set(req) => {
-                    cache = None;
-                    BatchResult::Mutation(self.set(ctx, *req))
-                }
-                BatchOp::Delete { name } => {
-                    cache = None;
-                    BatchResult::Mutation(self.delete(ctx, name))
+                    change: self.jar.changes_since(change_mark).first().map(|c| c.cause),
+                    logged,
                 }
             })
             .collect()
@@ -721,43 +633,7 @@ impl<'v> GuardedJar<'v> {
     // Internals
     // ------------------------------------------------------------------
 
-    /// The post-guard visible cookie list and the withheld count.
-    fn visible(&mut self, ctx: &AccessContext) -> (Vec<Cookie>, usize) {
-        let cookies = self
-            .jar
-            .cookies_for_document_pinned(&self.pin, &self.url, ctx.now_ms);
-        match self.guard.as_deref_mut() {
-            Some(g) => {
-                let before = cookies.len();
-                let visible = g.filter_read(&ctx.caller, cookies);
-                let filtered = before - visible.len();
-                (visible, filtered)
-            }
-            None => (cookies, 0),
-        }
-    }
-
-    /// Batch-path `visible`: serves repeats from the cache (borrowed,
-    /// not cloned), replaying the guard's per-read stats bump so
-    /// counters match per-op access.
-    fn visible_cached<'c>(
-        &mut self,
-        ctx: &AccessContext,
-        cache: &'c mut Option<(Vec<Cookie>, usize)>,
-    ) -> (&'c [Cookie], usize) {
-        match cache {
-            Some((_, filtered)) => {
-                if let Some(g) = self.guard.as_deref_mut() {
-                    g.note_cached_read(*filtered);
-                }
-            }
-            None => *cache = Some(self.visible(ctx)),
-        }
-        let (cookies, filtered) = cache.as_ref().expect("cache just filled");
-        (cookies.as_slice(), *filtered)
-    }
-
-    /// Builds, emits, and returns one write event.
+    /// Builds and emits one write event.
     #[allow(clippy::too_many_arguments)]
     fn emit_set(
         &mut self,
@@ -769,8 +645,8 @@ impl<'v> GuardedJar<'v> {
         max_age_s: Option<i64>,
         changes: Option<AttrChangeFlags>,
         blocked: bool,
-    ) -> SetEvent {
-        let event = SetEvent {
+    ) {
+        self.sink.cookie_set(SetEvent {
             name: name.to_string(),
             value: value.to_string(),
             actor: ctx.actor_name(),
@@ -781,10 +657,27 @@ impl<'v> GuardedJar<'v> {
             changes,
             blocked,
             time_ms: ctx.time_ms,
-        };
-        self.sink.cookie_set(event.clone());
-        event
+        });
     }
+}
+
+/// The post-guard view of the document's cookies, borrowed from `jar`,
+/// and how many cookies the guard withheld. A free function over the
+/// access layer's fields, so the view can borrow the jar while the
+/// caller still logs to the sink.
+fn visible<'j>(
+    jar: &'j CookieJar,
+    guard: Option<&mut GuardSession>,
+    pin: &ShardPin,
+    url: &Url,
+    ctx: &AccessContext,
+) -> (Vec<&'j Cookie>, usize) {
+    let mut view = jar.document_view(pin, url, ctx.now_ms);
+    let filtered = match guard {
+        Some(g) => g.filter_read(&ctx.caller, &mut view),
+        None => 0,
+    };
+    (view, filtered)
 }
 
 #[cfg(test)]
@@ -827,19 +720,13 @@ mod tests {
         assert!(out.applied && !out.blocked());
         assert_eq!(out.kind, WriteKind::Create);
         assert!(out.decision.unwrap().is_allow());
-        assert_eq!(out.event.as_ref().unwrap().name, "_tid");
-        assert_eq!(
-            out.change.unwrap().cause,
-            cg_cookiejar::ChangeCause::Created
-        );
+        assert!(out.logged);
+        assert_eq!(out.change, Some(ChangeCause::Created));
 
         // The creator reads its cookie back; a stranger sees nothing.
-        let view = access.read(&t, CookieApi::DocumentCookie);
-        assert_eq!(view.serialize(), "_tid=abc");
+        assert_eq!(access.document_cookie(&t), "_tid=abc");
         let s = ctx_for(Some("other.net"), 2_000, 20);
-        let view = access.read(&s, CookieApi::DocumentCookie);
-        assert!(view.cookies.is_empty());
-        assert_eq!(view.filtered, 1);
+        assert_eq!(access.document_cookie(&s), "");
 
         // The stranger cannot delete it; the creator can.
         assert!(access.delete(&s, "_tid").blocked());
@@ -849,7 +736,9 @@ mod tests {
 
         let log = rec.finish();
         assert_eq!(log.sets.len(), 3); // create + blocked delete + delete
+        assert_eq!(log.sets[0].name, "_tid");
         assert_eq!(log.reads.len(), 2);
+        assert_eq!(log.reads[1].filtered_count, 1);
         assert!(log.sets[1].blocked);
         assert_eq!(guard.stats().deletes_blocked, 1);
     }
@@ -873,14 +762,15 @@ mod tests {
         }
         let out = access.set(&c, SetRequest::DocumentCookie { raw: "straw=1" });
         assert!(out.applied);
-        let change = out.change.unwrap();
-        assert_eq!(change.name, "straw");
-        assert_eq!(change.cause, cg_cookiejar::ChangeCause::Created);
-        // The eviction is still on the jar's log, right after.
+        assert_eq!(out.change, Some(ChangeCause::Created));
+        // The mutation's record is the written cookie's; the eviction
+        // is on the jar's log right after it.
+        let log = jar.changes();
         assert_eq!(
-            jar.changes().last().map(|ch| ch.cause),
-            Some(cg_cookiejar::ChangeCause::Evicted)
+            (log[log.len() - 2].name.as_str(), log[log.len() - 2].cause),
+            ("straw", ChangeCause::Created)
         );
+        assert_eq!(log[log.len() - 1].cause, ChangeCause::Evicted);
     }
 
     #[test]
@@ -900,10 +790,7 @@ mod tests {
         assert!(out.applied && out.decision.is_none());
         assert_eq!(out.kind, WriteKind::Overwrite);
         assert!(out.change.is_some());
-        assert_eq!(
-            access.read(&b, CookieApi::DocumentCookie).serialize(),
-            "x=2"
-        );
+        assert_eq!(access.document_cookie(&b), "x=2");
     }
 
     #[test]
@@ -920,7 +807,7 @@ mod tests {
         );
         assert!(!out.applied);
         assert_eq!(out.error, Some(SetCookieError::DomainMismatch));
-        assert!(out.event.is_none() && out.change.is_none());
+        assert!(!out.logged && out.change.is_none());
         let out = access.set(&c, SetRequest::DocumentCookie { raw: "" });
         assert_eq!(out.error, Some(SetCookieError::Unparseable));
     }
@@ -941,92 +828,14 @@ mod tests {
             0,
         );
         assert_eq!(outcomes.len(), 3);
-        assert!(outcomes[0].applied && outcomes[0].event.is_none());
-        assert!(outcomes[1].applied && outcomes[1].event.is_some());
+        assert!(outcomes[0].applied && !outcomes[0].logged);
+        assert!(outcomes[1].applied && outcomes[1].logged);
         assert_eq!(outcomes[2].error, Some(SetCookieError::Unparseable));
         assert_eq!(jar.len(), 2);
         assert_eq!(guard.metadata().creator("sid"), Some("shop.example"));
         let log = rec.finish();
         assert_eq!(log.sets.len(), 1);
         assert_eq!(log.sets[0].api, CookieApi::HttpHeader);
-    }
-
-    #[test]
-    fn batch_matches_per_op_exactly() {
-        let seed = |jar: &mut CookieJar, guard: &mut GuardSession, rec: &mut Recorder| {
-            let mut access = GuardedJar::new(url(), jar, Some(guard), rec);
-            let owner = ctx_for(Some("shop.example"), 0, 0);
-            for i in 0..12 {
-                access.set(
-                    &owner,
-                    SetRequest::DocumentCookie {
-                        raw: &format!("c{i}={i}"),
-                    },
-                );
-            }
-        };
-        let ops: Vec<BatchOp> = vec![
-            BatchOp::Read {
-                api: CookieApi::DocumentCookie,
-            },
-            BatchOp::Get { name: "c3" },
-            BatchOp::Set(SetRequest::CookieStore {
-                name: "mine",
-                value: "1",
-                expires_abs_ms: None,
-            }),
-            BatchOp::Read {
-                api: CookieApi::CookieStore,
-            },
-            BatchOp::Delete { name: "mine" },
-            BatchOp::Get { name: "mine" },
-        ];
-        let c = ctx_for(Some("vendor.net"), 5_000, 50);
-
-        // Batched run.
-        let (mut jar_a, mut guard_a) = (CookieJar::new(), session());
-        let mut rec_a = Recorder::new("shop.example", 1);
-        seed(&mut jar_a, &mut guard_a, &mut rec_a);
-        let mut access = GuardedJar::new(url(), &mut jar_a, Some(&mut guard_a), &mut rec_a);
-        let batched = access.run_batch(&c, &ops);
-
-        // Per-op run.
-        let (mut jar_b, mut guard_b) = (CookieJar::new(), session());
-        let mut rec_b = Recorder::new("shop.example", 1);
-        seed(&mut jar_b, &mut guard_b, &mut rec_b);
-        let mut access = GuardedJar::new(url(), &mut jar_b, Some(&mut guard_b), &mut rec_b);
-        let mut single = Vec::new();
-        for op in &ops {
-            single.push(match op {
-                BatchOp::Read { api } => BatchResult::Read(access.read(&c, *api)),
-                BatchOp::Get { name } => BatchResult::Get(access.get(&c, name)),
-                BatchOp::Set(req) => BatchResult::Mutation(access.set(&c, *req)),
-                BatchOp::Delete { name } => BatchResult::Mutation(access.delete(&c, name)),
-            });
-        }
-
-        // Identical logs, stats, and jar state.
-        let (log_a, log_b) = (rec_a.finish(), rec_b.finish());
-        assert_eq!(log_a.sets, log_b.sets);
-        assert_eq!(log_a.reads, log_b.reads);
-        assert_eq!(guard_a.stats(), guard_b.stats());
-        assert_eq!(jar_a.len(), jar_b.len());
-        assert_eq!(batched.len(), single.len());
-        for (a, b) in batched.iter().zip(&single) {
-            match (a, b) {
-                (BatchResult::Read(x), BatchResult::Read(y)) => {
-                    assert_eq!(x.serialize(), y.serialize());
-                    assert_eq!(x.filtered, y.filtered);
-                }
-                (BatchResult::Get(x), BatchResult::Get(y)) => assert_eq!(x, y),
-                (BatchResult::Mutation(x), BatchResult::Mutation(y)) => {
-                    assert_eq!(x.applied, y.applied);
-                    assert_eq!(x.kind, y.kind);
-                    assert_eq!(x.blocked(), y.blocked());
-                }
-                _ => panic!("result shapes diverged"),
-            }
-        }
     }
 
     #[test]
@@ -1053,6 +862,151 @@ mod tests {
             },
         );
         assert!(!out.applied, "nothing left to remove");
-        assert!(out.event.is_some(), "…but the event is still emitted");
+        assert!(out.logged, "…but the event is still emitted");
+    }
+
+    // ------------------------------------------------------------------
+    // `document.cookie` serialization: one `String`, byte-identical to
+    // joining `Cookie::pair` with "; " over the jar's view.
+    // ------------------------------------------------------------------
+
+    /// A jar filled by `(raw, created_at)` writes at `doc`.
+    fn jar_of(doc: &Url, writes: &[(&str, i64)]) -> CookieJar {
+        let mut jar = CookieJar::new();
+        for (raw, at) in writes {
+            jar.set_document_cookie(raw, doc, *at).unwrap();
+        }
+        jar
+    }
+
+    /// The guard-less `document.cookie` read of `doc`, checked against
+    /// the jar's own getter and the join of `Cookie::pair`.
+    fn guardless_read(jar: &mut CookieJar, doc: &Url, now_ms: i64) -> String {
+        let joined = jar
+            .cookies_for_document(doc, now_ms)
+            .iter()
+            .map(Cookie::pair)
+            .collect::<Vec<_>>()
+            .join("; ");
+        let getter = jar.document_cookie(doc, now_ms);
+        let mut rec = Recorder::new("shop.example", 1);
+        let mut access = GuardedJar::new(doc.clone(), jar, None, &mut rec);
+        let read = access.document_cookie(&ctx_for(None, now_ms, 0));
+        assert_eq!(read, joined);
+        assert_eq!(read, getter);
+        read
+    }
+
+    #[test]
+    fn nameless_cookies_print_their_value_alone_first_or_mid_list() {
+        let doc = Url::parse("https://www.shop.example/a/b/").unwrap();
+        let mut jar = jar_of(
+            &doc,
+            &[
+                ("x=1; Path=/a", 1),
+                ("mid; Path=/a", 2),
+                ("y=2; Path=/a", 3),
+                ("z=3; Path=/", 4),
+                ("first", 5), // default path /a/b: the longest, so first
+            ],
+        );
+        assert_eq!(
+            guardless_read(&mut jar, &doc, 10),
+            "first; x=1; mid; y=2; z=3"
+        );
+        // Alone, a nameless cookie has no separator at all.
+        let mut jar = jar_of(&doc, &[("solo", 0)]);
+        assert_eq!(guardless_read(&mut jar, &doc, 10), "solo");
+        assert_eq!(guardless_read(&mut CookieJar::new(), &doc, 10), "");
+    }
+
+    #[test]
+    fn longer_paths_first_then_creation_then_name() {
+        let doc = Url::parse("https://www.shop.example/app/page").unwrap();
+        let mut jar = jar_of(
+            &doc,
+            &[
+                ("b=2; Path=/", 7),
+                ("a=1; Path=/", 7),
+                ("old=0; Path=/", 3),
+                ("c=3; Path=/", 7),
+                ("deep=4; Path=/app", 9),
+            ],
+        );
+        // `created_at` ties (a, b, c at 7) break by name.
+        assert_eq!(
+            guardless_read(&mut jar, &doc, 10),
+            "deep=4; old=0; a=1; b=2; c=3"
+        );
+    }
+
+    #[test]
+    fn guard_withholds_mid_list_without_disturbing_the_rest() {
+        let mut jar = CookieJar::new();
+        let mut guard = session();
+        let mut rec = Recorder::new("shop.example", 1);
+        let mut access = GuardedJar::new(url(), &mut jar, Some(&mut guard), &mut rec);
+        let vendor = ctx_for(Some("vendor.net"), 0, 0);
+        let other = ctx_for(Some("other.net"), 0, 0);
+        for (who, raw, at) in [
+            (&vendor, "vfirst", 0),
+            (&vendor, "v1=1", 1),
+            (&other, "o=2", 2),
+            (&vendor, "v2=3", 3),
+        ] {
+            let c = AccessContext {
+                now_ms: at,
+                ..who.clone()
+            };
+            assert!(access.set(&c, SetRequest::DocumentCookie { raw }).applied);
+        }
+        let at = |c: &AccessContext| AccessContext {
+            now_ms: 10,
+            ..c.clone()
+        };
+        assert_eq!(access.document_cookie(&at(&vendor)), "vfirst; v1=1; v2=3");
+        // The withheld cookie is the view's first one here.
+        assert_eq!(access.document_cookie(&at(&other)), "o=2");
+        assert_eq!(
+            access.get_all(&at(&other)),
+            vec![("o".to_string(), "2".to_string())]
+        );
+        let log = rec.finish();
+        let names = |i: usize| log.reads[i].names.iter().map(|n| &**n).collect::<Vec<_>>();
+        assert_eq!(names(0), ["", "v1", "v2"]);
+        assert_eq!(log.reads[0].filtered_count, 1);
+        assert_eq!(names(1), ["o"]);
+        assert_eq!(log.reads[1].filtered_count, 3);
+        assert_eq!(log.reads[2].api, CookieApi::CookieStore);
+        let stats = guard.stats();
+        assert_eq!((stats.reads_filtered, stats.cookies_filtered), (3, 7));
+        assert_eq!(stats.reads_clean, 0);
+    }
+
+    #[test]
+    fn overwrite_compares_against_the_first_cookie_of_that_name() {
+        // Two cookies named `k`: the /a/b one serializes first, so it is
+        // the prior cookie an overwrite is compared with.
+        let doc = Url::parse("https://www.shop.example/a/b/").unwrap();
+        let mut jar = jar_of(&doc, &[("k=1; Path=/a", 1), ("k=2", 2)]);
+        let mut rec = Recorder::new("shop.example", 1);
+        let mut access = GuardedJar::new(doc.clone(), &mut jar, None, &mut rec);
+        let c = ctx_for(Some("shop.example"), 10, 1);
+        let out = access.set(
+            &c,
+            SetRequest::DocumentCookie {
+                raw: "k=2; Path=/a",
+            },
+        );
+        assert_eq!(out.kind, WriteKind::Overwrite);
+        assert_eq!(
+            rec.finish().sets[0].changes,
+            Some(AttrChangeFlags {
+                value: false,
+                expires: false,
+                domain: false,
+                path: true,
+            })
+        );
     }
 }

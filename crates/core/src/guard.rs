@@ -171,35 +171,21 @@ impl GuardSession {
         self.may_access(caller, name)
     }
 
-    /// Filters a `document.cookie` / `cookieStore.getAll` result for
-    /// `caller`: only cookies whose recorded creator the caller may
-    /// access are returned.
-    pub fn filter_read(&mut self, caller: &Caller, cookies: Vec<Cookie>) -> Vec<Cookie> {
-        let before = cookies.len();
-        let visible: Vec<Cookie> = cookies
-            .into_iter()
-            .filter(|c| self.may_access(caller, &c.name))
-            .collect();
-        if visible.len() < before {
+    /// Filters a `document.cookie` / `cookieStore.getAll` view for
+    /// `caller` in place: only cookies whose recorded creator the caller
+    /// may access stay, in their order. Returns how many were withheld.
+    /// Nothing is copied: the view borrows the jar's cookies.
+    pub fn filter_read(&mut self, caller: &Caller, view: &mut Vec<&Cookie>) -> usize {
+        let before = view.len();
+        view.retain(|c| self.may_access(caller, &c.name));
+        let withheld = before - view.len();
+        if withheld > 0 {
             self.stats.reads_filtered += 1;
-            self.stats.cookies_filtered += (before - visible.len()) as u64;
+            self.stats.cookies_filtered += withheld as u64;
         } else {
             self.stats.reads_clean += 1;
         }
-        visible
-    }
-
-    /// Accounts for a read served from a still-valid cached post-filter
-    /// view (the access layer's batch path): bumps the same counters
-    /// [`GuardSession::filter_read`] would have, so per-op and batch
-    /// access produce identical [`GuardStats`].
-    pub fn note_cached_read(&mut self, filtered_count: usize) {
-        if filtered_count > 0 {
-            self.stats.reads_filtered += 1;
-            self.stats.cookies_filtered += filtered_count as u64;
-        } else {
-            self.stats.reads_clean += 1;
-        }
+        withheld
     }
 
     /// Name-only variant of [`GuardSession::filter_read`] for callers
@@ -298,6 +284,14 @@ mod tests {
         jar.cookies_for_document(&url, 100)
     }
 
+    /// [`GuardSession::filter_read`] over a borrowed view of `cookies`:
+    /// the names `caller` may see.
+    fn visible<'c>(g: &mut GuardSession, caller: &Caller, cookies: &'c [Cookie]) -> Vec<&'c str> {
+        let mut view: Vec<&Cookie> = cookies.iter().collect();
+        g.filter_read(caller, &mut view);
+        view.iter().map(|c| c.name.as_str()).collect()
+    }
+
     fn guard() -> GuardSession {
         GuardEngine::shared(GuardConfig::strict()).session("site.com")
     }
@@ -319,13 +313,10 @@ mod tests {
 
         let cookies = jar_cookies(&["c0", "c1", "c2"]);
         // 4. ad.com reads: sees only c2.
-        let ad_view = g.filter_read(&Caller::external("ad.com"), cookies.clone());
-        assert_eq!(
-            ad_view.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(),
-            vec!["c2"]
-        );
+        let ad_view = visible(&mut g, &Caller::external("ad.com"), &cookies);
+        assert_eq!(ad_view, vec!["c2"]);
         // 5. site.com reads: sees everything.
-        let owner_view = g.filter_read(&Caller::external("site.com"), cookies);
+        let owner_view = visible(&mut g, &Caller::external("site.com"), &cookies);
         assert_eq!(owner_view.len(), 3);
     }
 
@@ -372,10 +363,10 @@ mod tests {
         g.authorize_write(&Caller::external("a.com"), "ca");
         g.authorize_write(&Caller::external("b.com"), "cb");
         let cookies = jar_cookies(&["ca", "cb"]);
-        g.filter_read(&Caller::external("a.com"), cookies.clone());
+        visible(&mut g, &Caller::external("a.com"), &cookies);
         assert_eq!(g.stats().reads_filtered, 1);
         assert_eq!(g.stats().cookies_filtered, 1);
-        g.filter_read(&Caller::external("site.com"), cookies);
+        visible(&mut g, &Caller::external("site.com"), &cookies);
         assert_eq!(g.stats().reads_clean, 1);
     }
 
@@ -385,12 +376,9 @@ mod tests {
         // A CDN response sets a cookie; its domain owns it.
         g.record_http_set_cookie("cdn_pref", "cdn-provider.net");
         let cookies = jar_cookies(&["cdn_pref"]);
-        assert!(g
-            .filter_read(&Caller::external("tracker.com"), cookies.clone())
-            .is_empty());
+        assert!(visible(&mut g, &Caller::external("tracker.com"), &cookies).is_empty());
         assert_eq!(
-            g.filter_read(&Caller::external("cdn-provider.net"), cookies)
-                .len(),
+            visible(&mut g, &Caller::external("cdn-provider.net"), &cookies).len(),
             1
         );
     }
@@ -400,9 +388,7 @@ mod tests {
         let mut g = guard();
         assert!(!g.authorize_write(&Caller::inline(), "x").is_allow());
         g.authorize_write(&Caller::external("a.com"), "y");
-        assert!(g
-            .filter_read(&Caller::inline(), jar_cookies(&["y"]))
-            .is_empty());
+        assert!(visible(&mut g, &Caller::inline(), &jar_cookies(&["y"])).is_empty());
     }
 
     #[test]
@@ -412,8 +398,7 @@ mod tests {
         // Ownership recorded to the site.
         assert_eq!(g.metadata().creator("pref"), Some("site.com"));
         assert_eq!(
-            g.filter_read(&Caller::inline(), jar_cookies(&["pref"]))
-                .len(),
+            visible(&mut g, &Caller::inline(), &jar_cookies(&["pref"])).len(),
             1
         );
     }
@@ -428,8 +413,12 @@ mod tests {
         g.grandfather("_legacy");
         // Everyone can still read it, as before the guard shipped.
         assert_eq!(
-            g.filter_read(&Caller::external("anyone.net"), jar_cookies(&["_legacy"]))
-                .len(),
+            visible(
+                &mut g,
+                &Caller::external("anyone.net"),
+                &jar_cookies(&["_legacy"])
+            )
+            .len(),
             1
         );
         assert!(g.may_observe(&Caller::external("anyone.net"), "_legacy"));
@@ -445,9 +434,12 @@ mod tests {
             .is_allow());
         assert_eq!(g.metadata().creator("_tid"), Some("tracker.com"));
         // From now on isolation applies.
-        assert!(g
-            .filter_read(&Caller::external("other.com"), jar_cookies(&["_tid"]))
-            .is_empty());
+        assert!(visible(
+            &mut g,
+            &Caller::external("other.com"),
+            &jar_cookies(&["_tid"])
+        )
+        .is_empty());
         assert!(!g
             .authorize_write(&Caller::external("other.com"), "_tid")
             .is_allow());
@@ -459,9 +451,7 @@ mod tests {
         g.authorize_write(&Caller::external("a.com"), "c");
         g.grandfather("c"); // no-op: creator already known
         assert_eq!(g.metadata().creator("c"), Some("a.com"));
-        assert!(g
-            .filter_read(&Caller::external("b.com"), jar_cookies(&["c"]))
-            .is_empty());
+        assert!(visible(&mut g, &Caller::external("b.com"), &jar_cookies(&["c"])).is_empty());
     }
 
     #[test]

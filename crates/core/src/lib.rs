@@ -86,9 +86,7 @@ pub mod guard;
 pub mod metadata;
 pub mod policy;
 
-pub use access::{
-    AccessContext, BatchOp, BatchResult, CookieView, GuardedJar, Outcome, SetRequest,
-};
+pub use access::{AccessContext, GuardedJar, Outcome, SetRequest};
 pub use config::{GuardConfig, InlinePolicy};
 pub use deployment::{DeploymentStage, PrivacyPreset};
 pub use engine::{CompiledPolicy, GuardEngine};
