@@ -1,6 +1,6 @@
 //! The crawl dataset and per-site cookie-ownership reconstruction.
 
-use cg_instrument::{CookieApi, SetEvent, VisitLog, WriteKind};
+use cg_instrument::{AttrChangeFlags, CookieApi, SetEvent, VisitLog, WriteKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -27,7 +27,7 @@ pub struct PairHistory {
     pub owner_url: Option<String>,
 }
 
-/// Per-site ownership reconstruction: the §4.4 step-1/step-2 replay.
+/// Per-site ownership reconstruction: the owned form of [`replay`].
 #[derive(Debug, Clone, Default)]
 pub struct SiteCookies {
     /// The site's eTLD+1.
@@ -35,88 +35,170 @@ pub struct SiteCookies {
     /// Every pair observed, with history.
     pub pairs: HashMap<PairKey, PairHistory>,
     /// Cross-domain overwrite events: (pair, acting domain, attr flags).
-    pub cross_overwrites: Vec<(PairKey, String, Option<cg_instrument::AttrChangeFlags>)>,
+    pub cross_overwrites: Vec<(PairKey, String, Option<AttrChangeFlags>)>,
     /// Cross-domain delete events: (pair, acting domain, via which API).
     pub cross_deletes: Vec<(PairKey, String, CookieApi)>,
 }
 
-/// The effective actor of a set event: inline/unattributed scripts count
-/// as first-party (the paper's attribution fallback), so they map to the
-/// site domain.
-pub fn effective_actor(ev: &SetEvent, site: &str) -> String {
-    ev.actor.clone().unwrap_or_else(|| site.to_string())
+/// One cookie pair as the ownership replay sees it, borrowed from the
+/// log it was replayed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairRef<'l> {
+    /// Cookie name.
+    pub name: &'l str,
+    /// eTLD+1 of the creating script/server.
+    pub owner: &'l str,
+    /// The API of the pair's first write.
+    pub api: CookieApi,
+    /// Full URL of the script that first wrote the pair, when known.
+    pub owner_url: Option<&'l str>,
 }
 
-/// Replays a visit log into ownership + manipulation events.
-pub fn reconstruct(log: &VisitLog) -> SiteCookies {
-    let mut out = SiteCookies {
-        site: log.site_domain.clone(),
-        ..SiteCookies::default()
+/// A visit's ownership replay (the §4.4 step-1/step-2 rules), borrowed
+/// from its log: [`replay`] builds it, [`StreamStats`](crate::StreamStats)
+/// folds it, and [`reconstruct`] copies it out as [`SiteCookies`].
+/// Pairs are referred to by their index in `pairs`.
+#[derive(Debug, Clone, Default)]
+pub struct OwnershipReplay<'l> {
+    /// Every pair, in order of its first write.
+    pub pairs: Vec<PairRef<'l>>,
+    /// Every value written, with the index of the pair that holds it,
+    /// in event order.
+    pub values: Vec<(usize, &'l str)>,
+    /// Cross-domain overwrites: (pair, acting domain, attr flags).
+    pub cross_overwrites: Vec<(usize, &'l str, Option<AttrChangeFlags>)>,
+    /// Cross-domain deletes: (pair, acting domain, via which API).
+    pub cross_deletes: Vec<(usize, &'l str, CookieApi)>,
+}
+
+/// What the replay knows about one cookie name: the pair most recently
+/// written under it, and whether that pair is live (created and not
+/// deleted since).
+#[derive(Clone, Copy)]
+struct NameState {
+    pair: usize,
+    live: bool,
+}
+
+/// Replays a visit log's unblocked writes into ownership and
+/// manipulation events. Inline/unattributed writes count as the site's
+/// own (the paper's attribution fallback).
+///
+/// * A create makes `(name, actor)` the name's live pair.
+/// * An overwrite feeds the live pair, whoever writes (ownership is
+///   sticky), and is cross-domain when the writer is not its owner.
+///   With no live pair — a blind write the jar took as an overwrite of
+///   a cookie the log never saw created — it feeds `(name, actor)`,
+///   registering that pair if needed, without making it live.
+/// * A delete ends the live pair. A delete of a name with no live pair
+///   is attributed to the pair most recently written under that name.
+///   Either is cross-domain when the deleter is not that pair's owner.
+pub fn replay(log: &VisitLog) -> OwnershipReplay<'_> {
+    let site = log.site_domain.as_str();
+    let writes = log.sets.len();
+    let mut out = OwnershipReplay {
+        pairs: Vec::with_capacity(writes),
+        values: Vec::with_capacity(writes),
+        ..OwnershipReplay::default()
     };
-    // live owner per cookie name
-    let mut live: HashMap<String, PairKey> = HashMap::new();
+    let mut pair_index: HashMap<(&str, &str), usize> = HashMap::with_capacity(writes);
+    let mut names: HashMap<&str, NameState> = HashMap::with_capacity(writes);
     for ev in &log.sets {
         if ev.blocked {
             continue; // the operation never reached the jar
         }
-        let actor = effective_actor(ev, &log.site_domain);
+        let name = ev.name.as_str();
+        let actor = ev.actor.as_deref().unwrap_or(site);
         match ev.kind {
             WriteKind::Create => {
-                let key = PairKey {
-                    name: ev.name.clone(),
-                    owner: actor.clone(),
-                };
-                let hist = out.pairs.entry(key.clone()).or_default();
-                if hist.api.is_none() {
-                    hist.api = Some(ev.api);
-                    hist.owner_url = ev.actor_url.clone();
-                }
-                hist.values.push(ev.value.clone());
-                live.insert(ev.name.clone(), key);
+                let pair = pair_of(&mut out.pairs, &mut pair_index, ev, actor);
+                out.values.push((pair, &ev.value));
+                names.insert(name, NameState { pair, live: true });
             }
             WriteKind::Overwrite => {
-                let key = live.get(&ev.name).cloned().unwrap_or_else(|| PairKey {
-                    name: ev.name.clone(),
-                    owner: actor.clone(),
-                });
-                if key.owner != actor {
-                    out.cross_overwrites
-                        .push((key.clone(), actor.clone(), ev.changes));
+                let pair = match names.get(name) {
+                    Some(&NameState { pair, live: true }) => pair,
+                    _ => {
+                        let pair = pair_of(&mut out.pairs, &mut pair_index, ev, actor);
+                        names.insert(name, NameState { pair, live: false });
+                        pair
+                    }
+                };
+                if out.pairs[pair].owner != actor {
+                    out.cross_overwrites.push((pair, actor, ev.changes));
                 }
-                if let Some(hist) = out.pairs.get_mut(&key) {
-                    hist.values.push(ev.value.clone());
-                } else {
-                    // Overwrite of a cookie we never saw created (e.g. a
-                    // blind write that the jar treated as an overwrite of
-                    // an HttpOnly-invisible cookie): register the pair.
-                    out.pairs.insert(
-                        key.clone(),
-                        PairHistory {
-                            api: Some(ev.api),
-                            values: vec![ev.value.clone()],
-                            owner_url: ev.actor_url.clone(),
-                        },
-                    );
-                }
+                out.values.push((pair, &ev.value));
             }
             WriteKind::Delete => {
-                if let Some(key) = live.remove(&ev.name) {
-                    if key.owner != actor {
-                        out.cross_deletes.push((key, actor.clone(), ev.api));
-                    }
-                } else if out.pairs.keys().any(|k| k.name == ev.name) {
-                    // Deleting a cookie whose live entry was already
-                    // removed: attribute against the recorded pair.
-                    if let Some(key) = out.pairs.keys().find(|k| k.name == ev.name).cloned() {
-                        if key.owner != actor {
-                            out.cross_deletes.push((key, actor.clone(), ev.api));
-                        }
+                if let Some(state) = names.get_mut(name) {
+                    state.live = false;
+                    if out.pairs[state.pair].owner != actor {
+                        out.cross_deletes.push((state.pair, actor, ev.api));
                     }
                 }
             }
         }
     }
     out
+}
+
+/// The index of pair `(ev.name, actor)`, registered on first use with
+/// `ev`'s API and script URL.
+fn pair_of<'l>(
+    pairs: &mut Vec<PairRef<'l>>,
+    index: &mut HashMap<(&'l str, &'l str), usize>,
+    ev: &'l SetEvent,
+    actor: &'l str,
+) -> usize {
+    *index.entry((&ev.name, actor)).or_insert_with(|| {
+        pairs.push(PairRef {
+            name: &ev.name,
+            owner: actor,
+            api: ev.api,
+            owner_url: ev.actor_url.as_deref(),
+        });
+        pairs.len() - 1
+    })
+}
+
+/// Replays a visit log into owned ownership + manipulation events: the
+/// owned copy of [`replay`].
+pub fn reconstruct(log: &VisitLog) -> SiteCookies {
+    let replay = replay(log);
+    let keys: Vec<PairKey> = replay
+        .pairs
+        .iter()
+        .map(|p| PairKey {
+            name: p.name.to_string(),
+            owner: p.owner.to_string(),
+        })
+        .collect();
+    let mut histories: Vec<PairHistory> = replay
+        .pairs
+        .iter()
+        .map(|p| PairHistory {
+            api: Some(p.api),
+            values: Vec::new(),
+            owner_url: p.owner_url.map(str::to_string),
+        })
+        .collect();
+    for &(pair, value) in &replay.values {
+        histories[pair].values.push(value.to_string());
+    }
+    SiteCookies {
+        site: log.site_domain.clone(),
+        cross_overwrites: replay
+            .cross_overwrites
+            .iter()
+            .map(|&(pair, actor, changes)| (keys[pair].clone(), actor.to_string(), changes))
+            .collect(),
+        cross_deletes: replay
+            .cross_deletes
+            .iter()
+            .map(|&(pair, actor, api)| (keys[pair].clone(), actor.to_string(), api))
+            .collect(),
+        pairs: keys.into_iter().zip(histories).collect(),
+    }
 }
 
 /// The crawl dataset: complete visit logs plus reconstructed ownership.
@@ -412,6 +494,83 @@ mod tests {
             owner: "b.com".into()
         }));
         assert!(sc.cross_deletes.is_empty());
+    }
+
+    #[test]
+    fn a_delete_with_no_live_pair_goes_to_the_most_recent_pair() {
+        // Two owners of `n`: b.com's pair is the one most recently live
+        // when the second delete finds nothing live, so that delete is
+        // b.com's own, not a cross-domain delete of a.com's cookie.
+        let log = log_with(|r| {
+            set(r, "n", "1", Some("a.com"), WriteKind::Create);
+            set(r, "n", "", Some("a.com"), WriteKind::Delete);
+            set(r, "n", "2", Some("b.com"), WriteKind::Create);
+            set(r, "n", "", Some("b.com"), WriteKind::Delete);
+            set(r, "n", "", Some("b.com"), WriteKind::Delete);
+            set(r, "n", "", Some("c.com"), WriteKind::Delete);
+        });
+        let sc = reconstruct(&log);
+        assert_eq!(sc.pairs.len(), 2);
+        let b = PairKey {
+            name: "n".into(),
+            owner: "b.com".into(),
+        };
+        assert_eq!(
+            sc.cross_deletes,
+            [(b.clone(), "c.com".to_string(), CookieApi::DocumentCookie)]
+        );
+        // A blind overwrite's pair counts as written under the name too.
+        let log = log_with(|r| {
+            set(r, "n", "1", Some("b.com"), WriteKind::Create);
+            set(r, "n", "", Some("b.com"), WriteKind::Delete);
+            set(r, "n", "2", Some("a.com"), WriteKind::Overwrite);
+            set(r, "n", "", Some("b.com"), WriteKind::Delete);
+        });
+        let sc = reconstruct(&log);
+        let a = PairKey {
+            name: "n".into(),
+            owner: "a.com".into(),
+        };
+        assert_eq!(sc.pairs[&a].values, ["2"]);
+        assert_eq!(
+            sc.cross_deletes,
+            [(a, "b.com".to_string(), CookieApi::DocumentCookie)]
+        );
+        assert!(sc.cross_overwrites.is_empty());
+    }
+
+    #[test]
+    fn the_owned_replay_copies_the_borrowed_one() {
+        let log = log_with(|r| {
+            set(r, "c", "1", Some("a.com"), WriteKind::Create);
+            set(r, "c", "2", Some("x.com"), WriteKind::Overwrite);
+            set(r, "d", "3", None, WriteKind::Create);
+            set(r, "c", "", Some("y.com"), WriteKind::Delete);
+        });
+        let borrowed = replay(&log);
+        let owned = reconstruct(&log);
+        assert_eq!(borrowed.pairs.len(), owned.pairs.len());
+        for pair in &borrowed.pairs {
+            let key = PairKey {
+                name: pair.name.into(),
+                owner: pair.owner.into(),
+            };
+            assert_eq!(owned.pairs[&key].api, Some(pair.api));
+        }
+        let c = PairKey {
+            name: "c".into(),
+            owner: "a.com".into(),
+        };
+        assert_eq!(owned.pairs[&c].values, ["1", "2"]);
+        assert_eq!(borrowed.pairs[1].owner, "site.com");
+        assert_eq!(
+            owned.cross_overwrites,
+            [(c.clone(), "x.com".to_string(), None)]
+        );
+        assert_eq!(
+            owned.cross_deletes,
+            [(c, "y.com".to_string(), CookieApi::DocumentCookie)]
+        );
     }
 
     #[test]

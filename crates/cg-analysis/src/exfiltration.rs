@@ -13,9 +13,9 @@
 
 use crate::dataset::{Dataset, PairKey};
 use cg_entity::EntityMap;
-use cg_hash::{EncodedForms, FormScanner};
+use cg_hash::{DigestGate, EncodedForms, FormScanner};
 use cg_instrument::CookieApi;
-use cg_script::value::split_segments;
+use cg_script::value::segments;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -75,6 +75,24 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
     let mut out = ExfilAnalysis::default();
 
     for (log, site) in ds.logs.iter().zip(&ds.sites) {
+        // Only third-party destinations can receive an exfiltration, and
+        // the initiator must be attributable for per-script analysis.
+        let carriers = || {
+            log.requests.iter().filter_map(|req| {
+                let dest = req.dest_domain.as_ref()?;
+                let initiator = req.initiator.as_ref()?;
+                (!dest.eq_ignore_ascii_case(&log.site_domain)).then_some((req, dest, initiator))
+            })
+        };
+        let mut gate = DigestGate::default();
+        let mut carried = false;
+        for (req, _, _) in carriers() {
+            carried = true;
+            gate.observe(&req.url);
+        }
+        if !carried {
+            continue;
+        }
         // Candidate forms for this site's pairs.
         let mut forms: Vec<(&PairKey, CookieApi, EncodedForms)> = Vec::new();
         for (key, hist) in &site.pairs {
@@ -84,9 +102,9 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
             };
             let mut seen: HashSet<&str> = HashSet::new();
             for value in &hist.values {
-                for seg in split_segments(value) {
+                for seg in segments(value) {
                     if seen.insert(seg) {
-                        forms.push((key, api, EncodedForms::of(seg)));
+                        forms.push((key, api, EncodedForms::gated(seg, gate)));
                     }
                 }
             }
@@ -97,18 +115,7 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
         let scanner = FormScanner::new(forms.iter().map(|(_, _, f)| f));
         let mut hits = Vec::new();
 
-        for req in &log.requests {
-            // Only third-party destinations can receive an exfiltration.
-            let Some(dest) = &req.dest_domain else {
-                continue;
-            };
-            if dest.eq_ignore_ascii_case(&log.site_domain) {
-                continue;
-            }
-            // The initiator must be attributable for per-script analysis.
-            let Some(initiator) = &req.initiator else {
-                continue;
-            };
+        for (req, dest, initiator) in carriers() {
             scanner.scan(&req.url, &mut hits);
             for &hit in &hits {
                 let (key, api, _) = &forms[hit];

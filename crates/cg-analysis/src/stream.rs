@@ -24,7 +24,7 @@
 //! runs in store order — byte-identical serialized output at any thread
 //! count.
 
-use crate::dataset::reconstruct;
+use crate::dataset::replay;
 use crate::sketch::DistinctSketch;
 use cg_crawlstore::{ReadBackend, StoreError};
 use cg_instrument::{CookieApi, VisitLog, WriteKind};
@@ -140,17 +140,16 @@ impl StreamStats {
         {
             self.third_party_script_sites += 1;
         }
-        // Ownership replay is per-visit state; it is built, read, and
-        // dropped inside this call.
-        let site = reconstruct(log);
-        for (key, hist) in &site.pairs {
-            let sketch = match hist.api {
-                Some(CookieApi::DocumentCookie) => &mut self.doc_cookie_pairs,
-                Some(CookieApi::CookieStore) => &mut self.cookie_store_pairs,
-                Some(CookieApi::HttpHeader) => &mut self.http_pairs,
-                None => continue,
+        // Ownership replay is per-visit state that borrows the log; it
+        // is built, read, and dropped inside this call.
+        let site = replay(log);
+        for pair in &site.pairs {
+            let sketch = match pair.api {
+                CookieApi::DocumentCookie => &mut self.doc_cookie_pairs,
+                CookieApi::CookieStore => &mut self.cookie_store_pairs,
+                CookieApi::HttpHeader => &mut self.http_pairs,
             };
-            sketch.observe(&[key.name.as_bytes(), key.owner.as_bytes()]);
+            sketch.observe(&[pair.name.as_bytes(), pair.owner.as_bytes()]);
         }
         self.cross_overwrite_events += site.cross_overwrites.len() as u64;
         self.cross_delete_events += site.cross_deletes.len() as u64;

@@ -274,8 +274,13 @@ pub fn counterfactual_block(clf: &CookieGraphLite, log: &VisitLog) -> BlockOutco
 pub fn residual_log(log: &VisitLog, blocked_names: &HashSet<String>) -> VisitLog {
     let mut out = log.clone();
     out.sets.retain(|ev| !blocked_names.contains(&ev.name));
+    let blocked: Vec<bool> = out
+        .read_names
+        .iter()
+        .map(|name| blocked_names.contains(name))
+        .collect();
     for read in &mut out.reads {
-        read.names.retain(|n| !blocked_names.contains(&**n));
+        read.names.retain(|&n| !blocked[n as usize]);
     }
     out
 }
@@ -395,7 +400,7 @@ mod tests {
         let residual = residual_log(&log, &names);
         assert!(residual.sets.iter().all(|s| !names.contains(&s.name)));
         for read in &residual.reads {
-            assert!(read.names.iter().all(|n| !names.contains(&**n)));
+            assert!(residual.names_of(read).all(|n| !names.contains(n)));
         }
         // Requests are untouched: the classifier cannot unsend traffic.
         assert_eq!(residual.requests.len(), log.requests.len());

@@ -10,7 +10,7 @@
 
 use cg_analysis::dataset::reconstruct;
 use cg_analysis::PairKey;
-use cg_hash::{EncodedForms, FormScanner};
+use cg_hash::{DigestGate, EncodedForms, FormScanner};
 use cg_instrument::VisitLog;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -84,7 +84,8 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
     let site = log.site_domain.clone();
     let recon = reconstruct(log);
 
-    // Pre-compute third-party request query strings once per log.
+    // Pre-compute third-party request query strings once per log, and
+    // which digest forms they can hold.
     let foreign_queries: Vec<(&str, &str)> = log
         .requests
         .iter()
@@ -95,6 +96,7 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
         })
         .map(|r| (r.url.as_str(), r.dest_domain.as_deref().unwrap_or("")))
         .collect();
+    let gate = DigestGate::of(foreign_queries.iter().map(|&(url, _)| url));
 
     let mut samples = Vec::with_capacity(recon.pairs.len());
     let mut hits = Vec::new();
@@ -114,10 +116,11 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
 
         // Cross-domain readers: actors other than the owner whose reads
         // returned this cookie name.
+        let name = log.read_names.iter().position(|n| *n == key.name);
         let readers: HashSet<&str> = log
             .reads
             .iter()
-            .filter(|r| r.names.iter().any(|n| **n == *key.name))
+            .filter(|r| name.is_some_and(|name| r.names.contains(&(name as u32))))
             .filter_map(|r| r.actor.as_deref())
             .filter(|a| !a.eq_ignore_ascii_case(&key.owner))
             .collect();
@@ -129,7 +132,7 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
             .values
             .iter()
             .flat_map(|v| id_segments(v))
-            .map(EncodedForms::of)
+            .map(|seg| EncodedForms::gated(seg, gate))
             .collect();
         let scanner = FormScanner::new(&forms);
         let mut flow_requests = 0usize;
@@ -193,7 +196,7 @@ mod tests {
         r.record_read(
             Some("other.net"),
             CookieApi::DocumentCookie,
-            vec!["_tid".into(), "theme".into()],
+            &["_tid", "theme"],
             0,
             2,
         );

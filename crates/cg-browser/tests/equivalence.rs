@@ -175,7 +175,7 @@ impl Platform for LegacyPage<'_> {
 
     fn document_cookie_get(&mut self, at: &Attribution) -> String {
         let (visible, filtered) = self.visible_cookies(at);
-        let names = visible.iter().map(|c| c.name.as_str().into()).collect();
+        let names: Vec<&str> = visible.iter().map(|c| c.name.as_str()).collect();
         let s = visible
             .iter()
             .map(|c| c.pair())
@@ -184,7 +184,7 @@ impl Platform for LegacyPage<'_> {
         self.recorder.record_read(
             at.script_domain().as_deref(),
             CookieApi::DocumentCookie,
-            names,
+            &names,
             filtered,
             at.now_ms,
         );
@@ -284,11 +284,11 @@ impl Platform for LegacyPage<'_> {
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.value.clone());
-        let names = found.iter().map(|_| name.into()).collect();
+        let names: Vec<&str> = found.iter().map(|_| name).collect();
         self.recorder.record_read(
             at.script_domain().as_deref(),
             CookieApi::CookieStore,
-            names,
+            &names,
             filtered.min(1),
             at.now_ms,
         );
@@ -307,7 +307,7 @@ impl Platform for LegacyPage<'_> {
         self.recorder.record_read(
             at.script_domain().as_deref(),
             CookieApi::CookieStore,
-            pairs.iter().map(|(n, _)| n.as_str().into()).collect(),
+            &pairs.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
             filtered,
             at.now_ms,
         );
@@ -744,5 +744,5 @@ fn vanilla_visit_is_byte_identical_to_legacy_path() {
     assert!(log_new
         .reads
         .iter()
-        .any(|r| r.names.iter().any(|n| &**n == "site_sess")));
+        .any(|r| log_new.names_of(r).any(|n| n == "site_sess")));
 }

@@ -61,22 +61,25 @@
 //! bytes, and a decoded record re-serializes to JSON byte-identically
 //! to `serde_json::to_string` of the record that was written.
 //!
-//! The decoder builds each table entry once. Read names come back as
-//! clones of one shared `Arc<str>` per entry, so a name returned by 30
+//! The decoder builds each table entry once. A read name is copied into
+//! the log's [`VisitLog::read_names`] on its first use, and every read
+//! that returned it holds that entry's index, so a name returned by 30
 //! reads costs one allocation; other string fields copy from the
-//! entry. Decoding charges everything it allocates against a budget of
+//! entry. (The encoder mirrors this: it maps each `read_names` entry to
+//! its string-table index on first use, so the payload spells a read
+//! name exactly as it would any other string.) Decoding charges
+//! everything it allocates against a budget of
 //! [`MAX_EXPANSION`] bytes per payload byte, so no declared count,
 //! length or repetition can make it allocate out of proportion to the
 //! frame.
 
-use cg_hash::fnv1a32w;
+use cg_hash::{fnv1a32w, StrIndex};
 use cg_http::RequestKind;
 use cg_instrument::{
     AttrChangeFlags, CookieApi, DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion,
-    SetEvent, VisitLog, WriteKind,
+    SetEvent, VisitLog, WriteKind, READ_NAMES_CAPACITY,
 };
 use serde::{Content, Deserialize, Serialize};
-use std::sync::Arc;
 
 /// On-disk representation of a store's segments, recorded in the
 /// manifest fingerprint. Binary frames of format-v2 payloads are the
@@ -185,31 +188,6 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn str_hash(s: &[u8]) -> usize {
-    fnv1a32w(0, s) as usize
-}
-
-/// The slot count of an open-addressing table for `entries` strings:
-/// a power of two at least twice the entry count.
-fn slot_count(entries: usize) -> usize {
-    (entries * 2).next_power_of_two().max(16)
-}
-
-/// Linear probing over `slots` (entry index + 1 each, 0 for empty)
-/// from `hash`: `Ok` with the first entry `is` accepts, or `Err` with
-/// the empty slot the search ended on.
-fn probe(slots: &[u32], hash: usize, is: impl Fn(u32) -> bool) -> Result<u32, usize> {
-    let mask = slots.len() - 1;
-    let mut at = hash & mask;
-    loop {
-        match slots[at] {
-            0 => return Err(at),
-            slot if is(slot - 1) => return Ok(slot - 1),
-            _ => at = (at + 1) & mask,
-        }
-    }
-}
-
 fn cookie_api_byte(api: CookieApi) -> u8 {
     match api {
         CookieApi::DocumentCookie => 0,
@@ -248,12 +226,14 @@ pub fn encode_visit_log(log: &VisitLog, out: &mut Vec<u8>) {
     VisitEncoder::default().encode(log, out);
 }
 
-/// The encoder behind [`encode_visit_log`]. It keeps its string table
-/// and body buffer between records, so a segment writer's steady state
-/// encodes a visit without allocating.
+/// The encoder behind [`encode_visit_log`]. It keeps its string table,
+/// read-name map and body buffer between records, so a segment writer's
+/// steady state encodes a visit without allocating.
 #[derive(Debug, Default)]
 pub(crate) struct VisitEncoder {
     strings: StringTable,
+    /// The string-table index of each `read_names` entry, once used.
+    read_names: Vec<Option<u32>>,
     body: Vec<u8>,
 }
 
@@ -262,9 +242,12 @@ impl VisitEncoder {
     /// same bytes as [`encode_visit_log`].
     pub(crate) fn encode(&mut self, log: &VisitLog, out: &mut Vec<u8>) {
         self.strings.clear();
+        self.read_names.clear();
+        self.read_names.resize(log.read_names.len(), None);
         self.body.clear();
         let mut enc = Enc {
             strings: &mut self.strings,
+            read_names: &mut self.read_names,
             out: &mut self.body,
         };
         enc.visit_log(log);
@@ -283,56 +266,38 @@ struct StringTable {
     bytes: Vec<u8>,
     /// `(start, len)` of each entry's string bytes within `bytes`.
     spans: Vec<(u32, u32)>,
-    /// Entry index + 1 per slot; 0 marks an empty slot.
-    slots: Vec<u32>,
+    index: StrIndex,
 }
 
 impl StringTable {
     fn clear(&mut self) {
         self.bytes.clear();
         self.spans.clear();
-        self.slots.fill(0);
-    }
-
-    fn entry(&self, index: u32) -> &[u8] {
-        let (start, len) = self.spans[index as usize];
-        &self.bytes[start as usize..(start + len) as usize]
+        self.index.clear();
     }
 
     /// The index of `s`, appending it as a new entry on first use.
     fn index_of(&mut self, s: &str) -> u32 {
-        if self.slots.len() < slot_count(self.spans.len() + 1) {
-            self.grow();
-        }
-        match probe(&self.slots, str_hash(s.as_bytes()), |i| {
-            self.entry(i) == s.as_bytes()
-        }) {
-            Ok(index) => index,
-            Err(at) => {
-                let index = self.spans.len() as u32;
-                write_varint(&mut self.bytes, s.len() as u64);
-                let start = self.bytes.len() as u32;
-                self.bytes.extend_from_slice(s.as_bytes());
-                self.spans.push((start, s.len() as u32));
-                self.slots[at] = index + 1;
-                index
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        self.slots = vec![0; slot_count(self.spans.len() + 1) * 2];
-        for index in 0..self.spans.len() as u32 {
-            let hash = str_hash(self.entry(index));
-            if let Err(at) = probe(&self.slots, hash, |_| false) {
-                self.slots[at] = index + 1;
-            }
-        }
+        let (bytes, spans) = (&self.bytes, &self.spans);
+        let found = self.index.find(s.as_bytes(), spans.len(), |i| {
+            let (start, len) = spans[i as usize];
+            &bytes[start as usize..(start + len) as usize]
+        });
+        found.unwrap_or_else(|at| {
+            let index = self.spans.len() as u32;
+            write_varint(&mut self.bytes, s.len() as u64);
+            let start = self.bytes.len() as u32;
+            self.bytes.extend_from_slice(s.as_bytes());
+            self.spans.push((start, s.len() as u32));
+            self.index.insert(at, index);
+            index
+        })
     }
 }
 
 struct Enc<'e> {
     strings: &'e mut StringTable,
+    read_names: &'e mut [Option<u32>],
     out: &'e mut Vec<u8>,
 }
 
@@ -354,6 +319,19 @@ impl Enc<'_> {
         self.varint(u64::from(index));
     }
 
+    /// Read name `name` of `log.read_names`, as its string-table index.
+    fn read_name(&mut self, log: &VisitLog, name: u32) {
+        let index = match self.read_names[name as usize] {
+            Some(index) => index,
+            None => {
+                let index = self.strings.index_of(log.read_name(name));
+                self.read_names[name as usize] = Some(index);
+                index
+            }
+        };
+        self.varint(u64::from(index));
+    }
+
     fn opt_str(&mut self, s: Option<&str>) {
         self.flag(s.is_some());
         if let Some(s) = s {
@@ -361,7 +339,7 @@ impl Enc<'_> {
         }
     }
 
-    fn seq<T>(&mut self, items: &[T], item: impl Fn(&mut Self, &T)) {
+    fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
         self.varint(items.len() as u64);
         for x in items {
             item(self, x);
@@ -390,10 +368,10 @@ impl Enc<'_> {
         self.varint(e.time_ms);
     }
 
-    fn read_event(&mut self, e: &ReadEvent) {
+    fn read_event(&mut self, log: &VisitLog, e: &ReadEvent) {
         self.opt_str(e.actor.as_deref());
         self.byte(cookie_api_byte(e.api));
-        self.seq(&e.names, |enc, n| enc.str(n));
+        self.seq(&e.names, |enc, &n| enc.read_name(log, n));
         self.varint(e.filtered_count as u64);
         self.varint(e.time_ms);
     }
@@ -434,7 +412,7 @@ impl Enc<'_> {
         self.varint(log.rank as u64);
         self.flag(log.complete);
         self.seq(&log.sets, Self::set_event);
-        self.seq(&log.reads, Self::read_event);
+        self.seq(&log.reads, |enc, e| enc.read_event(log, e));
         self.seq(&log.requests, Self::request_event);
         self.seq(&log.probes, Self::probe_event);
         self.seq(&log.dom_events, Self::dom_event);
@@ -464,6 +442,7 @@ pub fn decode_visit_log(payload: &[u8]) -> Result<VisitLog, String> {
         bytes: payload,
         pos: 0,
         table: Vec::new(),
+        read_names: Vec::new(),
         next_new: 0,
         budget: payload.len().saturating_mul(MAX_EXPANSION),
     };
@@ -485,16 +464,18 @@ pub fn decode_visit_log(payload: &[u8]) -> Result<VisitLog, String> {
 }
 
 /// One string-table entry: the string, borrowed from the payload, and
-/// its shared form once a read name has asked for it.
+/// its index in the log's `read_names` once a read has returned it.
 struct Entry<'a> {
     s: &'a str,
-    shared: Option<Arc<str>>,
+    read_name: Option<u32>,
 }
 
 struct Dec<'a> {
     bytes: &'a [u8],
     pos: usize,
     table: Vec<Entry<'a>>,
+    /// The log's read-name table, in first-use order.
+    read_names: Vec<String>,
     /// The first table index not yet referenced.
     next_new: usize,
     /// Bytes this decode may still allocate.
@@ -589,22 +570,22 @@ impl<'a> Dec<'a> {
     /// the others so a payload never names one string twice.
     fn table(&mut self) -> Result<(), String> {
         let n = self.count(1, "string table entries")?;
-        let slots = slot_count(n);
-        self.charge(n * std::mem::size_of::<Entry>() + slots * std::mem::size_of::<u32>())?;
+        self.charge(
+            n * std::mem::size_of::<Entry>() + StrIndex::slot_count(n) * std::mem::size_of::<u32>(),
+        )?;
         self.table.reserve_exact(n);
-        let mut index = vec![0u32; slots];
+        let mut index = StrIndex::with_capacity(n);
         for i in 0..n {
             let at = self.pos;
             let len = self.usize_val()?;
             let s = std::str::from_utf8(self.take(len)?)
                 .map_err(|e| format!("invalid UTF-8 in string table entry {i}: {e}"))?;
-            match probe(&index, str_hash(s.as_bytes()), |j| {
-                self.table[j as usize].s == s
-            }) {
+            let table = &self.table;
+            match index.find(s.as_bytes(), i, |j| table[j as usize].s.as_bytes()) {
                 Ok(_) => return Err(format!("duplicate string table entry {i} at byte {at}")),
-                Err(slot) => index[slot] = i as u32 + 1,
+                Err(slot) => index.insert(slot, i as u32),
             }
-            self.table.push(Entry { s, shared: None });
+            self.table.push(Entry { s, read_name: None });
         }
         Ok(())
     }
@@ -640,17 +621,26 @@ impl<'a> Dec<'a> {
         Ok(s.to_owned())
     }
 
-    /// A string shared with every other use of the same entry.
-    fn shared(&mut self) -> Result<Arc<str>, String> {
+    /// A read name: its index in `read_names`, which gains the entry's
+    /// string on the entry's first use as a read name.
+    fn read_name(&mut self) -> Result<u32, String> {
         let i = self.index()?;
-        if let Some(shared) = &self.table[i].shared {
-            return Ok(Arc::clone(shared));
+        if let Some(name) = self.table[i].read_name {
+            return Ok(name);
+        }
+        if self.read_names.is_empty() {
+            // Never more names than table entries.
+            let capacity = READ_NAMES_CAPACITY.min(self.table.len());
+            self.charge(capacity * std::mem::size_of::<String>())?;
+            self.read_names.reserve_exact(capacity);
         }
         let s = self.table[i].s;
-        self.charge(s.len() + 2 * std::mem::size_of::<usize>())?;
-        let shared: Arc<str> = Arc::from(s);
-        self.table[i].shared = Some(Arc::clone(&shared));
-        Ok(shared)
+        // The string, plus its slot in a table that grows by doubling.
+        self.charge(s.len() + 2 * std::mem::size_of::<String>())?;
+        let name = self.read_names.len() as u32;
+        self.read_names.push(s.to_owned());
+        self.table[i].read_name = Some(name);
+        Ok(name)
     }
 
     fn opt_string(&mut self) -> Result<Option<String>, String> {
@@ -754,7 +744,7 @@ impl<'a> Dec<'a> {
     fn read_event(&mut self) -> Result<ReadEvent, String> {
         let actor = self.opt_string()?;
         let api = self.cookie_api()?;
-        let names = self.seq(1, "read names", Dec::shared)?;
+        let names = self.seq(1, "read names", Dec::read_name)?;
         let filtered_count = self.usize_val()?;
         let time_ms = self.varint()?;
         Ok(ReadEvent {
@@ -842,6 +832,7 @@ impl<'a> Dec<'a> {
             complete,
             sets,
             reads,
+            read_names: std::mem::take(&mut self.read_names),
             requests,
             probes,
             dom_events,
@@ -894,25 +885,37 @@ mod tests {
     }
 
     #[test]
-    fn read_names_share_one_allocation_per_table_entry() {
+    fn read_names_decode_once_per_table_entry() {
         let log = crawl_logs()
             .into_iter()
             .max_by_key(|l| l.reads.len())
             .unwrap();
         let back = decode_visit_log(&encode(&log)).unwrap();
-        let mut seen: std::collections::HashMap<&str, &Arc<str>> = Default::default();
+        // Each distinct name is one table entry, numbered in first-use
+        // order, and every read of it holds that entry's index.
+        let mut distinct = back.read_names.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            back.read_names.len(),
+            "a name decoded twice"
+        );
+        let mut next = 0;
         let mut repeats = 0;
-        for name in back.reads.iter().flat_map(|r| &r.names) {
-            match seen.get(&**name) {
-                Some(first) => {
-                    assert!(Arc::ptr_eq(first, name), "{name} decoded twice");
-                    repeats += 1;
-                }
-                None => {
-                    seen.insert(name, name);
-                }
+        for &name in back.reads.iter().flat_map(|r| &r.names) {
+            assert!(name <= next, "read name {name} out of first-use order");
+            if name == next {
+                next += 1;
+            } else {
+                repeats += 1;
             }
         }
+        assert_eq!(
+            next as usize,
+            back.read_names.len(),
+            "an unread table entry"
+        );
         assert!(repeats > 0, "want a name read more than once");
     }
 

@@ -391,8 +391,8 @@ fn repeated_long_strings_cannot_amplify_a_frame() {
     refused(&p, "bytes per payload byte").unwrap();
 }
 
-/// Read names decode to one shared allocation per table entry, however
-/// many reads return them.
+/// A read name decodes once, into the log's read-name table, however
+/// many reads return it; every read holds that entry's index.
 #[test]
 fn repeated_read_names_share_their_entry() {
     let mut p = table(&["site.example", "uid"]);
@@ -403,9 +403,12 @@ fn repeated_read_names_share_their_entry() {
     }
     p.extend_from_slice(&[0, 0, 0, 0]);
     let log = codec::decode_visit_log(&p).unwrap();
-    let first = &log.reads[0].names[0];
-    assert_eq!(&**first, "uid");
-    for name in log.reads.iter().flat_map(|r| &r.names) {
-        assert!(std::sync::Arc::ptr_eq(first, name));
+    assert_eq!(log.read_names, ["uid"]);
+    for read in &log.reads {
+        assert_eq!(read.names, [0, 0]);
     }
+    assert_eq!(
+        log.names_of(&log.reads[2]).collect::<Vec<_>>(),
+        ["uid", "uid"]
+    );
 }

@@ -26,14 +26,17 @@
 //! is bounded by the (finite) label table, never by crawl size. The
 //! facts hold ids, hashes and slices of the log, never owned strings;
 //! exfil matching reads each off-site request URL once for all of the
-//! visit's encoded identifiers ([`cg_hash::FormScanner`]).
+//! visit's encoded identifiers ([`cg_hash::FormScanner`]). A visit with
+//! no off-site request builds no encoded forms, and a digest form is
+//! built only when some off-site URL holds a hex run long enough to
+//! contain it ([`cg_hash::DigestGate`]).
 
 use crate::engine::{DetectEngine, KeyId, NameId, OrgId};
-use cg_hash::{EncodedForms, FormScanner};
+use cg_hash::{DigestGate, EncodedForms, FormScanner};
 use cg_instrument::{VisitLog, WriteKind};
-use cg_script::value::split_segments;
+use cg_script::value::segments;
 use cg_webgen::CookieLabel;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Who owns a cookie pair, at aggregation granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,14 +142,9 @@ fn structured_value(value: &str) -> bool {
 }
 
 /// The identifier candidates of one cookie value.
-fn id_segments(value: &str) -> Vec<&str> {
-    if structured_value(value) {
-        return Vec::new();
-    }
-    split_segments(value)
-        .into_iter()
-        .filter(|s| id_segment(s))
-        .collect()
+fn id_segments(value: &str) -> impl Iterator<Item = &str> {
+    let candidates = if structured_value(value) { "" } else { value };
+    segments(candidates).filter(|s| id_segment(s))
 }
 
 /// The site's organization before it has an interned id: an unmapped
@@ -206,6 +204,8 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
     let mut live: HashMap<&str, (OrgId, Option<usize>)> = HashMap::new();
     // names a foreign actor deleted, with the original owner's org
     let mut foreign_deleted: HashMap<&str, OrgId> = HashMap::new();
+    // whether each foreign actor URL seen so far is on the site's domain
+    let mut first_party_urls: Vec<(&str, bool)> = Vec::new();
 
     for ev in &log.sets {
         if ev.blocked {
@@ -242,7 +242,13 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
         if !create {
             continue;
         }
-        let owner = classify_owner(actor, actor_org, ev.actor_url.as_deref(), site);
+        let owner = classify_owner(
+            actor,
+            actor_org,
+            ev.actor_url.as_deref(),
+            site,
+            &mut first_party_urls,
+        );
         let labeled = engine.name_id(&ev.name).and_then(|name| {
             let label_domain = if owner == Owner::Site { site } else { actor };
             engine
@@ -292,13 +298,32 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
     out.foreign_present.dedup();
 
     // -- exfil matching: who ships which key's value where ------------
+    // Only off-site requests can carry a value away; the forms a digest
+    // gate rules out could not appear in any of them.
+    let mut off_site = false;
+    let mut gate = DigestGate::default();
+    for req in &log.requests {
+        if req
+            .dest_domain
+            .as_deref()
+            .is_some_and(|dest| !dest.eq_ignore_ascii_case(site))
+        {
+            off_site = true;
+            gate.observe(&req.url);
+        }
+    }
+    if !off_site {
+        return out;
+    }
     let mut forms: Vec<(usize, EncodedForms)> = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
     for (k, facts) in out.keys.iter().enumerate() {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
+        seen.clear();
         for value in &facts.values {
             for seg in id_segments(value) {
-                if seen.insert(seg) {
-                    forms.push((k, EncodedForms::of(seg)));
+                if !seen.contains(&seg) {
+                    seen.push(seg);
+                    forms.push((k, EncodedForms::gated(seg, gate)));
                 }
             }
         }
@@ -385,24 +410,39 @@ impl<'l> KeyVisitFacts<'l> {
 
     /// Value and lifetime features of one write of this key.
     fn observe_write(&mut self, value: &'l str, max_age_s: Option<i64>, cutoff: i64) {
-        self.id_value |= !id_segments(value).is_empty();
+        self.id_value |= id_segments(value).next().is_some();
         self.persistent |= max_age_s.is_some_and(|a| a >= cutoff);
         self.values.push(value);
     }
 }
 
-/// Owner classification for one write.
-fn classify_owner(actor: &str, actor_org: OrgId, actor_url: Option<&str>, site: &str) -> Owner {
+/// Owner classification for one write. `first_party_urls` remembers,
+/// for the visit's foreign actor URLs classified so far, whether each
+/// URL's domain is the site's, so each URL is parsed once a visit.
+fn classify_owner<'l>(
+    actor: &str,
+    actor_org: OrgId,
+    actor_url: Option<&'l str>,
+    site: &str,
+    first_party_urls: &mut Vec<(&'l str, bool)>,
+) -> Owner {
     if actor.eq_ignore_ascii_case(site) {
         return Owner::Site;
     }
     // Foreign attribution from a first-party script URL = the
     // `resolve_cnames` crawl uncloaked a CNAME alias.
-    let url_domain = actor_url.and_then(cg_url::url_domain);
-    if url_domain
-        .as_deref()
-        .is_some_and(|d| d.eq_ignore_ascii_case(site))
-    {
+    let Some(url) = actor_url else {
+        return Owner::Entity(actor_org);
+    };
+    let first_party = match first_party_urls.iter().find(|&&(seen, _)| seen == url) {
+        Some(&(_, first_party)) => first_party,
+        None => {
+            let first_party = cg_url::url_domain(url).is_some_and(|d| d.eq_ignore_ascii_case(site));
+            first_party_urls.push((url, first_party));
+            first_party
+        }
+    };
+    if first_party {
         return Owner::Cloaked;
     }
     Owner::Entity(actor_org)
@@ -434,7 +474,10 @@ mod tests {
     #[test]
     fn consent_strings_have_no_candidates() {
         let v = "isGpcEnabled=0&datestamp=99&consentId=aaaabbbb-cccc-dddd-eeee-ffff00001111";
-        assert!(id_segments(v).is_empty());
-        assert_eq!(id_segments("GA1.1.444332364.1746838827"), vec!["444332364"]);
+        assert_eq!(id_segments(v).count(), 0);
+        assert_eq!(
+            id_segments("GA1.1.444332364.1746838827").collect::<Vec<_>>(),
+            ["444332364"]
+        );
     }
 }

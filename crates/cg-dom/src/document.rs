@@ -45,10 +45,11 @@ impl MutationRecord {
 }
 
 /// One frame's document: element arena, script list, and mutation log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Document {
-    /// The document's URL.
-    pub url: Url,
+    url: Url,
+    /// The site's registrable domain, computed once from `url`.
+    site: String,
     /// Main frame or iframe.
     pub frame: FrameKind,
     elements: Vec<Element>,
@@ -59,8 +60,12 @@ pub struct Document {
 impl Document {
     /// Creates an empty document for `url`.
     pub fn new(url: Url, frame: FrameKind) -> Document {
+        let site = url
+            .registrable_domain()
+            .unwrap_or_else(|| url.host_str().into_owned());
         Document {
             url,
+            site,
             frame,
             elements: Vec::new(),
             scripts: Vec::new(),
@@ -68,11 +73,14 @@ impl Document {
         }
     }
 
-    /// The site's registrable domain.
-    pub fn site_domain(&self) -> String {
-        self.url
-            .registrable_domain()
-            .unwrap_or_else(|| self.url.host_str().into_owned())
+    /// The document's URL.
+    pub fn url(&self) -> &Url {
+        &self.url
+    }
+
+    /// The site's registrable domain (the host, when it has none).
+    pub fn site_domain(&self) -> &str {
+        &self.site
     }
 
     // ------------------------------------------------------------------
@@ -81,8 +89,7 @@ impl Document {
 
     /// Inserts a parser-created element owned by the site itself.
     pub fn insert_markup_element(&mut self, tag: &str, parent: Option<ElementId>) -> ElementId {
-        let site = self.site_domain();
-        self.insert_element(tag, parent, &site, None)
+        push_element(&mut self.elements, tag, parent, &self.site)
     }
 
     /// Inserts an element created by a script from `actor_domain`
@@ -93,23 +100,9 @@ impl Document {
         parent: Option<ElementId>,
         actor_domain: Option<&str>,
     ) -> ElementId {
-        let owner = actor_domain.unwrap_or("<inline>").to_string();
-
-        self.insert_element(tag, parent, &owner, actor_domain)
-    }
-
-    fn insert_element(
-        &mut self,
-        tag: &str,
-        parent: Option<ElementId>,
-        owner: &str,
-        log_actor: Option<&str>,
-    ) -> ElementId {
-        let id = self.elements.len();
-        let mut e = Element::new(id, tag, owner);
-        e.parent = parent;
-        self.elements.push(e);
-        if let Some(actor) = log_actor {
+        let owner = actor_domain.unwrap_or("<inline>");
+        let id = push_element(&mut self.elements, tag, parent, owner);
+        if let Some(actor) = actor_domain {
             self.mutations.push(MutationRecord {
                 element: id,
                 kind: ElementMutation::Insert,
@@ -212,12 +205,25 @@ impl Document {
     /// Third-party scripts: external scripts whose eTLD+1 differs from the
     /// site's. (The paper finds these on 93.3% of sites, averaging 19.)
     pub fn third_party_scripts(&self) -> Vec<&ScriptNode> {
-        let site = self.site_domain();
         self.scripts
             .iter()
-            .filter(|s| matches!(s.domain(), Some(d) if !d.eq_ignore_ascii_case(&site)))
+            .filter(|s| matches!(s.domain(), Some(d) if !d.eq_ignore_ascii_case(&self.site)))
             .collect()
     }
+}
+
+/// Appends an element owned by `owner` under `parent`; returns its id.
+fn push_element(
+    elements: &mut Vec<Element>,
+    tag: &str,
+    parent: Option<ElementId>,
+    owner: &str,
+) -> ElementId {
+    let id = elements.len();
+    let mut e = Element::new(id, tag, owner);
+    e.parent = parent;
+    elements.push(e);
+    id
 }
 
 #[cfg(test)]

@@ -11,53 +11,64 @@
 //! word-at-a-time `fnv1a32w` variant — the non-cryptographic checksum
 //! the binary crawl-store frames use for torn-tail detection (word-wise
 //! because frames are tens of KB and checksum verification sits on the
-//! replay hot path).
+//! replay hot path), and [`StrIndex`], the FNV-hashed open-addressing
+//! index that numbers a visit's distinct strings for the crawl-store
+//! codec and the instrumentation recorder.
 //!
 //! **Layer:** foundation (no workspace dependencies). **Invariant:**
 //! digests are byte-identical to the reference algorithms (RFC 1321 /
 //! 3174 / 4648, checked against official vectors) — the exfiltration
 //! detector's encoded-identifier matching depends on it. **Entry
 //! points:** `md5_hex`, `sha1_hex`, `b64encode_no_pad`, `fnv1a32`,
-//! `EncodedForms`, `FormScanner`.
+//! `EncodedForms`, `DigestGate`, `FormScanner`, `StrIndex`.
 
 pub mod base64;
 pub mod fnv;
+pub mod index;
 pub mod md5;
 pub mod sha1;
 
 pub use base64::{b64decode, b64encode, b64encode_no_pad};
 pub use fnv::{fnv1a32, fnv1a32w, fnv1a64};
+pub use index::{StrIndex, Vacant};
 pub use md5::md5_hex;
 pub use sha1::sha1_hex;
 
 /// All encoded forms of an identifier that the detection pipeline matches
-/// against outbound URLs: the identifier itself, its Base64 encoding (padded
-/// and unpadded, since trackers strip padding in URLs), and its MD5/SHA-1
-/// hex digests.
+/// against outbound URLs: the identifier itself, its Base64 encoding
+/// without `=` padding (trackers strip padding in URLs, and the unpadded
+/// form is a prefix of the padded one, so it matches wherever that
+/// does), and its MD5/SHA-1 hex digests. A digest a [`DigestGate`] rules
+/// out is not computed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedForms {
     /// The raw identifier.
     pub plain: String,
-    /// Standard Base64 with padding.
-    pub base64: String,
     /// Base64 without trailing `=` padding (common in query strings).
     pub base64_no_pad: String,
-    /// Lowercase MD5 hex digest.
-    pub md5: String,
-    /// Lowercase SHA-1 hex digest.
-    pub sha1: String,
+    /// Lowercase MD5 hex digest, unless the gate ruled it out.
+    pub md5: Option<String>,
+    /// Lowercase SHA-1 hex digest, unless the gate ruled it out.
+    pub sha1: Option<String>,
 }
 
 impl EncodedForms {
     /// Computes every encoded form of `identifier`.
     pub fn of(identifier: &str) -> EncodedForms {
-        let b = b64encode(identifier.as_bytes());
+        EncodedForms::gated(identifier, DigestGate::ALL)
+    }
+
+    /// The forms of `identifier` that can appear in the haystacks `gate`
+    /// was built from. Matching them against those haystacks reports
+    /// exactly what matching [`EncodedForms::of`] would.
+    pub fn gated(identifier: &str, gate: DigestGate) -> EncodedForms {
+        let mut base64_no_pad = b64encode(identifier.as_bytes());
+        base64_no_pad.truncate(base64_no_pad.trim_end_matches('=').len());
         EncodedForms {
             plain: identifier.to_string(),
-            base64_no_pad: b.trim_end_matches('=').to_string(),
-            base64: b,
-            md5: md5_hex(identifier.as_bytes()),
-            sha1: sha1_hex(identifier.as_bytes()),
+            base64_no_pad,
+            md5: gate.md5().then(|| md5_hex(identifier.as_bytes())),
+            sha1: gate.sha1().then(|| sha1_hex(identifier.as_bytes())),
         }
     }
 
@@ -68,16 +79,76 @@ impl EncodedForms {
         self.patterns().any(|p| haystack.contains(p))
     }
 
-    /// The forms a haystack is searched for. The padded Base64 form is
-    /// left out: the unpadded form is its prefix, so it matches first.
+    /// The forms a haystack is searched for.
     fn patterns(&self) -> impl Iterator<Item = &str> {
         [
-            self.plain.as_str(),
-            self.base64_no_pad.as_str(),
-            self.md5.as_str(),
-            self.sha1.as_str(),
+            Some(self.plain.as_str()),
+            Some(self.base64_no_pad.as_str()),
+            self.md5.as_deref(),
+            self.sha1.as_deref(),
         ]
         .into_iter()
+        .flatten()
+    }
+}
+
+/// Hex characters in a lowercase MD5 digest.
+const MD5_HEX_LEN: usize = 32;
+/// Hex characters in a lowercase SHA-1 digest.
+const SHA1_HEX_LEN: usize = 40;
+
+/// Which hex digests a set of haystacks can contain.
+///
+/// A lowercase MD5 (SHA-1) hex digest is a run of 32 (40) `[0-9a-f]`
+/// bytes, so a haystack can contain one only where such a run is. The
+/// gate records the longest run over its haystacks, and
+/// [`EncodedForms::gated`] skips a digest no run is long enough to
+/// hold: hashing is the costly part of building forms, and most
+/// request URLs carry no long hex run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DigestGate {
+    longest_hex_run: usize,
+}
+
+impl DigestGate {
+    /// Lets every digest through.
+    pub const ALL: DigestGate = DigestGate {
+        longest_hex_run: usize::MAX,
+    };
+
+    /// The gate for matching against every one of `haystacks`.
+    pub fn of<'h>(haystacks: impl IntoIterator<Item = &'h str>) -> DigestGate {
+        let mut gate = DigestGate::default();
+        for haystack in haystacks {
+            gate.observe(haystack);
+        }
+        gate
+    }
+
+    /// Widens the gate to admit what `haystack` can contain.
+    pub fn observe(&mut self, haystack: &str) {
+        let mut run = 0;
+        for &b in haystack.as_bytes() {
+            if self.longest_hex_run >= SHA1_HEX_LEN {
+                return;
+            }
+            run = if matches!(b, b'0'..=b'9' | b'a'..=b'f') {
+                run + 1
+            } else {
+                0
+            };
+            self.longest_hex_run = self.longest_hex_run.max(run);
+        }
+    }
+
+    /// Whether an MD5 hex digest can appear.
+    pub fn md5(self) -> bool {
+        self.longest_hex_run >= MD5_HEX_LEN
+    }
+
+    /// Whether a SHA-1 hex digest can appear.
+    pub fn sha1(self) -> bool {
+        self.longest_hex_run >= SHA1_HEX_LEN
     }
 }
 
@@ -205,6 +276,25 @@ mod tests {
         assert!(f.appears_in(&format!("https://x.com/?m={}", md5_hex(b"444332364"))));
         assert!(f.appears_in(&format!("https://x.com/?s={}", sha1_hex(b"444332364"))));
         assert!(!f.appears_in("https://x.com/?ga=nothing"));
+    }
+
+    #[test]
+    fn the_gate_admits_a_digest_only_where_a_hex_run_can_hold_it() {
+        let run = |n: usize| format!("https://x.com/?h={}&z", "0a".repeat(n).split_at(n).0);
+        for (n, md5, sha1) in [
+            (31, false, false),
+            (32, true, false),
+            (39, true, false),
+            (40, true, true),
+        ] {
+            let gate = DigestGate::of([run(n).as_str()]);
+            assert_eq!((gate.md5(), gate.sha1()), (md5, sha1), "run of {n}");
+        }
+        // Uppercase hex cannot be a lowercase digest.
+        assert!(!DigestGate::of([&*"A".repeat(64)]).md5());
+        let f = EncodedForms::gated("444332364", DigestGate::default());
+        assert_eq!((f.md5, f.sha1), (None, None));
+        assert_eq!(f.base64_no_pad, "NDQ0MzMyMzY0");
     }
 
     #[test]

@@ -6,8 +6,13 @@
 //! identifiers that nest inside each other, forms that overlap in the
 //! URL, a form that ends exactly at the URL's last byte, near misses
 //! that share a form's first 8 bytes, and repeated identifiers.
+//!
+//! A second property covers digest gating: forms built under the
+//! [`DigestGate`] of the URLs they are matched against report exactly
+//! what the ungated forms report, around the 32- and 40-character
+//! hex-run thresholds.
 
-use cg_hash::{b64encode, md5_hex, sha1_hex, EncodedForms, FormScanner};
+use cg_hash::{b64encode, md5_hex, sha1_hex, DigestGate, EncodedForms, FormScanner};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,6 +123,54 @@ proptest! {
             let url = url(&mut rng, &ids);
             scanner.scan(&url, &mut hits);
             prop_assert_eq!(&hits, &oracle(&forms, &url), "url {} ids {:?}", url, ids);
+        }
+    }
+}
+
+/// A URL of filler with a hex run of 31, 32, 39 or 40 characters —
+/// each threshold and one short of it — and, sometimes, one form of an
+/// identifier planted plain, in Base64, or as an MD5 or SHA-1 digest.
+fn gated_url(rng: &mut StdRng, ids: &[String]) -> String {
+    let mut url = format!("https://{}.example/p?", pick(rng, FILLER, 5));
+    let run = [31, 32, 39, 40][rng.gen_range(0..4usize)];
+    let hex_run = pick(rng, HEX, run);
+    let id = &ids[rng.gen_range(0..ids.len())];
+    let planted = match rng.gen_range(0..6) {
+        0 => id.to_string(),
+        1 => b64encode(id.as_bytes()).trim_end_matches('=').to_string(),
+        2 => md5_hex(id.as_bytes()),
+        3 => sha1_hex(id.as_bytes()),
+        _ => String::new(),
+    };
+    let filler = rng.gen_range(0..4);
+    url.push_str(&pick(rng, FILLER, filler));
+    if rng.gen_bool(0.5) {
+        url.push_str(&hex_run);
+        url.push('&');
+        url.push_str(&planted);
+    } else {
+        url.push_str(&planted);
+        url.push('/');
+        url.push_str(&hex_run);
+    }
+    url
+}
+
+proptest! {
+    #[test]
+    fn gated_forms_report_exactly_what_ungated_forms_report(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ids = identifiers(&mut rng);
+        let full: Vec<EncodedForms> = ids.iter().map(|id| EncodedForms::of(id)).collect();
+        // One gate over several haystacks, as a visit's requests share one.
+        let urls: Vec<String> = (0..rng.gen_range(1..5)).map(|_| gated_url(&mut rng, &ids)).collect();
+        let gate = DigestGate::of(urls.iter().map(String::as_str));
+        let gated: Vec<EncodedForms> = ids.iter().map(|id| EncodedForms::gated(id, gate)).collect();
+        let scanner = FormScanner::new(&gated);
+        let mut hits = Vec::new();
+        for url in &urls {
+            scanner.scan(url, &mut hits);
+            prop_assert_eq!(&hits, &oracle(&full, url), "url {} ids {:?}", url, ids);
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Log event types.
 
 use cg_http::RequestKind;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use serde::{Content, Deserialize, Serialize};
 
 /// Which script-facing API an operation used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -70,16 +69,17 @@ pub struct SetEvent {
 }
 
 /// A cookie read observed at the API boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadEvent {
     /// eTLD+1 of the acting script (None = inline/unattributed).
     pub actor: Option<String>,
     /// The API used.
     pub api: CookieApi,
-    /// The names of the cookies the caller received, in the order it
-    /// received them (values are not logged: no analysis reads them).
-    /// Shared: a name read many times in one visit is one allocation.
-    pub names: Vec<Arc<str>>,
+    /// The cookies the caller received, in the order it received them,
+    /// as indices into the visit's [`VisitLog::read_names`] (values are
+    /// not logged: no analysis reads them). A name read many times in
+    /// one visit is stored once; [`VisitLog::names_of`] resolves them.
+    pub names: Vec<u32>,
     /// How many additional cookies CookieGuard withheld from this read.
     pub filtered_count: usize,
     /// Visit-relative time.
@@ -202,8 +202,17 @@ impl ScriptInclusion {
     }
 }
 
+/// The capacity a visit's [`VisitLog::read_names`] table starts at once
+/// it holds a name: a visit that reads one cookie name usually reads
+/// several, so the table starts where growing from 4 would get to.
+pub const READ_NAMES_CAPACITY: usize = 16;
+
 /// Everything recorded during one site visit.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Serializes as one JSON object per visit (the crawl-store export's
+/// line format), with each read's `names` printed as strings; the
+/// [`VisitLog::read_names`] table they index is not a key of its own.
+#[derive(Debug, Clone, Default)]
 pub struct VisitLog {
     /// The visited site's eTLD+1.
     pub site_domain: String,
@@ -215,6 +224,9 @@ pub struct VisitLog {
     pub sets: Vec<SetEvent>,
     /// Cookie reads, in time order.
     pub reads: Vec<ReadEvent>,
+    /// The distinct cookie names the reads returned, each once: what
+    /// [`ReadEvent::names`] indexes.
+    pub read_names: Vec<String>,
     /// Outbound requests, in time order.
     pub requests: Vec<RequestEvent>,
     /// Probe outcomes.
@@ -232,12 +244,64 @@ impl VisitLog {
         self.sets.len() + self.reads.len()
     }
 
+    /// Read name `index` of [`VisitLog::read_names`].
+    pub fn read_name(&self, index: u32) -> &str {
+        &self.read_names[index as usize]
+    }
+
+    /// The names `read` returned, in order.
+    pub fn names_of<'a>(&'a self, read: &'a ReadEvent) -> impl Iterator<Item = &'a str> + 'a {
+        read.names.iter().map(|&i| self.read_name(i))
+    }
+
     /// Third-party script inclusions (external, different eTLD+1).
     pub fn third_party_inclusions(&self) -> impl Iterator<Item = &ScriptInclusion> {
         let site = self.site_domain.clone();
         self.inclusions
             .iter()
             .filter(move |s| matches!(&s.domain, Some(d) if !d.eq_ignore_ascii_case(&site)))
+    }
+}
+
+/// A JSON object of `fields`, in order.
+fn object(fields: Vec<(&str, Content)>) -> Content {
+    Content::Map(
+        fields
+            .into_iter()
+            .map(|(key, value)| (Content::Str(key.to_string()), value))
+            .collect(),
+    )
+}
+
+impl Serialize for VisitLog {
+    fn to_content(&self) -> Content {
+        let reads = self
+            .reads
+            .iter()
+            .map(|r| {
+                object(vec![
+                    ("actor", r.actor.to_content()),
+                    ("api", r.api.to_content()),
+                    (
+                        "names",
+                        Content::Seq(self.names_of(r).map(Serialize::to_content).collect()),
+                    ),
+                    ("filtered_count", r.filtered_count.to_content()),
+                    ("time_ms", r.time_ms.to_content()),
+                ])
+            })
+            .collect();
+        object(vec![
+            ("site_domain", self.site_domain.to_content()),
+            ("rank", self.rank.to_content()),
+            ("complete", self.complete.to_content()),
+            ("sets", self.sets.to_content()),
+            ("reads", Content::Seq(reads)),
+            ("requests", self.requests.to_content()),
+            ("probes", self.probes.to_content()),
+            ("dom_events", self.dom_events.to_content()),
+            ("inclusions", self.inclusions.to_content()),
+        ])
     }
 }
 
@@ -294,5 +358,30 @@ mod tests {
             time_ms: 1,
         });
         assert_eq!(log.cookie_op_count(), 2);
+    }
+
+    #[test]
+    fn reads_serialize_their_names_as_strings() {
+        let log = VisitLog {
+            site_domain: "site.com".into(),
+            rank: 3,
+            complete: true,
+            reads: vec![ReadEvent {
+                actor: Some("t.com".into()),
+                api: CookieApi::CookieStore,
+                names: vec![1, 0, 1],
+                filtered_count: 2,
+                time_ms: 9,
+            }],
+            read_names: vec!["_ga".into(), "sid".into()],
+            ..VisitLog::default()
+        };
+        assert_eq!(
+            serde_json::to_string(&log).unwrap(),
+            "{\"site_domain\":\"site.com\",\"rank\":3,\"complete\":true,\"sets\":[],\
+             \"reads\":[{\"actor\":\"t.com\",\"api\":\"CookieStore\",\
+             \"names\":[\"sid\",\"_ga\",\"sid\"],\"filtered_count\":2,\"time_ms\":9}],\
+             \"requests\":[],\"probes\":[],\"dom_events\":[],\"inclusions\":[]}"
+        );
     }
 }

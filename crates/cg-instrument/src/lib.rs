@@ -12,7 +12,8 @@
 //!
 //! **Layer:** measurement (written by `cg-browser`, read by
 //! `cg-analysis`). **Invariant:** events carry resolved *names*, never
-//! interned ids, and the wire format is stable across refactors (the
+//! process-wide interned ids (a read's names index its own visit's
+//! name table), and the wire format is stable across refactors (the
 //! access-layer equivalence test pins it). **Entry points:**
 //! `Recorder`, `VisitLog`, `EventSink`.
 
@@ -24,7 +25,7 @@ pub mod sink;
 pub use counters::{ServiceCounters, TenantCounters};
 pub use events::{
     AttrChangeFlags, CookieApi, DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion,
-    SetEvent, VisitLog, WriteKind,
+    SetEvent, VisitLog, WriteKind, READ_NAMES_CAPACITY,
 };
 pub use recorder::Recorder;
 pub use sink::{EventSink, NullSink};

@@ -3,12 +3,11 @@
 
 use crate::events::{
     AttrChangeFlags, CookieApi, DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion,
-    SetEvent, VisitLog, WriteKind,
+    SetEvent, VisitLog, WriteKind, READ_NAMES_CAPACITY,
 };
 use crate::sink::EventSink;
+use cg_hash::StrIndex;
 use cg_url::Url;
-use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Accumulates one visit's instrumentation log.
 ///
@@ -18,8 +17,8 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct Recorder {
     log: VisitLog,
-    /// The visit's cookie names handed out to read events so far.
-    names: HashSet<Arc<str>>,
+    /// Index over `log.read_names`.
+    names: StrIndex,
 }
 
 impl EventSink for Recorder {
@@ -47,13 +46,20 @@ impl EventSink for Recorder {
         self.log.inclusions.push(event);
     }
 
-    fn share_name(&mut self, name: &str) -> Arc<str> {
-        if let Some(shared) = self.names.get(name) {
-            return Arc::clone(shared);
-        }
-        let shared: Arc<str> = Arc::from(name);
-        self.names.insert(Arc::clone(&shared));
-        shared
+    fn read_name(&mut self, name: &str) -> u32 {
+        let table = &mut self.log.read_names;
+        let found = self.names.find(name.as_bytes(), table.len(), |i| {
+            table[i as usize].as_bytes()
+        });
+        found.unwrap_or_else(|at| {
+            let index = u32::try_from(table.len()).expect("fewer than 2^32 read names");
+            if table.is_empty() {
+                table.reserve(READ_NAMES_CAPACITY);
+            }
+            table.push(name.to_string());
+            self.names.insert(at, index);
+            index
+        })
     }
 }
 
@@ -67,7 +73,7 @@ impl Recorder {
                 complete: true,
                 ..VisitLog::default()
             },
-            names: HashSet::new(),
+            names: StrIndex::default(),
         }
     }
 
@@ -131,10 +137,11 @@ impl Recorder {
         &mut self,
         actor: Option<&str>,
         api: CookieApi,
-        names: Vec<Arc<str>>,
+        names: &[&str],
         filtered_count: usize,
         time_ms: u64,
     ) {
+        let names = names.iter().map(|name| self.read_name(name)).collect();
         self.log.reads.push(ReadEvent {
             actor: actor.map(str::to_string),
             api,
@@ -221,13 +228,7 @@ mod tests {
             false,
             5,
         );
-        r.record_read(
-            Some("t.com"),
-            CookieApi::DocumentCookie,
-            vec!["a".into()],
-            0,
-            6,
-        );
+        r.record_read(Some("t.com"), CookieApi::DocumentCookie, &["a"], 0, 6);
         let script = Url::parse("https://t.com/t.js").unwrap();
         r.record_request(
             "https://x.dest.io/p?a=1",
@@ -258,13 +259,19 @@ mod tests {
     }
 
     #[test]
-    fn shared_names_are_one_allocation_per_visit() {
+    fn read_names_are_stored_once_per_visit() {
         let mut r = Recorder::new("site.com", 1);
-        let a = r.share_name("_ga");
-        let b = r.share_name("_ga");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &r.share_name("_gid")));
-        assert_eq!(&*b, "_ga");
+        assert_eq!(r.read_name("_ga"), 0);
+        assert_eq!(r.read_name("_gid"), 1);
+        assert_eq!(r.read_name("_ga"), 0);
+        r.record_read(None, CookieApi::DocumentCookie, &["_gid", "sid"], 0, 1);
+        let log = r.finish();
+        assert_eq!(log.read_names, ["_ga", "_gid", "sid"]);
+        assert_eq!(log.reads[0].names, [1, 2]);
+        assert_eq!(
+            log.names_of(&log.reads[0]).collect::<Vec<_>>(),
+            ["_gid", "sid"]
+        );
     }
 
     #[test]

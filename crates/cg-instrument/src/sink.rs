@@ -18,7 +18,6 @@
 //!   micro-benchmarks that want enforcement without logging cost).
 
 use crate::events::{DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion, SetEvent};
-use std::sync::Arc;
 
 /// Receives fully-constructed instrumentation events.
 ///
@@ -40,13 +39,11 @@ pub trait EventSink {
     /// A script observed in the main frame.
     fn inclusion(&mut self, event: ScriptInclusion);
 
-    /// The shared form of cookie name `name`, for a [`ReadEvent`]'s
-    /// `names`. The default allocates one; a sink that keeps a visit's
-    /// events hands out one `Arc` per distinct name, so a name read
-    /// again costs a refcount bump.
-    fn share_name(&mut self, name: &str) -> Arc<str> {
-        Arc::from(name)
-    }
+    /// The index of cookie name `name` in the visit's read-name table,
+    /// for a [`ReadEvent`]'s `names`: a sink that keeps the visit's
+    /// events adds a name on its first read, so a name read again
+    /// costs a lookup and no allocation.
+    fn read_name(&mut self, name: &str) -> u32;
 }
 
 /// An [`EventSink`] that drops every event — the zero-cost sink for
@@ -61,6 +58,11 @@ impl EventSink for NullSink {
     fn probe(&mut self, _event: ProbeEvent) {}
     fn dom_mutation(&mut self, _event: DomEvent) {}
     fn inclusion(&mut self, _event: ScriptInclusion) {}
+    /// Every name is index 0: the read events that would carry it are
+    /// dropped.
+    fn read_name(&mut self, _name: &str) -> u32 {
+        0
+    }
 }
 
 #[cfg(test)]
@@ -73,7 +75,7 @@ mod tests {
         ReadEvent {
             actor: Some("t.com".into()),
             api: CookieApi::DocumentCookie,
-            names: vec!["a".into()],
+            names: vec![0],
             filtered_count: 0,
             time_ms: 5,
         }

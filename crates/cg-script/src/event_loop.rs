@@ -9,7 +9,7 @@
 use crate::behavior::{CookieSelection, Encoding, ScriptOp, SegmentPolicy};
 use crate::context::{Attribution, StackFrame};
 use crate::platform::Platform;
-use crate::value::split_segments;
+use crate::value::segments;
 use cg_dom::ScriptId;
 use cg_url::query::percent_encode;
 use cg_url::Url;
@@ -342,8 +342,7 @@ impl EventLoop {
                 for (name, value) in &selected {
                     let taken = match segment {
                         SegmentPolicy::Full => value.clone(),
-                        SegmentPolicy::LongestSegment => split_segments(value)
-                            .into_iter()
+                        SegmentPolicy::LongestSegment => segments(value)
                             .max_by_key(|s| s.len())
                             .map(str::to_string)
                             .unwrap_or_else(|| value.clone()),

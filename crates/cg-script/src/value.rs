@@ -99,18 +99,17 @@ impl ValueSpec {
     /// detection pipeline can latch onto.
     pub fn carries_identifier(&self) -> bool {
         !matches!(self, ValueSpec::UsPrivacy | ValueSpec::Short)
-            && !matches!(self, ValueSpec::Fixed(s) if split_segments(s).is_empty())
+            && !matches!(self, ValueSpec::Fixed(s) if segments(s).next().is_none())
     }
 }
 
-/// Splits a cookie value into identifier candidates exactly as §4.4
+/// The identifier candidates of a cookie value exactly as §4.4
 /// prescribes: split on non-alphanumeric delimiters, keep segments of at
 /// least eight characters.
-pub fn split_segments(value: &str) -> Vec<&str> {
+pub fn segments(value: &str) -> impl Iterator<Item = &str> {
     value
         .split(|c: char| !c.is_ascii_alphanumeric())
         .filter(|s| s.len() >= 8)
-        .collect()
 }
 
 #[cfg(test)]
@@ -127,7 +126,7 @@ mod tests {
     fn ga_style_has_two_identifier_segments() {
         let v = ValueSpec::GaStyle.generate(1_746_838_827_000, &mut rng());
         assert!(v.starts_with("GA1.1."));
-        let segs = split_segments(&v);
+        let segs: Vec<&str> = segments(&v).collect();
         assert_eq!(segs.len(), 2, "value {v}");
         assert!(segs.iter().all(|s| s.len() >= 8));
     }
@@ -147,7 +146,7 @@ mod tests {
     #[test]
     fn short_values_carry_no_identifier() {
         let v = ValueSpec::Short.generate(0, &mut rng());
-        assert!(split_segments(&v).is_empty());
+        assert_eq!(segments(&v).next(), None);
         assert!(!ValueSpec::Short.carries_identifier());
         assert!(!ValueSpec::UsPrivacy.carries_identifier());
         assert!(ValueSpec::GaStyle.carries_identifier());
@@ -155,15 +154,13 @@ mod tests {
 
     #[test]
     fn segment_split_matches_paper_spec() {
+        let split = |v| segments(v).collect::<Vec<_>>();
         assert_eq!(
-            split_segments("GA1.1.444332364.1746838827"),
-            vec!["444332364", "1746838827"]
+            split("GA1.1.444332364.1746838827"),
+            ["444332364", "1746838827"]
         );
-        assert_eq!(split_segments("short.tiny"), Vec::<&str>::new());
-        assert_eq!(
-            split_segments("abcdefgh|ijklmnop"),
-            vec!["abcdefgh", "ijklmnop"]
-        );
+        assert_eq!(split("short.tiny"), Vec::<&str>::new());
+        assert_eq!(split("abcdefgh|ijklmnop"), ["abcdefgh", "ijklmnop"]);
     }
 
     #[test]

@@ -114,10 +114,10 @@ fn op_for_set(site: &str, set: &SetEvent) -> ReplayOp {
     }
 }
 
-fn op_for_read(read: &ReadEvent) -> ReplayOp {
+fn op_for_read(log: &VisitLog, read: &ReadEvent) -> ReplayOp {
     ReplayOp::Read {
         caller: caller_for(&read.actor),
-        names: read.names.iter().map(|n| n.to_string()).collect(),
+        names: log.names_of(read).map(str::to_string).collect(),
     }
 }
 
@@ -139,7 +139,7 @@ pub fn extract_script(log: &VisitLog) -> VisitScript {
             ops.push(op_for_set(&log.site_domain, &log.sets[i]));
             i += 1;
         } else {
-            ops.push(op_for_read(&log.reads[j]));
+            ops.push(op_for_read(log, &log.reads[j]));
             j += 1;
         }
     }
@@ -597,11 +597,12 @@ mod tests {
         }
     }
 
-    fn read(actor: Option<&str>, names: &[&str], t: u64) -> ReadEvent {
+    /// A read of `names`, indices into the log's `read_names`.
+    fn read(actor: Option<&str>, names: &[u32], t: u64) -> ReadEvent {
         ReadEvent {
             actor: actor.map(str::to_string),
             api: CookieApi::DocumentCookie,
-            names: names.iter().map(|&n| n.into()).collect(),
+            names: names.to_vec(),
             filtered_count: 0,
             time_ms: t,
         }
@@ -630,7 +631,8 @@ mod tests {
                     40,
                 ),
             ],
-            reads: vec![read(Some("cdn.io"), &["a", "h"], 30)],
+            reads: vec![read(Some("cdn.io"), &[1, 0], 30)],
+            read_names: vec!["h".to_string(), "a".to_string()],
             requests: vec![],
             probes: vec![],
             dom_events: vec![],
@@ -645,7 +647,7 @@ mod tests {
         assert!(
             matches!(&script.ops[1], ReplayOp::HeaderSet { name, domain } if name == "h" && domain == "site.com")
         );
-        assert!(matches!(&script.ops[2], ReplayOp::Read { names, .. } if names.len() == 2));
+        assert!(matches!(&script.ops[2], ReplayOp::Read { names, .. } if names == &["a", "h"]));
         assert!(matches!(&script.ops[3], ReplayOp::Delete { name, .. } if name == "a"));
     }
 
@@ -662,7 +664,8 @@ mod tests {
                 WriteKind::Create,
                 5,
             )],
-            reads: vec![read(None, &["x"], 5)],
+            reads: vec![read(None, &[0], 5)],
+            read_names: vec!["x".to_string()],
             requests: vec![],
             probes: vec![],
             dom_events: vec![],

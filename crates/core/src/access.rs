@@ -27,8 +27,8 @@
 //! The jar's host → shard resolution is pinned once per `GuardedJar`
 //! (the document URL is fixed for its lifetime). A read borrows: the jar
 //! hands out a sorted view of `&Cookie`, the guard filters that view in
-//! place, the sink shares one `Arc<str>` per distinct name, and only
-//! what the caller receives — the `document.cookie` string, written
+//! place, the sink stores each distinct name once per visit (the read
+//! event holds its `u32` index), and only what the caller receives — the `document.cookie` string, written
 //! into one `String`, or the `getAll` pairs — is copied. A write finds
 //! the cookie it replaces in the same borrowed form and copies none of
 //! it.
@@ -245,7 +245,7 @@ impl<'v> GuardedJar<'v> {
             .find(|c| c.name == name)
             .map(|c| c.value.clone());
         let names = match found {
-            Some(_) => vec![self.sink.share_name(name)],
+            Some(_) => vec![self.sink.read_name(name)],
             None => Vec::new(),
         };
         self.sink.cookie_read(ReadEvent {
@@ -273,7 +273,7 @@ impl<'v> GuardedJar<'v> {
             &self.url,
             ctx,
         );
-        let names = view.iter().map(|c| self.sink.share_name(&c.name)).collect();
+        let names = view.iter().map(|c| self.sink.read_name(&c.name)).collect();
         self.sink.cookie_read(ReadEvent {
             actor: ctx.actor_name(),
             api,
@@ -972,7 +972,7 @@ mod tests {
             vec![("o".to_string(), "2".to_string())]
         );
         let log = rec.finish();
-        let names = |i: usize| log.reads[i].names.iter().map(|n| &**n).collect::<Vec<_>>();
+        let names = |i: usize| log.names_of(&log.reads[i]).collect::<Vec<_>>();
         assert_eq!(names(0), ["", "v1", "v2"]);
         assert_eq!(log.reads[0].filtered_count, 1);
         assert_eq!(names(1), ["o"]);

@@ -83,9 +83,9 @@ fn dns_aware_guard_uncloaks_and_blocks() {
         "DNS-aware guard must filter the cloaked script"
     );
     for read in &filtered_site_reads {
-        for name in &read.names {
+        for name in out.log.names_of(read) {
             assert_eq!(
-                &**name, "_cloaked_uid",
+                name, "_cloaked_uid",
                 "uncloaked tracker must only see its own cookie"
             );
         }

@@ -145,8 +145,8 @@ fn guarded_visits_never_leak_foreign_cookies_to_third_party_readers() {
             if actor == &site {
                 continue; // site owner may see everything
             }
-            for name in &read.names {
-                if let Some(creator) = owner.get(&**name) {
+            for name in out.log.names_of(read) {
+                if let Some(creator) = owner.get(name) {
                     assert_eq!(
                         creator, actor,
                         "site {site} rank {rank}: {actor} read cookie {name} created by {creator}"
