@@ -1,8 +1,8 @@
-//! The crawl dataset and per-site cookie-ownership reconstruction.
+//! The crawl dataset and the per-visit cookie-ownership replay.
 
 use cg_instrument::{AttrChangeFlags, CookieApi, SetEvent, VisitLog, WriteKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A unique cookie pair, as the paper defines it (§5.2, footnote 2):
 /// the tuple of cookie name and the eTLD+1 of the script that set it —
@@ -14,30 +14,6 @@ pub struct PairKey {
     pub name: String,
     /// eTLD+1 of the creating script/server.
     pub owner: String,
-}
-
-/// One cookie pair's reconstructed history on one site.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PairHistory {
-    /// The API that created the cookie.
-    pub api: Option<CookieApi>,
-    /// Every value the pair held (identifier extraction runs over all).
-    pub values: Vec<String>,
-    /// Full URL of the creating script, when known.
-    pub owner_url: Option<String>,
-}
-
-/// Per-site ownership reconstruction: the owned form of [`replay`].
-#[derive(Debug, Clone, Default)]
-pub struct SiteCookies {
-    /// The site's eTLD+1.
-    pub site: String,
-    /// Every pair observed, with history.
-    pub pairs: HashMap<PairKey, PairHistory>,
-    /// Cross-domain overwrite events: (pair, acting domain, attr flags).
-    pub cross_overwrites: Vec<(PairKey, String, Option<AttrChangeFlags>)>,
-    /// Cross-domain delete events: (pair, acting domain, via which API).
-    pub cross_deletes: Vec<(PairKey, String, CookieApi)>,
 }
 
 /// One cookie pair as the ownership replay sees it, borrowed from the
@@ -54,10 +30,20 @@ pub struct PairRef<'l> {
     pub owner_url: Option<&'l str>,
 }
 
+impl PairRef<'_> {
+    /// The pair's owned key, for analyses that outlive the log.
+    pub fn key(&self) -> PairKey {
+        PairKey {
+            name: self.name.to_string(),
+            owner: self.owner.to_string(),
+        }
+    }
+}
+
 /// A visit's ownership replay (the §4.4 step-1/step-2 rules), borrowed
-/// from its log: [`replay`] builds it, [`StreamStats`](crate::StreamStats)
-/// folds it, and [`reconstruct`] copies it out as [`SiteCookies`].
-/// Pairs are referred to by their index in `pairs`.
+/// from its log: [`replay`] builds it, and [`StreamStats`](crate::StreamStats)
+/// and every [`Dataset`] analysis read it. Pairs are referred to by
+/// their index in `pairs`.
 #[derive(Debug, Clone, Default)]
 pub struct OwnershipReplay<'l> {
     /// Every pair, in order of its first write.
@@ -69,6 +55,16 @@ pub struct OwnershipReplay<'l> {
     pub cross_overwrites: Vec<(usize, &'l str, Option<AttrChangeFlags>)>,
     /// Cross-domain deletes: (pair, acting domain, via which API).
     pub cross_deletes: Vec<(usize, &'l str, CookieApi)>,
+}
+
+impl<'l> OwnershipReplay<'l> {
+    /// Every value pair `pair` held, in event order.
+    pub fn values_of(&self, pair: usize) -> impl Iterator<Item = &'l str> + Clone + '_ {
+        self.values
+            .iter()
+            .filter(move |&&(p, _)| p == pair)
+            .map(|&(_, value)| value)
+    }
 }
 
 /// What the replay knows about one cookie name: the pair most recently
@@ -161,54 +157,14 @@ fn pair_of<'l>(
     })
 }
 
-/// Replays a visit log into owned ownership + manipulation events: the
-/// owned copy of [`replay`].
-pub fn reconstruct(log: &VisitLog) -> SiteCookies {
-    let replay = replay(log);
-    let keys: Vec<PairKey> = replay
-        .pairs
-        .iter()
-        .map(|p| PairKey {
-            name: p.name.to_string(),
-            owner: p.owner.to_string(),
-        })
-        .collect();
-    let mut histories: Vec<PairHistory> = replay
-        .pairs
-        .iter()
-        .map(|p| PairHistory {
-            api: Some(p.api),
-            values: Vec::new(),
-            owner_url: p.owner_url.map(str::to_string),
-        })
-        .collect();
-    for &(pair, value) in &replay.values {
-        histories[pair].values.push(value.to_string());
-    }
-    SiteCookies {
-        site: log.site_domain.clone(),
-        cross_overwrites: replay
-            .cross_overwrites
-            .iter()
-            .map(|&(pair, actor, changes)| (keys[pair].clone(), actor.to_string(), changes))
-            .collect(),
-        cross_deletes: replay
-            .cross_deletes
-            .iter()
-            .map(|&(pair, actor, api)| (keys[pair].clone(), actor.to_string(), api))
-            .collect(),
-        pairs: keys.into_iter().zip(histories).collect(),
-    }
-}
-
-/// The crawl dataset: complete visit logs plus reconstructed ownership.
+/// The crawl dataset: the complete visit logs, in rank order.
 ///
 /// # Retained vs streaming analysis
 ///
 /// `Dataset` is the **retained** mode: it keeps every complete
-/// [`VisitLog`] (plus its [`SiteCookies`] reconstruction) because the
-/// deeper analyses — exfiltration matching, manipulation
-/// classification, server-side inference — replay raw events. Memory
+/// [`VisitLog`] and nothing derived from them. The deeper analyses —
+/// exfiltration matching, manipulation classification, server-side
+/// inference — [`replay`] each log's ownership as they read it. Memory
 /// therefore grows linearly with the number of complete visits, no
 /// matter which constructor built it. For crawls too large to retain,
 /// use the **streaming** mode instead:
@@ -220,8 +176,6 @@ pub fn reconstruct(log: &VisitLog) -> SiteCookies {
 pub struct Dataset {
     /// Logs retained by the §4.2 completeness filter.
     pub logs: Vec<VisitLog>,
-    /// Per-site reconstruction, parallel to `logs`.
-    pub sites: Vec<SiteCookies>,
     /// Number of visits before filtering.
     pub crawled: usize,
 }
@@ -232,25 +186,23 @@ impl Dataset {
     pub fn empty() -> Dataset {
         Dataset {
             logs: Vec::new(),
-            sites: Vec::new(),
             crawled: 0,
         }
     }
 
     /// Folds one visit into the dataset: counts it, and — when complete
-    /// — reconstructs ownership and retains it for analysis. This is
-    /// the fold unit every constructor builds on. Folding from a stream
-    /// avoids buffering the *raw* crawl (incomplete visits are dropped
-    /// on the fly and no second `Vec<VisitLog>` copy exists), but make
-    /// no mistake: the dataset **retains every complete log** — several
-    /// analyses replay them — so memory grows linearly with the number
-    /// of complete visits. When only aggregate statistics are needed,
-    /// fold into [`StreamStats`](crate::stream::StreamStats) instead,
-    /// which clones nothing and retains nothing per-visit.
+    /// — retains it for analysis. This is the fold unit every
+    /// constructor builds on. Folding from a stream avoids buffering
+    /// the *raw* crawl (incomplete visits are dropped on the fly and no
+    /// second `Vec<VisitLog>` copy exists), but make no mistake: the
+    /// dataset **retains every complete log** — several analyses replay
+    /// them — so memory grows linearly with the number of complete
+    /// visits. When only aggregate statistics are needed, fold into
+    /// [`StreamStats`](crate::stream::StreamStats) instead, which
+    /// clones nothing and retains nothing per-visit.
     pub fn fold_log(&mut self, log: VisitLog) {
         self.crawled += 1;
         if log.complete {
-            self.sites.push(reconstruct(&log));
             self.logs.push(log);
         }
     }
@@ -294,40 +246,30 @@ impl Dataset {
     /// `other` follows `self`'s (consecutive chunks of one segment), the
     /// merge is an append.
     pub fn merge(mut self, other: Dataset) -> Dataset {
+        self.crawled += other.crawled;
         let appends = match (self.logs.last(), other.logs.first()) {
             (Some(last), Some(first)) => last.rank <= first.rank,
             _ => true,
         };
         if appends {
             self.logs.extend(other.logs);
-            self.sites.extend(other.sites);
-            self.crawled += other.crawled;
             return self;
         }
-        let crawled = self.crawled + other.crawled;
         let mut logs = Vec::with_capacity(self.logs.len() + other.logs.len());
-        let mut sites = Vec::with_capacity(self.sites.len() + other.sites.len());
-        let mut a = self.logs.into_iter().zip(self.sites).peekable();
-        let mut b = other.logs.into_iter().zip(other.sites).peekable();
+        let mut a = self.logs.into_iter().peekable();
+        let mut b = other.logs.into_iter().peekable();
         loop {
             let take_a = match (a.peek(), b.peek()) {
-                (Some((la, _)), Some((lb, _))) => la.rank <= lb.rank,
+                (Some(la), Some(lb)) => la.rank <= lb.rank,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
-            let (log, site) = if take_a {
-                a.next().expect("peeked")
-            } else {
-                b.next().expect("peeked")
-            };
-            logs.push(log);
-            sites.push(site);
+            logs.push(if take_a { a.next() } else { b.next() }.expect("peeked"));
         }
         Dataset {
             logs,
-            sites,
-            crawled,
+            crawled: self.crawled,
         }
     }
 
@@ -373,13 +315,14 @@ impl Dataset {
         self.logs.len()
     }
 
-    /// All unique cookie pairs created through `api` across the dataset.
-    pub fn unique_pairs(&self, api: CookieApi) -> std::collections::HashSet<PairKey> {
-        let mut set = std::collections::HashSet::new();
-        for site in &self.sites {
-            for (key, hist) in &site.pairs {
-                if hist.api == Some(api) {
-                    set.insert(key.clone());
+    /// All unique cookie pairs `(name, owner)` created through `api`
+    /// across the dataset, borrowed from the logs.
+    pub fn unique_pairs(&self, api: CookieApi) -> HashSet<(&str, &str)> {
+        let mut set = HashSet::new();
+        for log in &self.logs {
+            for pair in replay(log).pairs {
+                if pair.api == api {
+                    set.insert((pair.name, pair.owner));
                 }
             }
         }
@@ -412,6 +355,14 @@ mod tests {
         r.finish()
     }
 
+    /// The index of pair `(name, owner)` in `replay`, if it was seen.
+    fn pair(replay: &OwnershipReplay, name: &str, owner: &str) -> Option<usize> {
+        replay
+            .pairs
+            .iter()
+            .position(|p| p.name == name && p.owner == owner)
+    }
+
     #[test]
     fn ownership_follows_first_creator() {
         let log = log_with(|r| {
@@ -424,16 +375,12 @@ mod tests {
                 WriteKind::Overwrite,
             );
         });
-        let sc = reconstruct(&log);
-        let key = PairKey {
-            name: "_ga".into(),
-            owner: "gtm.com".into(),
-        };
-        assert!(sc.pairs.contains_key(&key));
+        let sc = replay(&log);
+        let key = pair(&sc, "_ga", "gtm.com").expect("creator owns the pair");
         assert_eq!(sc.cross_overwrites.len(), 1);
         assert_eq!(sc.cross_overwrites[0].1, "other.com");
         // Values accumulate under the original pair.
-        assert_eq!(sc.pairs[&key].values.len(), 2);
+        assert_eq!(sc.values_of(key).count(), 2);
     }
 
     #[test]
@@ -442,7 +389,7 @@ mod tests {
             set(r, "c", "1", Some("a.com"), WriteKind::Create);
             set(r, "c", "2", Some("a.com"), WriteKind::Overwrite);
         });
-        assert!(reconstruct(&log).cross_overwrites.is_empty());
+        assert!(replay(&log).cross_overwrites.is_empty());
     }
 
     #[test]
@@ -451,11 +398,8 @@ mod tests {
             set(r, "c", "1", None, WriteKind::Create);
             set(r, "c", "", Some("cm.com"), WriteKind::Delete);
         });
-        let sc = reconstruct(&log);
-        assert!(sc.pairs.contains_key(&PairKey {
-            name: "c".into(),
-            owner: "site.com".into()
-        }));
+        let sc = replay(&log);
+        assert!(pair(&sc, "c", "site.com").is_some());
         assert_eq!(sc.cross_deletes.len(), 1);
     }
 
@@ -473,8 +417,8 @@ mod tests {
             true,
             0,
         );
-        let sc = reconstruct(&r.finish());
-        assert!(sc.pairs.is_empty());
+        let log = r.finish();
+        assert!(replay(&log).pairs.is_empty());
     }
 
     #[test]
@@ -484,15 +428,9 @@ mod tests {
             set(r, "n", "", Some("a.com"), WriteKind::Delete);
             set(r, "n", "2", Some("b.com"), WriteKind::Create);
         });
-        let sc = reconstruct(&log);
-        assert!(sc.pairs.contains_key(&PairKey {
-            name: "n".into(),
-            owner: "a.com".into()
-        }));
-        assert!(sc.pairs.contains_key(&PairKey {
-            name: "n".into(),
-            owner: "b.com".into()
-        }));
+        let sc = replay(&log);
+        assert!(pair(&sc, "n", "a.com").is_some());
+        assert!(pair(&sc, "n", "b.com").is_some());
         assert!(sc.cross_deletes.is_empty());
     }
 
@@ -509,16 +447,10 @@ mod tests {
             set(r, "n", "", Some("b.com"), WriteKind::Delete);
             set(r, "n", "", Some("c.com"), WriteKind::Delete);
         });
-        let sc = reconstruct(&log);
+        let sc = replay(&log);
         assert_eq!(sc.pairs.len(), 2);
-        let b = PairKey {
-            name: "n".into(),
-            owner: "b.com".into(),
-        };
-        assert_eq!(
-            sc.cross_deletes,
-            [(b.clone(), "c.com".to_string(), CookieApi::DocumentCookie)]
-        );
+        let b = pair(&sc, "n", "b.com").unwrap();
+        assert_eq!(sc.cross_deletes, [(b, "c.com", CookieApi::DocumentCookie)]);
         // A blind overwrite's pair counts as written under the name too.
         let log = log_with(|r| {
             set(r, "n", "1", Some("b.com"), WriteKind::Create);
@@ -526,51 +458,25 @@ mod tests {
             set(r, "n", "2", Some("a.com"), WriteKind::Overwrite);
             set(r, "n", "", Some("b.com"), WriteKind::Delete);
         });
-        let sc = reconstruct(&log);
-        let a = PairKey {
-            name: "n".into(),
-            owner: "a.com".into(),
-        };
-        assert_eq!(sc.pairs[&a].values, ["2"]);
-        assert_eq!(
-            sc.cross_deletes,
-            [(a, "b.com".to_string(), CookieApi::DocumentCookie)]
-        );
+        let sc = replay(&log);
+        let a = pair(&sc, "n", "a.com").unwrap();
+        assert_eq!(sc.values_of(a).collect::<Vec<_>>(), ["2"]);
+        assert_eq!(sc.cross_deletes, [(a, "b.com", CookieApi::DocumentCookie)]);
         assert!(sc.cross_overwrites.is_empty());
     }
 
     #[test]
-    fn the_owned_replay_copies_the_borrowed_one() {
+    fn values_of_keeps_each_pairs_event_order() {
         let log = log_with(|r| {
             set(r, "c", "1", Some("a.com"), WriteKind::Create);
-            set(r, "c", "2", Some("x.com"), WriteKind::Overwrite);
             set(r, "d", "3", None, WriteKind::Create);
-            set(r, "c", "", Some("y.com"), WriteKind::Delete);
+            set(r, "c", "2", Some("x.com"), WriteKind::Overwrite);
         });
-        let borrowed = replay(&log);
-        let owned = reconstruct(&log);
-        assert_eq!(borrowed.pairs.len(), owned.pairs.len());
-        for pair in &borrowed.pairs {
-            let key = PairKey {
-                name: pair.name.into(),
-                owner: pair.owner.into(),
-            };
-            assert_eq!(owned.pairs[&key].api, Some(pair.api));
-        }
-        let c = PairKey {
-            name: "c".into(),
-            owner: "a.com".into(),
-        };
-        assert_eq!(owned.pairs[&c].values, ["1", "2"]);
-        assert_eq!(borrowed.pairs[1].owner, "site.com");
-        assert_eq!(
-            owned.cross_overwrites,
-            [(c.clone(), "x.com".to_string(), None)]
-        );
-        assert_eq!(
-            owned.cross_deletes,
-            [(c, "y.com".to_string(), CookieApi::DocumentCookie)]
-        );
+        let sc = replay(&log);
+        let c = pair(&sc, "c", "a.com").unwrap();
+        let d = pair(&sc, "d", "site.com").unwrap();
+        assert_eq!(sc.values_of(c).collect::<Vec<_>>(), ["1", "2"]);
+        assert_eq!(sc.values_of(d).collect::<Vec<_>>(), ["3"]);
     }
 
     #[test]
@@ -614,8 +520,7 @@ mod tests {
         let ranks: Vec<usize> = merged.logs.iter().map(|l| l.rank).collect();
         assert_eq!(ranks, vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(merged.crawled, 6);
-        // sites stay parallel to logs
-        assert_eq!(merged.sites[3].site, "site4.com");
+        assert_eq!(merged.logs[3].site_domain, "site4.com");
         // identity element
         let again = merged.merge(Dataset::empty());
         assert_eq!(again.site_count(), 6);

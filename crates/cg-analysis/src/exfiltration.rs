@@ -11,7 +11,7 @@
 //!    when the initiating script's eTLD+1 differs from the cookie
 //!    pair's owner.
 
-use crate::dataset::{Dataset, PairKey};
+use crate::dataset::{replay, Dataset, PairKey, PairRef};
 use cg_entity::EntityMap;
 use cg_hash::{DigestGate, EncodedForms, FormScanner};
 use cg_instrument::CookieApi;
@@ -74,7 +74,7 @@ pub struct ExfilAnalysis {
 pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis {
     let mut out = ExfilAnalysis::default();
 
-    for (log, site) in ds.logs.iter().zip(&ds.sites) {
+    for log in &ds.logs {
         // Only third-party destinations can receive an exfiltration, and
         // the initiator must be attributable for per-script analysis.
         let carriers = || {
@@ -93,18 +93,15 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
         if !carried {
             continue;
         }
-        // Candidate forms for this site's pairs.
-        let mut forms: Vec<(&PairKey, CookieApi, EncodedForms)> = Vec::new();
-        for (key, hist) in &site.pairs {
-            let api = match hist.api {
-                Some(a) => a,
-                None => continue,
-            };
+        // Candidate forms for this site's pairs, in first-write order.
+        let replay = replay(log);
+        let mut forms: Vec<(&PairRef, EncodedForms)> = Vec::new();
+        for (index, pair) in replay.pairs.iter().enumerate() {
             let mut seen: HashSet<&str> = HashSet::new();
-            for value in &hist.values {
+            for value in replay.values_of(index) {
                 for seg in segments(value) {
                     if seen.insert(seg) {
-                        forms.push((key, api, EncodedForms::gated(seg, gate)));
+                        forms.push((pair, EncodedForms::gated(seg, gate)));
                     }
                 }
             }
@@ -112,40 +109,41 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
         if forms.is_empty() {
             continue;
         }
-        let scanner = FormScanner::new(forms.iter().map(|(_, _, f)| f));
+        let scanner = FormScanner::new(forms.iter().map(|(_, f)| f));
         let mut hits = Vec::new();
 
         for (req, dest, initiator) in carriers() {
             scanner.scan(&req.url, &mut hits);
             for &hit in &hits {
-                let (key, api, _) = &forms[hit];
-                let cross = !initiator.eq_ignore_ascii_case(&key.owner);
+                let pair = forms[hit].0;
+                let key = pair.key();
+                let cross = !initiator.eq_ignore_ascii_case(pair.owner);
                 out.events.push(ExfilEvent {
                     site: log.site_domain.clone(),
-                    pair: (*key).clone(),
+                    pair: key.clone(),
                     exfiltrator: initiator.clone(),
                     destination: dest.clone(),
                     cross_domain: cross,
                 });
                 if cross {
-                    match api {
+                    match pair.api {
                         CookieApi::CookieStore => {
                             out.sites_with_cross_exfil_store
                                 .insert(log.site_domain.clone());
-                            out.cross_exfiltrated_pairs_store.insert((*key).clone());
+                            out.cross_exfiltrated_pairs_store.insert(key.clone());
                         }
                         _ => {
                             out.sites_with_cross_exfil_doc
                                 .insert(log.site_domain.clone());
-                            out.cross_exfiltrated_pairs_doc.insert((*key).clone());
+                            out.cross_exfiltrated_pairs_doc.insert(key.clone());
                         }
                     }
-                    let agg = out.per_pair.entry((*key).clone()).or_default();
+                    let agg = out.per_pair.entry(key.clone()).or_default();
                     let ex_entity = entities.entity_of(initiator);
                     let dest_entity = entities.entity_of(dest);
                     // The paper excludes the owner's own entity from the
                     // exfiltrator count (Table 2 "excluding Google").
-                    if ex_entity != entities.entity_of(&key.owner) {
+                    if ex_entity != entities.entity_of(pair.owner) {
                         agg.exfiltrator_entities.insert(ex_entity.clone());
                         *agg.exfiltrator_counts.entry(ex_entity).or_insert(0) += 1;
                     }
@@ -155,7 +153,7 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
                     out.per_exfiltrator_domain
                         .entry(initiator.clone())
                         .or_default()
-                        .insert((*key).clone());
+                        .insert(key);
                 }
             }
         }
@@ -420,6 +418,57 @@ mod tests {
             analysis.events.is_empty(),
             "full-value encoding must evade segment matching"
         );
+    }
+
+    #[test]
+    fn events_follow_first_write_order_on_every_build() {
+        // Six pairs, written in an order that is neither alphabetical
+        // nor by owner, and one off-site request carrying all six values.
+        let pairs = [
+            ("uid", "t1.com", "uid0000aaaa1111"),
+            ("_ga", "gtm.com", "ga0000bbbb2222"),
+            ("sess", "shop.example", "sess0000cccc3333"),
+            ("_fbp", "facebook.net", "fbp0000dddd4444"),
+            ("cto_bundle", "criteo.com", "cto0000eeee5555"),
+            ("id5", "id5-sync.com", "id50000ffff6666"),
+        ];
+        let build = || {
+            let mut r = Recorder::new("shop.example", 1);
+            for (i, (name, owner, value)) in pairs.iter().enumerate() {
+                r.record_set(
+                    name,
+                    value,
+                    Some(owner),
+                    None,
+                    CookieApi::DocumentCookie,
+                    WriteKind::Create,
+                    None,
+                    false,
+                    i as u64,
+                );
+            }
+            let query: Vec<String> = pairs.iter().map(|(n, _, v)| format!("{n}={v}")).collect();
+            let script = cg_url::Url::parse("https://cdn.sink.io/s.js").unwrap();
+            r.record_request(
+                &format!("https://px.sink.io/c?{}", query.join("&")),
+                cg_http::RequestKind::Image,
+                Some(&script),
+                "shop.example",
+                None,
+                10,
+            );
+            Dataset::from_logs(vec![r.finish()])
+        };
+        let entities = cg_entity::builtin_entity_map();
+        let first = detect_exfiltration(&build(), &entities).events;
+        let second = detect_exfiltration(&build(), &entities).events;
+        assert_eq!(first, second);
+        let order: Vec<(&str, &str)> = first
+            .iter()
+            .map(|e| (e.pair.name.as_str(), e.pair.owner.as_str()))
+            .collect();
+        let written: Vec<(&str, &str)> = pairs.iter().map(|&(n, o, _)| (n, o)).collect();
+        assert_eq!(order, written);
     }
 
     #[test]

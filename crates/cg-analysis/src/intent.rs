@@ -18,7 +18,7 @@
 //! which the paper acknowledges is common — manipulations ship no
 //! documentation.
 
-use crate::dataset::{Dataset, PairKey};
+use crate::dataset::{replay, Dataset, OwnershipReplay, PairKey};
 use cg_entity::EntityMap;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -150,16 +150,21 @@ pub fn classify_intents(ds: &Dataset, entities: &EntityMap) -> IntentReport {
     let mut report = IntentReport::default();
     let mut actors_per_generic: HashMap<String, HashSet<String>> = HashMap::new();
 
-    for site in &ds.sites {
+    for log in &ds.logs {
+        let site = &log.site_domain;
+        let replay = replay(log);
         // Overwrites.
-        for (pair, actor, _changes) in &site.cross_overwrites {
-            let intent = if is_generic_name(&pair.name) {
+        for &(index, actor, _changes) in &replay.cross_overwrites {
+            let pair = replay.pairs[index];
+            let intent = if is_generic_name(pair.name) {
                 actors_per_generic
-                    .entry(pair.name.clone())
+                    .entry(pair.name.to_string())
                     .or_default()
-                    .insert(actor.clone());
+                    .insert(actor.to_string());
                 ManipulationIntent::Collision
-            } else if hash_takeover(site, pair) && distinct_entities(entities, actor, &pair.owner) {
+            } else if hash_takeover(&replay, index)
+                && distinct_entities(entities, actor, pair.owner)
+            {
                 ManipulationIntent::CollusionOrCompetition
             } else if is_consent_platform(actor) {
                 // Consent platforms sometimes *reset* rather than delete.
@@ -167,22 +172,23 @@ pub fn classify_intents(ds: &Dataset, entities: &EntityMap) -> IntentReport {
             } else {
                 ManipulationIntent::Unclear
             };
-            push_finding(&mut report, site, pair, actor, false, intent);
+            push_finding(&mut report, site, pair.key(), actor, false, intent);
         }
         // Deletes.
-        for (pair, actor, _api) in &site.cross_deletes {
+        for &(index, actor, _api) in &replay.cross_deletes {
+            let pair = replay.pairs[index];
             let intent = if is_consent_platform(actor) {
                 ManipulationIntent::PrivacyCompliance
-            } else if is_generic_name(&pair.name) {
+            } else if is_generic_name(pair.name) {
                 actors_per_generic
-                    .entry(pair.name.clone())
+                    .entry(pair.name.to_string())
                     .or_default()
-                    .insert(actor.clone());
+                    .insert(actor.to_string());
                 ManipulationIntent::Collision
             } else {
                 ManipulationIntent::Unclear
             };
-            push_finding(&mut report, site, pair, actor, true, intent);
+            push_finding(&mut report, site, pair.key(), actor, true, intent);
         }
     }
 
@@ -199,13 +205,12 @@ pub fn classify_intents(ds: &Dataset, entities: &EntityMap) -> IntentReport {
 /// A "collusion or competition" overwrite replaces one opaque identifier
 /// with a *different-length* opaque identifier (the `cto_bundle`
 /// 194→258 signature).
-fn hash_takeover(site: &crate::dataset::SiteCookies, pair: &PairKey) -> bool {
-    let Some(hist) = site.pairs.get(pair) else {
-        return false;
-    };
-    hist.values
-        .windows(2)
-        .any(|w| looks_hash_like(&w[0]) && looks_hash_like(&w[1]) && w[0].len() != w[1].len())
+fn hash_takeover(replay: &OwnershipReplay, pair: usize) -> bool {
+    let values = replay.values_of(pair);
+    values
+        .clone()
+        .zip(values.skip(1))
+        .any(|(a, b)| looks_hash_like(a) && looks_hash_like(b) && a.len() != b.len())
 }
 
 fn distinct_entities(entities: &EntityMap, a: &str, b: &str) -> bool {
@@ -214,8 +219,8 @@ fn distinct_entities(entities: &EntityMap, a: &str, b: &str) -> bool {
 
 fn push_finding(
     report: &mut IntentReport,
-    site: &crate::dataset::SiteCookies,
-    pair: &PairKey,
+    site: &str,
+    pair: PairKey,
     actor: &str,
     delete: bool,
     intent: ManipulationIntent,
@@ -226,14 +231,13 @@ fn push_finding(
         .or_insert(0) += 1;
     let action = if delete { "deleted" } else { "overwrote" };
     let evidence = format!(
-        "{actor} {action} ({}, {}) on {} [{}]",
+        "{actor} {action} ({}, {}) on {site} [{}]",
         pair.name,
         pair.owner,
-        site.site,
         intent_label(intent)
     );
     report.findings.push(IntentFinding {
-        pair: pair.clone(),
+        pair,
         delete,
         actor: actor.to_string(),
         intent,

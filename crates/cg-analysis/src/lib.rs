@@ -9,9 +9,10 @@
 //! Base64 encodings defeat segment-level identifier matching).
 //!
 //! Two consumption modes exist: the retained [`Dataset`] (keeps every
-//! complete log for event-replay analyses) and the bounded-memory
-//! [`StreamStats`] (aggregates only; peak memory independent of crawl
-//! size). Both can fold a crawl store's segments in parallel —
+//! complete log, and nothing derived from them, for event-replay
+//! analyses) and the bounded-memory [`StreamStats`] (aggregates only;
+//! peak memory independent of crawl size). Both read a visit's cookie
+//! ownership through one borrowed replay, [`dataset::replay`]. Both can fold a crawl store's segments in parallel —
 //! `Dataset::from_store` / `StreamStats::from_store` — with
 //! byte-identical results at any thread count.
 //!
@@ -34,7 +35,7 @@ pub mod stats;
 pub mod stream;
 pub mod table1;
 
-pub use dataset::{Dataset, PairKey, SiteCookies};
+pub use dataset::{Dataset, PairKey};
 pub use dom_pilot::dom_pilot_stats;
 pub use exfiltration::{detect_exfiltration, ExfilAnalysis};
 pub use intent::{classify_intents, IntentReport, ManipulationIntent};

@@ -1,7 +1,7 @@
 //! Cross-domain manipulation analysis: overwrites and deletions (§5.5,
 //! Table 5, Fig. 8).
 
-use crate::dataset::{Dataset, PairKey};
+use crate::dataset::{replay, Dataset, PairKey};
 use cg_entity::EntityMap;
 use cg_instrument::CookieApi;
 use serde::{Deserialize, Serialize};
@@ -69,32 +69,30 @@ pub fn detect_manipulation(ds: &Dataset, entities: &EntityMap) -> ManipulationAn
     let mut out = ManipulationAnalysis::default();
     let mut attr_totals = (0usize, 0usize, 0usize, 0usize, 0usize); // value, expires, domain, path, n
 
-    for site in &ds.sites {
-        for (pair, actor, changes) in &site.cross_overwrites {
-            let api = site
-                .pairs
-                .get(pair)
-                .and_then(|h| h.api)
-                .unwrap_or(CookieApi::DocumentCookie);
-            match api {
+    for log in &ds.logs {
+        let site = &log.site_domain;
+        let replay = replay(log);
+        for &(pair, actor, changes) in &replay.cross_overwrites {
+            let key = replay.pairs[pair].key();
+            match replay.pairs[pair].api {
                 CookieApi::CookieStore => {
-                    out.sites_with_overwrite_store.insert(site.site.clone());
-                    out.overwritten_pairs_store.insert(pair.clone());
+                    out.sites_with_overwrite_store.insert(site.clone());
+                    out.overwritten_pairs_store.insert(key.clone());
                 }
                 _ => {
-                    out.sites_with_overwrite_doc.insert(site.site.clone());
-                    out.overwritten_pairs_doc.insert(pair.clone());
+                    out.sites_with_overwrite_doc.insert(site.clone());
+                    out.overwritten_pairs_doc.insert(key.clone());
                 }
             }
-            let agg = out.overwrites_per_pair.entry(pair.clone()).or_default();
+            let agg = out.overwrites_per_pair.entry(key.clone()).or_default();
             let entity = entities.entity_of(actor);
             agg.entities.insert(entity.clone());
             *agg.entity_counts.entry(entity).or_insert(0) += 1;
-            agg.sites.insert(site.site.clone());
+            agg.sites.insert(site.clone());
             out.per_overwriter_domain
-                .entry(actor.clone())
+                .entry(actor.to_string())
                 .or_default()
-                .insert(pair.clone());
+                .insert(key);
             if let Some(c) = changes {
                 attr_totals.0 += c.value as usize;
                 attr_totals.1 += c.expires as usize;
@@ -103,26 +101,27 @@ pub fn detect_manipulation(ds: &Dataset, entities: &EntityMap) -> ManipulationAn
                 attr_totals.4 += 1;
             }
         }
-        for (pair, actor, api) in &site.cross_deletes {
+        for &(pair, actor, api) in &replay.cross_deletes {
+            let key = replay.pairs[pair].key();
             match api {
                 CookieApi::CookieStore => {
-                    out.sites_with_delete_store.insert(site.site.clone());
-                    out.deleted_pairs_store.insert(pair.clone());
+                    out.sites_with_delete_store.insert(site.clone());
+                    out.deleted_pairs_store.insert(key.clone());
                 }
                 _ => {
-                    out.sites_with_delete_doc.insert(site.site.clone());
-                    out.deleted_pairs_doc.insert(pair.clone());
+                    out.sites_with_delete_doc.insert(site.clone());
+                    out.deleted_pairs_doc.insert(key.clone());
                 }
             }
-            let agg = out.deletes_per_pair.entry(pair.clone()).or_default();
+            let agg = out.deletes_per_pair.entry(key.clone()).or_default();
             let entity = entities.entity_of(actor);
             agg.entities.insert(entity.clone());
             *agg.entity_counts.entry(entity).or_insert(0) += 1;
-            agg.sites.insert(site.site.clone());
+            agg.sites.insert(site.clone());
             out.per_deleter_domain
-                .entry(actor.clone())
+                .entry(actor.to_string())
                 .or_default()
-                .insert(pair.clone());
+                .insert(key);
         }
     }
 

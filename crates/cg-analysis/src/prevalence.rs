@@ -1,7 +1,7 @@
 //! Prevalence statistics: §5.1 (third-party scripts), §5.2 (cookie API
 //! usage), §5.6 (inclusion paths).
 
-use crate::dataset::Dataset;
+use crate::dataset::{replay, Dataset};
 use cg_filterlist::{synthetic_lists, FilterEngine, ListInputs, MatchContext, ResourceType};
 use cg_instrument::CookieApi;
 use cg_webgen::VendorRegistry;
@@ -50,7 +50,7 @@ pub fn prevalence_stats(ds: &Dataset, engine: &FilterEngine) -> PrevalenceStats 
     let mut tp_cookie_total = 0usize;
     let mut fp_cookie_total = 0usize;
 
-    for (log, site) in ds.logs.iter().zip(&ds.sites) {
+    for log in &ds.logs {
         let mut tp_urls: HashSet<&str> = HashSet::new();
         for inc in log.third_party_inclusions() {
             tp_urls.insert(inc.url.as_str());
@@ -72,14 +72,14 @@ pub fn prevalence_stats(ds: &Dataset, engine: &FilterEngine) -> PrevalenceStats 
         // Script-set cookies only (document.cookie + CookieStore).
         let mut tp_names: HashSet<&str> = HashSet::new();
         let mut fp_names: HashSet<&str> = HashSet::new();
-        for (key, hist) in &site.pairs {
-            if hist.api == Some(CookieApi::HttpHeader) {
+        for pair in replay(log).pairs {
+            if pair.api == CookieApi::HttpHeader {
                 continue;
             }
-            if key.owner.eq_ignore_ascii_case(&log.site_domain) {
-                fp_names.insert(&key.name);
+            if pair.owner.eq_ignore_ascii_case(&log.site_domain) {
+                fp_names.insert(pair.name);
             } else {
-                tp_names.insert(&key.name);
+                tp_names.insert(pair.name);
             }
         }
         tp_cookie_total += tp_names.len();
@@ -126,11 +126,11 @@ pub struct ApiUsageStats {
 pub fn api_usage(ds: &Dataset) -> ApiUsageStats {
     let mut doc_sites = 0usize;
     let mut store_sites = 0usize;
-    let mut setter_urls: HashSet<String> = HashSet::new();
-    let mut setter_domains: HashSet<String> = HashSet::new();
-    let mut store_name_counts: HashMap<String, usize> = HashMap::new();
+    let mut setter_urls: HashSet<&str> = HashSet::new();
+    let mut setter_domains: HashSet<&str> = HashSet::new();
+    let mut store_name_counts: HashMap<&str, usize> = HashMap::new();
 
-    for (log, site) in ds.logs.iter().zip(&ds.sites) {
+    for log in &ds.logs {
         let uses_doc = log.reads.iter().any(|r| r.api == CookieApi::DocumentCookie)
             || log.sets.iter().any(|s| s.api == CookieApi::DocumentCookie);
         if uses_doc {
@@ -141,18 +141,16 @@ pub fn api_usage(ds: &Dataset) -> ApiUsageStats {
         if uses_store {
             store_sites += 1;
         }
-        for (key, hist) in &site.pairs {
-            match hist.api {
-                Some(CookieApi::DocumentCookie) => {
-                    if let Some(u) = &hist.owner_url {
-                        setter_urls.insert(u.clone());
-                    }
-                    setter_domains.insert(key.owner.clone());
+        for pair in replay(log).pairs {
+            match pair.api {
+                CookieApi::DocumentCookie => {
+                    setter_urls.extend(pair.owner_url);
+                    setter_domains.insert(pair.owner);
                 }
-                Some(CookieApi::CookieStore) => {
-                    *store_name_counts.entry(key.name.clone()).or_insert(0) += 1;
+                CookieApi::CookieStore => {
+                    *store_name_counts.entry(pair.name).or_insert(0) += 1;
                 }
-                _ => {}
+                CookieApi::HttpHeader => {}
             }
         }
     }

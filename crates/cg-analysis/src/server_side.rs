@@ -18,7 +18,7 @@
 //!   first-party request with the *entire* jar — HttpOnly included —
 //!   regardless of script-level isolation.
 
-use crate::dataset::Dataset;
+use crate::dataset::{replay, Dataset};
 use cg_script::event_loop::parse_pairs;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -76,7 +76,7 @@ pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideRepo
         ..Default::default()
     };
 
-    for (log, site) in ds.logs.iter().zip(&ds.sites) {
+    for log in &ds.logs {
         let Some(rules) = forwards.get(&log.site_domain) else {
             continue;
         };
@@ -85,14 +85,11 @@ pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideRepo
         }
         report.sites_with_gateway += 1;
 
-        // name → owners, reconstructed from the same log the client-side
+        // name → owners, replayed from the same log the client-side
         // pipeline uses.
         let mut owners: HashMap<&str, HashSet<&str>> = HashMap::new();
-        for key in site.pairs.keys() {
-            owners
-                .entry(key.name.as_str())
-                .or_default()
-                .insert(key.owner.as_str());
+        for pair in replay(log).pairs {
+            owners.entry(pair.name).or_default().insert(pair.owner);
         }
 
         let mut relayed_here: HashSet<String> = HashSet::new();

@@ -2,12 +2,13 @@
 //! to [`Dataset`](crate::Dataset) for crawls too large to retain.
 //!
 //! [`Dataset`](crate::Dataset) keeps every complete [`VisitLog`]
-//! because several
-//! analyses (exfiltration matching, manipulation classification) replay
-//! raw events — that is its *retained* mode, and its memory grows
-//! linearly with the crawl. [`StreamStats`] is the *streaming* mode:
-//! each visit is folded into pure aggregates and dropped, so peak
-//! memory is independent of visit count. The only non-scalar state is
+//! because several analyses (exfiltration matching, manipulation
+//! classification) replay raw events — that is its *retained* mode,
+//! and its memory grows linearly with the crawl. [`StreamStats`] is the
+//! *streaming* mode: each visit's ownership is replayed borrowing from
+//! the log ([`replay`], the same replay the retained analyses read),
+//! folded into pure aggregates and dropped, so peak memory is
+//! independent of visit count. The only non-scalar state is
 //! the unique cookie-pair counters, and those are fixed-memory
 //! [`DistinctSketch`]es rather than exact sets: first-party pairs
 //! carry the site's own eTLD+1 as their owner, so the distinct-pair
@@ -81,7 +82,7 @@ pub struct StreamStats {
     pub doc_cookie_sites: u64,
     /// Sites with ≥1 unblocked `cookieStore` write.
     pub cookie_store_sites: u64,
-    /// Cross-domain overwrite events (reconstructed ownership).
+    /// Cross-domain overwrite events (replayed ownership).
     pub cross_overwrite_events: u64,
     /// Cross-domain delete events.
     pub cross_delete_events: u64,

@@ -8,7 +8,7 @@
 //! feature vector per unique cookie pair from one visit log — the same
 //! observables the §4 instrumentation records.
 
-use cg_analysis::dataset::reconstruct;
+use cg_analysis::dataset::replay;
 use cg_analysis::PairKey;
 use cg_hash::{DigestGate, EncodedForms, FormScanner};
 use cg_instrument::VisitLog;
@@ -82,7 +82,7 @@ pub fn id_segments(value: &str) -> Vec<&str> {
 /// Labels are left `None`; see `classifier::label_samples`.
 pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
     let site = log.site_domain.clone();
-    let recon = reconstruct(log);
+    let replay = replay(log);
 
     // Pre-compute third-party request query strings once per log, and
     // which digest forms they can hold.
@@ -98,40 +98,35 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
         .collect();
     let gate = DigestGate::of(foreign_queries.iter().map(|&(url, _)| url));
 
-    let mut samples = Vec::with_capacity(recon.pairs.len());
+    let mut samples = Vec::with_capacity(replay.pairs.len());
     let mut hits = Vec::new();
-    for (key, hist) in &recon.pairs {
+    for (index, pair) in replay.pairs.iter().enumerate() {
+        let values = replay.values_of(index);
         let mut f = [0.0f64; FEATURE_COUNT];
-        f[0] = key.name.len() as f64;
-        f[1] = f64::from(key.name.starts_with('_'));
-        f[2] = hist.values.iter().map(String::len).max().unwrap_or(0) as f64;
-        f[3] = hist
-            .values
-            .iter()
-            .map(|v| shannon_entropy(v))
-            .fold(0.0, f64::max);
-        f[4] = f64::from(hist.values.iter().any(|v| !id_segments(v).is_empty()));
-        f[5] = f64::from(!key.owner.eq_ignore_ascii_case(&site));
-        f[6] = hist.values.len() as f64;
+        f[0] = pair.name.len() as f64;
+        f[1] = f64::from(pair.name.starts_with('_'));
+        f[2] = values.clone().map(str::len).max().unwrap_or(0) as f64;
+        f[3] = values.clone().map(shannon_entropy).fold(0.0, f64::max);
+        f[4] = f64::from(values.clone().any(|v| !id_segments(v).is_empty()));
+        f[5] = f64::from(!pair.owner.eq_ignore_ascii_case(&site));
+        f[6] = values.clone().count() as f64;
 
         // Cross-domain readers: actors other than the owner whose reads
         // returned this cookie name.
-        let name = log.read_names.iter().position(|n| *n == key.name);
+        let name = log.read_names.iter().position(|n| n == pair.name);
         let readers: HashSet<&str> = log
             .reads
             .iter()
             .filter(|r| name.is_some_and(|name| r.names.contains(&(name as u32))))
             .filter_map(|r| r.actor.as_deref())
-            .filter(|a| !a.eq_ignore_ascii_case(&key.owner))
+            .filter(|a| !a.eq_ignore_ascii_case(pair.owner))
             .collect();
         f[7] = readers.len() as f64;
 
         // Value flows into third-party requests (raw or encoded).
         // Every (segment, request) pair that matches counts once.
-        let forms: Vec<EncodedForms> = hist
-            .values
-            .iter()
-            .flat_map(|v| id_segments(v))
+        let forms: Vec<EncodedForms> = values
+            .flat_map(id_segments)
             .map(|seg| EncodedForms::gated(seg, gate))
             .collect();
         let scanner = FormScanner::new(&forms);
@@ -146,11 +141,11 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
         }
         f[8] = flow_requests as f64;
         f[9] = dests.len() as f64;
-        f[10] = f64::from(hist.api == Some(cg_instrument::CookieApi::HttpHeader));
-        f[11] = f64::from(hist.api == Some(cg_instrument::CookieApi::CookieStore));
+        f[10] = f64::from(pair.api == cg_instrument::CookieApi::HttpHeader);
+        f[11] = f64::from(pair.api == cg_instrument::CookieApi::CookieStore);
 
         samples.push(PairSample {
-            key: key.clone(),
+            key: pair.key(),
             site: site.clone(),
             features: f,
             label: None,

@@ -459,9 +459,10 @@ pub struct StoreCrawl {
 /// resume the store at `dir` ([`open_store`]), report the just-opened
 /// store through `on_open` (print a resume notice, inspect
 /// [`CrawlWriter::done_ranks`]), crawl the missing ranks, and return
-/// the session totals. Streaming the result back into an analysis is
-/// the caller's two lines (`CrawlReader::open` +
-/// `Dataset::from_reader`) — the store layer stays below analysis.
+/// the session totals. Reading the result back is the analysis
+/// layer's job — the store layer stays below it: `cg_analysis`'s
+/// `Dataset::from_store` retains the complete logs (and nothing
+/// derived from them), `StreamStats::from_store` keeps aggregates only.
 pub fn crawl_to_store(
     dir: impl AsRef<Path>,
     gen: &WebGenerator,

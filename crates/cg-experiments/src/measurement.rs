@@ -2,7 +2,7 @@
 
 use crate::context::CrawlContext;
 use crate::expectations as exp;
-use crate::render::{bar, compare, compare_count, header, measured, ranked_row};
+use crate::render::{compare, compare_count, header, measured, ranked_row};
 use cg_analysis::{
     api_usage, cross_domain_summary, detect_exfiltration, detect_manipulation, dom_pilot_stats,
     inclusion_stats, prevalence_stats,
@@ -391,7 +391,6 @@ pub fn run_measurement_experiments(ctx: &CrawlContext, which: &[&str]) -> Measur
         total_doc_pairs
     );
 
-    let _ = bar; // bar() is used by the evaluation module's figures
     MeasurementResults {
         prevalence,
         api_usage: usage,

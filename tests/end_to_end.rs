@@ -65,8 +65,9 @@ fn exfiltrated_pairs_subset_of_all_pairs() {
     let all_doc = ds.unique_pairs(cookieguard_repro::instrument::CookieApi::DocumentCookie);
     let all_http = ds.unique_pairs(cookieguard_repro::instrument::CookieApi::HttpHeader);
     for pair in &exfil.cross_exfiltrated_pairs_doc {
+        let key = (pair.name.as_str(), pair.owner.as_str());
         assert!(
-            all_doc.contains(pair) || all_http.contains(pair),
+            all_doc.contains(&key) || all_http.contains(&key),
             "exfiltrated pair {pair:?} not in dataset"
         );
     }
