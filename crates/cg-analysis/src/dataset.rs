@@ -1,8 +1,8 @@
 //! The crawl dataset and the per-visit cookie-ownership replay.
 
-use cg_instrument::{AttrChangeFlags, CookieApi, SetEvent, VisitLog, WriteKind};
+use cg_instrument::{AttrChangeFlags, CookieApi, SetEvent, Sym, VisitLog, WriteKind};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A unique cookie pair, as the paper defines it (§5.2, footnote 2):
 /// the tuple of cookie name and the eTLD+1 of the script that set it —
@@ -24,6 +24,8 @@ pub struct PairRef<'l> {
     pub name: &'l str,
     /// eTLD+1 of the creating script/server.
     pub owner: &'l str,
+    /// `name` and `owner` as symbols of the log's string table.
+    pub syms: (Sym, Sym),
     /// The API of the pair's first write.
     pub api: CookieApi,
     /// Full URL of the script that first wrote the pair, when known.
@@ -67,13 +69,58 @@ impl<'l> OwnershipReplay<'l> {
     }
 }
 
-/// What the replay knows about one cookie name: the pair most recently
-/// written under it, and whether that pair is live (created and not
-/// deleted since).
+/// No pair.
+const NONE: u32 = u32::MAX;
+
+/// What the replay knows about one cookie name: the first pair
+/// registered under it (the head of its chain in [`Pairs::next`]), the
+/// pair most recently written under it, and whether that pair is live
+/// (created and not deleted since).
 #[derive(Clone, Copy)]
 struct NameState {
-    pair: usize,
+    first: u32,
+    last: u32,
     live: bool,
+}
+
+/// The replay's per-name state, and its pairs chained by name.
+struct Pairs<'l> {
+    log: &'l VisitLog,
+    /// Per name symbol.
+    names: Vec<NameState>,
+    /// Per pair: the next pair of its name.
+    next: Vec<u32>,
+}
+
+impl<'l> Pairs<'l> {
+    /// The index of pair `(ev.name, actor)`, registered on first use
+    /// with `ev`'s API and script URL.
+    fn pair_of(&mut self, pairs: &mut Vec<PairRef<'l>>, ev: &SetEvent, actor: Sym) -> usize {
+        let state = &mut self.names[ev.name as usize];
+        let mut at = state.first;
+        let mut tail = None;
+        while at != NONE {
+            if pairs[at as usize].syms.1 == actor {
+                return at as usize;
+            }
+            tail = Some(at);
+            at = self.next[at as usize];
+        }
+        let pair = pairs.len() as u32;
+        match tail {
+            Some(t) => self.next[t as usize] = pair,
+            None => state.first = pair,
+        }
+        self.next.push(NONE);
+        pairs.push(PairRef {
+            name: self.log.str(ev.name),
+            owner: self.log.str(actor),
+            syms: (ev.name, actor),
+            api: ev.api,
+            owner_url: self.log.opt_str(ev.actor_url),
+        });
+        pair as usize
+    }
 }
 
 /// Replays a visit log's unblocked writes into ownership and
@@ -89,72 +136,72 @@ struct NameState {
 /// * A delete ends the live pair. A delete of a name with no live pair
 ///   is attributed to the pair most recently written under that name.
 ///   Either is cross-domain when the deleter is not that pair's owner.
+///
+/// Names and owners are compared as symbols of the log's string table
+/// (equal exactly when the strings are), and per-name state lives in a
+/// vector indexed by the name's symbol.
 pub fn replay(log: &VisitLog) -> OwnershipReplay<'_> {
-    let site = log.site_domain.as_str();
     let writes = log.sets.len();
     let mut out = OwnershipReplay {
         pairs: Vec::with_capacity(writes),
         values: Vec::with_capacity(writes),
         ..OwnershipReplay::default()
     };
-    let mut pair_index: HashMap<(&str, &str), usize> = HashMap::with_capacity(writes);
-    let mut names: HashMap<&str, NameState> = HashMap::with_capacity(writes);
+    if writes == 0 {
+        return out;
+    }
+    let unseen = NameState {
+        first: NONE,
+        last: NONE,
+        live: false,
+    };
+    let mut pairs = Pairs {
+        log,
+        names: vec![unseen; log.strings.len()],
+        next: Vec::with_capacity(writes),
+    };
     for ev in &log.sets {
         if ev.blocked {
             continue; // the operation never reached the jar
         }
-        let name = ev.name.as_str();
-        let actor = ev.actor.as_deref().unwrap_or(site);
+        let actor = ev.actor.unwrap_or(log.site_domain);
+        let actor_str = log.str(actor);
+        let value = log.str(ev.value);
         match ev.kind {
             WriteKind::Create => {
-                let pair = pair_of(&mut out.pairs, &mut pair_index, ev, actor);
-                out.values.push((pair, &ev.value));
-                names.insert(name, NameState { pair, live: true });
+                let pair = pairs.pair_of(&mut out.pairs, ev, actor);
+                out.values.push((pair, value));
+                let state = &mut pairs.names[ev.name as usize];
+                (state.last, state.live) = (pair as u32, true);
             }
             WriteKind::Overwrite => {
-                let pair = match names.get(name) {
-                    Some(&NameState { pair, live: true }) => pair,
-                    _ => {
-                        let pair = pair_of(&mut out.pairs, &mut pair_index, ev, actor);
-                        names.insert(name, NameState { pair, live: false });
-                        pair
-                    }
+                let state = pairs.names[ev.name as usize];
+                let pair = if state.live {
+                    state.last as usize
+                } else {
+                    let pair = pairs.pair_of(&mut out.pairs, ev, actor);
+                    let state = &mut pairs.names[ev.name as usize];
+                    (state.last, state.live) = (pair as u32, false);
+                    pair
                 };
-                if out.pairs[pair].owner != actor {
-                    out.cross_overwrites.push((pair, actor, ev.changes));
+                if out.pairs[pair].syms.1 != actor {
+                    out.cross_overwrites.push((pair, actor_str, ev.changes));
                 }
-                out.values.push((pair, &ev.value));
+                out.values.push((pair, value));
             }
             WriteKind::Delete => {
-                if let Some(state) = names.get_mut(name) {
+                let state = &mut pairs.names[ev.name as usize];
+                if state.last != NONE {
                     state.live = false;
-                    if out.pairs[state.pair].owner != actor {
-                        out.cross_deletes.push((state.pair, actor, ev.api));
+                    let pair = state.last;
+                    if out.pairs[pair as usize].syms.1 != actor {
+                        out.cross_deletes.push((pair as usize, actor_str, ev.api));
                     }
                 }
             }
         }
     }
     out
-}
-
-/// The index of pair `(ev.name, actor)`, registered on first use with
-/// `ev`'s API and script URL.
-fn pair_of<'l>(
-    pairs: &mut Vec<PairRef<'l>>,
-    index: &mut HashMap<(&'l str, &'l str), usize>,
-    ev: &'l SetEvent,
-    actor: &'l str,
-) -> usize {
-    *index.entry((&ev.name, actor)).or_insert_with(|| {
-        pairs.push(PairRef {
-            name: &ev.name,
-            owner: actor,
-            api: ev.api,
-            owner_url: ev.actor_url.as_deref(),
-        });
-        pairs.len() - 1
-    })
 }
 
 /// The crawl dataset: the complete visit logs, in rank order.
@@ -520,7 +567,7 @@ mod tests {
         let ranks: Vec<usize> = merged.logs.iter().map(|l| l.rank).collect();
         assert_eq!(ranks, vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(merged.crawled, 6);
-        assert_eq!(merged.logs[3].site_domain, "site4.com");
+        assert_eq!(merged.logs[3].site(), "site4.com");
         // identity element
         let again = merged.merge(Dataset::empty());
         assert_eq!(again.site_count(), 6);

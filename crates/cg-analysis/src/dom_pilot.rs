@@ -29,7 +29,7 @@ pub fn dom_pilot_stats(ds: &Dataset) -> DomPilotStats {
     let mut sites_fully_protected = 0usize;
     for log in &ds.logs {
         let (mut applied, mut blocked) = (0usize, 0usize);
-        for e in log.dom_events.iter().filter(|e| e.is_cross_domain()) {
+        for e in log.dom_events.iter().filter(|e| e.is_cross_domain(log)) {
             if e.blocked {
                 blocked += 1;
             } else {

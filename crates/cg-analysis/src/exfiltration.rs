@@ -79,16 +79,16 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
         // the initiator must be attributable for per-script analysis.
         let carriers = || {
             log.requests.iter().filter_map(|req| {
-                let dest = req.dest_domain.as_ref()?;
-                let initiator = req.initiator.as_ref()?;
-                (!dest.eq_ignore_ascii_case(&log.site_domain)).then_some((req, dest, initiator))
+                let dest = req.dest_domain?;
+                let initiator = log.str(req.initiator?);
+                (!log.same_domain(dest, log.site_domain)).then_some((req, log.str(dest), initiator))
             })
         };
         let mut gate = DigestGate::default();
         let mut carried = false;
         for (req, _, _) in carriers() {
             carried = true;
-            gate.observe(&req.url);
+            gate.observe(log.str(req.url));
         }
         if !carried {
             continue;
@@ -113,28 +113,28 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
         let mut hits = Vec::new();
 
         for (req, dest, initiator) in carriers() {
-            scanner.scan(&req.url, &mut hits);
+            scanner.scan(log.str(req.url), &mut hits);
             for &hit in &hits {
                 let pair = forms[hit].0;
                 let key = pair.key();
                 let cross = !initiator.eq_ignore_ascii_case(pair.owner);
                 out.events.push(ExfilEvent {
-                    site: log.site_domain.clone(),
+                    site: log.site().to_string(),
                     pair: key.clone(),
-                    exfiltrator: initiator.clone(),
-                    destination: dest.clone(),
+                    exfiltrator: initiator.to_string(),
+                    destination: dest.to_string(),
                     cross_domain: cross,
                 });
                 if cross {
                     match pair.api {
                         CookieApi::CookieStore => {
                             out.sites_with_cross_exfil_store
-                                .insert(log.site_domain.clone());
+                                .insert(log.site().to_string());
                             out.cross_exfiltrated_pairs_store.insert(key.clone());
                         }
                         _ => {
                             out.sites_with_cross_exfil_doc
-                                .insert(log.site_domain.clone());
+                                .insert(log.site().to_string());
                             out.cross_exfiltrated_pairs_doc.insert(key.clone());
                         }
                     }
@@ -149,9 +149,9 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
                     }
                     agg.destination_entities.insert(dest_entity.clone());
                     *agg.destination_counts.entry(dest_entity).or_insert(0) += 1;
-                    agg.sites.insert(log.site_domain.clone());
+                    agg.sites.insert(log.site().to_string());
                     out.per_exfiltrator_domain
-                        .entry(initiator.clone())
+                        .entry(initiator.to_string())
                         .or_default()
                         .insert(key);
                 }

@@ -151,7 +151,7 @@ pub fn classify_intents(ds: &Dataset, entities: &EntityMap) -> IntentReport {
     let mut actors_per_generic: HashMap<String, HashSet<String>> = HashMap::new();
 
     for log in &ds.logs {
-        let site = &log.site_domain;
+        let site = log.site();
         let replay = replay(log);
         // Overwrites.
         for &(index, actor, _changes) in &replay.cross_overwrites {

@@ -70,17 +70,17 @@ pub fn detect_manipulation(ds: &Dataset, entities: &EntityMap) -> ManipulationAn
     let mut attr_totals = (0usize, 0usize, 0usize, 0usize, 0usize); // value, expires, domain, path, n
 
     for log in &ds.logs {
-        let site = &log.site_domain;
+        let site = log.site();
         let replay = replay(log);
         for &(pair, actor, changes) in &replay.cross_overwrites {
             let key = replay.pairs[pair].key();
             match replay.pairs[pair].api {
                 CookieApi::CookieStore => {
-                    out.sites_with_overwrite_store.insert(site.clone());
+                    out.sites_with_overwrite_store.insert(site.to_string());
                     out.overwritten_pairs_store.insert(key.clone());
                 }
                 _ => {
-                    out.sites_with_overwrite_doc.insert(site.clone());
+                    out.sites_with_overwrite_doc.insert(site.to_string());
                     out.overwritten_pairs_doc.insert(key.clone());
                 }
             }
@@ -88,7 +88,7 @@ pub fn detect_manipulation(ds: &Dataset, entities: &EntityMap) -> ManipulationAn
             let entity = entities.entity_of(actor);
             agg.entities.insert(entity.clone());
             *agg.entity_counts.entry(entity).or_insert(0) += 1;
-            agg.sites.insert(site.clone());
+            agg.sites.insert(site.to_string());
             out.per_overwriter_domain
                 .entry(actor.to_string())
                 .or_default()
@@ -105,11 +105,11 @@ pub fn detect_manipulation(ds: &Dataset, entities: &EntityMap) -> ManipulationAn
             let key = replay.pairs[pair].key();
             match api {
                 CookieApi::CookieStore => {
-                    out.sites_with_delete_store.insert(site.clone());
+                    out.sites_with_delete_store.insert(site.to_string());
                     out.deleted_pairs_store.insert(key.clone());
                 }
                 _ => {
-                    out.sites_with_delete_doc.insert(site.clone());
+                    out.sites_with_delete_doc.insert(site.to_string());
                     out.deleted_pairs_doc.insert(key.clone());
                 }
             }
@@ -117,7 +117,7 @@ pub fn detect_manipulation(ds: &Dataset, entities: &EntityMap) -> ManipulationAn
             let entity = entities.entity_of(actor);
             agg.entities.insert(entity.clone());
             *agg.entity_counts.entry(entity).or_insert(0) += 1;
-            agg.sites.insert(site.clone());
+            agg.sites.insert(site.to_string());
             out.per_deleter_domain
                 .entry(actor.to_string())
                 .or_default()

@@ -53,14 +53,14 @@ pub fn prevalence_stats(ds: &Dataset, engine: &FilterEngine) -> PrevalenceStats 
     for log in &ds.logs {
         let mut tp_urls: HashSet<&str> = HashSet::new();
         for inc in log.third_party_inclusions() {
-            tp_urls.insert(inc.url.as_str());
+            tp_urls.insert(log.str(inc.url));
             tp_occurrences += 1;
             let ctx = MatchContext {
-                page_domain: log.site_domain.clone(),
+                page_domain: log.site().to_string(),
                 resource: ResourceType::Script,
                 third_party: true,
             };
-            if engine.is_tracking(&inc.url, &ctx) {
+            if engine.is_tracking(log.str(inc.url), &ctx) {
                 tracking_occurrences += 1;
             }
         }
@@ -76,7 +76,7 @@ pub fn prevalence_stats(ds: &Dataset, engine: &FilterEngine) -> PrevalenceStats 
             if pair.api == CookieApi::HttpHeader {
                 continue;
             }
-            if pair.owner.eq_ignore_ascii_case(&log.site_domain) {
+            if pair.owner.eq_ignore_ascii_case(log.site()) {
                 fp_names.insert(pair.name);
             } else {
                 tp_names.insert(pair.name);
@@ -204,11 +204,11 @@ pub fn inclusion_stats(ds: &Dataset, engine: &FilterEngine) -> InclusionStats {
             } else {
                 indirect += 1;
                 let ctx = MatchContext {
-                    page_domain: log.site_domain.clone(),
+                    page_domain: log.site().to_string(),
                     resource: ResourceType::Script,
                     third_party: true,
                 };
-                if engine.is_tracking(&inc.url, &ctx) {
+                if engine.is_tracking(log.str(inc.url), &ctx) {
                     indirect_tracking += 1;
                 }
             }

@@ -77,7 +77,7 @@ pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideRepo
     };
 
     for log in &ds.logs {
-        let Some(rules) = forwards.get(&log.site_domain) else {
+        let Some(rules) = forwards.get(log.site()) else {
             continue;
         };
         if rules.is_empty() {
@@ -95,10 +95,11 @@ pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideRepo
         let mut relayed_here: HashSet<String> = HashSet::new();
         for req in &log.requests {
             // Only requests to the site's own host can hit the gateway.
-            if req.dest_domain.as_deref() != Some(log.site_domain.as_str()) {
+            if req.dest_domain != Some(log.site_domain) {
                 continue;
             }
-            let path = path_of(&req.url);
+            let url = log.str(req.url);
+            let path = path_of(url);
             let Some((_, tracker)) = rules
                 .iter()
                 .find(|(prefix, _)| path.starts_with(prefix.as_str()))
@@ -110,7 +111,7 @@ pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideRepo
             // Exposed cookie names: the attached Cookie header plus the
             // query-string parameter names the collector assembled.
             let mut exposed: HashSet<String> = HashSet::new();
-            if let Some(header) = &req.cookie_header {
+            if let Some(header) = log.opt_str(req.cookie_header) {
                 report.requests_with_header_payload += 1;
                 for (name, _) in parse_pairs(header) {
                     if !name.is_empty() {
@@ -118,7 +119,7 @@ pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideRepo
                     }
                 }
             }
-            if let Some(query) = req.url.split_once('?').map(|(_, q)| q) {
+            if let Some(query) = url.split_once('?').map(|(_, q)| q) {
                 for param in query.split('&') {
                     if let Some((name, _)) = param.split_once('=') {
                         exposed.insert(name.to_string());
@@ -131,7 +132,7 @@ pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideRepo
                     continue;
                 };
                 let foreign = who.iter().any(|o| {
-                    !o.eq_ignore_ascii_case(tracker) && !o.eq_ignore_ascii_case(&log.site_domain)
+                    !o.eq_ignore_ascii_case(tracker) && !o.eq_ignore_ascii_case(log.site())
                 });
                 if foreign {
                     relayed_here.insert(name);

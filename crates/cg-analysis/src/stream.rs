@@ -137,7 +137,7 @@ impl StreamStats {
         if log
             .inclusions
             .iter()
-            .any(|inc| inc.domain.as_deref().is_some_and(|d| d != log.site_domain))
+            .any(|inc| inc.domain.is_some_and(|d| d != log.site_domain))
         {
             self.third_party_script_sites += 1;
         }

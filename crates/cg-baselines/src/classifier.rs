@@ -261,7 +261,7 @@ pub fn counterfactual_block(clf: &CookieGraphLite, log: &VisitLog) -> BlockOutco
     out.broken_probes = log
         .probes
         .iter()
-        .filter(|p| out.blocked_names.contains(&p.cookie))
+        .filter(|p| out.blocked_names.contains(log.str(p.cookie)))
         .count();
     out
 }
@@ -272,16 +272,16 @@ pub fn counterfactual_block(clf: &CookieGraphLite, log: &VisitLog) -> BlockOutco
 /// but set events on blocked pairs vanish — so exfiltration of their
 /// values no longer attributes in the downstream analyses.
 pub fn residual_log(log: &VisitLog, blocked_names: &HashSet<String>) -> VisitLog {
+    let blocked = |sym| blocked_names.contains(log.str(sym));
     let mut out = log.clone();
-    out.sets.retain(|ev| !blocked_names.contains(&ev.name));
-    let blocked: Vec<bool> = out
-        .read_names
-        .iter()
-        .map(|name| blocked_names.contains(name))
-        .collect();
+    out.sets.retain(|ev| !blocked(ev.name));
+    let mut names = Vec::with_capacity(log.read_names.len());
     for read in &mut out.reads {
-        read.names.retain(|&n| !blocked[n as usize]);
+        let start = names.len() as u32;
+        names.extend(log.name_syms(read).iter().filter(|&&n| !blocked(n)));
+        read.names = start..names.len() as u32;
     }
+    out.read_names = names;
     out
 }
 
@@ -396,9 +396,17 @@ mod tests {
             .find(|b| b.spec.crawl_ok)
             .unwrap();
         let log = visit_site(&site, &VisitConfig::regular(), 7).log;
-        let names: HashSet<String> = log.sets.iter().map(|s| s.name.clone()).take(2).collect();
+        let names: HashSet<String> = log
+            .sets
+            .iter()
+            .map(|s| log.str(s.name).to_string())
+            .take(2)
+            .collect();
         let residual = residual_log(&log, &names);
-        assert!(residual.sets.iter().all(|s| !names.contains(&s.name)));
+        assert!(residual
+            .sets
+            .iter()
+            .all(|s| !names.contains(residual.str(s.name))));
         for read in &residual.reads {
             assert!(residual.names_of(read).all(|n| !names.contains(n)));
         }

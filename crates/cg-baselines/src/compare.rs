@@ -104,7 +104,7 @@ fn probe_set(logs: &[VisitLog]) -> ProbeSet {
             l.probes
                 .iter()
                 .filter(|p| p.ok)
-                .map(move |p| (l.site_domain.clone(), p.feature.clone()))
+                .map(move |p| (l.site().to_string(), l.str(p.feature).to_string()))
         })
         .collect()
 }
@@ -281,7 +281,7 @@ fn run_one(
                 broken += log
                     .probes
                     .iter()
-                    .filter(|p| p.ok && outcome.blocked_names.contains(&p.cookie))
+                    .filter(|p| p.ok && outcome.blocked_names.contains(log.str(p.cookie)))
                     .count();
                 residuals.push(residual_log(log, &outcome.blocked_names));
             }

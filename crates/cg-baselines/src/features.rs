@@ -81,7 +81,7 @@ pub fn id_segments(value: &str) -> Vec<&str> {
 /// Extracts one [`PairSample`] per unique cookie pair observed in `log`.
 /// Labels are left `None`; see `classifier::label_samples`.
 pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
-    let site = log.site_domain.clone();
+    let site = log.site();
     let replay = replay(log);
 
     // Pre-compute third-party request query strings once per log, and
@@ -89,12 +89,10 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
     let foreign_queries: Vec<(&str, &str)> = log
         .requests
         .iter()
-        .filter(|r| {
-            r.dest_domain
-                .as_deref()
-                .is_some_and(|d| !d.eq_ignore_ascii_case(&site))
+        .filter_map(|r| {
+            let dest = r.dest_domain?;
+            (!log.same_domain(dest, log.site_domain)).then(|| (log.str(r.url), log.str(dest)))
         })
-        .map(|r| (r.url.as_str(), r.dest_domain.as_deref().unwrap_or("")))
         .collect();
     let gate = DigestGate::of(foreign_queries.iter().map(|&(url, _)| url));
 
@@ -108,17 +106,16 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
         f[2] = values.clone().map(str::len).max().unwrap_or(0) as f64;
         f[3] = values.clone().map(shannon_entropy).fold(0.0, f64::max);
         f[4] = f64::from(values.clone().any(|v| !id_segments(v).is_empty()));
-        f[5] = f64::from(!pair.owner.eq_ignore_ascii_case(&site));
+        f[5] = f64::from(!pair.owner.eq_ignore_ascii_case(site));
         f[6] = values.clone().count() as f64;
 
         // Cross-domain readers: actors other than the owner whose reads
         // returned this cookie name.
-        let name = log.read_names.iter().position(|n| n == pair.name);
         let readers: HashSet<&str> = log
             .reads
             .iter()
-            .filter(|r| name.is_some_and(|name| r.names.contains(&(name as u32))))
-            .filter_map(|r| r.actor.as_deref())
+            .filter(|r| log.name_syms(r).contains(&pair.syms.0))
+            .filter_map(|r| log.opt_str(r.actor))
             .filter(|a| !a.eq_ignore_ascii_case(pair.owner))
             .collect();
         f[7] = readers.len() as f64;
@@ -146,7 +143,7 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
 
         samples.push(PairSample {
             key: pair.key(),
-            site: site.clone(),
+            site: site.to_string(),
             features: f,
             label: None,
         });

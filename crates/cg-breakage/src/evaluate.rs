@@ -1,7 +1,7 @@
 //! Breakage evaluation: paired visits, probe-regression classification.
 
 use cg_browser::{visit_site, VisitConfig};
-use cg_instrument::{ProbeEvent, VisitLog};
+use cg_instrument::VisitLog;
 use cg_webgen::WebGenerator;
 use cookieguard_core::GuardConfig;
 use serde::{Deserialize, Serialize};
@@ -133,8 +133,8 @@ pub struct ProbeRegression {
 /// ([`crate::evaluate_breakage`]) and the scenario matrix
 /// (`cg-scenarios`) classify breakage through this one comparison.
 pub fn probe_regressions(baseline: &VisitLog, defended: &VisitLog) -> Vec<ProbeRegression> {
-    let before = probe_outcomes(&baseline.probes);
-    let after = probe_outcomes(&defended.probes);
+    let before = probe_outcomes(baseline);
+    let after = probe_outcomes(defended);
     let mut out: Vec<ProbeRegression> = before
         .into_iter()
         .filter(|(_, ok_before)| *ok_before)
@@ -149,13 +149,17 @@ pub fn probe_regressions(baseline: &VisitLog, defended: &VisitLog) -> Vec<ProbeR
     out
 }
 
-/// Keyed probe outcomes: (feature, cookie, actor) → all-succeeded?
-fn probe_outcomes(probes: &[ProbeEvent]) -> HashMap<(String, String, Option<String>), bool> {
+/// `log`'s keyed probe outcomes: (feature, cookie, actor) →
+/// all-succeeded?
+fn probe_outcomes(log: &VisitLog) -> HashMap<(String, String, Option<String>), bool> {
     let mut map: HashMap<(String, String, Option<String>), bool> = HashMap::new();
-    for p in probes {
-        let entry = map
-            .entry((p.feature.clone(), p.cookie.clone(), p.actor.clone()))
-            .or_insert(true);
+    for p in &log.probes {
+        let key = (
+            log.str(p.feature).to_string(),
+            log.str(p.cookie).to_string(),
+            log.opt_str(p.actor).map(str::to_string),
+        );
+        let entry = map.entry(key).or_insert(true);
         *entry &= p.ok;
     }
     map
@@ -251,21 +255,10 @@ mod tests {
 
     #[test]
     fn probe_outcomes_and_of_repeats() {
-        let probes = vec![
-            ProbeEvent {
-                feature: "sso".into(),
-                cookie: "s".into(),
-                ok: true,
-                actor: Some("a.com".into()),
-            },
-            ProbeEvent {
-                feature: "sso".into(),
-                cookie: "s".into(),
-                ok: false,
-                actor: Some("a.com".into()),
-            },
-        ];
-        let map = probe_outcomes(&probes);
+        let mut r = cg_instrument::Recorder::new("site.com", 1);
+        r.record_probe("sso", "s", true, Some("a.com"));
+        r.record_probe("sso", "s", false, Some("a.com"));
+        let map = probe_outcomes(&r.finish());
         assert_eq!(map.len(), 1);
         assert!(!map[&("sso".into(), "s".into(), Some("a.com".into()))]);
     }

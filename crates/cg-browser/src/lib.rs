@@ -37,3 +37,11 @@ pub use page::Page;
 pub use scenario::{visit_under_conditions, ConditionOutcome};
 pub use timing::{simulate_timing, PageTiming};
 pub use visit::{visit_site, visit_site_with_jar, VisitConfig, VisitOutcome};
+
+/// The events of `log` under `key` (`"sets"`, `"requests"`, …) with
+/// every symbol resolved to its string: how tests compare two logs'
+/// events, since each log's string table numbers strings its own way.
+#[cfg(test)]
+pub(crate) fn events_json(log: &cg_instrument::VisitLog, key: &str) -> serde_json::Value {
+    serde_json::to_value(log).expect("a log serializes")[key].clone()
+}

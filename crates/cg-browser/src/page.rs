@@ -11,7 +11,7 @@
 use cg_cookiejar::CookieJar;
 use cg_dom::{Document, ElementId, ElementMutation, FrameKind, ScriptSource};
 use cg_domguard::DomGuard;
-use cg_instrument::{DomEvent, ProbeEvent, Recorder, RequestEvent, ScriptInclusion};
+use cg_instrument::{DomEvent, EventSink, ProbeEvent, Recorder, RequestEvent, ScriptInclusion};
 use cg_script::{
     Attribution, CookieChangeNotice, DomMutationKind, Platform, ScriptExecution, ScriptOp,
     SignatureDb,
@@ -191,9 +191,9 @@ impl<'v> Page<'v> {
             None => ScriptSource::Inline,
         };
         let id = self.doc.add_direct_script(source.clone());
-        self.access
-            .sink()
-            .inclusion(ScriptInclusion::observed(url, true));
+        let sink = self.access.sink();
+        let inclusion = ScriptInclusion::observed(sink, url, true);
+        sink.inclusion(inclusion);
         if let Some(u) = url {
             self.executed_urls.insert(u.to_string());
         }
@@ -386,7 +386,9 @@ impl Platform for Page<'_> {
             self.access
                 .cookie_header_for_subresource(&u, &self.site_domain, self.wall(at))
         });
+        let sink = self.access.sink();
         let event = RequestEvent::observed(
+            sink,
             url,
             kind,
             at.script_url.as_ref(),
@@ -394,7 +396,7 @@ impl Platform for Page<'_> {
             cookie_header.as_deref(),
             at.now_ms,
         );
-        self.access.sink().request(event);
+        sink.request(event);
     }
 
     fn resolve_injected_script(&mut self, at: &Attribution, url: &str) -> Option<ScriptExecution> {
@@ -419,9 +421,9 @@ impl Platform for Page<'_> {
         let id = self
             .doc
             .add_injected_script(ScriptSource::External(parsed.clone()), parent);
-        self.access
-            .sink()
-            .inclusion(ScriptInclusion::observed(Some(url), false));
+        let sink = self.access.sink();
+        let inclusion = ScriptInclusion::observed(sink, Some(url), false);
+        sink.inclusion(inclusion);
         Some(ScriptExecution {
             script_id: id,
             url: Some(parsed),
@@ -438,7 +440,6 @@ impl Platform for Page<'_> {
         // Cached identity: no PSL walk or allocation per DOM op.
         let (caller, actor_id, _) = self.identity(at);
         let actor_name = actor_id.map(cg_url::name);
-        let actor = actor_name.map(str::to_string);
         let target = if foreign_target {
             // A site-owned markup element.
             self.markup_elements[self.rng.gen_range(0..self.markup_elements.len())]
@@ -469,12 +470,7 @@ impl Platform for Page<'_> {
         if let Some(g) = self.dom_guard.as_deref_mut() {
             if let Some(guard_kind) = cg_domguard::mutation_kind_of(mutation) {
                 if !g.authorize(&caller, &owner, guard_kind).is_allow() {
-                    self.access.sink().dom_mutation(DomEvent {
-                        actor,
-                        owner,
-                        kind: format!("{kind:?}"),
-                        blocked: true,
-                    });
+                    log_dom(self.access.sink(), actor_name, &owner, kind, true);
                     return;
                 }
             }
@@ -483,22 +479,19 @@ impl Platform for Page<'_> {
             .doc
             .mutate_element(target, mutation, actor_name, "mutated")
         {
-            self.access.sink().dom_mutation(DomEvent {
-                actor,
-                owner,
-                kind: format!("{kind:?}"),
-                blocked: false,
-            });
+            log_dom(self.access.sink(), actor_name, &owner, kind, false);
         }
     }
 
     fn probe_result(&mut self, at: &Attribution, feature: &str, cookie: &str, ok: bool) {
-        self.access.sink().probe(ProbeEvent {
-            feature: feature.to_string(),
-            cookie: cookie.to_string(),
+        let sink = self.access.sink();
+        let event = ProbeEvent {
+            feature: sink.intern(feature),
+            cookie: sink.intern(cookie),
             ok,
-            actor: at.script_domain(),
-        });
+            actor: at.script_domain().map(|a| sink.intern(&a)),
+        };
+        sink.probe(event);
     }
 
     fn drain_cookie_changes(&mut self) -> Vec<CookieChangeNotice> {
@@ -528,6 +521,23 @@ impl Platform for Page<'_> {
         let caller = self.caller(at);
         self.access.may_observe(&caller, name)
     }
+}
+
+/// Logs one DOM mutation (`blocked` = stopped by the DOM guard).
+fn log_dom(
+    sink: &mut dyn EventSink,
+    actor: Option<&str>,
+    owner: &str,
+    kind: DomMutationKind,
+    blocked: bool,
+) {
+    let event = DomEvent {
+        actor: actor.map(|a| sink.intern(a)),
+        owner: sink.intern(owner),
+        kind: sink.intern(&format!("{kind:?}")),
+        blocked,
+    };
+    sink.dom_mutation(event);
 }
 
 #[cfg(test)]
@@ -575,7 +585,7 @@ mod tests {
             )],
         );
         assert_eq!(log.sets.len(), 1);
-        assert_eq!(log.sets[0].actor.as_deref(), Some("facebook.net"));
+        assert_eq!(log.opt_str(log.sets[0].actor), Some("facebook.net"));
         assert_eq!(log.sets[0].kind, WriteKind::Create);
         assert_eq!(jar.len(), 1);
     }
@@ -608,14 +618,14 @@ mod tests {
         let other_read = log
             .reads
             .iter()
-            .find(|r| r.actor.as_deref() == Some("other.net"))
+            .find(|r| log.opt_str(r.actor) == Some("other.net"))
             .unwrap();
         assert!(other_read.names.is_empty());
         assert_eq!(other_read.filtered_count, 1);
         let owner_read = log
             .reads
             .iter()
-            .find(|r| r.actor.as_deref() == Some("site.com"))
+            .find(|r| log.opt_str(r.actor) == Some("site.com"))
             .unwrap();
         assert_eq!(owner_read.names.len(), 1);
     }
@@ -657,7 +667,7 @@ mod tests {
             vec![WriteKind::Create, WriteKind::Overwrite, WriteKind::Delete]
         );
         let ow = &log.sets[1];
-        assert_eq!(ow.actor.as_deref(), Some("two.com"));
+        assert_eq!(log.opt_str(ow.actor), Some("two.com"));
         let ch = ow.changes.unwrap();
         assert!(ch.value && ch.expires);
         assert_eq!(
@@ -697,7 +707,7 @@ mod tests {
         let blocked: Vec<&cg_instrument::SetEvent> =
             log.sets.iter().filter(|s| s.blocked).collect();
         assert_eq!(blocked.len(), 1);
-        assert_eq!(blocked[0].actor.as_deref(), Some("two.com"));
+        assert_eq!(log.opt_str(blocked[0].actor), Some("two.com"));
         // Jar still holds one.com's value.
         let url = Url::parse("https://www.site.com/").unwrap();
         let c = jar.cookies_for_document(&url, EPOCH + 100_000);
@@ -734,9 +744,9 @@ mod tests {
         );
         assert_eq!(log.requests.len(), 1);
         let req = &log.requests[0];
-        assert_eq!(req.initiator.as_deref(), Some("licdn.com"));
-        assert_eq!(req.dest_domain.as_deref(), Some("linkedin.com"));
-        assert!(req.url.contains("_ga="));
+        assert_eq!(log.opt_str(req.initiator), Some("licdn.com"));
+        assert_eq!(log.opt_str(req.dest_domain), Some("linkedin.com"));
+        assert!(log.str(req.url).contains("_ga="));
     }
 
     #[test]
@@ -762,7 +772,7 @@ mod tests {
         let log = recorder.finish();
         // Only the non-HttpOnly cookie is visible to the measurement.
         assert_eq!(log.sets.len(), 1);
-        assert_eq!(log.sets[0].name, "prefs");
+        assert_eq!(log.str(log.sets[0].name), "prefs");
         assert_eq!(log.sets[0].api, CookieApi::HttpHeader);
         // Both are in the jar (the HttpOnly one rides requests only).
         assert_eq!(jar.len(), 2);

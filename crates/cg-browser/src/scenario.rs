@@ -64,8 +64,14 @@ mod tests {
         let out = visit_under_conditions(&site, &conditions, 7);
         assert_eq!(out.len(), 3);
         // Identical configs under the same seed are byte-identical.
-        assert_eq!(out[0].outcome.log.sets, out[2].outcome.log.sets);
-        assert_eq!(out[0].outcome.log.requests, out[2].outcome.log.requests);
+        assert_eq!(
+            crate::events_json(&out[0].outcome.log, "sets"),
+            crate::events_json(&out[2].outcome.log, "sets")
+        );
+        assert_eq!(
+            crate::events_json(&out[0].outcome.log, "requests"),
+            crate::events_json(&out[2].outcome.log, "requests")
+        );
         // The guarded run carries stats; the vanilla runs do not.
         assert!(out[1].outcome.guard_stats.is_some());
         assert!(out[0].outcome.guard_stats.is_none());

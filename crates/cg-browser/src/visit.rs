@@ -388,8 +388,14 @@ mod tests {
         let site = ok_site(&g);
         let a = visit_site(&site, &VisitConfig::regular(), 7);
         let b = visit_site(&site, &VisitConfig::regular(), 7);
-        assert_eq!(a.log.sets, b.log.sets);
-        assert_eq!(a.log.requests, b.log.requests);
+        assert_eq!(
+            crate::events_json(&a.log, "sets"),
+            crate::events_json(&b.log, "sets")
+        );
+        assert_eq!(
+            crate::events_json(&a.log, "requests"),
+            crate::events_json(&b.log, "requests")
+        );
         assert_eq!(a.timing, b.timing);
     }
 
@@ -451,7 +457,10 @@ mod tests {
                 11,
             );
             assert_eq!(off.csp_blocked, 0);
-            assert_eq!(off.log.sets, plain.log.sets);
+            assert_eq!(
+                crate::events_json(&off.log, "sets"),
+                crate::events_json(&plain.log, "sets")
+            );
 
             if gated.csp_blocked > 0 {
                 // The policy admits every markup script; the admitted
@@ -480,8 +489,14 @@ mod tests {
         let plain = visit_site(&site, &VisitConfig::regular(), 13);
         let gated = visit_site(&with_csp, &VisitConfig::regular(), 13);
         assert_eq!(gated.csp_blocked, 0, "full-stack policy lists every host");
-        assert_eq!(gated.log.sets, plain.log.sets);
-        assert_eq!(gated.log.requests, plain.log.requests);
+        assert_eq!(
+            crate::events_json(&gated.log, "sets"),
+            crate::events_json(&plain.log, "sets")
+        );
+        assert_eq!(
+            crate::events_json(&gated.log, "requests"),
+            crate::events_json(&plain.log, "requests")
+        );
     }
 
     #[test]

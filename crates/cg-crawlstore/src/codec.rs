@@ -61,23 +61,27 @@
 //! bytes, and a decoded record re-serializes to JSON byte-identically
 //! to `serde_json::to_string` of the record that was written.
 //!
-//! The decoder builds each table entry once. A read name is copied into
-//! the log's [`VisitLog::read_names`] on its first use, and every read
-//! that returned it holds that entry's index, so a name returned by 30
-//! reads costs one allocation; other string fields copy from the
-//! entry. (The encoder mirrors this: it maps each `read_names` entry to
-//! its string-table index on first use, so the payload spells a read
-//! name exactly as it would any other string.) Decoding charges
-//! everything it allocates against a budget of
-//! [`MAX_EXPANSION`] bytes per payload byte, so no declared count,
-//! length or repetition can make it allocate out of proportion to the
-//! frame.
+//! The in-memory [`VisitLog`] has the same shape: one string table
+//! ([`cg_instrument::StrTable`]: one arena `String` plus end offsets),
+//! every string field a symbol into it, and every read's names a range
+//! of one flat list ([`VisitLog::read_names`]). The decoder copies the
+//! payload's table into the log's table as it is (a payload index *is*
+//! the decoded symbol, since the table is in first-use order) and fills
+//! the event vectors directly, so a decode allocates once per table
+//! part and once per non-empty event sequence, never per string. The
+//! recorder numbers strings in the order the visit meets them, so the
+//! encoder maps the log's symbols to payload indices through a flat
+//! vector, assigning each on first use; for a decoded log that map is
+//! the identity. Decoding charges everything it allocates against a
+//! budget of [`MAX_EXPANSION`] bytes per payload byte, so no declared
+//! count, length or repetition can make it allocate out of proportion
+//! to the frame.
 
 use cg_hash::{fnv1a32w, StrIndex};
 use cg_http::RequestKind;
 use cg_instrument::{
     AttrChangeFlags, CookieApi, DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion,
-    SetEvent, VisitLog, WriteKind, READ_NAMES_CAPACITY,
+    SetEvent, StrTable, Sym, VisitLog, WriteKind,
 };
 use serde::{Content, Deserialize, Serialize};
 
@@ -226,116 +230,78 @@ pub fn encode_visit_log(log: &VisitLog, out: &mut Vec<u8>) {
     VisitEncoder::default().encode(log, out);
 }
 
-/// The encoder behind [`encode_visit_log`]. It keeps its string table,
-/// read-name map and body buffer between records, so a segment writer's
-/// steady state encodes a visit without allocating.
+/// The encoder behind [`encode_visit_log`]. It keeps its symbol map,
+/// table section and body buffer between records, so a segment
+/// writer's steady state encodes a visit without allocating.
 #[derive(Debug, Default)]
 pub(crate) struct VisitEncoder {
-    strings: StringTable,
-    /// The string-table index of each `read_names` entry, once used.
-    read_names: Vec<Option<u32>>,
+    /// The payload index of each of the log's symbols, once used
+    /// ([`UNUSED`] before).
+    indices: Vec<u32>,
+    /// The table section's entries as they will be written.
+    table: Vec<u8>,
+    /// Entries in `table`.
+    entries: u32,
     body: Vec<u8>,
 }
+
+/// A symbol the payload does not reference yet.
+const UNUSED: u32 = u32::MAX;
 
 impl VisitEncoder {
     /// Encodes `log` onto `out` (appends; does not clear). Produces the
     /// same bytes as [`encode_visit_log`].
     pub(crate) fn encode(&mut self, log: &VisitLog, out: &mut Vec<u8>) {
-        self.strings.clear();
-        self.read_names.clear();
-        self.read_names.resize(log.read_names.len(), None);
+        self.indices.clear();
+        self.indices.resize(log.strings.len(), UNUSED);
+        self.table.clear();
+        self.entries = 0;
         self.body.clear();
-        let mut enc = Enc {
-            strings: &mut self.strings,
-            read_names: &mut self.read_names,
-            out: &mut self.body,
-        };
-        enc.visit_log(log);
-        write_varint(out, self.strings.spans.len() as u64);
-        out.extend_from_slice(&self.strings.bytes);
+        Enc { log, enc: self }.visit_log();
+        write_varint(out, u64::from(self.entries));
+        out.extend_from_slice(&self.table);
         out.extend_from_slice(&self.body);
     }
 }
 
-/// The string table being built for one payload: the encoded entries
-/// (each varint-length-prefixed, in first-use order) plus an
-/// open-addressing index over them.
-#[derive(Debug, Default)]
-struct StringTable {
-    /// The table section as it will be written.
-    bytes: Vec<u8>,
-    /// `(start, len)` of each entry's string bytes within `bytes`.
-    spans: Vec<(u32, u32)>,
-    index: StrIndex,
-}
-
-impl StringTable {
-    fn clear(&mut self) {
-        self.bytes.clear();
-        self.spans.clear();
-        self.index.clear();
-    }
-
-    /// The index of `s`, appending it as a new entry on first use.
-    fn index_of(&mut self, s: &str) -> u32 {
-        let (bytes, spans) = (&self.bytes, &self.spans);
-        let found = self.index.find(s.as_bytes(), spans.len(), |i| {
-            let (start, len) = spans[i as usize];
-            &bytes[start as usize..(start + len) as usize]
-        });
-        found.unwrap_or_else(|at| {
-            let index = self.spans.len() as u32;
-            write_varint(&mut self.bytes, s.len() as u64);
-            let start = self.bytes.len() as u32;
-            self.bytes.extend_from_slice(s.as_bytes());
-            self.spans.push((start, s.len() as u32));
-            self.index.insert(at, index);
-            index
-        })
-    }
-}
-
 struct Enc<'e> {
-    strings: &'e mut StringTable,
-    read_names: &'e mut [Option<u32>],
-    out: &'e mut Vec<u8>,
+    log: &'e VisitLog,
+    enc: &'e mut VisitEncoder,
 }
 
 impl Enc<'_> {
     fn varint(&mut self, v: u64) {
-        write_varint(self.out, v);
+        write_varint(&mut self.enc.body, v);
     }
 
     fn byte(&mut self, b: u8) {
-        self.out.push(b);
+        self.enc.body.push(b);
     }
 
     fn flag(&mut self, b: bool) {
-        self.out.push(u8::from(b));
+        self.enc.body.push(u8::from(b));
     }
 
-    fn str(&mut self, s: &str) {
-        let index = self.strings.index_of(s);
+    /// Symbol `sym` as its string-table index, the string joining the
+    /// table on its first use.
+    fn str(&mut self, sym: Sym) {
+        let enc = &mut *self.enc;
+        let slot = &mut enc.indices[sym as usize];
+        if *slot == UNUSED {
+            *slot = enc.entries;
+            enc.entries += 1;
+            let s = self.log.str(sym);
+            write_varint(&mut enc.table, s.len() as u64);
+            enc.table.extend_from_slice(s.as_bytes());
+        }
+        let index = *slot;
         self.varint(u64::from(index));
     }
 
-    /// Read name `name` of `log.read_names`, as its string-table index.
-    fn read_name(&mut self, log: &VisitLog, name: u32) {
-        let index = match self.read_names[name as usize] {
-            Some(index) => index,
-            None => {
-                let index = self.strings.index_of(log.read_name(name));
-                self.read_names[name as usize] = Some(index);
-                index
-            }
-        };
-        self.varint(u64::from(index));
-    }
-
-    fn opt_str(&mut self, s: Option<&str>) {
-        self.flag(s.is_some());
-        if let Some(s) = s {
-            self.str(s);
+    fn opt_str(&mut self, sym: Option<Sym>) {
+        self.flag(sym.is_some());
+        if let Some(sym) = sym {
+            self.str(sym);
         }
     }
 
@@ -347,10 +313,10 @@ impl Enc<'_> {
     }
 
     fn set_event(&mut self, e: &SetEvent) {
-        self.str(&e.name);
-        self.str(&e.value);
-        self.opt_str(e.actor.as_deref());
-        self.opt_str(e.actor_url.as_deref());
+        self.str(e.name);
+        self.str(e.value);
+        self.opt_str(e.actor);
+        self.opt_str(e.actor_url);
         self.byte(cookie_api_byte(e.api));
         self.byte(write_kind_byte(e.kind));
         self.flag(e.max_age_s.is_some());
@@ -368,51 +334,53 @@ impl Enc<'_> {
         self.varint(e.time_ms);
     }
 
-    fn read_event(&mut self, log: &VisitLog, e: &ReadEvent) {
-        self.opt_str(e.actor.as_deref());
+    fn read_event(&mut self, e: &ReadEvent) {
+        self.opt_str(e.actor);
         self.byte(cookie_api_byte(e.api));
-        self.seq(&e.names, |enc, &n| enc.read_name(log, n));
+        let log = self.log;
+        self.seq(log.name_syms(e), |enc, &name| enc.str(name));
         self.varint(e.filtered_count as u64);
         self.varint(e.time_ms);
     }
 
     fn request_event(&mut self, e: &RequestEvent) {
-        self.str(&e.url);
-        self.opt_str(e.dest_domain.as_deref());
+        self.str(e.url);
+        self.opt_str(e.dest_domain);
         self.byte(request_kind_byte(e.kind));
-        self.opt_str(e.initiator.as_deref());
-        self.opt_str(e.initiator_url.as_deref());
-        self.str(&e.first_party);
-        self.opt_str(e.cookie_header.as_deref());
+        self.opt_str(e.initiator);
+        self.opt_str(e.initiator_url);
+        self.str(e.first_party);
+        self.opt_str(e.cookie_header);
         self.varint(e.time_ms);
     }
 
     fn probe_event(&mut self, e: &ProbeEvent) {
-        self.str(&e.feature);
-        self.str(&e.cookie);
+        self.str(e.feature);
+        self.str(e.cookie);
         self.flag(e.ok);
-        self.opt_str(e.actor.as_deref());
+        self.opt_str(e.actor);
     }
 
     fn dom_event(&mut self, e: &DomEvent) {
-        self.opt_str(e.actor.as_deref());
-        self.str(&e.owner);
-        self.str(&e.kind);
+        self.opt_str(e.actor);
+        self.str(e.owner);
+        self.str(e.kind);
         self.flag(e.blocked);
     }
 
     fn inclusion(&mut self, e: &ScriptInclusion) {
-        self.str(&e.url);
-        self.opt_str(e.domain.as_deref());
+        self.str(e.url);
+        self.opt_str(e.domain);
         self.flag(e.direct);
     }
 
-    fn visit_log(&mut self, log: &VisitLog) {
-        self.str(&log.site_domain);
+    fn visit_log(&mut self) {
+        let log = self.log;
+        self.str(log.site_domain);
         self.varint(log.rank as u64);
         self.flag(log.complete);
         self.seq(&log.sets, Self::set_event);
-        self.seq(&log.reads, |enc, e| enc.read_event(log, e));
+        self.seq(&log.reads, Self::read_event);
         self.seq(&log.requests, Self::request_event);
         self.seq(&log.probes, Self::probe_event);
         self.seq(&log.dom_events, Self::dom_event);
@@ -441,7 +409,7 @@ pub fn decode_visit_log(payload: &[u8]) -> Result<VisitLog, String> {
     let mut d = Dec {
         bytes: payload,
         pos: 0,
-        table: Vec::new(),
+        strings: StrTable::default(),
         read_names: Vec::new(),
         next_new: 0,
         budget: payload.len().saturating_mul(MAX_EXPANSION),
@@ -454,28 +422,22 @@ pub fn decode_visit_log(payload: &[u8]) -> Result<VisitLog, String> {
             payload.len() - d.pos
         ));
     }
-    if d.next_new != d.table.len() {
+    if d.next_new != log.strings.len() {
         return Err(format!(
             "{} string table entries are never referenced",
-            d.table.len() - d.next_new
+            log.strings.len() - d.next_new
         ));
     }
     Ok(log)
 }
 
-/// One string-table entry: the string, borrowed from the payload, and
-/// its index in the log's `read_names` once a read has returned it.
-struct Entry<'a> {
-    s: &'a str,
-    read_name: Option<u32>,
-}
-
 struct Dec<'a> {
     bytes: &'a [u8],
     pos: usize,
-    table: Vec<Entry<'a>>,
-    /// The log's read-name table, in first-use order.
-    read_names: Vec<String>,
+    /// The log's string table: the payload's, entry for entry.
+    strings: StrTable,
+    /// The log's read names, read after read.
+    read_names: Vec<Sym>,
     /// The first table index not yet referenced.
     next_new: usize,
     /// Bytes this decode may still allocate.
@@ -567,44 +529,53 @@ impl<'a> Dec<'a> {
     }
 
     /// The string table: validated once, each entry checked against
-    /// the others so a payload never names one string twice.
+    /// the others so a payload never names one string twice, and
+    /// copied into the log's table sized exactly (a first pass over the
+    /// entry lengths finds the size).
     fn table(&mut self) -> Result<(), String> {
         let n = self.count(1, "string table entries")?;
+        let entries = self.pos;
+        let mut bytes = 0;
+        for _ in 0..n {
+            let len = self.usize_val()?;
+            self.take(len)?;
+            bytes += len;
+        }
+        self.pos = entries;
         self.charge(
-            n * std::mem::size_of::<Entry>() + StrIndex::slot_count(n) * std::mem::size_of::<u32>(),
+            bytes
+                + n * std::mem::size_of::<u32>()
+                + StrIndex::slot_count(n) * std::mem::size_of::<u32>(),
         )?;
-        self.table.reserve_exact(n);
-        let mut index = StrIndex::with_capacity(n);
+        self.strings = StrTable::with_capacity(n, bytes);
         for i in 0..n {
             let at = self.pos;
             let len = self.usize_val()?;
             let s = std::str::from_utf8(self.take(len)?)
                 .map_err(|e| format!("invalid UTF-8 in string table entry {i}: {e}"))?;
-            let table = &self.table;
-            match index.find(s.as_bytes(), i, |j| table[j as usize].s.as_bytes()) {
-                Ok(_) => return Err(format!("duplicate string table entry {i} at byte {at}")),
-                Err(slot) => index.insert(slot, i as u32),
+            if self.strings.insert(s).is_err() {
+                return Err(format!("duplicate string table entry {i} at byte {at}"));
             }
-            self.table.push(Entry { s, read_name: None });
         }
         Ok(())
     }
 
-    /// A string index: an existing entry, or the next unused one.
-    fn index(&mut self) -> Result<usize, String> {
+    /// A string: its table index, which is its symbol. An existing
+    /// entry, or the next unused one.
+    fn string(&mut self) -> Result<Sym, String> {
         let at = self.pos;
         let i = self.varint()?;
         if i < self.next_new as u64 {
-            return Ok(i as usize);
+            return Ok(i as Sym);
         }
-        if i == self.next_new as u64 && self.next_new < self.table.len() {
+        if i == self.next_new as u64 && self.next_new < self.strings.len() {
             self.next_new += 1;
-            return Ok(i as usize);
+            return Ok(i as Sym);
         }
-        Err(if i >= self.table.len() as u64 {
+        Err(if i >= self.strings.len() as u64 {
             format!(
                 "string index {i} at byte {at} is out of range ({} entries)",
-                self.table.len()
+                self.strings.len()
             )
         } else {
             format!(
@@ -614,41 +585,31 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        let i = self.index()?;
-        let s = self.table[i].s;
-        self.charge(s.len())?;
-        Ok(s.to_owned())
-    }
-
-    /// A read name: its index in `read_names`, which gains the entry's
-    /// string on the entry's first use as a read name.
-    fn read_name(&mut self) -> Result<u32, String> {
-        let i = self.index()?;
-        if let Some(name) = self.table[i].read_name {
-            return Ok(name);
-        }
-        if self.read_names.is_empty() {
-            // Never more names than table entries.
-            let capacity = READ_NAMES_CAPACITY.min(self.table.len());
-            self.charge(capacity * std::mem::size_of::<String>())?;
-            self.read_names.reserve_exact(capacity);
-        }
-        let s = self.table[i].s;
-        // The string, plus its slot in a table that grows by doubling.
-        self.charge(s.len() + 2 * std::mem::size_of::<String>())?;
-        let name = self.read_names.len() as u32;
-        self.read_names.push(s.to_owned());
-        self.table[i].read_name = Some(name);
-        Ok(name)
-    }
-
-    fn opt_string(&mut self) -> Result<Option<String>, String> {
+    fn opt_string(&mut self) -> Result<Option<Sym>, String> {
         if self.flag()? {
             self.string().map(Some)
         } else {
             Ok(None)
         }
+    }
+
+    /// A read's names, appended to `read_names`: their range there.
+    fn read_names(&mut self) -> Result<std::ops::Range<u32>, String> {
+        let n = self.count(1, "read names")?;
+        if self.read_names.capacity() == 0 && n > 0 {
+            // Every name takes at least a byte, so what is left of the
+            // payload bounds the visit's names; the surplus is returned
+            // once the reads are decoded.
+            let bound = self.remaining();
+            self.charge(bound * std::mem::size_of::<Sym>())?;
+            self.read_names.reserve_exact(bound);
+        }
+        let start = self.read_names.len() as u32;
+        for _ in 0..n {
+            let name = self.string()?;
+            self.read_names.push(name);
+        }
+        Ok(start..self.read_names.len() as u32)
     }
 
     /// A sequence of items that each encode to at least `min_bytes`.
@@ -744,7 +705,7 @@ impl<'a> Dec<'a> {
     fn read_event(&mut self) -> Result<ReadEvent, String> {
         let actor = self.opt_string()?;
         let api = self.cookie_api()?;
-        let names = self.seq(1, "read names", Dec::read_name)?;
+        let names = self.read_names()?;
         let filtered_count = self.usize_val()?;
         let time_ms = self.varint()?;
         Ok(ReadEvent {
@@ -822,6 +783,7 @@ impl<'a> Dec<'a> {
         let complete = self.flag()?;
         let sets = self.seq(10, "set events", Dec::set_event)?;
         let reads = self.seq(5, "read events", Dec::read_event)?;
+        self.read_names.shrink_to_fit();
         let requests = self.seq(8, "request events", Dec::request_event)?;
         let probes = self.seq(4, "probe events", Dec::probe_event)?;
         let dom_events = self.seq(4, "DOM events", Dec::dom_event)?;
@@ -837,6 +799,7 @@ impl<'a> Dec<'a> {
             probes,
             dom_events,
             inclusions,
+            strings: std::mem::take(&mut self.strings),
         })
     }
 }
@@ -885,60 +848,86 @@ mod tests {
     }
 
     #[test]
-    fn read_names_decode_once_per_table_entry() {
+    fn a_decoded_table_is_the_payloads_in_first_use_order() {
         let log = crawl_logs()
             .into_iter()
             .max_by_key(|l| l.reads.len())
             .unwrap();
         let back = decode_visit_log(&encode(&log)).unwrap();
-        // Each distinct name is one table entry, numbered in first-use
-        // order, and every read of it holds that entry's index.
-        let mut distinct = back.read_names.clone();
-        distinct.sort();
+        // Each distinct string is one table entry.
+        let mut distinct: Vec<&str> = back.strings.iter().collect();
+        distinct.sort_unstable();
         distinct.dedup();
-        assert_eq!(
-            distinct.len(),
-            back.read_names.len(),
-            "a name decoded twice"
-        );
-        let mut next = 0;
-        let mut repeats = 0;
-        for &name in back.reads.iter().flat_map(|r| &r.names) {
-            assert!(name <= next, "read name {name} out of first-use order");
-            if name == next {
-                next += 1;
-            } else {
-                repeats += 1;
-            }
+        assert_eq!(distinct.len(), back.strings.len(), "a string decoded twice");
+        assert_eq!(back.site_domain, 0, "the site's domain is used first");
+        // Every read of a name holds that entry's symbol, and the reads'
+        // ranges tile the flat name list in order.
+        let mut end = 0;
+        for read in &back.reads {
+            assert_eq!(read.names.start, end);
+            end = read.names.end;
         }
-        assert_eq!(
-            next as usize,
-            back.read_names.len(),
-            "an unread table entry"
+        assert_eq!(end as usize, back.read_names.len());
+        let mut names = back.read_names.clone();
+        names.sort_unstable();
+        names.dedup();
+        assert!(
+            names.len() < back.read_names.len(),
+            "want a name read twice"
         );
-        assert!(repeats > 0, "want a name read more than once");
     }
 
     #[test]
     fn strings_are_stored_once_per_payload() {
         let url = "https://cdn.tracker.example/t.js";
-        let mut log = VisitLog {
-            site_domain: "site.example".into(),
-            rank: 3,
-            complete: true,
-            ..VisitLog::default()
-        };
+        let mut log = VisitLog::new("site.example", 3);
         for t in 0..4 {
-            log.inclusions.push(ScriptInclusion {
-                url: url.into(),
-                domain: Some("tracker.example".into()),
+            let inclusion = ScriptInclusion {
+                url: log.intern(url),
+                domain: Some(log.intern("tracker.example")),
                 direct: t == 0,
-            });
+            };
+            log.inclusions.push(inclusion);
         }
         let payload = encode(&log);
         let text = String::from_utf8_lossy(&payload);
         assert_eq!(text.matches(url).count(), 1);
         assert_eq!(json(&decode_visit_log(&payload).unwrap()), json(&log));
+    }
+
+    #[test]
+    fn strings_are_written_in_first_use_order_whatever_the_logs_order() {
+        // The recorder numbers strings as the visit meets them; the
+        // payload numbers them as the encoding does.
+        let mut log = VisitLog::new("site.example", 1);
+        let (late, early) = (log.intern("late"), log.intern("early"));
+        log.probes.push(ProbeEvent {
+            feature: late,
+            cookie: late,
+            ok: true,
+            actor: None,
+        });
+        let one = log.intern("1");
+        log.sets.push(SetEvent {
+            name: early,
+            value: one,
+            actor: None,
+            actor_url: None,
+            api: CookieApi::DocumentCookie,
+            kind: WriteKind::Create,
+            max_age_s: None,
+            changes: None,
+            blocked: false,
+            time_ms: 0,
+        });
+        let unused = log.intern("never written");
+        assert_eq!(unused, 4);
+        let back = decode_visit_log(&encode(&log)).unwrap();
+        assert_eq!(
+            back.strings.iter().collect::<Vec<_>>(),
+            ["site.example", "early", "1", "late"]
+        );
+        assert_eq!(json(&back), json(&log));
     }
 
     #[test]

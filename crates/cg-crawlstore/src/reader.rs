@@ -188,10 +188,8 @@ mod tests {
 
     fn log(rank: usize) -> VisitLog {
         VisitLog {
-            site_domain: format!("site{rank}.com"),
-            rank,
             complete: !rank.is_multiple_of(3),
-            ..VisitLog::default()
+            ..VisitLog::new(&format!("site{rank}.com"), rank)
         }
     }
 

@@ -623,10 +623,8 @@ mod tests {
 
     fn log(rank: usize) -> VisitLog {
         VisitLog {
-            site_domain: format!("site{rank}.com"),
-            rank,
             complete: true,
-            ..VisitLog::default()
+            ..VisitLog::new(&format!("site{rank}.com"), rank)
         }
     }
 

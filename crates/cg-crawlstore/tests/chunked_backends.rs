@@ -32,10 +32,8 @@ fn fp() -> Fingerprint {
 
 fn log(rank: usize) -> VisitLog {
     VisitLog {
-        site_domain: format!("site{rank}.com"),
-        rank,
         complete: !rank.is_multiple_of(7),
-        ..VisitLog::default()
+        ..VisitLog::new(&format!("site{rank}.com"), rank)
     }
 }
 

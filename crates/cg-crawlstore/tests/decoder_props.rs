@@ -375,11 +375,12 @@ fn deeply_nested_manifest_is_corrupt_not_a_stack_overflow() {
     );
 }
 
-/// One long string referenced from every event of a small frame would
-/// copy out to far more than the frame; the decoder refuses it within
-/// its budget instead of allocating it.
+/// A long string referenced from every event decodes once, into the
+/// log's string table, so repeating it cannot amplify a frame: 10,000
+/// references to 4 KiB decode within the allocation bound, every one
+/// the same symbol.
 #[test]
-fn repeated_long_strings_cannot_amplify_a_frame() {
+fn repeated_long_strings_decode_once() {
     let long = "x".repeat(4096);
     let mut p = table(&[&long]);
     p.extend_from_slice(&[0, 1, 1, 0, 0, 0, 0, 0]);
@@ -388,11 +389,16 @@ fn repeated_long_strings_cannot_amplify_a_frame() {
     for _ in 0..n {
         p.extend_from_slice(&[0, 0, 1]); // url, no domain, direct
     }
-    refused(&p, "bytes per payload byte").unwrap();
+    let log = decode_bounded(&p).unwrap().unwrap();
+    assert_eq!(log.strings.len(), 1);
+    assert_eq!(log.inclusions.len(), n as usize);
+    assert!(log.inclusions.iter().all(|i| i.url == 0));
+    assert_eq!(log.str(log.inclusions[9_999].url), long);
 }
 
-/// A read name decodes once, into the log's read-name table, however
-/// many reads return it; every read holds that entry's index.
+/// A read name decodes once, into the log's string table, however
+/// many reads return it; every read's range of the flat name list holds
+/// that entry's symbol.
 #[test]
 fn repeated_read_names_share_their_entry() {
     let mut p = table(&["site.example", "uid"]);
@@ -403,9 +409,13 @@ fn repeated_read_names_share_their_entry() {
     }
     p.extend_from_slice(&[0, 0, 0, 0]);
     let log = codec::decode_visit_log(&p).unwrap();
-    assert_eq!(log.read_names, ["uid"]);
-    for read in &log.reads {
-        assert_eq!(read.names, [0, 0]);
+    assert_eq!(
+        log.strings.iter().collect::<Vec<_>>(),
+        ["site.example", "uid"]
+    );
+    assert_eq!(log.read_names, [1; 6]);
+    for (i, read) in log.reads.iter().enumerate() {
+        assert_eq!(read.names, 2 * i as u32..2 * i as u32 + 2);
     }
     assert_eq!(
         log.names_of(&log.reads[2]).collect::<Vec<_>>(),

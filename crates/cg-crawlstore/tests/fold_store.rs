@@ -33,10 +33,8 @@ fn fp() -> Fingerprint {
 
 fn log(rank: usize) -> VisitLog {
     VisitLog {
-        site_domain: format!("site{rank}.com"),
-        rank,
         complete: true,
-        ..VisitLog::default()
+        ..VisitLog::new(&format!("site{rank}.com"), rank)
     }
 }
 

@@ -23,7 +23,10 @@
 //!   re-creating the same cookie within the visit.
 //!
 //! Only registry-labeled pairs get per-key state, so per-visit memory
-//! is bounded by the (finite) label table, never by crawl size. The
+//! is bounded by the (finite) label table, never by crawl size. Within
+//! a visit, per-name and per-domain state lives in one vector indexed
+//! by the log's symbols, so each organization, name-id, label and
+//! owner-class lookup runs once per distinct string. The
 //! facts hold ids, hashes and slices of the log, never owned strings;
 //! exfil matching reads each off-site request URL once for all of the
 //! visit's encoded identifiers ([`cg_hash::FormScanner`]). A visit with
@@ -33,10 +36,9 @@
 
 use crate::engine::{DetectEngine, KeyId, NameId, OrgId};
 use cg_hash::{DigestGate, EncodedForms, FormScanner};
-use cg_instrument::{VisitLog, WriteKind};
+use cg_instrument::{Sym, VisitLog, WriteKind};
 use cg_script::value::segments;
 use cg_webgen::CookieLabel;
-use std::collections::HashMap;
 
 /// Who owns a cookie pair, at aggregation granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,40 +153,128 @@ fn id_segments(value: &str) -> impl Iterator<Item = &str> {
 /// domain the process has not seen. No other domain resolves to it.
 const UNINTERNED_SITE: OrgId = OrgId::MAX;
 
-/// Organization resolution for one visit. The site resolves without
-/// interning its domain, because most sites never reach the fold's
-/// state; [`Orgs::kept`] interns it when one does.
-struct Orgs<'a> {
-    engine: &'a DetectEngine,
-    site: &'a str,
-    site_org: OrgId,
+/// The key and label a labeled cookie pair resolves to; `None` for an
+/// unlabeled pair.
+type Labeled = Option<(KeyId, CookieLabel)>;
+
+/// What one visit has learned about one symbol of its log, in each role
+/// the symbol plays there. Each lookup runs once per distinct symbol.
+#[derive(Clone, Copy, Default)]
+struct SymFacts {
+    /// As a domain: its organization.
+    org: Option<OrgId>,
+    /// As a cookie name: its label-table id (`Some(None)`: no label
+    /// mentions it).
+    name: Option<Option<NameId>>,
+    /// As a cookie name: the live owner's organization, and the name's
+    /// index in [`VisitFacts::keys`] when labeled.
+    live: Option<(OrgId, Option<usize>)>,
+    /// As a cookie name: the original owner's organization, once a
+    /// foreign actor deleted it.
+    foreign_deleted: Option<OrgId>,
+    /// As a cookie name: the owner class and label domain of its last
+    /// labeled create, and the key and label they resolved to.
+    labeled: Option<(Owner, Sym, Labeled)>,
+    /// As a script URL: whether its domain is the site's.
+    first_party_url: Option<bool>,
 }
 
-impl<'a> Orgs<'a> {
-    fn new(engine: &'a DetectEngine, site: &'a str) -> Orgs<'a> {
-        let site_org = engine.known_org_of(site).unwrap_or(UNINTERNED_SITE);
-        Orgs {
+/// One visit's symbol lookups. The site resolves without interning its
+/// domain, because most sites never reach the fold's state;
+/// [`Lookups::kept`] interns it when one does.
+struct Lookups<'a> {
+    engine: &'a DetectEngine,
+    log: &'a VisitLog,
+    site_org: OrgId,
+    /// Per symbol of the log.
+    facts: Vec<SymFacts>,
+}
+
+impl<'a> Lookups<'a> {
+    fn new(engine: &'a DetectEngine, log: &'a VisitLog) -> Lookups<'a> {
+        let site_org = engine.known_org_of(log.site()).unwrap_or(UNINTERNED_SITE);
+        Lookups {
             engine,
-            site,
+            log,
             site_org,
+            facts: vec![SymFacts::default(); log.strings.len()],
         }
     }
 
-    fn of(&self, domain: &str) -> OrgId {
-        if domain.eq_ignore_ascii_case(self.site) {
+    /// Whether domain `sym` is the site's, ASCII case-insensitively.
+    fn is_site(&self, sym: Sym) -> bool {
+        self.log.same_domain(sym, self.log.site_domain)
+    }
+
+    /// The organization of domain `sym`.
+    fn org(&mut self, sym: Sym) -> OrgId {
+        if let Some(org) = self.facts[sym as usize].org {
+            return org;
+        }
+        let org = if self.is_site(sym) {
             self.site_org
         } else {
-            self.engine.org_of(domain)
-        }
+            self.engine.org_of(self.log.str(sym))
+        };
+        self.facts[sym as usize].org = Some(org);
+        org
     }
 
     /// `org` as it may be kept across visits.
     fn kept(&self, org: OrgId) -> OrgId {
         if org == UNINTERNED_SITE {
-            self.engine.org_of(self.site)
+            self.engine.org_of(self.log.site())
         } else {
             org
         }
+    }
+
+    /// The label-table id of cookie name `sym`.
+    fn name_id(&mut self, sym: Sym) -> Option<NameId> {
+        let facts = &mut self.facts[sym as usize];
+        *facts
+            .name
+            .get_or_insert_with(|| self.engine.name_id(self.log.str(sym)))
+    }
+
+    /// The key and label of cookie `name` created under `owner`, whose
+    /// label is looked up under domain `label_domain`; `None` when the
+    /// pair is unlabeled.
+    fn labeled(&mut self, name: Sym, owner: Owner, label_domain: Sym) -> Labeled {
+        if let Some((o, d, labeled)) = self.facts[name as usize].labeled {
+            if (o, d) == (owner, label_domain) {
+                return labeled;
+            }
+        }
+        let engine = self.engine;
+        let labeled = self.name_id(name).and_then(|id| {
+            engine
+                .label_of(id, self.log.str(label_domain))
+                .map(|label| (engine.key_id(DetectKey { name: id, owner }), label))
+        });
+        self.facts[name as usize].labeled = Some((owner, label_domain, labeled));
+        labeled
+    }
+
+    /// Owner classification for one write by `actor` (of organization
+    /// `actor_org`) from script `actor_url`.
+    fn owner(&mut self, actor: Sym, actor_org: OrgId, actor_url: Option<Sym>) -> Owner {
+        if self.is_site(actor) {
+            return Owner::Site;
+        }
+        // Foreign attribution from a first-party script URL = the
+        // `resolve_cnames` crawl uncloaked a CNAME alias.
+        let Some(url) = actor_url else {
+            return Owner::Entity(actor_org);
+        };
+        let log = self.log;
+        let first_party = *self.facts[url as usize]
+            .first_party_url
+            .get_or_insert_with(|| cg_url::url_on_domain(log.str(url), log.site()));
+        if first_party {
+            return Owner::Cloaked;
+        }
+        Owner::Entity(actor_org)
     }
 }
 
@@ -193,33 +283,27 @@ impl<'a> Orgs<'a> {
 /// proptest pins); only the ids in them depend on what the process
 /// interned before.
 pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
-    let site = log.site_domain.as_str();
-    let orgs = Orgs::new(engine, site);
+    let site = log.site_domain;
+    let mut look = Lookups::new(engine, log);
     let cutoff = engine.config().persist_cutoff_s;
     let mut out = VisitFacts::default();
 
     // -- set replay: ownership, labels, value/lifetime features -------
-    // live owner per cookie name: (actor's org, index into out.keys
-    // when labeled)
-    let mut live: HashMap<&str, (OrgId, Option<usize>)> = HashMap::new();
-    // names a foreign actor deleted, with the original owner's org
-    let mut foreign_deleted: HashMap<&str, OrgId> = HashMap::new();
-    // whether each foreign actor URL seen so far is on the site's domain
-    let mut first_party_urls: Vec<(&str, bool)> = Vec::new();
-
     for ev in &log.sets {
         if ev.blocked {
             continue;
         }
-        let actor = ev.actor.as_deref().unwrap_or(site);
-        let actor_org = orgs.of(actor);
+        let actor = ev.actor.unwrap_or(site);
+        let actor_org = look.org(actor);
+        let value = log.str(ev.value);
+        let name = ev.name as usize;
         let create = match ev.kind {
             WriteKind::Create => true,
-            WriteKind::Overwrite => match live.get(ev.name.as_str()) {
+            WriteKind::Overwrite => match look.facts[name].live {
                 // ownership is sticky: the overwrite feeds the original
                 // pair's features
-                Some(&(_, Some(k))) => {
-                    out.keys[k].observe_write(&ev.value, ev.max_age_s, cutoff);
+                Some((_, Some(k))) => {
+                    out.keys[k].observe_write(value, ev.max_age_s, cutoff);
                     continue;
                 }
                 Some((_, None)) => {
@@ -231,9 +315,9 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
                 None => true,
             },
             WriteKind::Delete => {
-                if let Some(&(owner_org, _)) = live.get(ev.name.as_str()) {
+                if let Some((owner_org, _)) = look.facts[name].live {
                     if owner_org != actor_org {
-                        foreign_deleted.insert(&ev.name, owner_org);
+                        look.facts[name].foreign_deleted = Some(owner_org);
                     }
                 }
                 false
@@ -242,19 +326,9 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
         if !create {
             continue;
         }
-        let owner = classify_owner(
-            actor,
-            actor_org,
-            ev.actor_url.as_deref(),
-            site,
-            &mut first_party_urls,
-        );
-        let labeled = engine.name_id(&ev.name).and_then(|name| {
-            let label_domain = if owner == Owner::Site { site } else { actor };
-            engine
-                .label_of(name, label_domain)
-                .map(|label| (engine.key_id(DetectKey { name, owner }), label))
-        });
+        let owner = look.owner(actor, actor_org, ev.actor_url);
+        let label_domain = if owner == Owner::Site { site } else { actor };
+        let labeled = look.labeled(ev.name, owner, label_domain);
         let slot = labeled.map(|(key, label)| {
             let k = match out.keys.iter().position(|f| f.key == key) {
                 Some(k) => k,
@@ -265,12 +339,10 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
             };
             let facts = &mut out.keys[k];
             facts.label = max_label(facts.label, label);
-            facts.observe_write(&ev.value, ev.max_age_s, cutoff);
+            facts.observe_write(value, ev.max_age_s, cutoff);
             // respawn: this create resurrects a foreign-deleted cookie
             // under its original owner (a blind overwrite cannot)
-            if ev.kind == WriteKind::Create
-                && foreign_deleted.get(ev.name.as_str()) == Some(&actor_org)
-            {
+            if ev.kind == WriteKind::Create && look.facts[name].foreign_deleted == Some(actor_org) {
                 facts.respawned = true;
             }
             k
@@ -278,18 +350,18 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
         if slot.is_none() {
             out.unlabeled_sets += 1;
             out.unlabeled_pairs.push(cg_analysis::sketch::key_hash(&[
-                ev.name.as_bytes(),
-                actor.as_bytes(),
+                log.str(ev.name).as_bytes(),
+                log.str(actor).as_bytes(),
             ]));
         }
-        live.insert(&ev.name, (actor_org, slot));
+        look.facts[name].live = Some((actor_org, slot));
     }
 
     // -- co-presence: which foreign organizations ran scripts here ----
     for inc in &log.inclusions {
-        if let Some(d) = &inc.domain {
-            let org = orgs.of(d);
-            if org != orgs.site_org {
+        if let Some(d) = inc.domain {
+            let org = look.org(d);
+            if org != look.site_org {
                 out.foreign_present.push(org);
             }
         }
@@ -303,13 +375,9 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
     let mut off_site = false;
     let mut gate = DigestGate::default();
     for req in &log.requests {
-        if req
-            .dest_domain
-            .as_deref()
-            .is_some_and(|dest| !dest.eq_ignore_ascii_case(site))
-        {
+        if req.dest_domain.is_some_and(|dest| !look.is_site(dest)) {
             off_site = true;
-            gate.observe(&req.url);
+            gate.observe(log.str(req.url));
         }
     }
     if !off_site {
@@ -339,20 +407,20 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
     let mut matched: Vec<usize> = Vec::new();
     let mut ships: Vec<(usize, OrgId, bool)> = Vec::new(); // (key, initiator org, bulk)
     for req in &log.requests {
-        let Some(dest) = &req.dest_domain else {
+        let Some(dest) = req.dest_domain else {
             continue;
         };
-        if dest.eq_ignore_ascii_case(site) {
+        if look.is_site(dest) {
             continue; // first-party traffic is not exfiltration
         }
-        scanner.scan(&req.url, &mut hits);
+        scanner.scan(log.str(req.url), &mut hits);
         if hits.is_empty() {
             continue;
         }
         matched.clear();
         matched.extend(hits.iter().map(|&form| forms[form].0));
         matched.dedup();
-        let init_org = orgs.of(req.initiator.as_deref().unwrap_or(site));
+        let init_org = look.org(req.initiator.unwrap_or(site));
         // Bulk = many keys in absolute terms, or most of what this
         // visit's jar had to offer (samplers empty small jars without
         // ever hitting the absolute threshold).
@@ -363,9 +431,9 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
         for &k in &matched {
             // The breadth profile is about foreign harvesters: the
             // site's own scripts shipping its cookies are not one.
-            if init_org != orgs.site_org {
+            if init_org != look.site_org {
                 let name = engine.key(out.keys[k].key).name;
-                out.shipped_names.push((orgs.kept(init_org), name));
+                out.shipped_names.push((look.kept(init_org), name));
             }
             ships.push((k, init_org, bulk));
         }
@@ -373,7 +441,7 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
     for (k, init_org, bulk) in ships {
         let facts = &mut out.keys[k];
         let owner_is_initiator = match engine.key(facts.key).owner {
-            Owner::Site | Owner::Cloaked => init_org == orgs.site_org,
+            Owner::Site | Owner::Cloaked => init_org == look.site_org,
             Owner::Entity(org) => org == init_org,
         };
         if owner_is_initiator {
@@ -382,7 +450,7 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
             // whole jar).
             facts.self_ship = true;
         } else if !bulk {
-            facts.foreign_ships.push(orgs.kept(init_org));
+            facts.foreign_ships.push(look.kept(init_org));
         }
     }
     for facts in &mut out.keys {
@@ -414,38 +482,6 @@ impl<'l> KeyVisitFacts<'l> {
         self.persistent |= max_age_s.is_some_and(|a| a >= cutoff);
         self.values.push(value);
     }
-}
-
-/// Owner classification for one write. `first_party_urls` remembers,
-/// for the visit's foreign actor URLs classified so far, whether each
-/// URL's domain is the site's, so each URL is parsed once a visit.
-fn classify_owner<'l>(
-    actor: &str,
-    actor_org: OrgId,
-    actor_url: Option<&'l str>,
-    site: &str,
-    first_party_urls: &mut Vec<(&'l str, bool)>,
-) -> Owner {
-    if actor.eq_ignore_ascii_case(site) {
-        return Owner::Site;
-    }
-    // Foreign attribution from a first-party script URL = the
-    // `resolve_cnames` crawl uncloaked a CNAME alias.
-    let Some(url) = actor_url else {
-        return Owner::Entity(actor_org);
-    };
-    let first_party = match first_party_urls.iter().find(|&&(seen, _)| seen == url) {
-        Some(&(_, first_party)) => first_party,
-        None => {
-            let first_party = cg_url::url_domain(url).is_some_and(|d| d.eq_ignore_ascii_case(site));
-            first_party_urls.push((url, first_party));
-            first_party
-        }
-    };
-    if first_party {
-        return Owner::Cloaked;
-    }
-    Owner::Entity(actor_org)
 }
 
 /// Tracker wins when two owners of a merged key disagree.

@@ -1,7 +1,7 @@
-//! Allocation budgets of the analysis path, per stored visit: the
-//! decode of one format-v2 payload, one `StreamStats::fold` and one
-//! `DetectStats::fold`, counted by this binary's thread-local counting
-//! allocator.
+//! Allocation budgets of the crawl store's codec and the analysis
+//! path, per stored visit: the encode and the decode of one format-v2
+//! payload, one `StreamStats::fold` and one `DetectStats::fold`, counted
+//! by this binary's thread-local counting allocator.
 //!
 //! Allocation counts are a pure function of the seed and the code on
 //! one thread, so they can be gated where a timing cannot. The budgets
@@ -70,22 +70,30 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// stores and folds.
 const RANKS: usize = 150;
 
-/// Allocations per decoded visit. Measured 265.7: one string per
-/// string field, one `Vec` per event sequence and per read, one string
-/// per distinct read name and the table that holds them (264.5 when
-/// each distinct read name was a shared `Arc<str>` instead, with a
-/// refcount bump for every read of it).
-const DECODE_BUDGET: f64 = 267.0;
+/// Allocations per `encode_visit_log` into a fresh buffer. Measured
+/// 17.6: the encoder's symbol map, and the doubling growth
+/// of its table section, its body and the output (23.6 while
+/// the encoder re-interned every string through a hash index).
+const ENCODE_BUDGET: f64 = 18.0;
+
+/// Allocations per decoded visit. Measured 7.1: the string table's
+/// arena, offsets and index, and one `Vec` per non-empty event sequence
+/// and for the reads' names. 265.7 while every string field was a
+/// `String` of its own and every read had its own `Vec` of names.
+const DECODE_BUDGET: f64 = 8.0;
 
 /// Allocations per `StreamStats::fold`. Measured 3.5; 189.4 while the
 /// fold replayed ownership into owned pairs, values and URLs.
 const STREAM_FOLD_BUDGET: f64 = 16.0;
 
-/// Allocations per `DetectStats::fold`. Measured 256.7; 419.4 before
-/// visits with no off-site request skipped encoded forms, digests were
-/// gated on hex runs, owner classes were memoized per script URL and
-/// value segments were streamed.
-const DETECT_FOLD_BUDGET: f64 = 260.0;
+/// Allocations per `DetectStats::fold`. Measured 138.1: 256.7 while
+/// the set replay kept string-keyed maps, each MD5 and SHA-1 digest
+/// padded a heap copy of its input and every foreign script URL was
+/// parsed to test it for the site's domain, and 419.4 before visits with no
+/// off-site request skipped encoded forms, digests were gated on hex
+/// runs, owner classes were memoized per script URL and value segments
+/// were streamed.
+const DETECT_FOLD_BUDGET: f64 = 139.0;
 
 /// The payloads of the covered visits, encoded once per process.
 fn payloads() -> &'static [Vec<u8>] {
@@ -129,6 +137,24 @@ fn within(what: &str, per_visit: f64, budget: f64) {
     assert!(
         per_visit <= budget,
         "{what} allocates {per_visit:.1} times per visit, budget {budget}"
+    );
+}
+
+#[test]
+fn encode_stays_within_its_allocation_budget() {
+    let logs = decoded();
+    let encode_all = || {
+        for log in &logs {
+            let mut payload = Vec::new();
+            encode_visit_log(log, &mut payload);
+        }
+    };
+    encode_all();
+    let ((), allocs) = counted(encode_all);
+    within(
+        "encode_visit_log",
+        allocs as f64 / logs.len() as f64,
+        ENCODE_BUDGET,
     );
 }
 

@@ -108,9 +108,9 @@ fn every_labeled_cookie_observed_is_scored() {
     let mut labeled_observed: BTreeSet<&str> = BTreeSet::new();
     for log in c.logs.iter().filter(|l| l.complete) {
         for ev in log.sets.iter().filter(|e| !e.blocked) {
-            let actor = ev.actor.as_deref().unwrap_or(&log.site_domain);
-            if c.engine.label_for(&ev.name, actor).is_some() {
-                labeled_observed.insert(&ev.name);
+            let actor = log.str(ev.actor.unwrap_or(log.site_domain));
+            if c.engine.label_for(log.str(ev.name), actor).is_some() {
+                labeled_observed.insert(log.str(ev.name));
             }
         }
     }

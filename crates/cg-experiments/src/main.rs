@@ -538,6 +538,9 @@ fn print_help() {
     println!("Experiments (comma-separated, default 'all'):");
     println!("  measurement: {}", MEASUREMENT_EXPERIMENTS.join(", "));
     println!("  evaluation:  {}", EVALUATION_EXPERIMENTS.join(", "));
+    println!("'all' runs every experiment above except ablation, baselines,");
+    println!("csp and rollout (several extra crawls each) and stream (which");
+    println!("needs --store): those run only when named.");
     println!();
     println!("--store DIR writes the measurement crawl through a durable,");
     println!("segmented on-disk store (checkpoint/resume: a killed crawl");

@@ -26,6 +26,7 @@ pub mod base64;
 pub mod fnv;
 pub mod index;
 pub mod md5;
+mod pad;
 pub mod sha1;
 
 pub use base64::{b64decode, b64encode, b64encode_no_pad};

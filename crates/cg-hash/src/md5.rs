@@ -30,15 +30,8 @@ pub fn md5(data: &[u8]) -> [u8; 16] {
     let mut d0: u32 = 0x10325476;
 
     // Padding: 0x80, zeros, then the 64-bit little-endian bit length.
-    let mut msg = data.to_vec();
     let bit_len = (data.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_le_bytes());
-
-    for block in msg.chunks_exact(64) {
+    crate::pad::padded_blocks(data, bit_len.to_le_bytes(), |block| {
         let mut m = [0u32; 16];
         for (i, w) in block.chunks_exact(4).enumerate() {
             m[i] = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -61,7 +54,7 @@ pub fn md5(data: &[u8]) -> [u8; 16] {
         b0 = b0.wrapping_add(b);
         c0 = c0.wrapping_add(c);
         d0 = d0.wrapping_add(d);
-    }
+    });
 
     let mut out = [0u8; 16];
     out[0..4].copy_from_slice(&a0.to_le_bytes());

@@ -5,15 +5,8 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
     let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
     // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-    let mut msg = data.to_vec();
     let bit_len = (data.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    for block in msg.chunks_exact(64) {
+    crate::pad::padded_blocks(data, bit_len.to_be_bytes(), |block| {
         let mut w = [0u32; 80];
         for (i, word) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
@@ -46,7 +39,7 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
         h[2] = h[2].wrapping_add(c);
         h[3] = h[3].wrapping_add(d);
         h[4] = h[4].wrapping_add(e);
-    }
+    });
 
     let mut out = [0u8; 20];
     for (i, word) in h.iter().enumerate() {

@@ -11,9 +11,9 @@
 //! the measurement has the same epistemic position as the paper's.
 //!
 //! **Layer:** measurement (written by `cg-browser`, read by
-//! `cg-analysis`). **Invariant:** events carry resolved *names*, never
-//! process-wide interned ids (a read's names index its own visit's
-//! name table), and the wire format is stable across refactors (the
+//! `cg-analysis`). **Invariant:** events carry symbols of their own
+//! visit's string table ([`StrTable`]), never process-wide interned
+//! ids, and the wire format is stable across refactors (the
 //! access-layer equivalence test pins it). **Entry points:**
 //! `Recorder`, `VisitLog`, `EventSink`.
 
@@ -25,7 +25,7 @@ pub mod sink;
 pub use counters::{ServiceCounters, TenantCounters};
 pub use events::{
     AttrChangeFlags, CookieApi, DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion,
-    SetEvent, VisitLog, WriteKind, READ_NAMES_CAPACITY,
+    SetEvent, StrTable, Sym, VisitLog, WriteKind,
 };
 pub use recorder::Recorder;
 pub use sink::{EventSink, NullSink};

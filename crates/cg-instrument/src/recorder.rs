@@ -3,22 +3,21 @@
 
 use crate::events::{
     AttrChangeFlags, CookieApi, DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion,
-    SetEvent, VisitLog, WriteKind, READ_NAMES_CAPACITY,
+    SetEvent, Sym, VisitLog, WriteKind,
 };
 use crate::sink::EventSink;
-use cg_hash::StrIndex;
 use cg_url::Url;
+use std::ops::Range;
 
 /// Accumulates one visit's instrumentation log.
 ///
 /// The runtime feeds it through the [`EventSink`] trait; the positional
 /// `record_*` helpers below remain as convenience constructors for
-/// tests and analysis fixtures.
+/// tests and analysis fixtures. Every string goes into the log's string
+/// table once ([`VisitLog::intern`]), the site's domain first.
 #[derive(Debug, Default)]
 pub struct Recorder {
     log: VisitLog,
-    /// Index over `log.read_names`.
-    names: StrIndex,
 }
 
 impl EventSink for Recorder {
@@ -46,20 +45,19 @@ impl EventSink for Recorder {
         self.log.inclusions.push(event);
     }
 
-    fn read_name(&mut self, name: &str) -> u32 {
-        let table = &mut self.log.read_names;
-        let found = self.names.find(name.as_bytes(), table.len(), |i| {
-            table[i as usize].as_bytes()
-        });
-        found.unwrap_or_else(|at| {
-            let index = u32::try_from(table.len()).expect("fewer than 2^32 read names");
-            if table.is_empty() {
-                table.reserve(READ_NAMES_CAPACITY);
-            }
-            table.push(name.to_string());
-            self.names.insert(at, index);
-            index
-        })
+    fn intern(&mut self, s: &str) -> Sym {
+        self.log.intern(s)
+    }
+
+    fn read_names(&mut self, names: &mut dyn Iterator<Item = &str>) -> Range<u32> {
+        let start = self.log.read_names.len();
+        for name in names {
+            let sym = self.log.intern(name);
+            self.log.read_names.push(sym);
+        }
+        let end = self.log.read_names.len();
+        u32::try_from(start).expect("fewer than 2^32 read names")
+            ..u32::try_from(end).expect("fewer than 2^32 read names")
     }
 }
 
@@ -67,13 +65,7 @@ impl Recorder {
     /// Starts recording a visit to `site_domain` (rank for bookkeeping).
     pub fn new(site_domain: &str, rank: usize) -> Recorder {
         Recorder {
-            log: VisitLog {
-                site_domain: site_domain.to_string(),
-                rank,
-                complete: true,
-                ..VisitLog::default()
-            },
-            names: StrIndex::default(),
+            log: VisitLog::new(site_domain, rank),
         }
     }
 
@@ -118,18 +110,20 @@ impl Recorder {
         blocked: bool,
         time_ms: u64,
     ) {
-        self.log.sets.push(SetEvent {
-            name: name.to_string(),
-            value: value.to_string(),
-            actor: actor.map(str::to_string),
-            actor_url: actor_url.map(str::to_string),
+        let log = &mut self.log;
+        let event = SetEvent {
+            name: log.intern(name),
+            value: log.intern(value),
+            actor: actor.map(|a| log.intern(a)),
+            actor_url: actor_url.map(|u| log.intern(u)),
             api,
             kind,
             max_age_s,
             changes,
             blocked,
             time_ms,
-        });
+        };
+        log.sets.push(event);
     }
 
     /// Records a cookie read of the cookies called `names`.
@@ -141,9 +135,10 @@ impl Recorder {
         filtered_count: usize,
         time_ms: u64,
     ) {
-        let names = names.iter().map(|name| self.read_name(name)).collect();
+        let names = self.read_names(&mut names.iter().copied());
+        let actor = actor.map(|a| self.log.intern(a));
         self.log.reads.push(ReadEvent {
-            actor: actor.map(str::to_string),
+            actor,
             api,
             names,
             filtered_count,
@@ -162,41 +157,46 @@ impl Recorder {
         cookie_header: Option<&str>,
         time_ms: u64,
     ) {
-        self.log.requests.push(RequestEvent::observed(
+        let event = RequestEvent::observed(
+            self,
             url,
             kind,
             initiator_url,
             first_party,
             cookie_header,
             time_ms,
-        ));
+        );
+        self.log.requests.push(event);
     }
 
     /// Records a functional-probe outcome.
     pub fn record_probe(&mut self, feature: &str, cookie: &str, ok: bool, actor: Option<&str>) {
-        self.log.probes.push(ProbeEvent {
-            feature: feature.to_string(),
-            cookie: cookie.to_string(),
+        let log = &mut self.log;
+        let event = ProbeEvent {
+            feature: log.intern(feature),
+            cookie: log.intern(cookie),
             ok,
-            actor: actor.map(str::to_string),
-        });
+            actor: actor.map(|a| log.intern(a)),
+        };
+        log.probes.push(event);
     }
 
     /// Records a DOM mutation (`blocked` = stopped by the DOM guard).
     pub fn record_dom(&mut self, actor: Option<&str>, owner: &str, kind: &str, blocked: bool) {
-        self.log.dom_events.push(DomEvent {
-            actor: actor.map(str::to_string),
-            owner: owner.to_string(),
-            kind: kind.to_string(),
+        let log = &mut self.log;
+        let event = DomEvent {
+            actor: actor.map(|a| log.intern(a)),
+            owner: log.intern(owner),
+            kind: log.intern(kind),
             blocked,
-        });
+        };
+        log.dom_events.push(event);
     }
 
     /// Records a script inclusion.
     pub fn record_inclusion(&mut self, url: Option<&str>, direct: bool) {
-        self.log
-            .inclusions
-            .push(ScriptInclusion::observed(url, direct));
+        let event = ScriptInclusion::observed(self, url, direct);
+        self.log.inclusions.push(event);
     }
 
     /// Finishes recording and returns the log.
@@ -244,30 +244,46 @@ mod tests {
         r.record_inclusion(None, true);
 
         let log = r.finish();
-        assert_eq!(log.site_domain, "site.com");
+        assert_eq!(log.site(), "site.com");
         assert_eq!(log.rank, 7);
         assert!(log.complete);
         assert_eq!(log.sets.len(), 1);
         assert_eq!(log.reads.len(), 1);
         assert_eq!(log.requests.len(), 1);
-        assert_eq!(log.requests[0].dest_domain.as_deref(), Some("dest.io"));
-        assert_eq!(log.requests[0].initiator.as_deref(), Some("t.com"));
+        assert_eq!(log.opt_str(log.requests[0].dest_domain), Some("dest.io"));
+        assert_eq!(log.opt_str(log.requests[0].initiator), Some("t.com"));
         assert_eq!(log.probes.len(), 1);
         assert_eq!(log.dom_events.len(), 1);
         assert_eq!(log.inclusions.len(), 2);
-        assert_eq!(log.inclusions[1].url, "<inline>");
+        assert_eq!(log.str(log.inclusions[1].url), "<inline>");
     }
 
     #[test]
-    fn read_names_are_stored_once_per_visit() {
+    fn strings_are_stored_once_per_visit() {
         let mut r = Recorder::new("site.com", 1);
-        assert_eq!(r.read_name("_ga"), 0);
-        assert_eq!(r.read_name("_gid"), 1);
-        assert_eq!(r.read_name("_ga"), 0);
-        r.record_read(None, CookieApi::DocumentCookie, &["_gid", "sid"], 0, 1);
+        assert_eq!(r.intern("site.com"), 0, "the site's domain comes first");
+        assert_eq!(r.intern("_ga"), 1);
+        assert_eq!(r.intern("_gid"), 2);
+        assert_eq!(r.intern("_ga"), 1);
+        r.record_read(
+            Some("_ga"),
+            CookieApi::DocumentCookie,
+            &["_gid", "sid"],
+            0,
+            1,
+        );
+        r.record_read(None, CookieApi::DocumentCookie, &["sid"], 0, 2);
         let log = r.finish();
-        assert_eq!(log.read_names, ["_ga", "_gid", "sid"]);
-        assert_eq!(log.reads[0].names, [1, 2]);
+        assert_eq!(
+            log.strings.iter().collect::<Vec<_>>(),
+            ["site.com", "_ga", "_gid", "sid"]
+        );
+        assert_eq!(log.read_names, [2, 3, 3]);
+        assert_eq!(
+            (log.reads[0].names.clone(), log.reads[1].names.clone()),
+            (0..2, 2..3)
+        );
+        assert_eq!(log.reads[0].actor, Some(1));
         assert_eq!(
             log.names_of(&log.reads[0]).collect::<Vec<_>>(),
             ["_gid", "sid"]

@@ -8,7 +8,10 @@
 //! are constructed *once*, by the layer that owns the semantics (the
 //! cookie access layer builds [`SetEvent`]/[`ReadEvent`]; the browser
 //! builds request/DOM/probe/inclusion events via the constructors on
-//! the event types), and the sink merely receives them.
+//! the event types), and the sink merely receives them. An event's
+//! strings are symbols the sink itself handed out
+//! ([`EventSink::intern`], [`EventSink::read_names`]), so a string the
+//! visit logs many times is stored once.
 //!
 //! Two implementations ship here:
 //!
@@ -17,7 +20,10 @@
 //! * [`NullSink`] — discards everything (vanilla crawls and
 //!   micro-benchmarks that want enforcement without logging cost).
 
-use crate::events::{DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion, SetEvent};
+use crate::events::{
+    DomEvent, ProbeEvent, ReadEvent, RequestEvent, ScriptInclusion, SetEvent, Sym,
+};
+use std::ops::Range;
 
 /// Receives fully-constructed instrumentation events.
 ///
@@ -39,11 +45,15 @@ pub trait EventSink {
     /// A script observed in the main frame.
     fn inclusion(&mut self, event: ScriptInclusion);
 
-    /// The index of cookie name `name` in the visit's read-name table,
-    /// for a [`ReadEvent`]'s `names`: a sink that keeps the visit's
-    /// events adds a name on its first read, so a name read again
-    /// costs a lookup and no allocation.
-    fn read_name(&mut self, name: &str) -> u32;
+    /// The symbol of `s` in the visit's string table, for an event's
+    /// string fields: a sink that keeps the visit's events adds a
+    /// string on its first use, so a string logged again costs a lookup
+    /// and no allocation.
+    fn intern(&mut self, s: &str) -> Sym;
+
+    /// Appends `names` (interned) to the visit's read-name list and
+    /// returns their range there, for a [`ReadEvent`]'s `names`.
+    fn read_names(&mut self, names: &mut dyn Iterator<Item = &str>) -> Range<u32>;
 }
 
 /// An [`EventSink`] that drops every event — the zero-cost sink for
@@ -58,10 +68,14 @@ impl EventSink for NullSink {
     fn probe(&mut self, _event: ProbeEvent) {}
     fn dom_mutation(&mut self, _event: DomEvent) {}
     fn inclusion(&mut self, _event: ScriptInclusion) {}
-    /// Every name is index 0: the read events that would carry it are
+    /// Every string is symbol 0: the events that would carry it are
     /// dropped.
-    fn read_name(&mut self, _name: &str) -> u32 {
+    fn intern(&mut self, _s: &str) -> Sym {
         0
+    }
+    /// Every read returns no names, as its event is dropped.
+    fn read_names(&mut self, _names: &mut dyn Iterator<Item = &str>) -> Range<u32> {
+        0..0
     }
 }
 
@@ -71,11 +85,11 @@ mod tests {
     use crate::events::CookieApi;
     use crate::Recorder;
 
-    fn read_event() -> ReadEvent {
+    fn read_event(sink: &mut dyn EventSink) -> ReadEvent {
         ReadEvent {
-            actor: Some("t.com".into()),
+            actor: Some(sink.intern("t.com")),
             api: CookieApi::DocumentCookie,
-            names: vec![0],
+            names: sink.read_names(&mut ["a", "b", "a"].into_iter()),
             filtered_count: 0,
             time_ms: 5,
         }
@@ -85,15 +99,23 @@ mod tests {
     fn recorder_sink_accumulates() {
         let mut r = Recorder::new("site.com", 1);
         let sink: &mut dyn EventSink = &mut r;
-        sink.cookie_read(read_event());
-        assert_eq!(r.log().reads.len(), 1);
+        let event = read_event(sink);
+        sink.cookie_read(event);
+        let log = r.log();
+        assert_eq!(log.reads.len(), 1);
+        assert_eq!(log.opt_str(log.reads[0].actor), Some("t.com"));
+        assert_eq!(
+            log.names_of(&log.reads[0]).collect::<Vec<_>>(),
+            ["a", "b", "a"]
+        );
     }
 
     #[test]
     fn null_sink_discards() {
         let mut n = NullSink;
         let sink: &mut dyn EventSink = &mut n;
-        sink.cookie_read(read_event());
+        let event = read_event(sink);
+        sink.cookie_read(event);
         // Nothing to observe — the call simply must not panic.
     }
 }

@@ -278,12 +278,12 @@ fn summarize(condition: &str, o: &VisitOutcome) -> ConditionCell {
     let log = &o.log;
     // Names written (or attempted) this visit: the exfiltration
     // detector's watch set.
-    let watched: BTreeSet<&str> = log.sets.iter().map(|s| s.name.as_str()).collect();
+    let watched: BTreeSet<&str> = log.sets.iter().map(|s| log.str(s.name)).collect();
     let exfil_requests = log
         .requests
         .iter()
         .filter(|r| {
-            r.url
+            log.str(r.url)
                 .split_once('?')
                 .map(|(_, q)| {
                     q.split('&')

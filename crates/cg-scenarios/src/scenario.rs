@@ -202,66 +202,66 @@ impl Expect {
         let write_kind = |k: WriteKind| matches!(k, WriteKind::Create | WriteKind::Overwrite);
         match self {
             Expect::Writes { cookie, by } => log.sets.iter().any(|s| {
-                s.name == *cookie
+                log.str(s.name) == *cookie
                     && write_kind(s.kind)
                     && !s.blocked
-                    && by.matches(s.actor.as_deref(), site)
+                    && by.matches(log.opt_str(s.actor), site)
             }),
             Expect::WritesAtLeast { cookie, by, n } => {
                 log.sets
                     .iter()
                     .filter(|s| {
-                        s.name == *cookie
+                        log.str(s.name) == *cookie
                             && write_kind(s.kind)
                             && !s.blocked
-                            && by.matches(s.actor.as_deref(), site)
+                            && by.matches(log.opt_str(s.actor), site)
                     })
                     .count()
                     >= *n
             }
             Expect::WriteBlocked { cookie, by } => log.sets.iter().any(|s| {
-                s.name == *cookie
+                log.str(s.name) == *cookie
                     && write_kind(s.kind)
                     && s.blocked
-                    && by.matches(s.actor.as_deref(), site)
+                    && by.matches(log.opt_str(s.actor), site)
             }),
             // "Never appears at all": a guard-*blocked* attempt also
             // fails this claim — the op must never have fired.
             Expect::NoWrite { cookie, by } => !log.sets.iter().any(|s| {
-                s.name == *cookie && write_kind(s.kind) && by.matches(s.actor.as_deref(), site)
+                log.str(s.name) == *cookie
+                    && write_kind(s.kind)
+                    && by.matches(log.opt_str(s.actor), site)
             }),
             Expect::Deletes { cookie, by } => log.sets.iter().any(|s| {
-                s.name == *cookie
+                log.str(s.name) == *cookie
                     && s.kind == WriteKind::Delete
                     && !s.blocked
-                    && by.matches(s.actor.as_deref(), site)
+                    && by.matches(log.opt_str(s.actor), site)
             }),
             Expect::DeleteBlocked { cookie, by } => log.sets.iter().any(|s| {
-                s.name == *cookie
+                log.str(s.name) == *cookie
                     && s.kind == WriteKind::Delete
                     && s.blocked
-                    && by.matches(s.actor.as_deref(), site)
+                    && by.matches(log.opt_str(s.actor), site)
             }),
-            Expect::Exfiltrates { cookie, by } => log
-                .requests
-                .iter()
-                .any(|r| by.matches(r.initiator.as_deref(), site) && query_carries(&r.url, cookie)),
-            Expect::NoExfil { cookie, by } => !log
-                .requests
-                .iter()
-                .any(|r| by.matches(r.initiator.as_deref(), site) && query_carries(&r.url, cookie)),
+            Expect::Exfiltrates { cookie, by } => log.requests.iter().any(|r| {
+                by.matches(log.opt_str(r.initiator), site) && query_carries(log.str(r.url), cookie)
+            }),
+            Expect::NoExfil { cookie, by } => !log.requests.iter().any(|r| {
+                by.matches(log.opt_str(r.initiator), site) && query_carries(log.str(r.url), cookie)
+            }),
             Expect::ReadFiltered { by } => log
                 .reads
                 .iter()
-                .any(|r| by.matches(r.actor.as_deref(), site) && r.filtered_count > 0),
+                .any(|r| by.matches(log.opt_str(r.actor), site) && r.filtered_count > 0),
             Expect::ReadClean { by } => log
                 .reads
                 .iter()
-                .filter(|r| by.matches(r.actor.as_deref(), site))
+                .filter(|r| by.matches(log.opt_str(r.actor), site))
                 .all(|r| r.filtered_count == 0),
             Expect::ProbeOk { feature } => {
                 let mut any = false;
-                for p in log.probes.iter().filter(|p| p.feature == *feature) {
+                for p in log.probes.iter().filter(|p| log.str(p.feature) == *feature) {
                     any = true;
                     if !p.ok {
                         return false;
@@ -269,9 +269,10 @@ impl Expect {
                 }
                 any
             }
-            Expect::ProbeFails { feature } => {
-                log.probes.iter().any(|p| p.feature == *feature && !p.ok)
-            }
+            Expect::ProbeFails { feature } => log
+                .probes
+                .iter()
+                .any(|p| log.str(p.feature) == *feature && !p.ok),
             Expect::NoProbeRegression => cg_breakage::probe_regressions(vanilla, log).is_empty(),
         }
     }

@@ -30,7 +30,7 @@ use crate::epoch::{EngineCache, SwapReport};
 use crate::tenant::{GuardService, TenantId};
 use cg_crawlstore::{plan_chunks, ChunkPlan, ReadBackend, StoreError};
 use cg_instrument::{
-    CookieApi, ReadEvent, ServiceCounters, SetEvent, TenantCounters, VisitLog, WriteKind,
+    CookieApi, ReadEvent, ServiceCounters, SetEvent, Sym, TenantCounters, VisitLog, WriteKind,
 };
 use cookieguard_core::{Caller, GuardConfig, GuardStats};
 
@@ -88,36 +88,51 @@ pub struct VisitScript {
     pub ops: Vec<ReplayOp>,
 }
 
-fn caller_for(actor: &Option<String>) -> Caller {
-    match actor {
-        Some(domain) => Caller::external(domain),
-        None => Caller::inline(),
-    }
+/// Lowers one log's events, resolving each actor symbol to its
+/// [`Caller`] once.
+struct Lowering<'l> {
+    log: &'l VisitLog,
+    /// Per symbol, once resolved.
+    callers: Vec<Option<Caller>>,
 }
 
-fn op_for_set(site: &str, set: &SetEvent) -> ReplayOp {
-    if set.api == CookieApi::HttpHeader {
-        ReplayOp::HeaderSet {
-            name: set.name.clone(),
-            domain: set.actor.clone().unwrap_or_else(|| site.to_string()),
-        }
-    } else if set.kind == WriteKind::Delete {
-        ReplayOp::Delete {
-            caller: caller_for(&set.actor),
-            name: set.name.clone(),
-        }
-    } else {
-        ReplayOp::Write {
-            caller: caller_for(&set.actor),
-            name: set.name.clone(),
+impl Lowering<'_> {
+    fn caller_for(&mut self, actor: Option<Sym>) -> Caller {
+        let Some(actor) = actor else {
+            return Caller::inline();
+        };
+        let log = self.log;
+        *self.callers[actor as usize].get_or_insert_with(|| Caller::external(log.str(actor)))
+    }
+
+    fn op_for_set(&mut self, set: &SetEvent) -> ReplayOp {
+        let name = self.log.str(set.name).to_string();
+        if set.api == CookieApi::HttpHeader {
+            ReplayOp::HeaderSet {
+                name,
+                domain: self
+                    .log
+                    .str(set.actor.unwrap_or(self.log.site_domain))
+                    .to_string(),
+            }
+        } else if set.kind == WriteKind::Delete {
+            ReplayOp::Delete {
+                caller: self.caller_for(set.actor),
+                name,
+            }
+        } else {
+            ReplayOp::Write {
+                caller: self.caller_for(set.actor),
+                name,
+            }
         }
     }
-}
 
-fn op_for_read(log: &VisitLog, read: &ReadEvent) -> ReplayOp {
-    ReplayOp::Read {
-        caller: caller_for(&read.actor),
-        names: log.names_of(read).map(str::to_string).collect(),
+    fn op_for_read(&mut self, read: &ReadEvent) -> ReplayOp {
+        ReplayOp::Read {
+            caller: self.caller_for(read.actor),
+            names: self.log.names_of(read).map(str::to_string).collect(),
+        }
     }
 }
 
@@ -128,6 +143,17 @@ fn op_for_read(log: &VisitLog, read: &ReadEvent) -> ReplayOp {
 /// identical operation streams.
 pub fn extract_script(log: &VisitLog) -> VisitScript {
     let mut ops = Vec::with_capacity(log.sets.len() + log.reads.len());
+    let mut lowering = Lowering {
+        log,
+        callers: vec![
+            None;
+            if ops.capacity() == 0 {
+                0
+            } else {
+                log.strings.len()
+            }
+        ],
+    };
     let (mut i, mut j) = (0, 0);
     while i < log.sets.len() || j < log.reads.len() {
         let take_set = match (log.sets.get(i), log.reads.get(j)) {
@@ -136,15 +162,15 @@ pub fn extract_script(log: &VisitLog) -> VisitScript {
             _ => false,
         };
         if take_set {
-            ops.push(op_for_set(&log.site_domain, &log.sets[i]));
+            ops.push(lowering.op_for_set(&log.sets[i]));
             i += 1;
         } else {
-            ops.push(op_for_read(log, &log.reads[j]));
+            ops.push(lowering.op_for_read(&log.reads[j]));
             j += 1;
         }
     }
     VisitScript {
-        site: log.site_domain.clone(),
+        site: log.site().to_string(),
         rank: log.rank as u64,
         ops,
     }
@@ -580,65 +606,54 @@ fn run_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_instrument::ReadEvent;
+    use cg_instrument::Recorder;
 
-    fn set(name: &str, actor: Option<&str>, api: CookieApi, kind: WriteKind, t: u64) -> SetEvent {
-        SetEvent {
-            name: name.to_string(),
-            value: "v".to_string(),
-            actor: actor.map(str::to_string),
-            actor_url: None,
-            api,
-            kind,
-            max_age_s: None,
-            changes: None,
-            blocked: false,
-            time_ms: t,
-        }
-    }
-
-    /// A read of `names`, indices into the log's `read_names`.
-    fn read(actor: Option<&str>, names: &[u32], t: u64) -> ReadEvent {
-        ReadEvent {
-            actor: actor.map(str::to_string),
-            api: CookieApi::DocumentCookie,
-            names: names.to_vec(),
-            filtered_count: 0,
-            time_ms: t,
-        }
+    fn set(
+        r: &mut Recorder,
+        name: &str,
+        actor: Option<&str>,
+        api: CookieApi,
+        kind: WriteKind,
+        t: u64,
+    ) {
+        r.record_set(name, "v", actor, None, api, kind, None, false, t);
     }
 
     #[test]
     fn extraction_merges_by_time_and_classifies_ops() {
-        let log = VisitLog {
-            site_domain: "site.com".to_string(),
-            rank: 7,
-            complete: true,
-            sets: vec![
-                set(
-                    "a",
-                    Some("tracker.com"),
-                    CookieApi::DocumentCookie,
-                    WriteKind::Create,
-                    10,
-                ),
-                set("h", None, CookieApi::HttpHeader, WriteKind::Create, 20),
-                set(
-                    "a",
-                    Some("tracker.com"),
-                    CookieApi::CookieStore,
-                    WriteKind::Delete,
-                    40,
-                ),
-            ],
-            reads: vec![read(Some("cdn.io"), &[1, 0], 30)],
-            read_names: vec!["h".to_string(), "a".to_string()],
-            requests: vec![],
-            probes: vec![],
-            dom_events: vec![],
-            inclusions: vec![],
-        };
-        let script = extract_script(&log);
+        let mut r = Recorder::new("site.com", 7);
+        set(
+            &mut r,
+            "a",
+            Some("tracker.com"),
+            CookieApi::DocumentCookie,
+            WriteKind::Create,
+            10,
+        );
+        set(
+            &mut r,
+            "h",
+            None,
+            CookieApi::HttpHeader,
+            WriteKind::Create,
+            20,
+        );
+        r.record_read(
+            Some("cdn.io"),
+            CookieApi::DocumentCookie,
+            &["a", "h"],
+            0,
+            30,
+        );
+        set(
+            &mut r,
+            "a",
+            Some("tracker.com"),
+            CookieApi::CookieStore,
+            WriteKind::Delete,
+            40,
+        );
+        let script = extract_script(&r.finish());
         assert_eq!(script.site, "site.com");
         assert_eq!(script.rank, 7);
         assert_eq!(script.ops.len(), 4);
@@ -648,30 +663,26 @@ mod tests {
             matches!(&script.ops[1], ReplayOp::HeaderSet { name, domain } if name == "h" && domain == "site.com")
         );
         assert!(matches!(&script.ops[2], ReplayOp::Read { names, .. } if names == &["a", "h"]));
-        assert!(matches!(&script.ops[3], ReplayOp::Delete { name, .. } if name == "a"));
+        assert!(matches!(
+            &script.ops[3],
+            ReplayOp::Delete { caller, name }
+                if name == "a" && caller.domain_name() == Some("tracker.com")
+        ));
     }
 
     #[test]
     fn sets_win_time_ties_and_inline_actors_map_to_inline_callers() {
-        let log = VisitLog {
-            site_domain: "site.com".to_string(),
-            rank: 0,
-            complete: true,
-            sets: vec![set(
-                "x",
-                None,
-                CookieApi::DocumentCookie,
-                WriteKind::Create,
-                5,
-            )],
-            reads: vec![read(None, &[0], 5)],
-            read_names: vec!["x".to_string()],
-            requests: vec![],
-            probes: vec![],
-            dom_events: vec![],
-            inclusions: vec![],
-        };
-        let script = extract_script(&log);
+        let mut r = Recorder::new("site.com", 0);
+        r.record_read(None, CookieApi::DocumentCookie, &["x"], 0, 5);
+        set(
+            &mut r,
+            "x",
+            None,
+            CookieApi::DocumentCookie,
+            WriteKind::Create,
+            5,
+        );
+        let script = extract_script(&r.finish());
         assert!(matches!(
             &script.ops[0],
             ReplayOp::Write { caller, .. } if caller.domain_name().is_none()

@@ -55,9 +55,41 @@ pub fn url_domain(url: &str) -> Option<String> {
     Url::parse(url).ok().and_then(|u| u.registrable_domain())
 }
 
+/// Whether `url`'s registrable domain is `domain`, ASCII
+/// case-insensitively. A registrable domain is part of its URL's host,
+/// so a URL that does not contain `domain` is answered without being
+/// parsed.
+pub fn url_on_domain(url: &str, domain: &str) -> bool {
+    let d = domain.as_bytes();
+    !d.is_empty()
+        && url
+            .as_bytes()
+            .windows(d.len())
+            .any(|w| w.eq_ignore_ascii_case(d))
+        && url_domain(url).is_some_and(|u| u.eq_ignore_ascii_case(domain))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn url_on_domain_matches_url_domain() {
+        for (url, domain, want) in [
+            ("https://cdn.Site.com/a.js", "site.com", true),
+            ("https://site.com:8443/", "SITE.com", true),
+            ("https://site.com.evil.io/a.js", "site.com", false),
+            ("https://evil.io/?ref=site.com", "site.com", false),
+            ("https://other.io/a.js", "site.com", false),
+            ("https://10.0.0.1/a.js", "0.0.1", false),
+            ("not a url site.com", "site.com", false),
+            ("https://site.com/", "", false),
+        ] {
+            assert_eq!(url_on_domain(url, domain), want, "{url} on {domain}");
+            let reference = url_domain(url).is_some_and(|d| d.eq_ignore_ascii_case(domain));
+            assert_eq!(url_on_domain(url, domain), reference, "{url} on {domain}");
+        }
+    }
 
     #[test]
     fn same_site_basic() {

@@ -27,11 +27,12 @@
 //! The jar's host → shard resolution is pinned once per `GuardedJar`
 //! (the document URL is fixed for its lifetime). A read borrows: the jar
 //! hands out a sorted view of `&Cookie`, the guard filters that view in
-//! place, the sink stores each distinct name once per visit (the read
-//! event holds its `u32` index), and only what the caller receives — the `document.cookie` string, written
-//! into one `String`, or the `getAll` pairs — is copied. A write finds
-//! the cookie it replaces in the same borrowed form and copies none of
-//! it.
+//! place, the sink stores each distinct string once per visit (an
+//! event holds `u32` symbols, a read a range of the visit's name list),
+//! and only what the caller receives — the `document.cookie` string,
+//! written into one `String`, or the `getAll` pairs — is copied. A
+//! write finds the cookie it replaces in the same borrowed form and
+//! copies none of it.
 
 use crate::guard::GuardSession;
 use crate::policy::{AccessDecision, Caller};
@@ -39,7 +40,7 @@ use cg_cookiejar::{
     cookie_string, ChangeCause, Cookie, CookieChange, CookieJar, SetCookieError, ShardPin,
 };
 use cg_http::parse_set_cookie;
-use cg_instrument::{AttrChangeFlags, CookieApi, EventSink, ReadEvent, SetEvent, WriteKind};
+use cg_instrument::{AttrChangeFlags, CookieApi, EventSink, ReadEvent, SetEvent, Sym, WriteKind};
 use cg_url::{DomainId, Url};
 use std::sync::Arc;
 
@@ -54,8 +55,9 @@ use std::sync::Arc;
 /// Both identities are interned ids, resolved once per script at
 /// attribution time, so building and cloning a context per operation is
 /// allocation-free (`Caller` and `DomainId` are `Copy`; the script URL
-/// is a shared `Arc<str>`). Event emission resolves ids back to names —
-/// the instrument wire format never changes.
+/// is a shared `Arc<str>`). Event emission resolves ids back to names
+/// and interns them into the visit's string table — the instrument wire
+/// format never changes.
 #[derive(Debug, Clone)]
 pub struct AccessContext {
     /// Policy identity: who the guard judges.
@@ -73,9 +75,10 @@ pub struct AccessContext {
 }
 
 impl AccessContext {
-    /// The actor's domain name (normalized form), when attributed.
-    fn actor_name(&self) -> Option<String> {
-        self.actor.map(|id| cg_url::name(id).to_string())
+    /// The actor's domain name (normalized form), when attributed, as a
+    /// symbol of `sink`'s visit.
+    fn actor_sym(&self, sink: &mut dyn EventSink) -> Option<Sym> {
+        self.actor.map(|id| sink.intern(cg_url::name(id)))
     }
 }
 
@@ -244,12 +247,12 @@ impl<'v> GuardedJar<'v> {
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.value.clone());
-        let names = match found {
-            Some(_) => vec![self.sink.read_name(name)],
-            None => Vec::new(),
-        };
+        let names = self
+            .sink
+            .read_names(&mut found.is_some().then_some(name).into_iter());
+        let actor = ctx.actor_sym(self.sink);
         self.sink.cookie_read(ReadEvent {
-            actor: ctx.actor_name(),
+            actor,
             api: CookieApi::CookieStore,
             names,
             filtered_count: filtered.min(1),
@@ -273,9 +276,12 @@ impl<'v> GuardedJar<'v> {
             &self.url,
             ctx,
         );
-        let names = view.iter().map(|c| self.sink.read_name(&c.name)).collect();
+        let names = self
+            .sink
+            .read_names(&mut view.iter().map(|c| c.name.as_str()));
+        let actor = ctx.actor_sym(self.sink);
         self.sink.cookie_read(ReadEvent {
-            actor: ctx.actor_name(),
+            actor,
             api,
             names,
             filtered_count: filtered,
@@ -571,22 +577,24 @@ impl<'v> GuardedJar<'v> {
                     }
                 }
                 if logged {
-                    self.sink.cookie_set(SetEvent {
+                    let sink = &mut *self.sink;
+                    let event = SetEvent {
                         max_age_s: match (sc.max_age_s, sc.expires_ms) {
                             (Some(ma), _) => Some(ma),
                             (None, Some(e)) => Some((e - now_ms) / 1000),
                             (None, None) => None,
                         },
-                        name: sc.name,
-                        value: sc.value,
-                        actor: Some(response_domain.to_string()),
+                        name: sink.intern(&sc.name),
+                        value: sink.intern(&sc.value),
+                        actor: Some(sink.intern(response_domain)),
                         actor_url: None,
                         api: CookieApi::HttpHeader,
                         kind: WriteKind::Create,
                         changes: None,
                         blocked: false,
                         time_ms: 0,
-                    });
+                    };
+                    sink.cookie_set(event);
                 }
                 Outcome {
                     decision: None,
@@ -646,18 +654,20 @@ impl<'v> GuardedJar<'v> {
         changes: Option<AttrChangeFlags>,
         blocked: bool,
     ) {
-        self.sink.cookie_set(SetEvent {
-            name: name.to_string(),
-            value: value.to_string(),
-            actor: ctx.actor_name(),
-            actor_url: ctx.actor_url.as_deref().map(str::to_string),
+        let sink = &mut *self.sink;
+        let event = SetEvent {
+            name: sink.intern(name),
+            value: sink.intern(value),
+            actor: ctx.actor_sym(sink),
+            actor_url: ctx.actor_url.as_deref().map(|u| sink.intern(u)),
             api,
             kind,
             max_age_s,
             changes,
             blocked,
             time_ms: ctx.time_ms,
-        });
+        };
+        sink.cookie_set(event);
     }
 }
 
@@ -736,7 +746,7 @@ mod tests {
 
         let log = rec.finish();
         assert_eq!(log.sets.len(), 3); // create + blocked delete + delete
-        assert_eq!(log.sets[0].name, "_tid");
+        assert_eq!(log.str(log.sets[0].name), "_tid");
         assert_eq!(log.reads.len(), 2);
         assert_eq!(log.reads[1].filtered_count, 1);
         assert!(log.sets[1].blocked);

@@ -86,21 +86,21 @@ fn print_events(log: &cookieguard_repro::instrument::VisitLog) {
     for e in &log.dom_events {
         println!(
             "  {:<28} {:<9} element owned by {:<22} {}",
-            e.actor.clone().unwrap_or_else(|| "<inline>".into()),
-            e.kind,
-            e.owner,
+            log.opt_str(e.actor).unwrap_or("<inline>"),
+            log.str(e.kind),
+            log.str(e.owner),
             if e.blocked { "BLOCKED" } else { "applied" }
         );
     }
     let cross_applied = log
         .dom_events
         .iter()
-        .filter(|e| e.is_cross_domain() && !e.blocked)
+        .filter(|e| e.is_cross_domain(log) && !e.blocked)
         .count();
     let cross_blocked = log
         .dom_events
         .iter()
-        .filter(|e| e.is_cross_domain() && e.blocked)
+        .filter(|e| e.is_cross_domain(log) && e.blocked)
         .count();
     println!("  cross-domain mutations applied: {cross_applied}, blocked: {cross_blocked}");
 }

@@ -107,15 +107,15 @@ fn main() {
     for read in &log.reads {
         println!(
             "  read  by {:<24} -> {} cookie(s) visible",
-            read.actor.clone().unwrap_or_default(),
+            log.opt_str(read.actor).unwrap_or_default(),
             read.names.len()
         );
     }
     for req in &log.requests {
         println!(
             "  exfil by {:<24} -> {}",
-            req.initiator.clone().unwrap_or_default(),
-            req.url
+            log.opt_str(req.initiator).unwrap_or_default(),
+            log.str(req.url)
         );
     }
     let blocked = log.sets.iter().filter(|s| s.blocked).count();
@@ -128,7 +128,7 @@ fn main() {
     for read in &log.reads {
         println!(
             "  read  by {:<24} -> {} cookie(s) visible ({} filtered)",
-            read.actor.clone().unwrap_or_default(),
+            log.opt_str(read.actor).unwrap_or_default(),
             read.names.len(),
             read.filtered_count
         );
@@ -136,8 +136,8 @@ fn main() {
     let carrying: Vec<&str> = log
         .requests
         .iter()
-        .filter(|r| r.url.contains('='))
-        .map(|r| r.url.as_str())
+        .map(|r| log.str(r.url))
+        .filter(|url| url.contains('='))
         .collect();
     if carrying.is_empty() {
         println!("  no exfiltration requests carried foreign cookies");

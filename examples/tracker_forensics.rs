@@ -105,8 +105,8 @@ fn main() {
     for req in &log.requests {
         println!(
             "  {} -> {}",
-            req.initiator.clone().unwrap_or_default(),
-            req.url
+            log.opt_str(req.initiator).unwrap_or_default(),
+            log.str(req.url)
         );
     }
 

@@ -42,7 +42,7 @@ fn cloaked_tracker_bypasses_url_keyed_guard() {
         .log
         .reads
         .iter()
-        .filter(|r| r.actor.as_deref() == Some(bp.spec.domain.as_str()))
+        .filter(|r| out.log.opt_str(r.actor) == Some(bp.spec.domain.as_str()))
         .collect();
     assert!(
         !cloaked_reads.is_empty(),
@@ -50,7 +50,10 @@ fn cloaked_tracker_bypasses_url_keyed_guard() {
     );
     // The cloaked exfiltration request fires with cookie payload access.
     assert!(
-        out.log.requests.iter().any(|r| r.url.contains("/cloaked")),
+        out.log
+            .requests
+            .iter()
+            .any(|r| out.log.str(r.url).contains("/cloaked")),
         "cloaked exfiltration request expected"
     );
 }
@@ -76,7 +79,9 @@ fn dns_aware_guard_uncloaks_and_blocks() {
         .log
         .reads
         .iter()
-        .filter(|r| r.actor.as_deref() == Some(bp.spec.domain.as_str()) && r.filtered_count > 0)
+        .filter(|r| {
+            out.log.opt_str(r.actor) == Some(bp.spec.domain.as_str()) && r.filtered_count > 0
+        })
         .collect();
     assert!(
         !filtered_site_reads.is_empty(),
@@ -97,7 +102,7 @@ fn dns_aware_guard_uncloaks_and_blocks() {
         .log
         .reads
         .iter()
-        .filter(|r| r.actor.as_deref() == Some(bp.spec.domain.as_str()))
+        .filter(|r| url_keyed.log.opt_str(r.actor) == Some(bp.spec.domain.as_str()))
         .all(|r| r.filtered_count == 0));
 }
 

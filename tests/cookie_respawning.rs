@@ -25,7 +25,9 @@ fn respawning_site(gen: &WebGenerator, n: usize) -> Option<(SiteBlueprint, Strin
         };
         let out = visit_site(&bp, &VisitConfig::regular(), gen.site_seed(rank));
         let deleted = out.log.sets.iter().any(|s| {
-            s.kind == WriteKind::Delete && s.name == cookie && s.actor.as_deref() != Some(&domain)
+            s.kind == WriteKind::Delete
+                && out.log.str(s.name) == cookie
+                && out.log.opt_str(s.actor) != Some(domain.as_str())
         });
         if deleted {
             return Some((bp, domain, cookie));
@@ -46,14 +48,14 @@ fn respawner_survives_consent_deletion_in_regular_browser() {
         .log
         .sets
         .iter()
-        .find(|s| s.kind == WriteKind::Delete && s.name == cookie)
+        .find(|s| s.kind == WriteKind::Delete && out.log.str(s.name) == cookie)
         .map(|s| s.time_ms)
         .expect("deletion event");
     // …and the tracker re-set its identifier afterwards.
     let respawn = out.log.sets.iter().find(|s| {
         s.kind == WriteKind::Create
-            && s.name == cookie
-            && s.actor.as_deref() == Some(tracker.as_str())
+            && out.log.str(s.name) == cookie
+            && out.log.opt_str(s.actor) == Some(tracker.as_str())
             && s.time_ms >= delete_at
     });
     assert!(
@@ -78,14 +80,14 @@ fn guard_prevents_both_deletion_and_respawn_trigger() {
         .log
         .sets
         .iter()
-        .any(|s| s.kind == WriteKind::Delete && s.name == cookie && s.blocked);
+        .any(|s| s.kind == WriteKind::Delete && out.log.str(s.name) == cookie && s.blocked);
     // …so the respawn listener never fires: at most the initial create
     // exists for this cookie from the tracker.
     let creates = out
         .log
         .sets
         .iter()
-        .filter(|s| s.kind == WriteKind::Create && s.name == cookie && !s.blocked)
+        .filter(|s| s.kind == WriteKind::Create && out.log.str(s.name) == cookie && !s.blocked)
         .count();
     assert!(
         blocked_delete,

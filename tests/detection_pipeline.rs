@@ -128,10 +128,11 @@ fn async_attribution_loss_hides_the_exfiltrator() {
         "unattributable requests fall outside per-script analysis (the paper's limitation)"
     );
     // …but the request itself was observed.
-    assert!(ds.logs[0]
+    let log = &ds.logs[0];
+    assert!(log
         .requests
         .iter()
-        .any(|r| r.initiator.is_none() && r.url.contains("user98765432")));
+        .any(|r| r.initiator.is_none() && log.str(r.url).contains("user98765432")));
 }
 
 #[test]
@@ -160,10 +161,11 @@ fn us_privacy_consent_signal_flows_but_is_short() {
     ]);
     let analysis = detect_exfiltration(&ds, &builtin_entity_map());
     assert!(analysis.events.is_empty());
-    assert!(ds.logs[0]
+    let log = &ds.logs[0];
+    assert!(log
         .requests
         .iter()
-        .any(|r| r.url.contains("us_privacy=1YNN")));
+        .any(|r| log.str(r.url).contains("us_privacy=1YNN")));
 }
 
 #[test]

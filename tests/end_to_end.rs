@@ -31,8 +31,8 @@ fn crawl_is_deterministic_across_runs_and_threads() {
 fn different_seeds_produce_different_webs() {
     let a = crawl(40, 1, 2);
     let b = crawl(40, 2, 2);
-    let domains_a: Vec<&str> = a.logs.iter().map(|l| l.site_domain.as_str()).collect();
-    let domains_b: Vec<&str> = b.logs.iter().map(|l| l.site_domain.as_str()).collect();
+    let domains_a: Vec<&str> = a.logs.iter().map(|l| l.site()).collect();
+    let domains_b: Vec<&str> = b.logs.iter().map(|l| l.site()).collect();
     assert_ne!(domains_a, domains_b);
 }
 

@@ -129,20 +129,23 @@ fn guarded_visits_never_leak_foreign_cookies_to_third_party_readers() {
             if s.blocked {
                 continue;
             }
-            let actor = s.actor.clone().unwrap_or_else(|| site.clone());
+            let log = &out.log;
+            let actor = log.opt_str(s.actor).unwrap_or(&site).to_string();
             match s.kind {
                 cookieguard_repro::instrument::WriteKind::Create => {
-                    owner.entry(s.name.clone()).or_insert(actor);
+                    owner.entry(log.str(s.name).to_string()).or_insert(actor);
                 }
                 cookieguard_repro::instrument::WriteKind::Delete => {
-                    owner.remove(&s.name);
+                    owner.remove(log.str(s.name));
                 }
                 cookieguard_repro::instrument::WriteKind::Overwrite => {}
             }
         }
         for read in &out.log.reads {
-            let Some(actor) = &read.actor else { continue };
-            if actor == &site {
+            let Some(actor) = out.log.opt_str(read.actor) else {
+                continue;
+            };
+            if actor == site {
                 continue; // site owner may see everything
             }
             for name in out.log.names_of(read) {

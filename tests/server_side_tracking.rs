@@ -103,10 +103,16 @@ fn capi_gateway_payload_shrinks_under_guard_but_header_does_not() {
             None => VisitConfig::regular(),
         };
         let (outcomes, _) = crawl_range(&gen, &cfg, 1, 600, 4);
+        // (URL, whether a Cookie header rode along) of each request.
         outcomes
-            .into_iter()
-            .flat_map(|o| o.log.requests)
-            .filter(|r| r.url.contains("/capi-events"))
+            .iter()
+            .flat_map(|o| {
+                let log = &o.log;
+                log.requests
+                    .iter()
+                    .map(|r| (log.str(r.url).to_string(), r.cookie_header.is_some()))
+            })
+            .filter(|(url, _)| url.contains("/capi-events"))
             .collect::<Vec<_>>()
     };
     let regular = find_capi(None);
@@ -117,7 +123,7 @@ fn capi_gateway_payload_shrinks_under_guard_but_header_does_not() {
         "CAPI gateway traffic must survive the guard"
     );
     // Headers ride in both conditions.
-    assert!(guarded.iter().any(|r| r.cookie_header.is_some()));
+    assert!(guarded.iter().any(|&(_, header)| header));
     // The guarded query payloads never contain more parameters than the
     // regular ones' maximum (the pixel lost its view of foreign cookies).
     let params = |url: &str| {
@@ -125,8 +131,8 @@ fn capi_gateway_payload_shrinks_under_guard_but_header_does_not() {
             .map(|(_, q)| q.split('&').count())
             .unwrap_or(0)
     };
-    let max_regular = regular.iter().map(|r| params(&r.url)).max().unwrap();
-    let max_guarded = guarded.iter().map(|r| params(&r.url)).max().unwrap();
+    let max_regular = regular.iter().map(|(url, _)| params(url)).max().unwrap();
+    let max_guarded = guarded.iter().map(|(url, _)| params(url)).max().unwrap();
     assert!(
         max_guarded <= max_regular,
         "guarded CAPI payload should not exceed regular ({max_guarded} > {max_regular})"

@@ -95,7 +95,10 @@ fn relaxed_mode_without_signatures_leaks_to_inline_tracker() {
     let log = run(&mut guard, None);
     // The inline tracker read the full jar (site_sess included) and
     // exfiltrated it.
-    let leak = log.requests.iter().any(|r| r.url.contains("site_sess="));
+    let leak = log
+        .requests
+        .iter()
+        .any(|r| log.str(r.url).contains("site_sess="));
     assert!(
         leak,
         "relaxed mode must leak to the unattributed inline tracker"
@@ -109,16 +112,20 @@ fn signature_attribution_demotes_inline_tracker_in_relaxed_mode() {
     // Attribution turned the inline script into tracker.io: it only sees
     // its own cookie and cannot exfiltrate the site session.
     assert!(
-        !log.requests.iter().any(|r| r.url.contains("site_sess=")),
+        !log.requests
+            .iter()
+            .any(|r| log.str(r.url).contains("site_sess=")),
         "attributed inline tracker must not see the site session"
     );
     assert!(
-        log.requests.iter().any(|r| r.url.contains("_tid=")),
+        log.requests
+            .iter()
+            .any(|r| log.str(r.url).contains("_tid=")),
         "the tracker still syncs its own identifier"
     );
     // The measurement still records the script as inline (the extension
     // cannot see signatures — only the policy layer does).
-    assert!(log.inclusions.iter().any(|i| i.url == "<inline>"));
+    assert!(log.inclusions.iter().any(|i| log.str(i.url) == "<inline>"));
 }
 
 #[test]
@@ -129,14 +136,22 @@ fn strict_mode_with_signatures_restores_own_cookie_access() {
     let mut strict = GuardEngine::shared(GuardConfig::strict()).session("site.example");
     let without = run(&mut strict, None);
     assert!(
-        !without.requests.iter().any(|r| r.url.contains("_tid=")),
+        !without
+            .requests
+            .iter()
+            .any(|r| without.str(r.url).contains("_tid=")),
         "strict mode denies the unattributed inline script even its own cookie"
     );
     let mut strict2 = GuardEngine::shared(GuardConfig::strict()).session("site.example");
     let with = run(&mut strict2, Some(learned_db()));
     assert!(
-        with.requests.iter().any(|r| r.url.contains("_tid=")),
+        with.requests
+            .iter()
+            .any(|r| with.str(r.url).contains("_tid=")),
         "signature attribution restores own-cookie access"
     );
-    assert!(!with.requests.iter().any(|r| r.url.contains("site_sess=")));
+    assert!(!with
+        .requests
+        .iter()
+        .any(|r| with.str(r.url).contains("site_sess=")));
 }
