@@ -21,7 +21,7 @@ fn bench_measurement_tables(c: &mut Criterion) {
     c.bench_function("tables_1_2_5_figs_2_8_pipeline_100_sites", |b| {
         b.iter(|| {
             let ctx = CrawlContext::collect(&opts(100));
-            black_box(cg_experiments::run_measurement_experiments(&ctx, &[]))
+            black_box(cg_experiments::run_measurement_experiments(ctx, &[]))
         });
     });
 }

@@ -1,8 +1,8 @@
 //! End-to-end pipeline benchmarks: full site visits (regular and
-//! guarded) and the exfiltration-detection analysis — the per-site costs
+//! guarded) and the census of every §5 table — the per-site costs
 //! behind every §5/§7 experiment.
 
-use cg_analysis::Dataset;
+use cg_analysis::Census;
 use cg_browser::{visit_site, VisitConfig};
 use cg_webgen::{GenConfig, WebGenerator};
 use cookieguard_core::GuardConfig;
@@ -45,29 +45,21 @@ fn bench_blueprint_generation(c: &mut Criterion) {
     });
 }
 
-fn bench_exfil_detection(c: &mut Criterion) {
+fn bench_census(c: &mut Criterion) {
     let gen = WebGenerator::new(GenConfig::small(120), 0xC00C1E);
     let logs: Vec<_> = (1..=120)
         .map(|r| visit_site(&gen.blueprint(r), &VisitConfig::regular(), gen.site_seed(r)).log)
         .collect();
     let entities = cg_entity::builtin_entity_map();
-    c.bench_function("exfiltration_detection_120_sites", |b| {
-        b.iter(|| {
-            let ds = Dataset::from_logs(logs.clone());
-            black_box(cg_analysis::detect_exfiltration(&ds, &entities))
-        });
-    });
-    c.bench_function("manipulation_detection_120_sites", |b| {
-        b.iter(|| {
-            let ds = Dataset::from_logs(logs.clone());
-            black_box(cg_analysis::detect_manipulation(&ds, &entities))
-        });
+    let engine = cg_analysis::build_filter_engine(gen.registry());
+    c.bench_function("census_120_sites", |b| {
+        b.iter(|| black_box(Census::of_logs(&logs, &entities, &engine).finish()));
     });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_site_visit, bench_blueprint_generation, bench_exfil_detection
+    targets = bench_site_visit, bench_blueprint_generation, bench_census
 }
 criterion_main!(benches);

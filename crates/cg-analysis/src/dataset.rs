@@ -1,8 +1,8 @@
-//! The crawl dataset and the per-visit cookie-ownership replay.
+//! Cookie pairs and the per-visit cookie-ownership replay every table
+//! reads.
 
 use cg_instrument::{AttrChangeFlags, CookieApi, SetEvent, Sym, VisitLog, WriteKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// A unique cookie pair, as the paper defines it (§5.2, footnote 2):
 /// the tuple of cookie name and the eTLD+1 of the script that set it —
@@ -44,7 +44,7 @@ impl PairRef<'_> {
 
 /// A visit's ownership replay (the §4.4 step-1/step-2 rules), borrowed
 /// from its log: [`replay`] builds it, and [`StreamStats`](crate::StreamStats)
-/// and every [`Dataset`] analysis read it. Pairs are referred to by
+/// and every [`Census`](crate::Census) table read it. Pairs are referred to by
 /// their index in `pairs`.
 #[derive(Debug, Clone, Default)]
 pub struct OwnershipReplay<'l> {
@@ -204,179 +204,6 @@ pub fn replay(log: &VisitLog) -> OwnershipReplay<'_> {
     out
 }
 
-/// The crawl dataset: the complete visit logs, in rank order.
-///
-/// # Retained vs streaming analysis
-///
-/// `Dataset` is the **retained** mode: it keeps every complete
-/// [`VisitLog`] and nothing derived from them. The deeper analyses —
-/// exfiltration matching, manipulation classification, server-side
-/// inference — [`replay`] each log's ownership as they read it. Memory
-/// therefore grows linearly with the number of complete visits, no
-/// matter which constructor built it. For crawls too large to retain,
-/// use the **streaming** mode instead:
-/// [`StreamStats`](crate::stream::StreamStats) folds each visit into
-/// pure aggregates and drops it, so peak memory is independent of
-/// crawl size — at the cost of only answering aggregate questions.
-/// Both modes are pure folds over the same `VisitLog` stream, so on
-/// the statistics they share they agree exactly.
-pub struct Dataset {
-    /// Logs retained by the §4.2 completeness filter.
-    pub logs: Vec<VisitLog>,
-    /// Number of visits before filtering.
-    pub crawled: usize,
-}
-
-impl Dataset {
-    /// An empty dataset, ready to be grown one log at a time with
-    /// [`Dataset::fold_log`].
-    pub fn empty() -> Dataset {
-        Dataset {
-            logs: Vec::new(),
-            crawled: 0,
-        }
-    }
-
-    /// Folds one visit into the dataset: counts it, and — when complete
-    /// — retains it for analysis. This is the fold unit every
-    /// constructor builds on. Folding from a stream avoids buffering
-    /// the *raw* crawl (incomplete visits are dropped on the fly and no
-    /// second `Vec<VisitLog>` copy exists), but make no mistake: the
-    /// dataset **retains every complete log** — several analyses replay
-    /// them — so memory grows linearly with the number of complete
-    /// visits. When only aggregate statistics are needed, fold into
-    /// [`StreamStats`](crate::stream::StreamStats) instead, which
-    /// clones nothing and retains nothing per-visit.
-    pub fn fold_log(&mut self, log: VisitLog) {
-        self.crawled += 1;
-        if log.complete {
-            self.logs.push(log);
-        }
-    }
-
-    /// Builds a dataset from raw visit logs, dropping incomplete visits.
-    pub fn from_logs(all: Vec<VisitLog>) -> Dataset {
-        let mut ds = Dataset::empty();
-        for log in all {
-            ds.fold_log(log);
-        }
-        ds
-    }
-
-    /// Builds a dataset by folding a fallible stream of visit logs —
-    /// e.g. a `cg_crawlstore::CrawlReader` replaying a store in rank
-    /// order. Equivalent to [`Dataset::from_logs`] over the collected
-    /// stream, without ever materializing the crawl.
-    ///
-    /// ```no_run
-    /// # use cg_analysis::Dataset;
-    /// # fn open_reader() -> Vec<Result<cg_instrument::VisitLog, std::io::Error>> { vec![] }
-    /// let ds = Dataset::from_reader(open_reader()).unwrap();
-    /// println!("{} analyzable sites of {}", ds.site_count(), ds.crawled);
-    /// ```
-    pub fn from_reader<E>(
-        logs: impl IntoIterator<Item = Result<VisitLog, E>>,
-    ) -> Result<Dataset, E> {
-        let mut ds = Dataset::empty();
-        for log in logs {
-            ds.fold_log(log?);
-        }
-        Ok(ds)
-    }
-
-    /// Merges two datasets built from **disjoint rank sets** (e.g. the
-    /// per-run partials of `cg_crawlstore::fold_store`) into one,
-    /// interleaving their logs back into global rank order. Associative,
-    /// with [`Dataset::empty`] as identity, so partials may combine in
-    /// any grouping; equal ranks (which disjoint partials never produce)
-    /// keep `self`'s copy first for stability. When every rank of
-    /// `other` follows `self`'s (consecutive chunks of one segment), the
-    /// merge is an append.
-    pub fn merge(mut self, other: Dataset) -> Dataset {
-        self.crawled += other.crawled;
-        let appends = match (self.logs.last(), other.logs.first()) {
-            (Some(last), Some(first)) => last.rank <= first.rank,
-            _ => true,
-        };
-        if appends {
-            self.logs.extend(other.logs);
-            return self;
-        }
-        let mut logs = Vec::with_capacity(self.logs.len() + other.logs.len());
-        let mut a = self.logs.into_iter().peekable();
-        let mut b = other.logs.into_iter().peekable();
-        loop {
-            let take_a = match (a.peek(), b.peek()) {
-                (Some(la), Some(lb)) => la.rank <= lb.rank,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            logs.push(if take_a { a.next() } else { b.next() }.expect("peeked"));
-        }
-        Dataset {
-            logs,
-            crawled: self.crawled,
-        }
-    }
-
-    /// Builds a (retained) dataset from the crawl store at `dir`, using
-    /// up to `threads` parallel fold workers merged back into rank
-    /// order. Byte-identical to [`Dataset::from_reader`] over a
-    /// `CrawlReader` of the same store, at any thread count — segments
-    /// hold disjoint rank sets and partials merge by rank.
-    pub fn from_store(
-        dir: impl AsRef<std::path::Path>,
-        threads: usize,
-    ) -> Result<Dataset, cg_crawlstore::StoreError> {
-        Dataset::from_store_with(dir, threads, cg_crawlstore::ReadBackend::default())
-    }
-
-    /// [`Dataset::from_store`] with an explicit
-    /// [`ReadBackend`](cg_crawlstore::ReadBackend): each chunk
-    /// (frame-index boundaries inside binary segments) is folded and
-    /// rank-interleaved into its run's dataset by [`Dataset::merge`] —
-    /// chunks hold disjoint rank sets, so the merged dataset is
-    /// byte-identical at any thread count and through any backend.
-    pub fn from_store_with(
-        dir: impl AsRef<std::path::Path>,
-        threads: usize,
-        backend: cg_crawlstore::ReadBackend,
-    ) -> Result<Dataset, cg_crawlstore::StoreError> {
-        cg_crawlstore::fold_store(
-            dir,
-            threads,
-            backend,
-            Dataset::empty,
-            |ds, chunk| {
-                let chunk = Dataset::from_reader(chunk)?;
-                *ds = std::mem::replace(ds, Dataset::empty()).merge(chunk);
-                Ok(())
-            },
-            Dataset::merge,
-        )
-    }
-
-    /// Number of analyzable sites.
-    pub fn site_count(&self) -> usize {
-        self.logs.len()
-    }
-
-    /// All unique cookie pairs `(name, owner)` created through `api`
-    /// across the dataset, borrowed from the logs.
-    pub fn unique_pairs(&self, api: CookieApi) -> HashSet<(&str, &str)> {
-        let mut set = HashSet::new();
-        for log in &self.logs {
-            for pair in replay(log).pairs {
-                if pair.api == api {
-                    set.insert((pair.name, pair.owner));
-                }
-            }
-        }
-        set
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,62 +351,5 @@ mod tests {
         let d = pair(&sc, "d", "site.com").unwrap();
         assert_eq!(sc.values_of(c).collect::<Vec<_>>(), ["1", "2"]);
         assert_eq!(sc.values_of(d).collect::<Vec<_>>(), ["3"]);
-    }
-
-    #[test]
-    fn dataset_filters_incomplete() {
-        let mut incomplete = Recorder::new("bad.com", 2);
-        incomplete.mark_incomplete();
-        let ds = Dataset::from_logs(vec![log_with(|_| {}), incomplete.finish()]);
-        assert_eq!(ds.crawled, 2);
-        assert_eq!(ds.site_count(), 1);
-    }
-
-    #[test]
-    fn from_reader_matches_from_logs() {
-        let mut incomplete = Recorder::new("bad.com", 2);
-        incomplete.mark_incomplete();
-        let logs = vec![
-            log_with(|r| set(r, "a", "1", Some("x.com"), WriteKind::Create)),
-            incomplete.finish(),
-        ];
-        let folded =
-            Dataset::from_reader(logs.clone().into_iter().map(Ok::<_, std::io::Error>)).unwrap();
-        let batch = Dataset::from_logs(logs);
-        assert_eq!(folded.crawled, batch.crawled);
-        assert_eq!(folded.site_count(), batch.site_count());
-        assert_eq!(
-            serde_json::to_string(&folded.logs).unwrap(),
-            serde_json::to_string(&batch.logs).unwrap()
-        );
-    }
-
-    #[test]
-    fn merge_interleaves_disjoint_rank_partials() {
-        let at = |rank: usize| {
-            let mut r = Recorder::new(&format!("site{rank}.com"), rank);
-            set(&mut r, "c", "1", Some("x.com"), WriteKind::Create);
-            r.finish()
-        };
-        let a = Dataset::from_logs(vec![at(1), at(4), at(5)]);
-        let b = Dataset::from_logs(vec![at(2), at(3), at(6)]);
-        let merged = a.merge(b);
-        let ranks: Vec<usize> = merged.logs.iter().map(|l| l.rank).collect();
-        assert_eq!(ranks, vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(merged.crawled, 6);
-        assert_eq!(merged.logs[3].site(), "site4.com");
-        // identity element
-        let again = merged.merge(Dataset::empty());
-        assert_eq!(again.site_count(), 6);
-    }
-
-    #[test]
-    fn from_reader_propagates_stream_errors() {
-        let items: Vec<Result<VisitLog, String>> =
-            vec![Ok(log_with(|_| {})), Err("torn".to_string())];
-        let Err(e) = Dataset::from_reader(items) else {
-            panic!("stream error must propagate");
-        };
-        assert_eq!(e, "torn");
     }
 }

@@ -11,17 +11,21 @@
 //!    when the initiating script's eTLD+1 differs from the cookie
 //!    pair's owner.
 
-use crate::dataset::{replay, Dataset, PairKey, PairRef};
+use crate::census::merge_map;
+use crate::dataset::{OwnershipReplay, PairKey, PairRef};
+use crate::table1::{add_counts, top_k, CrossActions};
 use cg_entity::EntityMap;
 use cg_hash::{DigestGate, EncodedForms, FormScanner};
-use cg_instrument::CookieApi;
+use cg_instrument::VisitLog;
 use cg_script::value::segments;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// One confirmed exfiltration event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExfilEvent {
+    /// The rank of the visit the event occurred on.
+    pub rank: usize,
     /// The site on which the event occurred.
     pub site: String,
     /// The exfiltrated cookie pair.
@@ -34,47 +38,24 @@ pub struct ExfilEvent {
     pub cross_domain: bool,
 }
 
-/// Per-pair aggregate for Table 2.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PairExfilAggregate {
-    /// Cross-domain exfiltrator entities (excluding the owner's own).
-    pub exfiltrator_entities: HashSet<String>,
-    /// Destination entities.
-    pub destination_entities: HashSet<String>,
-    /// Sites on which the pair was cross-domain exfiltrated.
-    pub sites: HashSet<String>,
-    /// Exfiltrator entity → how many sites it exfiltrated this pair on.
-    pub exfiltrator_counts: HashMap<String, usize>,
-    /// Destination entity → receive count.
-    pub destination_counts: HashMap<String, usize>,
-}
-
 /// The complete exfiltration analysis result.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExfilAnalysis {
-    /// All events (cross-domain and authorized).
+    /// All events (cross-domain and authorized), in rank order, and
+    /// within a visit in the first-write order of their pairs.
     pub events: Vec<ExfilEvent>,
-    /// Sites with ≥1 cross-domain exfiltration of a `document.cookie`
-    /// pair.
-    pub sites_with_cross_exfil_doc: HashSet<String>,
-    /// Sites with ≥1 cross-domain exfiltration of a CookieStore pair.
-    pub sites_with_cross_exfil_store: HashSet<String>,
-    /// Pairs (document.cookie) cross-domain exfiltrated.
-    pub cross_exfiltrated_pairs_doc: HashSet<PairKey>,
-    /// Pairs (CookieStore) cross-domain exfiltrated.
-    pub cross_exfiltrated_pairs_store: HashSet<PairKey>,
-    /// Table 2 aggregates, keyed by pair.
-    pub per_pair: HashMap<PairKey, PairExfilAggregate>,
-    /// Fig. 2: exfiltrator script domain → unique pairs it exfiltrated
-    /// cross-domain.
-    pub per_exfiltrator_domain: HashMap<String, HashSet<PairKey>>,
+    /// The cross-domain events. Their per-pair counts (Table 2) name
+    /// exfiltrator organizations other than the pair owner's.
+    pub cross: CrossActions,
+    /// Table 2: per cross-domain exfiltrated pair, destination
+    /// organization → receive count.
+    pub destinations: HashMap<PairKey, HashMap<String, usize>>,
 }
 
-/// Runs the detection pipeline over a dataset.
-pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis {
-    let mut out = ExfilAnalysis::default();
-
-    for log in &ds.logs {
+impl ExfilAnalysis {
+    /// Runs the detection pipeline over one complete visit, replayed as
+    /// `site`.
+    pub(crate) fn fold(&mut self, log: &VisitLog, site: &OwnershipReplay, entities: &EntityMap) {
         // Only third-party destinations can receive an exfiltration, and
         // the initiator must be attributable for per-script analysis.
         let carriers = || {
@@ -91,14 +72,13 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
             gate.observe(log.str(req.url));
         }
         if !carried {
-            continue;
+            return;
         }
         // Candidate forms for this site's pairs, in first-write order.
-        let replay = replay(log);
         let mut forms: Vec<(&PairRef, EncodedForms)> = Vec::new();
-        for (index, pair) in replay.pairs.iter().enumerate() {
+        for (index, pair) in site.pairs.iter().enumerate() {
             let mut seen: HashSet<&str> = HashSet::new();
-            for value in replay.values_of(index) {
+            for value in site.values_of(index) {
                 for seg in segments(value) {
                     if seen.insert(seg) {
                         forms.push((pair, EncodedForms::gated(seg, gate)));
@@ -107,7 +87,7 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
             }
         }
         if forms.is_empty() {
-            continue;
+            return;
         }
         let scanner = FormScanner::new(forms.iter().map(|(_, f)| f));
         let mut hits = Vec::new();
@@ -118,7 +98,8 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
                 let pair = forms[hit].0;
                 let key = pair.key();
                 let cross = !initiator.eq_ignore_ascii_case(pair.owner);
-                out.events.push(ExfilEvent {
+                self.events.push(ExfilEvent {
+                    rank: log.rank,
                     site: log.site().to_string(),
                     pair: key.clone(),
                     exfiltrator: initiator.to_string(),
@@ -126,56 +107,47 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
                     cross_domain: cross,
                 });
                 if cross {
-                    match pair.api {
-                        CookieApi::CookieStore => {
-                            out.sites_with_cross_exfil_store
-                                .insert(log.site().to_string());
-                            out.cross_exfiltrated_pairs_store.insert(key.clone());
-                        }
-                        _ => {
-                            out.sites_with_cross_exfil_doc
-                                .insert(log.site().to_string());
-                            out.cross_exfiltrated_pairs_doc.insert(key.clone());
-                        }
-                    }
-                    let agg = out.per_pair.entry(key.clone()).or_default();
-                    let ex_entity = entities.entity_of(initiator);
-                    let dest_entity = entities.entity_of(dest);
                     // The paper excludes the owner's own entity from the
                     // exfiltrator count (Table 2 "excluding Google").
-                    if ex_entity != entities.entity_of(pair.owner) {
-                        agg.exfiltrator_entities.insert(ex_entity.clone());
-                        *agg.exfiltrator_counts.entry(ex_entity).or_insert(0) += 1;
-                    }
-                    agg.destination_entities.insert(dest_entity.clone());
-                    *agg.destination_counts.entry(dest_entity).or_insert(0) += 1;
-                    agg.sites.insert(log.site().to_string());
-                    out.per_exfiltrator_domain
-                        .entry(initiator.to_string())
-                        .or_default()
-                        .insert(key);
+                    let ex_entity = entities.entity_of(initiator);
+                    let counted =
+                        (ex_entity != entities.entity_of(pair.owner)).then_some(ex_entity);
+                    self.cross
+                        .record(log.site(), &key, pair.api, initiator, counted);
+                    let counts = self.destinations.entry(key).or_default();
+                    *counts.entry(entities.entity_of(dest)).or_insert(0) += 1;
                 }
             }
         }
     }
-    out
-}
 
-impl ExfilAnalysis {
+    /// Joins the analysis of other ranks: their events follow `self`'s
+    /// until [`Census::finish`](crate::Census::finish) puts all in rank
+    /// order.
+    pub(crate) fn merge(&mut self, other: ExfilAnalysis) {
+        self.events.extend(other.events);
+        self.cross.merge(other.cross);
+        merge_map(&mut self.destinations, other.destinations, add_counts);
+    }
+
     /// Table 2: the top `n` pairs by destination-entity count, with the
     /// top-3 exfiltrator and destination entities each.
     pub fn table2(&self, n: usize) -> Vec<Table2Row> {
+        let none = HashMap::new();
         let mut rows: Vec<Table2Row> = self
-            .per_pair
+            .destinations
             .iter()
-            .map(|(key, agg)| Table2Row {
-                cookie: key.name.clone(),
-                owner: key.owner.clone(),
-                exfiltrator_entities: agg.exfiltrator_entities.len(),
-                destination_entities: agg.destination_entities.len(),
-                top_exfiltrators: top_k(&agg.exfiltrator_counts, 3),
-                top_destinations: top_k(&agg.destination_counts, 3),
-                consent_signal: is_consent_signal(&key.name),
+            .map(|(key, destinations)| {
+                let exfiltrators = self.cross.per_pair.get(key).unwrap_or(&none);
+                Table2Row {
+                    cookie: key.name.clone(),
+                    owner: key.owner.clone(),
+                    exfiltrator_entities: exfiltrators.len(),
+                    destination_entities: destinations.len(),
+                    top_exfiltrators: top_k(exfiltrators, 3),
+                    top_destinations: top_k(destinations, 3),
+                    consent_signal: is_consent_signal(&key.name),
+                }
             })
             .collect();
         rows.sort_by(|a, b| {
@@ -190,28 +162,6 @@ impl ExfilAnalysis {
         });
         rows.truncate(n);
         rows
-    }
-
-    /// Fig. 2: the top `n` exfiltrator script domains by unique pairs
-    /// exfiltrated, with the share of all `total_pairs`.
-    pub fn fig2(&self, n: usize, total_pairs: usize) -> Vec<(String, usize, f64)> {
-        let mut rows: Vec<(String, usize)> = self
-            .per_exfiltrator_domain
-            .iter()
-            .map(|(d, pairs)| (d.clone(), pairs.len()))
-            .collect();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        rows.truncate(n);
-        rows.into_iter()
-            .map(|(d, c)| {
-                let share = if total_pairs == 0 {
-                    0.0
-                } else {
-                    100.0 * c as f64 / total_pairs as f64
-                };
-                (d, c, share)
-            })
-            .collect()
     }
 }
 
@@ -244,21 +194,20 @@ pub fn is_consent_signal(name: &str) -> bool {
     lower == "us_privacy" || lower == "usprivacy"
 }
 
-fn top_k(counts: &HashMap<String, usize>, k: usize) -> Vec<String> {
-    let mut v: Vec<(&String, &usize)> = counts.iter().collect();
-    v.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-    v.into_iter()
-        .take(k)
-        .map(|(name, _)| name.clone())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_instrument::{Recorder, WriteKind};
+    use cg_instrument::{CookieApi, Recorder, WriteKind};
 
-    fn dataset_one_site() -> Dataset {
+    /// The exfiltration analysis of `log`, folded as the census folds it.
+    fn detect(log: VisitLog) -> ExfilAnalysis {
+        let entities = cg_entity::builtin_entity_map();
+        crate::Census::of_logs([log], &entities, &cg_filterlist::FilterEngine::new())
+            .finish()
+            .exfil
+    }
+
+    fn one_site() -> VisitLog {
         let mut r = Recorder::new("shop.example", 1);
         // gtm.com sets _ga.
         r.record_set(
@@ -305,13 +254,12 @@ mod tests {
             None,
             11,
         );
-        Dataset::from_logs(vec![r.finish()])
+        r.finish()
     }
 
     #[test]
     fn detects_base64_segment_exfiltration() {
-        let ds = dataset_one_site();
-        let analysis = detect_exfiltration(&ds, &cg_entity::builtin_entity_map());
+        let analysis = detect(one_site());
         let cross: Vec<&ExfilEvent> = analysis.events.iter().filter(|e| e.cross_domain).collect();
         assert_eq!(cross.len(), 1);
         assert_eq!(cross[0].exfiltrator, "licdn.com");
@@ -322,13 +270,12 @@ mod tests {
             .events
             .iter()
             .any(|e| !e.cross_domain && e.exfiltrator == "gtm.com"));
-        assert_eq!(analysis.sites_with_cross_exfil_doc.len(), 1);
+        assert_eq!(analysis.cross.sites_doc.len(), 1);
     }
 
     #[test]
     fn table2_aggregates_entities() {
-        let ds = dataset_one_site();
-        let analysis = detect_exfiltration(&ds, &cg_entity::builtin_entity_map());
+        let analysis = detect(one_site());
         let rows = analysis.table2(5);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].cookie, "_ga");
@@ -362,8 +309,7 @@ mod tests {
             None,
             3,
         );
-        let ds = Dataset::from_logs(vec![r.finish()]);
-        let analysis = detect_exfiltration(&ds, &cg_entity::builtin_entity_map());
+        let analysis = detect(r.finish());
         let rows = analysis.table2(5);
         assert_eq!(rows.len(), 1);
         assert!(rows[0].consent_signal, "us_privacy must be flagged");
@@ -373,9 +319,8 @@ mod tests {
 
     #[test]
     fn fig2_ranks_exfiltrators() {
-        let ds = dataset_one_site();
-        let analysis = detect_exfiltration(&ds, &cg_entity::builtin_entity_map());
-        let rows = analysis.fig2(10, 2);
+        let analysis = detect(one_site());
+        let rows = analysis.cross.top_domains(10, 2);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, "licdn.com");
         assert_eq!(rows[0].1, 1);
@@ -412,8 +357,7 @@ mod tests {
             None,
             5,
         );
-        let ds = Dataset::from_logs(vec![r.finish()]);
-        let analysis = detect_exfiltration(&ds, &cg_entity::builtin_entity_map());
+        let analysis = detect(r.finish());
         assert!(
             analysis.events.is_empty(),
             "full-value encoding must evade segment matching"
@@ -457,11 +401,10 @@ mod tests {
                 None,
                 10,
             );
-            Dataset::from_logs(vec![r.finish()])
+            r.finish()
         };
-        let entities = cg_entity::builtin_entity_map();
-        let first = detect_exfiltration(&build(), &entities).events;
-        let second = detect_exfiltration(&build(), &entities).events;
+        let first = detect(build()).events;
+        let second = detect(build()).events;
         assert_eq!(first, second);
         let order: Vec<(&str, &str)> = first
             .iter()
@@ -494,8 +437,7 @@ mod tests {
             None,
             1,
         );
-        let ds = Dataset::from_logs(vec![r.finish()]);
-        let analysis = detect_exfiltration(&ds, &cg_entity::builtin_entity_map());
+        let analysis = detect(r.finish());
         assert!(analysis.events.is_empty());
     }
 }

@@ -18,8 +18,10 @@
 //! which the paper acknowledges is common — manipulations ship no
 //! documentation.
 
-use crate::dataset::{replay, Dataset, OwnershipReplay, PairKey};
+use crate::census::merge_map;
+use crate::dataset::{OwnershipReplay, PairKey, PairRef};
 use cg_entity::EntityMap;
+use cg_instrument::VisitLog;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -102,8 +104,10 @@ fn looks_hash_like(value: &str) -> bool {
 }
 
 /// One classified manipulation pattern with supporting evidence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntentFinding {
+    /// The rank of the visit the manipulation occurred on.
+    pub rank: usize,
     /// The manipulated pair.
     pub pair: PairKey,
     /// Overwrite (`false`) or delete (`true`).
@@ -117,11 +121,12 @@ pub struct IntentFinding {
 }
 
 /// Aggregate intent report (§5.5 case-study section, systematized).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct IntentReport {
     /// Count per intent class.
     pub counts: HashMap<String, usize>,
-    /// Every classified event (order: sites, then pairs).
+    /// Every classified event, in rank order; within a visit, overwrites
+    /// and then deletes, each in event order.
     pub findings: Vec<IntentFinding>,
     /// Generic names seen manipulated by ≥3 distinct actors, with the
     /// actor count — the paper's "eight distinct cookie_test cookies …
@@ -145,61 +150,104 @@ fn intent_label(intent: ManipulationIntent) -> &'static str {
     }
 }
 
-/// Classifies every cross-domain manipulation in the dataset.
-pub fn classify_intents(ds: &Dataset, entities: &EntityMap) -> IntentReport {
-    let mut report = IntentReport::default();
-    let mut actors_per_generic: HashMap<String, HashSet<String>> = HashMap::new();
+/// The intent classification of every cross-domain manipulation, as an
+/// accumulator.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Intents {
+    findings: Vec<IntentFinding>,
+    /// Generic name → the distinct actors that manipulated it.
+    actors_per_generic: HashMap<String, HashSet<String>>,
+}
 
-    for log in &ds.logs {
-        let site = log.site();
-        let replay = replay(log);
-        // Overwrites.
-        for &(index, actor, _changes) in &replay.cross_overwrites {
-            let pair = replay.pairs[index];
-            let intent = if is_generic_name(pair.name) {
-                actors_per_generic
-                    .entry(pair.name.to_string())
-                    .or_default()
-                    .insert(actor.to_string());
+impl Intents {
+    /// Classifies one complete visit's cross-domain manipulations,
+    /// replayed as `site`: its overwrites, then its deletes.
+    pub(crate) fn fold(&mut self, log: &VisitLog, site: &OwnershipReplay, entities: &EntityMap) {
+        let overwrites = site
+            .cross_overwrites
+            .iter()
+            .map(|&(i, actor, _)| (i, actor, false));
+        let deletes = site
+            .cross_deletes
+            .iter()
+            .map(|&(i, actor, _)| (i, actor, true));
+        for (index, actor, delete) in overwrites.chain(deletes) {
+            let PairRef { name, owner, .. } = site.pairs[index];
+            let consent = is_consent_platform(actor);
+            let intent = if delete && consent {
+                ManipulationIntent::PrivacyCompliance
+            } else if is_generic_name(name) {
                 ManipulationIntent::Collision
-            } else if hash_takeover(&replay, index)
-                && distinct_entities(entities, actor, pair.owner)
+            } else if !delete
+                && hash_takeover(site, index)
+                && distinct_entities(entities, actor, owner)
             {
                 ManipulationIntent::CollusionOrCompetition
-            } else if is_consent_platform(actor) {
+            } else if consent {
                 // Consent platforms sometimes *reset* rather than delete.
                 ManipulationIntent::PrivacyCompliance
             } else {
                 ManipulationIntent::Unclear
             };
-            push_finding(&mut report, site, pair.key(), actor, false, intent);
-        }
-        // Deletes.
-        for &(index, actor, _api) in &replay.cross_deletes {
-            let pair = replay.pairs[index];
-            let intent = if is_consent_platform(actor) {
-                ManipulationIntent::PrivacyCompliance
-            } else if is_generic_name(pair.name) {
-                actors_per_generic
-                    .entry(pair.name.to_string())
+            if intent == ManipulationIntent::Collision {
+                self.actors_per_generic
+                    .entry(name.to_string())
                     .or_default()
                     .insert(actor.to_string());
-                ManipulationIntent::Collision
-            } else {
-                ManipulationIntent::Unclear
-            };
-            push_finding(&mut report, site, pair.key(), actor, true, intent);
+            }
+            let action = if delete { "deleted" } else { "overwrote" };
+            self.findings.push(IntentFinding {
+                rank: log.rank,
+                pair: PairKey {
+                    name: name.to_string(),
+                    owner: owner.to_string(),
+                },
+                delete,
+                actor: actor.to_string(),
+                intent,
+                evidence: format!(
+                    "{actor} {action} ({name}, {owner}) on {} [{}]",
+                    log.site(),
+                    intent_label(intent)
+                ),
+            });
         }
     }
 
-    let mut hotspots: Vec<(String, usize)> = actors_per_generic
-        .into_iter()
-        .filter(|(_, actors)| actors.len() >= 3)
-        .map(|(name, actors)| (name, actors.len()))
-        .collect();
-    hotspots.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    report.collision_hotspots = hotspots;
-    report
+    /// Joins the classification of other ranks: their findings follow
+    /// `self`'s until [`Intents::report`] puts all in rank order.
+    pub(crate) fn merge(&mut self, other: Intents) {
+        self.findings.extend(other.findings);
+        merge_map(
+            &mut self.actors_per_generic,
+            other.actors_per_generic,
+            |a, b| a.extend(b),
+        );
+    }
+
+    /// The report: the findings in rank order, counts per class and the
+    /// collision hotspots.
+    pub(crate) fn report(mut self) -> IntentReport {
+        self.findings.sort_by_key(|f| f.rank);
+        let mut counts = HashMap::new();
+        for finding in &self.findings {
+            *counts
+                .entry(intent_label(finding.intent).to_string())
+                .or_insert(0) += 1;
+        }
+        let mut hotspots: Vec<(String, usize)> = self
+            .actors_per_generic
+            .into_iter()
+            .filter(|(_, actors)| actors.len() >= 3)
+            .map(|(name, actors)| (name, actors.len()))
+            .collect();
+        hotspots.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        IntentReport {
+            counts,
+            findings: self.findings,
+            collision_hotspots: hotspots,
+        }
+    }
 }
 
 /// A "collusion or competition" overwrite replaces one opaque identifier
@@ -217,38 +265,18 @@ fn distinct_entities(entities: &EntityMap, a: &str, b: &str) -> bool {
     !(entities.contains(a) && entities.contains(b) && entities.same_entity(a, b))
 }
 
-fn push_finding(
-    report: &mut IntentReport,
-    site: &str,
-    pair: PairKey,
-    actor: &str,
-    delete: bool,
-    intent: ManipulationIntent,
-) {
-    *report
-        .counts
-        .entry(intent_label(intent).to_string())
-        .or_insert(0) += 1;
-    let action = if delete { "deleted" } else { "overwrote" };
-    let evidence = format!(
-        "{actor} {action} ({}, {}) on {site} [{}]",
-        pair.name,
-        pair.owner,
-        intent_label(intent)
-    );
-    report.findings.push(IntentFinding {
-        pair,
-        delete,
-        actor: actor.to_string(),
-        intent,
-        evidence,
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cg_instrument::{CookieApi, Recorder, WriteKind};
+
+    /// The intent report of `log`, folded as the census folds it.
+    fn classify(log: VisitLog) -> IntentReport {
+        let entities = cg_entity::builtin_entity_map();
+        crate::Census::of_logs([log], &entities, &cg_filterlist::FilterEngine::new())
+            .finish()
+            .intents
+    }
 
     fn log_with(
         site: &str,
@@ -282,8 +310,7 @@ mod tests {
                 ("cookie_test", "", "canadian.net", WriteKind::Delete),
             ],
         );
-        let ds = Dataset::from_logs(vec![log]);
-        let report = classify_intents(&ds, &cg_entity::builtin_entity_map());
+        let report = classify(log);
         assert_eq!(report.count(ManipulationIntent::Collision), 3);
         assert_eq!(report.collision_hotspots.len(), 1);
         assert_eq!(report.collision_hotspots[0].0, "cookie_test");
@@ -304,8 +331,7 @@ mod tests {
                 ("_fbp", "", "cookie-script.com", WriteKind::Delete),
             ],
         );
-        let ds = Dataset::from_logs(vec![log]);
-        let report = classify_intents(&ds, &cg_entity::builtin_entity_map());
+        let report = classify(log);
         assert_eq!(report.count(ManipulationIntent::PrivacyCompliance), 1);
         assert_eq!(report.count(ManipulationIntent::Collision), 0);
     }
@@ -323,8 +349,7 @@ mod tests {
                 ("cto_bundle", &after, "pubmatic.com", WriteKind::Overwrite),
             ],
         );
-        let ds = Dataset::from_logs(vec![log]);
-        let report = classify_intents(&ds, &cg_entity::builtin_entity_map());
+        let report = classify(log);
         assert_eq!(report.count(ManipulationIntent::CollusionOrCompetition), 1);
         let f = &report.findings[0];
         assert_eq!(f.intent, ManipulationIntent::CollusionOrCompetition);
@@ -344,8 +369,7 @@ mod tests {
                 ("_fbp", &after, "fbcdn.net", WriteKind::Overwrite),
             ],
         );
-        let ds = Dataset::from_logs(vec![log]);
-        let report = classify_intents(&ds, &cg_entity::builtin_entity_map());
+        let report = classify(log);
         assert_eq!(report.count(ManipulationIntent::CollusionOrCompetition), 0);
         assert_eq!(report.count(ManipulationIntent::Unclear), 1);
     }
@@ -359,8 +383,7 @@ mod tests {
                 ("pref_theme", "light", "other.net", WriteKind::Overwrite),
             ],
         );
-        let ds = Dataset::from_logs(vec![log]);
-        let report = classify_intents(&ds, &cg_entity::builtin_entity_map());
+        let report = classify(log);
         assert_eq!(report.count(ManipulationIntent::Unclear), 1);
     }
 

@@ -8,21 +8,22 @@
 //! over observable events, with the same blind spots (e.g. full-value
 //! Base64 encodings defeat segment-level identifier matching).
 //!
-//! Two consumption modes exist: the retained [`Dataset`] (keeps every
-//! complete log, and nothing derived from them, for event-replay
-//! analyses) and the bounded-memory [`StreamStats`] (aggregates only;
-//! peak memory independent of crawl size). Both read a visit's cookie
-//! ownership through one borrowed replay, [`dataset::replay`]. Both can fold a crawl store's segments in parallel —
-//! `Dataset::from_store` / `StreamStats::from_store` — with
-//! byte-identical results at any thread count.
+//! Every table is one fold: [`Census::fold`] replays a complete visit's
+//! cookie ownership once ([`dataset::replay`]) and feeds that replay to
+//! every §5 table, so no log is kept once it is folded. The same census
+//! folds an in-memory crawl ([`Census::of_logs`]) and a crawl store in
+//! parallel ([`Census::from_store_with`]), with equal tables at any
+//! thread count. [`StreamStats`], the census's crawl-wide counters, also
+//! folds alone where only the counters are needed.
 //!
 //! **Layer:** analysis (consumes `cg-instrument` logs and replays
 //! `cg-crawlstore` streams; never touches the simulator).
 //! **Invariant:** every statistic is a pure fold over `VisitLog`s, so
 //! in-memory, streamed, and parallel per-segment analyses agree.
-//! **Entry points:** `Dataset`, `StreamStats`, `detect_exfiltration`,
-//! `detect_manipulation`, `cross_domain_summary`, `build_filter_engine`.
+//! **Entry points:** `Census`, `Tables`, `StreamStats`,
+//! `ServerSideReport`, `build_filter_engine`.
 
+pub mod census;
 pub mod dataset;
 pub mod dom_pilot;
 pub mod exfiltration;
@@ -35,13 +36,14 @@ pub mod stats;
 pub mod stream;
 pub mod table1;
 
-pub use dataset::{Dataset, PairKey};
+pub use census::{Census, Tables};
+pub use dataset::PairKey;
 pub use dom_pilot::dom_pilot_stats;
-pub use exfiltration::{detect_exfiltration, ExfilAnalysis};
-pub use intent::{classify_intents, IntentReport, ManipulationIntent};
-pub use manipulation::{detect_manipulation, ManipulationAnalysis};
-pub use prevalence::{api_usage, build_filter_engine, inclusion_stats, prevalence_stats};
-pub use server_side::{detect_server_side, ForwardMap, ServerSideReport};
+pub use exfiltration::ExfilAnalysis;
+pub use intent::{IntentReport, ManipulationIntent};
+pub use manipulation::ManipulationAnalysis;
+pub use prevalence::build_filter_engine;
+pub use server_side::{ForwardMap, ServerSideReport};
 pub use sketch::DistinctSketch;
 pub use stream::{StreamStats, StreamSummary};
-pub use table1::{cross_domain_summary, CrossDomainSummary};
+pub use table1::CrossDomainSummary;

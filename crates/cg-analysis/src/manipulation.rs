@@ -1,25 +1,14 @@
 //! Cross-domain manipulation analysis: overwrites and deletions (§5.5,
 //! Table 5, Fig. 8).
 
-use crate::dataset::{replay, Dataset, PairKey};
+use crate::dataset::OwnershipReplay;
+use crate::table1::{top_k, CrossActions};
 use cg_entity::EntityMap;
-use cg_instrument::CookieApi;
+use cg_instrument::VisitLog;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-
-/// Per-pair manipulation aggregate (one side of Table 5).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PairManipAggregate {
-    /// Distinct manipulating entities.
-    pub entities: HashSet<String>,
-    /// Entity → event count (for top-3 reporting).
-    pub entity_counts: HashMap<String, usize>,
-    /// Sites where the manipulation occurred.
-    pub sites: HashSet<String>,
-}
 
 /// §5.5's attribute-change shares over cross-domain overwrites.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct AttrChangeShares {
     /// % of overwrites changing the value.
     pub value_pct: f64,
@@ -34,108 +23,67 @@ pub struct AttrChangeShares {
 }
 
 /// The manipulation analysis result.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ManipulationAnalysis {
-    /// Sites with ≥1 cross-domain overwrite (document.cookie pairs).
-    pub sites_with_overwrite_doc: HashSet<String>,
-    /// Sites with ≥1 cross-domain delete (document.cookie pairs).
-    pub sites_with_delete_doc: HashSet<String>,
-    /// Sites with ≥1 cross-domain overwrite of a CookieStore pair.
-    pub sites_with_overwrite_store: HashSet<String>,
-    /// Sites with ≥1 cross-domain delete of a CookieStore pair.
-    pub sites_with_delete_store: HashSet<String>,
-    /// Pairs overwritten cross-domain (document.cookie).
-    pub overwritten_pairs_doc: HashSet<PairKey>,
-    /// Pairs deleted cross-domain (document.cookie).
-    pub deleted_pairs_doc: HashSet<PairKey>,
-    /// Pairs overwritten cross-domain (CookieStore).
-    pub overwritten_pairs_store: HashSet<PairKey>,
-    /// Pairs deleted cross-domain (CookieStore).
-    pub deleted_pairs_store: HashSet<PairKey>,
-    /// Table 5 (top): per-pair overwrite aggregates.
-    pub overwrites_per_pair: HashMap<PairKey, PairManipAggregate>,
-    /// Table 5 (bottom): per-pair delete aggregates.
-    pub deletes_per_pair: HashMap<PairKey, PairManipAggregate>,
-    /// Fig. 8a: overwriting script domain → unique pairs overwritten.
-    pub per_overwriter_domain: HashMap<String, HashSet<PairKey>>,
-    /// Fig. 8b: deleting script domain → unique pairs deleted.
-    pub per_deleter_domain: HashMap<String, HashSet<PairKey>>,
-    /// §5.5 attribute-change shares.
-    pub attr_changes: AttrChangeShares,
+    /// Cross-domain overwrites: Table 5 (top), Fig. 8a.
+    pub overwrites: CrossActions,
+    /// Cross-domain deletes: Table 5 (bottom), Fig. 8b.
+    pub deletes: CrossActions,
+    /// Overwrites with attribute data changing the value, expiry, domain
+    /// and path, then the number of such overwrites.
+    attr_totals: [usize; 5],
 }
 
-/// Runs the manipulation analysis.
-pub fn detect_manipulation(ds: &Dataset, entities: &EntityMap) -> ManipulationAnalysis {
-    let mut out = ManipulationAnalysis::default();
-    let mut attr_totals = (0usize, 0usize, 0usize, 0usize, 0usize); // value, expires, domain, path, n
-
-    for log in &ds.logs {
-        let site = log.site();
-        let replay = replay(log);
-        for &(pair, actor, changes) in &replay.cross_overwrites {
-            let key = replay.pairs[pair].key();
-            match replay.pairs[pair].api {
-                CookieApi::CookieStore => {
-                    out.sites_with_overwrite_store.insert(site.to_string());
-                    out.overwritten_pairs_store.insert(key.clone());
-                }
-                _ => {
-                    out.sites_with_overwrite_doc.insert(site.to_string());
-                    out.overwritten_pairs_doc.insert(key.clone());
-                }
-            }
-            let agg = out.overwrites_per_pair.entry(key.clone()).or_default();
-            let entity = entities.entity_of(actor);
-            agg.entities.insert(entity.clone());
-            *agg.entity_counts.entry(entity).or_insert(0) += 1;
-            agg.sites.insert(site.to_string());
-            out.per_overwriter_domain
-                .entry(actor.to_string())
-                .or_default()
-                .insert(key);
+impl ManipulationAnalysis {
+    /// Folds one complete visit's cross-domain overwrites and deletes,
+    /// replayed as `site`.
+    pub(crate) fn fold(&mut self, log: &VisitLog, site: &OwnershipReplay, entities: &EntityMap) {
+        let entity = |actor| Some(entities.entity_of(actor));
+        for &(pair, actor, changes) in &site.cross_overwrites {
+            let owned = &site.pairs[pair];
+            self.overwrites
+                .record(log.site(), &owned.key(), owned.api, actor, entity(actor));
             if let Some(c) = changes {
-                attr_totals.0 += c.value as usize;
-                attr_totals.1 += c.expires as usize;
-                attr_totals.2 += c.domain as usize;
-                attr_totals.3 += c.path as usize;
-                attr_totals.4 += 1;
+                for (total, changed) in self
+                    .attr_totals
+                    .iter_mut()
+                    .zip([c.value, c.expires, c.domain, c.path, true])
+                {
+                    *total += usize::from(changed);
+                }
             }
         }
-        for &(pair, actor, api) in &replay.cross_deletes {
-            let key = replay.pairs[pair].key();
-            match api {
-                CookieApi::CookieStore => {
-                    out.sites_with_delete_store.insert(site.to_string());
-                    out.deleted_pairs_store.insert(key.clone());
-                }
-                _ => {
-                    out.sites_with_delete_doc.insert(site.to_string());
-                    out.deleted_pairs_doc.insert(key.clone());
-                }
-            }
-            let agg = out.deletes_per_pair.entry(key.clone()).or_default();
-            let entity = entities.entity_of(actor);
-            agg.entities.insert(entity.clone());
-            *agg.entity_counts.entry(entity).or_insert(0) += 1;
-            agg.sites.insert(site.to_string());
-            out.per_deleter_domain
-                .entry(actor.to_string())
-                .or_default()
-                .insert(key);
+        for &(pair, actor, api) in &site.cross_deletes {
+            let key = site.pairs[pair].key();
+            self.deletes
+                .record(log.site(), &key, api, actor, entity(actor));
         }
     }
 
-    if attr_totals.4 > 0 {
-        let n = attr_totals.4 as f64;
-        out.attr_changes = AttrChangeShares {
-            value_pct: 100.0 * attr_totals.0 as f64 / n,
-            expires_pct: 100.0 * attr_totals.1 as f64 / n,
-            domain_pct: 100.0 * attr_totals.2 as f64 / n,
-            path_pct: 100.0 * attr_totals.3 as f64 / n,
-            events: attr_totals.4,
-        };
+    /// Joins the analysis of the ranks after `self`'s.
+    pub(crate) fn merge(&mut self, other: ManipulationAnalysis) {
+        self.overwrites.merge(other.overwrites);
+        self.deletes.merge(other.deletes);
+        for (total, more) in self.attr_totals.iter_mut().zip(other.attr_totals) {
+            *total += more;
+        }
     }
-    out
+
+    /// §5.5 attribute-change shares.
+    pub fn attr_changes(&self) -> AttrChangeShares {
+        let [value, expires, domain, path, events] = self.attr_totals;
+        if events == 0 {
+            return AttrChangeShares::default();
+        }
+        let n = events as f64;
+        AttrChangeShares {
+            value_pct: 100.0 * value as f64 / n,
+            expires_pct: 100.0 * expires as f64 / n,
+            domain_pct: 100.0 * domain as f64 / n,
+            path_pct: 100.0 * path as f64 / n,
+            events,
+        }
+    }
 }
 
 /// One Table 5 row.
@@ -154,22 +102,19 @@ pub struct Table5Row {
 impl ManipulationAnalysis {
     /// Table 5: top `n` overwritten (or deleted) pairs by entity count.
     pub fn table5(&self, deletes: bool, n: usize) -> Vec<Table5Row> {
-        let src = if deletes {
-            &self.deletes_per_pair
+        let side = if deletes {
+            &self.deletes
         } else {
-            &self.overwrites_per_pair
+            &self.overwrites
         };
-        let mut rows: Vec<Table5Row> = src
+        let mut rows: Vec<Table5Row> = side
+            .per_pair
             .iter()
-            .map(|(key, agg)| {
-                let mut ranked: Vec<(&String, &usize)> = agg.entity_counts.iter().collect();
-                ranked.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-                Table5Row {
-                    cookie: key.name.clone(),
-                    owner: key.owner.clone(),
-                    manipulator_entities: agg.entities.len(),
-                    top_manipulators: ranked.into_iter().take(3).map(|(e, _)| e.clone()).collect(),
-                }
+            .map(|(key, counts)| Table5Row {
+                cookie: key.name.clone(),
+                owner: key.owner.clone(),
+                manipulator_entities: counts.len(),
+                top_manipulators: top_k(counts, 3),
             })
             .collect();
         rows.sort_by(|a, b| {
@@ -185,37 +130,14 @@ impl ManipulationAnalysis {
         rows.truncate(n);
         rows
     }
-
-    /// Fig. 8: top `n` manipulating script domains by unique pairs.
-    pub fn fig8(&self, deletes: bool, n: usize, total_pairs: usize) -> Vec<(String, usize, f64)> {
-        let src = if deletes {
-            &self.per_deleter_domain
-        } else {
-            &self.per_overwriter_domain
-        };
-        let mut rows: Vec<(String, usize)> =
-            src.iter().map(|(d, p)| (d.clone(), p.len())).collect();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        rows.truncate(n);
-        rows.into_iter()
-            .map(|(d, c)| {
-                let share = if total_pairs == 0 {
-                    0.0
-                } else {
-                    100.0 * c as f64 / total_pairs as f64
-                };
-                (d, c, share)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_instrument::{AttrChangeFlags, Recorder, WriteKind};
+    use cg_instrument::{AttrChangeFlags, CookieApi, Recorder, WriteKind};
 
-    fn dataset() -> Dataset {
+    fn analysis() -> ManipulationAnalysis {
         let mut r = Recorder::new("site.com", 1);
         r.record_set(
             "cto_bundle",
@@ -266,13 +188,16 @@ mod tests {
             false,
             9,
         );
-        Dataset::from_logs(vec![r.finish()])
+        let entities = cg_entity::builtin_entity_map();
+        crate::Census::of_logs([r.finish()], &entities, &cg_filterlist::FilterEngine::new())
+            .finish()
+            .manip
     }
 
     #[test]
     fn pubmatic_criteo_case_study() {
-        let analysis = detect_manipulation(&dataset(), &cg_entity::builtin_entity_map());
-        assert_eq!(analysis.sites_with_overwrite_doc.len(), 1);
+        let analysis = analysis();
+        assert_eq!(analysis.overwrites.sites_doc.len(), 1);
         let rows = analysis.table5(false, 10);
         assert_eq!(rows[0].cookie, "cto_bundle");
         assert_eq!(rows[0].owner, "criteo.com");
@@ -281,8 +206,8 @@ mod tests {
 
     #[test]
     fn consent_manager_delete_detected() {
-        let analysis = detect_manipulation(&dataset(), &cg_entity::builtin_entity_map());
-        assert_eq!(analysis.sites_with_delete_doc.len(), 1);
+        let analysis = analysis();
+        assert_eq!(analysis.deletes.sites_doc.len(), 1);
         let rows = analysis.table5(true, 10);
         assert_eq!(rows[0].cookie, "_uetvid");
         assert_eq!(rows[0].top_manipulators, vec!["Cookie-Script".to_string()]);
@@ -290,8 +215,8 @@ mod tests {
 
     #[test]
     fn attr_change_shares_computed() {
-        let analysis = detect_manipulation(&dataset(), &cg_entity::builtin_entity_map());
-        let a = analysis.attr_changes;
+        let analysis = analysis();
+        let a = analysis.attr_changes();
         assert_eq!(a.events, 1);
         assert_eq!(a.value_pct, 100.0);
         assert_eq!(a.expires_pct, 100.0);
@@ -300,11 +225,11 @@ mod tests {
 
     #[test]
     fn fig8_ranks_domains() {
-        let analysis = detect_manipulation(&dataset(), &cg_entity::builtin_entity_map());
-        let ow = analysis.fig8(false, 5, 100);
+        let analysis = analysis();
+        let ow = analysis.overwrites.top_domains(5, 100);
         assert_eq!(ow[0].0, "pubmatic.com");
         assert_eq!(ow[0].1, 1);
-        let del = analysis.fig8(true, 5, 100);
+        let del = analysis.deletes.top_domains(5, 100);
         assert_eq!(del[0].0, "cookie-script.com");
     }
 }

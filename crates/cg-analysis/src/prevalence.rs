@@ -1,9 +1,10 @@
 //! Prevalence statistics: §5.1 (third-party scripts), §5.2 (cookie API
 //! usage), §5.6 (inclusion paths).
 
-use crate::dataset::{replay, Dataset};
+use crate::census::merge_map;
+use crate::dataset::{OwnershipReplay, PairKey};
 use cg_filterlist::{synthetic_lists, FilterEngine, ListInputs, MatchContext, ResourceType};
-use cg_instrument::CookieApi;
+use cg_instrument::{CookieApi, VisitLog};
 use cg_webgen::VendorRegistry;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -25,7 +26,7 @@ pub fn build_filter_engine(registry: &VendorRegistry) -> FilterEngine {
 }
 
 /// §5.1's headline statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PrevalenceStats {
     /// Analyzable sites.
     pub sites: usize,
@@ -41,68 +42,125 @@ pub struct PrevalenceStats {
     pub avg_cookies_first_party: f64,
 }
 
-/// Computes §5.1.
-pub fn prevalence_stats(ds: &Dataset, engine: &FilterEngine) -> PrevalenceStats {
-    let mut with_tp = 0usize;
-    let mut tp_script_counts = 0usize;
-    let mut tp_occurrences = 0usize;
-    let mut tracking_occurrences = 0usize;
-    let mut tp_cookie_total = 0usize;
-    let mut fp_cookie_total = 0usize;
+/// §5.6's inclusion-path statistics.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct InclusionStats {
+    /// Direct third-party inclusions (occurrences).
+    pub direct: usize,
+    /// Indirect (injected) third-party inclusions.
+    pub indirect: usize,
+    /// indirect / direct.
+    pub indirect_to_direct_ratio: f64,
+    /// % of indirect inclusions classified ad/tracking.
+    pub indirect_tracking_pct: f64,
+}
 
-    for log in &ds.logs {
-        let mut tp_urls: HashSet<&str> = HashSet::new();
+/// The §5.1 and §5.6 counters. Both read the ad/tracking class of each
+/// third-party inclusion, so one fold classifies each inclusion once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Prevalence {
+    with_third_party: usize,
+    third_party_scripts: usize,
+    direct: usize,
+    direct_tracking: usize,
+    indirect: usize,
+    indirect_tracking: usize,
+    third_party_cookies: usize,
+    first_party_cookies: usize,
+}
+
+impl Prevalence {
+    pub(crate) fn fold(&mut self, log: &VisitLog, site: &OwnershipReplay, engine: &FilterEngine) {
+        let ctx = MatchContext {
+            page_domain: log.site().to_string(),
+            resource: ResourceType::Script,
+            third_party: true,
+        };
+        let mut urls: HashSet<&str> = HashSet::new();
         for inc in log.third_party_inclusions() {
-            tp_urls.insert(log.str(inc.url));
-            tp_occurrences += 1;
-            let ctx = MatchContext {
-                page_domain: log.site().to_string(),
-                resource: ResourceType::Script,
-                third_party: true,
-            };
-            if engine.is_tracking(log.str(inc.url), &ctx) {
-                tracking_occurrences += 1;
+            let url = log.str(inc.url);
+            urls.insert(url);
+            let tracking = usize::from(engine.is_tracking(url, &ctx));
+            if inc.direct {
+                self.direct += 1;
+                self.direct_tracking += tracking;
+            } else {
+                self.indirect += 1;
+                self.indirect_tracking += tracking;
             }
         }
-        if !tp_urls.is_empty() {
-            with_tp += 1;
-        }
-        tp_script_counts += tp_urls.len();
+        self.with_third_party += usize::from(!urls.is_empty());
+        self.third_party_scripts += urls.len();
 
         // Script-set cookies only (document.cookie + CookieStore).
-        let mut tp_names: HashSet<&str> = HashSet::new();
-        let mut fp_names: HashSet<&str> = HashSet::new();
-        for pair in replay(log).pairs {
+        let mut third_party: HashSet<&str> = HashSet::new();
+        let mut first_party: HashSet<&str> = HashSet::new();
+        for pair in &site.pairs {
             if pair.api == CookieApi::HttpHeader {
                 continue;
             }
             if pair.owner.eq_ignore_ascii_case(log.site()) {
-                fp_names.insert(pair.name);
+                first_party.insert(pair.name);
             } else {
-                tp_names.insert(pair.name);
+                third_party.insert(pair.name);
             }
         }
-        tp_cookie_total += tp_names.len();
-        fp_cookie_total += fp_names.len();
+        self.third_party_cookies += third_party.len();
+        self.first_party_cookies += first_party.len();
     }
 
-    let n = ds.site_count().max(1) as f64;
-    PrevalenceStats {
-        sites: ds.site_count(),
-        sites_with_third_party_pct: 100.0 * with_tp as f64 / n,
-        avg_third_party_scripts: tp_script_counts as f64 / n,
-        ad_tracking_share_pct: if tp_occurrences == 0 {
-            0.0
-        } else {
-            100.0 * tracking_occurrences as f64 / tp_occurrences as f64
-        },
-        avg_cookies_third_party: tp_cookie_total as f64 / n,
-        avg_cookies_first_party: fp_cookie_total as f64 / n,
+    pub(crate) fn merge(&mut self, other: Prevalence) {
+        self.with_third_party += other.with_third_party;
+        self.third_party_scripts += other.third_party_scripts;
+        self.direct += other.direct;
+        self.direct_tracking += other.direct_tracking;
+        self.indirect += other.indirect;
+        self.indirect_tracking += other.indirect_tracking;
+        self.third_party_cookies += other.third_party_cookies;
+        self.first_party_cookies += other.first_party_cookies;
+    }
+
+    /// §5.1 over `sites` analyzable sites.
+    pub(crate) fn stats(&self, sites: usize) -> PrevalenceStats {
+        let n = sites.max(1) as f64;
+        let occurrences = self.direct + self.indirect;
+        let tracking = self.direct_tracking + self.indirect_tracking;
+        PrevalenceStats {
+            sites,
+            sites_with_third_party_pct: 100.0 * self.with_third_party as f64 / n,
+            avg_third_party_scripts: self.third_party_scripts as f64 / n,
+            ad_tracking_share_pct: share(tracking, occurrences),
+            avg_cookies_third_party: self.third_party_cookies as f64 / n,
+            avg_cookies_first_party: self.first_party_cookies as f64 / n,
+        }
+    }
+
+    /// §5.6.
+    pub(crate) fn inclusion(&self) -> InclusionStats {
+        InclusionStats {
+            direct: self.direct,
+            indirect: self.indirect,
+            indirect_to_direct_ratio: if self.direct == 0 {
+                0.0
+            } else {
+                self.indirect as f64 / self.direct as f64
+            },
+            indirect_tracking_pct: share(self.indirect_tracking, self.indirect),
+        }
+    }
+}
+
+/// `part` as a percentage of `whole`, 0 for an empty whole.
+fn share(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        100.0 * part as f64 / whole as f64
     }
 }
 
 /// §5.2's API-usage statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ApiUsageStats {
     /// % of sites where `document.cookie` is invoked.
     pub doc_cookie_sites_pct: f64,
@@ -122,111 +180,88 @@ pub struct ApiUsageStats {
     pub cookie_store_top2_share_pct: f64,
 }
 
-/// Computes §5.2.
-pub fn api_usage(ds: &Dataset) -> ApiUsageStats {
-    let mut doc_sites = 0usize;
-    let mut store_sites = 0usize;
-    let mut setter_urls: HashSet<&str> = HashSet::new();
-    let mut setter_domains: HashSet<&str> = HashSet::new();
-    let mut store_name_counts: HashMap<&str, usize> = HashMap::new();
+/// The §5.2 counters, with exact unique-pair sets (§5.2, footnote 2),
+/// one per API that created the pair.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ApiUsage {
+    pub(crate) doc_pairs: HashSet<PairKey>,
+    pub(crate) store_pairs: HashSet<PairKey>,
+    pub(crate) http_pairs: HashSet<PairKey>,
+    doc_sites: usize,
+    store_sites: usize,
+    setter_urls: HashSet<String>,
+    setter_domains: HashSet<String>,
+    store_name_counts: HashMap<String, usize>,
+}
 
-    for log in &ds.logs {
-        let uses_doc = log.reads.iter().any(|r| r.api == CookieApi::DocumentCookie)
-            || log.sets.iter().any(|s| s.api == CookieApi::DocumentCookie);
-        if uses_doc {
-            doc_sites += 1;
-        }
-        let uses_store = log.reads.iter().any(|r| r.api == CookieApi::CookieStore)
-            || log.sets.iter().any(|s| s.api == CookieApi::CookieStore);
-        if uses_store {
-            store_sites += 1;
-        }
-        for pair in replay(log).pairs {
+impl ApiUsage {
+    pub(crate) fn fold(&mut self, log: &VisitLog, site: &OwnershipReplay) {
+        let uses =
+            |api| log.reads.iter().any(|r| r.api == api) || log.sets.iter().any(|s| s.api == api);
+        self.doc_sites += usize::from(uses(CookieApi::DocumentCookie));
+        self.store_sites += usize::from(uses(CookieApi::CookieStore));
+        for pair in &site.pairs {
             match pair.api {
                 CookieApi::DocumentCookie => {
-                    setter_urls.extend(pair.owner_url);
-                    setter_domains.insert(pair.owner);
+                    self.doc_pairs.insert(pair.key());
+                    if let Some(url) = pair.owner_url {
+                        insert_str(&mut self.setter_urls, url);
+                    }
+                    insert_str(&mut self.setter_domains, pair.owner);
                 }
                 CookieApi::CookieStore => {
-                    *store_name_counts.entry(pair.name).or_insert(0) += 1;
+                    self.store_pairs.insert(pair.key());
+                    *self
+                        .store_name_counts
+                        .entry(pair.name.to_string())
+                        .or_insert(0) += 1;
                 }
-                CookieApi::HttpHeader => {}
-            }
-        }
-    }
-
-    let doc_pairs = ds.unique_pairs(CookieApi::DocumentCookie).len();
-    let store_pairs = ds.unique_pairs(CookieApi::CookieStore).len();
-    let total_store_sets: usize = store_name_counts.values().sum();
-    let mut counts: Vec<usize> = store_name_counts.values().copied().collect();
-    counts.sort_unstable_by(|a, b| b.cmp(a));
-    let top2: usize = counts.iter().take(2).sum();
-
-    let n = ds.site_count().max(1) as f64;
-    ApiUsageStats {
-        doc_cookie_sites_pct: 100.0 * doc_sites as f64 / n,
-        doc_cookie_pairs: doc_pairs,
-        doc_cookie_setter_scripts: setter_urls.len(),
-        doc_cookie_setter_domains: setter_domains.len(),
-        cookie_store_sites_pct: 100.0 * store_sites as f64 / n,
-        cookie_store_pairs: store_pairs,
-        cookie_store_names: store_name_counts.len(),
-        cookie_store_top2_share_pct: if total_store_sets == 0 {
-            0.0
-        } else {
-            100.0 * top2 as f64 / total_store_sets as f64
-        },
-    }
-}
-
-/// §5.6's inclusion-path statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct InclusionStats {
-    /// Direct third-party inclusions (occurrences).
-    pub direct: usize,
-    /// Indirect (injected) third-party inclusions.
-    pub indirect: usize,
-    /// indirect / direct.
-    pub indirect_to_direct_ratio: f64,
-    /// % of indirect inclusions classified ad/tracking.
-    pub indirect_tracking_pct: f64,
-}
-
-/// Computes §5.6.
-pub fn inclusion_stats(ds: &Dataset, engine: &FilterEngine) -> InclusionStats {
-    let mut direct = 0usize;
-    let mut indirect = 0usize;
-    let mut indirect_tracking = 0usize;
-    for log in &ds.logs {
-        for inc in log.third_party_inclusions() {
-            if inc.direct {
-                direct += 1;
-            } else {
-                indirect += 1;
-                let ctx = MatchContext {
-                    page_domain: log.site().to_string(),
-                    resource: ResourceType::Script,
-                    third_party: true,
-                };
-                if engine.is_tracking(log.str(inc.url), &ctx) {
-                    indirect_tracking += 1;
+                CookieApi::HttpHeader => {
+                    self.http_pairs.insert(pair.key());
                 }
             }
         }
     }
-    InclusionStats {
-        direct,
-        indirect,
-        indirect_to_direct_ratio: if direct == 0 {
-            0.0
-        } else {
-            indirect as f64 / direct as f64
-        },
-        indirect_tracking_pct: if indirect == 0 {
-            0.0
-        } else {
-            100.0 * indirect_tracking as f64 / indirect as f64
-        },
+
+    pub(crate) fn merge(&mut self, other: ApiUsage) {
+        self.doc_pairs.extend(other.doc_pairs);
+        self.store_pairs.extend(other.store_pairs);
+        self.http_pairs.extend(other.http_pairs);
+        self.doc_sites += other.doc_sites;
+        self.store_sites += other.store_sites;
+        self.setter_urls.extend(other.setter_urls);
+        self.setter_domains.extend(other.setter_domains);
+        merge_map(
+            &mut self.store_name_counts,
+            other.store_name_counts,
+            |a, b| *a += b,
+        );
+    }
+
+    /// §5.2 over `sites` analyzable sites.
+    pub(crate) fn stats(&self, sites: usize) -> ApiUsageStats {
+        let total_store_sets: usize = self.store_name_counts.values().sum();
+        let mut counts: Vec<usize> = self.store_name_counts.values().copied().collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        let top2: usize = counts.iter().take(2).sum();
+        let n = sites.max(1) as f64;
+        ApiUsageStats {
+            doc_cookie_sites_pct: 100.0 * self.doc_sites as f64 / n,
+            doc_cookie_pairs: self.doc_pairs.len(),
+            doc_cookie_setter_scripts: self.setter_urls.len(),
+            doc_cookie_setter_domains: self.setter_domains.len(),
+            cookie_store_sites_pct: 100.0 * self.store_sites as f64 / n,
+            cookie_store_pairs: self.store_pairs.len(),
+            cookie_store_names: self.store_name_counts.len(),
+            cookie_store_top2_share_pct: share(top2, total_store_sets),
+        }
+    }
+}
+
+/// Inserts `value` into `set`, allocating only when it is new.
+fn insert_str(set: &mut HashSet<String>, value: &str) {
+    if !set.contains(value) {
+        set.insert(value.to_string());
     }
 }
 
@@ -236,11 +271,13 @@ mod tests {
     use cg_instrument::{Recorder, WriteKind};
     use cg_webgen::VendorRegistry;
 
-    fn engine() -> FilterEngine {
-        build_filter_engine(&VendorRegistry::new(Vec::new()))
+    /// The census tables of `logs`, classified by the nine-list engine.
+    fn tables(logs: Vec<VisitLog>) -> crate::Tables {
+        let engine = build_filter_engine(&VendorRegistry::new(Vec::new()));
+        crate::Census::of_logs(logs, &cg_entity::builtin_entity_map(), &engine).finish()
     }
 
-    fn make_log(site: &str, tp_scripts: &[(&str, bool)]) -> cg_instrument::VisitLog {
+    fn make_log(site: &str, tp_scripts: &[(&str, bool)]) -> VisitLog {
         let mut r = Recorder::new(site, 1);
         r.record_inclusion(Some(&format!("https://www.{site}/app.js")), true);
         for (url, direct) in tp_scripts {
@@ -273,7 +310,7 @@ mod tests {
 
     #[test]
     fn prevalence_counts_third_party() {
-        let ds = Dataset::from_logs(vec![
+        let stats = tables(vec![
             make_log(
                 "a-site.com",
                 &[
@@ -282,8 +319,8 @@ mod tests {
                 ],
             ),
             make_log("b-site.com", &[]),
-        ]);
-        let stats = prevalence_stats(&ds, &engine());
+        ])
+        .prevalence;
         assert_eq!(stats.sites, 2);
         assert!((stats.sites_with_third_party_pct - 50.0).abs() < 1e-9);
         assert!((stats.avg_third_party_scripts - 1.0).abs() < 1e-9);
@@ -295,8 +332,7 @@ mod tests {
 
     #[test]
     fn api_usage_pairs_and_sites() {
-        let ds = Dataset::from_logs(vec![make_log("a-site.com", &[])]);
-        let usage = api_usage(&ds);
+        let usage = tables(vec![make_log("a-site.com", &[])]).api_usage;
         assert!((usage.doc_cookie_sites_pct - 100.0).abs() < 1e-9);
         assert_eq!(usage.doc_cookie_pairs, 2);
         assert_eq!(usage.doc_cookie_setter_domains, 2);
@@ -307,7 +343,7 @@ mod tests {
 
     #[test]
     fn inclusion_ratio() {
-        let ds = Dataset::from_logs(vec![make_log(
+        let stats = tables(vec![make_log(
             "a-site.com",
             &[
                 ("https://www.googletagmanager.com/gtm.js", true),
@@ -317,8 +353,8 @@ mod tests {
                     false,
                 ),
             ],
-        )]);
-        let stats = inclusion_stats(&ds, &engine());
+        )])
+        .inclusion;
         assert_eq!(stats.direct, 1);
         assert_eq!(stats.indirect, 2);
         assert!((stats.indirect_to_direct_ratio - 2.0).abs() < 1e-9);

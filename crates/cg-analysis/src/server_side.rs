@@ -18,7 +18,8 @@
 //!   first-party request with the *entire* jar — HttpOnly included —
 //!   regardless of script-level isolation.
 
-use crate::dataset::{replay, Dataset};
+use crate::dataset::OwnershipReplay;
+use cg_instrument::VisitLog;
 use cg_script::event_loop::parse_pairs;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -32,7 +33,7 @@ pub type ForwardRules = Vec<(String, String)>;
 pub type ForwardMap = HashMap<String, ForwardRules>;
 
 /// What the server-side analysis found.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerSideReport {
     /// Sites in the analyzable dataset.
     pub sites_analyzed: usize,
@@ -63,32 +64,29 @@ impl ServerSideReport {
     }
 }
 
-/// Resolves `forwards` against the dataset's first-party requests.
-///
-/// A cookie counts as *cross-domain relayed* when a matching gateway
-/// request exposed it (header or query) and its recorded creator is
-/// neither the receiving tracker nor the site itself — the same
-/// cross-domain predicate as Table 1, executed on the server instead of
-/// in the page.
-pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideReport {
-    let mut report = ServerSideReport {
-        sites_analyzed: ds.site_count(),
-        ..Default::default()
-    };
-
-    for log in &ds.logs {
-        let Some(rules) = forwards.get(log.site()) else {
-            continue;
-        };
-        if rules.is_empty() {
-            continue;
+impl ServerSideReport {
+    /// Resolves `forwards` against one visit's first-party requests; `site`
+    /// is the visit's ownership replay ([`Census::fold`](crate::Census::fold)
+    /// returns it). Incomplete visits are skipped (the §4.2 filter).
+    ///
+    /// A cookie counts as *cross-domain relayed* when a matching gateway
+    /// request exposed it (header or query) and its recorded creator is
+    /// neither the receiving tracker nor the site itself — the same
+    /// cross-domain predicate as Table 1, executed on the server instead
+    /// of in the page.
+    pub fn fold(&mut self, log: &VisitLog, site: &OwnershipReplay, forwards: &ForwardMap) {
+        if !log.complete {
+            return;
         }
-        report.sites_with_gateway += 1;
+        self.sites_analyzed += 1;
+        let Some(rules) = forwards.get(log.site()).filter(|r| !r.is_empty()) else {
+            return;
+        };
+        self.sites_with_gateway += 1;
 
-        // name → owners, replayed from the same log the client-side
-        // pipeline uses.
+        // name → owners, from the same replay the client-side tables read.
         let mut owners: HashMap<&str, HashSet<&str>> = HashMap::new();
-        for pair in replay(log).pairs {
+        for pair in &site.pairs {
             owners.entry(pair.name).or_default().insert(pair.owner);
         }
 
@@ -106,13 +104,13 @@ pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideRepo
             else {
                 continue;
             };
-            report.gateway_requests += 1;
+            self.gateway_requests += 1;
 
             // Exposed cookie names: the attached Cookie header plus the
             // query-string parameter names the collector assembled.
             let mut exposed: HashSet<String> = HashSet::new();
             if let Some(header) = log.opt_str(req.cookie_header) {
-                report.requests_with_header_payload += 1;
+                self.requests_with_header_payload += 1;
                 for (name, _) in parse_pairs(header) {
                     if !name.is_empty() {
                         exposed.insert(name);
@@ -127,6 +125,7 @@ pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideRepo
                 }
             }
 
+            #[allow(clippy::iter_over_hash_type)] // builds a set: order cannot matter
             for name in exposed {
                 let Some(who) = owners.get(name.as_str()) else {
                     continue;
@@ -140,11 +139,21 @@ pub fn detect_server_side(ds: &Dataset, forwards: &ForwardMap) -> ServerSideRepo
             }
         }
         if !relayed_here.is_empty() {
-            report.sites_with_server_relay += 1;
-            report.cross_domain_cookies_relayed += relayed_here.len();
+            self.sites_with_server_relay += 1;
+            self.cross_domain_cookies_relayed += relayed_here.len();
         }
     }
-    report
+
+    /// Joins the report of the ranks after `self`'s.
+    pub fn merge(mut self, other: ServerSideReport) -> ServerSideReport {
+        self.sites_analyzed += other.sites_analyzed;
+        self.sites_with_gateway += other.sites_with_gateway;
+        self.gateway_requests += other.gateway_requests;
+        self.sites_with_server_relay += other.sites_with_server_relay;
+        self.cross_domain_cookies_relayed += other.cross_domain_cookies_relayed;
+        self.requests_with_header_payload += other.requests_with_header_payload;
+        self
+    }
 }
 
 fn path_of(url: &str) -> &str {
@@ -159,6 +168,7 @@ fn path_of(url: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::replay;
     use cg_instrument::{CookieApi, Recorder, WriteKind};
 
     fn forwards_for(site: &str) -> ForwardMap {
@@ -168,6 +178,12 @@ mod tests {
             vec![("/g/collect".to_string(), "google-analytics.com".to_string())],
         );
         m
+    }
+
+    fn detect(log: VisitLog, forwards: &ForwardMap) -> ServerSideReport {
+        let mut report = ServerSideReport::default();
+        report.fold(&log, &replay(&log), forwards);
+        report
     }
 
     fn gateway_log(cookie_owner: &str) -> cg_instrument::VisitLog {
@@ -200,8 +216,7 @@ mod tests {
 
     #[test]
     fn relay_of_foreign_cookie_detected() {
-        let ds = Dataset::from_logs(vec![gateway_log("facebook.net")]);
-        let report = detect_server_side(&ds, &forwards_for("shop.example"));
+        let report = detect(gateway_log("facebook.net"), &forwards_for("shop.example"));
         assert_eq!(report.sites_with_gateway, 1);
         assert_eq!(report.gateway_requests, 1);
         assert_eq!(report.sites_with_server_relay, 1);
@@ -214,8 +229,10 @@ mod tests {
     fn relay_to_own_tracker_not_cross_domain() {
         // The cookie's creator IS the receiving tracker: authorized sync,
         // not cross-domain exfiltration.
-        let ds = Dataset::from_logs(vec![gateway_log("google-analytics.com")]);
-        let report = detect_server_side(&ds, &forwards_for("shop.example"));
+        let report = detect(
+            gateway_log("google-analytics.com"),
+            &forwards_for("shop.example"),
+        );
         assert_eq!(report.sites_with_gateway, 1);
         assert_eq!(report.sites_with_server_relay, 0);
     }
@@ -227,18 +244,31 @@ mod tests {
             "shop.example".to_string(),
             vec![("/other".to_string(), "ga.com".to_string())],
         );
-        let ds = Dataset::from_logs(vec![gateway_log("facebook.net")]);
-        let report = detect_server_side(&ds, &m);
+        let report = detect(gateway_log("facebook.net"), &m);
         assert_eq!(report.gateway_requests, 0);
         assert_eq!(report.sites_with_server_relay, 0);
     }
 
     #[test]
     fn sites_without_rules_skipped() {
-        let ds = Dataset::from_logs(vec![gateway_log("facebook.net")]);
-        let report = detect_server_side(&ds, &ForwardMap::new());
+        let report = detect(gateway_log("facebook.net"), &ForwardMap::new());
         assert_eq!(report.sites_with_gateway, 0);
         assert_eq!(report.pct_sites_with_relay(), 0.0);
+    }
+
+    #[test]
+    fn merge_equals_one_fold_over_both_visits() {
+        let forwards = forwards_for("shop.example");
+        let (a, b) = (
+            gateway_log("facebook.net"),
+            gateway_log("google-analytics.com"),
+        );
+        let mut both = ServerSideReport::default();
+        for log in [&a, &b] {
+            both.fold(log, &replay(log), &forwards);
+        }
+        assert_eq!(both.sites_with_server_relay, 1);
+        assert_eq!(detect(a, &forwards).merge(detect(b, &forwards)), both);
     }
 
     #[test]

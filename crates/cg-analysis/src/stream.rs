@@ -1,13 +1,9 @@
-//! Bounded-memory streaming statistics: the aggregate-only alternative
-//! to [`Dataset`](crate::Dataset) for crawls too large to retain.
+//! Bounded-memory streaming statistics: the crawl-wide counters every
+//! analysis pass carries.
 //!
-//! [`Dataset`](crate::Dataset) keeps every complete [`VisitLog`]
-//! because several analyses (exfiltration matching, manipulation
-//! classification) replay raw events — that is its *retained* mode,
-//! and its memory grows linearly with the crawl. [`StreamStats`] is the
-//! *streaming* mode: each visit's ownership is replayed borrowing from
-//! the log ([`replay`], the same replay the retained analyses read),
-//! folded into pure aggregates and dropped, so peak memory is
+//! [`StreamStats`] replays each visit's ownership borrowing from the log
+//! ([`replay`], the same replay every [`Census`](crate::Census) table
+//! reads), folds it into pure aggregates and drops it, so peak memory is
 //! independent of visit count. The only non-scalar state is
 //! the unique cookie-pair counters, and those are fixed-memory
 //! [`DistinctSketch`]es rather than exact sets: first-party pairs
@@ -25,7 +21,7 @@
 //! runs in store order — byte-identical serialized output at any thread
 //! count.
 
-use crate::dataset::replay;
+use crate::dataset::{replay, OwnershipReplay};
 use crate::sketch::DistinctSketch;
 use cg_crawlstore::{ReadBackend, StoreError};
 use cg_instrument::{CookieApi, VisitLog, WriteKind};
@@ -103,6 +99,19 @@ impl StreamStats {
     /// Folds one visit and drops it: the caller keeps no reference and
     /// the stats keep no copy.
     pub fn fold(&mut self, log: &VisitLog) {
+        let site = if log.complete {
+            replay(log)
+        } else {
+            OwnershipReplay::default()
+        };
+        self.fold_replayed(log, &site);
+    }
+
+    /// [`StreamStats::fold`] for a caller that has already replayed
+    /// `log`: `site` is its [`replay`] when the log is complete, and is
+    /// not read otherwise. The [`Census`](crate::Census) folds this way,
+    /// so each log is replayed once for every table.
+    pub fn fold_replayed(&mut self, log: &VisitLog, site: &OwnershipReplay) {
         analysis_metrics().logs_folded.incr();
         self.crawled += 1;
         if !log.complete {
@@ -141,9 +150,6 @@ impl StreamStats {
         {
             self.third_party_script_sites += 1;
         }
-        // Ownership replay is per-visit state that borrows the log; it
-        // is built, read, and dropped inside this call.
-        let site = replay(log);
         for pair in &site.pairs {
             let sketch = match pair.api {
                 CookieApi::DocumentCookie => &mut self.doc_cookie_pairs,

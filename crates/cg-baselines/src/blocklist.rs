@@ -388,6 +388,7 @@ mod tests {
                 assert_ops_clean(&s.ops, &old);
             }
         }
+        #[allow(clippy::iter_over_hash_type)] // asserts each key on its own
         for (url, ops) in &evaded.injectables {
             assert!(!old.contains(url), "stale injectable key {url}");
             assert_ops_clean(ops, &old);

@@ -375,6 +375,7 @@ mod tests {
             let out = counterfactual_block(&clf, &log);
             assert_eq!(out.total_probes, log.probes.len());
             assert!(out.broken_probes <= out.total_probes);
+            #[allow(clippy::iter_over_hash_type)] // asserts each key on its own
             for key in &out.blocked {
                 assert!(out.blocked_names.contains(&key.name));
             }

@@ -12,9 +12,10 @@ use crate::classifier::{counterfactual_block, label_samples, residual_log, Cooki
 use crate::features::extract_samples;
 use crate::partitioning::PartitioningModel;
 use crate::tree::ForestConfig;
-use cg_analysis::{cross_domain_summary, detect_exfiltration, detect_manipulation, Dataset};
+use cg_analysis::{build_filter_engine, Census};
 use cg_browser::{visit_site, VisitConfig};
 use cg_entity::EntityMap;
+use cg_filterlist::FilterEngine;
 use cg_instrument::VisitLog;
 use cg_webgen::WebGenerator;
 use cookieguard_core::GuardConfig;
@@ -121,11 +122,8 @@ fn broken_share(baseline: &ProbeSet, defended: &[VisitLog]) -> f64 {
     100.0 * broken as f64 / baseline.len() as f64
 }
 
-fn rates(logs: Vec<VisitLog>, entities: &EntityMap) -> (f64, f64, f64) {
-    let ds = Dataset::from_logs(logs);
-    let exfil = detect_exfiltration(&ds, entities);
-    let manip = detect_manipulation(&ds, entities);
-    let summary = cross_domain_summary(&ds, &exfil, &manip);
+fn rates(logs: &[VisitLog], entities: &EntityMap, engine: &FilterEngine) -> (f64, f64, f64) {
+    let summary = Census::of_logs(logs, entities, engine).finish().table1;
     (
         summary.doc_exfiltration.sites_pct,
         summary.doc_overwriting.sites_pct,
@@ -160,9 +158,10 @@ pub fn run_defense_matrix(
     let plain_cfg = VisitConfig::regular();
     let plain_logs = crawl(gen, opts.eval_ranks.clone(), &plain_cfg, Clone::clone);
     let baseline_probes = probe_set(&plain_logs);
+    let engine = build_filter_engine(gen.registry());
 
     let mut rows = Vec::with_capacity(defenses.len() + 1);
-    let (e, o, d) = rates(plain_logs.clone(), &opts.entities);
+    let (e, o, d) = rates(&plain_logs, &opts.entities, &engine);
     rows.push(DefenseRow {
         name: "no defense".into(),
         exfil_sites_pct: e,
@@ -176,7 +175,7 @@ pub fn run_defense_matrix(
         if matches!(defense, Defense::NoDefense) {
             continue; // already anchored above
         }
-        let row = run_one(gen, defense, opts, &plain_logs, &baseline_probes);
+        let row = run_one(gen, defense, opts, &engine, &plain_logs, &baseline_probes);
         rows.push(row);
     }
     rows
@@ -186,6 +185,7 @@ fn run_one(
     gen: &WebGenerator,
     defense: &Defense,
     opts: &MatrixOptions,
+    engine: &FilterEngine,
     plain_logs: &[VisitLog],
     baseline_probes: &ProbeSet,
 ) -> DefenseRow {
@@ -202,7 +202,7 @@ fn run_one(
                 |site| blocker.prune_site(site).0,
             );
             let probe_break = broken_share(baseline_probes, &logs);
-            let (e, o, d) = rates(logs, &opts.entities);
+            let (e, o, d) = rates(&logs, &opts.entities, engine);
             DefenseRow {
                 name,
                 exfil_sites_pct: e,
@@ -225,7 +225,7 @@ fn run_one(
                 },
             );
             let probe_break = broken_share(baseline_probes, &logs);
-            let (e, o, d) = rates(logs, &opts.entities);
+            let (e, o, d) = rates(&logs, &opts.entities, engine);
             DefenseRow {
                 name,
                 exfil_sites_pct: e,
@@ -239,7 +239,7 @@ fn run_one(
         Defense::Partitioning(model) => {
             // Structural no-op in the main frame: reuse the plain crawl.
             assert!(!model.affects_main_frame());
-            let (e, o, d) = rates(plain_logs.to_vec(), &opts.entities);
+            let (e, o, d) = rates(plain_logs, &opts.entities, engine);
             DefenseRow {
                 name,
                 exfil_sites_pct: e,
@@ -290,7 +290,7 @@ fn run_one(
             } else {
                 100.0 * broken as f64 / baseline_probes.len() as f64
             };
-            let (e, o, d) = rates(residuals, &opts.entities);
+            let (e, o, d) = rates(&residuals, &opts.entities, engine);
             DefenseRow {
                 name,
                 exfil_sites_pct: e,
@@ -309,7 +309,7 @@ fn run_one(
                 Clone::clone,
             );
             let probe_break = broken_share(baseline_probes, &logs);
-            let (e, o, d) = rates(logs, &opts.entities);
+            let (e, o, d) = rates(&logs, &opts.entities, engine);
             DefenseRow {
                 name,
                 exfil_sites_pct: e,

@@ -10,9 +10,10 @@
 //! exposure collapses anyway — the two mechanisms govern different
 //! layers.
 
-use cg_analysis::{cross_domain_summary, detect_exfiltration, detect_manipulation, Dataset};
+use cg_analysis::{build_filter_engine, Census};
 use cg_browser::{visit_site, VisitConfig};
 use cg_entity::EntityMap;
+use cg_filterlist::FilterEngine;
 use cg_instrument::VisitLog;
 use cg_webgen::{csp_for_site, CspStyle, WebGenerator};
 use cookieguard_core::GuardConfig;
@@ -64,6 +65,7 @@ pub fn run_csp_gap(
     ranks: std::ops::RangeInclusive<usize>,
     entities: &EntityMap,
 ) -> Vec<CspGapRow> {
+    let engine = build_filter_engine(gen.registry());
     [
         CspCondition::NoCsp,
         CspCondition::DirectVendorsOnly,
@@ -71,7 +73,7 @@ pub fn run_csp_gap(
         CspCondition::CookieGuardStrict,
     ]
     .into_iter()
-    .map(|cond| run_condition(gen, ranks.clone(), cond, entities))
+    .map(|cond| run_condition(gen, ranks.clone(), cond, entities, &engine))
     .collect()
 }
 
@@ -80,6 +82,7 @@ fn run_condition(
     ranks: std::ops::RangeInclusive<usize>,
     cond: CspCondition,
     entities: &EntityMap,
+    engine: &FilterEngine,
 ) -> CspGapRow {
     let cfg = match cond {
         CspCondition::CookieGuardStrict => VisitConfig::guarded(GuardConfig::strict()),
@@ -104,10 +107,7 @@ fn run_condition(
         })
         .collect();
 
-    let ds = Dataset::from_logs(logs);
-    let exfil = detect_exfiltration(&ds, entities);
-    let manip = detect_manipulation(&ds, entities);
-    let summary = cross_domain_summary(&ds, &exfil, &manip);
+    let summary = Census::of_logs(logs, entities, engine).finish().table1;
     CspGapRow {
         name: cond.name().to_string(),
         scripts_blocked: blocked,

@@ -13,7 +13,9 @@
 //!   with the number of intercepted cookie operations — interception is
 //!   the mechanism, so its cost follows the op count.
 //!
-//! Constants were calibrated against Table 4 (see EXPERIMENTS.md).
+//! Constants were calibrated against Table 4 (the published values are
+//! in `crates/cg-experiments/src/expectations.rs`; the shape is checked
+//! by `tests/reproduction_shape.rs`).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};

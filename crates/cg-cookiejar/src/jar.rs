@@ -406,6 +406,9 @@ impl CookieJar {
     pub fn purge_expired(&mut self, now_ms: i64) {
         let changes = &mut self.changes;
         let mut removed = 0usize;
+        // Expiry events land after the last page read the change feed, so
+        // no reader sees their cross-shard order.
+        #[allow(clippy::iter_over_hash_type)]
         for shard in self.shards.values_mut() {
             let before = shard.len();
             shard.retain(|s| {

@@ -14,8 +14,9 @@
 //! **Merge order.** A finished run is merged with the finished runs
 //! directly before and after it, the earlier run always on the left.
 //! Merges only ever join neighbours, so the result is the sequential
-//! reduction for any associative `merge` — including `Dataset`'s
-//! order-sensitive rank interleave — at any thread count and through any
+//! reduction for any associative `merge` — including an order-sensitive
+//! one, such as the census's appended event lists — at any thread count
+//! and through any
 //! [`ReadBackend`]. This is sound because segments hold disjoint rank
 //! sets and the chunks of one segment hold disjoint, ascending rank
 //! ranges: every run folds a fixed slice of the store.
@@ -29,7 +30,7 @@
 //!
 //! The store layer stays below analysis: this module knows nothing about
 //! statistics. `cg-analysis` and `cg-detect` supply the accumulators
-//! (`StreamStats`, `Dataset`, `DetectStats`).
+//! (`StreamStats`, `Census`, `DetectStats`).
 
 use crate::chunk::{plan_chunks, ChunkStream, ReadBackend};
 use crate::StoreError;
@@ -47,7 +48,7 @@ use std::sync::{Mutex, MutexGuard};
 /// chunk) order into one accumulator whenever `merge` is associative and
 /// agrees with folding the later run's units after the earlier run's —
 /// true of the commutative monoids (`StreamStats`, `DetectStats`) and of
-/// `Dataset`'s rank interleave alike.
+/// the census, whose merge appends event lists, alike.
 ///
 /// A failing unit stops every worker; the error of the lowest failing
 /// unit reached is returned once all have stopped, and no partial

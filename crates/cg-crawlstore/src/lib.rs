@@ -39,8 +39,8 @@
 //! * **Streaming reads** — [`CrawlReader`] replays the store
 //!   rank-ordered via a k-way merge over each segment's chunks; memory
 //!   is one chunk window and one record per segment.
-//!   `Dataset::from_reader` in `cg-analysis` folds that stream
-//!   incrementally.
+//!   `Census::from_reader` in `cg-analysis` folds that stream one
+//!   visit at a time and keeps no log.
 //! * **Parallel folds in bounded memory** — [`fold_store`] folds
 //!   contiguous runs of chunks into one accumulator per worker (plus
 //!   one per steal), merges adjacent runs as they finish, and so holds

@@ -461,8 +461,9 @@ pub struct StoreCrawl {
 /// [`CrawlWriter::done_ranks`]), crawl the missing ranks, and return
 /// the session totals. Reading the result back is the analysis
 /// layer's job — the store layer stays below it: `cg_analysis`'s
-/// `Dataset::from_store` retains the complete logs (and nothing
-/// derived from them), `StreamStats::from_store` keeps aggregates only.
+/// `Census::from_store_with` folds every §5 table and
+/// `StreamStats::from_store` the crawl-wide counters; neither keeps a
+/// log.
 pub fn crawl_to_store(
     dir: impl AsRef<Path>,
     gen: &WebGenerator,

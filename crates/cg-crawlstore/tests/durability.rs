@@ -6,9 +6,10 @@
 //! tail of a segment — and that streaming analysis over the store
 //! equals in-memory analysis over the same crawl.
 
-use cg_analysis::Dataset;
+use cg_analysis::Census;
 use cg_browser::{crawl_into, crawl_range, VisitConfig};
 use cg_crawlstore::{codec, CrawlReader, CrawlWriter, Fingerprint, StoreError, MANIFEST_FILE};
+use cg_instrument::VisitLog;
 use cg_webgen::{GenConfig, WebGenerator};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -146,38 +147,36 @@ fn streaming_analysis_equals_in_memory_analysis() {
     let gen = generator();
     let cfg = VisitConfig::regular();
 
-    // In-memory reference crawl + dataset.
+    // In-memory reference crawl.
     let (outcomes, summary) = crawl_range(&gen, &cfg, 1, SITES, 4);
-    let ds_mem = Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect());
+    let logs_mem: Vec<VisitLog> = outcomes.into_iter().map(|o| o.log).collect();
     assert_eq!(summary.failed, summary.visited - summary.complete);
 
-    // Store-backed crawl + streaming dataset.
+    // Store-backed crawl, read back in rank order.
     let dir = tmp_dir("analysis");
     let store = CrawlWriter::open(&dir, fingerprint(&cfg)).unwrap();
     crawl_into(&gen, &cfg, 1, SITES, 3, &store).unwrap();
-    let ds_store = Dataset::from_reader(CrawlReader::open(&dir).unwrap()).unwrap();
+    let logs_store: Vec<VisitLog> = CrawlReader::open(&dir)
+        .unwrap()
+        .collect::<Result<_, _>>()
+        .unwrap();
 
     // Identical population…
-    assert_eq!(ds_mem.crawled, ds_store.crawled);
-    assert_eq!(ds_mem.site_count(), ds_store.site_count());
     assert_eq!(
-        serde_json::to_string(&ds_mem.logs).unwrap(),
-        serde_json::to_string(&ds_store.logs).unwrap()
+        serde_json::to_string(&logs_mem).unwrap(),
+        serde_json::to_string(&logs_store).unwrap()
     );
 
-    // …and every analysis stat agrees.
+    // …and every table agrees, folded from memory or from the store.
     let engine = cg_analysis::build_filter_engine(gen.registry());
     let entities = cg_entity::builtin_entity_map();
-    let stat = |ds: &Dataset| {
-        let exfil = cg_analysis::detect_exfiltration(ds, &entities);
-        let manip = cg_analysis::detect_manipulation(ds, &entities);
-        (
-            serde_json::to_string(&cg_analysis::prevalence_stats(ds, &engine)).unwrap(),
-            serde_json::to_string(&cg_analysis::api_usage(ds)).unwrap(),
-            serde_json::to_string(&cg_analysis::cross_domain_summary(ds, &exfil, &manip)).unwrap(),
-        )
-    };
-    assert_eq!(stat(&ds_mem), stat(&ds_store));
+    let mem = Census::of_logs(logs_mem, &entities, &engine).finish();
+    assert_eq!(mem.stream.crawled, SITES as u64);
+    assert_eq!(mem.stream.complete, summary.complete as u64);
+    let store = Census::from_reader(CrawlReader::open(&dir).unwrap(), &entities, &engine)
+        .unwrap()
+        .finish();
+    assert!(mem == store, "store-backed tables differ");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -3,9 +3,10 @@
 //! same crawl in, same statistics out — and the parallel chunked fold
 //! must be an invisible substitution for the sequential one.
 
-use cg_analysis::{Dataset, StreamStats};
+use cg_analysis::{Census, StreamStats, Tables};
 use cg_browser::VisitConfig;
 use cg_crawlstore::{crawl_to_store, open_store, CrawlReader, ReadBackend};
+use cg_instrument::VisitLog;
 use cg_webgen::{GenConfig, WebGenerator};
 use std::path::PathBuf;
 
@@ -36,10 +37,24 @@ fn json_lines(dir: &PathBuf) -> Vec<String> {
         .collect()
 }
 
+/// The store's visits, in rank order.
+fn logs(dir: &PathBuf) -> Vec<VisitLog> {
+    CrawlReader::open(dir)
+        .unwrap()
+        .collect::<Result<_, _>>()
+        .unwrap()
+}
+
+/// The census of `logs`, finished.
+fn tables(logs: Vec<VisitLog>) -> Tables {
+    let engine = cg_analysis::build_filter_engine(generator().registry());
+    Census::of_logs(logs, &cg_entity::builtin_entity_map(), &engine).finish()
+}
+
 /// The same crawl written by different worker counts (so cut into
 /// different segments) replays identically: same rank stream, same
-/// reserialized JSON lines, same retained-dataset and streaming
-/// statistics, byte for byte.
+/// reserialized JSON lines, same census tables and streaming
+/// statistics.
 #[test]
 fn stores_written_at_different_worker_counts_are_equivalent() {
     let dir_j = tmp_dir("equiv-3");
@@ -60,14 +75,12 @@ fn stores_written_at_different_worker_counts_are_equivalent() {
     // Canonical JSON reprints agree line-for-line.
     assert_eq!(json_lines(&dir_j), json_lines(&dir_b));
 
-    // Retained datasets and streaming aggregates agree byte-for-byte.
-    let ds_j = Dataset::from_reader(CrawlReader::open(&dir_j).unwrap()).unwrap();
-    let ds_b = Dataset::from_reader(CrawlReader::open(&dir_b).unwrap()).unwrap();
-    assert_eq!(ds_j.crawled, ds_b.crawled);
+    // The logs, the census tables and the streaming aggregates agree.
     assert_eq!(
-        serde_json::to_string(&ds_j.logs).unwrap(),
-        serde_json::to_string(&ds_b.logs).unwrap()
+        serde_json::to_string(&logs(&dir_j)).unwrap(),
+        serde_json::to_string(&logs(&dir_b)).unwrap()
     );
+    assert!(tables(logs(&dir_j)) == tables(logs(&dir_b)));
     let ss_j = StreamStats::from_store(&dir_j, 1).unwrap();
     let ss_b = StreamStats::from_store(&dir_b, 1).unwrap();
     assert_eq!(
@@ -134,22 +147,26 @@ fn binary_store_survives_kill_and_resume() {
     std::fs::remove_dir_all(&dir_ref).unwrap();
 }
 
-/// Parallel per-segment folds are byte-identical to sequential ones at
-/// every thread count, through every read backend, for both the
-/// streaming and the retained mode.
+/// Parallel per-segment folds equal sequential ones at every thread
+/// count, through every read backend, for the streaming counters and for
+/// the census.
 #[test]
 fn parallel_fold_equals_sequential_fold() {
     let dir = tmp_dir("parfold");
     crawl(&dir, 6); // several segments
 
     let seq_stats = serde_json::to_string(&StreamStats::from_store(&dir, 1).unwrap()).unwrap();
-    let seq_ds = Dataset::from_store(&dir, 1).unwrap();
-    let seq_logs = serde_json::to_string(&seq_ds.logs).unwrap();
+    let engine = cg_analysis::build_filter_engine(generator().registry());
+    let entities = cg_entity::builtin_entity_map();
+    let census = |threads, backend| {
+        Census::from_store_with(&dir, threads, backend, &entities, &engine)
+            .unwrap()
+            .finish()
+    };
 
-    // A one-thread store fold equals a plain reader fold.
-    let reader_ds = Dataset::from_reader(CrawlReader::open(&dir).unwrap()).unwrap();
-    assert_eq!(seq_logs, serde_json::to_string(&reader_ds.logs).unwrap());
-    assert_eq!(seq_ds.crawled, reader_ds.crawled);
+    // A one-thread store fold equals a plain in-memory fold.
+    let seq = census(1, ReadBackend::Mmap);
+    assert!(seq == tables(logs(&dir)));
 
     let backends = [ReadBackend::Mmap, ReadBackend::Pread];
     for backend in backends {
@@ -162,13 +179,10 @@ fn parallel_fold_equals_sequential_fold() {
                 par_stats, seq_stats,
                 "StreamStats via {backend} at {threads} threads"
             );
-            let par_ds = Dataset::from_store_with(&dir, threads, backend).unwrap();
-            assert_eq!(
-                serde_json::to_string(&par_ds.logs).unwrap(),
-                seq_logs,
-                "Dataset via {backend} at {threads} threads"
+            assert!(
+                census(threads, backend) == seq,
+                "Census via {backend} at {threads} threads"
             );
-            assert_eq!(par_ds.crawled, seq_ds.crawled);
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();

@@ -13,9 +13,8 @@
 //! intent from realized vendor behaviour, so precision/recall are exact
 //! rather than sampled.
 //!
-//! The pipeline consumes crawls in both of the repo's modes: resident
-//! ([`DetectStats::from_logs`] over a
-//! [`Dataset`](cg_analysis::Dataset)) and streaming
+//! The pipeline consumes resident logs ([`DetectStats::from_logs`], such
+//! as an in-memory crawl's) and crawl stores
 //! ([`DetectStats::from_store_with`] over the store's ordered parallel
 //! fold, which holds O(threads) partials). The engine compiles names,
 //! organizations and `(name, owner)` keys to dense ids, and the fold

@@ -307,6 +307,7 @@ impl<'e> DetectStats<'e> {
         }
         self.unlabeled_pairs.absorb(other.unlabeled_pairs);
         self.unlabeled_sets += other.unlabeled_sets;
+        #[allow(clippy::iter_over_hash_type)] // sketch unions commute: order cannot matter
         for (org, sketch) in other.shipper_names {
             self.shipper_names.entry(org).or_default().absorb(sketch);
         }
@@ -327,7 +328,7 @@ impl<'e> DetectStats<'e> {
         Ok(stats)
     }
 
-    /// Folds already-resident logs (the `Dataset` path).
+    /// Folds already-resident logs, such as an in-memory crawl's.
     pub fn from_logs<'l>(
         engine: &'e DetectEngine,
         stages: Stages,

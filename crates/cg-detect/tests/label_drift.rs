@@ -70,6 +70,7 @@ fn site_pairs(site: &SiteBlueprint) -> BTreeSet<(String, String)> {
     for page in &site.subpages {
         page_pairs(domain, page, &mut out);
     }
+    #[allow(clippy::iter_over_hash_type)] // fills an ordered set: order cannot matter
     for (url, ops) in &site.injectables {
         let owner = cg_url::url_domain(url).unwrap_or_else(|| domain.clone());
         let mut names = BTreeSet::new();

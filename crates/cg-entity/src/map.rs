@@ -92,6 +92,7 @@ impl EntityMap {
 
     /// Merges another map into this one (later insertions win).
     pub fn merge(&mut self, other: &EntityMap) {
+        #[allow(clippy::iter_over_hash_type)] // `other`'s domains are distinct: order cannot matter
         for (d, e) in &other.domain_to_entity {
             self.insert(d, e);
         }

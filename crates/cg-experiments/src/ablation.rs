@@ -11,7 +11,7 @@
 
 use crate::context::ExperimentOptions;
 use crate::render::header;
-use cg_analysis::{cross_domain_summary, detect_exfiltration, detect_manipulation, Dataset};
+use cg_analysis::Census;
 use cg_browser::{crawl_range, VisitConfig};
 use cookieguard_core::GuardConfig;
 use serde::Serialize;
@@ -35,6 +35,7 @@ pub struct AblationRow {
 pub fn run_ablation(opts: &ExperimentOptions) -> Vec<AblationRow> {
     let gen = opts.generator();
     let entities = cg_entity::builtin_entity_map();
+    let engine = cg_analysis::build_filter_engine(gen.registry());
 
     let variants: Vec<(&str, VisitConfig)> = vec![
         ("no guard", VisitConfig::regular()),
@@ -70,10 +71,9 @@ pub fn run_ablation(opts: &ExperimentOptions) -> Vec<AblationRow> {
                 probe_fail_sites += 1;
             }
         }
-        let ds = Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect());
-        let exfil = detect_exfiltration(&ds, &entities);
-        let manip = detect_manipulation(&ds, &entities);
-        let t1 = cross_domain_summary(&ds, &exfil, &manip);
+        let t1 = Census::of_logs(outcomes.into_iter().map(|o| o.log), &entities, &engine)
+            .finish()
+            .table1;
         rows.push(AblationRow {
             variant: label.to_string(),
             exfil_sites_pct: t1.doc_exfiltration.sites_pct,

@@ -1,10 +1,8 @@
 //! Shared experiment context: one crawl, many analyses.
 
-use cg_analysis::Dataset;
+use cg_analysis::{Census, Tables};
 use cg_browser::{crawl_range, VisitConfig};
 use cg_crawlstore::{crawl_to_store, ReadBackend, StoreCrawl, StoreError};
-use cg_entity::EntityMap;
-use cg_filterlist::FilterEngine;
 use cg_webgen::{GenConfig, WebGenerator};
 use std::path::Path;
 
@@ -74,66 +72,57 @@ pub(crate) fn peak_rss_bytes() -> Option<u64> {
 /// The products of the §4 data-collection pipeline, shared by all §5
 /// experiments.
 pub struct CrawlContext {
-    /// The generator (registry, seeds).
-    pub gen: WebGenerator,
-    /// The analyzable dataset (complete visits only).
-    pub dataset: Dataset,
-    /// Entity map for aggregation.
-    pub entities: EntityMap,
-    /// Filter engine for ad/tracking classification.
-    pub engine: FilterEngine,
-    /// Visits attempted.
-    pub crawled: usize,
+    /// The finished census of the crawl; no visit log is kept.
+    pub tables: Tables,
 }
 
 impl CrawlContext {
-    /// Generates the ecosystem and performs the regular (no-guard)
-    /// crawl — in memory by default, or through a durable, resumable
-    /// crawl store when `opts.store` is set.
+    /// Generates the ecosystem, performs the regular (no-guard) crawl —
+    /// in memory by default, or through a durable, resumable crawl store
+    /// when `opts.store` is set — and folds every visit into the census.
     pub fn collect(opts: &ExperimentOptions) -> CrawlContext {
         let gen = opts.generator();
         let engine = cg_analysis::build_filter_engine(gen.registry());
         let entities = cg_entity::builtin_entity_map();
-        let (dataset, crawled) = match &opts.store {
+        let census = match &opts.store {
             None => {
-                let (outcomes, summary) =
+                let (outcomes, _) =
                     crawl_range(&gen, &VisitConfig::regular(), 1, opts.sites, opts.threads);
-                let dataset = Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect());
-                (dataset, summary.visited)
+                Census::of_logs(outcomes.into_iter().map(|o| o.log), &entities, &engine)
             }
             Some(dir) => {
                 // Durable path: write-through store, resumed when the
                 // directory already holds this crawl's fingerprint, then
-                // a streaming rank-ordered replay into the dataset.
+                // a chunk-granular parallel fold through the chosen read
+                // backend — equal tables at any thread count.
                 let run = crawl_store(dir, &gen, opts)
                     .unwrap_or_else(|e| panic!("crawl store {}: {e}", dir.display()));
                 let watch = cg_telemetry::Stopwatch::start();
-                // Chunk-granular parallel replay through the chosen read
-                // backend — byte-identical to a sequential CrawlReader
-                // drain at any thread count.
-                let dataset = Dataset::from_store_with(dir, opts.threads, opts.read_backend)
-                    .unwrap_or_else(|e| panic!("replaying crawl store {}: {e}", dir.display()));
+                let census = Census::from_store_with(
+                    dir,
+                    opts.threads,
+                    opts.read_backend,
+                    &entities,
+                    &engine,
+                )
+                .unwrap_or_else(|e| panic!("replaying crawl store {}: {e}", dir.display()));
                 let replay_ms = watch.elapsed_ms();
+                let crawled = census.stream.crawled;
                 eprintln!(
                     "[store] replayed {} visits via {} in {} \
                      ({:.0} visits/s, {:.1} MB/s); peak RSS {:.1} MB",
-                    dataset.crawled,
+                    crawled,
                     opts.read_backend,
                     cg_telemetry::render_ms(replay_ms),
-                    cg_telemetry::per_sec(dataset.crawled as u64, replay_ms),
+                    cg_telemetry::per_sec(crawled, replay_ms),
                     cg_telemetry::per_sec(run.stats.bytes, replay_ms) / 1e6,
                     peak_rss_bytes().unwrap_or(0) as f64 / (1024.0 * 1024.0),
                 );
-                let crawled = dataset.crawled;
-                (dataset, crawled)
+                census
             }
         };
         CrawlContext {
-            gen,
-            dataset,
-            entities,
-            engine,
-            crawled,
+            tables: census.finish(),
         }
     }
 }
@@ -195,9 +184,9 @@ mod tests {
             threads: 2,
             ..ExperimentOptions::default()
         });
-        assert_eq!(ctx.crawled, 50);
-        assert!(ctx.dataset.site_count() > 20);
-        assert!(ctx.dataset.site_count() < 50);
+        assert_eq!(ctx.tables.stream.crawled, 50);
+        assert!(ctx.tables.stream.complete > 20);
+        assert!(ctx.tables.stream.complete < 50);
     }
 
     #[test]
@@ -215,18 +204,44 @@ mod tests {
             store: Some(dir.clone()),
             ..opts.clone()
         });
-        assert_eq!(mem.crawled, durable.crawled);
-        assert_eq!(mem.dataset.site_count(), durable.dataset.site_count());
+        // The logs themselves: the store replays the in-memory crawl's
+        // complete visits, in rank order.
+        let gen = opts.generator();
+        let (outcomes, _) = crawl_range(&gen, &VisitConfig::regular(), 1, 40, 2);
+        let in_memory: Vec<_> = outcomes
+            .into_iter()
+            .map(|o| o.log)
+            .filter(|l| l.complete)
+            .collect();
+        let stored: Vec<_> = cg_crawlstore::CrawlReader::open(&dir)
+            .unwrap()
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap()
+            .into_iter()
+            .filter(|l| l.complete)
+            .collect();
         assert_eq!(
-            serde_json::to_string(&mem.dataset.logs).unwrap(),
-            serde_json::to_string(&durable.dataset.logs).unwrap()
+            serde_json::to_string(&in_memory).unwrap(),
+            serde_json::to_string(&stored).unwrap()
         );
-        // Collecting again resumes (no re-visit) and yields the same data.
-        let resumed = CrawlContext::collect(&ExperimentOptions {
-            store: Some(dir.clone()),
-            ..opts
-        });
-        assert_eq!(resumed.dataset.site_count(), mem.dataset.site_count());
+        assert!(mem.tables == durable.tables, "store-backed tables differ");
+        // The store path at other thread counts and through either
+        // backend finishes the same tables.
+        for threads in [1, 2, 8] {
+            for backend in [ReadBackend::Mmap, ReadBackend::Pread] {
+                let tables = CrawlContext::collect(&ExperimentOptions {
+                    store: Some(dir.clone()),
+                    threads,
+                    read_backend: backend,
+                    ..opts.clone()
+                })
+                .tables;
+                assert!(
+                    tables == mem.tables,
+                    "tables via {backend} at {threads} threads"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,7 +5,7 @@ use crate::context::ExperimentOptions;
 use crate::expectations as exp;
 use crate::render::{bar, compare, compare_count, header, measured};
 use cg_analysis::stats::BoxStats;
-use cg_analysis::{cross_domain_summary, detect_exfiltration, detect_manipulation, Dataset};
+use cg_analysis::Census;
 use cg_breakage::{evaluate_sample, BreakageCategory, BreakageReport};
 use cg_browser::{crawl_range, VisitConfig};
 use cg_perf::{run_paired_measurement, PerfReport};
@@ -39,6 +39,7 @@ impl Fig5Result {
 pub fn run_fig5(opts: &ExperimentOptions) -> Fig5Result {
     let gen = opts.generator();
     let entities = cg_entity::builtin_entity_map();
+    let engine = cg_analysis::build_filter_engine(gen.registry());
 
     let rates = |guard: Option<GuardConfig>| {
         let vc = match guard {
@@ -46,10 +47,9 @@ pub fn run_fig5(opts: &ExperimentOptions) -> Fig5Result {
             None => VisitConfig::regular(),
         };
         let (outcomes, _) = crawl_range(&gen, &vc, 1, opts.sites, opts.threads);
-        let ds = Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect());
-        let exfil = detect_exfiltration(&ds, &entities);
-        let manip = detect_manipulation(&ds, &entities);
-        let t1 = cross_domain_summary(&ds, &exfil, &manip);
+        let t1 = Census::of_logs(outcomes.into_iter().map(|o| o.log), &entities, &engine)
+            .finish()
+            .table1;
         (
             t1.doc_overwriting.sites_pct,
             t1.doc_deleting.sites_pct,

@@ -2,8 +2,10 @@
 //!
 //! These are *expectations for shape comparison*, not assertions: the
 //! substrate is a simulator, so the reproduction targets the same
-//! qualitative structure (who wins, rough factors, crossovers), and
-//! EXPERIMENTS.md records the deltas.
+//! qualitative structure (who wins, rough factors, crossovers):
+//! `tests/reproduction_shape.rs` pins that structure, and every
+//! `cg-experiments` report prints each measured value beside its paper
+//! value here.
 
 /// §5.1 prevalence.
 pub const SITES_WITH_3P_PCT: f64 = 93.3;

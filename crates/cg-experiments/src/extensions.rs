@@ -7,16 +7,12 @@
 
 use crate::context::ExperimentOptions;
 use crate::render::{bar, compare, header, measured};
-use cg_analysis::{detect_exfiltration, detect_server_side, dom_pilot_stats, Dataset, ForwardMap};
+use cg_analysis::{dom_pilot_stats, Census, ForwardMap, ServerSideReport};
 use cg_breakage::{evaluate_breakage, BreakageCategory};
-use cg_browser::{crawl_range, visit_site_with_jar, VisitConfig, VisitOutcome};
+use cg_browser::{crawl_range, visit_site_with_jar, VisitConfig};
 use cg_domguard::DomGuardConfig;
 use cookieguard_core::{DeploymentStage, GuardConfig, PrivacyPreset};
 use serde::Serialize;
-
-fn dataset_of(outcomes: Vec<VisitOutcome>) -> Dataset {
-    Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect())
-}
 
 // ---------------------------------------------------------------------
 // §5.7 — server-side tracking bypasses CookieGuard
@@ -43,6 +39,7 @@ pub struct Sec57Result {
 pub fn run_sec5_7(opts: &ExperimentOptions) -> Sec57Result {
     let gen = opts.generator();
     let entities = cg_entity::builtin_entity_map();
+    let engine = cg_analysis::build_filter_engine(gen.registry());
 
     let run = |guard: Option<GuardConfig>| {
         let vc = match guard {
@@ -65,11 +62,16 @@ pub fn run_sec5_7(opts: &ExperimentOptions) -> Sec57Result {
                 );
             }
         }
-        let ds = dataset_of(outcomes);
-        let exfil = detect_exfiltration(&ds, &entities);
-        let client_pct =
-            100.0 * exfil.sites_with_cross_exfil_doc.len() as f64 / ds.site_count().max(1) as f64;
-        let server = detect_server_side(&ds, &forwards);
+        // One replay per visit feeds both the census and the server-side
+        // relay resolution.
+        let mut census = Census::default();
+        let mut server = ServerSideReport::default();
+        for o in outcomes {
+            if let Some(site) = census.fold(&o.log, &entities, &engine) {
+                server.fold(&o.log, &site, &forwards);
+            }
+        }
+        let client_pct = census.finish().table1.doc_exfiltration.sites_pct;
         (sst, client_pct, server)
     };
 
@@ -161,7 +163,7 @@ pub fn run_domguard(opts: &ExperimentOptions) -> DomGuardResult {
             None => VisitConfig::regular(),
         };
         let (outcomes, _) = crawl_range(&gen, &vc, 1, opts.sites, opts.threads);
-        dom_pilot_stats(&dataset_of(outcomes))
+        dom_pilot_stats(outcomes.into_iter().map(|o| o.log))
     };
 
     let pilot = run(None);
@@ -254,13 +256,16 @@ pub struct RolloutResult {
 pub fn run_rollout(opts: &ExperimentOptions) -> RolloutResult {
     let gen = opts.generator();
     let entities = cg_entity::builtin_entity_map();
+    let engine = cg_analysis::build_filter_engine(gen.registry());
 
     // Base rates: exfiltration prevalence unguarded and under each preset.
     let exfil_pct = |vc: &VisitConfig| {
         let (outcomes, _) = crawl_range(&gen, vc, 1, opts.sites, opts.threads);
-        let ds = dataset_of(outcomes);
-        let exfil = detect_exfiltration(&ds, &entities);
-        100.0 * exfil.sites_with_cross_exfil_doc.len() as f64 / ds.site_count().max(1) as f64
+        Census::of_logs(outcomes.into_iter().map(|o| o.log), &entities, &engine)
+            .finish()
+            .table1
+            .doc_exfiltration
+            .sites_pct
     };
     let e_regular = exfil_pct(&VisitConfig::regular());
 

@@ -367,7 +367,7 @@ fn main() {
             opts.sites
         );
         let ctx = CrawlContext::collect(&opts);
-        let results = run_measurement_experiments(&ctx, &wanted);
+        let results = run_measurement_experiments(ctx, &wanted);
         let mut v = serde_json::to_value(&results).expect("serialize");
         // The per-event intent findings are bulky; store the summary only.
         if let Some(obj) = v.get_mut("intents").and_then(|i| i.as_object_mut()) {

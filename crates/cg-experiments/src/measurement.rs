@@ -2,12 +2,8 @@
 
 use crate::context::CrawlContext;
 use crate::expectations as exp;
-use crate::render::{compare, compare_count, header, measured, ranked_row};
-use cg_analysis::{
-    api_usage, cross_domain_summary, detect_exfiltration, detect_manipulation, dom_pilot_stats,
-    inclusion_stats, prevalence_stats,
-};
-use cg_instrument::CookieApi;
+use crate::render::{compare, compare_count, header, measured, ranked_rows};
+use cg_analysis::Tables;
 use serde::Serialize;
 
 /// Machine-readable results of the measurement experiments.
@@ -47,34 +43,35 @@ pub struct MeasurementResults {
 
 /// Runs every §5 experiment over one crawl context and prints the
 /// paper-vs-measured report for the requested experiment names.
-pub fn run_measurement_experiments(ctx: &CrawlContext, which: &[&str]) -> MeasurementResults {
-    let ds = &ctx.dataset;
-    let prevalence = prevalence_stats(ds, &ctx.engine);
-    let usage = api_usage(ds);
-    let exfil = detect_exfiltration(ds, &ctx.entities);
-    let manip = detect_manipulation(ds, &ctx.entities);
-    let t1 = cross_domain_summary(ds, &exfil, &manip);
+pub fn run_measurement_experiments(ctx: CrawlContext, which: &[&str]) -> MeasurementResults {
+    let Tables {
+        stream,
+        prevalence,
+        api_usage: usage,
+        inclusion,
+        dom_pilot: dom,
+        table1: t1,
+        exfil,
+        manip,
+        intents,
+    } = ctx.tables;
+    let crawled = stream.crawled as usize;
+    let complete = stream.complete as usize;
     let total_doc_pairs = t1.doc_pairs_total;
     let table2 = exfil.table2(20);
-    let fig2 = exfil.fig2(20, total_doc_pairs);
+    let fig2 = exfil.cross.top_domains(20, total_doc_pairs);
     let table5_ow = manip.table5(false, 10);
     let table5_del = manip.table5(true, 10);
-    let intents = cg_analysis::classify_intents(ds, &ctx.entities);
-    let fig8_ow = manip.fig8(false, 20, total_doc_pairs);
-    let fig8_del = manip.fig8(true, 20, total_doc_pairs);
-    let inclusion = inclusion_stats(ds, &ctx.engine);
-    let dom = dom_pilot_stats(ds);
+    let fig8_ow = manip.overwrites.top_domains(20, total_doc_pairs);
+    let fig8_del = manip.deletes.top_domains(20, total_doc_pairs);
+    let attr_changes = manip.attr_changes();
 
     let wants = |name: &str| which.contains(&"all") || which.contains(&name);
 
     if wants("crawl") || wants("sec5_1") {
         header("§4.2 Data collection");
-        compare_count("sites crawled", exp::CRAWL_TOTAL, ctx.crawled);
-        compare_count(
-            "complete (analyzable) sites",
-            exp::CRAWL_COMPLETE,
-            ds.site_count(),
-        );
+        compare_count("sites crawled", exp::CRAWL_TOTAL, crawled);
+        compare_count("complete (analyzable) sites", exp::CRAWL_COMPLETE, complete);
     }
 
     if wants("sec5_1") {
@@ -161,82 +158,62 @@ pub fn run_measurement_experiments(ctx: &CrawlContext, which: &[&str]) -> Measur
     if wants("table1") {
         header("Table 1: cross-domain cookie actions");
         println!("  document.cookie:");
-        compare(
-            "    exfiltration — % of websites",
-            exp::T1_DOC_EXFIL.0,
-            t1.doc_exfiltration.sites_pct,
-            "%",
-        );
-        compare(
-            "    exfiltration — % of cookies",
-            exp::T1_DOC_EXFIL.1,
-            t1.doc_exfiltration.cookies_pct,
-            "%",
-        );
-        compare_count(
-            "    exfiltration — affected pairs",
-            4_825,
-            t1.doc_exfiltration.cookies_count,
-        );
-        compare(
-            "    overwriting — % of websites",
-            exp::T1_DOC_OVERWRITE.0,
-            t1.doc_overwriting.sites_pct,
-            "%",
-        );
-        compare(
-            "    overwriting — % of cookies",
-            exp::T1_DOC_OVERWRITE.1,
-            t1.doc_overwriting.cookies_pct,
-            "%",
-        );
-        compare_count(
-            "    overwriting — affected pairs",
-            2_212,
-            t1.doc_overwriting.cookies_count,
-        );
-        compare(
-            "    deleting — % of websites",
-            exp::T1_DOC_DELETE.0,
-            t1.doc_deleting.sites_pct,
-            "%",
-        );
-        compare(
-            "    deleting — % of cookies",
-            exp::T1_DOC_DELETE.1,
-            t1.doc_deleting.cookies_pct,
-            "%",
-        );
-        compare_count(
-            "    deleting — affected pairs",
-            1_475,
-            t1.doc_deleting.cookies_count,
-        );
+        for (action, (sites, cookies), pairs, row) in [
+            (
+                "exfiltration",
+                exp::T1_DOC_EXFIL,
+                4_825,
+                &t1.doc_exfiltration,
+            ),
+            (
+                "overwriting",
+                exp::T1_DOC_OVERWRITE,
+                2_212,
+                &t1.doc_overwriting,
+            ),
+            ("deleting", exp::T1_DOC_DELETE, 1_475, &t1.doc_deleting),
+        ] {
+            compare(
+                &format!("    {action} — % of websites"),
+                sites,
+                row.sites_pct,
+                "%",
+            );
+            compare(
+                &format!("    {action} — % of cookies"),
+                cookies,
+                row.cookies_pct,
+                "%",
+            );
+            compare_count(
+                &format!("    {action} — affected pairs"),
+                pairs,
+                row.cookies_count,
+            );
+        }
         println!("  cookieStore:");
+        let (sites, cookies) = exp::T1_STORE_EXFIL;
+        let exfil = &t1.store_exfiltration;
         compare(
             "    exfiltration — % of websites",
-            exp::T1_STORE_EXFIL.0,
-            t1.store_exfiltration.sites_pct,
+            sites,
+            exfil.sites_pct,
             "%",
         );
         compare(
             "    exfiltration — % of cookies",
-            exp::T1_STORE_EXFIL.1,
-            t1.store_exfiltration.cookies_pct,
+            cookies,
+            exfil.cookies_pct,
             "%",
         );
+        let (overwriting, deleting) = (&t1.store_overwriting, &t1.store_deleting);
         compare(
             "    overwriting — % of websites",
             0.0,
-            t1.store_overwriting.sites_pct,
+            overwriting.sites_pct,
             "%",
         );
-        compare(
-            "    deleting — % of websites",
-            0.0,
-            t1.store_deleting.sites_pct,
-            "%",
-        );
+        compare("    deleting — % of websites", 0.0, deleting.sites_pct, "%");
     }
 
     if wants("table2") {
@@ -265,37 +242,16 @@ pub fn run_measurement_experiments(ctx: &CrawlContext, which: &[&str]) -> Measur
 
     if wants("fig2") {
         header("Figure 2: top 20 exfiltrator script domains");
-        for (i, (domain, count, share)) in fig2.iter().enumerate() {
-            ranked_row(i + 1, domain, *count, *share);
-        }
+        ranked_rows(&fig2);
     }
 
     if wants("sec5_5") {
         header("§5.5 Overwrite attribute changes");
-        compare(
-            "value changed",
-            exp::ATTR_CHANGES.0,
-            manip.attr_changes.value_pct,
-            "%",
-        );
-        compare(
-            "expires changed",
-            exp::ATTR_CHANGES.1,
-            manip.attr_changes.expires_pct,
-            "%",
-        );
-        compare(
-            "domain changed",
-            exp::ATTR_CHANGES.2,
-            manip.attr_changes.domain_pct,
-            "%",
-        );
-        compare(
-            "path changed",
-            exp::ATTR_CHANGES.3,
-            manip.attr_changes.path_pct,
-            "%",
-        );
+        let (value, expires, domain, path) = exp::ATTR_CHANGES;
+        compare("value changed", value, attr_changes.value_pct, "%");
+        compare("expires changed", expires, attr_changes.expires_pct, "%");
+        compare("domain changed", domain, attr_changes.domain_pct, "%");
+        compare("path changed", path, attr_changes.path_pct, "%");
 
         header("§5.5 Intention behind manipulations (case-study taxonomy)");
         use cg_analysis::ManipulationIntent;
@@ -305,7 +261,7 @@ pub fn run_measurement_experiments(ctx: &CrawlContext, which: &[&str]) -> Measur
             ManipulationIntent::CollusionOrCompetition,
             ManipulationIntent::Unclear,
         ] {
-            crate::render::measured(
+            measured(
                 &format!("{intent:?}"),
                 intents.count(intent) as f64,
                 "events",
@@ -318,37 +274,25 @@ pub fn run_measurement_experiments(ctx: &CrawlContext, which: &[&str]) -> Measur
 
     if wants("table5") {
         header("Table 5: most manipulated cookie pairs");
-        println!("  Overwriting:");
-        for row in &table5_ow {
-            println!(
-                "    {:<24} {:<24} {:>4} entities   top: {}",
-                truncate(&row.cookie, 24),
-                truncate(&row.owner, 24),
-                row.manipulator_entities,
-                row.top_manipulators.join(", ")
-            );
-        }
-        println!("  Deleting:");
-        for row in &table5_del {
-            println!(
-                "    {:<24} {:<24} {:>4} entities   top: {}",
-                truncate(&row.cookie, 24),
-                truncate(&row.owner, 24),
-                row.manipulator_entities,
-                row.top_manipulators.join(", ")
-            );
+        for (kind, rows) in [("Overwriting", &table5_ow), ("Deleting", &table5_del)] {
+            println!("  {kind}:");
+            for row in rows {
+                println!(
+                    "    {:<24} {:<24} {:>4} entities   top: {}",
+                    truncate(&row.cookie, 24),
+                    truncate(&row.owner, 24),
+                    row.manipulator_entities,
+                    row.top_manipulators.join(", ")
+                );
+            }
         }
     }
 
     if wants("fig8") {
         header("Figure 8a: top cross-domain overwriting domains");
-        for (i, (domain, count, share)) in fig8_ow.iter().enumerate() {
-            ranked_row(i + 1, domain, *count, *share);
-        }
+        ranked_rows(&fig8_ow);
         header("Figure 8b: top cross-domain deleting domains");
-        for (i, (domain, count, share)) in fig8_del.iter().enumerate() {
-            ranked_row(i + 1, domain, *count, *share);
-        }
+        ranked_rows(&fig8_del);
     }
 
     if wants("sec5_6") {
@@ -384,20 +328,13 @@ pub fn run_measurement_experiments(ctx: &CrawlContext, which: &[&str]) -> Measur
         measured("cross-domain mutation events", dom.events as f64, "");
     }
 
-    // Consistency guard for the harness itself.
-    debug_assert_eq!(
-        ds.unique_pairs(CookieApi::DocumentCookie).len()
-            + ds.unique_pairs(CookieApi::HttpHeader).len(),
-        total_doc_pairs
-    );
-
     MeasurementResults {
         prevalence,
         api_usage: usage,
         table1: t1,
         table2,
         fig2,
-        attr_changes: manip.attr_changes,
+        attr_changes,
         table5_overwrites: table5_ow,
         table5_deletes: table5_del,
         fig8_overwriters: fig8_ow,
@@ -405,8 +342,8 @@ pub fn run_measurement_experiments(ctx: &CrawlContext, which: &[&str]) -> Measur
         inclusion,
         dom_pilot: dom,
         intents,
-        crawled: ctx.crawled,
-        complete: ds.site_count(),
+        crawled,
+        complete,
     }
 }
 
@@ -431,7 +368,7 @@ mod tests {
             threads: 2,
             ..ExperimentOptions::default()
         });
-        let results = run_measurement_experiments(&ctx, &[]);
+        let results = run_measurement_experiments(ctx, &[]);
         assert!(results.complete > 60);
         assert!(results.prevalence.sites_with_third_party_pct > 70.0);
         assert!(results.api_usage.doc_cookie_pairs > 100);

@@ -23,9 +23,13 @@ pub fn measured(label: &str, value: f64, unit: &str) {
     println!("  {label:<46} measured {value:>10.2}{unit}");
 }
 
-/// Prints a ranked-list row (figures 2 and 8).
-pub fn ranked_row(rank: usize, name: &str, count: usize, share_pct: f64) {
-    println!("  {rank:>3}. {name:<40} {count:>6} unique cookies   {share_pct:>6.2}%");
+/// Prints a ranked list of (name, unique cookies, share %) rows
+/// (figures 2 and 8).
+pub fn ranked_rows(rows: &[(String, usize, f64)]) {
+    for (i, (name, count, share_pct)) in rows.iter().enumerate() {
+        let rank = i + 1;
+        println!("  {rank:>3}. {name:<40} {count:>6} unique cookies   {share_pct:>6.2}%");
+    }
 }
 
 /// Renders a crude horizontal bar for console figures.
@@ -49,7 +53,7 @@ mod tests {
         compare("x", 1.0, 2.0, "%");
         compare_count("y", 10, 12);
         measured("z", 3.3, "ms");
-        ranked_row(1, "googletagmanager.com", 100, 3.3);
+        ranked_rows(&[("googletagmanager.com".to_string(), 100, 3.3)]);
         bar("overwriting", 31.5, 100.0, 40);
         bar("zero-max", 1.0, 0.0, 40);
     }

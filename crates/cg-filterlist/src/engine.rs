@@ -106,36 +106,32 @@ impl FilterEngine {
     /// Classifies a URL in context. Exceptions override blocks, as in the
     /// Adblock semantics.
     pub fn classify(&self, url: &str, ctx: &MatchContext) -> Verdict {
-        let url = url.to_ascii_lowercase();
-        let tokens = url_tokens(&url);
-        if let Some(rule) = self.first_match(
-            &self.except_by_token,
-            &self.except_generic,
-            &url,
-            &tokens,
-            ctx,
-        ) {
-            return Verdict::Allowed {
+        match self.deciding_rule(url, ctx) {
+            Some((rule, true)) => Verdict::Blocked {
                 rule: rule.raw.clone(),
-            };
-        }
-        if let Some(rule) = self.first_match(
-            &self.block_by_token,
-            &self.block_generic,
-            &url,
-            &tokens,
-            ctx,
-        ) {
-            return Verdict::Blocked {
+            },
+            Some((rule, false)) => Verdict::Allowed {
                 rule: rule.raw.clone(),
-            };
+            },
+            None => Verdict::NoMatch,
         }
-        Verdict::NoMatch
     }
 
     /// Convenience wrapper: is this URL advertising/tracking in context?
     pub fn is_tracking(&self, url: &str, ctx: &MatchContext) -> bool {
-        self.classify(url, ctx).is_tracking()
+        matches!(self.deciding_rule(url, ctx), Some((_, true)))
+    }
+
+    /// The rule that decides `url` in context, and whether it blocks.
+    fn deciding_rule(&self, url: &str, ctx: &MatchContext) -> Option<(&FilterRule, bool)> {
+        let url = url.to_ascii_lowercase();
+        let tokens = url_tokens(&url);
+        let (except, block) = (&self.except_by_token, &self.block_by_token);
+        if let Some(rule) = self.first_match(except, &self.except_generic, &url, &tokens, ctx) {
+            return Some((rule, false));
+        }
+        self.first_match(block, &self.block_generic, &url, &tokens, ctx)
+            .map(|rule| (rule, true))
     }
 
     fn first_match<'e>(
@@ -143,10 +139,10 @@ impl FilterEngine {
         by_token: &'e HashMap<String, Vec<FilterRule>>,
         generic: &'e [FilterRule],
         url: &str,
-        tokens: &[String],
+        tokens: &[&str],
         ctx: &MatchContext,
     ) -> Option<&'e FilterRule> {
-        for t in tokens {
+        for &t in tokens {
             if let Some(rules) = by_token.get(t) {
                 if let Some(r) = rules.iter().find(|r| rule_applies(r, url, ctx)) {
                     return Some(r);
@@ -192,10 +188,9 @@ fn domain_covers(rule_domain: &str, page_domain: &str) -> bool {
 }
 
 /// Tokens of a URL for index lookup: maximal `[a-z0-9_-]` runs ≥3 bytes.
-fn url_tokens(url: &str) -> Vec<String> {
+fn url_tokens(url: &str) -> Vec<&str> {
     url.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
         .filter(|t| t.len() >= 3)
-        .map(str::to_string)
         .collect()
 }
 

@@ -1,7 +1,8 @@
 //! Generator calibration constants.
 //!
 //! Every probability that shapes the ecosystem lives here so the
-//! calibration experiments (EXPERIMENTS.md) can tune the synthetic web
+//! calibration against the paper's numbers
+//! (`crates/cg-experiments/src/expectations.rs`) can tune the synthetic web
 //! toward the paper's measured marginals in one place.
 
 /// Calibration knobs for [`crate::WebGenerator`].

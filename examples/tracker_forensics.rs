@@ -12,10 +12,11 @@
 //!
 //! Run with: `cargo run --example tracker_forensics`
 
-use cookieguard_repro::analysis::{detect_exfiltration, Dataset};
+use cookieguard_repro::analysis::Census;
 use cookieguard_repro::browser::Page;
 use cookieguard_repro::cookiejar::CookieJar;
 use cookieguard_repro::entity::builtin_entity_map;
+use cookieguard_repro::filterlist::FilterEngine;
 use cookieguard_repro::hash::b64encode_no_pad;
 use cookieguard_repro::instrument::Recorder;
 use cookieguard_repro::script::{
@@ -116,9 +117,10 @@ fn main() {
     println!("\nBase64 forms: id-segment {seg_b64}, ts-segment {expected}");
 
     // Run the §4.4 detection pipeline over the log.
-    let ds = Dataset::from_logs(vec![log]);
     let entities = builtin_entity_map();
-    let analysis = detect_exfiltration(&ds, &entities);
+    let analysis = Census::of_logs([log], &entities, &FilterEngine::new())
+        .finish()
+        .exfil;
     println!("\ndetected exfiltration events:");
     for ev in analysis.events.iter().filter(|e| e.cross_domain) {
         println!(

@@ -10,7 +10,7 @@
 //! * CSP gates loading, not cookie access;
 //! * CookieGuard composes with a blocklist (defense in depth).
 
-use cookieguard_repro::analysis::{detect_exfiltration, Dataset};
+use cookieguard_repro::analysis::{build_filter_engine, Census};
 use cookieguard_repro::baselines::{
     apply_evasion, extract_samples, label_samples, main_frame_leak_demo, run_csp_gap,
     run_defense_matrix, simulate_embedded_tracking, BlocklistDefense, CookieGraphLite, Defense,
@@ -235,10 +235,13 @@ fn blocklist_and_guard_compose() {
     let entities = builtin_entity_map();
     let blocker = BlocklistDefense::from_registry(gen.registry());
 
+    let engine = build_filter_engine(gen.registry());
     let exfil_pct = |logs: Vec<cookieguard_repro::instrument::VisitLog>| {
-        let ds = Dataset::from_logs(logs);
-        let exfil = detect_exfiltration(&ds, &entities);
-        100.0 * exfil.sites_with_cross_exfil_doc.len() as f64 / ds.site_count().max(1) as f64
+        Census::of_logs(logs, &entities, &engine)
+            .finish()
+            .table1
+            .doc_exfiltration
+            .sites_pct
     };
 
     let ranks = 1..=120;

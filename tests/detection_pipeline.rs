@@ -2,11 +2,12 @@
 //! browser: every encoding path, the attribution-loss limitation, and
 //! the consent-signal flag case.
 
-use cookieguard_repro::analysis::{detect_exfiltration, Dataset};
+use cookieguard_repro::analysis::{Census, ExfilAnalysis};
 use cookieguard_repro::browser::Page;
 use cookieguard_repro::cookiejar::CookieJar;
 use cookieguard_repro::entity::builtin_entity_map;
-use cookieguard_repro::instrument::Recorder;
+use cookieguard_repro::filterlist::FilterEngine;
+use cookieguard_repro::instrument::{Recorder, VisitLog};
 use cookieguard_repro::script::{
     CookieAttrs, CookieSelection, Encoding, EventLoop, ScriptOp, SegmentPolicy, ValueSpec,
 };
@@ -17,7 +18,7 @@ use std::collections::HashMap;
 
 const EPOCH: i64 = 1_750_000_000_000;
 
-fn run(scripts: Vec<(&str, Vec<ScriptOp>)>) -> Dataset {
+fn run(scripts: Vec<(&str, Vec<ScriptOp>)>) -> VisitLog {
     let url = Url::parse("https://www.site.example/").unwrap();
     let mut jar = CookieJar::new();
     let mut recorder = Recorder::new("site.example", 1);
@@ -30,7 +31,14 @@ fn run(scripts: Vec<(&str, Vec<ScriptOp>)>) -> Dataset {
     }
     let mut rng = StdRng::seed_from_u64(9);
     el.run(&mut page, &mut rng);
-    Dataset::from_logs(vec![recorder.finish()])
+    recorder.finish()
+}
+
+/// The exfiltration analysis of one visit.
+fn detect(log: &VisitLog) -> ExfilAnalysis {
+    Census::of_logs([log], &builtin_entity_map(), &FilterEngine::new())
+        .finish()
+        .exfil
 }
 
 fn exfil_op(names: &[&str], seg: SegmentPolicy, enc: Encoding) -> ScriptOp {
@@ -53,7 +61,7 @@ fn all_four_encodings_are_detected() {
         Encoding::Md5,
         Encoding::Sha1,
     ] {
-        let ds = run(vec![
+        let log = run(vec![
             (
                 "https://owner.tracker.example/set.js",
                 vec![ScriptOp::SetCookie {
@@ -67,7 +75,7 @@ fn all_four_encodings_are_detected() {
                 vec![exfil_op(&["uid"], SegmentPolicy::LongestSegment, enc)],
             ),
         ]);
-        let analysis = detect_exfiltration(&ds, &builtin_entity_map());
+        let analysis = detect(&log);
         assert!(
             analysis
                 .events
@@ -82,7 +90,7 @@ fn all_four_encodings_are_detected() {
 fn short_values_are_never_flagged() {
     // Values under the 8-character candidate threshold cannot be
     // identifiers per §4.4.
-    let ds = run(vec![
+    let log = run(vec![
         (
             "https://owner.tracker.example/set.js",
             vec![ScriptOp::SetCookie {
@@ -96,7 +104,7 @@ fn short_values_are_never_flagged() {
             vec![exfil_op(&["flag"], SegmentPolicy::Full, Encoding::Plain)],
         ),
     ]);
-    let analysis = detect_exfiltration(&ds, &builtin_entity_map());
+    let analysis = detect(&log);
     assert!(analysis.events.is_empty(), "short values must not match");
 }
 
@@ -104,7 +112,7 @@ fn short_values_are_never_flagged() {
 fn async_attribution_loss_hides_the_exfiltrator() {
     // §8: a deferred callback with a lost stack cannot be attributed, so
     // the request has no initiator and the event is not counted.
-    let ds = run(vec![
+    let log = run(vec![
         (
             "https://owner.tracker.example/set.js",
             vec![ScriptOp::SetCookie {
@@ -122,13 +130,12 @@ fn async_attribution_loss_hides_the_exfiltrator() {
             }],
         ),
     ]);
-    let analysis = detect_exfiltration(&ds, &builtin_entity_map());
+    let analysis = detect(&log);
     assert!(
         analysis.events.is_empty(),
         "unattributable requests fall outside per-script analysis (the paper's limitation)"
     );
     // …but the request itself was observed.
-    let log = &ds.logs[0];
     assert!(log
         .requests
         .iter()
@@ -141,7 +148,7 @@ fn us_privacy_consent_signal_flows_but_is_short() {
     // cross-domain; its value is below the identifier threshold, so it
     // never appears as identifier exfiltration — matching the paper's
     // "consent signal, not tracking identifier" discussion.
-    let ds = run(vec![
+    let log = run(vec![
         (
             "https://cdn.ketchjs.example/boot.js",
             vec![ScriptOp::SetCookie {
@@ -159,9 +166,8 @@ fn us_privacy_consent_signal_flows_but_is_short() {
             )],
         ),
     ]);
-    let analysis = detect_exfiltration(&ds, &builtin_entity_map());
+    let analysis = detect(&log);
     assert!(analysis.events.is_empty());
-    let log = &ds.logs[0];
     assert!(log
         .requests
         .iter()
@@ -173,7 +179,7 @@ fn same_entity_cross_domain_still_counts() {
     // §2.1: the unit is the eTLD+1, not the organization — Google
     // exfiltrating a cookie set by googletagmanager.com from a
     // google-analytics.com script is still cross-domain.
-    let ds = run(vec![
+    let log = run(vec![
         (
             "https://www.googletagmanager.com/gtm.js",
             vec![ScriptOp::SetCookie {
@@ -187,7 +193,7 @@ fn same_entity_cross_domain_still_counts() {
             vec![exfil_op(&["_ga"], SegmentPolicy::Full, Encoding::Plain)],
         ),
     ]);
-    let analysis = detect_exfiltration(&ds, &builtin_entity_map());
+    let analysis = detect(&log);
     let ev = analysis
         .events
         .iter()

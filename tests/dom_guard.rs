@@ -2,7 +2,7 @@
 //! blocks cross-domain element mutations the pilot measured, while
 //! leaving own-element and site-owner activity untouched.
 
-use cookieguard_repro::analysis::{dom_pilot_stats, Dataset};
+use cookieguard_repro::analysis::dom_pilot_stats;
 use cookieguard_repro::browser::{crawl_range, VisitConfig};
 use cookieguard_repro::domguard::DomGuardConfig;
 use cookieguard_repro::webgen::{GenConfig, WebGenerator};
@@ -17,9 +17,7 @@ fn pilot(
         None => VisitConfig::regular(),
     };
     let (outcomes, _) = crawl_range(&gen, &cfg, 1, n, 4);
-    dom_pilot_stats(&Dataset::from_logs(
-        outcomes.into_iter().map(|o| o.log).collect(),
-    ))
+    dom_pilot_stats(outcomes.into_iter().map(|o| o.log))
 }
 
 #[test]

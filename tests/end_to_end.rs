@@ -1,25 +1,35 @@
 //! End-to-end integration: generator → browser → instrumentation →
 //! analysis, across crate boundaries.
 
-use cookieguard_repro::analysis::{
-    cross_domain_summary, detect_exfiltration, detect_manipulation, Dataset,
-};
+use cookieguard_repro::analysis::{dataset::replay, Census, Tables};
 use cookieguard_repro::browser::{crawl_range, VisitConfig};
 use cookieguard_repro::entity::builtin_entity_map;
+use cookieguard_repro::filterlist::FilterEngine;
+use cookieguard_repro::instrument::{CookieApi, VisitLog};
 use cookieguard_repro::webgen::{GenConfig, WebGenerator};
+use std::collections::HashSet;
 
-fn crawl(sites: usize, seed: u64, threads: usize) -> Dataset {
+/// The crawl's complete visits, in rank order.
+fn crawl(sites: usize, seed: u64, threads: usize) -> Vec<VisitLog> {
     let gen = WebGenerator::new(GenConfig::small(sites), seed);
     let (outcomes, _) = crawl_range(&gen, &VisitConfig::regular(), 1, sites, threads);
-    Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect())
+    outcomes
+        .into_iter()
+        .map(|o| o.log)
+        .filter(|l| l.complete)
+        .collect()
+}
+
+fn census(logs: &[VisitLog]) -> Tables {
+    Census::of_logs(logs, &builtin_entity_map(), &FilterEngine::new()).finish()
 }
 
 #[test]
 fn crawl_is_deterministic_across_runs_and_threads() {
     let a = crawl(80, 42, 1);
     let b = crawl(80, 42, 4);
-    assert_eq!(a.site_count(), b.site_count());
-    for (la, lb) in a.logs.iter().zip(&b.logs) {
+    assert_eq!(a.len(), b.len());
+    for (la, lb) in a.iter().zip(&b) {
         assert_eq!(la.site_domain, lb.site_domain);
         assert_eq!(la.sets, lb.sets);
         assert_eq!(la.requests, lb.requests);
@@ -31,18 +41,14 @@ fn crawl_is_deterministic_across_runs_and_threads() {
 fn different_seeds_produce_different_webs() {
     let a = crawl(40, 1, 2);
     let b = crawl(40, 2, 2);
-    let domains_a: Vec<&str> = a.logs.iter().map(|l| l.site()).collect();
-    let domains_b: Vec<&str> = b.logs.iter().map(|l| l.site()).collect();
+    let domains_a: Vec<&str> = a.iter().map(|l| l.site()).collect();
+    let domains_b: Vec<&str> = b.iter().map(|l| l.site()).collect();
     assert_ne!(domains_a, domains_b);
 }
 
 #[test]
 fn analysis_pipeline_produces_consistent_table1() {
-    let ds = crawl(250, 0xC00C1E, 4);
-    let entities = builtin_entity_map();
-    let exfil = detect_exfiltration(&ds, &entities);
-    let manip = detect_manipulation(&ds, &entities);
-    let t1 = cross_domain_summary(&ds, &exfil, &manip);
+    let t1 = census(&crawl(250, 0xC00C1E, 4)).table1;
 
     // Percentages are well-formed.
     for row in [&t1.doc_exfiltration, &t1.doc_overwriting, &t1.doc_deleting] {
@@ -59,18 +65,20 @@ fn analysis_pipeline_produces_consistent_table1() {
 
 #[test]
 fn exfiltrated_pairs_subset_of_all_pairs() {
-    let ds = crawl(150, 7, 4);
-    let entities = builtin_entity_map();
-    let exfil = detect_exfiltration(&ds, &entities);
-    let all_doc = ds.unique_pairs(cookieguard_repro::instrument::CookieApi::DocumentCookie);
-    let all_http = ds.unique_pairs(cookieguard_repro::instrument::CookieApi::HttpHeader);
-    for pair in &exfil.cross_exfiltrated_pairs_doc {
-        let key = (pair.name.as_str(), pair.owner.as_str());
-        assert!(
-            all_doc.contains(&key) || all_http.contains(&key),
-            "exfiltrated pair {pair:?} not in dataset"
-        );
-    }
+    let logs = crawl(150, 7, 4);
+    let exfil = census(&logs).exfil;
+    // Every pair a script or a server created outside the CookieStore.
+    let all: HashSet<_> = logs
+        .iter()
+        .flat_map(|log| replay(log).pairs)
+        .filter(|pair| pair.api != CookieApi::CookieStore)
+        .map(|pair| pair.key())
+        .collect();
+    assert!(!exfil.cross.pairs_doc.is_empty());
+    assert!(
+        exfil.cross.pairs_doc.is_subset(&all),
+        "an exfiltrated pair is not in the crawl"
+    );
 }
 
 #[test]
@@ -78,7 +86,7 @@ fn incomplete_visits_are_excluded_from_analysis() {
     let gen = WebGenerator::new(GenConfig::small(120), 3);
     let (outcomes, summary) = crawl_range(&gen, &VisitConfig::regular(), 1, 120, 2);
     assert!(summary.complete < summary.visited);
-    let ds = Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect());
-    assert_eq!(ds.site_count(), summary.complete);
-    assert_eq!(ds.crawled, 120);
+    let stream = census(&outcomes.into_iter().map(|o| o.log).collect::<Vec<_>>()).stream;
+    assert_eq!(stream.complete as usize, summary.complete);
+    assert_eq!(stream.crawled, 120);
 }

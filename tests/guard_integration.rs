@@ -1,9 +1,7 @@
 //! CookieGuard enforcement through the full browser stack: the §7
 //! evaluation properties at integration level.
 
-use cookieguard_repro::analysis::{
-    cross_domain_summary, detect_exfiltration, detect_manipulation, Dataset,
-};
+use cookieguard_repro::analysis::Census;
 use cookieguard_repro::browser::{crawl_range, visit_site, VisitConfig};
 use cookieguard_repro::cookieguard::GuardConfig;
 use cookieguard_repro::entity::builtin_entity_map;
@@ -16,11 +14,14 @@ fn rates(sites: usize, guard: Option<GuardConfig>) -> (f64, f64, f64) {
         None => VisitConfig::regular(),
     };
     let (outcomes, _) = crawl_range(&gen, &cfg, 1, sites, 4);
-    let ds = Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect());
-    let entities = builtin_entity_map();
-    let exfil = detect_exfiltration(&ds, &entities);
-    let manip = detect_manipulation(&ds, &entities);
-    let t1 = cross_domain_summary(&ds, &exfil, &manip);
+    let engine = cookieguard_repro::analysis::build_filter_engine(gen.registry());
+    let t1 = Census::of_logs(
+        outcomes.into_iter().map(|o| o.log),
+        &builtin_entity_map(),
+        &engine,
+    )
+    .finish()
+    .table1;
     (
         t1.doc_exfiltration.sites_pct,
         t1.doc_overwriting.sites_pct,

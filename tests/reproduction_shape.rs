@@ -2,41 +2,37 @@
 //! paper's qualitative structure — orderings, rough factors, and
 //! crossovers — even where absolute numbers drift with scale.
 
-use cookieguard_repro::analysis::{
-    api_usage, cross_domain_summary, detect_exfiltration, detect_manipulation, dom_pilot_stats,
-    inclusion_stats, prevalence_stats, Dataset,
-};
+use cookieguard_repro::analysis::{build_filter_engine, Census, Tables};
 use cookieguard_repro::browser::{crawl_range, VisitConfig};
 use cookieguard_repro::entity::builtin_entity_map;
 use cookieguard_repro::webgen::{GenConfig, WebGenerator};
 
-struct Context {
-    ds: Dataset,
-    gen: WebGenerator,
-}
-
-fn crawl(sites: usize) -> Context {
+/// The finished census of a regular crawl of `sites` sites.
+fn crawl(sites: usize) -> Tables {
     let gen = WebGenerator::new(GenConfig::small(sites), 0xC00C1E);
     let (outcomes, _) = crawl_range(&gen, &VisitConfig::regular(), 1, sites, 4);
-    let ds = Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect());
-    Context { ds, gen }
+    let engine = build_filter_engine(gen.registry());
+    Census::of_logs(
+        outcomes.into_iter().map(|o| o.log),
+        &builtin_entity_map(),
+        &engine,
+    )
+    .finish()
 }
 
 #[test]
 fn headline_shape_holds_at_small_scale() {
-    let ctx = crawl(500);
-    let engine = cookieguard_repro::analysis::build_filter_engine(ctx.gen.registry());
-    let entities = builtin_entity_map();
+    let tables = crawl(500);
 
     // §4.2: roughly three-quarters of crawls complete.
-    let completion = ctx.ds.site_count() as f64 / ctx.ds.crawled as f64;
+    let completion = tables.stream.complete as f64 / tables.stream.crawled as f64;
     assert!(
         (0.65..0.85).contains(&completion),
         "completion {completion}"
     );
 
     // §5.1: third-party scripts are near-ubiquitous and mostly tracking.
-    let p = prevalence_stats(&ctx.ds, &engine);
+    let p = &tables.prevalence;
     assert!(
         p.sites_with_third_party_pct > 85.0,
         "{}",
@@ -56,15 +52,13 @@ fn headline_shape_holds_at_small_scale() {
     assert!(p.avg_cookies_third_party > 2.0 * p.avg_cookies_first_party);
 
     // §5.2: document.cookie dwarfs the CookieStore API.
-    let usage = api_usage(&ctx.ds);
+    let usage = &tables.api_usage;
     assert!(usage.doc_cookie_sites_pct > 90.0);
     assert!(usage.cookie_store_sites_pct < 10.0);
     assert!(usage.doc_cookie_pairs > 50 * usage.cookie_store_pairs.max(1));
 
     // Table 1 ordering and rough magnitudes.
-    let exfil = detect_exfiltration(&ctx.ds, &entities);
-    let manip = detect_manipulation(&ctx.ds, &entities);
-    let t1 = cross_domain_summary(&ctx.ds, &exfil, &manip);
+    let t1 = &tables.table1;
     assert!(t1.doc_exfiltration.sites_pct > t1.doc_overwriting.sites_pct);
     assert!(t1.doc_overwriting.sites_pct > t1.doc_deleting.sites_pct);
     assert!((30.0..80.0).contains(&t1.doc_exfiltration.sites_pct));
@@ -77,14 +71,14 @@ fn headline_shape_holds_at_small_scale() {
     // rescoping are rare. (At this scale value vs expires can swap by a
     // few points, so assert the dominant/rare split rather than the
     // exact order within each group.)
-    let a = manip.attr_changes;
+    let a = tables.manip.attr_changes();
     assert!(a.value_pct > 50.0, "value {}", a.value_pct);
     assert!(a.expires_pct > 40.0, "expires {}", a.expires_pct);
     assert!(a.domain_pct < 25.0, "domain {}", a.domain_pct);
     assert!(a.path_pct < 15.0, "path {}", a.path_pct);
 
     // §5.6: indirect inclusions outnumber direct ones.
-    let inc = inclusion_stats(&ctx.ds, &engine);
+    let inc = &tables.inclusion;
     assert!(
         inc.indirect_to_direct_ratio > 1.2,
         "{}",
@@ -92,7 +86,7 @@ fn headline_shape_holds_at_small_scale() {
     );
 
     // §8 pilot: cross-domain DOM mutation is a minority phenomenon.
-    let dom = dom_pilot_stats(&ctx.ds);
+    let dom = &tables.dom_pilot;
     assert!(
         (2.0..20.0).contains(&dom.sites_with_cross_dom_pct),
         "{}",
@@ -102,8 +96,7 @@ fn headline_shape_holds_at_small_scale() {
 
 #[test]
 fn table2_is_dominated_by_known_trackers() {
-    let ctx = crawl(500);
-    let exfil = detect_exfiltration(&ctx.ds, &builtin_entity_map());
+    let exfil = crawl(500).exfil;
     let rows = exfil.table2(20);
     assert!(!rows.is_empty());
     // The Google-family cookies must appear near the top.
@@ -113,14 +106,13 @@ fn table2_is_dominated_by_known_trackers() {
         "expected a Google-family cookie in Table 2, got {names:?}"
     );
     // Fig. 2's head is a known tracking domain.
-    let fig2 = exfil.fig2(20, 1_000);
+    let fig2 = exfil.cross.top_domains(20, 1_000);
     assert!(!fig2.is_empty());
 }
 
 #[test]
 fn table5_shows_fbp_and_consent_dynamics() {
-    let ctx = crawl(600);
-    let manip = detect_manipulation(&ctx.ds, &builtin_entity_map());
+    let manip = crawl(600).manip;
     let overwrites = manip.table5(false, 10);
     let deletes = manip.table5(true, 10);
     assert!(!overwrites.is_empty(), "overwrites must be observed");

@@ -1,12 +1,15 @@
 //! §5.7 end-to-end: first-party server-side gateways relay the cookie
 //! jar to trackers outside any client-side defense's reach.
 
-use cookieguard_repro::analysis::{detect_server_side, Dataset, ForwardMap};
+use cookieguard_repro::analysis::{Census, ForwardMap, ServerSideReport, Tables};
 use cookieguard_repro::browser::{crawl_range, VisitConfig};
 use cookieguard_repro::cookieguard::GuardConfig;
 use cookieguard_repro::webgen::{GenConfig, WebGenerator};
 
-fn crawl(n: usize, guard: Option<GuardConfig>) -> (Dataset, ForwardMap, usize) {
+/// The census and the server-side relay report of a crawl (both fed the
+/// same replay of each visit), its relay rules, and how many sites have
+/// any.
+fn crawl(n: usize, guard: Option<GuardConfig>) -> (Tables, ServerSideReport, ForwardMap, usize) {
     let gen = WebGenerator::new(GenConfig::small(n), 0xC00C1E);
     let cfg = match guard {
         Some(g) => VisitConfig::guarded(g),
@@ -28,21 +31,25 @@ fn crawl(n: usize, guard: Option<GuardConfig>) -> (Dataset, ForwardMap, usize) {
             );
         }
     }
-    (
-        Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect()),
-        forwards,
-        sst_sites,
-    )
+    let entities = cookieguard_repro::entity::builtin_entity_map();
+    let engine = cookieguard_repro::analysis::build_filter_engine(gen.registry());
+    let mut census = Census::default();
+    let mut server = ServerSideReport::default();
+    for o in outcomes {
+        if let Some(site) = census.fold(&o.log, &entities, &engine) {
+            server.fold(&o.log, &site, &forwards);
+        }
+    }
+    (census.finish(), server, forwards, sst_sites)
 }
 
 #[test]
 fn gateways_relay_foreign_cookies_server_side() {
-    let (ds, forwards, sst_sites) = crawl(500, None);
+    let (_, report, _, sst_sites) = crawl(500, None);
     assert!(
         sst_sites >= 15,
         "expected server-side tagging adopters, got {sst_sites}"
     );
-    let report = detect_server_side(&ds, &forwards);
     assert!(report.sites_with_gateway > 0);
     assert!(report.gateway_requests > 0);
     assert!(
@@ -57,28 +64,23 @@ fn gateways_relay_foreign_cookies_server_side() {
 
 #[test]
 fn first_party_gateway_requests_invisible_to_client_side_exfil_detection() {
-    let (ds, forwards, _) = crawl(500, None);
-    let entities = cookieguard_repro::entity::builtin_entity_map();
-    let exfil = cookieguard_repro::analysis::detect_exfiltration(&ds, &entities);
+    let (tables, report, forwards, _) = crawl(500, None);
     // No client-side exfiltration event points at the site's own domain:
     // the §4.4 pipeline (faithfully) treats first-party requests as benign.
-    for e in &exfil.events {
+    for e in &tables.exfil.events {
         assert!(
             !forwards.contains_key(&e.destination) || e.site != e.destination,
             "gateway request misclassified as client-side exfiltration: {e:?}"
         );
     }
     // Yet the ground-truth relay resolution finds the leak.
-    let report = detect_server_side(&ds, &forwards);
     assert!(report.cross_domain_cookies_relayed > 0);
 }
 
 #[test]
 fn guard_does_not_stop_server_side_relay() {
-    let (ds0, fw0, _) = crawl(500, None);
-    let (ds1, fw1, _) = crawl(500, Some(GuardConfig::strict()));
-    let before = detect_server_side(&ds0, &fw0);
-    let after = detect_server_side(&ds1, &fw1);
+    let (_, before, _, _) = crawl(500, None);
+    let (_, after, _, _) = crawl(500, Some(GuardConfig::strict()));
     // The sGTM collector is site-owned: the guard hands it the full jar,
     // and the Cookie header is attached below the script layer entirely.
     assert!(
