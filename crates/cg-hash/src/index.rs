@@ -63,6 +63,16 @@ impl StrIndex {
         self.probe(hash(s), |i| entry(i) == s)
     }
 
+    /// Looks `s` up among the entries whose bytes `entry` returns,
+    /// without ever growing: the probe-only form of [`StrIndex::find`]
+    /// for owners that only read.
+    pub fn get<'t>(&self, s: &[u8], entry: impl Fn(u32) -> &'t [u8]) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(hash(s), |i| entry(i) == s).ok()
+    }
+
     /// Records entry `index` in the slot a failed [`StrIndex::find`]
     /// returned. No entry may be added between the two calls.
     pub fn insert(&mut self, at: Vacant, index: u32) {
@@ -118,6 +128,10 @@ mod tests {
             }
         }
         assert_eq!(table.len(), 100);
+        let entry = |i: u32| table[i as usize].as_bytes();
+        assert_eq!(index.get(b"s42", entry), Some(42));
+        assert_eq!(index.get(b"s100", entry), None);
+        assert_eq!(StrIndex::default().get(b"s1", entry), None);
         assert_eq!(intern(&mut index, &mut table, ""), 100);
         index.clear();
         table.clear();

@@ -103,15 +103,21 @@ impl StrTable {
         self.insert(s).unwrap_or_else(|sym| sym)
     }
 
+    /// The symbol of `s` if the table holds it. Probes only: never adds
+    /// or grows.
+    pub fn find(&self, s: &str) -> Option<Sym> {
+        let (arena, ends) = (&self.arena, &self.ends);
+        self.index
+            .get(s.as_bytes(), |i| entry_bytes(arena, ends, i))
+    }
+
     /// Adds `s` as a new entry: `Ok` with its symbol, or `Err` with the
     /// symbol of the entry that already holds it.
     pub fn insert(&mut self, s: &str) -> Result<Sym, Sym> {
         let (arena, ends) = (&self.arena, &self.ends);
-        let found = self.index.find(s.as_bytes(), ends.len(), |i| {
-            let i = i as usize;
-            let start = if i == 0 { 0 } else { ends[i - 1] as usize };
-            &arena.as_bytes()[start..ends[i] as usize]
-        });
+        let found = self
+            .index
+            .find(s.as_bytes(), ends.len(), |i| entry_bytes(arena, ends, i));
         match found {
             Ok(sym) => Err(sym),
             Err(at) => {
@@ -124,6 +130,13 @@ impl StrTable {
             }
         }
     }
+}
+
+/// The bytes of entry `i` of the table `arena` and `ends` describe.
+fn entry_bytes<'t>(arena: &'t str, ends: &[u32], i: u32) -> &'t [u8] {
+    let i = i as usize;
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    &arena.as_bytes()[start..ends[i] as usize]
 }
 
 /// A cookie write (create/overwrite/delete) observed at the API boundary.
@@ -567,6 +580,7 @@ mod tests {
     #[test]
     fn the_string_table_holds_each_string_once() {
         let mut table = StrTable::default();
+        assert_eq!(table.find("a"), None);
         assert_eq!(table.intern("a"), 0);
         assert_eq!(table.intern(""), 1);
         assert_eq!(table.intern("bc"), 2);
@@ -576,6 +590,10 @@ mod tests {
         assert_eq!(table.iter().collect::<Vec<_>>(), ["a", "", "bc", "d"]);
         assert_eq!(table.get(1), "");
         assert_eq!(table.len(), 4);
+        assert_eq!(table.find("bc"), Some(2));
+        assert_eq!(table.find(""), Some(1));
+        assert_eq!(table.find("e"), None);
+        assert_eq!(table.len(), 4, "find never adds");
     }
 
     #[test]

@@ -351,6 +351,7 @@ fn replay_visit(service: &GuardService, script: &VisitScript, state: &mut Worker
         .entry((tenant.index() as u64, session.policy_epoch()))
         .or_insert(0) += 1;
 
+    let mut refs: Vec<&str> = Vec::new();
     for op in &script.ops {
         match op {
             ReplayOp::Write { caller, name } => {
@@ -368,7 +369,8 @@ fn replay_visit(service: &GuardService, script: &VisitScript, state: &mut Worker
                 counters.header_sets += 1;
             }
             ReplayOp::Read { caller, names } => {
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                refs.clear();
+                refs.extend(names.iter().map(String::as_str));
                 session.filter_names(caller, &refs);
                 counters.read_ops += 1;
                 counters.decisions += 1;

@@ -15,13 +15,17 @@
 //!
 //! [`GuardEngine::new`] compiles the string-level [`GuardConfig`] into a
 //! [`CompiledPolicy`] over interned [`DomainId`]s: the whitelist becomes
-//! a `HashSet<DomainId>`, the entity map flattens into a dense
-//! `DomainId → EntityId` table ([`cg_entity::CompiledEntityMap`]), and
-//! every decision on the hot path ([`CompiledPolicy::check`]) is a chain
-//! of integer comparisons — no lowercasing, no string hashing, no
-//! allocation. Domain *names* exist only at the boundaries: attribution
-//! interns them on the way in; serialization resolves ids back through
-//! [`cg_url::name`] on the way out. Ids never appear in wire formats.
+//! a sorted `Box<[DomainId]>` searched by bisection, the entity map
+//! flattens into a dense `DomainId → EntityId` table
+//! ([`cg_entity::CompiledEntityMap`]), and every decision on the hot path
+//! ([`CompiledPolicy::check`]) is a chain of integer comparisons — no
+//! lowercasing, no hashing, no allocation. The chain splits at the
+//! creator: [`CompiledPolicy::caller_verdict`] settles what the caller
+//! alone decides (inline, site owner, whitelist), so a read decides it
+//! once and runs only the creator tail per cookie. Domain *names* exist
+//! only at the boundaries: attribution interns them on the way in;
+//! serialization resolves ids back through [`cg_url::name`] on the way
+//! out. Ids never appear in wire formats.
 //!
 //! The pre-compilation string-path decision procedure is retained
 //! verbatim (doc-hidden) as a differential-testing oracle; the
@@ -33,22 +37,24 @@ use crate::guard::GuardSession;
 use crate::policy::{AccessDecision, AllowReason, BlockReason, Caller};
 use cg_entity::CompiledEntityMap;
 use cg_url::DomainId;
-use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// The guard's decision procedure compiled to interned ids — the form
 /// every per-operation check runs against.
 ///
 /// Built once per [`GuardEngine`]; immutable afterwards. All lookups are
-/// integer-keyed: the whitelist is a `HashSet<DomainId>` (one `u32`
-/// hash), entity grouping is two reads of a dense table. **Invariant:**
+/// integer-keyed: the whitelist is a sorted, deduplicated
+/// `Box<[DomainId]>` (a bisection over a handful of `u32`s), entity
+/// grouping is two reads of a dense table. **Invariant:**
 /// `DomainId`/`EntityId` values are process-local handles and never
 /// cross a serialization boundary — wire formats (VisitLog JSON, jar
 /// JSON, instrument events) always carry resolved names.
 #[derive(Debug)]
 pub struct CompiledPolicy {
     inline_policy: InlinePolicy,
-    whitelist: HashSet<DomainId>,
+    /// Sorted and deduplicated, for `binary_search`.
+    whitelist: Box<[DomainId]>,
     entities: Option<CompiledEntityMap>,
 }
 
@@ -56,9 +62,13 @@ impl CompiledPolicy {
     /// Compiles `config`: interns every whitelist entry and flattens the
     /// entity map. The one place strings are touched.
     pub fn compile(config: &GuardConfig) -> CompiledPolicy {
+        let mut whitelist: Vec<DomainId> =
+            config.whitelist.iter().map(|d| cg_url::intern(d)).collect();
+        whitelist.sort_unstable();
+        whitelist.dedup();
         CompiledPolicy {
             inline_policy: config.inline_policy,
-            whitelist: config.whitelist.iter().map(|d| cg_url::intern(d)).collect(),
+            whitelist: whitelist.into_boxed_slice(),
             entities: config.entity_map.as_ref().map(CompiledEntityMap::compile),
         }
     }
@@ -75,21 +85,50 @@ impl CompiledPolicy {
         caller: &Caller,
         creator: Option<DomainId>,
     ) -> AccessDecision {
+        match self.caller_verdict(site, caller) {
+            ControlFlow::Break(decision) => decision,
+            ControlFlow::Continue(caller) => self.creator_verdict(site, caller, creator),
+        }
+    }
+
+    /// The creator-independent head of [`CompiledPolicy::check`]:
+    /// `Break` with the decision when the caller alone settles it
+    /// (inline callers, the site owner, whitelisted callers), otherwise
+    /// `Continue` with the attributed caller's id for
+    /// [`CompiledPolicy::creator_verdict`]. A read decides this once for
+    /// all the cookies it presents.
+    pub fn caller_verdict(
+        &self,
+        site: DomainId,
+        caller: &Caller,
+    ) -> ControlFlow<AccessDecision, DomainId> {
         let caller_id = match caller.domain {
             Some(d) => d,
             None => {
-                return match self.inline_policy {
+                return ControlFlow::Break(match self.inline_policy {
                     InlinePolicy::Strict => AccessDecision::Block(BlockReason::InlineStrict),
                     InlinePolicy::Relaxed => AccessDecision::Allow(AllowReason::RelaxedInline),
-                }
+                })
             }
         };
         if caller_id == site {
-            return AccessDecision::Allow(AllowReason::SiteOwner);
+            return ControlFlow::Break(AccessDecision::Allow(AllowReason::SiteOwner));
         }
-        if self.whitelist.contains(&caller_id) {
-            return AccessDecision::Allow(AllowReason::Whitelisted);
+        if self.whitelist.binary_search(&caller_id).is_ok() {
+            return ControlFlow::Break(AccessDecision::Allow(AllowReason::Whitelisted));
         }
+        ControlFlow::Continue(caller_id)
+    }
+
+    /// The creator-dependent tail of [`CompiledPolicy::check`], for an
+    /// attributed caller that [`CompiledPolicy::caller_verdict`] left
+    /// undecided: creator equality, then entity grouping.
+    pub fn creator_verdict(
+        &self,
+        site: DomainId,
+        caller_id: DomainId,
+        creator: Option<DomainId>,
+    ) -> AccessDecision {
         // Unattributed cookie: treated as the site's own.
         let creator = creator.unwrap_or(site);
         if caller_id == creator {

@@ -6,12 +6,13 @@
 //! Open one with [`GuardEngine::session`] (or [`GuardSession::new`]);
 //! a standalone guard is `GuardEngine::shared(config).session(site)`.
 
-use crate::engine::GuardEngine;
+use crate::engine::{CompiledPolicy, GuardEngine};
 use crate::metadata::{CookieOrigin, MetadataStore, OwnershipRecord};
 use crate::policy::{AccessDecision, Caller};
 use cg_cookiejar::Cookie;
 use cg_url::DomainId;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Counters for everything the guard blocked or allowed — the raw
@@ -53,8 +54,9 @@ impl GuardStats {
 ///
 /// The site domain is interned to a [`DomainId`] when the session opens;
 /// every enforcement decision below runs on the engine's
-/// [`CompiledPolicy`](crate::CompiledPolicy) with ids on both sides —
-/// no per-operation string normalization, hashing, or allocation.
+/// [`CompiledPolicy`] with ids on both sides — no per-operation string
+/// normalization or allocation, and one FNV probe of the metadata store
+/// per cookie name.
 #[derive(Debug, Clone)]
 pub struct GuardSession {
     engine: Arc<GuardEngine>,
@@ -141,25 +143,31 @@ impl GuardSession {
     // Enforcement (the "get"/"set" interception of cookieGuard.js)
     // ------------------------------------------------------------------
 
-    /// The per-cookie visibility decision: one metadata hash, then pure
-    /// id comparisons on the compiled policy. Grandfathered cookies keep
-    /// legacy full visibility.
-    #[inline]
-    fn may_access(&self, caller: &Caller, name: &str) -> bool {
-        let (grandfathered, creator) = match self.metadata.lookup(name) {
-            Some(OwnershipRecord {
-                origin: CookieOrigin::Grandfathered,
-                ..
-            }) => (true, None),
-            Some(r) => (false, r.creator),
-            None => (false, None),
-        };
-        grandfathered
-            || self
-                .engine
-                .compiled()
-                .check(self.site_id, caller, creator)
-                .is_allow()
+    /// The visibility test of one read by `caller`, for each cookie name
+    /// it presents. The caller's verdict is decided once: an allowed
+    /// caller (site owner, whitelisted, relaxed inline) sees every name
+    /// without a metadata lookup, a blocked one (strict inline) only the
+    /// grandfathered names, and any other caller pays one metadata probe
+    /// and the creator tail per name. Grandfathered cookies keep legacy
+    /// full visibility.
+    fn read_filter(&self, caller: &Caller) -> ReadFilter<'_> {
+        let compiled = self.engine.compiled();
+        ReadFilter {
+            verdict: compiled.caller_verdict(self.site_id, caller),
+            compiled,
+            metadata: &self.metadata,
+            site: self.site_id,
+        }
+    }
+
+    /// Counts one read that withheld `withheld` of its cookies.
+    fn count_read(&mut self, withheld: usize) {
+        if withheld > 0 {
+            self.stats.reads_filtered += 1;
+            self.stats.cookies_filtered += withheld as u64;
+        } else {
+            self.stats.reads_clean += 1;
+        }
     }
 
     /// Non-mutating visibility check: may `caller` observe cookie
@@ -168,7 +176,7 @@ impl GuardSession {
     /// respawning tracker could watch for a consent manager deleting
     /// foreign identifiers).
     pub fn may_observe(&self, caller: &Caller, name: &str) -> bool {
-        self.may_access(caller, name)
+        self.read_filter(caller).keeps(name)
     }
 
     /// Filters a `document.cookie` / `cookieStore.getAll` view for
@@ -177,34 +185,22 @@ impl GuardSession {
     /// Nothing is copied: the view borrows the jar's cookies.
     pub fn filter_read(&mut self, caller: &Caller, view: &mut Vec<&Cookie>) -> usize {
         let before = view.len();
-        view.retain(|c| self.may_access(caller, &c.name));
+        let filter = self.read_filter(caller);
+        view.retain(|c| filter.keeps(&c.name));
         let withheld = before - view.len();
-        if withheld > 0 {
-            self.stats.reads_filtered += 1;
-            self.stats.cookies_filtered += withheld as u64;
-        } else {
-            self.stats.reads_clean += 1;
-        }
+        self.count_read(withheld);
         withheld
     }
 
     /// Name-only variant of [`GuardSession::filter_read`] for callers
-    /// that work with cookie names (tests, policy probing). Borrows the
-    /// input names and returns the visible subset as borrowed slices —
-    /// no cloning.
+    /// that work with cookie names (the service, tests, policy probing).
+    /// Borrows the input names and returns the visible subset as
+    /// borrowed slices in one allocation — no cloning.
     pub fn filter_names<'n>(&mut self, caller: &Caller, names: &[&'n str]) -> Vec<&'n str> {
-        let before = names.len();
-        let visible: Vec<&'n str> = names
-            .iter()
-            .filter(|n| self.may_access(caller, n))
-            .copied()
-            .collect();
-        if visible.len() < before {
-            self.stats.reads_filtered += 1;
-            self.stats.cookies_filtered += (before - visible.len()) as u64;
-        } else {
-            self.stats.reads_clean += 1;
-        }
+        let filter = self.read_filter(caller);
+        let mut visible = Vec::with_capacity(names.len());
+        visible.extend(names.iter().copied().filter(|n| filter.keeps(n)));
+        self.count_read(names.len() - visible.len());
         visible
     }
 
@@ -264,6 +260,36 @@ impl GuardSession {
             self.stats.deletes_blocked += 1;
         }
         decision
+    }
+}
+
+/// One read's visibility test: the caller's verdict, decided once, and
+/// what the per-name tail needs. Built by [`GuardSession::read_filter`].
+struct ReadFilter<'s> {
+    verdict: ControlFlow<AccessDecision, DomainId>,
+    compiled: &'s CompiledPolicy,
+    metadata: &'s MetadataStore,
+    site: DomainId,
+}
+
+impl ReadFilter<'_> {
+    /// Whether the read keeps cookie `name`.
+    #[inline]
+    fn keeps(&self, name: &str) -> bool {
+        match self.verdict {
+            ControlFlow::Break(AccessDecision::Allow(_)) => true,
+            ControlFlow::Break(AccessDecision::Block(_)) => self.metadata.is_grandfathered(name),
+            ControlFlow::Continue(caller) => match self.metadata.lookup(name) {
+                Some(OwnershipRecord {
+                    origin: CookieOrigin::Grandfathered,
+                    ..
+                }) => true,
+                record => self
+                    .compiled
+                    .creator_verdict(self.site, caller, record.and_then(|r| r.creator))
+                    .is_allow(),
+            },
+        }
     }
 }
 

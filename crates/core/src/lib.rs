@@ -62,12 +62,14 @@
 //! # Compiled policy
 //!
 //! All of the above runs on interned ids internally: [`GuardEngine::new`]
-//! lowers the config to a [`CompiledPolicy`] (whitelist as
-//! `HashSet<DomainId>`, entity map as a dense `DomainId → EntityId`
+//! lowers the config to a [`CompiledPolicy`] (whitelist as a sorted
+//! `Box<[DomainId]>`, entity map as a dense `DomainId → EntityId`
 //! table), sessions intern their site domain once, and callers carry a
 //! pre-resolved [`cg_url::DomainId`] — so the per-operation decision is
-//! a handful of integer comparisons with zero allocation. Ids live only
-//! in memory: every serde boundary resolves them back to names.
+//! a handful of integer comparisons with zero allocation. A read decides
+//! its caller once and then pays one FNV probe of the metadata store
+//! per cookie name. Ids live only in memory: every serde boundary
+//! resolves them back to names.
 //!
 //! **Layer:** policy (pure decisions + per-visit state; no I/O).
 //! **Invariants:** `GuardEngine` is immutable and `Send + Sync`;

@@ -5,17 +5,18 @@
 //! created. The store is per-site (per top-level page), like the
 //! extension's per-tab dataset.
 //!
-//! Storage is id-compiled: cookie names intern to session-local
-//! [`NameId`]s (one hash on first sight, a slot index afterwards) and
-//! creators are process-wide [`DomainId`]s, so the per-operation lookup
-//! chain — name → record → creator — costs one string hash and two
-//! array/int reads, with zero allocation. The serde impls resolve both
-//! id kinds back to names, so the wire format is exactly the historical
+//! Storage is id-compiled: cookie names intern into the workspace's
+//! string table ([`StrTable`]: one arena, end offsets and an FNV index)
+//! as session-local [`NameId`]s, dense in first-record order, and
+//! creators are process-wide [`DomainId`]s. The per-operation lookup
+//! chain — name → record → creator — is one FNV probe and two array
+//! reads, with zero allocation. The serde impls resolve both id kinds
+//! back to names, so the wire format is exactly the historical
 //! name/creator-string map — ids never serialize.
 
+use cg_instrument::StrTable;
 use cg_url::DomainId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// How a cookie came to exist — which API created it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,9 +69,10 @@ impl OwnershipRecord {
 /// The per-site metadata store.
 #[derive(Debug, Clone, Default)]
 pub struct MetadataStore {
-    /// Cookie name → session-local id. Names stay interned across
-    /// [`MetadataStore::forget`] so a recreated cookie reuses its slot.
-    ids: HashMap<Box<str>, NameId>,
+    /// Every name ever recorded; a name's symbol is its [`NameId`].
+    /// Names stay interned across [`MetadataStore::forget`] so a
+    /// recreated cookie reuses its slot.
+    names: StrTable,
     /// Indexed by [`NameId`]; `None` = forgotten (deleted) cookie.
     records: Vec<Option<OwnershipRecord>>,
 }
@@ -83,26 +85,26 @@ impl MetadataStore {
 
     /// The session-local id for `name`, if it was ever recorded.
     pub fn name_id(&self, name: &str) -> Option<NameId> {
-        self.ids.get(name).copied()
+        self.names.find(name).map(NameId)
     }
 
-    /// Interns `name` (allocates only on first sight).
+    /// Interns `name` (grows the table only on first sight).
     fn intern_name(&mut self, name: &str) -> NameId {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
+        match self.names.insert(name) {
+            Ok(sym) => {
+                self.records.push(None);
+                NameId(sym)
+            }
+            Err(sym) => NameId(sym),
         }
-        let id = NameId(u32::try_from(self.records.len()).expect("metadata interner overflow"));
-        self.ids.insert(Box::from(name), id);
-        self.records.push(None);
-        id
     }
 
-    /// The live record for `name`, if any — the one-hash hot-path
+    /// The live record for `name`, if any — the one-probe hot-path
     /// lookup every enforcement decision starts from.
     pub fn lookup(&self, name: &str) -> Option<OwnershipRecord> {
-        self.ids
-            .get(name)
-            .and_then(|id| self.records[id.0 as usize])
+        self.names
+            .find(name)
+            .and_then(|sym| self.records[sym as usize])
     }
 
     /// Records (or re-records) the creator of `name` by id. Re-recording
@@ -156,8 +158,8 @@ impl MetadataStore {
     /// same-name cookie is treated as new. The name stays interned; its
     /// slot empties.
     pub fn forget(&mut self, name: &str) {
-        if let Some(&id) = self.ids.get(name) {
-            self.records[id.0 as usize] = None;
+        if let Some(sym) = self.names.find(name) {
+            self.records[sym as usize] = None;
         }
     }
 
@@ -171,18 +173,21 @@ impl MetadataStore {
         self.records.iter().all(|r| r.is_none())
     }
 
-    /// Iterates over `(name, record)` pairs, live records only.
+    /// Iterates over `(name, record)` pairs, live records only, in the
+    /// order the names were first recorded.
     pub fn iter(&self) -> impl Iterator<Item = (&str, OwnershipRecord)> {
-        self.ids
+        self.names
             .iter()
-            .filter_map(|(n, id)| self.records[id.0 as usize].map(|r| (n.as_ref(), r)))
+            .zip(&self.records)
+            .filter_map(|(n, r)| r.map(|r| (n, r)))
     }
 }
 
 // The wire format is the historical `{"records": {name: {creator,
 // origin}}}` shape with creator *names* — session-local NameIds and
-// process-local DomainIds never serialize (keys sorted for determinism,
-// matching the vendored serde's HashMap behaviour).
+// process-local DomainIds never serialize (keys sorted, as the vendored
+// serde sorts a HashMap's, so the wire form does not depend on record
+// order).
 impl Serialize for MetadataStore {
     fn to_content(&self) -> serde::Content {
         let mut entries: Vec<(&str, OwnershipRecord)> = self.iter().collect();
@@ -308,6 +313,48 @@ mod tests {
         assert_eq!(m.name_id("c"), Some(id), "recreated name reuses its slot");
         assert_eq!(m.creator("c"), Some("b.com"));
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn iter_yields_names_in_first_record_order() {
+        let mut m = MetadataStore::new();
+        for name in ["zeta", "_ga", "mid", "alpha", "_fbp"] {
+            m.record(name, Some("a.com"), CookieOrigin::DocumentCookie);
+        }
+        m.forget("mid");
+        // Re-recording keeps a name's place; a forgotten one is skipped
+        // until it is recorded again, then reappears in its old slot.
+        m.record("_ga", Some("b.com"), CookieOrigin::HttpHeader);
+        let names: Vec<&str> = m.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["zeta", "_ga", "alpha", "_fbp"]);
+        m.record_grandfathered("mid");
+        let names: Vec<&str> = m.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["zeta", "_ga", "mid", "alpha", "_fbp"]);
+        let ids: Vec<u32> = names
+            .iter()
+            .map(|n| m.name_id(n).unwrap().index())
+            .collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4], "ids are dense in first-record order");
+    }
+
+    #[test]
+    fn the_wire_form_is_sorted_by_name_and_pinned() {
+        let mut m = MetadataStore::new();
+        m.record("zeta", Some("Z.example"), CookieOrigin::CookieStore);
+        m.record("_ga", Some("gtm.example"), CookieOrigin::DocumentCookie);
+        m.record("sid", None, CookieOrigin::HttpHeader);
+        m.record_grandfathered("_old");
+        m.record("gone", Some("a.example"), CookieOrigin::DocumentCookie);
+        m.forget("gone");
+        // The string the `HashMap`-backed store serialized this to.
+        let pinned = concat!(
+            r#"{"records":{"#,
+            r#""_ga":{"creator":"gtm.example","origin":"DocumentCookie"},"#,
+            r#""_old":{"creator":null,"origin":"Grandfathered"},"#,
+            r#""sid":{"creator":null,"origin":"HttpHeader"},"#,
+            r#""zeta":{"creator":"z.example","origin":"CookieStore"}}}"#,
+        );
+        assert_eq!(serde_json::to_string(&m).unwrap(), pinned);
     }
 
     #[test]
