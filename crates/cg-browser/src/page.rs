@@ -9,7 +9,7 @@
 //! non-cookie platform surface (DOM, requests, script loading).
 
 use cg_cookiejar::CookieJar;
-use cg_dom::{Document, ElementId, ElementMutation, FrameKind, ScriptSource};
+use cg_dom::{Document, ElementId, ElementMutation, FrameKind, ScriptId, ScriptSource};
 use cg_domguard::DomGuard;
 use cg_instrument::{DomEvent, EventSink, ProbeEvent, Recorder, RequestEvent, ScriptInclusion};
 use cg_script::{
@@ -20,20 +20,69 @@ use cg_url::{CnameMap, DomainId, Url};
 use cookieguard_core::{AccessContext, Caller, GuardSession, GuardedJar, SetRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// The attribution identities of one script, resolved **once** at its
-/// first cookie/DOM operation and cached for the rest of the page: the
+/// The attribution identities of one loaded script, resolved **once**,
+/// when the page loads it, from the URL it parsed to load it: the
 /// policy caller (CNAME-uncloaked when enabled), the measured actor
 /// (interned raw eTLD+1), and the shared script-URL string for write
-/// events. Subsequent operations by the same script copy ids out of the
-/// cache — no PSL walk, no CNAME chase, no allocation per operation.
+/// events and requests. The page keeps one per [`ScriptId`], so an
+/// operation finds its script's identity by the id its attribution was
+/// taken from — no URL hashing, PSL walk, CNAME chase or allocation per
+/// operation.
 #[derive(Debug, Clone)]
 struct ScriptIdentity {
+    /// The parse every frame of the script shares. An attribution whose
+    /// URL is another allocation was not taken from this script's frame.
+    url: Arc<Url>,
+    /// The URL's eTLD+1, as the measurement logs it (inclusion domain,
+    /// request initiator, probe actor).
+    domain: Option<String>,
     caller: Caller,
     actor: Option<DomainId>,
     actor_url: Arc<str>,
+}
+
+impl ScriptIdentity {
+    /// Derives every identity of the script at `url`: one PSL walk feeds
+    /// the actor and, unless CNAMEs are resolved, the policy caller.
+    fn resolve(url: Arc<Url>, cnames: Option<&CnameMap>) -> ScriptIdentity {
+        let domain = url.registrable_domain();
+        let caller = match cnames {
+            Some(map) => map
+                .uncloaked_domain(&url.host_str())
+                .as_deref()
+                .map(Caller::external),
+            None => domain.as_deref().map(Caller::external),
+        }
+        .unwrap_or_else(Caller::inline);
+        ScriptIdentity {
+            caller,
+            actor: domain.as_deref().map(cg_url::intern),
+            actor_url: Arc::from(url.to_string()),
+            domain,
+            url,
+        }
+    }
+}
+
+/// The identity of the script `at` was attributed to: the one resolved
+/// at load time for [`Attribution::source`], or — for an attribution
+/// the page did not hand out — one derived from its URL on the spot.
+/// Inline and lost-stack attributions have no script URL and no
+/// identity: they are the origin-less caller.
+fn identity_of<'p>(
+    identities: &'p [Option<ScriptIdentity>],
+    cnames: Option<&CnameMap>,
+    at: &Attribution,
+) -> Option<Cow<'p, ScriptIdentity>> {
+    let url = at.script_url.as_ref()?;
+    match at.source.and_then(|id| identities.get(id)?.as_ref()) {
+        Some(id) if Arc::ptr_eq(&id.url, url) => Some(Cow::Borrowed(id)),
+        _ => Some(Cow::Owned(ScriptIdentity::resolve(Arc::clone(url), cnames))),
+    }
 }
 
 /// The per-page platform: owns the document and accesses the
@@ -51,7 +100,8 @@ pub struct Page<'v> {
     rng: StdRng,
     cookie_ops: usize,
     cnames: Option<&'v CnameMap>,
-    script_identities: HashMap<Url, ScriptIdentity>,
+    /// Indexed by [`ScriptId`]; `None` for inline scripts.
+    script_identities: Vec<Option<ScriptIdentity>>,
     signatures: Option<SignatureDb>,
     dom_guard: Option<&'v mut DomGuard>,
     change_cursor: usize,
@@ -102,7 +152,7 @@ impl<'v> Page<'v> {
             rng: StdRng::seed_from_u64(seed ^ 0x00d0_c0de),
             cookie_ops: 0,
             cnames: None,
-            script_identities: HashMap::new(),
+            script_identities: Vec::new(),
             signatures: None,
             dom_guard: None,
             change_cursor,
@@ -180,44 +230,58 @@ impl<'v> Page<'v> {
     }
 
     /// Registers a markup script with the document and the log; returns
-    /// the execution the event loop should run.
+    /// the execution the event loop should run, its program borrowed.
     pub fn register_markup_script(
         &mut self,
         url: Option<&str>,
-        ops: Vec<ScriptOp>,
-    ) -> ScriptExecution {
-        let source = match url {
-            Some(u) => ScriptSource::External(Url::parse(u).expect("blueprint script URL")),
+        ops: &'v [ScriptOp],
+    ) -> ScriptExecution<'v> {
+        let parsed = url.map(|u| Url::parse(u).expect("blueprint script URL"));
+        let source = match &parsed {
+            Some(u) => ScriptSource::External(u.clone()),
             None => ScriptSource::Inline,
         };
-        let id = self.doc.add_direct_script(source.clone());
+        let id = self.doc.add_direct_script(source);
+        let shared = match parsed {
+            Some(u) => Some(self.resolve_identity(id, u)),
+            // Signature-based attribution: an inline copy of a known
+            // third-party behaviour executes under that party's
+            // identity.
+            None => self
+                .signatures
+                .as_ref()
+                .and_then(|db| db.attribute(ops))
+                .and_then(|domain| {
+                    Url::parse(&format!("https://cdn.{domain}/sig-attributed.js")).ok()
+                })
+                .map(|u| self.resolve_identity(id, u)),
+        };
+        // A signature-attributed script is still logged as <inline>: the
+        // measurement cannot see the attribution, only the policy layer
+        // benefits.
+        let domain = url.and_then(|_| self.script_identities[id].as_ref()?.domain.as_deref());
         let sink = self.access.sink();
-        let inclusion = ScriptInclusion::observed(sink, url, true);
+        let inclusion = ScriptInclusion::observed(sink, url, domain, true);
         sink.inclusion(inclusion);
         if let Some(u) = url {
             self.executed_urls.insert(u.to_string());
         }
-        let parsed = match source {
-            ScriptSource::External(u) => Some(u),
-            ScriptSource::Inline => {
-                // Signature-based attribution: an inline copy of a known
-                // third-party behaviour executes under that party's
-                // identity. The inclusion log above still says <inline> —
-                // the measurement cannot see the attribution, only the
-                // policy layer benefits.
-                self.signatures
-                    .as_ref()
-                    .and_then(|db| db.attribute(&ops))
-                    .and_then(|domain| {
-                        Url::parse(&format!("https://cdn.{domain}/sig-attributed.js")).ok()
-                    })
-            }
-        };
         ScriptExecution {
             script_id: id,
-            url: parsed,
+            url: shared,
             ops,
         }
+    }
+
+    /// Resolves the identity of script `id` from its parsed URL and
+    /// files it under the id; returns the URL the script's frames share.
+    fn resolve_identity(&mut self, id: ScriptId, url: Url) -> Arc<Url> {
+        let url = Arc::new(url);
+        if self.script_identities.len() <= id {
+            self.script_identities.resize(id + 1, None);
+        }
+        self.script_identities[id] = Some(ScriptIdentity::resolve(Arc::clone(&url), self.cnames));
+        url
     }
 
     /// Total cookie API operations performed on this page (drives the
@@ -231,43 +295,11 @@ impl<'v> Page<'v> {
         &self.doc
     }
 
-    /// The cached attribution identities for `at`'s script — resolved
-    /// (PSL walk, CNAME uncloaking, interning, URL stringification) on
-    /// the script's first operation, copied out of the cache afterwards.
-    /// Inline/lost-stack attributions have no script URL and no cache
-    /// entry: they are the origin-less identity.
-    fn identity(&mut self, at: &Attribution) -> (Caller, Option<DomainId>, Option<Arc<str>>) {
-        let Some(url) = &at.script_url else {
-            return (Caller::inline(), None, None);
-        };
-        if let Some(id) = self.script_identities.get(url) {
-            return (id.caller, id.actor, Some(Arc::clone(&id.actor_url)));
-        }
-        let policy_domain = match &self.cnames {
-            Some(map) => map.uncloaked_domain(&url.host_str()),
-            None => url.registrable_domain(),
-        };
-        let caller = match policy_domain {
-            Some(d) => Caller::external(&d),
-            None => Caller::inline(),
-        };
-        let identity = ScriptIdentity {
-            caller,
-            actor: url.registrable_domain().map(|d| cg_url::intern(&d)),
-            actor_url: Arc::from(url.to_string().as_str()),
-        };
-        let out = (
-            identity.caller,
-            identity.actor,
-            Some(Arc::clone(&identity.actor_url)),
-        );
-        self.script_identities.insert(url.clone(), identity);
-        out
-    }
-
-    /// The cached policy caller for `at`'s script.
-    fn caller(&mut self, at: &Attribution) -> Caller {
-        self.identity(at).0
+    /// The policy caller and measured actor of `at`'s script, copied out
+    /// of its load-time identity.
+    fn caller_and_actor(&self, at: &Attribution) -> (Caller, Option<DomainId>) {
+        identity_of(&self.script_identities, self.cnames, at)
+            .map_or((Caller::inline(), None), |id| (id.caller, id.actor))
     }
 
     fn wall(&self, at: &Attribution) -> i64 {
@@ -276,24 +308,22 @@ impl<'v> Page<'v> {
 
     /// Translates a script-level attribution into the access layer's
     /// operation context for the write paths: policy caller
-    /// (CNAME-uncloaked), measured actor + script URL — all served from
-    /// the per-script cache — and the two timebases.
-    fn ctx(&mut self, at: &Attribution) -> AccessContext {
-        let (caller, actor, actor_url) = self.identity(at);
+    /// (CNAME-uncloaked), measured actor + script URL — all read from
+    /// the script's load-time identity — and the two timebases.
+    fn ctx(&self, at: &Attribution) -> AccessContext {
+        let actor_url = identity_of(&self.script_identities, self.cnames, at)
+            .map(|id| Arc::clone(&id.actor_url));
         AccessContext {
-            caller,
-            actor,
             actor_url,
-            now_ms: self.wall(at),
-            time_ms: at.now_ms,
+            ..self.read_ctx(at)
         }
     }
 
     /// Read-path variant of [`Page::ctx`]: read events carry no script
     /// URL, so the shared `Arc` is not even cloned (`document.cookie`
     /// gets are the hottest op of a measurement crawl).
-    fn read_ctx(&mut self, at: &Attribution) -> AccessContext {
-        let (caller, actor, _) = self.identity(at);
+    fn read_ctx(&self, at: &Attribution) -> AccessContext {
+        let (caller, actor) = self.caller_and_actor(at);
         AccessContext {
             caller,
             actor,
@@ -304,9 +334,9 @@ impl<'v> Page<'v> {
     }
 }
 
-impl Platform for Page<'_> {
-    fn site_domain(&self) -> String {
-        self.site_domain.clone()
+impl<'v> Platform<'v> for Page<'v> {
+    fn site_domain(&self) -> &str {
+        &self.site_domain
     }
 
     fn document_cookie_get(&mut self, at: &Attribution) -> String {
@@ -382,63 +412,86 @@ impl Platform for Page<'_> {
         // server-side collection endpoints ride (§5.7): CookieGuard
         // mediates script reads, not the network layer, which is why the
         // header passthrough below is not a policy-checked access.
-        let cookie_header = Url::parse(url).ok().map(|u| {
+        let dest = Url::parse(url).ok();
+        let now = self.wall(at);
+        let cookie_header = dest.as_ref().map(|u| {
             self.access
-                .cookie_header_for_subresource(&u, &self.site_domain, self.wall(at))
+                .cookie_header_for_subresource(u, &self.site_domain, now)
         });
+        let dest_domain = dest.as_ref().and_then(Url::registrable_domain);
+        // The initiator is the script's raw eTLD+1 and URL, never the
+        // CNAME-uncloaked policy domain.
+        let initiator = identity_of(&self.script_identities, self.cnames, at);
         let sink = self.access.sink();
-        let event = RequestEvent::observed(
-            sink,
-            url,
+        let event = RequestEvent {
+            url: sink.intern(url),
+            dest_domain: dest_domain.map(|d| sink.intern(&d)),
             kind,
-            at.script_url.as_ref(),
-            &self.site_domain,
-            cookie_header.as_deref(),
-            at.now_ms,
-        );
+            initiator: initiator
+                .as_ref()
+                .and_then(|id| id.domain.as_deref())
+                .map(|d| sink.intern(d)),
+            initiator_url: initiator.as_ref().map(|id| sink.intern(&id.actor_url)),
+            first_party: sink.intern(&self.site_domain),
+            cookie_header: cookie_header
+                .as_deref()
+                .filter(|h| !h.is_empty())
+                .map(|h| sink.intern(h)),
+            time_ms: at.now_ms,
+        };
         sink.request(event);
     }
 
-    fn resolve_injected_script(&mut self, at: &Attribution, url: &str) -> Option<ScriptExecution> {
+    fn resolve_injected_script(
+        &mut self,
+        at: &Attribution,
+        url: &str,
+    ) -> Option<ScriptExecution<'v>> {
+        let parsed = Url::parse(url);
         // CSP gates dynamic injection exactly like markup loading: an
         // unlisted host never executes (the tag-manager fan-out gap).
         if let Some(policy) = &self.csp {
-            let allowed = Url::parse(url)
-                .map(|su| policy.allows_external(&su, &self.url, None))
-                .unwrap_or(false);
+            let allowed = parsed
+                .as_ref()
+                .is_ok_and(|su| policy.allows_external(su, &self.url, None));
             if !allowed {
                 self.csp_blocked += 1;
                 return None;
             }
         }
-        let ops = self.injectables.get(url)?;
+        let injectables = self.injectables;
+        let ops = injectables.get(url)?;
         // Pages de-duplicate script elements by URL, like tag managers do.
         if !self.executed_urls.insert(url.to_string()) {
             return None;
         }
         let parent = at.script_id.unwrap_or(0);
-        let parsed = Url::parse(url).ok()?;
+        let parsed = parsed.ok()?;
         let id = self
             .doc
             .add_injected_script(ScriptSource::External(parsed.clone()), parent);
+        let shared = self.resolve_identity(id, parsed);
+        let domain = self.script_identities[id]
+            .as_ref()
+            .and_then(|s| s.domain.as_deref());
         let sink = self.access.sink();
-        let inclusion = ScriptInclusion::observed(sink, Some(url), false);
+        let inclusion = ScriptInclusion::observed(sink, Some(url), domain, false);
         sink.inclusion(inclusion);
         Some(ScriptExecution {
             script_id: id,
-            url: Some(parsed),
-            ops: ops.clone(),
+            url: Some(shared),
+            ops,
         })
     }
 
     fn dom_insert(&mut self, at: &Attribution, tag: &str) {
-        let actor = self.identity(at).1.map(cg_url::name);
+        let actor = self.caller_and_actor(at).1.map(cg_url::name);
         self.doc.insert_script_element(tag, None, actor);
     }
 
     fn dom_mutate(&mut self, at: &Attribution, kind: DomMutationKind, foreign_target: bool) {
-        // Cached identity: no PSL walk or allocation per DOM op.
-        let (caller, actor_id, _) = self.identity(at);
+        // Load-time identity: no PSL walk or allocation per DOM op.
+        let (caller, actor_id) = self.caller_and_actor(at);
         let actor_name = actor_id.map(cg_url::name);
         let target = if foreign_target {
             // A site-owned markup element.
@@ -484,12 +537,16 @@ impl Platform for Page<'_> {
     }
 
     fn probe_result(&mut self, at: &Attribution, feature: &str, cookie: &str, ok: bool) {
+        let identity = identity_of(&self.script_identities, self.cnames, at);
         let sink = self.access.sink();
         let event = ProbeEvent {
             feature: sink.intern(feature),
             cookie: sink.intern(cookie),
             ok,
-            actor: at.script_domain().map(|a| sink.intern(&a)),
+            actor: identity
+                .as_ref()
+                .and_then(|id| id.domain.as_deref())
+                .map(|a| sink.intern(a)),
         };
         sink.probe(event);
     }
@@ -514,11 +571,15 @@ impl Platform for Page<'_> {
         notices
     }
 
+    fn discard_cookie_changes(&mut self) {
+        self.change_cursor = self.access.change_count();
+    }
+
     fn cookie_change_visible(&mut self, at: &Attribution, name: &str) -> bool {
         if !self.access.is_guarded() {
             return true; // don't derive the caller just to discard it
         }
-        let caller = self.caller(at);
+        let (caller, _) = self.caller_and_actor(at);
         self.access.may_observe(&caller, name)
     }
 }
@@ -559,8 +620,8 @@ mod tests {
         let injectables = HashMap::new();
         let mut page = Page::new(url, EPOCH, &mut jar, guard, &mut recorder, &injectables, 7);
         let mut el = EventLoop::new(EPOCH);
-        for (i, (u, ops)) in scripts.into_iter().enumerate() {
-            let exec = page.register_markup_script(u, ops);
+        for (i, (u, ops)) in scripts.iter().enumerate() {
+            let exec = page.register_markup_script(*u, ops);
             el.push_script(exec, i as u64 * 25);
         }
         let mut rng = StdRng::seed_from_u64(3);
@@ -792,23 +853,139 @@ mod tests {
         );
         let mut page = Page::new(url, EPOCH, &mut jar, None, &mut recorder, &injectables, 7);
         let mut el = EventLoop::new(EPOCH);
-        let exec = page.register_markup_script(
-            Some("https://gtm.com/gtm.js"),
-            vec![
-                ScriptOp::InjectScript {
-                    url: "https://ga.com/a.js".into(),
-                },
-                ScriptOp::InjectScript {
-                    url: "https://ga.com/a.js".into(),
-                },
-            ],
-        );
+        let gtm_ops = vec![
+            ScriptOp::InjectScript {
+                url: "https://ga.com/a.js".into(),
+            },
+            ScriptOp::InjectScript {
+                url: "https://ga.com/a.js".into(),
+            },
+        ];
+        let exec = page.register_markup_script(Some("https://gtm.com/gtm.js"), &gtm_ops);
         el.push_script(exec, 0);
         let mut rng = StdRng::seed_from_u64(1);
         let stats = el.run(&mut page, &mut rng);
         assert_eq!(stats.scripts_injected, 1);
         let log = recorder.finish();
         assert_eq!(log.inclusions.iter().filter(|i| !i.direct).count(), 1);
+    }
+
+    /// The policy caller, actor and actor URL derived from the script
+    /// URL alone, the way the page resolved them before identities were
+    /// filed by script id.
+    fn url_derived(url: &Url, cnames: Option<&CnameMap>) -> (Caller, Option<DomainId>, String) {
+        let policy_domain = match cnames {
+            Some(map) => map.uncloaked_domain(&url.host_str()),
+            None => url.registrable_domain(),
+        };
+        (
+            policy_domain.map_or_else(Caller::inline, |d| Caller::external(&d)),
+            url.registrable_domain().map(|d| cg_url::intern(&d)),
+            url.to_string(),
+        )
+    }
+
+    /// The identity the page charges to `exec`'s operations, asserting
+    /// it was found by script id rather than derived on the spot.
+    fn charged(page: &Page<'_>, exec: &ScriptExecution<'_>) -> (Caller, Option<DomainId>, String) {
+        let frame = cg_script::StackFrame {
+            script_id: exec.script_id,
+            url: exec.url.clone(),
+        };
+        let at = Attribution::from_stack(&[frame], 0, false);
+        assert_eq!(at.source, Some(exec.script_id));
+        match identity_of(&page.script_identities, page.cnames, &at) {
+            Some(Cow::Borrowed(id)) => (id.caller, id.actor, id.actor_url.to_string()),
+            other => panic!(
+                "identity of script {} not filed by id: {other:?}",
+                exec.script_id
+            ),
+        }
+    }
+
+    fn empty_page<'v>(
+        jar: &'v mut CookieJar,
+        recorder: &'v mut Recorder,
+        injectables: &'v HashMap<String, Vec<ScriptOp>>,
+    ) -> Page<'v> {
+        let url = Url::parse("https://www.site.com/").unwrap();
+        Page::new(url, EPOCH, jar, None, recorder, injectables, 7)
+    }
+
+    #[test]
+    fn identity_by_id_uncloaks_a_cname_cloaked_script_like_its_url() {
+        let mut cnames = CnameMap::new();
+        cnames.insert("metrics.site.com", "collect.trackerhub.io");
+        let (mut jar, mut recorder, injectables) = (
+            CookieJar::new(),
+            Recorder::new("site.com", 1),
+            HashMap::new(),
+        );
+        let mut page = empty_page(&mut jar, &mut recorder, &injectables).with_cnames(&cnames);
+        let ops = vec![ScriptOp::ReadAllCookies];
+        let exec = page.register_markup_script(Some("https://metrics.site.com/m.js"), &ops);
+        let by_id = charged(&page, &exec);
+        let url = Url::parse("https://metrics.site.com/m.js").unwrap();
+        assert_eq!(by_id, url_derived(&url, Some(&cnames)));
+        // The policy sees the tracker; the measurement sees the site.
+        assert_eq!(by_id.0.domain_name(), Some("trackerhub.io"));
+        assert_eq!(by_id.1.map(cg_url::name), Some("site.com"));
+        let log = recorder.finish();
+        assert_eq!(log.opt_str(log.inclusions[0].domain), Some("site.com"));
+    }
+
+    #[test]
+    fn identity_by_id_of_a_signature_attributed_inline_script_is_its_signature_url() {
+        let ops = vec![ScriptOp::ReadAllCookies, ScriptOp::ReadAllCookies];
+        let mut db = SignatureDb::new();
+        db.learn("tracker.io", &ops);
+        let (mut jar, mut recorder, injectables) = (
+            CookieJar::new(),
+            Recorder::new("site.com", 1),
+            HashMap::new(),
+        );
+        let mut page = empty_page(&mut jar, &mut recorder, &injectables).with_signatures(db);
+        let exec = page.register_markup_script(None, &ops);
+        let sig_url = Url::parse("https://cdn.tracker.io/sig-attributed.js").unwrap();
+        assert_eq!(exec.url.as_deref(), Some(&sig_url));
+        let by_id = charged(&page, &exec);
+        assert_eq!(by_id, url_derived(&sig_url, None));
+        assert_eq!(by_id.0.domain_name(), Some("tracker.io"));
+        // The inclusion log still says <inline>, with no domain.
+        let log = recorder.finish();
+        assert_eq!(log.str(log.inclusions[0].url), "<inline>");
+        assert_eq!(log.inclusions[0].domain, None);
+    }
+
+    #[test]
+    fn one_url_under_two_script_ids_has_one_identity_under_each() {
+        let (mut jar, mut recorder, injectables) = (
+            CookieJar::new(),
+            Recorder::new("site.com", 1),
+            HashMap::new(),
+        );
+        let mut page = empty_page(&mut jar, &mut recorder, &injectables);
+        let ops = vec![ScriptOp::ReadAllCookies];
+        let src = "https://cdn.other.net/o.js?v=2";
+        let first = page.register_markup_script(Some(src), &ops);
+        let inline = page.register_markup_script(None, &ops);
+        let second = page.register_markup_script(Some(src), &ops);
+        assert_ne!(first.script_id, second.script_id);
+        assert_eq!(inline.url, None);
+        let expected = url_derived(&Url::parse(src).unwrap(), None);
+        assert_eq!(charged(&page, &first), expected);
+        assert_eq!(charged(&page, &second), expected);
+        // A frame whose URL is not the one the page filed under its id
+        // is resolved from that URL, not charged the filed identity.
+        let foreign = Attribution {
+            source: Some(first.script_id),
+            script_url: Some(Arc::new(Url::parse("https://evil.example/x.js").unwrap())),
+            ..Attribution::lost(0)
+        };
+        assert_eq!(
+            page.caller_and_actor(&foreign).0.domain_name(),
+            Some("evil.example")
+        );
     }
 
     #[test]

@@ -337,7 +337,7 @@ fn execute_page(
         if !p.csp_admits_markup(script.url.as_deref()) {
             continue; // the browser never fetched it
         }
-        let exec = p.register_markup_script(script.url.as_deref(), script.ops.clone());
+        let exec = p.register_markup_script(script.url.as_deref(), &script.ops);
         el.push_script(exec, i as u64 * 25);
     }
     el.run(&mut p, rng);

@@ -66,20 +66,24 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 const RANKS: usize = 60;
 
 /// Allocations per guarded strict visit (mean over [`RANKS`]). Measured
-/// 1,651 (1,662 while the guard's metadata store kept a `Box<str>` per
+/// 1,087 (1,651 while the page hashed each script's URL to find its
+/// identity, copied each script's program per page and per injection,
+/// and built a change notice per written cookie with no listener to
+/// hear it; 1,662 while the guard's metadata store kept a `Box<str>` per
 /// cookie name in a `HashMap`; 1,835 while the recorder kept every logged string as a
 /// `String` of its own; 1,870 while the document recomputed its site
 /// domain for every element; 10,182 when the cookie-access path still
 /// cloned every visible cookie on each read and write). The headroom is
 /// under half the ~33 reads a visit makes, so one more allocation per
 /// read fails.
-const GUARDED_VISIT_BUDGET: u64 = 1_664;
+const GUARDED_VISIT_BUDGET: u64 = 1_100;
 
 /// Allocations per unguarded (measurement) visit, mean over [`RANKS`].
-/// Measured 2,264 (2,452 before the recorder's string table; 2,487
+/// Measured 1,662 (2,264 before script identities were filed by script
+/// id and programs borrowed; 2,452 before the recorder's string table; 2,487
 /// before the document kept its site domain; 13,096 before the borrowed
 /// path). Same headroom rule.
-const REGULAR_VISIT_BUDGET: u64 = 2_277;
+const REGULAR_VISIT_BUDGET: u64 = 1_675;
 
 /// Mean allocations per visit of `cfg` over [`RANKS`], counted on the
 /// second of two identical passes.

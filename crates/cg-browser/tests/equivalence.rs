@@ -23,6 +23,7 @@ use cookieguard_core::{Caller, GuardConfig, GuardEngine, GuardSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 const EPOCH: i64 = 1_750_000_000_000;
 
@@ -122,7 +123,11 @@ impl<'v> LegacyPage<'v> {
         }
     }
 
-    fn register_markup_script(&mut self, url: Option<&str>, ops: Vec<ScriptOp>) -> ScriptExecution {
+    fn register_markup_script(
+        &mut self,
+        url: Option<&str>,
+        ops: &'v [ScriptOp],
+    ) -> ScriptExecution<'v> {
         let source = match url {
             Some(u) => ScriptSource::External(Url::parse(u).expect("script URL")),
             None => ScriptSource::Inline,
@@ -133,7 +138,7 @@ impl<'v> LegacyPage<'v> {
             self.executed_urls.insert(u.to_string());
         }
         let parsed = match source {
-            ScriptSource::External(u) => Some(u),
+            ScriptSource::External(u) => Some(Arc::new(u)),
             ScriptSource::Inline => None,
         };
         ScriptExecution {
@@ -168,9 +173,9 @@ impl<'v> LegacyPage<'v> {
     }
 }
 
-impl Platform for LegacyPage<'_> {
-    fn site_domain(&self) -> String {
-        self.site_domain.clone()
+impl<'v> Platform<'v> for LegacyPage<'v> {
+    fn site_domain(&self) -> &str {
+        &self.site_domain
     }
 
     fn document_cookie_get(&mut self, at: &Attribution) -> String {
@@ -427,15 +432,20 @@ impl Platform for LegacyPage<'_> {
         self.recorder.record_request(
             url,
             kind,
-            at.script_url.as_ref(),
+            at.script_url.as_deref(),
             &self.site_domain.clone(),
             cookie_header.as_deref(),
             at.now_ms,
         );
     }
 
-    fn resolve_injected_script(&mut self, at: &Attribution, url: &str) -> Option<ScriptExecution> {
-        let ops = self.injectables.get(url)?;
+    fn resolve_injected_script(
+        &mut self,
+        at: &Attribution,
+        url: &str,
+    ) -> Option<ScriptExecution<'v>> {
+        let injectables = self.injectables;
+        let ops = injectables.get(url)?;
         if !self.executed_urls.insert(url.to_string()) {
             return None;
         }
@@ -447,8 +457,8 @@ impl Platform for LegacyPage<'_> {
         self.recorder.record_inclusion(Some(url), false);
         Some(ScriptExecution {
             script_id: id,
-            url: Some(parsed),
-            ops: ops.clone(),
+            url: Some(Arc::new(parsed)),
+            ops,
         })
     }
 
@@ -663,11 +673,12 @@ fn run_new(guard: Option<&mut GuardSession>) -> (VisitLog, CookieJar) {
     let mut jar = CookieJar::new();
     let mut recorder = Recorder::new("shop.example", 1);
     let inj = injectables();
+    let scripts = scripts();
     let mut page = Page::new(url, EPOCH, &mut jar, guard, &mut recorder, &inj, 7);
     page.apply_server_cookies(&server_cookies());
     let mut el = EventLoop::new(EPOCH);
-    for (i, (u, ops)) in scripts().into_iter().enumerate() {
-        let exec = page.register_markup_script(u, ops);
+    for (i, (u, ops)) in scripts.iter().enumerate() {
+        let exec = page.register_markup_script(*u, ops);
         el.push_script(exec, i as u64 * 25);
     }
     let mut rng = StdRng::seed_from_u64(1234);
@@ -682,11 +693,12 @@ fn run_legacy(guard: Option<&mut GuardSession>) -> (VisitLog, CookieJar) {
     let mut jar = CookieJar::new();
     let mut recorder = Recorder::new("shop.example", 1);
     let inj = injectables();
+    let scripts = scripts();
     let mut page = LegacyPage::new(url, EPOCH, &mut jar, guard, &mut recorder, &inj, 7);
     page.apply_server_cookies(&server_cookies());
     let mut el = EventLoop::new(EPOCH);
-    for (i, (u, ops)) in scripts().into_iter().enumerate() {
-        let exec = page.register_markup_script(u, ops);
+    for (i, (u, ops)) in scripts.iter().enumerate() {
+        let exec = page.register_markup_script(*u, ops);
         el.push_script(exec, i as u64 * 25);
     }
     let mut rng = StdRng::seed_from_u64(1234);

@@ -293,14 +293,17 @@ pub struct ScriptInclusion {
 }
 
 impl ScriptInclusion {
-    /// Builds the inclusion record for a script URL (`None` = inline),
-    /// deriving its eTLD+1 and interning both through `sink`.
-    pub fn observed(sink: &mut dyn EventSink, url: Option<&str>, direct: bool) -> ScriptInclusion {
+    /// Builds the inclusion record for a script URL (`None` = inline)
+    /// and its eTLD+1 as the caller derived it from its own parse of the
+    /// URL, interning both through `sink`.
+    pub fn observed(
+        sink: &mut dyn EventSink,
+        url: Option<&str>,
+        domain: Option<&str>,
+        direct: bool,
+    ) -> ScriptInclusion {
         let (url, domain) = match url {
-            Some(u) => (
-                sink.intern(u),
-                cg_url::url_domain(u).map(|d| sink.intern(&d)),
-            ),
+            Some(u) => (sink.intern(u), domain.map(|d| sink.intern(d))),
             None => (sink.intern("<inline>"), None),
         };
         ScriptInclusion {

@@ -195,7 +195,8 @@ impl Recorder {
 
     /// Records a script inclusion.
     pub fn record_inclusion(&mut self, url: Option<&str>, direct: bool) {
-        let event = ScriptInclusion::observed(self, url, direct);
+        let domain = url.and_then(cg_url::url_domain);
+        let event = ScriptInclusion::observed(self, url, domain.as_deref(), direct);
         self.log.inclusions.push(event);
     }
 

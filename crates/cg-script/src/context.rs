@@ -5,31 +5,43 @@
 //! The engine reproduces that exactly: each running task carries a stack
 //! of [`StackFrame`]s; attribution walks the stack from the innermost
 //! frame outward and takes the first frame with an external URL.
+//!
+//! A script's URL is parsed once, when the page loads the script, and
+//! shared: frames and attributions hold an `Arc<Url>`, so attributing a
+//! task bumps a reference count instead of copying the URL. The
+//! attribution also names the frame it took the URL from
+//! ([`Attribution::source`]), so a platform that resolved each script's
+//! identity at load time can look it up by [`ScriptId`] instead of by
+//! URL.
 
 use cg_dom::ScriptId;
 use cg_url::Url;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One frame on the execution stack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StackFrame {
     /// The script this frame belongs to.
     pub script_id: ScriptId,
     /// The script's URL; `None` for inline scripts.
-    pub url: Option<Url>,
+    pub url: Option<Arc<Url>>,
 }
 
 /// What a platform call knows about its caller — the paper's attribution
 /// tuple: the acting script, its URL/domain as recovered from the stack,
 /// and the simulated time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribution {
     /// The innermost script id on the stack, if the stack survived.
     pub script_id: Option<ScriptId>,
+    /// The id of the frame [`Attribution::script_url`] was taken from:
+    /// the innermost *external* script on the stack. `None` exactly when
+    /// `script_url` is.
+    pub source: Option<ScriptId>,
     /// The last external script URL on the stack (`None` ⇒ the call
     /// attributes as inline/unknown — either a genuine inline script or
     /// an async callback whose stack was lost).
-    pub script_url: Option<Url>,
+    pub script_url: Option<Arc<Url>>,
     /// Milliseconds since the page visit started.
     pub now_ms: u64,
     /// True when this call runs in a deferred task whose stack was lost
@@ -49,9 +61,14 @@ impl Attribution {
     pub fn from_stack(stack: &[StackFrame], now_ms: u64, async_lost: bool) -> Attribution {
         let script_id = stack.last().map(|f| f.script_id);
         // Innermost-out: the last external script URL.
-        let script_url = stack.iter().rev().find_map(|f| f.url.clone());
+        let (source, script_url) = stack
+            .iter()
+            .rev()
+            .find_map(|f| f.url.as_ref().map(|u| (f.script_id, Arc::clone(u))))
+            .unzip();
         Attribution {
             script_id,
+            source,
             script_url,
             now_ms,
             async_lost,
@@ -62,6 +79,7 @@ impl Attribution {
     pub fn lost(now_ms: u64) -> Attribution {
         Attribution {
             script_id: None,
+            source: None,
             script_url: None,
             now_ms,
             async_lost: true,
@@ -73,8 +91,8 @@ impl Attribution {
 mod tests {
     use super::*;
 
-    fn url(s: &str) -> Url {
-        Url::parse(s).unwrap()
+    fn url(s: &str) -> Option<Arc<Url>> {
+        Some(Arc::new(Url::parse(s).unwrap()))
     }
 
     #[test]
@@ -82,15 +100,16 @@ mod tests {
         let stack = vec![
             StackFrame {
                 script_id: 0,
-                url: Some(url("https://gtm.com/gtm.js")),
+                url: url("https://gtm.com/gtm.js"),
             },
             StackFrame {
                 script_id: 1,
-                url: Some(url("https://ga.com/analytics.js")),
+                url: url("https://ga.com/analytics.js"),
             },
         ];
         let at = Attribution::from_stack(&stack, 5, false);
         assert_eq!(at.script_id, Some(1));
+        assert_eq!(at.source, Some(1));
         assert_eq!(at.script_domain().as_deref(), Some("ga.com"));
     }
 
@@ -101,7 +120,7 @@ mod tests {
         let stack = vec![
             StackFrame {
                 script_id: 0,
-                url: Some(url("https://tracker.com/t.js")),
+                url: url("https://tracker.com/t.js"),
             },
             StackFrame {
                 script_id: 1,
@@ -114,6 +133,34 @@ mod tests {
     }
 
     #[test]
+    fn source_is_the_innermost_external_frame_under_an_inline_one() {
+        // The identity to charge is the external frame's, even though
+        // an inline frame runs on top of it.
+        let stack = vec![
+            StackFrame {
+                script_id: 4,
+                url: url("https://gtm.com/gtm.js"),
+            },
+            StackFrame {
+                script_id: 2,
+                url: url("https://tracker.com/t.js"),
+            },
+            StackFrame {
+                script_id: 9,
+                url: None,
+            },
+        ];
+        let at = Attribution::from_stack(&stack, 0, false);
+        assert_eq!(at.script_id, Some(9));
+        assert_eq!(at.source, Some(2));
+        // The URL is the frame's own, shared rather than copied.
+        assert!(Arc::ptr_eq(
+            at.script_url.as_ref().unwrap(),
+            stack[1].url.as_ref().unwrap()
+        ));
+    }
+
+    #[test]
     fn all_inline_stack_attributes_as_unknown() {
         let stack = vec![StackFrame {
             script_id: 3,
@@ -121,6 +168,7 @@ mod tests {
         }];
         let at = Attribution::from_stack(&stack, 0, false);
         assert_eq!(at.script_domain(), None);
+        assert_eq!(at.source, None);
     }
 
     #[test]
@@ -128,6 +176,10 @@ mod tests {
         let at = Attribution::lost(9);
         assert!(at.async_lost);
         assert_eq!(at.script_id, None);
+        assert_eq!(at.source, None);
         assert_eq!(at.script_domain(), None);
+        // A deferred task whose stack was dropped attributes the same way.
+        let at = Attribution::from_stack(&[], 9, true);
+        assert_eq!(at, Attribution::lost(9));
     }
 }

@@ -5,6 +5,10 @@
 //! macrotasks; `Defer` schedules a future macrotask; injected scripts run
 //! as fresh tasks with their own stack (matching how a real stack trace
 //! looks when an injected script executes later).
+//!
+//! Programs are borrowed, never copied: a task, a deferred callback and
+//! a change listener each hold a slice of the script's program (`'a`),
+//! which outlives the loop.
 
 use crate::behavior::{CookieSelection, Encoding, ScriptOp, SegmentPolicy};
 use crate::context::{Attribution, StackFrame};
@@ -16,35 +20,38 @@ use cg_url::Url;
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A script resolved and ready to run: identity plus its program.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScriptExecution {
+pub struct ScriptExecution<'a> {
     /// Document-level script id.
     pub script_id: ScriptId,
-    /// Source URL (`None` = inline).
-    pub url: Option<Url>,
+    /// Source URL (`None` = inline), parsed once and shared by every
+    /// frame of the script.
+    pub url: Option<Arc<Url>>,
     /// The behaviour program.
-    pub ops: Vec<ScriptOp>,
+    pub ops: &'a [ScriptOp],
 }
 
 #[derive(Debug)]
-struct Task {
+struct Task<'a> {
     at_ms: u64,
     seq: u64,
     stack: Vec<StackFrame>,
     async_lost: bool,
-    ops: Vec<ScriptOp>,
+    ops: &'a [ScriptOp],
 }
 
 /// A registered CookieStore `change`-event listener.
-#[derive(Debug, Clone)]
-struct ChangeListener {
+#[derive(Debug)]
+struct ChangeListener<'a> {
     stack: Vec<StackFrame>,
     async_lost: bool,
-    watch: Option<String>,
+    watch: Option<&'a str>,
     deletions_only: bool,
-    ops: Vec<ScriptOp>,
+    ops: &'a [ScriptOp],
 }
 
 /// Statistics from one event-loop run.
@@ -64,17 +71,18 @@ pub struct RunStats {
     pub finished_at_ms: u64,
 }
 
-/// The event loop. Time is virtual: it advances to each task's deadline.
-pub struct EventLoop {
+/// The event loop over programs borrowed for `'a`. Time is virtual: it
+/// advances to each task's deadline.
+pub struct EventLoop<'a> {
     /// Wall-clock epoch (unix ms) corresponding to `now_ms == 0`; cookie
     /// values embed realistic timestamps derived from it.
     wall_epoch_ms: i64,
     now_ms: u64,
     seq: u64,
     macrotasks: BinaryHeap<Reverse<TaskKey>>,
-    tasks: Vec<Option<Task>>,
-    microtasks: VecDeque<Task>,
-    listeners: Vec<ChangeListener>,
+    tasks: Vec<Option<Task<'a>>>,
+    microtasks: VecDeque<Task<'a>>,
+    listeners: Vec<ChangeListener<'a>>,
     max_ops: usize,
 }
 
@@ -82,10 +90,10 @@ pub struct EventLoop {
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct TaskKey(u64, u64, usize);
 
-impl EventLoop {
+impl<'a> EventLoop<'a> {
     /// Creates an empty loop whose virtual time 0 corresponds to
     /// `wall_epoch_ms` (unix milliseconds).
-    pub fn new(wall_epoch_ms: i64) -> EventLoop {
+    pub fn new(wall_epoch_ms: i64) -> EventLoop<'a> {
         EventLoop {
             wall_epoch_ms,
             now_ms: 0,
@@ -99,7 +107,7 @@ impl EventLoop {
     }
 
     /// Caps the number of ops a run may execute (default 500k).
-    pub fn with_max_ops(mut self, max_ops: usize) -> EventLoop {
+    pub fn with_max_ops(mut self, max_ops: usize) -> EventLoop<'a> {
         self.max_ops = max_ops;
         self
     }
@@ -115,21 +123,20 @@ impl EventLoop {
     }
 
     /// Schedules a script execution as a macrotask at `at_ms`.
-    pub fn push_script(&mut self, exec: ScriptExecution, at_ms: u64) {
-        let stack = vec![StackFrame {
-            script_id: exec.script_id,
-            url: exec.url.clone(),
-        }];
+    pub fn push_script(&mut self, exec: ScriptExecution<'a>, at_ms: u64) {
         self.push_task(Task {
             at_ms,
             seq: 0,
-            stack,
+            stack: vec![StackFrame {
+                script_id: exec.script_id,
+                url: exec.url,
+            }],
             async_lost: false,
             ops: exec.ops,
         });
     }
 
-    fn push_task(&mut self, mut task: Task) {
+    fn push_task(&mut self, mut task: Task<'a>) {
         task.seq = self.seq;
         self.seq += 1;
         let idx = self.tasks.len();
@@ -139,7 +146,7 @@ impl EventLoop {
     }
 
     /// Runs until both queues are empty (or the op budget is exhausted).
-    pub fn run<P: Platform, R: Rng>(&mut self, platform: &mut P, rng: &mut R) -> RunStats {
+    pub fn run<P: Platform<'a>, R: Rng>(&mut self, platform: &mut P, rng: &mut R) -> RunStats {
         let mut stats = RunStats::default();
         loop {
             // Microtasks drain fully before the next macrotask.
@@ -171,21 +178,22 @@ impl EventLoop {
     /// Drains the platform's change feed and schedules the handler
     /// programs of matching listeners. Listeners observe only changes
     /// the platform deems visible to them (CookieGuard's read policy),
-    /// so respawning trackers cannot watch foreign cookies.
-    fn dispatch_cookie_changes<P: Platform>(&mut self, platform: &mut P, stats: &mut RunStats) {
-        let changes = platform.drain_cookie_changes();
-        if changes.is_empty() || self.listeners.is_empty() {
+    /// so respawning trackers cannot watch foreign cookies. With no
+    /// listener registered the feed is discarded unread.
+    fn dispatch_cookie_changes<P: Platform<'a>>(&mut self, platform: &mut P, stats: &mut RunStats) {
+        if self.listeners.is_empty() {
+            platform.discard_cookie_changes();
             return;
         }
-        // Listeners are snapshotted so a handler registering another
-        // listener does not observe the change that triggered it.
-        let listeners = self.listeners.clone();
+        let changes = platform.drain_cookie_changes();
+        // Handlers run as later tasks, so no listener registers during a
+        // dispatch: a handler registering another listener does not
+        // observe the change that triggered it.
         for change in &changes {
-            for listener in &listeners {
-                if let Some(watch) = &listener.watch {
-                    if watch != &change.name {
-                        continue;
-                    }
+            for i in 0..self.listeners.len() {
+                let listener = &self.listeners[i];
+                if listener.watch.is_some_and(|watch| watch != change.name) {
+                    continue;
                 }
                 if listener.deletions_only && !change.deleted {
                     continue;
@@ -195,22 +203,23 @@ impl EventLoop {
                     continue;
                 }
                 stats.change_events_fired += 1;
-                self.push_task(Task {
+                let task = Task {
                     at_ms: self.now_ms,
                     seq: 0,
                     stack: listener.stack.clone(),
                     async_lost: listener.async_lost,
-                    ops: listener.ops.clone(),
-                });
+                    ops: listener.ops,
+                };
+                self.push_task(task);
             }
         }
     }
 
-    fn exec_task<P: Platform, R: Rng>(
+    fn exec_task<P: Platform<'a>, R: Rng>(
         &mut self,
         platform: &mut P,
         rng: &mut R,
-        task: Task,
+        task: Task<'a>,
         stats: &mut RunStats,
     ) {
         let at = Attribution::from_stack(&task.stack, self.now_ms, task.async_lost);
@@ -225,14 +234,14 @@ impl EventLoop {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn exec_op<P: Platform, R: Rng>(
+    fn exec_op<P: Platform<'a>, R: Rng>(
         &mut self,
         platform: &mut P,
         rng: &mut R,
         stack: &[StackFrame],
         async_lost: bool,
         at: &Attribution,
-        op: ScriptOp,
+        op: &'a ScriptOp,
         stats: &mut RunStats,
     ) {
         let wall = self.wall_now_ms();
@@ -241,13 +250,13 @@ impl EventLoop {
                 let v = value.generate(wall, rng);
                 let mut raw = format!("{name}={v}");
                 if let Some(ma) = attrs.max_age_s {
-                    raw.push_str(&format!("; Max-Age={ma}"));
+                    let _ = write!(raw, "; Max-Age={ma}");
                 }
                 if attrs.site_wide {
-                    raw.push_str(&format!("; Domain={}", platform.site_domain()));
+                    let _ = write!(raw, "; Domain={}", platform.site_domain());
                 }
                 if let Some(p) = &attrs.path {
-                    raw.push_str(&format!("; Path={p}"));
+                    let _ = write!(raw, "; Path={p}");
                 }
                 if attrs.secure {
                     raw.push_str("; Secure");
@@ -261,13 +270,13 @@ impl EventLoop {
             } => {
                 let v = value.generate(wall, rng);
                 let abs = expires_in_ms.map(|rel| wall + rel);
-                platform.cookie_store_set(at, &name, &v, abs);
+                platform.cookie_store_set(at, name, &v, abs);
             }
             ScriptOp::ReadAllCookies => {
                 let _ = platform.document_cookie_get(at);
             }
             ScriptOp::CookieStoreGet { name } => {
-                let _ = platform.cookie_store_get(at, &name);
+                let _ = platform.cookie_store_get(at, name);
             }
             ScriptOp::CookieStoreGetAll => {
                 let _ = platform.cookie_store_get_all(at);
@@ -281,7 +290,7 @@ impl EventLoop {
                 let jar = parse_pairs(&platform.document_cookie_get(at));
                 let existing = jar
                     .iter()
-                    .find(|(n, _)| n == &target)
+                    .find(|(n, _)| n == target)
                     .map(|(_, v)| v.clone());
                 if existing.is_none() && !blind {
                     return;
@@ -296,7 +305,7 @@ impl EventLoop {
                     raw.push_str("; Max-Age=31536000");
                 }
                 if changes.domain {
-                    raw.push_str(&format!("; Domain={}", platform.site_domain()));
+                    let _ = write!(raw, "; Domain={}", platform.site_domain());
                 }
                 if changes.path {
                     raw.push_str("; Path=/");
@@ -304,8 +313,8 @@ impl EventLoop {
                 platform.document_cookie_set(at, &raw);
             }
             ScriptOp::DeleteCookie { target, via_store } => {
-                if via_store {
-                    platform.cookie_store_delete(at, &target);
+                if *via_store {
+                    platform.cookie_store_delete(at, target);
                 } else {
                     platform.document_cookie_set(at, &format!("{target}=; Max-Age=0"));
                 }
@@ -319,12 +328,12 @@ impl EventLoop {
                 kind,
                 via_store,
             } => {
-                let pairs = if via_store {
+                let pairs = if *via_store {
                     platform.cookie_store_get_all(at)
                 } else {
                     parse_pairs(&platform.document_cookie_get(at))
                 };
-                let selected: Vec<(String, String)> = match &selection {
+                let selected: Vec<(String, String)> = match selection {
                     CookieSelection::All => pairs,
                     CookieSelection::Named(names) => pairs
                         .into_iter()
@@ -347,17 +356,17 @@ impl EventLoop {
                             .map(str::to_string)
                             .unwrap_or_else(|| value.clone()),
                     };
-                    let encoded = encode_value(&taken, encoding);
+                    let encoded = encode_value(&taken, *encoding);
                     if !query.is_empty() {
                         query.push('&');
                     }
-                    query.push_str(&format!("{}={}", name, percent_encode(&encoded)));
+                    let _ = write!(query, "{}={}", name, percent_encode(&encoded));
                 }
                 // A short request nonce, never colliding with cookie
                 // identifier segments (those are ≥8 chars).
                 let nonce: u32 = rng.gen_range(0x1000..0xFFFF);
                 let url = format!("https://{dest_host}{path}?r={nonce:04x}&{query}");
-                platform.send_request(at, &url, kind);
+                platform.send_request(at, &url, *kind);
             }
             ScriptOp::SendRequest {
                 dest_host,
@@ -365,35 +374,34 @@ impl EventLoop {
                 kind,
             } => {
                 let url = format!("https://{dest_host}{path}");
-                platform.send_request(at, &url, kind);
+                platform.send_request(at, &url, *kind);
             }
             ScriptOp::InjectScript { url } => {
-                if let Some(exec) = platform.resolve_injected_script(at, &url) {
+                if let Some(exec) = platform.resolve_injected_script(at, url) {
                     stats.scripts_injected += 1;
-                    let stack = vec![StackFrame {
-                        script_id: exec.script_id,
-                        url: exec.url.clone(),
-                    }];
                     self.push_task(Task {
                         at_ms: self.now_ms,
                         seq: 0,
-                        stack,
+                        stack: vec![StackFrame {
+                            script_id: exec.script_id,
+                            url: exec.url,
+                        }],
                         async_lost: false,
                         ops: exec.ops,
                     });
                 }
             }
-            ScriptOp::DomInsert { tag } => platform.dom_insert(at, &tag),
+            ScriptOp::DomInsert { tag } => platform.dom_insert(at, tag),
             ScriptOp::DomMutate {
                 kind,
                 foreign_target,
-            } => platform.dom_mutate(at, kind, foreign_target),
+            } => platform.dom_mutate(at, *kind, *foreign_target),
             ScriptOp::Defer {
                 delay_ms,
                 ops,
                 lose_attribution,
             } => {
-                let (stack, lost) = if lose_attribution {
+                let (stack, lost) = if *lose_attribution {
                     (Vec::new(), true)
                 } else {
                     (stack.to_vec(), async_lost)
@@ -421,7 +429,7 @@ impl EventLoop {
                 else_ops,
             } => {
                 let pairs = parse_pairs(&platform.document_cookie_get(at));
-                let visible = pairs.iter().any(|(n, _)| n == &cookie);
+                let visible = pairs.iter().any(|(n, _)| n == cookie);
                 let branch = if visible { then_ops } else { else_ops };
                 if !branch.is_empty() {
                     self.microtasks.push_back(Task {
@@ -440,22 +448,22 @@ impl EventLoop {
                 site_wide,
             } => {
                 let pairs = parse_pairs(&platform.document_cookie_get(at));
-                let Some((_, value)) = pairs.into_iter().find(|(n, _)| n == &from) else {
+                let Some((_, value)) = pairs.into_iter().find(|(n, _)| n == from) else {
                     return; // source invisible: the sync chain is cut here
                 };
                 let mut raw = format!("{to}={value}");
                 if let Some(ma) = max_age_s {
-                    raw.push_str(&format!("; Max-Age={ma}"));
+                    let _ = write!(raw, "; Max-Age={ma}");
                 }
-                if site_wide {
-                    raw.push_str(&format!("; Domain={}", platform.site_domain()));
+                if *site_wide {
+                    let _ = write!(raw, "; Domain={}", platform.site_domain());
                 }
                 platform.document_cookie_set(at, &raw);
             }
             ScriptOp::Probe { feature, cookie } => {
                 let pairs = parse_pairs(&platform.document_cookie_get(at));
-                let ok = pairs.iter().any(|(n, _)| n == &cookie);
-                platform.probe_result(at, &feature, &cookie, ok);
+                let ok = pairs.iter().any(|(n, _)| n == cookie);
+                platform.probe_result(at, feature, cookie, ok);
             }
             ScriptOp::OnCookieChange {
                 watch,
@@ -465,8 +473,8 @@ impl EventLoop {
                 self.listeners.push(ChangeListener {
                     stack: stack.to_vec(),
                     async_lost,
-                    watch,
-                    deletions_only,
+                    watch: watch.as_deref(),
+                    deletions_only: *deletions_only,
                     ops,
                 });
             }
@@ -516,15 +524,15 @@ mod tests {
     struct MockPlatform {
         cookies: HashMap<String, String>,
         log: Vec<String>,
-        injectable: HashMap<String, ScriptExecution>,
+        injectable: HashMap<String, ScriptExecution<'static>>,
         changes: Vec<CookieChangeNotice>,
         /// (observer domain, cookie name) pairs whose changes are hidden.
         invisible: Vec<(String, String)>,
     }
 
-    impl Platform for MockPlatform {
-        fn site_domain(&self) -> String {
-            "site.com".into()
+    impl Platform<'static> for MockPlatform {
+        fn site_domain(&self) -> &str {
+            "site.com"
         }
         fn document_cookie_get(&mut self, at: &Attribution) -> String {
             self.log.push(format!("get by {:?}", at.script_domain()));
@@ -593,7 +601,7 @@ mod tests {
             &mut self,
             _at: &Attribution,
             url: &str,
-        ) -> Option<ScriptExecution> {
+        ) -> Option<ScriptExecution<'static>> {
             self.injectable.get(url).cloned()
         }
         fn dom_insert(&mut self, _at: &Attribution, tag: &str) {
@@ -621,11 +629,13 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
-    fn exec(id: usize, url: &str, ops: Vec<ScriptOp>) -> ScriptExecution {
+    /// An external script running `ops`. The program is leaked so a
+    /// test can build it inline and hand it to a loop of any lifetime.
+    fn exec(id: usize, url: &str, ops: Vec<ScriptOp>) -> ScriptExecution<'static> {
         ScriptExecution {
             script_id: id,
-            url: Some(Url::parse(url).unwrap()),
-            ops,
+            url: Some(Arc::new(Url::parse(url).unwrap())),
+            ops: ops.leak(),
         }
     }
 
@@ -1294,5 +1304,41 @@ mod tests {
         let stats = el.run(&mut p, &mut rng());
         assert_eq!(stats.change_events_fired, 1);
         assert!(p.log.contains(&"dom_insert gone".to_string()));
+    }
+
+    #[test]
+    fn changes_before_the_first_listener_are_dropped_unheard() {
+        // The first task's write happens while nobody listens: its
+        // change is discarded, so the listener registered later hears
+        // only the write made after it.
+        let mut p = MockPlatform::default();
+        let mut el = EventLoop::new(0);
+        let set = |name: &str| ScriptOp::SetCookie {
+            name: name.into(),
+            value: ValueSpec::HexId(8),
+            attrs: CookieAttrs::default(),
+        };
+        el.push_script(exec(0, "https://a.com/a.js", vec![set("early")]), 0);
+        el.push_script(
+            exec(
+                1,
+                "https://w.com/w.js",
+                vec![ScriptOp::OnCookieChange {
+                    watch: None,
+                    deletions_only: false,
+                    ops: vec![ScriptOp::DomInsert {
+                        tag: "heard".into(),
+                    }],
+                }],
+            ),
+            10,
+        );
+        el.push_script(exec(2, "https://b.com/b.js", vec![set("late")]), 20);
+        let stats = el.run(&mut p, &mut rng());
+        assert_eq!(stats.change_events_fired, 1);
+        assert!(
+            p.changes.is_empty(),
+            "every change was drained or discarded"
+        );
     }
 }

@@ -24,11 +24,13 @@ pub struct CookieChangeNotice {
     pub deleted: bool,
 }
 
-/// The web-platform surface exposed to scripts.
-pub trait Platform {
+/// The web-platform surface exposed to scripts. `'a` is the lifetime of
+/// the behaviour programs the platform hands out for injected scripts:
+/// the event loop runs them borrowed, never copied.
+pub trait Platform<'a> {
     /// The visited site's registrable domain (what `Domain=`-wide cookie
     /// writes scope to).
-    fn site_domain(&self) -> String;
+    fn site_domain(&self) -> &str;
 
     /// The `document.cookie` getter: the serialized cookie string the
     /// caller is allowed to see.
@@ -62,7 +64,11 @@ pub trait Platform {
 
     /// Resolve a dynamically injected script URL into an execution. The
     /// returned program runs as its own task after the current one.
-    fn resolve_injected_script(&mut self, at: &Attribution, url: &str) -> Option<ScriptExecution>;
+    fn resolve_injected_script(
+        &mut self,
+        at: &Attribution,
+        url: &str,
+    ) -> Option<ScriptExecution<'a>>;
 
     /// Insert a DOM element owned by the caller.
     fn dom_insert(&mut self, at: &Attribution, tag: &str);
@@ -82,6 +88,14 @@ pub trait Platform {
     /// are never observable from scripts.
     fn drain_cookie_changes(&mut self) -> Vec<CookieChangeNotice> {
         Vec::new()
+    }
+
+    /// Drops the cookie changes accumulated since the last drain without
+    /// building notices for them: the event loop calls this instead of
+    /// [`Platform::drain_cookie_changes`] while no listener is
+    /// registered. Default: drain and discard.
+    fn discard_cookie_changes(&mut self) {
+        let _ = self.drain_cookie_changes();
     }
 
     /// Whether the listener registered under `at` may observe a change to

@@ -39,42 +39,42 @@ fn run_page(dom_guard: Option<&mut DomGuard>) -> cookieguard_repro::instrument::
     // A widget vendor inserts its own container — always fine — and then
     // starts "optimizing" the page: rewriting the site's article text,
     // restyling it, and removing an element it does not own.
+    let widget_ops = vec![
+        ScriptOp::DomInsert { tag: "div".into() },
+        ScriptOp::DomMutate {
+            kind: DomMutationKind::Content,
+            foreign_target: false,
+        },
+        ScriptOp::DomMutate {
+            kind: DomMutationKind::Content,
+            foreign_target: true,
+        },
+        ScriptOp::DomMutate {
+            kind: DomMutationKind::Style,
+            foreign_target: true,
+        },
+        ScriptOp::DomMutate {
+            kind: DomMutationKind::Remove,
+            foreign_target: true,
+        },
+    ];
     let widget = page.register_markup_script(
         Some("https://cdn.widgets.example.net/embed.js"),
-        vec![
-            ScriptOp::DomInsert { tag: "div".into() },
-            ScriptOp::DomMutate {
-                kind: DomMutationKind::Content,
-                foreign_target: false,
-            },
-            ScriptOp::DomMutate {
-                kind: DomMutationKind::Content,
-                foreign_target: true,
-            },
-            ScriptOp::DomMutate {
-                kind: DomMutationKind::Style,
-                foreign_target: true,
-            },
-            ScriptOp::DomMutate {
-                kind: DomMutationKind::Remove,
-                foreign_target: true,
-            },
-        ],
+        &widget_ops,
     );
     // The site's own script re-themes everything — the owner may.
-    let app = page.register_markup_script(
-        Some("https://www.news.example/static/theme.js"),
-        vec![
-            ScriptOp::DomMutate {
-                kind: DomMutationKind::Style,
-                foreign_target: false,
-            },
-            ScriptOp::DomMutate {
-                kind: DomMutationKind::Attribute,
-                foreign_target: false,
-            },
-        ],
-    );
+    let app_ops = vec![
+        ScriptOp::DomMutate {
+            kind: DomMutationKind::Style,
+            foreign_target: false,
+        },
+        ScriptOp::DomMutate {
+            kind: DomMutationKind::Attribute,
+            foreign_target: false,
+        },
+    ];
+    let app =
+        page.register_markup_script(Some("https://www.news.example/static/theme.js"), &app_ops);
     el.push_script(widget, 0);
     el.push_script(app, 25);
     let mut rng = StdRng::seed_from_u64(11);

@@ -45,53 +45,50 @@ fn run_page(
 
     let mut el = EventLoop::new(EPOCH_MS);
     // 1. The site's own script sets a cart cookie.
-    let app = page.register_markup_script(
-        Some("https://www.shop.example/static/app.js"),
-        vec![
-            ScriptOp::SetCookie {
-                name: "cart_id".into(),
-                value: ValueSpec::Uuid,
-                attrs: CookieAttrs::default(),
-            },
-            ScriptOp::ReadAllCookies,
-        ],
-    );
+    let app_ops = vec![
+        ScriptOp::SetCookie {
+            name: "cart_id".into(),
+            value: ValueSpec::Uuid,
+            attrs: CookieAttrs::default(),
+        },
+        ScriptOp::ReadAllCookies,
+    ];
+    let app = page.register_markup_script(Some("https://www.shop.example/static/app.js"), &app_ops);
     // 2. An analytics tag ghost-writes _ga into the first-party jar.
-    let ga = page.register_markup_script(
-        Some("https://www.googletagmanager.com/gtm.js"),
-        vec![ScriptOp::SetCookie {
-            name: "_ga".into(),
-            value: ValueSpec::GaStyle,
-            attrs: CookieAttrs {
-                max_age_s: Some(63_072_000),
-                site_wide: true,
-                ..CookieAttrs::default()
-            },
-        }],
-    );
+    let ga_ops = vec![ScriptOp::SetCookie {
+        name: "_ga".into(),
+        value: ValueSpec::GaStyle,
+        attrs: CookieAttrs {
+            max_age_s: Some(63_072_000),
+            site_wide: true,
+            ..CookieAttrs::default()
+        },
+    }];
+    let ga = page.register_markup_script(Some("https://www.googletagmanager.com/gtm.js"), &ga_ops);
     // 3. A retargeting script reads the whole jar and exfiltrates the _ga
     //    identifier it never set…
+    let tracker_ops = vec![
+        ScriptOp::ReadAllCookies,
+        ScriptOp::Exfiltrate {
+            dest_host: "px.ads.linkedin.com".into(),
+            path: "/attribution_trigger".into(),
+            selection: CookieSelection::Named(vec!["_ga".into(), "cart_id".into()]),
+            segment: SegmentPolicy::LongestSegment,
+            encoding: Encoding::Base64,
+            kind: cookieguard_repro::http::RequestKind::Image,
+            via_store: false,
+        },
+        // …and overwrites it for good measure.
+        ScriptOp::OverwriteCookie {
+            target: "_ga".into(),
+            value: ValueSpec::GaStyle,
+            changes: AttrChanges::value_and_expiry(),
+            blind: false,
+        },
+    ];
     let tracker = page.register_markup_script(
         Some("https://snap.licdn.com/li.lms-analytics/insight.min.js"),
-        vec![
-            ScriptOp::ReadAllCookies,
-            ScriptOp::Exfiltrate {
-                dest_host: "px.ads.linkedin.com".into(),
-                path: "/attribution_trigger".into(),
-                selection: CookieSelection::Named(vec!["_ga".into(), "cart_id".into()]),
-                segment: SegmentPolicy::LongestSegment,
-                encoding: Encoding::Base64,
-                kind: cookieguard_repro::http::RequestKind::Image,
-                via_store: false,
-            },
-            // …and overwrites it for good measure.
-            ScriptOp::OverwriteCookie {
-                target: "_ga".into(),
-                value: ValueSpec::GaStyle,
-                changes: AttrChanges::value_and_expiry(),
-                blind: false,
-            },
-        ],
+        &tracker_ops,
     );
     el.push_script(app, 0);
     el.push_script(ga, 25);

@@ -41,22 +41,22 @@ fn run_sso_flow(guard: Option<&mut GuardSession>) -> bool {
     let mut el = EventLoop::new(EPOCH_MS);
 
     // The MSAL library (msauth.net) authenticates and stores the session.
+    let setter_ops = vec![ScriptOp::SetCookie {
+        name: "msal.session".into(),
+        value: ValueSpec::HexId(32),
+        attrs: CookieAttrs::default(),
+    }];
     let setter = page.register_markup_script(
         Some("https://logincdn.msauth.net/shared/msal-browser.min.js"),
-        vec![ScriptOp::SetCookie {
-            name: "msal.session".into(),
-            value: ValueSpec::HexId(32),
-            attrs: CookieAttrs::default(),
-        }],
+        &setter_ops,
     );
     // The login widget (live.com) must read it to maintain the session.
-    let reader = page.register_markup_script(
-        Some("https://login.live.com/sso/wsfed.js"),
-        vec![ScriptOp::Probe {
-            feature: "sso".into(),
-            cookie: "msal.session".into(),
-        }],
-    );
+    let reader_ops = vec![ScriptOp::Probe {
+        feature: "sso".into(),
+        cookie: "msal.session".into(),
+    }];
+    let reader =
+        page.register_markup_script(Some("https://login.live.com/sso/wsfed.js"), &reader_ops);
     el.push_script(setter, 0);
     el.push_script(reader, 25);
     let mut rng = StdRng::seed_from_u64(5);

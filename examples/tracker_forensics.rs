@@ -46,54 +46,56 @@ fn main() {
     let mut el = EventLoop::new(EPOCH_MS);
 
     // googletagmanager ghost-writes _ga (value fixed to the paper's).
-    let gtm = page.register_markup_script(
-        Some("https://www.googletagmanager.com/gtm.js"),
-        vec![ScriptOp::SetCookie {
-            name: "_ga".into(),
-            value: ValueSpec::Fixed("GA1.1.444332364.1746838827".into()),
-            attrs: CookieAttrs {
-                site_wide: true,
-                ..CookieAttrs::default()
-            },
-        }],
-    );
+    let gtm_ops = vec![ScriptOp::SetCookie {
+        name: "_ga".into(),
+        value: ValueSpec::Fixed("GA1.1.444332364.1746838827".into()),
+        attrs: CookieAttrs {
+            site_wide: true,
+            ..CookieAttrs::default()
+        },
+    }];
+    let gtm =
+        page.register_markup_script(Some("https://www.googletagmanager.com/gtm.js"), &gtm_ops);
     // facebook.net ghost-writes _fbp (the paper's value).
+    let fb_ops = vec![ScriptOp::SetCookie {
+        name: "_fbp".into(),
+        value: ValueSpec::Fixed("fb.0.1746746266109.868308499845957651".into()),
+        attrs: CookieAttrs {
+            site_wide: true,
+            ..CookieAttrs::default()
+        },
+    }];
     let fb = page.register_markup_script(
         Some("https://connect.facebook.net/en_US/fbevents.js"),
-        vec![ScriptOp::SetCookie {
-            name: "_fbp".into(),
-            value: ValueSpec::Fixed("fb.0.1746746266109.868308499845957651".into()),
-            attrs: CookieAttrs {
-                site_wide: true,
-                ..CookieAttrs::default()
-            },
-        }],
+        &fb_ops,
     );
     // Case 1: LinkedIn insight tag — targeted segment parsing + Base64.
+    let licdn_ops = vec![ScriptOp::Exfiltrate {
+        dest_host: "px.ads.linkedin.com".into(),
+        path: "/attribution_trigger".into(),
+        selection: CookieSelection::Named(vec!["_ga".into()]),
+        segment: SegmentPolicy::LongestSegment,
+        encoding: Encoding::Base64,
+        kind: cookieguard_repro::http::RequestKind::Image,
+        via_store: false,
+    }];
     let licdn = page.register_markup_script(
         Some("https://snap.licdn.com/li.lms-analytics/insight.min.js"),
-        vec![ScriptOp::Exfiltrate {
-            dest_host: "px.ads.linkedin.com".into(),
-            path: "/attribution_trigger".into(),
-            selection: CookieSelection::Named(vec!["_ga".into()]),
-            segment: SegmentPolicy::LongestSegment,
-            encoding: Encoding::Base64,
-            kind: cookieguard_repro::http::RequestKind::Image,
-            via_store: false,
-        }],
+        &licdn_ops,
     );
     // Case 2: Osano consent script forwards _fbp to Criteo, verbatim.
+    let osano_ops = vec![ScriptOp::Exfiltrate {
+        dest_host: "sslwidget.criteo.com".into(),
+        path: "/event".into(),
+        selection: CookieSelection::Named(vec!["_fbp".into()]),
+        segment: SegmentPolicy::Full,
+        encoding: Encoding::Plain,
+        kind: cookieguard_repro::http::RequestKind::Xhr,
+        via_store: false,
+    }];
     let osano = page.register_markup_script(
         Some("https://cmp.osano.com/1vX3GkPazR/osano.js"),
-        vec![ScriptOp::Exfiltrate {
-            dest_host: "sslwidget.criteo.com".into(),
-            path: "/event".into(),
-            selection: CookieSelection::Named(vec!["_fbp".into()]),
-            segment: SegmentPolicy::Full,
-            encoding: Encoding::Plain,
-            kind: cookieguard_repro::http::RequestKind::Xhr,
-            via_store: false,
-        }],
+        &osano_ops,
     );
     for (i, exec) in [gtm, fb, licdn, osano].into_iter().enumerate() {
         el.push_script(exec, i as u64 * 25);

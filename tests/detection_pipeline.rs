@@ -25,7 +25,7 @@ fn run(scripts: Vec<(&str, Vec<ScriptOp>)>) -> VisitLog {
     let injectables = HashMap::new();
     let mut page = Page::new(url, EPOCH, &mut jar, None, &mut recorder, &injectables, 3);
     let mut el = EventLoop::new(EPOCH);
-    for (i, (u, ops)) in scripts.into_iter().enumerate() {
+    for (i, (u, ops)) in scripts.iter().enumerate() {
         let exec = page.register_markup_script(Some(u), ops);
         el.push_script(exec, i as u64 * 20);
     }

@@ -26,8 +26,8 @@ fn run_scripts(
     let mut page = Page::new(url, EPOCH, &mut jar, guard, &mut recorder, &injectables, 7);
     page.apply_server_cookies(server_cookies);
     let mut el = EventLoop::new(EPOCH);
-    for (i, (u, ops)) in scripts.into_iter().enumerate() {
-        let exec = page.register_markup_script(u, ops);
+    for (i, (u, ops)) in scripts.iter().enumerate() {
+        let exec = page.register_markup_script(*u, ops);
         el.push_script(exec, i as u64 * 25);
     }
     let mut rng = StdRng::seed_from_u64(3);
@@ -78,25 +78,23 @@ fn runaway_change_listener_is_budgeted() {
     let injectables = HashMap::new();
     let mut page = Page::new(url, EPOCH, &mut jar, None, &mut recorder, &injectables, 7);
     let mut el = EventLoop::new(EPOCH).with_max_ops(500);
-    let exec = page.register_markup_script(
-        Some("https://loop.evil/l.js"),
-        vec![
-            ScriptOp::OnCookieChange {
-                watch: Some("self_feed".into()),
-                deletions_only: false,
-                ops: vec![ScriptOp::SetCookie {
-                    name: "self_feed".into(),
-                    value: ValueSpec::Short,
-                    attrs: CookieAttrs::default(),
-                }],
-            },
-            ScriptOp::SetCookie {
+    let exec_ops = vec![
+        ScriptOp::OnCookieChange {
+            watch: Some("self_feed".into()),
+            deletions_only: false,
+            ops: vec![ScriptOp::SetCookie {
                 name: "self_feed".into(),
                 value: ValueSpec::Short,
                 attrs: CookieAttrs::default(),
-            },
-        ],
-    );
+            }],
+        },
+        ScriptOp::SetCookie {
+            name: "self_feed".into(),
+            value: ValueSpec::Short,
+            attrs: CookieAttrs::default(),
+        },
+    ];
+    let exec = page.register_markup_script(Some("https://loop.evil/l.js"), &exec_ops);
     el.push_script(exec, 0);
     let mut rng = StdRng::seed_from_u64(3);
     let stats = el.run(&mut page, &mut rng);
@@ -205,30 +203,28 @@ fn http_scheme_disables_cookie_store_and_change_events() {
     let injectables = HashMap::new();
     let mut page = Page::new(url, EPOCH, &mut jar, None, &mut recorder, &injectables, 7);
     let mut el = EventLoop::new(EPOCH);
-    let exec = page.register_markup_script(
-        Some("http://t.plain.com/t.js"),
-        vec![
-            ScriptOp::OnCookieChange {
-                watch: None,
-                deletions_only: false,
-                ops: vec![ScriptOp::SetCookie {
-                    name: "fired".into(),
-                    value: ValueSpec::Short,
-                    attrs: CookieAttrs::default(),
-                }],
-            },
-            ScriptOp::CookieStoreSet {
-                name: "via_store".into(),
-                value: ValueSpec::Short,
-                expires_in_ms: None,
-            },
-            ScriptOp::SetCookie {
-                name: "via_doc".into(),
+    let exec_ops = vec![
+        ScriptOp::OnCookieChange {
+            watch: None,
+            deletions_only: false,
+            ops: vec![ScriptOp::SetCookie {
+                name: "fired".into(),
                 value: ValueSpec::Short,
                 attrs: CookieAttrs::default(),
-            },
-        ],
-    );
+            }],
+        },
+        ScriptOp::CookieStoreSet {
+            name: "via_store".into(),
+            value: ValueSpec::Short,
+            expires_in_ms: None,
+        },
+        ScriptOp::SetCookie {
+            name: "via_doc".into(),
+            value: ValueSpec::Short,
+            attrs: CookieAttrs::default(),
+        },
+    ];
+    let exec = page.register_markup_script(Some("http://t.plain.com/t.js"), &exec_ops);
     el.push_script(exec, 0);
     let mut rng = StdRng::seed_from_u64(3);
     let stats = el.run(&mut page, &mut rng);

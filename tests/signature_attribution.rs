@@ -66,16 +66,15 @@ fn run(
     }
     let mut el = EventLoop::new(EPOCH);
     // The site's own script sets a session cookie.
-    let own = page.register_markup_script(
-        Some("https://www.site.example/app.js"),
-        vec![ScriptOp::SetCookie {
-            name: "site_sess".into(),
-            value: ValueSpec::HexId(24),
-            attrs: CookieAttrs::default(),
-        }],
-    );
+    let own_ops = vec![ScriptOp::SetCookie {
+        name: "site_sess".into(),
+        value: ValueSpec::HexId(24),
+        attrs: CookieAttrs::default(),
+    }];
+    let own = page.register_markup_script(Some("https://www.site.example/app.js"), &own_ops);
     // The tracker, embedded INLINE (no src attribute).
-    let inline_tracker = page.register_markup_script(None, tracker_ops());
+    let tracker_ops = tracker_ops();
+    let inline_tracker = page.register_markup_script(None, &tracker_ops);
     el.push_script(own, 0);
     el.push_script(inline_tracker, 25);
     let mut rng = StdRng::seed_from_u64(4);
