@@ -2,7 +2,7 @@
 //! (every candidate identifier gets Base64 + MD5 + SHA-1 forms, and each
 //! form is substring-matched against outbound URLs).
 
-use cg_hash::{b64encode, md5_hex, sha1_hex, EncodedForms, FormScanner};
+use cg_hash::{b64encode, md5_hex, sha1_hex, DigestGate, EncodedForms, FormSet};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_primitives(c: &mut Criterion) {
@@ -16,8 +16,12 @@ fn bench_primitives(c: &mut Criterion) {
 }
 
 fn bench_encoded_forms(c: &mut Criterion) {
-    c.bench_function("encoded_forms_of_identifier", |b| {
-        b.iter(|| black_box(EncodedForms::of("444332364")));
+    let mut set = FormSet::default();
+    c.bench_function("form_set_push_identifier", |b| {
+        b.iter(|| {
+            set.reset(DigestGate::ALL);
+            black_box(set.push(black_box("444332364")))
+        });
     });
     let forms = EncodedForms::of("444332364");
     let url = "https://px.ads.linkedin.com/attribution_trigger?pid=621340&url=www.optimonk.com&_ga=NDQ0MzMyMzY0LjE3NDY4Mzg4Mjc";
@@ -25,11 +29,12 @@ fn bench_encoded_forms(c: &mut Criterion) {
         b.iter(|| black_box(forms.appears_in(url)));
     });
     // A visit's worth of identifiers against one URL, in one pass.
-    let visit: Vec<EncodedForms> = (0..16u64)
-        .map(|i| EncodedForms::of(&(868_308_499_845_957_651 + i).to_string()))
-        .chain([forms])
-        .collect();
-    let scanner = FormScanner::new(&visit);
+    let mut visit = FormSet::new(DigestGate::ALL);
+    for i in 0..16u64 {
+        visit.push(&(868_308_499_845_957_651 + i).to_string());
+    }
+    visit.push("444332364");
+    let scanner = visit.scanner();
     let mut hits = Vec::new();
     c.bench_function("scan_17_identifiers_against_url", |b| {
         b.iter(|| {

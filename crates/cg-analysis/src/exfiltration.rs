@@ -15,11 +15,11 @@ use crate::census::merge_map;
 use crate::dataset::{OwnershipReplay, PairKey, PairRef};
 use crate::table1::{add_counts, top_k, CrossActions};
 use cg_entity::EntityMap;
-use cg_hash::{DigestGate, EncodedForms, FormScanner};
+use cg_hash::{DigestGate, FormSet};
 use cg_instrument::VisitLog;
 use cg_script::value::segments;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One confirmed exfiltration event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,14 +74,19 @@ impl ExfilAnalysis {
         if !carried {
             return;
         }
-        // Candidate forms for this site's pairs, in first-write order.
-        let mut forms: Vec<(&PairRef, EncodedForms)> = Vec::new();
+        // Candidate identifiers for this site's pairs, in first-write
+        // order, each with the pair whose value it came from.
+        let mut forms = FormSet::new(gate);
+        let mut owners: Vec<&PairRef> = Vec::new();
+        let mut seen: Vec<&str> = Vec::new();
         for (index, pair) in site.pairs.iter().enumerate() {
-            let mut seen: HashSet<&str> = HashSet::new();
+            seen.clear();
             for value in site.values_of(index) {
                 for seg in segments(value) {
-                    if seen.insert(seg) {
-                        forms.push((pair, EncodedForms::gated(seg, gate)));
+                    if !seen.contains(&seg) {
+                        seen.push(seg);
+                        forms.push(seg);
+                        owners.push(pair);
                     }
                 }
             }
@@ -89,13 +94,13 @@ impl ExfilAnalysis {
         if forms.is_empty() {
             return;
         }
-        let scanner = FormScanner::new(forms.iter().map(|(_, f)| f));
+        let scanner = forms.scanner();
         let mut hits = Vec::new();
 
         for (req, dest, initiator) in carriers() {
             scanner.scan(log.str(req.url), &mut hits);
             for &hit in &hits {
-                let pair = forms[hit].0;
+                let pair = owners[hit];
                 let key = pair.key();
                 let cross = !initiator.eq_ignore_ascii_case(pair.owner);
                 self.events.push(ExfilEvent {

@@ -10,7 +10,7 @@
 
 use cg_analysis::dataset::replay;
 use cg_analysis::PairKey;
-use cg_hash::{DigestGate, EncodedForms, FormScanner};
+use cg_hash::{DigestGate, FormSet};
 use cg_instrument::VisitLog;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -97,6 +97,7 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
     let gate = DigestGate::of(foreign_queries.iter().map(|&(url, _)| url));
 
     let mut samples = Vec::with_capacity(replay.pairs.len());
+    let mut forms = FormSet::default();
     let mut hits = Vec::new();
     for (index, pair) in replay.pairs.iter().enumerate() {
         let values = replay.values_of(index);
@@ -122,11 +123,11 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
 
         // Value flows into third-party requests (raw or encoded).
         // Every (segment, request) pair that matches counts once.
-        let forms: Vec<EncodedForms> = values
-            .flat_map(id_segments)
-            .map(|seg| EncodedForms::gated(seg, gate))
-            .collect();
-        let scanner = FormScanner::new(&forms);
+        forms.reset(gate);
+        for seg in values.flat_map(id_segments) {
+            forms.push(seg);
+        }
+        let scanner = forms.scanner();
         let mut flow_requests = 0usize;
         let mut dests: HashSet<&str> = HashSet::new();
         for (url, dest) in &foreign_queries {

@@ -68,8 +68,25 @@
 //! payload's table into the log's table as it is (a payload index *is*
 //! the decoded symbol, since the table is in first-use order) and fills
 //! the event vectors directly, so a decode allocates once per table
-//! part and once per non-empty event sequence, never per string. The
-//! recorder numbers strings in the order the visit meets them, so the
+//! part and once per non-empty event sequence, never per string.
+//!
+//! The decoder's hot path is built for valid payloads:
+//!
+//! * the table's entries are copied back to back into one arena (sized
+//!   exactly by a first pass over their lengths), the arena is
+//!   validated as UTF-8 once, and
+//!   [`StrTable::from_parts`] indexes it, checking that every entry
+//!   ends on a char boundary and that no string appears twice. Only a
+//!   table that fails is walked again entry by entry, to name the first
+//!   bad entry;
+//! * a varint below 128 (most indices, counts and lengths) is read
+//!   without entering the multi-byte loop;
+//! * an error is a boxed message built out of line (`#[cold]`), so the
+//!   `Result` of each field read stays two words and returns in
+//!   registers. The public [`decode_visit_log`] still returns the
+//!   message as a `String`, worded as it always was.
+//!
+//! The recorder numbers strings in the order the visit meets them, so the
 //! encoder maps the log's symbols to payload indices through a flat
 //! vector, assigning each on first use; for a decoded log that map is
 //! the identity. Decoding charges everything it allocates against a
@@ -414,8 +431,8 @@ pub fn decode_visit_log(payload: &[u8]) -> Result<VisitLog, String> {
         next_new: 0,
         budget: payload.len().saturating_mul(MAX_EXPANSION),
     };
-    d.table()?;
-    let log = d.visit_log()?;
+    let decoded = d.table().and_then(|()| d.visit_log());
+    let log = decoded.map_err(|e| *e.0)?;
     if d.pos != payload.len() {
         return Err(format!(
             "{} trailing bytes after the visit log",
@@ -429,6 +446,30 @@ pub fn decode_visit_log(payload: &[u8]) -> Result<VisitLog, String> {
         ));
     }
     Ok(log)
+}
+
+/// Why a decode failed: the message, boxed so that the `Result` of
+/// every hot [`Dec`] method stays two words and returns in registers.
+// A `String` is three words and a `Box<str>` two; the extra allocation
+// is paid only on failure.
+#[allow(clippy::box_collection)]
+struct DecodeError(Box<String>);
+
+type Decoded<T> = Result<T, DecodeError>;
+
+/// Builds a [`DecodeError`]; out of line, since valid payloads never
+/// fail.
+#[cold]
+#[inline(never)]
+fn error(message: std::fmt::Arguments<'_>) -> DecodeError {
+    DecodeError(Box::new(message.to_string()))
+}
+
+/// The error for a read past the payload's end at byte `at`.
+#[cold]
+#[inline(never)]
+fn truncated(at: usize) -> DecodeError {
+    error(format_args!("payload truncated at byte {at}"))
 }
 
 struct Dec<'a> {
@@ -450,46 +491,63 @@ impl<'a> Dec<'a> {
     }
 
     /// Charges `bytes` of allocation against the budget.
-    fn charge(&mut self, bytes: usize) -> Result<(), String> {
+    fn charge(&mut self, bytes: usize) -> Decoded<()> {
         self.budget = self.budget.checked_sub(bytes).ok_or_else(|| {
-            format!("the decoded visit would exceed {MAX_EXPANSION} bytes per payload byte")
+            error(format_args!(
+                "the decoded visit would exceed {MAX_EXPANSION} bytes per payload byte"
+            ))
         })?;
         Ok(())
     }
 
-    fn byte(&mut self) -> Result<u8, String> {
+    fn byte(&mut self) -> Decoded<u8> {
         let b = *self
             .bytes
             .get(self.pos)
-            .ok_or_else(|| format!("payload truncated at byte {}", self.pos))?;
+            .ok_or_else(|| truncated(self.pos))?;
         self.pos += 1;
         Ok(b)
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    fn take(&mut self, n: usize) -> Decoded<&'a [u8]> {
         let bytes = self.bytes;
         let slice = bytes
             .get(self.pos..)
             .and_then(|rest| rest.get(..n))
-            .ok_or_else(|| format!("payload truncated at byte {}", self.pos))?;
+            .ok_or_else(|| truncated(self.pos))?;
         self.pos += n;
         Ok(slice)
     }
 
-    /// A LEB128 varint in its shortest form.
-    fn varint(&mut self) -> Result<u64, String> {
+    /// A LEB128 varint in its shortest form. Most are one byte (every
+    /// string index below 128, counts, lengths, small times), so that
+    /// case returns without entering the loop.
+    #[inline]
+    fn varint(&mut self) -> Decoded<u64> {
+        match self.bytes.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.long_varint(),
+        }
+    }
+
+    fn long_varint(&mut self) -> Decoded<u64> {
         let start = self.pos;
         let mut v = 0u64;
         let mut shift = 0;
         loop {
             let byte = self.byte()?;
             if shift == 63 && byte > 1 {
-                return Err(format!("varint at byte {start} overflows 64 bits"));
+                return Err(error(format_args!(
+                    "varint at byte {start} overflows 64 bits"
+                )));
             }
             v |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
                 if byte == 0 && shift > 0 {
-                    return Err(format!("overlong varint at byte {start}"));
+                    return Err(error(format_args!("overlong varint at byte {start}")));
                 }
                 return Ok(v);
             }
@@ -497,42 +555,46 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn usize_val(&mut self) -> Result<usize, String> {
+    fn usize_val(&mut self) -> Decoded<usize> {
         let at = self.pos;
-        usize::try_from(self.varint()?).map_err(|_| format!("integer at byte {at} overflows usize"))
+        usize::try_from(self.varint()?)
+            .map_err(|_| error(format_args!("integer at byte {at} overflows usize")))
     }
 
     /// A declared count of items that each take at least `min_bytes`,
     /// refused when the rest of the payload cannot hold them.
-    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, String> {
+    fn count(&mut self, min_bytes: usize, what: &str) -> Decoded<usize> {
         let at = self.pos;
         let n = self.varint()?;
         if n > (self.remaining() / min_bytes) as u64 {
-            return Err(format!(
+            return Err(error(format_args!(
                 "{n} {what} declared at byte {at}, but only {} bytes remain",
                 self.remaining()
-            ));
+            )));
         }
         Ok(n as usize)
     }
 
     /// A presence or `bool` byte: 0 or 1.
-    fn flag(&mut self) -> Result<bool, String> {
+    fn flag(&mut self) -> Decoded<bool> {
         match self.byte()? {
             0 => Ok(false),
             1 => Ok(true),
-            b => Err(format!(
+            b => Err(error(format_args!(
                 "flag byte {b} at byte {} (expected 0 or 1)",
                 self.pos - 1
-            )),
+            ))),
         }
     }
 
-    /// The string table: validated once, each entry checked against
-    /// the others so a payload never names one string twice, and
-    /// copied into the log's table sized exactly (a first pass over the
-    /// entry lengths finds the size).
-    fn table(&mut self) -> Result<(), String> {
+    /// The string table. A first pass over the entry lengths finds the
+    /// table's size; a second copies every entry into one arena sized
+    /// exactly, which is validated as UTF-8 once and then indexed by
+    /// [`StrTable::from_parts`], which checks that each entry ends on a
+    /// char boundary (so each is UTF-8 on its own) and names no string
+    /// twice. A table that fails either check is decoded again entry by
+    /// entry, so the error names the first bad entry as it always has.
+    fn table(&mut self) -> Decoded<()> {
         let n = self.count(1, "string table entries")?;
         let entries = self.pos;
         let mut bytes = 0;
@@ -547,22 +609,50 @@ impl<'a> Dec<'a> {
                 + n * std::mem::size_of::<u32>()
                 + StrIndex::slot_count(n) * std::mem::size_of::<u32>(),
         )?;
-        self.strings = StrTable::with_capacity(n, bytes);
+        let mut arena = Vec::with_capacity(bytes);
+        let mut ends = Vec::with_capacity(n);
+        for _ in 0..n {
+            let len = self.usize_val()?;
+            arena.extend_from_slice(self.take(len)?);
+            ends.push(arena.len() as u32);
+        }
+        let table = String::from_utf8(arena)
+            .ok()
+            .and_then(|arena| StrTable::from_parts(arena, ends).ok());
+        self.strings = match table {
+            Some(table) => table,
+            None => {
+                self.pos = entries;
+                self.table_entry_by_entry(n, bytes)?
+            }
+        };
+        Ok(())
+    }
+
+    /// The string table at `pos`, checked and interned one entry at a
+    /// time: the first entry that is not UTF-8 or repeats an earlier
+    /// one is the error.
+    #[cold]
+    #[inline(never)]
+    fn table_entry_by_entry(&mut self, n: usize, bytes: usize) -> Decoded<StrTable> {
+        let mut strings = StrTable::with_capacity(n, bytes);
         for i in 0..n {
             let at = self.pos;
             let len = self.usize_val()?;
             let s = std::str::from_utf8(self.take(len)?)
-                .map_err(|e| format!("invalid UTF-8 in string table entry {i}: {e}"))?;
-            if self.strings.insert(s).is_err() {
-                return Err(format!("duplicate string table entry {i} at byte {at}"));
+                .map_err(|e| error(format_args!("invalid UTF-8 in string table entry {i}: {e}")))?;
+            if strings.insert(s).is_err() {
+                return Err(error(format_args!(
+                    "duplicate string table entry {i} at byte {at}"
+                )));
             }
         }
-        Ok(())
+        Ok(strings)
     }
 
     /// A string: its table index, which is its symbol. An existing
     /// entry, or the next unused one.
-    fn string(&mut self) -> Result<Sym, String> {
+    fn string(&mut self) -> Decoded<Sym> {
         let at = self.pos;
         let i = self.varint()?;
         if i < self.next_new as u64 {
@@ -572,20 +662,28 @@ impl<'a> Dec<'a> {
             self.next_new += 1;
             return Ok(i as Sym);
         }
-        Err(if i >= self.strings.len() as u64 {
-            format!(
-                "string index {i} at byte {at} is out of range ({} entries)",
-                self.strings.len()
-            )
-        } else {
-            format!(
-                "string index {i} at byte {at} skips unused entry {}",
-                self.next_new
-            )
-        })
+        Err(self.bad_index(i, at))
     }
 
-    fn opt_string(&mut self) -> Result<Option<Sym>, String> {
+    /// The error for index `i` read at byte `at`, which names neither
+    /// an existing entry nor the next unused one.
+    #[cold]
+    #[inline(never)]
+    fn bad_index(&self, i: u64, at: usize) -> DecodeError {
+        if i >= self.strings.len() as u64 {
+            error(format_args!(
+                "string index {i} at byte {at} is out of range ({} entries)",
+                self.strings.len()
+            ))
+        } else {
+            error(format_args!(
+                "string index {i} at byte {at} skips unused entry {}",
+                self.next_new
+            ))
+        }
+    }
+
+    fn opt_string(&mut self) -> Decoded<Option<Sym>> {
         if self.flag()? {
             self.string().map(Some)
         } else {
@@ -594,7 +692,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A read's names, appended to `read_names`: their range there.
-    fn read_names(&mut self) -> Result<std::ops::Range<u32>, String> {
+    fn read_names(&mut self) -> Decoded<std::ops::Range<u32>> {
         let n = self.count(1, "read names")?;
         if self.read_names.capacity() == 0 && n > 0 {
             // Every name takes at least a byte, so what is left of the
@@ -617,8 +715,8 @@ impl<'a> Dec<'a> {
         &mut self,
         min_bytes: usize,
         what: &str,
-        item: impl Fn(&mut Dec<'a>) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
+        item: impl Fn(&mut Dec<'a>) -> Decoded<T>,
+    ) -> Decoded<Vec<T>> {
         let n = self.count(min_bytes, what)?;
         self.charge(n * std::mem::size_of::<T>())?;
         let mut out = Vec::with_capacity(n);
@@ -628,15 +726,18 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
-    fn enum_byte(&mut self, variants: u8, what: &str) -> Result<u8, String> {
+    fn enum_byte(&mut self, variants: u8, what: &str) -> Decoded<u8> {
         let b = self.byte()?;
         if b >= variants {
-            return Err(format!("unknown {what} byte {b} at byte {}", self.pos - 1));
+            return Err(error(format_args!(
+                "unknown {what} byte {b} at byte {}",
+                self.pos - 1
+            )));
         }
         Ok(b)
     }
 
-    fn cookie_api(&mut self) -> Result<CookieApi, String> {
+    fn cookie_api(&mut self) -> Decoded<CookieApi> {
         Ok(match self.enum_byte(3, "CookieApi")? {
             0 => CookieApi::DocumentCookie,
             1 => CookieApi::CookieStore,
@@ -644,7 +745,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn write_kind(&mut self) -> Result<WriteKind, String> {
+    fn write_kind(&mut self) -> Decoded<WriteKind> {
         Ok(match self.enum_byte(3, "WriteKind")? {
             0 => WriteKind::Create,
             1 => WriteKind::Overwrite,
@@ -652,7 +753,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn request_kind(&mut self) -> Result<RequestKind, String> {
+    fn request_kind(&mut self) -> Decoded<RequestKind> {
         Ok(match self.enum_byte(7, "RequestKind")? {
             0 => RequestKind::Document,
             1 => RequestKind::Script,
@@ -664,7 +765,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn set_event(&mut self) -> Result<SetEvent, String> {
+    fn set_event(&mut self) -> Decoded<SetEvent> {
         let name = self.string()?;
         let value = self.string()?;
         let actor = self.opt_string()?;
@@ -702,7 +803,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn read_event(&mut self) -> Result<ReadEvent, String> {
+    fn read_event(&mut self) -> Decoded<ReadEvent> {
         let actor = self.opt_string()?;
         let api = self.cookie_api()?;
         let names = self.read_names()?;
@@ -717,7 +818,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn request_event(&mut self) -> Result<RequestEvent, String> {
+    fn request_event(&mut self) -> Decoded<RequestEvent> {
         let url = self.string()?;
         let dest_domain = self.opt_string()?;
         let kind = self.request_kind()?;
@@ -738,7 +839,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn probe_event(&mut self) -> Result<ProbeEvent, String> {
+    fn probe_event(&mut self) -> Decoded<ProbeEvent> {
         let feature = self.string()?;
         let cookie = self.string()?;
         let ok = self.flag()?;
@@ -751,7 +852,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn dom_event(&mut self) -> Result<DomEvent, String> {
+    fn dom_event(&mut self) -> Decoded<DomEvent> {
         let actor = self.opt_string()?;
         let owner = self.string()?;
         let kind = self.string()?;
@@ -764,7 +865,7 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn inclusion(&mut self) -> Result<ScriptInclusion, String> {
+    fn inclusion(&mut self) -> Decoded<ScriptInclusion> {
         let url = self.string()?;
         let domain = self.opt_string()?;
         let direct = self.flag()?;
@@ -777,7 +878,7 @@ impl<'a> Dec<'a> {
 
     // The minimum byte counts below are each item's encoding with every
     // string index one byte, every option absent and every integer 0.
-    fn visit_log(&mut self) -> Result<VisitLog, String> {
+    fn visit_log(&mut self) -> Decoded<VisitLog> {
         let site_domain = self.string()?;
         let rank = self.usize_val()?;
         let complete = self.flag()?;

@@ -28,14 +28,15 @@
 //! by the log's symbols, so each organization, name-id, label and
 //! owner-class lookup runs once per distinct string. The
 //! facts hold ids, hashes and slices of the log, never owned strings;
-//! exfil matching reads each off-site request URL once for all of the
-//! visit's encoded identifiers ([`cg_hash::FormScanner`]). A visit with
+//! exfil matching writes every encoded form of the visit's identifiers
+//! into one arena ([`cg_hash::FormSet`]) and reads each off-site request
+//! URL once for all of them ([`cg_hash::FormScanner`]). A visit with
 //! no off-site request builds no encoded forms, and a digest form is
 //! built only when some off-site URL holds a hex run long enough to
 //! contain it ([`cg_hash::DigestGate`]).
 
 use crate::engine::{DetectEngine, KeyId, NameId, OrgId};
-use cg_hash::{DigestGate, EncodedForms, FormScanner};
+use cg_hash::{DigestGate, FormSet};
 use cg_instrument::{Sym, VisitLog, WriteKind};
 use cg_script::value::segments;
 use cg_webgen::CookieLabel;
@@ -383,7 +384,9 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
     if !off_site {
         return out;
     }
-    let mut forms: Vec<(usize, EncodedForms)> = Vec::new();
+    // every key's distinct value segments, each with the key it came from
+    let mut forms = FormSet::new(gate);
+    let mut form_keys: Vec<usize> = Vec::new();
     let mut seen: Vec<&str> = Vec::new();
     for (k, facts) in out.keys.iter().enumerate() {
         seen.clear();
@@ -391,7 +394,8 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
             for seg in id_segments(value) {
                 if !seen.contains(&seg) {
                     seen.push(seg);
-                    forms.push((k, EncodedForms::gated(seg, gate)));
+                    forms.push(seg);
+                    form_keys.push(k);
                 }
             }
         }
@@ -400,8 +404,8 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
         return out;
     }
     // forms are grouped by key, so a key's forms are adjacent
-    let id_keys_in_visit = 1 + forms.windows(2).filter(|w| w[0].0 != w[1].0).count();
-    let scanner = FormScanner::new(forms.iter().map(|(_, f)| f));
+    let id_keys_in_visit = 1 + form_keys.windows(2).filter(|w| w[0] != w[1]).count();
+    let scanner = forms.scanner();
 
     let mut hits = Vec::new();
     let mut matched: Vec<usize> = Vec::new();
@@ -418,7 +422,7 @@ pub fn extract<'l>(engine: &DetectEngine, log: &'l VisitLog) -> VisitFacts<'l> {
             continue;
         }
         matched.clear();
-        matched.extend(hits.iter().map(|&form| forms[form].0));
+        matched.extend(hits.iter().map(|&form| form_keys[form]));
         matched.dedup();
         let init_org = look.org(req.initiator.unwrap_or(site));
         // Bulk = many keys in absolute terms, or most of what this

@@ -4,35 +4,50 @@ const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwx
 
 /// Encodes `data` as standard Base64 with `=` padding.
 pub fn b64encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
-        let b0 = chunk[0] as u32;
-        let b1 = *chunk.get(1).unwrap_or(&0) as u32;
-        let b2 = *chunk.get(2).unwrap_or(&0) as u32;
-        let triple = (b0 << 16) | (b1 << 8) | b2;
-        out.push(ALPHABET[(triple >> 18) as usize & 0x3f] as char);
-        out.push(ALPHABET[(triple >> 12) as usize & 0x3f] as char);
-        out.push(if chunk.len() > 1 {
-            ALPHABET[(triple >> 6) as usize & 0x3f] as char
-        } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 {
-            ALPHABET[triple as usize & 0x3f] as char
-        } else {
-            '='
-        });
-    }
-    out
+    encoded(data, true)
 }
 
 /// Encodes without trailing padding (the form trackers put in URLs).
 pub fn b64encode_no_pad(data: &[u8]) -> String {
-    let mut s = b64encode(data);
-    while s.ends_with('=') {
-        s.pop();
+    encoded(data, false)
+}
+
+fn encoded(data: &[u8], pad: bool) -> String {
+    let mut out = Vec::with_capacity(data.len().div_ceil(3) * 4);
+    encode_into(data, pad, &mut out);
+    String::from_utf8(out).expect("Base64 is ASCII")
+}
+
+/// Appends the Base64 of `data` to `out`, with `=` padding when `pad`.
+pub(crate) fn encode_into(data: &[u8], pad: bool, out: &mut Vec<u8>) {
+    let sextet = |triple: u32, shift: u32| ALPHABET[(triple >> shift) as usize & 0x3f];
+    let mut chunks = data.chunks_exact(3);
+    for chunk in &mut chunks {
+        let triple = u32::from(chunk[0]) << 16 | u32::from(chunk[1]) << 8 | u32::from(chunk[2]);
+        out.extend_from_slice(&[
+            sextet(triple, 18),
+            sextet(triple, 12),
+            sextet(triple, 6),
+            sextet(triple, 0),
+        ]);
     }
-    s
+    match *chunks.remainder() {
+        [b0] => {
+            let triple = u32::from(b0) << 16;
+            out.extend_from_slice(&[sextet(triple, 18), sextet(triple, 12)]);
+            if pad {
+                out.extend_from_slice(b"==");
+            }
+        }
+        [b0, b1] => {
+            let triple = u32::from(b0) << 16 | u32::from(b1) << 8;
+            out.extend_from_slice(&[sextet(triple, 18), sextet(triple, 12), sextet(triple, 6)]);
+            if pad {
+                out.push(b'=');
+            }
+        }
+        _ => {}
+    }
 }
 
 /// Decodes standard Base64; padding optional. Returns `None` on any
@@ -102,6 +117,20 @@ mod tests {
     fn rejects_bad_input() {
         assert_eq!(b64decode("a"), None); // impossible length
         assert_eq!(b64decode("ab!d"), None); // bad character
+    }
+
+    #[test]
+    fn no_pad_is_the_padded_form_trimmed_at_every_tail() {
+        for n in 0..40usize {
+            let data: Vec<u8> = (0..n).map(|i| (i * 37 + 11) as u8).collect();
+            let padded = b64encode(&data);
+            assert_eq!(
+                b64encode_no_pad(&data),
+                padded.trim_end_matches('='),
+                "length {n}"
+            );
+            assert_eq!(padded.len(), n.div_ceil(3) * 4);
+        }
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Differential test of the one-pass matcher: for random URLs carrying
-//! zero to three embedded encoded identifiers, [`FormScanner::scan`]
-//! reports exactly the forms [`EncodedForms::appears_in`] reports.
+//! zero to three embedded encoded identifiers, the [`FormScanner`] of a
+//! [`FormSet`] reports exactly the identifiers whose
+//! [`EncodedForms::appears_in`] (the reference semantics) is true.
 //!
 //! The generated cases cover what a prefix-table scan could get wrong:
 //! identifiers that nest inside each other, forms that overlap in the
 //! URL, a form that ends exactly at the URL's last byte, near misses
 //! that share a form's first 8 bytes, and repeated identifiers.
 //!
-//! A second property covers digest gating: forms built under the
-//! [`DigestGate`] of the URLs they are matched against report exactly
-//! what the ungated forms report, around the 32- and 40-character
-//! hex-run thresholds.
+//! A second property covers digest gating: a set built under the
+//! [`DigestGate`] of the URLs it is matched against reports exactly
+//! what the ungated reference forms report, around the 32- and
+//! 40-character hex-run thresholds.
 
-use cg_hash::{b64encode, md5_hex, sha1_hex, DigestGate, EncodedForms, FormScanner};
+use cg_hash::{b64encode, md5_hex, sha1_hex, DigestGate, EncodedForms, FormScanner, FormSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,6 +106,15 @@ fn url(rng: &mut StdRng, ids: &[String]) -> String {
     url
 }
 
+/// The set of `ids` under `gate`, pushed in order.
+fn form_set(ids: &[&str], gate: DigestGate) -> FormSet {
+    let mut set = FormSet::new(gate);
+    for id in ids {
+        set.push(id);
+    }
+    set
+}
+
 fn oracle(forms: &[EncodedForms], haystack: &str) -> Vec<usize> {
     (0..forms.len())
         .filter(|&i| forms[i].appears_in(haystack))
@@ -117,7 +127,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let ids = identifiers(&mut rng);
         let forms: Vec<EncodedForms> = ids.iter().map(|id| EncodedForms::of(id)).collect();
-        let scanner = FormScanner::new(&forms);
+        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+        let set = form_set(&refs, DigestGate::ALL);
+        let scanner = set.scanner();
         let mut hits = Vec::new();
         for _ in 0..32 {
             let url = url(&mut rng, &ids);
@@ -165,8 +177,9 @@ proptest! {
         // One gate over several haystacks, as a visit's requests share one.
         let urls: Vec<String> = (0..rng.gen_range(1..5)).map(|_| gated_url(&mut rng, &ids)).collect();
         let gate = DigestGate::of(urls.iter().map(String::as_str));
-        let gated: Vec<EncodedForms> = ids.iter().map(|id| EncodedForms::gated(id, gate)).collect();
-        let scanner = FormScanner::new(&gated);
+        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+        let set = form_set(&refs, gate);
+        let scanner = set.scanner();
         let mut hits = Vec::new();
         for url in &urls {
             scanner.scan(url, &mut hits);
@@ -177,11 +190,8 @@ proptest! {
 
 #[test]
 fn a_form_ending_the_url_is_found() {
-    let forms = [
-        EncodedForms::of("444332364"),
-        EncodedForms::of("868308499845957651"),
-    ];
-    let scanner = FormScanner::new(&forms);
+    let set = form_set(&["444332364", "868308499845957651"], DigestGate::ALL);
+    let scanner = set.scanner();
     let mut hits = Vec::new();
     let sha = sha1_hex(b"868308499845957651");
     scanner.scan(&format!("https://t.example/?x={sha}"), &mut hits);
@@ -196,12 +206,10 @@ fn a_form_ending_the_url_is_found() {
 fn short_patterns_fall_back_to_substring_search() {
     // Below the 8-byte prefix the scanner cannot hash; it must still
     // agree with `appears_in`, empty identifier included.
-    let forms = [
-        EncodedForms::of("abc"),
-        EncodedForms::of(""),
-        EncodedForms::of("xyzw1234"),
-    ];
-    let scanner = FormScanner::new(&forms);
+    let ids = ["abc", "", "xyzw1234"];
+    let forms: Vec<EncodedForms> = ids.iter().map(|id| EncodedForms::of(id)).collect();
+    let set = form_set(&ids, DigestGate::ALL);
+    let scanner = set.scanner();
     let mut hits = Vec::new();
     for url in ["", "abc", "zzabczz", "YWJj", "xyzw1234", "xyzw123"] {
         scanner.scan(url, &mut hits);
@@ -211,7 +219,8 @@ fn short_patterns_fall_back_to_substring_search() {
 
 #[test]
 fn no_forms_never_match() {
-    let scanner = FormScanner::new(&[] as &[EncodedForms]);
+    let set = FormSet::new(DigestGate::ALL);
+    let scanner: FormScanner = set.scanner();
     let mut hits = vec![7];
     scanner.scan("https://x.example/?id=444332364", &mut hits);
     assert!(hits.is_empty());

@@ -73,6 +73,35 @@ impl StrTable {
         }
     }
 
+    /// The table of the entries `ends` marks off in `arena`: entry `i`
+    /// ends at byte `ends[i]` and starts where entry `i - 1` ends. The
+    /// index is built in one pass over the entries. `Err` names the
+    /// first entry that does not end on a char boundary (so is not
+    /// UTF-8 on its own) or repeats an earlier entry.
+    ///
+    /// # Panics
+    /// When `ends` is not ascending or its last end is not the arena's.
+    pub fn from_parts(arena: String, ends: Vec<u32>) -> Result<StrTable, Sym> {
+        assert!(ends.is_sorted(), "entry ends ascend");
+        assert_eq!(
+            ends.last().map_or(0, |&end| end as usize),
+            arena.len(),
+            "the last entry ends the arena"
+        );
+        let mut index = StrIndex::with_capacity(ends.len());
+        for sym in 0..ends.len() as Sym {
+            if !arena.is_char_boundary(ends[sym as usize] as usize) {
+                return Err(sym);
+            }
+            let entry = |i| entry_bytes(&arena, &ends, i);
+            match index.find(entry(sym), sym as usize, entry) {
+                Ok(_) => return Err(sym),
+                Err(at) => index.insert(at, sym),
+            }
+        }
+        Ok(StrTable { arena, ends, index })
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -541,6 +570,42 @@ impl Serialize for VisitLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_table_from_parts_is_the_table_its_entries_intern_to() {
+        let words = ["site.example", "", "é€", "uid", "x"];
+        let mut interned = StrTable::default();
+        let mut ends = Vec::new();
+        for w in words {
+            interned.intern(w);
+            ends.push(interned.arena.len() as u32);
+        }
+        let table = StrTable::from_parts(words.concat(), ends.clone()).unwrap();
+        assert_eq!(table.iter().collect::<Vec<_>>(), words);
+        for (sym, w) in words.iter().enumerate() {
+            assert_eq!(table.find(w), Some(sym as Sym));
+        }
+        assert_eq!(table.find("absent"), None);
+        // "uid" again, as a sixth entry: the repeat is named.
+        ends.push(ends[4] + 3);
+        let repeated = format!("{}uid", words.concat());
+        assert_eq!(StrTable::from_parts(repeated, ends).unwrap_err(), 5);
+        assert!(StrTable::from_parts(String::new(), Vec::new())
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn a_table_from_parts_refuses_an_entry_that_splits_a_char() {
+        let split = StrTable::from_parts("aé".to_string(), vec![1, 2, 3]);
+        assert_eq!(split.unwrap_err(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the last entry ends the arena")]
+    fn a_table_from_parts_covers_its_whole_arena() {
+        let _ = StrTable::from_parts("abc".to_string(), vec![1]);
+    }
 
     #[test]
     fn third_party_inclusion_filtering() {
