@@ -27,7 +27,8 @@ use std::sync::Arc;
 /// The attribution identities of one loaded script, resolved **once**,
 /// when the page loads it, from the URL it parsed to load it: the
 /// policy caller (CNAME-uncloaked when enabled), the measured actor
-/// (interned raw eTLD+1), and the shared script-URL string for write
+/// (interned raw eTLD+1, read from the per-host memo
+/// [`cg_url::host_site`]), and the shared script-URL string for write
 /// events and requests. The page keeps one per [`ScriptId`], so an
 /// operation finds its script's identity by the id its attribution was
 /// taken from — no URL hashing, PSL walk, CNAME chase or allocation per
@@ -38,31 +39,31 @@ struct ScriptIdentity {
     /// URL is another allocation was not taken from this script's frame.
     url: Arc<Url>,
     /// The URL's eTLD+1, as the measurement logs it (inclusion domain,
-    /// request initiator, probe actor).
-    domain: Option<String>,
+    /// request initiator, probe actor): the name of `actor`.
+    domain: Option<&'static str>,
     caller: Caller,
     actor: Option<DomainId>,
     actor_url: Arc<str>,
 }
 
 impl ScriptIdentity {
-    /// Derives every identity of the script at `url`: one PSL walk feeds
-    /// the actor and, unless CNAMEs are resolved, the policy caller.
+    /// Derives every identity of the script at `url`: one memo probe
+    /// gives the actor and, unless CNAMEs are resolved, the policy
+    /// caller; a CNAME-resolving page probes the canonical host too.
     fn resolve(url: Arc<Url>, cnames: Option<&CnameMap>) -> ScriptIdentity {
-        let domain = url.registrable_domain();
-        let caller = match cnames {
-            Some(map) => map
-                .uncloaked_domain(&url.host_str())
-                .as_deref()
-                .map(Caller::external),
-            None => domain.as_deref().map(Caller::external),
-        }
-        .unwrap_or_else(Caller::inline);
+        let host = url.host_str();
+        let actor = cg_url::host_site(&host).registrable;
+        let caller = Caller {
+            domain: match cnames {
+                Some(map) => cg_url::host_site(&map.resolve(&host)).registrable,
+                None => actor,
+            },
+        };
         ScriptIdentity {
             caller,
-            actor: domain.as_deref().map(cg_url::intern),
+            actor,
             actor_url: Arc::from(url.to_string()),
-            domain,
+            domain: actor.map(cg_url::name),
             url,
         }
     }
@@ -90,7 +91,7 @@ fn identity_of<'p>(
 /// [`GuardedJar`] access layer.
 pub struct Page<'v> {
     url: Url,
-    site_domain: String,
+    site_domain: &'static str,
     wall_epoch_ms: i64,
     access: GuardedJar<'v>,
     doc: Document,
@@ -122,13 +123,11 @@ impl<'v> Page<'v> {
         injectables: &'v HashMap<String, Vec<ScriptOp>>,
         seed: u64,
     ) -> Page<'v> {
-        let site_domain = url
-            .registrable_domain()
-            .unwrap_or_else(|| url.host_str().into_owned());
+        let mut doc = Document::new(url.clone(), FrameKind::Main);
+        let site_domain = doc.site_domain();
         // Change events only cover mutations from this page onward.
         let change_cursor = jar.change_count();
         let access = GuardedJar::new(url.clone(), jar, guard, recorder);
-        let mut doc = Document::new(url.clone(), FrameKind::Main);
         let mut markup_elements = Vec::new();
         for i in 0..14 {
             let tag = if i % 3 == 0 {
@@ -226,7 +225,7 @@ impl<'v> Page<'v> {
     /// the site itself.
     pub fn apply_server_cookies(&mut self, raw_headers: &[String]) {
         self.access
-            .apply_set_cookie_headers(&self.site_domain, raw_headers, self.wall_epoch_ms);
+            .apply_set_cookie_headers(self.site_domain, raw_headers, self.wall_epoch_ms);
     }
 
     /// Registers a markup script with the document and the log; returns
@@ -236,9 +235,9 @@ impl<'v> Page<'v> {
         url: Option<&str>,
         ops: &'v [ScriptOp],
     ) -> ScriptExecution<'v> {
-        let parsed = url.map(|u| Url::parse(u).expect("blueprint script URL"));
+        let parsed = url.map(|u| Arc::new(Url::parse(u).expect("blueprint script URL")));
         let source = match &parsed {
-            Some(u) => ScriptSource::External(u.clone()),
+            Some(u) => ScriptSource::External(Arc::clone(u)),
             None => ScriptSource::Inline,
         };
         let id = self.doc.add_direct_script(source);
@@ -254,12 +253,12 @@ impl<'v> Page<'v> {
                 .and_then(|domain| {
                     Url::parse(&format!("https://cdn.{domain}/sig-attributed.js")).ok()
                 })
-                .map(|u| self.resolve_identity(id, u)),
+                .map(|u| self.resolve_identity(id, Arc::new(u))),
         };
         // A signature-attributed script is still logged as <inline>: the
         // measurement cannot see the attribution, only the policy layer
         // benefits.
-        let domain = url.and_then(|_| self.script_identities[id].as_ref()?.domain.as_deref());
+        let domain = url.and_then(|_| self.script_identities[id].as_ref()?.domain);
         let sink = self.access.sink();
         let inclusion = ScriptInclusion::observed(sink, url, domain, true);
         sink.inclusion(inclusion);
@@ -275,8 +274,7 @@ impl<'v> Page<'v> {
 
     /// Resolves the identity of script `id` from its parsed URL and
     /// files it under the id; returns the URL the script's frames share.
-    fn resolve_identity(&mut self, id: ScriptId, url: Url) -> Arc<Url> {
-        let url = Arc::new(url);
+    fn resolve_identity(&mut self, id: ScriptId, url: Arc<Url>) -> Arc<Url> {
         if self.script_identities.len() <= id {
             self.script_identities.resize(id + 1, None);
         }
@@ -336,7 +334,7 @@ impl<'v> Page<'v> {
 
 impl<'v> Platform<'v> for Page<'v> {
     fn site_domain(&self) -> &str {
-        &self.site_domain
+        self.site_domain
     }
 
     fn document_cookie_get(&mut self, at: &Attribution) -> String {
@@ -416,23 +414,26 @@ impl<'v> Platform<'v> for Page<'v> {
         let now = self.wall(at);
         let cookie_header = dest.as_ref().map(|u| {
             self.access
-                .cookie_header_for_subresource(u, &self.site_domain, now)
+                .cookie_header_for_subresource(u, self.site_domain, now)
         });
-        let dest_domain = dest.as_ref().and_then(Url::registrable_domain);
+        let dest_domain = dest
+            .as_ref()
+            .and_then(|u| cg_url::host_site(&u.host_str()).registrable)
+            .map(cg_url::name);
         // The initiator is the script's raw eTLD+1 and URL, never the
         // CNAME-uncloaked policy domain.
         let initiator = identity_of(&self.script_identities, self.cnames, at);
         let sink = self.access.sink();
         let event = RequestEvent {
             url: sink.intern(url),
-            dest_domain: dest_domain.map(|d| sink.intern(&d)),
+            dest_domain: dest_domain.map(|d| sink.intern(d)),
             kind,
             initiator: initiator
                 .as_ref()
-                .and_then(|id| id.domain.as_deref())
+                .and_then(|id| id.domain)
                 .map(|d| sink.intern(d)),
             initiator_url: initiator.as_ref().map(|id| sink.intern(&id.actor_url)),
-            first_party: sink.intern(&self.site_domain),
+            first_party: sink.intern(self.site_domain),
             cookie_header: cookie_header
                 .as_deref()
                 .filter(|h| !h.is_empty())
@@ -466,14 +467,12 @@ impl<'v> Platform<'v> for Page<'v> {
             return None;
         }
         let parent = at.script_id.unwrap_or(0);
-        let parsed = parsed.ok()?;
+        let parsed = Arc::new(parsed.ok()?);
         let id = self
             .doc
-            .add_injected_script(ScriptSource::External(parsed.clone()), parent);
+            .add_injected_script(ScriptSource::External(Arc::clone(&parsed)), parent);
         let shared = self.resolve_identity(id, parsed);
-        let domain = self.script_identities[id]
-            .as_ref()
-            .and_then(|s| s.domain.as_deref());
+        let domain = self.script_identities[id].as_ref().and_then(|s| s.domain);
         let sink = self.access.sink();
         let inclusion = ScriptInclusion::observed(sink, Some(url), domain, false);
         sink.inclusion(inclusion);
@@ -545,7 +544,7 @@ impl<'v> Platform<'v> for Page<'v> {
             ok,
             actor: identity
                 .as_ref()
-                .and_then(|id| id.domain.as_deref())
+                .and_then(|id| id.domain)
                 .map(|a| sink.intern(a)),
         };
         sink.probe(event);

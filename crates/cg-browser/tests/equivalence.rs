@@ -129,7 +129,7 @@ impl<'v> LegacyPage<'v> {
         ops: &'v [ScriptOp],
     ) -> ScriptExecution<'v> {
         let source = match url {
-            Some(u) => ScriptSource::External(Url::parse(u).expect("script URL")),
+            Some(u) => ScriptSource::External(Arc::new(Url::parse(u).expect("script URL"))),
             None => ScriptSource::Inline,
         };
         let id = self.doc.add_direct_script(source.clone());
@@ -138,7 +138,7 @@ impl<'v> LegacyPage<'v> {
             self.executed_urls.insert(u.to_string());
         }
         let parsed = match source {
-            ScriptSource::External(u) => Some(Arc::new(u)),
+            ScriptSource::External(u) => Some(u),
             ScriptSource::Inline => None,
         };
         ScriptExecution {
@@ -450,14 +450,14 @@ impl<'v> Platform<'v> for LegacyPage<'v> {
             return None;
         }
         let parent = at.script_id.unwrap_or(0);
-        let parsed = Url::parse(url).ok()?;
+        let parsed = Arc::new(Url::parse(url).ok()?);
         let id = self
             .doc
-            .add_injected_script(ScriptSource::External(parsed.clone()), parent);
+            .add_injected_script(ScriptSource::External(Arc::clone(&parsed)), parent);
         self.recorder.record_inclusion(Some(url), false);
         Some(ScriptExecution {
             script_id: id,
-            url: Some(Arc::new(parsed)),
+            url: Some(parsed),
             ops,
         })
     }

@@ -15,18 +15,26 @@
 //! a public suffix, settable only by that suffix itself — stays in the
 //! suffix's own shard and no longer leaks to every site under it.)
 //!
-//! Insertion order is preserved via per-cookie sequence numbers so that
-//! iteration, serialization, and eviction tie-breaks behave exactly like
-//! the historical flat-`Vec` jar (kept as [`crate::flat::FlatJar`] for
-//! equivalence tests and benchmarks).
+//! Each shard is kept in *document order*, the RFC 6265 §5.4 step 2
+//! order `document.cookie` and `Cookie:` headers serialize in: longer
+//! paths first, then earlier creation times, then name, then the
+//! cookie's jar-wide insertion sequence number. A new cookie goes in at
+//! the upper bound of that order (a binary search), and a replacement
+//! keeps its place (it keeps its path, name and creation time), so a
+//! read is one filtering pass over one shard and never sorts.
+//!
+//! The sequence numbers also keep the historical flat-`Vec` jar's
+//! insertion order (kept as [`crate::flat::FlatJar`] for equivalence
+//! tests and benchmarks) wherever it is observable: [`CookieJar::iter`],
+//! the serde wire format, eviction tie-breaks, and the order a
+//! multi-cookie delete or expiry logs its change records in.
 
 use crate::changes::{ChangeCause, CookieChange};
 use crate::cookie::{cookie_string, default_path, Cookie};
 use cg_http::{parse_set_cookie, SetCookie};
 use cg_url::intern::{self, DomainId};
-use cg_url::{psl, Url};
+use cg_url::Url;
 use serde::{de, Content, DeError, Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -80,6 +88,50 @@ impl std::error::Error for SetCookieError {}
 struct StoredCookie {
     seq: u64,
     cookie: Cookie,
+}
+
+/// Inserts `stored` at the upper bound of its shard's document order.
+fn insert_in_order(shard: &mut Vec<StoredCookie>, stored: StoredCookie) {
+    let at = shard.partition_point(|s| document_order(s, &stored) != Ordering::Greater);
+    shard.insert(at, stored);
+}
+
+/// A shard's storage order: [`serialization_order`], ties broken by
+/// insertion sequence.
+fn document_order(a: &StoredCookie, b: &StoredCookie) -> Ordering {
+    serialization_order(&a.cookie, &b.cookie).then(a.seq.cmp(&b.seq))
+}
+
+/// Removes the cookies of `shard` that `hit` admits and logs each as a
+/// `cause` change at `now_ms`, in insertion order (the order the flat
+/// jar logs them in, which change listeners observe). Returns how many
+/// went.
+fn remove_logged(
+    shard: &mut Vec<StoredCookie>,
+    changes: &mut Vec<CookieChange>,
+    cause: ChangeCause,
+    now_ms: i64,
+    hit: impl Fn(&Cookie) -> bool,
+) -> usize {
+    let mut gone = Vec::new();
+    let mut i = 0;
+    while i < shard.len() {
+        if hit(&shard[i].cookie) {
+            gone.push(shard.remove(i));
+        } else {
+            i += 1;
+        }
+    }
+    gone.sort_unstable_by_key(|s| s.seq);
+    let removed = gone.len();
+    changes.extend(gone.into_iter().map(|s| CookieChange {
+        name: s.cookie.name,
+        value: s.cookie.value,
+        cause,
+        http_only: s.cookie.http_only,
+        at_ms: now_ms,
+    }));
+    removed
 }
 
 /// A host's eTLD+1 shard binding, resolved once and reused across a
@@ -165,7 +217,11 @@ impl CookieJar {
 
     /// The shard bucket a host's cookies live in, if any.
     fn shard_for_host(&self, host: &str) -> Option<&Vec<StoredCookie>> {
-        self.shards.get(&intern::shard_id_for_host(host))
+        self.shard(intern::shard_id_for_host(host))
+    }
+
+    fn shard(&self, id: DomainId) -> Option<&Vec<StoredCookie>> {
+        self.shards.get(&id)
     }
 
     // ------------------------------------------------------------------
@@ -342,7 +398,7 @@ impl CookieJar {
             });
             let seq = self.next_seq;
             self.next_seq += 1;
-            shard.push(StoredCookie { seq, cookie });
+            insert_in_order(shard, StoredCookie { seq, cookie });
             self.total += 1;
             self.evict_if_needed(shard_id, now_ms);
             Ok(())
@@ -375,26 +431,18 @@ impl CookieJar {
         let Some(shard) = self.shards.get_mut(&shard_id) else {
             return false;
         };
-        let before = shard.len();
-        let changes = &mut self.changes;
-        shard.retain(|s| {
-            let c = &s.cookie;
-            let hit = c.name == name
-                && c.domain_matches(&host)
-                && c.path_matches(&url.path)
-                && !c.is_expired(now_ms);
-            if hit {
-                changes.push(CookieChange {
-                    name: c.name.clone(),
-                    value: c.value.clone(),
-                    cause: ChangeCause::Deleted,
-                    http_only: c.http_only,
-                    at_ms: now_ms,
-                });
-            }
-            !hit
-        });
-        let removed = before - shard.len();
+        let removed = remove_logged(
+            shard,
+            &mut self.changes,
+            ChangeCause::Deleted,
+            now_ms,
+            |c| {
+                c.name == name
+                    && c.domain_matches(&host)
+                    && c.path_matches(&url.path)
+                    && !c.is_expired(now_ms)
+            },
+        );
         if shard.is_empty() {
             self.shards.remove(&shard_id);
         }
@@ -410,22 +458,9 @@ impl CookieJar {
         // no reader sees their cross-shard order.
         #[allow(clippy::iter_over_hash_type)]
         for shard in self.shards.values_mut() {
-            let before = shard.len();
-            shard.retain(|s| {
-                if s.cookie.is_expired(now_ms) {
-                    changes.push(CookieChange {
-                        name: s.cookie.name.clone(),
-                        value: s.cookie.value.clone(),
-                        cause: ChangeCause::Expired,
-                        http_only: s.cookie.http_only,
-                        at_ms: now_ms,
-                    });
-                    false
-                } else {
-                    true
-                }
+            removed += remove_logged(shard, changes, ChangeCause::Expired, now_ms, |c| {
+                c.is_expired(now_ms)
             });
-            removed += before - shard.len();
         }
         self.shards.retain(|_, shard| !shard.is_empty());
         self.total -= removed;
@@ -499,14 +534,10 @@ impl CookieJar {
         name: &str,
     ) -> Option<&Cookie> {
         let host = url.host_str();
-        // `min_by` keeps the first of equal elements, so ties resolve to
-        // shard order exactly like the stable sort of the full view.
-        self.shards
-            .get(&pin.id)?
+        self.shard(pin.id)?
             .iter()
             .map(|s| &s.cookie)
-            .filter(|c| c.name == name && script_visible(c, &host, url, now_ms))
-            .min_by(|a, b| serialization_order(a, b))
+            .find(|c| c.name == name && script_visible(c, &host, url, now_ms))
     }
 
     /// The `document.cookie` getter: `"a=1; b=2"`.
@@ -520,12 +551,7 @@ impl CookieJar {
     /// are invisible to scripts, not to the network.
     pub fn cookie_header_for_request(&self, url: &Url, now_ms: i64) -> String {
         let host = url.host_str();
-        cookie_string(&view_in(self.shard_for_host(&host), |c| {
-            !c.is_expired(now_ms)
-                && c.domain_matches(&host)
-                && c.path_matches(&url.path)
-                && (!c.secure || url.scheme == "https")
-        }))
+        request_header(self.shard_for_host(&host), &host, url, now_ms)
     }
 
     /// The `Cookie:` header for a *subresource* request to `url` made
@@ -545,14 +571,16 @@ impl CookieJar {
         top_level_site: &str,
         now_ms: i64,
     ) -> String {
-        let same_site = url
-            .registrable_domain()
-            .is_some_and(|d| d.eq_ignore_ascii_case(top_level_site));
-        if same_site {
-            return self.cookie_header_for_request(url, now_ms);
-        }
         let host = url.host_str();
-        cookie_string(&view_in(self.shard_for_host(&host), |c| {
+        let site = intern::host_site(&host);
+        let shard = self.shard(site.shard);
+        let same_site = site
+            .registrable
+            .is_some_and(|d| intern::name(d).eq_ignore_ascii_case(top_level_site));
+        if same_site {
+            return request_header(shard, &host, url, now_ms);
+        }
+        cookie_string(&view_in(shard, |c| {
             !c.is_expired(now_ms)
                 && c.domain_matches(&host)
                 && c.path_matches(&url.path)
@@ -573,6 +601,17 @@ fn script_visible(c: &Cookie, host: &str, url: &Url, now_ms: i64) -> bool {
         && (!c.secure || url.scheme == "https")
 }
 
+/// The `Cookie:` header of a request to `url` (host `host`) from the
+/// cookies of `shard`: `HttpOnly` included, `Secure` only over https.
+fn request_header(shard: Option<&Vec<StoredCookie>>, host: &str, url: &Url, now_ms: i64) -> String {
+    cookie_string(&view_in(shard, |c| {
+        !c.is_expired(now_ms)
+            && c.domain_matches(host)
+            && c.path_matches(&url.path)
+            && (!c.secure || url.scheme == "https")
+    }))
+}
+
 /// The cookies of `shard` a script at `url` may see at `now_ms`,
 /// borrowed and in serialization order.
 fn script_view<'a>(
@@ -585,15 +624,15 @@ fn script_view<'a>(
 }
 
 /// The cookies of `shard` that `keep` admits, borrowed and in
-/// serialization order. The view is sized to the shard up front, so it
-/// costs one allocation whatever it holds.
+/// serialization order — the shard's own order, so one filtering pass.
+/// The view is sized to the shard up front, so it costs one allocation
+/// whatever it holds.
 fn view_in(shard: Option<&Vec<StoredCookie>>, keep: impl Fn(&Cookie) -> bool) -> Vec<&Cookie> {
     let Some(shard) = shard else {
         return Vec::new();
     };
     let mut view = Vec::with_capacity(shard.len());
     view.extend(shard.iter().map(|s| &s.cookie).filter(|c| keep(c)));
-    sort_for_serialization(&mut view);
     view
 }
 
@@ -633,10 +672,10 @@ impl<'de> Deserialize<'de> for CookieJar {
             let shard_id = intern::shard_id_for_host(&cookie.domain);
             let seq = jar.next_seq;
             jar.next_seq += 1;
-            jar.shards
-                .entry(shard_id)
-                .or_default()
-                .push(StoredCookie { seq, cookie });
+            insert_in_order(
+                jar.shards.entry(shard_id).or_default(),
+                StoredCookie { seq, cookie },
+            );
             jar.total += 1;
         }
         Ok(jar)
@@ -674,10 +713,19 @@ pub(crate) fn validate_set(
         }
     }
     if let Some(d) = &sc.domain {
-        if psl::is_public_suffix(d) && !host.eq_ignore_ascii_case(d) {
+        let matches = cg_url::host::domain_match(host, d);
+        // A matching `Domain` is a label suffix of the host, so the memo
+        // holds at most a few entries per host; any other value is
+        // response-controlled and walked without being memoized.
+        let public_suffix = if matches {
+            intern::host_site(d).public_suffix
+        } else {
+            cg_url::psl::is_public_suffix(d)
+        };
+        if public_suffix && !host.eq_ignore_ascii_case(d) {
             return Err(SetCookieError::PublicSuffixDomain);
         }
-        if !cg_url::host::domain_match(host, d) {
+        if !matches {
             return Err(SetCookieError::DomainMismatch);
         }
     }
@@ -685,14 +733,9 @@ pub(crate) fn validate_set(
 }
 
 /// RFC 6265 §5.4 step 2: longer paths first; among equal-length paths,
-/// earlier creation times first, then by name. The sort is stable, so
-/// full ties keep shard (insertion) order.
-pub(crate) fn sort_for_serialization<C: Borrow<Cookie>>(cookies: &mut [C]) {
-    cookies.sort_by(|a, b| serialization_order(a.borrow(), b.borrow()));
-}
-
-/// The comparator of [`sort_for_serialization`].
-fn serialization_order(a: &Cookie, b: &Cookie) -> Ordering {
+/// earlier creation times first, then by name. Cookies equal under it
+/// serialize in insertion order.
+pub(crate) fn serialization_order(a: &Cookie, b: &Cookie) -> Ordering {
     b.path
         .len()
         .cmp(&a.path.len())

@@ -16,9 +16,10 @@
 //!   simulation is deterministic and property tests can travel in time.
 //!
 //! **Layer:** storage. **Invariants:** RFC 6265 semantics; shard by
-//! eTLD+1 (every read/delete/evict touches one bucket); iteration
-//! order and serde wire format identical to the historical flat jar
-//! (`FlatJar` remains as the equivalence oracle). **Entry points:**
+//! eTLD+1 (every read/delete/evict touches one bucket); each shard kept
+//! in serialization order, so reads never sort; iteration order,
+//! change log and serde wire format identical to the historical flat
+//! jar (`FlatJar` remains as the equivalence oracle). **Entry points:**
 //! `CookieJar`, `ShardPin`.
 
 #![warn(missing_docs)]

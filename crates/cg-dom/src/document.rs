@@ -48,8 +48,8 @@ impl MutationRecord {
 #[derive(Debug, Clone)]
 pub struct Document {
     url: Url,
-    /// The site's registrable domain, computed once from `url`.
-    site: String,
+    /// The site's registrable domain, read once from the per-host memo.
+    site: &'static str,
     /// Main frame or iframe.
     pub frame: FrameKind,
     elements: Vec<Element>,
@@ -60,9 +60,7 @@ pub struct Document {
 impl Document {
     /// Creates an empty document for `url`.
     pub fn new(url: Url, frame: FrameKind) -> Document {
-        let site = url
-            .registrable_domain()
-            .unwrap_or_else(|| url.host_str().into_owned());
+        let site = cg_url::name(cg_url::host_site(&url.host_str()).shard);
         Document {
             url,
             site,
@@ -79,8 +77,8 @@ impl Document {
     }
 
     /// The site's registrable domain (the host, when it has none).
-    pub fn site_domain(&self) -> &str {
-        &self.site
+    pub fn site_domain(&self) -> &'static str {
+        self.site
     }
 
     // ------------------------------------------------------------------
@@ -89,7 +87,7 @@ impl Document {
 
     /// Inserts a parser-created element owned by the site itself.
     pub fn insert_markup_element(&mut self, tag: &str, parent: Option<ElementId>) -> ElementId {
-        push_element(&mut self.elements, tag, parent, &self.site)
+        push_element(&mut self.elements, tag, parent, self.site)
     }
 
     /// Inserts an element created by a script from `actor_domain`
@@ -207,7 +205,7 @@ impl Document {
     pub fn third_party_scripts(&self) -> Vec<&ScriptNode> {
         self.scripts
             .iter()
-            .filter(|s| matches!(s.domain(), Some(d) if !d.eq_ignore_ascii_case(&self.site)))
+            .filter(|s| matches!(s.domain(), Some(d) if !d.eq_ignore_ascii_case(self.site)))
             .collect()
     }
 }
@@ -238,7 +236,7 @@ mod tests {
     }
 
     fn ext(u: &str) -> ScriptSource {
-        ScriptSource::External(Url::parse(u).unwrap())
+        ScriptSource::External(std::sync::Arc::new(Url::parse(u).unwrap()))
     }
 
     #[test]

@@ -1,27 +1,32 @@
 //! Script nodes and inclusion chains.
 
 use cg_url::Url;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Index of a script within its document.
 pub type ScriptId = usize;
 
 /// Where a script's code came from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScriptSource {
     /// `<script src="…">` — fetched from a URL; the URL's eTLD+1 is the
-    /// script's attributable domain.
-    External(Url),
+    /// script's attributable domain. The parse is shared with the page
+    /// that loaded the script.
+    External(Arc<Url>),
     /// Inline `<script>…</script>` — no reliable origin (§6.1: CookieGuard
     /// treats these as untrusted in strict mode, first-party in relaxed).
     Inline,
 }
 
 impl ScriptSource {
-    /// The attributable eTLD+1 of this source, if any.
-    pub fn domain(&self) -> Option<String> {
+    /// The attributable eTLD+1 of this source, if any, read from the
+    /// per-host memo ([`cg_url::host_site`]).
+    pub fn domain(&self) -> Option<&'static str> {
         match self {
-            ScriptSource::External(u) => u.registrable_domain(),
+            ScriptSource::External(u) => cg_url::host_site(&u.host_str())
+                .registrable
+                .map(cg_url::name),
             ScriptSource::Inline => None,
         }
     }
@@ -32,6 +37,38 @@ impl ScriptSource {
             ScriptSource::External(u) => u.to_string(),
             ScriptSource::Inline => "<inline>".to_string(),
         }
+    }
+}
+
+/// The serde form of [`ScriptSource`]: the derived form of the enum
+/// holding its URL by value (the vendored serde has no `Arc` impls).
+mod wire {
+    use cg_url::Url;
+    use serde::{Deserialize, Serialize};
+
+    #[derive(Serialize, Deserialize)]
+    pub(super) enum ScriptSource {
+        External(Url),
+        Inline,
+    }
+}
+
+impl Serialize for ScriptSource {
+    fn to_content(&self) -> Content {
+        match self {
+            ScriptSource::External(u) => wire::ScriptSource::External(Url::clone(u)),
+            ScriptSource::Inline => wire::ScriptSource::Inline,
+        }
+        .to_content()
+    }
+}
+
+impl<'de> Deserialize<'de> for ScriptSource {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        Ok(match wire::ScriptSource::from_content(content)? {
+            wire::ScriptSource::External(u) => ScriptSource::External(Arc::new(u)),
+            wire::ScriptSource::Inline => ScriptSource::Inline,
+        })
     }
 }
 
@@ -59,7 +96,7 @@ pub struct ScriptNode {
 impl ScriptNode {
     /// The attributable domain of this script (eTLD+1 of its `src`), or
     /// `None` for inline scripts.
-    pub fn domain(&self) -> Option<String> {
+    pub fn domain(&self) -> Option<&'static str> {
         self.source.domain()
     }
 
@@ -102,17 +139,35 @@ mod tests {
     use super::*;
 
     fn ext(u: &str) -> ScriptSource {
-        ScriptSource::External(Url::parse(u).unwrap())
+        ScriptSource::External(Arc::new(Url::parse(u).unwrap()))
     }
 
     #[test]
     fn source_domains() {
         assert_eq!(
-            ext("https://cdn.tracker.com/t.js").domain().as_deref(),
+            ext("https://cdn.tracker.com/t.js").domain(),
             Some("tracker.com")
         );
         assert_eq!(ScriptSource::Inline.domain(), None);
         assert_eq!(ScriptSource::Inline.url_str(), "<inline>");
+    }
+
+    #[test]
+    fn sources_keep_the_wire_form_of_a_url_held_by_value() {
+        let url = Url::parse("https://cdn.tracker.com/t.js?v=2").unwrap();
+        let external = ScriptSource::External(Arc::new(url.clone()));
+        assert_eq!(
+            external.to_content(),
+            Content::Map(vec![(Content::Str("External".into()), url.to_content())])
+        );
+        assert_eq!(
+            ScriptSource::Inline.to_content(),
+            Content::Str("Inline".into())
+        );
+        for source in [external, ScriptSource::Inline] {
+            let back = ScriptSource::from_content(&source.to_content()).unwrap();
+            assert_eq!(back, source);
+        }
     }
 
     #[test]

@@ -1,26 +1,35 @@
-//! Global domain interning and a host → eTLD+1 shard-id cache.
+//! Global domain interning and the per-host eTLD+1 memo.
 //!
-//! The hot paths of the reproduction — jar lookups and guard policy
-//! checks — are keyed on eTLD+1 strings. Computing the registrable
-//! domain runs the public-suffix algorithm over every label suffix of
-//! the host, so doing it per lookup (as the flat jar did) is the single
-//! most repeated piece of work in a crawl. This module makes that work
-//! *once per distinct host process-wide*:
+//! The hot paths of the reproduction — jar lookups, guard policy checks,
+//! script attribution, request logging — are keyed on eTLD+1 strings.
+//! Computing the registrable domain runs the public-suffix algorithm
+//! over every label suffix of the host, so doing it per operation is the
+//! single most repeated piece of work in a crawl. This module makes that
+//! work *once per distinct host process-wide*:
 //!
 //! * [`intern`] maps a domain string to a dense [`DomainId`] (a `u32`),
 //!   leaking each distinct string exactly once so [`name`] can hand
 //!   back `&'static str` without reference counting;
-//! * [`shard_id_for_host`] memoizes host → eTLD+1 → [`DomainId`], the
-//!   key the sharded [`CookieJar`](../cg_cookiejar) buckets by. Hosts
-//!   without a registrable domain (IP literals, single-label hosts,
-//!   bare public suffixes) shard by the exact host, the same
-//!   conservative fallback [`crate::same_site`] uses.
+//! * [`host_site`] memoizes, per normalized host, one [`HostSite`]: the
+//!   interned registrable domain, whether the host is itself a public
+//!   suffix, and the jar shard id the sharded
+//!   [`CookieJar`](../cg_cookiejar) buckets by. Hosts without a
+//!   registrable domain (IP literals, single-label hosts, bare public
+//!   suffixes) shard by the exact host, the same conservative fallback
+//!   [`crate::same_site`] uses. [`shard_id_for_host`] reads the shard
+//!   out of the same entry.
+//!
+//! Every entry equals what [`psl::registrable_domain`] and
+//! [`psl::is_public_suffix`] answer for the host (both normalize the
+//! host the same way the memo does), so a caller may swap a suffix walk
+//! for a memo probe without changing a result.
 //!
 //! Memory: both tables grow with the number of *distinct* domains/hosts
 //! seen by the process — bounded by the crawl's ecosystem size, and
 //! exactly the working set a production deployment needs resident.
 
 use crate::psl;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
 
@@ -44,13 +53,39 @@ impl DomainId {
     }
 }
 
+/// What the public-suffix list says about one host, resolved once per
+/// distinct host (see [`host_site`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct HostSite {
+    /// The jar shard: the registrable domain, or the normalized host
+    /// itself when it has none.
+    pub shard: DomainId,
+    /// The registrable domain (eTLD+1); `None` for IPv4 literals,
+    /// single labels, bare public suffixes and malformed hosts.
+    pub registrable: Option<DomainId>,
+    /// Whether the host is itself a public suffix (`co.uk`).
+    pub public_suffix: bool,
+}
+
 #[derive(Default)]
 struct Interner {
     by_name: HashMap<&'static str, DomainId>,
     names: Vec<&'static str>,
-    /// host → shard id (the interned eTLD+1, or the host itself when it
-    /// has no registrable domain).
-    host_shards: HashMap<Box<str>, DomainId>,
+    /// Normalized host → its [`HostSite`].
+    hosts: HashMap<Box<str>, HostSite>,
+}
+
+impl Interner {
+    fn intern(&mut self, norm: &str) -> DomainId {
+        if let Some(&id) = self.by_name.get(norm) {
+            return id;
+        }
+        let id = DomainId(u32::try_from(self.names.len()).expect("interner overflow"));
+        let leaked: &'static str = Box::leak(norm.to_owned().into_boxed_str());
+        self.names.push(leaked);
+        self.by_name.insert(leaked, id);
+        id
+    }
 }
 
 fn interner() -> &'static RwLock<Interner> {
@@ -58,18 +93,17 @@ fn interner() -> &'static RwLock<Interner> {
     INTERNER.get_or_init(|| RwLock::new(Interner::default()))
 }
 
-fn normalize(domain: &str) -> String {
-    domain.trim_matches('.').to_ascii_lowercase()
-}
-
-/// True when [`normalize`] would return `domain` unchanged — the
+/// `domain` lowercased with its outer dots trimmed — borrowed in the
 /// overwhelmingly common case on the hot paths (hosts out of a parsed
-/// [`crate::Url`] are already lowercase), where interning must not
+/// [`crate::Url`] are already lowercase), where a probe must not
 /// allocate.
-fn is_normalized(domain: &str) -> bool {
-    !domain.starts_with('.')
-        && !domain.ends_with('.')
-        && !domain.bytes().any(|b| b.is_ascii_uppercase())
+fn normalized(domain: &str) -> Cow<'_, str> {
+    let trimmed = domain.trim_matches('.');
+    if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(trimmed.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(trimmed)
+    }
 }
 
 /// Interns `domain` (normalized to lowercase, dots trimmed) and returns
@@ -77,37 +111,25 @@ fn is_normalized(domain: &str) -> bool {
 /// already-known, already-normalized domain is allocation-free: one
 /// read-lock and one hash lookup.
 pub fn intern(domain: &str) -> DomainId {
-    let norm: std::borrow::Cow<'_, str> = if is_normalized(domain) {
-        std::borrow::Cow::Borrowed(domain)
-    } else {
-        std::borrow::Cow::Owned(normalize(domain))
-    };
+    let norm = normalized(domain);
     {
         let guard = interner().read().expect("domain interner poisoned");
         if let Some(&id) = guard.by_name.get(norm.as_ref()) {
             return id;
         }
     }
-    let mut guard = interner().write().expect("domain interner poisoned");
-    if let Some(&id) = guard.by_name.get(norm.as_ref()) {
-        return id;
-    }
-    let id = DomainId(u32::try_from(guard.names.len()).expect("interner overflow"));
-    let leaked: &'static str = Box::leak(norm.into_owned().into_boxed_str());
-    guard.names.push(leaked);
-    guard.by_name.insert(leaked, id);
-    id
+    interner()
+        .write()
+        .expect("domain interner poisoned")
+        .intern(&norm)
 }
 
 /// The id for `domain` if it was interned before, without interning.
 /// Allocation-free for already-normalized inputs.
 pub fn lookup(domain: &str) -> Option<DomainId> {
+    let norm = normalized(domain);
     let guard = interner().read().expect("domain interner poisoned");
-    if is_normalized(domain) {
-        return guard.by_name.get(domain).copied();
-    }
-    let norm = normalize(domain);
-    guard.by_name.get(norm.as_str()).copied()
+    guard.by_name.get(norm.as_ref()).copied()
 }
 
 /// The string an id was interned from (normalized form).
@@ -115,30 +137,40 @@ pub fn name(id: DomainId) -> &'static str {
     interner().read().expect("domain interner poisoned").names[id.0 as usize]
 }
 
-/// The jar shard id for a request/cookie host: its interned eTLD+1, or
-/// the interned host itself when no registrable domain exists. The
-/// host → id mapping is memoized, so the public-suffix walk runs once
-/// per distinct host per process.
-pub fn shard_id_for_host(host: &str) -> DomainId {
-    let norm: std::borrow::Cow<'_, str> = if is_normalized(host) {
-        std::borrow::Cow::Borrowed(host)
-    } else {
-        std::borrow::Cow::Owned(normalize(host))
-    };
+/// The [`HostSite`] of `host`, memoized: the public-suffix walk runs
+/// once per distinct normalized host per process, and every later call
+/// is one read-lock and one hash probe, allocation-free for an
+/// already-normalized host.
+pub fn host_site(host: &str) -> HostSite {
+    let norm = normalized(host);
     {
         let guard = interner().read().expect("domain interner poisoned");
-        if let Some(&id) = guard.host_shards.get(norm.as_ref()) {
-            return id;
+        if let Some(&site) = guard.hosts.get(norm.as_ref()) {
+            return site;
         }
     }
-    let shard_name = psl::registrable_domain(&norm).unwrap_or_else(|| norm.clone().into_owned());
-    let id = intern(&shard_name);
+    // The walks run outside the lock; a racing thread computes the same
+    // entry, and the first insert wins.
+    let registrable = psl::registrable_domain(&norm);
+    let public_suffix = psl::is_public_suffix(&norm);
     let mut guard = interner().write().expect("domain interner poisoned");
-    guard
-        .host_shards
+    let registrable = registrable.map(|d| guard.intern(&d));
+    let site = HostSite {
+        shard: registrable.unwrap_or_else(|| guard.intern(&norm)),
+        registrable,
+        public_suffix,
+    };
+    *guard
+        .hosts
         .entry(norm.into_owned().into_boxed_str())
-        .or_insert(id);
-    id
+        .or_insert(site)
+}
+
+/// The jar shard id for a request/cookie host: its interned eTLD+1, or
+/// the interned host itself when no registrable domain exists. Read
+/// from the [`host_site`] memo.
+pub fn shard_id_for_host(host: &str) -> DomainId {
+    host_site(host).shard
 }
 
 #[cfg(test)]

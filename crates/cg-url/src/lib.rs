@@ -16,8 +16,10 @@
 //! **Layer:** foundation (every other crate sits on it).
 //! **Invariants:** interning is process-wide and append-only —
 //! `DomainId`s are dense, stable, and never serialized; normalized
-//! inputs take an allocation-free fast path. **Entry points:** `Url`,
-//! `registrable_domain`, `intern`/`name`, `CnameMap`.
+//! inputs take an allocation-free fast path; `host_site` answers what
+//! `registrable_domain` and `is_public_suffix` answer, once per host.
+//! **Entry points:** `Url`, `registrable_domain`, `intern`/`name`,
+//! `host_site`, `CnameMap`.
 
 #![warn(missing_docs)]
 
@@ -31,7 +33,7 @@ pub mod query;
 
 pub use cname::CnameMap;
 pub use host::Host;
-pub use intern::{intern, lookup, name, shard_id_for_host, DomainId};
+pub use intern::{host_site, intern, lookup, name, shard_id_for_host, DomainId, HostSite};
 pub use origin::Origin;
 pub use parser::{ParseError, Url};
 pub use psl::{is_public_suffix, registrable_domain};
