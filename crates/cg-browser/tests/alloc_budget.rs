@@ -1,5 +1,6 @@
 //! Allocation budgets of a visit and of one mediated `document.cookie`
-//! read, counted by this binary's thread-local counting allocator.
+//! read, counted by [`cg_telemetry::alloc::Counting`], this binary's
+//! global allocator.
 //!
 //! Allocation counts are a pure function of the seed and the code on
 //! one thread, so they can be gated where a timing cannot. The budgets
@@ -13,52 +14,13 @@
 use cg_browser::{visit_site, VisitConfig};
 use cg_cookiejar::CookieJar;
 use cg_instrument::Recorder;
+use cg_telemetry::alloc::{counted, Counting};
 use cg_url::Url;
 use cg_webgen::{GenConfig, WebGenerator};
 use cookieguard_core::{AccessContext, Caller, GuardConfig, GuardEngine, GuardedJar, SetRequest};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Counts the current thread's allocations (`alloc` and `realloc`).
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping beside it
-// touches only a thread-local `Cell` through `try_with`, which neither
-// allocates nor panics, even while thread-locals are torn down.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// Runs `f`, returning its result and the allocations it made.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
-}
 
 /// The visits the budgets cover: ranks `1..=RANKS` of
 /// `GenConfig::small(2000)` at seed 7, each with the crawler's visit

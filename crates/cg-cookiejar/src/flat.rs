@@ -3,15 +3,13 @@
 //! [`FlatJar`] stores every cookie in one vector and scans the whole jar
 //! on every lookup, recomputing eTLD+1 per cookie during eviction —
 //! exactly what [`crate::CookieJar`] did before it was domain-sharded.
-//! It exists for two purposes:
-//!
-//! * **equivalence testing** — the sharded jar must produce identical
-//!   match results for any insert order (see the crate's test suite);
-//! * **benchmarking** — `crates/bench/benches/cookiejar.rs` measures
-//!   sharded vs. flat lookups on multi-domain jars.
+//! It exists for **equivalence testing**: the sharded jar must produce
+//! identical match results for any insert order (see
+//! `tests/flat_equivalence.rs`, which compares the two after every
+//! step of random histories).
 //!
 //! It deliberately implements only the storage/retrieval surface needed
-//! for those comparisons: stores, deletes, expiry, the script view, both
+//! for that comparison: stores, deletes, expiry, the script view, both
 //! `Cookie:` header paths and the change log, each the plainest way (a
 //! scan of the whole jar, then a stable sort). Validation, the
 //! per-domain cap and the serialization comparator are shared with the

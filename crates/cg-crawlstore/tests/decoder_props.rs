@@ -4,43 +4,19 @@
 //! frame never extends past the window it was decoded from. Malformed
 //! format-v2 payloads must be errors, and no payload may make the
 //! decoder allocate more than [`codec::MAX_EXPANSION`] bytes per
-//! payload byte (measured by this binary's counting allocator).
+//! payload byte (measured by [`cg_telemetry::alloc::Counting`], this
+//! binary's global allocator).
 
 use cg_browser::{crawl_range, VisitConfig};
 use cg_crawlstore::codec::{self, FRAME_HEADER};
 use cg_crawlstore::index::{decode_index, encode_index, IndexEntry, INDEX_STRIDE};
 use cg_crawlstore::{decode_frame, Fingerprint, Manifest, SegmentFormat, MANIFEST_FILE};
 use cg_instrument::VisitLog;
+use cg_telemetry::alloc::{peak_bytes, Counting};
 use cg_webgen::{GenConfig, WebGenerator};
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::OnceLock;
-
-/// Counts the live heap bytes of the current thread and their peak.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = LIVE.try_with(|live| {
-            let now = live.get() + layout.size();
-            live.set(now);
-            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
-        });
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(layout.size())));
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -51,10 +27,7 @@ const MESSAGE_SLACK: usize = 1024;
 /// Decodes `payload`, asserting the decode's peak heap stays within
 /// [`codec::MAX_EXPANSION`] bytes per payload byte.
 fn decode_bounded(payload: &[u8]) -> Result<Result<VisitLog, String>, TestCaseError> {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(base));
-    let decoded = codec::decode_visit_log(payload);
-    let peak = PEAK.with(Cell::get) - base;
+    let (decoded, peak) = peak_bytes(|| codec::decode_visit_log(payload));
     let bound = codec::MAX_EXPANSION * payload.len() + MESSAGE_SLACK;
     prop_assert!(
         peak <= bound,

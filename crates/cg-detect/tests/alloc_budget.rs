@@ -1,7 +1,7 @@
 //! Allocation budgets of the crawl store's codec and the analysis
 //! path, per stored visit: the encode and the decode of one format-v2
 //! payload, one `StreamStats::fold` and one `DetectStats::fold`, counted
-//! by this binary's thread-local counting allocator.
+//! by [`cg_telemetry::alloc::Counting`], this binary's global allocator.
 //!
 //! Allocation counts are a pure function of the seed and the code on
 //! one thread, so they can be gated where a timing cannot. The budgets
@@ -18,51 +18,12 @@ use cg_browser::{crawl_range, VisitConfig};
 use cg_crawlstore::codec::{decode_visit_log, encode_visit_log};
 use cg_detect::{DetectConfig, DetectEngine, DetectStats, Stages};
 use cg_instrument::VisitLog;
+use cg_telemetry::alloc::{counted, Counting};
 use cg_webgen::{CookieLabels, GenConfig, WebGenerator};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::OnceLock;
-
-/// Counts the current thread's allocations (`alloc` and `realloc`).
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping beside it
-// touches only a thread-local `Cell` through `try_with`, which neither
-// allocates nor panics, even while thread-locals are torn down.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// Runs `f`, returning its result and the allocations it made.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
-}
 
 /// The visits the budgets cover: ranks `1..=RANKS` of
 /// `GenConfig::small(2000)` at seed 7, crawled as the measurement crawl

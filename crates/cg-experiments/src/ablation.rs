@@ -1,6 +1,8 @@
-//! Policy ablation: the DESIGN.md ablation matrix over one crawl
-//! population — how each CookieGuard design choice moves protection
-//! (cross-domain actions remaining) and compatibility (probe breakage).
+//! Policy ablation: one crawl population visited under each of the five
+//! guard configurations below — how each CookieGuard design choice moves
+//! protection (cross-domain actions remaining) and compatibility (probe
+//! breakage). `cg-experiments --exp ablation` prints the matrix; see
+//! the §8 deployment row of `PAPER_MAP.md`.
 //!
 //! Variants:
 //! 1. `strict` — the paper's evaluation config;

@@ -28,6 +28,10 @@
 //!   demand the rings merge into one sequenced post-mortem dump
 //!   ([`recorder::dump_json`], [`recorder::dump_to_stderr`]).
 //!
+//! Beside them, [`alloc::Counting`] is the counting allocator the
+//! allocation-budget tests install in their own binaries; no library
+//! installs it.
+//!
 //! **Layer:** infrastructure — below every instrumented crate
 //! (`cg-crawlstore`, `cg-browser`, `cg-analysis`, `cg-service`),
 //! depending only on the serde facade. **Invariants:** telemetry never
@@ -42,6 +46,7 @@
 
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod export;
 pub mod hist;
 pub mod metrics;

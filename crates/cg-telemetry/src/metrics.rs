@@ -330,8 +330,8 @@ impl Registry {
     }
 
     /// Zeroes every registered value, keeping registrations (and
-    /// outstanding handles) intact. A harness API: benches reset
-    /// between runs so per-run snapshots are comparable.
+    /// outstanding handles) intact. A harness API: the serve smoke and
+    /// its tests reset between runs so per-run snapshots are comparable.
     pub fn reset(&self) {
         let map = self.metrics.lock().expect("metrics registry poisoned");
         for metric in map.values() {

@@ -147,7 +147,7 @@ impl Stopwatch {
 }
 
 /// `n` items over `elapsed_ms` milliseconds, per second — the one rate
-/// helper behind every "visits/s" figure the benches print. A zero
+/// helper behind every "visits/s" figure the experiments CLI prints. A zero
 /// elapsed time is floored at 1 ms, so a sub-millisecond run yields a
 /// lower bound instead of a division by zero.
 pub fn per_sec(n: u64, elapsed_ms: u64) -> f64 {

@@ -16,7 +16,8 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Counters for everything the guard blocked or allowed — the raw
-/// numbers behind the Figure 5 evaluation and the ablation benches.
+/// numbers behind the Figure 5 evaluation and the policy ablation
+/// (`cg-experiments --exp ablation`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GuardStats {
     /// Cookies hidden from `document.cookie` / `cookieStore` reads.

@@ -1,6 +1,6 @@
-//! Allocation budgets of the guard's serve path — a session's writes and
-//! `filter_names` reads — counted by this binary's thread-local counting
-//! allocator.
+//! Allocation budgets of the guard's serve path — a session's open, its
+//! writes and its `filter_names` reads — counted by
+//! [`cg_telemetry::alloc::Counting`], this binary's global allocator.
 //!
 //! Allocation counts are a pure function of the code on one thread, so
 //! they can be gated where a timing cannot. The budgets below are
@@ -10,51 +10,13 @@
 //! process-wide domain interner is warm, so tests running in parallel
 //! in this binary cannot shift it.
 
+use cg_entity::EntityMap;
+use cg_telemetry::alloc::{counted, Counting};
 use cookieguard_core::{Caller, GuardConfig, GuardEngine, GuardSession};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
-
-/// Counts the current thread's allocations (`alloc` and `realloc`).
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping beside it
-// touches only a thread-local `Cell` through `try_with`, which neither
-// allocates nor panics, even while thread-locals are torn down.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// Runs `f`, returning its result and the allocations it made.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
-}
 
 /// Allocations of a whole session: open, 30 names written by three
 /// vendors, 30 reads of all 30 names, close. Measured 45: the 30 read
@@ -62,6 +24,14 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// growing to 30 names. 129 while the store kept a `Box<str>` per name
 /// in a `HashMap` and each read's result grew from a capacity of 4.
 const SESSION_BUDGET: u64 = 45;
+
+/// Allocations of `engine.session(site)` once the site is interned, on
+/// a strict engine with no entity map. Measured 0: the session shares
+/// the engine and its metadata store grows on the first write. The
+/// entity map compiles into the shared engine, never into the per-visit
+/// session, so an engine with a large map opens a session at exactly
+/// this count.
+const SESSION_OPEN_ALLOCS: u64 = 0;
 
 const SITE: &str = "budget-site.example";
 
@@ -131,4 +101,33 @@ fn a_session_stays_within_its_allocation_budget() {
         allocs <= SESSION_BUDGET,
         "a 30-name session allocates {allocs} times, budget {SESSION_BUDGET}"
     );
+}
+
+/// An entity map of `domains` domains spread over 97 organizations.
+fn big_entity_map(domains: usize) -> EntityMap {
+    let mut map = EntityMap::new();
+    for i in 0..domains {
+        map.insert(&format!("domain-{i}.example"), &format!("Org-{}", i % 97));
+    }
+    map
+}
+
+#[test]
+fn session_open_does_not_grow_with_the_entity_map() {
+    for domains in [0, 1_000, 20_000] {
+        let config = match domains {
+            0 => GuardConfig::strict(),
+            n => GuardConfig::strict().with_entity_grouping(big_entity_map(n)),
+        };
+        let engine = GuardEngine::shared(config);
+        let open = || engine.session(SITE);
+        drop(open());
+        let (session, allocs) = counted(open);
+        drop(session);
+        println!("session open, {domains}-domain entity map: {allocs} allocations");
+        assert_eq!(
+            allocs, SESSION_OPEN_ALLOCS,
+            "opening a session on an engine with a {domains}-domain entity map"
+        );
+    }
 }
